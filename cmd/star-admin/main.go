@@ -188,6 +188,14 @@ func runTop(c *admin.Client, node int, interval time.Duration, iters int) {
 			rate("committed"), rate("aborted")+rate("user_aborts"), rate("epochs"),
 			lat.Quantile(0.5), lat.Quantile(0.99),
 			rate("shed_frontdoor")+rate("rejected"), lag)
+		// The phase switch: how far phases ran past their slice, how long
+		// the fences took, and the share of the window that was neither
+		// slice nor work — overrun plus fence.
+		over := histDelta(cur.Hists["phase_overrun"], prev.Hists["phase_overrun"])
+		fence := histDelta(cur.Hists["fence"], prev.Hists["fence"])
+		fmt.Printf("  switch: overrun p50 %-10v p99 %-10v fence p50 %-10v p99 %-10v outside-slice %4.1f%%\n",
+			over.Quantile(0.5), over.Quantile(0.99), fence.Quantile(0.5), fence.Quantile(0.99),
+			100*float64(over.Sum+fence.Sum)/float64(interval))
 		prev = cur
 	}
 }

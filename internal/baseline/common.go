@@ -9,6 +9,7 @@ package baseline
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,7 +54,12 @@ type Config struct {
 func installSpinWait(r rt.Runtime) {
 	if _, isSim := r.(*rt.Sim); isSim {
 		storage.SpinWait = func() { r.Sleep(200 * time.Nanosecond) }
+		return
 	}
+	// Undo what an earlier simulated engine in this process installed: a
+	// real goroutine spinning through a stopped simulation's Sleep never
+	// returns.
+	storage.SpinWait = runtime.Gosched
 }
 
 func (c Config) withDefaults() Config {

@@ -48,6 +48,14 @@ type coordinator struct {
 	// re-requested.
 	recoveryGrace time.Duration
 
+	// lat is the one-way message latency the phase budget's propagation
+	// allowance, the post-revert settle time and the workers' fence-tail
+	// flush window are sized from. On the built-in simulated network it
+	// is the configured Net.Latency; on a supplied transport, where Net
+	// describes nothing, it is estimated from the control rounds the
+	// coordinator itself measures every phase (see noteRound).
+	lat time.Duration
+
 	// ackRetried marks that the current epoch's fence already failed
 	// once and was reverted for retry (see the ack-gather failure path).
 	ackRetried bool
@@ -90,6 +98,7 @@ func newCoordinator(e *Engine) *coordinator {
 	}
 	c.lastTauP = e.cfg.Iteration / 2
 	c.lastTauS = e.cfg.Iteration / 2
+	c.lat = e.cfg.Net.Latency
 	c.minGrace = 20 * time.Millisecond
 	c.recoveryGrace = 2 * time.Second
 	if _, isSim := e.cfg.RT.(*rt.Sim); !isSim {
@@ -200,9 +209,8 @@ func (c *coordinator) loop() {
 // runPhase executes one phase plus its replication fence.
 func (c *coordinator) runPhase(tau time.Duration) {
 	r := c.e.cfg.RT
-	prop := 2 * c.e.cfg.Net.Latency // command propagation allowance
-	budget := prop + tau
-	deadline := r.Now() + budget
+	budget := 2*c.lat + tau // command propagation allowance + the slice
+	start := r.Now()
 	// The phase end crosses process boundaries as a BUDGET relative to
 	// the command's receipt, not an absolute timestamp: each process's
 	// runtime has its own clock origin (a restarted node's clock starts
@@ -215,16 +223,32 @@ func (c *coordinator) runPhase(tau time.Duration) {
 		Deadline: budget,
 		Master:   c.master,
 		Failed:   c.failedList(),
+		Lat:      c.lat,
 	})
 	grace := 10*tau + c.minGrace + c.graceBoost
 	c.graceBoost = 0
 
-	// Phase execution: gather per-node sent vectors and monitors.
+	// Every node reports twice per epoch: its phase end (sent vector and
+	// monitors) and its completed fence drain. The nodes drain on their
+	// own — each peer's end-of-epoch marker tells them what to wait for —
+	// so a fast node's ack can overtake a slow node's phase report; both
+	// gathers collect both kinds.
 	done := map[int]msgPhaseDone{}
-	if !c.gather(deadline-r.Now()+grace, func(m any) bool {
-		if pd, ok := m.(msgPhaseDone); ok && pd.Epoch == c.epoch && c.alive[pd.Node] {
-			done[pd.Node] = pd
+	acks := map[int]bool{}
+	collect := func(m any) {
+		switch v := m.(type) {
+		case msgPhaseDone:
+			if v.Epoch == c.epoch && c.alive[v.Node] {
+				done[v.Node] = v
+			}
+		case msgFenceAck:
+			if v.Epoch == c.epoch && c.alive[v.Node] {
+				acks[v.Node] = true
+			}
 		}
+	}
+	if !c.gather(budget+grace, func(m any) bool {
+		collect(m)
 		return len(done) == c.aliveCount()
 	}) {
 		// A failure detected at the phase gather is properly attributed:
@@ -235,23 +259,12 @@ func (c *coordinator) runPhase(tau time.Duration) {
 		return
 	}
 	fenceStart := r.Now()
+	c.noteRound(fenceStart - start - budget)
 
-	// Replication fence: every node drains what the others sent (§4.3).
-	for i, a := range c.alive {
-		if !a {
-			continue
-		}
-		expected := make([]int64, c.e.cfg.Nodes)
-		for src, pd := range done {
-			expected[src] = pd.Sent[i]
-		}
-		c.e.net.Send(c.id(), i, transport.Control, msgFenceDrain{Epoch: c.epoch, Expected: expected})
-	}
-	acks := map[int]bool{}
+	// Replication fence (§4.3): wait until every node has drained what
+	// the others sent.
 	if !c.gather(grace, func(m any) bool {
-		if a, ok := m.(msgFenceAck); ok && a.Epoch == c.epoch && c.alive[a.Node] {
-			acks[a.Node] = true
-		}
+		collect(m)
 		return len(acks) == c.aliveCount()
 	}) {
 		if !c.ackRetried {
@@ -282,11 +295,39 @@ func (c *coordinator) runPhase(tau time.Duration) {
 	}
 	c.setBacklog(queued)
 	c.accountPhase(done, tau)
-	c.noteEpoch(done, tau, fenceDur)
+	c.noteEpoch(done, tau, fenceStart-start-tau, fenceDur)
 	c.handleRejoins(done)
 	c.processAdmin(done)
 	c.epoch++
 	c.advancePhase()
+}
+
+// noteRound folds one measured control round — phase command out to
+// last phase report in, minus the budget the nodes were told to run —
+// into the latency estimate. Only a supplied transport is measured: the
+// built-in simulated network's latency is configured, and its runs are
+// pinned bit for bit. The rounds are propagation plus whatever
+// scheduling and collector noise the hops met, and the noise is
+// one-sided with a tail several times the median, so the average is
+// asymmetric: a shorter round pulls the estimate down at once, a longer
+// one (clipped at twice the estimate) raises it slowly. It settles near
+// the floor of the distribution, which is the propagation.
+func (c *coordinator) noteRound(round time.Duration) {
+	if c.e.cfg.Transport == nil {
+		return
+	}
+	sample := round / 2
+	if sample < c.lat {
+		c.lat += (sample - c.lat) / 2
+	} else {
+		if sample > 2*c.lat {
+			sample = 2 * c.lat
+		}
+		c.lat += (sample - c.lat) / 64
+	}
+	if lo := 10 * time.Microsecond; c.lat < lo {
+		c.lat = lo
+	}
 }
 
 func (c *coordinator) aliveCount() int {
@@ -462,7 +503,7 @@ func (c *coordinator) revertAndRetryEpoch() {
 		Failed:     c.failedList(),
 		NewMasters: append([]int32(nil), c.masters...),
 	})
-	c.e.cfg.RT.Sleep(4 * c.e.cfg.Net.Latency)
+	c.e.cfg.RT.Sleep(4 * c.lat)
 	c.phase = Partitioned
 }
 
@@ -517,7 +558,7 @@ func (c *coordinator) onFailure(missing []int) {
 		NewMasters: append([]int32(nil), c.masters...),
 	})
 	// Give the revert time to land before restarting the epoch.
-	c.e.cfg.RT.Sleep(4 * cfg.Net.Latency)
+	c.e.cfg.RT.Sleep(4 * c.lat)
 	c.phase = Partitioned
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -54,6 +55,7 @@ type Engine struct {
 	phaseSingle  metrics.Counter // single-master phases run
 	commitPart   metrics.Counter // txns committed in partitioned phases
 	commitSingle metrics.Counter // txns committed in single-master phases
+	overrunHist  *metrics.Hist   // phase wall time past its slice, per committed epoch
 	fenceHist    *metrics.Hist   // fence duration per committed epoch
 	drainHist    *metrics.Hist   // router wall time spent in fence drains
 
@@ -139,6 +141,7 @@ func build(cfg Config) *Engine {
 			tracker: replication.NewTracker(cfg.Nodes),
 			masters: append([]int32(nil), masters...),
 			failed:  make([]bool, cfg.Nodes),
+			marks:   make([]epochMark, cfg.Nodes),
 		}
 		n.replLag = e.reg.Gauge(fmt.Sprintf(`repl_lag{node="%d"}`, i))
 		n.masterQ = cfg.RT.NewChan(1 << 16)
@@ -184,6 +187,7 @@ func (e *Engine) buildRegistry() {
 	r.RegisterCounter("committed_partitioned", &e.commitPart)
 	r.RegisterCounter("committed_single_master", &e.commitSingle)
 	r.RegisterHist("latency", e.latency)
+	e.overrunHist = r.Hist("phase_overrun")
 	e.fenceHist = r.Hist("fence")
 	e.drainHist = r.Hist("drain_stall")
 	e.partCommits = make([]metrics.Gauge, e.cfg.NumPartitions())
@@ -418,7 +422,12 @@ func (e *Engine) LastCheckpoint(node int) string {
 func installSpinWait(r rt.Runtime) {
 	if _, isSim := r.(*rt.Sim); isSim {
 		storage.SpinWait = func() { r.Sleep(200 * time.Nanosecond) }
+		return
 	}
+	// Undo what an earlier simulated engine in this process installed: a
+	// real goroutine spinning through a stopped simulation's Sleep never
+	// returns.
+	storage.SpinWait = runtime.Gosched
 }
 
 // Net exposes the cluster network (tests and benches read its byte

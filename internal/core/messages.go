@@ -16,8 +16,8 @@ import (
 // instead of O(writes). The fence accounting stays per entry: the
 // sender's Tracker.AddSent counts len(Entries) when the envelope ships,
 // and the receiver's AddApplied counts entries as they are applied, so
-// msgFenceDrain's Expected vector reconciles exactly however the
-// entries were packed.
+// the peers' msgEpochMark counts reconcile exactly however the entries
+// were packed.
 type msgReplBatch = replication.Batch
 
 // Phase enumerates STAR's two execution phases.
@@ -52,6 +52,9 @@ type msgStartPhase struct {
 	Deadline time.Duration
 	Master   int   // the designated master node
 	Failed   []int // currently failed nodes (empty normally)
+	// Lat is the coordinator's one-way latency estimate (see
+	// coordinator.lat); workers size the fence-tail flush window from it.
+	Lat time.Duration
 
 	// Scripted-run fields (see RunScripted; zero on ordinary phases).
 	// ScriptTxns bounds the partitioned phase by generator steps per
@@ -96,16 +99,25 @@ func (m msgPhaseDone) Size() int { return 56 + 8*len(m.Sent) }
 // on node-hosting processes, which never send phase commands.
 func (m msgPhaseDone) InjectionEpoch() uint64 { return m.Epoch }
 
-// msgFenceDrain tells a node how many replication entries to expect from
-// each source before the fence may complete.
-type msgFenceDrain struct {
-	Epoch    uint64
-	Expected []int64
+// msgEpochMark is a node's end-of-epoch marker (node → every peer, on the
+// replication class): Sent is the sender's cumulative entry count to
+// the receiver at the moment its phase ended. It travels behind the
+// sender's last envelope of the epoch on the replication link itself,
+// so the receiver learns what to wait for — and starts draining — the
+// moment each peer's phase ends, without a round through the
+// coordinator. The router sends it after every local worker's final
+// flush, which is what orders it behind their envelopes.
+type msgEpochMark struct {
+	From  int
+	Epoch uint64
+	Sent  int64
 }
 
-func (m msgFenceDrain) Size() int { return 16 + 8*len(m.Expected) }
+func (msgEpochMark) Size() int { return 24 }
 
-// msgFenceAck acknowledges a completed drain (node → coordinator).
+// msgFenceAck reports a completed fence drain (node → coordinator): the
+// node's own phase ended, every peer's marker arrived, and everything
+// the markers count has been applied.
 type msgFenceAck struct {
 	Node  int
 	Epoch uint64

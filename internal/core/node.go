@@ -14,10 +14,6 @@ import (
 	"star/internal/wal"
 )
 
-// drainPoll is how often a node re-checks its replication counters while
-// waiting for a fence drain.
-const drainPoll = 20 * time.Microsecond
-
 // node is one STAR server: its copy of the database, its workers, and a
 // router process that owns the network inbox (actor-style: replication
 // application, fence participation and request routing all happen here).
@@ -64,10 +60,22 @@ type node struct {
 	// their done report, which the router's rebuild points respect.
 	replTargets [][]int
 
-	// Fence bookkeeping.
-	workersDone  int
-	drainAborted bool
-	draining     bool
+	// Fence state, owned by the router. The node starts draining the
+	// moment its own phase ends (phaseDone): each peer's msgEpochMark
+	// names how much of that peer's stream to wait for, and the applier
+	// that reaches the full expected vector wakes the router
+	// (Tracker.AwaitDrained) — no timer or poll sits on the path. acked
+	// latches the fence ack for the in-flight epoch.
+	workersDone int
+	phaseDone   bool
+	acked       bool
+	drainBegun  bool          // drainStart and the repl_lag gauge are set for this epoch
+	drainStart  time.Duration // when the expected vector became complete
+	// marks is the latest marker per source node. Markers can run ahead
+	// of this node's own phase command (a stand-by peer reports the
+	// moment its phase starts, on a different link), so they are kept by
+	// epoch and only consulted once the epochs match.
+	marks []epochMark
 
 	// Phase monitors, accumulated by the router from the workers' done
 	// reports (reset each phase; the workers shard them locally so the
@@ -101,6 +109,16 @@ type node struct {
 	// lastCheckpoint (guarded by mu) is the newest fuzzy checkpoint path.
 	lastCheckpoint string
 }
+
+// epochMark is one peer's end-of-epoch marker as the router holds it.
+type epochMark struct {
+	epoch uint64
+	sent  int64
+}
+
+// fenceWake is the node-local nudge an applier drops into the router's
+// inbox when it brings the tracker up to the awaited vector.
+type fenceWake struct{}
 
 // applierBatch is one applier's share of a replication batch. epoch is
 // the sender's epoch stamp: entries apply (and save their revert/fence
@@ -198,8 +216,10 @@ func (n *node) handle(m any) {
 		n.e.net.Send(n.id, msg.ReplyTo, transport.Control, msgReplAck{Worker: msg.Worker, Seq: msg.Seq})
 	case msgStartPhase:
 		n.startPhase(msg)
-	case msgFenceDrain:
-		n.drainFence(msg)
+	case msgEpochMark:
+		n.noteMark(msg)
+	case fenceWake:
+		n.tryFinishFence()
 	case msgDefer:
 		n.e.deferred.Inc()
 		// Admission control: when the deferred queue is full the request
@@ -333,6 +353,7 @@ func (n *node) startPhase(m msgStartPhase) {
 	n.curMaster.Store(int32(m.Master))
 	n.setFailed(m.Failed)
 	n.workersDone = 0
+	n.phaseDone, n.acked, n.drainBegun = false, false, false
 	n.phaseCommitted, n.genSingle, n.genCross = 0, 0, 0
 	for _, w := range n.workers {
 		w.ctl.Send(m)
@@ -424,58 +445,110 @@ func (n *node) respondClient(req *txn.Request, resp ClientResp) {
 	n.e.net.Send(n.id, req.Origin, transport.Control, resp)
 }
 
+// reportPhaseDone runs when the last local worker finished the phase
+// (its final flush happened-before its done report): mark the end of
+// this node's stream to every peer, report to the coordinator, and start
+// draining at once.
 func (n *node) reportPhaseDone() {
+	epoch := n.epoch.Load()
+	sent := n.tracker.SentVector()
+	n.phaseDone = true
+	topo := n.e.topo.Load()
+	for p := range n.failed {
+		if n.isPeer(topo, p) {
+			n.e.net.Send(n.id, p, transport.Replication, msgEpochMark{From: n.id, Epoch: epoch, Sent: sent[p]})
+		}
+	}
 	n.e.net.Send(n.id, n.e.cfg.coordID(), transport.Control, msgPhaseDone{
 		Node:      n.id,
-		Epoch:     n.epoch.Load(),
-		Sent:      n.tracker.SentVector(),
+		Epoch:     epoch,
+		Sent:      sent,
 		Committed: n.phaseCommitted,
 		GenSingle: n.genSingle,
 		GenCross:  n.genCross,
 		Queued:    int64(n.masterQ.Len()),
 	})
+	n.tryFinishFence()
 }
 
-// drainFence waits until every replication entry the other nodes claim
-// to have sent has been applied locally, then acks the coordinator.
-// Incoming messages (including the outstanding batches themselves) keep
-// being served while waiting. A revert aborts the drain.
-func (n *node) drainFence(m msgFenceDrain) {
-	if n.draining {
-		panic("core: nested fence drain")
+// isPeer reports whether node p takes part in this node's fences: a
+// live member other than itself. Both sides of a link evaluate it from
+// the failure set and topology the same phase command installed, so
+// every marker a node waits for is one its peer sends.
+func (n *node) isPeer(topo *Topology, p int) bool {
+	return p != n.id && topo.IsMember(p) && !n.failed[p]
+}
+
+// noteMark records a peer's end-of-epoch marker. Markers of a committed
+// epoch (a duplicate, or a frame that outlived its fence) are ignored.
+func (n *node) noteMark(m msgEpochMark) {
+	// From came off the wire: bounds-check before indexing.
+	if m.From < 0 || m.From >= len(n.marks) {
+		return
 	}
-	n.draining = true
-	defer func() { n.draining = false }()
-	// Observability: the backlog this drain starts with (how far the
-	// appliers were behind when the fence arrived) and the wall time the
-	// router stalls absorbing it.
-	var lag int64
-	for src, exp := range m.Expected {
-		if d := exp - n.tracker.Applied(src); d > 0 {
-			lag += d
-		}
+	if m.Epoch < n.epoch.Load() || m.Epoch < n.marks[m.From].epoch {
+		return
 	}
-	if n.replLag != nil {
-		n.replLag.Set(lag)
+	n.marks[m.From] = epochMark{epoch: m.Epoch, sent: m.Sent}
+	n.tryFinishFence()
+}
+
+// tryFinishFence acks the coordinator once this node's phase is over,
+// every peer's marker for the epoch is in, and everything the markers
+// count has been applied locally. It runs on the router after each event
+// that can complete the fence; when only the appliers are outstanding it
+// registers the expected vector with the tracker and returns — the
+// applier that gets there sends the fenceWake that re-runs it.
+func (n *node) tryFinishFence() {
+	if !n.phaseDone || n.acked {
+		return
 	}
-	start := n.e.cfg.RT.Now()
-	defer func() { n.e.drainHist.Observe(n.e.cfg.RT.Now() - start) }()
-	in := n.inbox()
-	for !n.tracker.Drained(m.Expected) {
-		if n.drainAborted {
-			n.drainAborted = false
+	epoch := n.epoch.Load()
+	topo := n.e.topo.Load()
+	for p := range n.marks {
+		if n.isPeer(topo, p) && n.marks[p].epoch != epoch {
 			return
 		}
-		if msg, ok := in.RecvTimeout(drainPoll); ok {
-			n.handle(msg)
+	}
+	expected := make([]int64, len(n.marks))
+	for p := range n.marks {
+		if n.isPeer(topo, p) {
+			expected[p] = n.marks[p].sent
 		}
 	}
+	if !n.drainBegun {
+		// Observability: the drain proper starts here, where the whole
+		// expected vector is known (the last peer's phase, or this
+		// node's own, just ended) — the backlog the appliers still have
+		// to absorb, and the wall time until they have.
+		n.drainBegun = true
+		n.drainStart = n.e.cfg.RT.Now()
+		var lag int64
+		for src, exp := range expected {
+			if d := exp - n.tracker.Applied(src); d > 0 {
+				lag += d
+			}
+		}
+		if n.replLag != nil {
+			n.replLag.Set(lag)
+		}
+	}
+	if !n.tracker.AwaitDrained(expected, n.wakeRouter) {
+		return
+	}
+	n.acked = true
+	n.e.drainHist.Observe(n.e.cfg.RT.Now() - n.drainStart)
 	if n.e.cfg.Logging {
 		// Fence flush: logs are durable at every epoch boundary (§4.5.1).
 		n.chargeLog(64)
 	}
-	n.e.net.Send(n.id, n.e.cfg.coordID(), transport.Control, msgFenceAck{Node: n.id, Epoch: m.Epoch})
+	n.e.net.Send(n.id, n.e.cfg.coordID(), transport.Control, msgFenceAck{Node: n.id, Epoch: epoch})
 }
+
+// wakeRouter runs on the applier that completed the awaited drain. A
+// full inbox may refuse the nudge: the router is then busy with queued
+// messages, and the ones that matter here re-run tryFinishFence anyway.
+func (n *node) wakeRouter() { n.inbox().TrySend(fenceWake{}) }
 
 // applyBatch shards a replication envelope across the node's applier
 // processes by partition (value entries commute under the Thomas write
@@ -498,8 +571,24 @@ func (n *node) applyBatch(b *msgReplBatch) {
 		n.applyEntries(b.From, epoch, b.Entries)
 		return
 	}
-	var per [][]replication.Entry
-	per = make([][]replication.Entry, shards)
+	if shards == 1 {
+		// One applier: the envelope's own slice goes through as is.
+		n.appliers[0].Send(applierBatch{from: b.From, epoch: epoch, entries: b.Entries})
+		return
+	}
+	// Count first, so each shard's share is one exactly-sized slice
+	// carved from a single allocation instead of an append-grown one.
+	counts := make([]int, shards)
+	for i := range b.Entries {
+		counts[int(b.Entries[i].Part)%shards]++
+	}
+	block := make([]replication.Entry, len(b.Entries))
+	per := make([][]replication.Entry, shards)
+	off := 0
+	for sh, c := range counts {
+		per[sh] = block[off : off : off+c]
+		off += c
+	}
 	for i := range b.Entries {
 		sh := int(b.Entries[i].Part) % shards
 		per[sh] = append(per[sh], b.Entries[i])
@@ -590,8 +679,14 @@ func (n *node) revert(m msgRevert) {
 	// replica that already holds them (no-op) or a partial that was the
 	// secondary (also already holds them); nothing to copy (§4.5.3:
 	// re-mastering transfers no data).
-	if n.draining {
-		n.drainAborted = true
+	//
+	// The reverted epoch's fence is void: abort the drain and forget
+	// every marker, including those of nodes that just failed. The retry
+	// sends fresh ones behind the retried phase's envelopes.
+	n.tracker.CancelAwait()
+	n.phaseDone, n.acked = false, false
+	for i := range n.marks {
+		n.marks[i] = epochMark{}
 	}
 }
 

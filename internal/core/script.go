@@ -132,33 +132,26 @@ func (e *Engine) scriptLoop(sc Script) ScriptResult {
 		return res
 	}
 
+	// runPhase runs one phase and its replication fence (§4.3): every
+	// node reports its phase end, drains what its peers' end-of-epoch
+	// markers count, and acks. A fast node's ack can overtake a slow
+	// node's report, so one gather collects both.
 	runPhase := func(cmd msgStartPhase) (map[int]msgPhaseDone, bool) {
 		e.broadcastScript(cmd)
 		done := map[int]msgPhaseDone{}
-		ok := scriptGather(r, in, scriptTimeout, func(m any) bool {
-			if pd, isDone := m.(msgPhaseDone); isDone && pd.Epoch == cmd.Epoch {
-				done[pd.Node] = pd
-			}
-			return len(done) == nodes
-		})
-		if !ok {
-			return done, false
-		}
-		// Replication fence (§4.3): every node drains what the others
-		// sent before the epoch closes.
-		for i := 0; i < nodes; i++ {
-			expected := make([]int64, nodes)
-			for src, pd := range done {
-				expected[src] = pd.Sent[i]
-			}
-			e.net.Send(coord, i, transport.Control, msgFenceDrain{Epoch: cmd.Epoch, Expected: expected})
-		}
 		acks := map[int]bool{}
-		ok = scriptGather(r, in, scriptTimeout, func(m any) bool {
-			if a, isAck := m.(msgFenceAck); isAck && a.Epoch == cmd.Epoch {
-				acks[a.Node] = true
+		ok := scriptGather(r, in, scriptTimeout, func(m any) bool {
+			switch v := m.(type) {
+			case msgPhaseDone:
+				if v.Epoch == cmd.Epoch {
+					done[v.Node] = v
+				}
+			case msgFenceAck:
+				if v.Epoch == cmd.Epoch {
+					acks[v.Node] = true
+				}
 			}
-			return len(acks) == nodes
+			return len(done) == nodes && len(acks) == nodes
 		})
 		return done, ok
 	}

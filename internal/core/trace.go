@@ -23,7 +23,14 @@ type TraceEvent struct {
 	NowUS int64 `json:"now_us"`
 	// TauUS is the phase slice the tuner allotted this epoch.
 	TauUS int64 `json:"tau_us"`
-	// FenceUS is the replication fence's duration (drain + acks).
+	// OverrunUS is how far the phase ran past its slice: phase command
+	// out to last phase report in, minus TauUS — command propagation,
+	// workers finishing their last transaction, final flushes and the
+	// report's way back. TauUS + OverrunUS + FenceUS is the epoch's
+	// whole wall time.
+	OverrunUS int64 `json:"overrun_us"`
+	// FenceUS is the replication fence's duration: last phase report to
+	// last fence ack.
 	FenceUS int64 `json:"fence_us"`
 	// Committed is the cluster-wide commit count of this epoch; Commits
 	// breaks it down per node.
@@ -41,11 +48,11 @@ type TraceEvent struct {
 
 // noteEpoch runs on the coordinator goroutine after every committed
 // fence, before the epoch counter advances: it feeds the registry's
-// epoch/phase counters and the fence-duration histogram, and emits one
+// epoch/phase counters and the overrun and fence histograms, and emits one
 // timeline line when Config.Trace is set. Only the coordinator-hosting
 // process reaches here, so those counters are zero elsewhere — exactly
 // what cluster-merged views want (no double counting).
-func (c *coordinator) noteEpoch(done map[int]msgPhaseDone, tau, fenceDur time.Duration) {
+func (c *coordinator) noteEpoch(done map[int]msgPhaseDone, tau, overrun, fenceDur time.Duration) {
 	e := c.e
 	e.epochsC.Inc()
 	var committed, queued int64
@@ -60,6 +67,7 @@ func (c *coordinator) noteEpoch(done map[int]msgPhaseDone, tau, fenceDur time.Du
 		e.phaseSingle.Inc()
 		e.commitSingle.Add(committed)
 	}
+	e.overrunHist.Observe(overrun)
 	e.fenceHist.Observe(fenceDur)
 	if e.cfg.Trace == nil {
 		return
@@ -69,6 +77,7 @@ func (c *coordinator) noteEpoch(done map[int]msgPhaseDone, tau, fenceDur time.Du
 		Phase:     c.phase.String(),
 		NowUS:     e.cfg.RT.Now().Microseconds(),
 		TauUS:     tau.Microseconds(),
+		OverrunUS: overrun.Microseconds(),
 		FenceUS:   fenceDur.Microseconds(),
 		Committed: committed,
 		Queued:    queued,

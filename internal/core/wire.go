@@ -16,7 +16,7 @@ import (
 const (
 	wireStartPhase uint8 = iota + 1
 	wirePhaseDone
-	wireFenceDrain
+	_ // retired: wireFenceDrain (peers' msgEpochMark names the drain target)
 	wireFenceAck
 	wireDefer
 	wireReplAck
@@ -42,6 +42,7 @@ const (
 	wireAdminReq
 	wireAdminResp
 	wireTopology
+	wireEpochMark
 )
 
 // wireRegistrar is implemented by workloads whose procedures have a
@@ -73,6 +74,7 @@ func registerMessages(c *wire.Codec) {
 			b = wire.AppendVarint(b, int64(v.Deadline))
 			b = wire.AppendVarint(b, int64(v.Master))
 			b = wire.AppendInts(b, v.Failed)
+			b = wire.AppendVarint(b, int64(v.Lat))
 			b = wire.AppendVarint(b, int64(v.ScriptTxns))
 			return wire.AppendVarint(b, v.ScriptDeferred)
 		},
@@ -98,6 +100,10 @@ func registerMessages(c *wire.Codec) {
 			if v.Failed, b, err = wire.Ints(b); err != nil {
 				return nil, nil, err
 			}
+			if x, b, err = wire.Varint(b); err != nil {
+				return nil, nil, err
+			}
+			v.Lat = time.Duration(x)
 			if x, b, err = wire.Varint(b); err != nil {
 				return nil, nil, err
 			}
@@ -148,19 +154,24 @@ func registerMessages(c *wire.Codec) {
 			return v, b, nil
 		})
 
-	c.Register(wireFenceDrain, msgFenceDrain{},
+	c.Register(wireEpochMark, msgEpochMark{},
 		func(b []byte, m transport.Message) []byte {
-			v := m.(msgFenceDrain)
+			v := m.(msgEpochMark)
+			b = wire.AppendVarint(b, int64(v.From))
 			b = wire.AppendUvarint(b, v.Epoch)
-			return wire.AppendI64s(b, v.Expected)
+			return wire.AppendVarint(b, v.Sent)
 		},
 		func(b []byte) (transport.Message, []byte, error) {
-			var v msgFenceDrain
-			var err error
+			var v msgEpochMark
+			x, b, err := wire.Varint(b)
+			if err != nil {
+				return nil, nil, err
+			}
+			v.From = int(x)
 			if v.Epoch, b, err = wire.Uvarint(b); err != nil {
 				return nil, nil, err
 			}
-			if v.Expected, b, err = wire.I64s(b); err != nil {
+			if v.Sent, b, err = wire.Varint(b); err != nil {
 				return nil, nil, err
 			}
 			return v, b, nil

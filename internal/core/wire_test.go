@@ -51,9 +51,9 @@ func sampleMessages(tw *tpcc.Workload, yw *ycsb.Workload) []transport.Message {
 	}
 	return []transport.Message{
 		msgStartPhase{Phase: SingleMaster, Epoch: 9, Deadline: 40 * time.Millisecond,
-			Master: 1, Failed: []int{2}, ScriptTxns: 5, ScriptDeferred: 17},
+			Master: 1, Failed: []int{2}, Lat: 70 * time.Microsecond, ScriptTxns: 5, ScriptDeferred: 17},
 		msgPhaseDone{Node: 2, Epoch: 9, Sent: []int64{0, 4, 9}, Committed: 120, GenSingle: 110, GenCross: 12},
-		msgFenceDrain{Epoch: 9, Expected: []int64{1, 2, 3}},
+		msgEpochMark{From: 2, Epoch: 9, Sent: 4096},
 		msgFenceAck{Node: 1, Epoch: 9},
 		msgDefer{Req: txn.NewRequest(tg.Cross(1), 12345)},
 		msgDefer{Req: txn.NewRequest(yg.Cross(2), 777)},

@@ -107,15 +107,12 @@ func (w *worker) loop() {
 			}
 		case cmd.Phase == SingleMaster && w.n.id == cmd.Master:
 			w.runSingleMaster(cmd)
-		case scripted:
-			// Scripted stand-by: the phase ends when the work is done,
-			// not at a deadline — report immediately.
 		default:
-			// Standing by for replication (§4.3): the router applies the
-			// master's stream; this worker just waits the phase out.
-			if d := cmd.Deadline - w.n.e.cfg.RT.Now(); d > 0 {
-				w.n.e.cfg.RT.Sleep(d)
-			}
+			// Standing by for replication (§4.3): the router and appliers
+			// replay the master's stream; this worker has nothing to do
+			// and reports at once, so only the master bounds τs. Sleeping
+			// the slice out would put a sub-millisecond timer on every
+			// single-master phase's critical path (see yieldEvery).
 		}
 		w.strm.Flush()
 		if w.logger != nil {
@@ -130,24 +127,41 @@ func (w *worker) loop() {
 	}
 }
 
+// yieldEvery is how long a worker loop runs before offering its
+// processor to whatever queued up behind it. Go preempts a running
+// goroutine only after ~10ms — a whole iteration — and looks at the
+// network only when a processor has nothing runnable, so with as many
+// workers as processors a loop that never yields leaves the router, the
+// appliers, the link readers and writers and the coordinator waiting
+// for that preemption: envelopes a flush queued stay unwritten, the
+// peer's stay unread until the fence, a phase command sits in a socket.
+// The same scheduler serves a sub-millisecond timer no sooner than ~1ms
+// on an idle processor and no sooner than the forced preemption on busy
+// ones, which is why nothing on the phase switch's path sleeps or polls.
+// A yield costs ~4µs (rt.BenchmarkRealYield).
+const yieldEvery = 100 * time.Microsecond
+
 // ---- partitioned phase ----
 
 func (w *worker) runPartitioned(cmd msgStartPhase) {
 	r := w.n.e.cfg.RT
 	parts := w.n.ownedPartitions(w.idx)
 	if len(parts) == 0 {
-		if d := cmd.Deadline - r.Now(); d > 0 {
-			r.Sleep(d)
-		}
-		return
+		return // nothing mastered here: the workers that have work bound τp
 	}
+	defer r.Busy()()
 	pi := 0
-	tail := w.newTailFlusher(cmd.Deadline)
-	for r.Now() < cmd.Deadline {
+	tail := w.newTailFlusher(cmd)
+	yieldAt := r.Now() + yieldEvery
+	for now := r.Now(); now < cmd.Deadline; now = r.Now() {
 		if w.n.e.frozen.Load() {
 			break
 		}
-		tail.maybeFlush(r.Now())
+		if now >= yieldAt {
+			r.Yield()
+			yieldAt = now + yieldEvery
+		}
+		tail.maybeFlush(now)
 		home := parts[pi]
 		pi = (pi + 1) % len(parts)
 		w.req.ResetFor(w.gen.Mixed(home), int64(r.Now()))
@@ -239,12 +253,18 @@ func (w *worker) runSingleMaster(cmd msgStartPhase) {
 	e := w.n.e
 	r := e.cfg.RT
 	nparts := e.cfg.NumPartitions()
-	tail := w.newTailFlusher(cmd.Deadline)
-	for r.Now() < cmd.Deadline {
+	defer r.Busy()()
+	tail := w.newTailFlusher(cmd)
+	yieldAt := r.Now() + yieldEvery
+	for now := r.Now(); now < cmd.Deadline; now = r.Now() {
 		if e.frozen.Load() {
 			break
 		}
-		tail.maybeFlush(r.Now())
+		if now >= yieldAt {
+			r.Yield()
+			yieldAt = now + yieldEvery
+		}
+		tail.maybeFlush(now)
 		var req *txn.Request
 		if v, ok := w.n.masterQ.TryRecv(); ok {
 			req = v.(*txn.Request)
@@ -458,8 +478,8 @@ func (w *worker) chargeTxnLog() {
 }
 
 // tailFlusher implements fence-tail flushing: in the last moments of a
-// phase (twice the network latency) the worker ships its buffered
-// entries early — at most once per latency interval — so the replicas
+// phase (twice the one-way latency the coordinator announced) the worker
+// ships its buffered entries early — at most once per latency interval — so the replicas
 // apply them while the phase is still running, and the fence drain waits
 // only for the final transactions' writes instead of a full
 // threshold-sized envelope's wire and apply time. The throttle keeps the
@@ -472,9 +492,8 @@ type tailFlusher struct {
 	last     time.Duration
 }
 
-func (w *worker) newTailFlusher(deadline time.Duration) tailFlusher {
-	lat := w.n.e.cfg.Net.Latency
-	return tailFlusher{w: w, after: deadline - 2*lat, interval: lat}
+func (w *worker) newTailFlusher(cmd msgStartPhase) tailFlusher {
+	return tailFlusher{w: w, after: cmd.Deadline - 2*cmd.Lat, interval: cmd.Lat}
 }
 
 func (t *tailFlusher) maybeFlush(now time.Duration) {

@@ -178,6 +178,15 @@ func (b *Batch) Size() int {
 type Tracker struct {
 	sent    []atomic.Int64 // indexed by destination
 	applied []atomic.Int64 // indexed by source
+	// wait is the registered fence drain, if any (see AwaitDrained).
+	wait atomic.Pointer[drainWait]
+}
+
+// drainWait is one registered fence drain: the applied counts to reach
+// and who to tell.
+type drainWait struct {
+	expected []int64
+	wake     func()
 }
 
 // NewTracker creates a tracker for a cluster of n nodes.
@@ -189,14 +198,48 @@ func NewTracker(n int) *Tracker {
 func (t *Tracker) AddSent(dst int, n int64) { t.sent[dst].Add(n) }
 
 // AddApplied records n entries applied from src.
-func (t *Tracker) AddApplied(src int, n int64) { t.applied[src].Add(n) }
+func (t *Tracker) AddApplied(src int, n int64) {
+	t.applied[src].Add(n)
+	t.wakeIfDrained()
+}
 
 // SetApplied aligns the applied-from-src counter to an exact value —
 // the rejoin reconciliation: entries a crashed peer counted as sent but
 // the network dropped can never be applied, so after its snapshot
 // catch-up the survivors adopt the peer's own cumulative sent count as
 // their applied baseline (the snapshot subsumes the data either way).
-func (t *Tracker) SetApplied(src int, v int64) { t.applied[src].Store(v) }
+func (t *Tracker) SetApplied(src int, v int64) {
+	t.applied[src].Store(v)
+	t.wakeIfDrained()
+}
+
+// AwaitDrained reports whether everything expected has been applied
+// (see Drained). If not, it registers the drain: the AddApplied or
+// SetApplied call that reaches the expected vector calls wake, once,
+// on the applying goroutine — so a fence drain waits for an event, with
+// no timer or poll on its path. One drain is registered at a time (a
+// new call replaces the previous one); the caller must not modify
+// expected until wake ran or CancelAwait returned.
+func (t *Tracker) AwaitDrained(expected []int64, wake func()) bool {
+	w := &drainWait{expected: expected, wake: wake}
+	// Publish before checking: an applier that adds after the check
+	// below then sees the registration, and one that added before it is
+	// seen by the check.
+	t.wait.Store(w)
+	if t.Drained(expected) && t.wait.CompareAndSwap(w, nil) {
+		return true
+	}
+	return false
+}
+
+// CancelAwait drops the registered drain, if any (a revert aborts it).
+func (t *Tracker) CancelAwait() { t.wait.Store(nil) }
+
+func (t *Tracker) wakeIfDrained() {
+	if w := t.wait.Load(); w != nil && t.Drained(w.expected) && t.wait.CompareAndSwap(w, nil) {
+		w.wake()
+	}
+}
 
 // SentVector snapshots the per-destination sent counts.
 func (t *Tracker) SentVector() []int64 {

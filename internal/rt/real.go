@@ -1,7 +1,10 @@
 package rt
 
 import (
+	"os"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -12,6 +15,15 @@ type Real struct {
 	stop  chan struct{}
 	once  sync.Once
 	wg    sync.WaitGroup
+
+	// busy counts the processes between Busy and its done call.
+	busy atomic.Int32
+
+	// The yield pipe (see Yield), created on first use.
+	yieldOnce    sync.Once
+	yieldR       *os.File
+	yieldW       *os.File
+	yieldResumed chan struct{}
 }
 
 // NewReal returns a running real-time runtime.
@@ -39,6 +51,81 @@ func (r *Real) Sleep(d time.Duration) {
 
 // Compute is a no-op in real mode: the modelled work took real time.
 func (r *Real) Compute(time.Duration) {}
+
+// Busy counts the caller as a compute-bound loop until done is called.
+func (r *Real) Busy() (done func()) {
+	r.busy.Add(1)
+	return func() { r.busy.Add(-1) }
+}
+
+// Yield lets everything else that can run do so, the goroutines
+// blocked on network input included.
+//
+// While fewer loops are Busy than there are processors that is a plain
+// runtime.Gosched: an idle processor picks up whatever becomes runnable
+// and sleeps in the network poller, so the network is served without
+// our help.
+//
+// With a busy loop on every processor Gosched is not enough. The
+// scheduler polls the network only when a processor has nothing
+// runnable, and a goroutine that merely re-queues itself is always
+// runnable: goroutines blocked in socket reads (link readers, client
+// connections) are then woken by sysmon's 10ms fallback poll and
+// nothing else. So the caller writes a byte into a pipe whose read end
+// sits in the poller, and blocks; its processor runs what is queued,
+// finds nothing more, polls — which readies the pipe's reader along
+// with every socket that became readable — and the reader resumes the
+// caller. Two small syscalls and two goroutine switches, ~4µs. (Taken
+// with a processor idle the same round trip crosses threads and costs
+// several times that, for nothing: hence the count.)
+func (r *Real) Yield() {
+	if int(r.busy.Load()) >= runtime.GOMAXPROCS(0) {
+		r.yieldOnce.Do(r.startYieldPump)
+		if r.yieldW != nil {
+			if _, err := r.yieldW.Write(yieldByte); err == nil {
+				select {
+				case <-r.yieldResumed:
+				case <-r.stop:
+					panic(ErrStopped)
+				}
+				return
+			}
+		}
+		// No pipe (none could be opened, or Stop closed it): fall through.
+	}
+	runtime.Gosched()
+}
+
+var yieldByte = []byte{0}
+
+// startYieldPump opens the yield pipe and starts its reader: one resume
+// token per byte, so concurrent yielders each get theirs.
+func (r *Real) startYieldPump() {
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		return // Yield falls back to Gosched
+	}
+	r.yieldR, r.yieldW = pr, pw
+	r.yieldResumed = make(chan struct{})
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		buf := make([]byte, 64)
+		for {
+			n, err := pr.Read(buf)
+			if err != nil {
+				return // closed by Stop
+			}
+			for ; n > 0; n-- {
+				select {
+				case r.yieldResumed <- struct{}{}:
+				case <-r.stop:
+					return
+				}
+			}
+		}
+	}()
+}
 
 // Go spawns fn on a goroutine tracked by Stop.
 func (r *Real) Go(name string, fn func()) {
@@ -70,7 +157,16 @@ func (r *Real) checkStopped() {
 // Stop unblocks every process parked in a runtime primitive and waits for
 // all of them to unwind. It is idempotent.
 func (r *Real) Stop() {
-	r.once.Do(func() { close(r.stop) })
+	r.once.Do(func() {
+		close(r.stop)
+		// Settle the yield pipe: after this no Yield opens one, and an
+		// open one is closed so its reader returns.
+		r.yieldOnce.Do(func() {})
+		if r.yieldR != nil {
+			r.yieldR.Close()
+			r.yieldW.Close()
+		}
+	})
 	r.wg.Wait()
 }
 

@@ -42,6 +42,27 @@ type Runtime interface {
 	// took real time. Compute(0) returns immediately in both modes.
 	Compute(d time.Duration)
 
+	// Yield offers the processor to everything else that can run —
+	// including processes waiting on network input — without advancing
+	// time. Long-running loops that otherwise never block call it at a
+	// bounded rate. In real mode Go preempts a running goroutine only
+	// after ~10ms and polls the network only when a processor runs out
+	// of runnable goroutines, so a loop per processor that never yields
+	// starves the goroutines that serve the links, the replication
+	// appliers and the phase coordinator (see Real.Yield). In sim mode
+	// it is a no-op: Compute already hands control over, and an extra
+	// scheduling point would change the deterministic event order.
+	Yield()
+
+	// Busy declares the calling process compute-bound — a loop that
+	// will not block, only Yield — until the returned function is
+	// called. The real runtime counts them: while fewer loops are busy
+	// than there are processors, Go's scheduler serves everything else
+	// on the idle ones and Yield has nothing to add; once every
+	// processor has one, Yield is what lets the rest of the program run.
+	// A no-op in sim mode.
+	Busy() (done func())
+
 	// Go spawns a new process. The name is used in diagnostics.
 	Go(name string, fn func())
 

@@ -179,6 +179,13 @@ func (s *Sim) Compute(d time.Duration) {
 	s.Sleep(d)
 }
 
+// Yield is a no-op: sim processes hand control over in Compute and
+// Sleep, and an extra scheduling point would reorder events.
+func (s *Sim) Yield() {}
+
+// Busy is a no-op: exactly one sim process runs at a time.
+func (s *Sim) Busy() func() { return func() {} }
+
 // NewChan returns a simulated mailbox.
 func (s *Sim) NewChan(capacity int) Chan {
 	return &simChan{s: s, capacity: capacity}

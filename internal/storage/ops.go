@@ -35,8 +35,14 @@ type FieldOp struct {
 
 // SetFieldOp builds an OpSetField carrying the field's raw encoding.
 func SetFieldOp(s *Schema, row []byte, field int) FieldOp {
-	raw := s.fieldSlice(row, field)
-	return FieldOp{Field: uint8(field), Kind: OpSetField, Arg: append([]byte(nil), raw...)}
+	return SetFieldOpInto(s, row, field, nil)
+}
+
+// SetFieldOpInto is SetFieldOp with the field's encoding appended to
+// buf instead of a fresh slice: a caller that owns storage with the op's
+// lifetime saves the allocation (the append still grows past cap(buf)).
+func SetFieldOpInto(s *Schema, row []byte, field int, buf []byte) FieldOp {
+	return FieldOp{Field: uint8(field), Kind: OpSetField, Arg: append(buf, s.fieldSlice(row, field)...)}
 }
 
 // AddInt64Op builds an integer-delta op.

@@ -13,7 +13,10 @@
 //
 // Encoding happens synchronously in Send (the message's buffers may be
 // reused by the caller immediately after, matching simnet's value
-// semantics); writing happens asynchronously on the link's writer.
+// semantics); writing happens asynchronously on the link's writer —
+// except for a control-class frame that finds its link idle, which the
+// sender writes itself (sendDirect): the phase switch's messages then
+// cost no goroutine hand-off on the sending side.
 // Receivers read each frame into its own buffer, decode (payload slices
 // alias the buffer), and deliver to the destination endpoint's inbox.
 // Byte accounting counts encoded frame lengths on the sending process;
@@ -109,12 +112,30 @@ func (c Config) withDefaults() Config {
 }
 
 // link is one directed src→dst stream: a frame queue drained by a
-// writer goroutine that owns the connection.
+// writer goroutine, and the connection both the writer and — for
+// control frames on an idle link — the sender itself write to.
 type link struct {
 	out    chan []byte
 	dead   atomic.Bool   // peer unreachable or stream broken: drop frames
 	kick   chan struct{} // bounce signal: drop the conn and re-dial (cap 1)
 	queued atomic.Int64  // bytes sitting in out (capped while dead)
+
+	// inflight counts frames handed to the queue and not yet written (or
+	// dropped). It is raised before the enqueue and lowered after the
+	// write, so zero means nothing a sender could overtake: that is the
+	// condition under which Send may write a frame itself (sendDirect).
+	inflight atomic.Int64
+
+	// mu guards conn and bw. The writer holds it per frame; a direct
+	// sender only ever TryLocks it.
+	mu   sync.Mutex
+	conn net.Conn
+	bw   *bufio.Writer
+	// stale marks conn as predating the last SetDown(peer, false): the
+	// peer may be a new incarnation, and a write on the old stream would
+	// vanish without an error. Set with the kick, cleared when the writer
+	// adopts a fresh connection; a direct sender stays off a stale one.
+	stale atomic.Bool
 }
 
 // Network implements transport.Transport over TCP.
@@ -270,6 +291,7 @@ func (n *Network) Send(src, dst int, class transport.Class, m transport.Message)
 			n.dropped.Add(1)
 			return
 		}
+		l.inflight.Add(1)
 		select {
 		case l.out <- frame:
 			l.queued.Add(int64(len(frame)))
@@ -277,6 +299,7 @@ func (n *Network) Send(src, dst int, class transport.Class, m transport.Message)
 			n.msgsByClass[class].Add(1)
 			n.bytesFrom[src].Add(int64(len(frame)))
 		default:
+			l.inflight.Add(-1)
 			n.dropped.Add(1)
 		}
 		return
@@ -284,11 +307,55 @@ func (n *Network) Send(src, dst int, class transport.Class, m transport.Message)
 	n.bytesByClass[class].Add(int64(len(frame)))
 	n.msgsByClass[class].Add(1)
 	n.bytesFrom[src].Add(int64(len(frame)))
+	if class == transport.Control && n.sendDirect(l, frame) {
+		return
+	}
+	l.inflight.Add(1)
 	select {
 	case l.out <- frame:
 		l.queued.Add(int64(len(frame)))
 	case <-n.stop:
 	}
+}
+
+// sendDirect writes a control frame on the caller's goroutine when the
+// link is idle, and reports whether it did. Control frames are the phase
+// switch's critical path (phase commands, phase reports, fence acks) and
+// nearly always find their link idle; handing one to the writer costs a
+// goroutine wake-up, which on a saturated process waits for a processor
+// while the write itself is a few microseconds. Per-link FIFO holds:
+// inflight is zero only when every earlier frame has been written, and
+// the lock keeps the writer from interleaving.
+func (n *Network) sendDirect(l *link, frame []byte) bool {
+	if l.inflight.Load() != 0 || !l.mu.TryLock() {
+		return false
+	}
+	defer l.mu.Unlock()
+	if l.inflight.Load() != 0 || l.bw == nil || l.dead.Load() || l.stale.Load() {
+		return false
+	}
+	if _, err := l.bw.Write(frame); err == nil && l.bw.Flush() == nil {
+		return true
+	}
+	// Fail-stop, as in the writer: the frame died with the stream. The
+	// writer finds the connection gone at its next frame and takes the
+	// link through the usual dead/revive cycle.
+	n.untrack(l)
+	l.dead.Store(true)
+	n.dropped.Add(1)
+	return true
+}
+
+// untrack closes and forgets the link's connection. Callers hold l.mu.
+func (n *Network) untrack(l *link) {
+	if l.conn == nil {
+		return
+	}
+	l.conn.Close()
+	n.mu.Lock()
+	delete(n.dialed, l.conn)
+	n.mu.Unlock()
+	l.conn, l.bw = nil, nil
 }
 
 func (n *Network) link(src, dst int) *link {
@@ -321,6 +388,7 @@ func (n *Network) bounceLinks(dst int) {
 		if int(uint32(key)) != dst {
 			continue
 		}
+		l.stale.Store(true)
 		select {
 		case l.kick <- struct{}{}:
 		default:
@@ -341,18 +409,6 @@ func (n *Network) bounceLinks(dst int) {
 // must only ever block for backpressure, never on a crashed peer.
 func (n *Network) runWriter(l *link, dst int) {
 	defer n.wg.Done()
-	var conn net.Conn
-	var bw *bufio.Writer
-	untrack := func() {
-		if conn == nil {
-			return
-		}
-		conn.Close()
-		n.mu.Lock()
-		delete(n.dialed, conn)
-		n.mu.Unlock()
-		conn, bw = nil, nil
-	}
 	adopt := func(c net.Conn) bool {
 		if c == nil {
 			return false
@@ -360,7 +416,10 @@ func (n *Network) runWriter(l *link, dst int) {
 		n.mu.Lock()
 		n.dialed[c] = struct{}{}
 		n.mu.Unlock()
-		conn, bw = c, bufio.NewWriterSize(c, 64<<10)
+		l.mu.Lock()
+		l.conn, l.bw = c, bufio.NewWriterSize(c, 64<<10)
+		l.stale.Store(false)
+		l.mu.Unlock()
 		return true
 	}
 	// connect dials patiently (retry up to DialDeadline — peers may
@@ -368,7 +427,11 @@ func (n *Network) runWriter(l *link, dst int) {
 	// birth and on kicks in the dead branch, where Send drops instead
 	// of blocking.
 	connect := func() bool { return adopt(n.dial(dst)) }
-	defer untrack()
+	defer func() {
+		l.mu.Lock()
+		n.untrack(l)
+		l.mu.Unlock()
+	}()
 	// writeFrame streams one frame. A stream error is strictly
 	// fail-stop: frames coalesced in bw but not yet flushed are
 	// unrecoverable (silently resuming on a fresh connection would lose
@@ -376,15 +439,22 @@ func (n *Network) runWriter(l *link, dst int) {
 	// sent>applied gap that wedges the replication fence), so the link
 	// turns dead, the loss is counted, and the failure/rejoin protocol
 	// (whose SetDown(node,false) bounce is what revives links) decides
-	// what happens next.
+	// what happens next. A nil bw means a direct sender already hit the
+	// error and dropped the connection.
 	writeFrame := func(frame []byte) bool {
-		if _, err := bw.Write(frame); err == nil {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		defer l.inflight.Add(-1)
+		if l.bw == nil {
+			return false
+		}
+		if _, err := l.bw.Write(frame); err == nil {
 			// Coalesce: flush only when the queue has drained.
-			if len(l.out) > 0 || bw.Flush() == nil {
+			if len(l.out) > 0 || l.bw.Flush() == nil {
 				return true
 			}
 		}
-		untrack()
+		n.untrack(l)
 		return false
 	}
 	// bounce drops the current connection (flushing it first — a
@@ -397,51 +467,64 @@ func (n *Network) runWriter(l *link, dst int) {
 	// dead and a later kick (in the dead branch, where senders drop
 	// instead of blocking) retries patiently.
 	bounce := func() bool {
-		if bw != nil {
-			bw.Flush()
+		l.mu.Lock()
+		if l.bw != nil {
+			l.bw.Flush()
 		}
-		untrack()
+		n.untrack(l)
+		l.mu.Unlock()
 		return adopt(n.dialOnce(dst))
 	}
-	alive := connect()
-	l.dead.Store(!alive)
+	// l.dead is the link's one state word: the writer flips it here, and
+	// a direct sender whose write failed sets it too (sendDirect) — the
+	// writer then finds the connection gone at its next frame and
+	// continues in the dead branch.
+	l.dead.Store(!connect())
+	// revive serves a kick: a dead link re-dials patiently, a live one
+	// bounces.
+	revive := func() {
+		if l.dead.Load() {
+			l.dead.Store(!connect())
+		} else {
+			l.dead.Store(!bounce())
+		}
+	}
 	for {
-		if alive {
+		// A pending kick goes first, in either state: frames enqueued
+		// right after a SetDown(node, false) then reach the fresh
+		// connection instead of a stale one (or the drop loop).
+		select {
+		case <-l.kick:
+			revive()
+			continue
+		default:
+		}
+		if !l.dead.Load() {
 			select {
 			case frame := <-l.out:
 				l.queued.Add(-int64(len(frame)))
 				if !writeFrame(frame) {
 					n.dropped.Add(1) // the frame died with the stream
-					alive = false
 					l.dead.Store(true)
 				}
 			case <-l.kick:
-				alive = bounce()
-				l.dead.Store(!alive)
+				revive()
 			case <-n.stop:
-				if bw != nil {
-					bw.Flush()
+				l.mu.Lock()
+				if l.bw != nil {
+					l.bw.Flush()
 				}
+				l.mu.Unlock()
 				return
 			}
 		} else {
-			// Prefer a pending revival over draining, so frames enqueued
-			// right after a SetDown(node, false) survive to the fresh
-			// connection instead of racing the drop loop.
-			select {
-			case <-l.kick:
-				alive = connect()
-				l.dead.Store(!alive)
-				continue
-			default:
-			}
 			select {
 			case frame := <-l.out:
 				l.queued.Add(-int64(len(frame)))
+				l.inflight.Add(-1)
 				n.dropped.Add(1)
 			case <-l.kick:
-				alive = connect()
-				l.dead.Store(!alive)
+				revive()
 			case <-n.stop:
 				return
 			}

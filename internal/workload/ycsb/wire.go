@@ -19,11 +19,16 @@ func (w *Workload) RegisterWire(c *wire.Codec) {
 	c.RegisterProc(wireTxn, (*Txn)(nil),
 		func(b []byte, p txn.Procedure) []byte {
 			t := p.(*Txn)
-			b = wire.AppendUvarint(b, uint64(len(t.keys)))
-			for i := range t.keys {
-				b = wire.AppendVarint(b, int64(t.parts[i]))
-				b = wire.AppendKey(b, t.keys[i])
-				b = wire.AppendBool(b, t.writes[i])
+			b = wire.AppendUvarint(b, uint64(len(t.accs)))
+			for i := range t.accs {
+				a := &t.accs[i]
+				b = wire.AppendVarint(b, int64(a.Part))
+				// Row numbers are small: two varints (Hi is zero) are 4-5
+				// bytes where the fixed-width key is 16, and the keys are
+				// most of a routed request.
+				b = wire.AppendUvarint(b, a.Key.Hi)
+				b = wire.AppendUvarint(b, a.Key.Lo)
+				b = wire.AppendBool(b, a.Write)
 			}
 			b = wire.AppendUvarint(b, uint64(len(t.ops)))
 			for i := range t.ops {
@@ -36,26 +41,26 @@ func (w *Workload) RegisterWire(c *wire.Codec) {
 			if err != nil {
 				return nil, nil, err
 			}
-			// Each access costs ≥ 18 bytes on the wire.
-			if n > uint64(len(b))/18+1 {
+			// Each access costs ≥ 4 bytes on the wire.
+			if n > uint64(len(b))/4+1 {
 				return nil, nil, fmt.Errorf("%w: %d ycsb accesses", wire.ErrCorrupt, n)
 			}
-			t := &Txn{
-				w:      w,
-				parts:  make([]int, n),
-				keys:   make([]storage.Key, n),
-				writes: make([]bool, n),
-			}
-			for i := uint64(0); i < n; i++ {
+			t := &Txn{w: w, accs: make([]txn.Access, n)}
+			for i := range t.accs {
+				a := &t.accs[i]
+				a.Table = TableID
 				var x int64
 				if x, b, err = wire.Varint(b); err != nil {
 					return nil, nil, err
 				}
-				t.parts[i] = int(x)
-				if t.keys[i], b, err = wire.Key(b); err != nil {
+				a.Part = int(x)
+				if a.Key.Hi, b, err = wire.Uvarint(b); err != nil {
 					return nil, nil, err
 				}
-				if t.writes[i], b, err = wire.Bool(b); err != nil {
+				if a.Key.Lo, b, err = wire.Uvarint(b); err != nil {
+					return nil, nil, err
+				}
+				if a.Write, b, err = wire.Bool(b); err != nil {
 					return nil, nil, err
 				}
 			}
@@ -72,10 +77,6 @@ func (w *Workload) RegisterWire(c *wire.Codec) {
 					return nil, nil, err
 				}
 			}
-			t.accs = make([]txn.Access, n)
-			for i := range t.keys {
-				t.accs[i] = txn.Access{Table: TableID, Part: t.parts[i], Key: t.keys[i], Write: t.writes[i]}
-			}
 			return t, b, nil
 		})
 }
@@ -83,9 +84,10 @@ func (w *Workload) RegisterWire(c *wire.Codec) {
 // WireSize returns the exact encoded parameter size (kept in lock-step
 // with the encoder above).
 func (t *Txn) WireSize() int {
-	n := wire.UvarintLen(uint64(len(t.keys)))
-	for i := range t.keys {
-		n += wire.VarintLen(int64(t.parts[i])) + wire.KeyLen + 1
+	n := wire.UvarintLen(uint64(len(t.accs)))
+	for i := range t.accs {
+		a := &t.accs[i]
+		n += wire.VarintLen(int64(a.Part)) + wire.UvarintLen(a.Key.Hi) + wire.UvarintLen(a.Key.Lo) + 1
 	}
 	n += wire.UvarintLen(uint64(len(t.ops)))
 	for i := range t.ops {

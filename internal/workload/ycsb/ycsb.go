@@ -139,18 +139,26 @@ func (w *Workload) NewGen(seed int64) workload.Gen {
 // WritesPerTxn are read-modify-writes installing fresh random bytes.
 // The footprint and the write op are precomputed at generation time so
 // that Run — the piece the engine executes, possibly several times under
-// OCC retry — allocates nothing.
+// OCC retry — allocates nothing. The declared footprint is the only copy
+// of the parameters: Run walks accs directly.
 type Txn struct {
-	w      *Workload
-	parts  []int
-	keys   []storage.Key
-	writes []bool
-	accs   []txn.Access
+	w    *Workload
+	accs []txn.Access
 	// ops is the precomputed column-1 delta, held as a slice so Run can
 	// pass it through the variadic Ctx.Write without allocating (a
 	// spread of an existing slice reuses it; a bare argument would build
 	// a fresh one per call).
 	ops []storage.FieldOp
+}
+
+// genTxn is the block a generated transaction is allocated in: the Txn
+// and the storage its ops slice points into, so generation costs two
+// allocations (this and accs) instead of one per slice. arg holds the
+// op's payload when it fits; wider fields fall back to the heap.
+type genTxn struct {
+	Txn
+	op  [1]storage.FieldOp
+	arg [16]byte
 }
 
 // Name implements txn.Procedure.
@@ -162,12 +170,13 @@ func (t *Txn) Accesses() []txn.Access { return t.accs }
 // Run implements txn.Procedure: reads every record; for write accesses it
 // installs the new column value (column 1, as a single-field delta).
 func (t *Txn) Run(ctx txn.Ctx) error {
-	for i := range t.keys {
-		if _, ok := ctx.Read(TableID, t.parts[i], t.keys[i]); !ok {
+	for i := range t.accs {
+		a := &t.accs[i]
+		if _, ok := ctx.Read(TableID, a.Part, a.Key); !ok {
 			return txn.ErrConflict
 		}
-		if t.writes[i] {
-			ctx.Write(TableID, t.parts[i], t.keys[i], t.ops...)
+		if a.Write {
+			ctx.Write(TableID, a.Part, a.Key, t.ops...)
 		}
 	}
 	return nil
@@ -179,8 +188,8 @@ func (t *Txn) Run(ctx txn.Ctx) error {
 // write (WritesPerTxn ≥ 1), so this only fires for explicitly built
 // read transactions (ReadTxn — the star-client read path).
 func (t *Txn) ReadOnly() bool {
-	for _, w := range t.writes {
-		if w {
+	for i := range t.accs {
+		if t.accs[i].Write {
 			return false
 		}
 	}
@@ -195,21 +204,12 @@ func (w *Workload) newExplicitTxn(parts, rows []int, writes []bool, val []byte) 
 	if len(rows) != len(parts) || (writes != nil && len(writes) != len(parts)) {
 		panic("ycsb: explicit txn footprint slices disagree")
 	}
-	t := &Txn{
-		w:      w,
-		parts:  append([]int(nil), parts...),
-		keys:   make([]storage.Key, len(parts)),
-		writes: make([]bool, len(parts)),
-		accs:   make([]txn.Access, len(parts)),
-	}
+	t := &Txn{w: w, accs: make([]txn.Access, len(parts))}
 	anyWrite := false
 	for i := range parts {
-		t.keys[i] = w.Key(parts[i], rows[i])
-		if writes != nil && writes[i] {
-			t.writes[i] = true
-			anyWrite = true
-		}
-		t.accs[i] = txn.Access{Table: TableID, Part: t.parts[i], Key: t.keys[i], Write: t.writes[i]}
+		wr := writes != nil && writes[i]
+		anyWrite = anyWrite || wr
+		t.accs[i] = txn.Access{Table: TableID, Part: parts[i], Key: w.Key(parts[i], rows[i]), Write: wr}
 	}
 	if anyWrite {
 		row := w.schema.NewRow()
@@ -241,50 +241,50 @@ func (w *Workload) WriteTxn(parts, rows []int, val []byte) *Txn {
 
 func (g *Gen) gen(home int, cross bool) txn.Procedure {
 	cfg := g.w.cfg
-	t := &Txn{
-		w:      g.w,
-		parts:  make([]int, cfg.OpsPerTxn),
-		keys:   make([]storage.Key, cfg.OpsPerTxn),
-		writes: make([]bool, cfg.OpsPerTxn),
-	}
+	b := &genTxn{Txn: Txn{w: g.w, accs: make([]txn.Access, cfg.OpsPerTxn)}}
+	t := &b.Txn
 	g.rng.Read(g.val)
 	g.w.schema.SetBytes(g.row, 1, g.val)
-	t.ops = []storage.FieldOp{storage.SetFieldOp(g.w.schema, g.row, 1)}
-	seen := make(map[storage.Key]struct{}, cfg.OpsPerTxn)
-	for i := 0; i < cfg.OpsPerTxn; i++ {
+	b.op[0] = storage.SetFieldOpInto(g.w.schema, g.row, 1, b.arg[:0])
+	t.ops = b.op[:]
+	accs := t.accs
+	for i := range accs {
 		p := home
 		if cross && i > 0 {
 			p = g.rng.Intn(cfg.Partitions)
 		}
+		// Redraw a key the transaction already touches (at most 8 times).
+		// A scan of the few keys drawn so far, not a per-transaction map.
 		var k storage.Key
 		for attempt := 0; ; attempt++ {
 			k = g.w.Key(p, g.rng.Intn(cfg.RecordsPerPartition))
-			if _, dup := seen[k]; !dup || attempt >= 8 {
+			if attempt >= 8 || !hasKey(accs[:i], k) {
 				break
 			}
 		}
-		seen[k] = struct{}{}
-		t.parts[i] = p
-		t.keys[i] = k
-		t.writes[i] = i >= cfg.OpsPerTxn-cfg.WritesPerTxn
+		accs[i] = txn.Access{Table: TableID, Part: p, Key: k, Write: i >= cfg.OpsPerTxn-cfg.WritesPerTxn}
 	}
-	if cross {
+	if cross && allSame(accs) {
 		// Guarantee the transaction really is cross-partition.
-		if allSame(t.parts) {
-			t.parts[cfg.OpsPerTxn-1] = (home + 1) % cfg.Partitions
-			t.keys[cfg.OpsPerTxn-1] = g.w.Key(t.parts[cfg.OpsPerTxn-1], g.rng.Intn(cfg.RecordsPerPartition))
-		}
-	}
-	t.accs = make([]txn.Access, cfg.OpsPerTxn)
-	for i := range t.keys {
-		t.accs[i] = txn.Access{Table: TableID, Part: t.parts[i], Key: t.keys[i], Write: t.writes[i]}
+		last := &accs[cfg.OpsPerTxn-1]
+		last.Part = (home + 1) % cfg.Partitions
+		last.Key = g.w.Key(last.Part, g.rng.Intn(cfg.RecordsPerPartition))
 	}
 	return t
 }
 
-func allSame(ps []int) bool {
-	for _, p := range ps[1:] {
-		if p != ps[0] {
+func hasKey(accs []txn.Access, k storage.Key) bool {
+	for i := range accs {
+		if accs[i].Key == k {
+			return true
+		}
+	}
+	return false
+}
+
+func allSame(accs []txn.Access) bool {
+	for i := range accs[1:] {
+		if accs[i+1].Part != accs[0].Part {
 			return false
 		}
 	}

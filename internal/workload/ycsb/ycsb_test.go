@@ -95,11 +95,11 @@ func TestGeneratorDeterminism(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		a := g1.Mixed(1).(*Txn)
 		b := g2.Mixed(1).(*Txn)
-		if len(a.keys) != len(b.keys) {
+		if len(a.accs) != len(b.accs) {
 			t.Fatal("lengths differ")
 		}
-		for j := range a.keys {
-			if a.keys[j] != b.keys[j] || a.parts[j] != b.parts[j] {
+		for j := range a.accs {
+			if a.accs[j].Key != b.accs[j].Key || a.accs[j].Part != b.accs[j].Part {
 				t.Fatal("same seed must generate identical transactions")
 			}
 		}
