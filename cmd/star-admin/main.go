@@ -196,8 +196,26 @@ func runTop(c *admin.Client, node int, interval time.Duration, iters int) {
 		fmt.Printf("  switch: overrun p50 %-10v p99 %-10v fence p50 %-10v p99 %-10v outside-slice %4.1f%%\n",
 			over.Quantile(0.5), over.Quantile(0.99), fence.Quantile(0.5), fence.Quantile(0.99),
 			100*float64(over.Sum+fence.Sum)/float64(interval))
+		// Replication by entry kind (worker shards, folded at each fence):
+		// encoded entry bytes per committed transaction, what shipping
+		// the partitioned phase's updates as field ops saved against the
+		// same entries as whole rows, and the share of entries that were
+		// ops (the single-master phase, inserts and deletes ship rows).
+		delta := func(name string) float64 { return float64(cur.Counters[name] - prev.Counters[name]) }
+		ops, shipped, asValues := delta("repl_op_entries"), delta("repl_entry_bytes"), delta("repl_value_equiv_bytes")
+		fmt.Printf("  repl: %6.0f B/txn shipped  %4.1f%% saved vs value-equivalent  %4.1f%% operation entries\n",
+			ratio(shipped, delta("committed")), 100*ratio(asValues-shipped, asValues),
+			100*ratio(ops, ops+delta("repl_value_entries")))
 		prev = cur
 	}
+}
+
+// ratio is a/b, or 0 when there is nothing to divide by.
+func ratio(a, b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
 }
 
 // histDelta subtracts two cumulative snapshots of the same histogram,

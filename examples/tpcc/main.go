@@ -1,7 +1,7 @@
 // TPC-C: run the paper's NewOrder+Payment mix on a deterministic 4-node
-// cluster twice — once with plain value replication, once with the §5
-// hybrid strategy (operation replication in the partitioned phase) — and
-// report the replication-bandwidth saving alongside throughput.
+// cluster and report what §5's hybrid replication saves: the partitioned
+// phase ships each update as its field ops, and the engine counts what
+// the same entries would have cost shipped as whole records.
 package main
 
 import (
@@ -12,7 +12,7 @@ import (
 	"star"
 )
 
-func run(hybrid bool) star.Stats {
+func main() {
 	const nodes, workers = 4, 2
 	cluster, err := star.New(star.Config{
 		Nodes:          nodes,
@@ -25,10 +25,9 @@ func run(hybrid bool) star.Stats {
 			// Paper defaults: 10% of NewOrder and 15% of Payment are
 			// cross-partition.
 		}),
-		Iteration:  10 * time.Millisecond,
-		HybridRepl: hybrid,
-		Virtual:    true,
-		Seed:       42,
+		Iteration: 10 * time.Millisecond,
+		Virtual:   true,
+		Seed:      42,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -38,27 +37,20 @@ func run(hybrid bool) star.Stats {
 	cluster.Freeze()
 	cluster.Run(50 * time.Millisecond)
 	if err := cluster.CheckConsistency(); err != nil {
-		log.Fatalf("replica divergence (hybrid=%v): %v", hybrid, err)
+		log.Fatalf("replica divergence: %v", err)
 	}
-	return cluster.Stats()
-}
+	st := cluster.Stats()
+	if st.Committed == 0 {
+		log.Fatal("nothing committed")
+	}
 
-func main() {
-	value := run(false)
-	hybrid := run(true)
-
+	shipped, asValues := st.Extra["repl_entry_bytes"], st.Extra["repl_value_equiv_bytes"]
+	ops, values := st.Extra["repl_op_entries"], st.Extra["repl_value_entries"]
 	fmt.Println("TPC-C (NewOrder+Payment), 4 nodes, 10%/15% cross-partition:")
-	report := func(name string, st star.Stats) {
-		perTxn := int64(0)
-		if st.Committed > 0 {
-			perTxn = st.ReplicationBytes / st.Committed
-		}
-		fmt.Printf("  %-22s %8.0f txns/s  p50=%-8v repl=%d B/txn\n",
-			name, st.Throughput(), st.Latency.Quantile(0.5), perTxn)
-	}
-	report("value replication", value)
-	report("hybrid replication", hybrid)
-	saving := 100 * (1 - float64(hybrid.ReplicationBytes)/float64(value.ReplicationBytes))
-	fmt.Printf("hybrid replication ships %.0f%% fewer bytes (§5: Payment deltas\n", saving)
-	fmt.Println("replace full 500B+ customer rows; NewOrder inserts still ship rows)")
+	fmt.Printf("  %8.0f txns/s  p50=%-8v replica consistency: OK\n", st.Throughput(), st.Latency.Quantile(0.5))
+	fmt.Printf("  replication entries: %.0f B/txn shipped, %.0f B/txn as whole records (%.0f%% saved), %.0f%% operation entries\n",
+		shipped/float64(st.Committed), asValues/float64(st.Committed),
+		100*(1-shipped/asValues), 100*ops/(ops+values))
+	fmt.Println("  (§5: Payment and stock deltas replace 300-670 B rows; inserts and the")
+	fmt.Println("  single-master phase still ship rows)")
 }

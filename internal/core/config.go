@@ -95,13 +95,9 @@ type Config struct {
 
 	// SyncRepl makes the single-master phase hold write locks until all
 	// replicas ack each transaction's writes (the SYNC STAR baseline of
-	// Fig 15a). Default is asynchronous replication + fence.
+	// Fig 15a). Default is asynchronous replication + fence. What ships
+	// is not configurable: ops or rows by phase (worker.emitEntries).
 	SyncRepl bool
-
-	// HybridRepl enables operation replication in the partitioned phase
-	// (STAR w/ Hybrid Rep. in Fig 15a); otherwise whole rows are shipped
-	// in both phases.
-	HybridRepl bool
 
 	// Logging enables per-worker value logging with fence flushes; its
 	// virtual cost is LogPerKB (Fig 15b).
@@ -152,8 +148,8 @@ type Config struct {
 	Cost CostModel
 	Seed int64
 
-	// FlushEvery bounds replication batch size in entries (0 = no entry
-	// bound: batches grow to FlushBytes or the epoch fence). The seed
+	// FlushEvery bounds replication batch size in entries. 0 selects
+	// DefaultFlushEntries; negative disables the entry bound. The seed
 	// behaviour — one small message every 16 writes — is FlushEvery: 16
 	// with FlushBytes: -1.
 	FlushEvery int
@@ -191,6 +187,12 @@ const (
 // flushing), small enough that replica application keeps overlapping
 // the phase instead of bursting into the fence drain.
 const DefaultFlushBytes = 16 << 10
+
+// DefaultFlushEntries is the default entry bound: what a replica still
+// owes at the fence is apply and log work per entry, not per byte. 16 KiB
+// is ~110 YCSB rows but ~380 operation entries, 3-4× the work buffered at
+// the sender when a phase ends (measured: +4 % commit p50 without it).
+const DefaultFlushEntries = 128
 
 func (c Config) withDefaults() Config {
 	if c.FullReplicas == 0 {
@@ -232,6 +234,9 @@ func (c Config) withDefaults() Config {
 // adaptation — there is no threshold to adapt).
 func (c Config) streamLimits() replication.Limits {
 	lim := replication.Limits{Entries: c.FlushEvery}
+	if lim.Entries == 0 {
+		lim.Entries = DefaultFlushEntries
+	}
 	if c.FlushBytes > 0 {
 		lim.Bytes = c.FlushBytes
 		lim.Adaptive = c.FlushPolicy == FlushAdaptive
@@ -243,58 +248,6 @@ func (c Config) streamLimits() replication.Limits {
 // partitions per node, matching §7.1: "the number of partitions equal to
 // the total number of worker threads").
 func (c Config) NumPartitions() int { return c.Nodes * c.WorkersPerNode }
-
-// MasterOf returns the partition's mastering node in the partitioned
-// phase (block assignment: node i masters [i*w, (i+1)*w)).
-func (c Config) MasterOf(p int) int { return p / c.WorkersPerNode }
-
-// SecondaryOf returns the partial replica that stores partition p as a
-// secondary when p is mastered by a full-replica node; partitions
-// mastered by partial nodes are already duplicated on the full replicas.
-// Returns -1 when no extra copy is needed. Together the partial replicas
-// hold a complete copy of the database (paper Fig 2).
-func (c Config) SecondaryOf(p int) int {
-	m := c.MasterOf(p)
-	if m >= c.FullReplicas {
-		return -1 // full replicas already duplicate it
-	}
-	k := c.Nodes - c.FullReplicas
-	if k <= 0 {
-		return -1
-	}
-	return c.FullReplicas + p%k
-}
-
-// HoldersOf returns every node that stores partition p.
-func (c Config) HoldersOf(p int) []int {
-	holders := make([]int, 0, c.FullReplicas+2)
-	for i := 0; i < c.FullReplicas; i++ {
-		holders = append(holders, i)
-	}
-	if m := c.MasterOf(p); m >= c.FullReplicas {
-		holders = append(holders, m)
-	}
-	if s := c.SecondaryOf(p); s >= 0 {
-		holders = append(holders, s)
-	}
-	return holders
-}
-
-// HoldsMask returns the partition residency mask for a node.
-func (c Config) HoldsMask(node int) []bool {
-	n := c.NumPartitions()
-	mask := make([]bool, n)
-	for p := 0; p < n; p++ {
-		if node < c.FullReplicas {
-			mask[p] = true
-			continue
-		}
-		if c.MasterOf(p) == node || c.SecondaryOf(p) == node {
-			mask[p] = true
-		}
-	}
-	return mask
-}
 
 // coordID is the simnet endpoint index used by the phase coordinator.
 func (c Config) coordID() int { return c.Nodes }

@@ -255,7 +255,7 @@ func (c *coordinator) runPhase(tau time.Duration) {
 		// renew the fence's one-shot retry budget (a prior fence stall
 		// may have consumed it to funnel detection here).
 		c.ackRetried = false
-		c.onFailure(missingFrom(done, c.alive))
+		c.onFailure(missing(done, c.alive))
 		return
 	}
 	fenceStart := r.Now()
@@ -282,7 +282,7 @@ func (c *coordinator) runPhase(tau time.Duration) {
 			return
 		}
 		c.ackRetried = false
-		c.onFailure(missingBool(acks, c.alive))
+		c.onFailure(missing(acks, c.alive))
 		return
 	}
 	c.ackRetried = false
@@ -370,22 +370,12 @@ func (c *coordinator) gather(timeout time.Duration, take func(any) bool) bool {
 	}
 }
 
-func missingFrom(done map[int]msgPhaseDone, alive []bool) []int {
+// missing lists the alive nodes with no entry in got (a phase report, or
+// a fence ack — acks are only ever recorded as true).
+func missing[V any](got map[int]V, alive []bool) []int {
 	var out []int
 	for i, a := range alive {
-		if a {
-			if _, ok := done[i]; !ok {
-				out = append(out, i)
-			}
-		}
-	}
-	return out
-}
-
-func missingBool(done map[int]bool, alive []bool) []int {
-	var out []int
-	for i, a := range alive {
-		if a && !done[i] {
+		if _, ok := got[i]; a && !ok {
 			out = append(out, i)
 		}
 	}
@@ -468,21 +458,14 @@ func (c *coordinator) advancePhase() {
 	if c.phase == Partitioned {
 		if (tauS > 0 || c.queuedBacklog() > 0) && c.hasAliveFull() {
 			c.phase = SingleMaster
-			return
 		}
-		c.epochTickWithoutPhase()
-		return
+		return // else a degenerate tuning (P=0): the partitioned phase repeats
 	}
 	c.phase = Partitioned
 	if tauP == 0 {
-		c.epochTickWithoutPhase()
-		c.phase = SingleMaster
+		c.phase = SingleMaster // P=1: the single-master phase repeats
 	}
 }
-
-// epochTickWithoutPhase handles degenerate tunings (P=0 or P=1) where
-// one phase has zero duration: the other phase simply repeats.
-func (c *coordinator) epochTickWithoutPhase() {}
 
 func (c *coordinator) hasAliveFull() bool {
 	for i := 0; i < c.e.cfg.FullReplicas; i++ {
@@ -588,7 +571,9 @@ func (c *coordinator) aliveHolderIn(t *Topology, p int) int {
 
 // handleRejoins runs at a quiesced fence boundary: restore connectivity,
 // let the node copy state from healthy holders, align its counters, and
-// hand its partitions back.
+// hand its partitions back. Quiesced is what makes the copy safe under
+// operation replication: every delta is applied and no phase runs until
+// this returns, so none races the snapshot it would have to apply onto.
 func (c *coordinator) handleRejoins(done map[int]msgPhaseDone) {
 	reqs := c.e.takeRecoverReqs()
 	if len(reqs) == 0 {

@@ -49,6 +49,10 @@ type Engine struct {
 	partCommits []metrics.Gauge
 	shedClient  metrics.Counter // front-door admission sheds (StatusBusy)
 	checkpoints metrics.Counter // fuzzy checkpoints written
+	// Replication by entry kind, folded from the workers' shards at each
+	// fence (see replStats).
+	replOps, replValues            metrics.Counter
+	replEntryBytes, replEquivBytes metrics.Counter
 	// Coordinator-fed metrics (zero on processes not hosting it).
 	epochsC      metrics.Counter // committed epochs
 	phasePart    metrics.Counter // partitioned phases run
@@ -181,6 +185,10 @@ func (e *Engine) buildRegistry() {
 	r.RegisterCounter("snapshot_fallbacks", &e.snapFallback)
 	r.RegisterCounter("shed_frontdoor", &e.shedClient)
 	r.RegisterCounter("checkpoints", &e.checkpoints)
+	r.RegisterCounter("repl_op_entries", &e.replOps)
+	r.RegisterCounter("repl_value_entries", &e.replValues)
+	r.RegisterCounter("repl_entry_bytes", &e.replEntryBytes)
+	r.RegisterCounter("repl_value_equiv_bytes", &e.replEquivBytes)
 	r.RegisterCounter("epochs", &e.epochsC)
 	r.RegisterCounter("phases_partitioned", &e.phasePart)
 	r.RegisterCounter("phases_single_master", &e.phaseSingle)
@@ -507,6 +515,10 @@ func (e *Engine) Stats() metrics.Stats {
 	st.Extra["rejected"] = float64(e.rejected.Load())
 	st.Extra["snapshot_reads"] = float64(e.snapReads.Load())
 	st.Extra["snapshot_fallbacks"] = float64(e.snapFallback.Load())
+	st.Extra["repl_op_entries"] = float64(e.replOps.Load())
+	st.Extra["repl_value_entries"] = float64(e.replValues.Load())
+	st.Extra["repl_entry_bytes"] = float64(e.replEntryBytes.Load())
+	st.Extra["repl_value_equiv_bytes"] = float64(e.replEquivBytes.Load())
 	if e.coord != nil {
 		st.Extra["fence_share"] = e.coord.fenceShare()
 		tauP, tauS := e.coord.taus()
@@ -517,14 +529,10 @@ func (e *Engine) Stats() metrics.Stats {
 }
 
 func (e *Engine) name() string {
-	switch {
-	case e.cfg.SyncRepl:
+	if e.cfg.SyncRepl {
 		return "SYNC STAR"
-	case e.cfg.HybridRepl:
-		return "STAR w/ Hybrid Rep."
-	default:
-		return "STAR"
 	}
+	return "STAR"
 }
 
 // Freeze pauses workload generation (phase switching continues), letting

@@ -138,9 +138,10 @@ type workerDoneMsg struct {
 	Committed int64
 	GenSingle int64
 	GenCross  int64
+	Repl      replStats
 }
 
-func (workerDoneMsg) Size() int { return 32 }
+func (workerDoneMsg) Size() int { return 64 }
 
 // syncBatch wraps a replication batch that must be acknowledged before
 // the writer releases its locks (SYNC STAR).
@@ -212,7 +213,7 @@ func (n *node) handle(m any) {
 		r.Compute(n.e.cfg.Cost.MsgHandling)
 		// Synchronous replication: the ack may only be sent after the
 		// entries are durably applied, so bypass the async appliers.
-		n.applyEntries(msg.Batch.From, n.batchEpoch(msg.Batch), msg.Batch.Entries)
+		n.applyEntries(&applier{}, msg.Batch.From, n.batchEpoch(msg.Batch), msg.Batch.Entries)
 		n.e.net.Send(n.id, msg.ReplyTo, transport.Control, msgReplAck{Worker: msg.Worker, Seq: msg.Seq})
 	case msgStartPhase:
 		n.startPhase(msg)
@@ -248,6 +249,10 @@ func (n *node) handle(m any) {
 		n.phaseCommitted += msg.Committed
 		n.genSingle += msg.GenSingle
 		n.genCross += msg.GenCross
+		n.e.replOps.Add(msg.Repl.OpEntries)
+		n.e.replValues.Add(msg.Repl.ValueEntries)
+		n.e.replEntryBytes.Add(msg.Repl.Bytes)
+		n.e.replEquivBytes.Add(msg.Repl.ValueEquivBytes)
 		n.workersDone++
 		if n.workersDone == len(n.workers) {
 			n.reportPhaseDone()
@@ -568,7 +573,7 @@ func (n *node) applyBatch(b *msgReplBatch) {
 	epoch := n.batchEpoch(b)
 	shards := len(n.appliers)
 	if shards == 0 {
-		n.applyEntries(b.From, epoch, b.Entries)
+		n.applyEntries(&applier{}, b.From, epoch, b.Entries)
 		return
 	}
 	if shards == 1 {
@@ -608,51 +613,58 @@ func (n *node) batchEpoch(b *msgReplBatch) uint64 {
 	return n.epoch.Load()
 }
 
+// applier is one replay thread's state: its recovery log (nil without
+// LogDir) and the scratch an operation entry's post-image is copied into.
+type applier struct {
+	lg  *wal.Logger
+	row []byte
+}
+
 // applierLoop is one parallel replay thread.
 func (n *node) applierLoop(idx int, ch rt.Chan) {
-	var lg *wal.Logger
+	var a applier
 	if idx >= 0 && idx < len(n.applierLogs) {
-		lg = n.applierLogs[idx]
+		a.lg = n.applierLogs[idx]
 	}
 	for {
 		ab := ch.Recv().(applierBatch)
-		n.applyEntriesLogged(ab.from, ab.epoch, ab.entries, lg)
+		n.applyEntries(&a, ab.from, ab.epoch, ab.entries)
 	}
 }
 
-func (n *node) applyEntries(from int, epoch uint64, entries []replication.Entry) {
-	n.applyEntriesLogged(from, epoch, entries, nil)
-}
-
-func (n *node) applyEntriesLogged(from int, epoch uint64, entries []replication.Entry, lg *wal.Logger) {
-	cost := n.e.cfg.Cost
+// applyEntries replays entries from one source under their epoch. With
+// logging on, every write is logged as a whole record — §5: an operation
+// entry is transformed into the row it produced, under the latch that
+// applied it, so the log replays in any order though its stream did not.
+func (n *node) applyEntries(a *applier, from int, epoch uint64, entries []replication.Entry) {
+	logging := n.e.cfg.Logging
 	for i := range entries {
 		en := &entries[i]
-		row, err := replication.Apply(n.db, epoch, en, n.e.cfg.Logging)
+		row, err := replication.ApplyInto(n.db, epoch, en, a.row, logging)
 		if err != nil {
 			panic("core: replication apply: " + err.Error())
 		}
-		if n.e.cfg.Logging {
-			sz := len(row) + len(en.Row) + 32
-			n.chargeLog(sz)
+		if row != nil {
+			a.row = row
+		} else {
+			row = en.Row
 		}
-		if lg != nil {
-			// §5: operation entries are transformed into whole rows
-			// before logging, so recovery can replay in any order.
-			if en.Absent {
-				lg.AppendDelete(en.Table, en.Part, en.Key, en.TID)
-			} else {
-				if row == nil {
-					row = en.Row
-				}
-				lg.AppendWrite(en.Table, en.Part, en.Key, en.TID, false, row)
-			}
+		if logging {
+			n.chargeLog(len(row) + 32)
+		}
+		if a.lg == nil {
+			continue
+		}
+		if en.Absent {
+			a.lg.AppendDelete(en.Table, en.Part, en.Key, en.TID)
+		} else {
+			a.lg.AppendWrite(en.Table, en.Part, en.Key, en.TID, false, row)
 		}
 	}
-	if lg != nil {
-		lg.Flush(false)
+	if a.lg != nil {
+		a.lg.Flush(false)
 	}
-	n.e.cfg.RT.Compute(time.Duration(len(entries)) * cost.ApplyEntry)
+	n.e.cfg.RT.Compute(time.Duration(len(entries)) * n.e.cfg.Cost.ApplyEntry)
 	n.tracker.AddApplied(from, int64(len(entries)))
 }
 

@@ -1,0 +1,428 @@
+package core
+
+import (
+	"math/rand"
+	"path/filepath"
+	"sync"
+	"testing"
+	"time"
+
+	"star/internal/replication"
+	"star/internal/rt"
+	"star/internal/simnet"
+	"star/internal/storage"
+	"star/internal/txn"
+	"star/internal/wal"
+	"star/internal/wire"
+	"star/internal/workload/tpcc"
+)
+
+// Operation replication is the partitioned phase's only replication path,
+// and its deltas (AddInt64, AddFloat64, Prepend) are not idempotent: these
+// tests walk it through the fault paths value replication used to absorb
+// with the Thomas write rule — revert and retry, log recovery, fence
+// reads, master failover — on TPC-C, whose Payment and NewOrder carry all
+// three delta kinds.
+
+func opReplTPCC(nparts int) *tpcc.Workload {
+	return tpcc.New(tpcc.Config{
+		Warehouses:           nparts,
+		Districts:            2,
+		CustomersPerDistrict: 32,
+		Items:                64,
+	})
+}
+
+// newOpReplHarness builds an unstarted 2-node TPC-C cluster on the real
+// runtime (as newFenceHarness does): the test drives node 0's worker —
+// the master of partition 0 — synchronously and plays node 1's router,
+// feeding it the envelopes node 0's stream shipped. Node 1 is the partial
+// replica holding partition 0 as a secondary. Batches flush every four
+// entries, so an epoch is many envelopes.
+func newOpReplHarness(t *testing.T) (master *worker, replica *node) {
+	t.Helper()
+	e := build(Config{
+		RT:             rt.NewReal(),
+		Nodes:          2,
+		WorkersPerNode: 1,
+		Workload:       opReplTPCC(2),
+		Seed:           7,
+		FlushEvery:     4,
+		Net:            simnet.Config{Nodes: 3},
+	})
+	t.Cleanup(e.cfg.RT.(*rt.Real).Stop)
+	return e.nodes[0].workers[0], e.nodes[1]
+}
+
+// singlePartitionTxns draws n single-partition update transactions for
+// the worker's partition.
+func singlePartitionTxns(w *worker, n int) []*txn.Request {
+	reqs := make([]*txn.Request, n)
+	for i := range reqs {
+		reqs[i] = txn.NewRequest(w.gen.Single(w.n.ownedPartitions(w.idx)[0]), 0)
+	}
+	return reqs
+}
+
+// runEpoch commits reqs on the master in epoch and returns the envelopes
+// its stream shipped to the replica, in link order.
+func runEpoch(t *testing.T, w *worker, replica *node, epoch uint64, reqs []*txn.Request) []*msgReplBatch {
+	t.Helper()
+	before := w.n.tracker.SentVector()[replica.id]
+	w.strm.SetEpoch(epoch)
+	for _, r := range reqs {
+		w.execSerial(r, epoch)
+	}
+	w.strm.Flush()
+	want := w.n.tracker.SentVector()[replica.id] - before
+	var out []*msgReplBatch
+	for got := int64(0); got < want; {
+		m, ok := replica.inbox().RecvTimeout(5 * time.Second)
+		if !ok {
+			t.Fatalf("replica received %d of %d entries", got, want)
+		}
+		b := m.(*msgReplBatch)
+		out = append(out, b)
+		got += int64(len(b.Entries))
+	}
+	return out
+}
+
+func countOpEntries(batches []*msgReplBatch) (ops, deltas int) {
+	for _, b := range batches {
+		for i := range b.Entries {
+			if !b.Entries[i].IsOp() {
+				continue
+			}
+			ops++
+			for _, op := range b.Entries[i].Ops {
+				if op.Kind == storage.OpAddInt64 || op.Kind == storage.OpAddFloat64 || op.Kind == storage.OpPrepend {
+					deltas++
+				}
+			}
+		}
+	}
+	return ops, deltas
+}
+
+// (a) A partitioned epoch whose deltas were partly applied on the replica
+// is reverted and retried: the revert must take the replica back to
+// exactly the pre-epoch state (deltas undone, not merely overwritten),
+// and the retry must apply every delta once. The last step applies one
+// envelope a second time to show the checksums would tell.
+func TestOpReplicationRevertAndRetryAppliesDeltasOnce(t *testing.T) {
+	w, replica := newOpReplHarness(t)
+	master := w.n
+	sum := func(n *node) uint64 { return n.db.PartitionChecksum(0) }
+	base := sum(master)
+	if sum(replica) != base {
+		t.Fatal("replicas differ after load")
+	}
+
+	reqs := singlePartitionTxns(w, 40)
+	batches := runEpoch(t, w, replica, 2, reqs)
+	if ops, deltas := countOpEntries(batches); ops == 0 || deltas == 0 || len(batches) < 4 {
+		t.Fatalf("epoch shipped %d envelopes, %d operation entries, %d deltas: too few to exercise the path", len(batches), ops, deltas)
+	}
+	// The failure: the replica applied the first half of the stream.
+	for _, b := range batches[:len(batches)/2] {
+		replica.handle(b)
+	}
+	if sum(replica) == base {
+		t.Fatal("half an epoch applied and the replica's checksum did not move")
+	}
+	revert := msgRevert{Epoch: 2, NewMasters: append([]int32(nil), master.masters...)}
+	master.handle(revert)
+	replica.handle(revert)
+	if sum(master) != base || sum(replica) != base {
+		t.Fatalf("revert did not restore the pre-epoch state: master %x replica %x want %x", sum(master), sum(replica), base)
+	}
+
+	// The retry re-executes the same transactions under fresh TIDs.
+	retried := runEpoch(t, w, replica, 2, reqs)
+	for _, b := range retried {
+		replica.handle(b)
+	}
+	if sum(master) == base {
+		t.Fatal("the retried epoch changed nothing")
+	}
+	if sum(replica) != sum(master) {
+		t.Fatalf("replica diverged after revert and retry: %x vs master %x", sum(replica), sum(master))
+	}
+
+	// Negative control: a delta applied twice is visible.
+	for _, b := range retried {
+		if _, deltas := countOpEntries([]*msgReplBatch{b}); deltas > 0 {
+			replica.handle(b)
+			break
+		}
+	}
+	if sum(replica) == sum(master) {
+		t.Fatal("a double-applied delta left the checksum unchanged: this test cannot see what it guards")
+	}
+}
+
+// (e) One envelope with operation entries for two applier shards goes
+// through the real codec and node.applyBatch: the decoder carves every
+// entry's Ops from one shared slice, applyBatch copies the entries into
+// per-shard slices, and each shard must still apply exactly its own ops.
+func TestOpReplicationMultiShardBatchThroughCodec(t *testing.T) {
+	e := build(Config{
+		RT:             rt.NewReal(),
+		Nodes:          2,
+		WorkersPerNode: 2,
+		Workload:       opReplTPCC(4),
+		Seed:           7,
+		Net:            simnet.Config{Nodes: 3},
+	})
+	t.Cleanup(e.cfg.RT.(*rt.Real).Stop)
+	master, replica := e.nodes[0], e.nodes[1]
+	// Node 0's two workers master partitions 0 and 1; interleave their
+	// epochs' entries into one envelope (each partition's order kept).
+	var perWorker [2][]replication.Entry
+	for i, w := range master.workers {
+		for _, b := range runEpoch(t, w, replica, 2, singlePartitionTxns(w, 20)) {
+			perWorker[i] = append(perWorker[i], b.Entries...)
+		}
+	}
+	merged := &msgReplBatch{From: 0, Epoch: 2}
+	for i := 0; i < len(perWorker[0]) || i < len(perWorker[1]); i++ {
+		for _, es := range perWorker {
+			if i < len(es) {
+				merged.Entries = append(merged.Entries, es[i])
+			}
+		}
+	}
+	decoded, err := wire.DecodeBatch(wire.AppendBatch(nil, merged))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	replica.appliers = []rt.Chan{e.cfg.RT.NewChan(4), e.cfg.RT.NewChan(4)}
+	replica.applyBatch(decoded)
+	for sh, ch := range replica.appliers {
+		v, ok := ch.TryRecv()
+		if !ok {
+			t.Fatalf("applier shard %d got no share of the envelope", sh)
+		}
+		ab := v.(applierBatch)
+		if ops, _ := countOpEntries([]*msgReplBatch{{Entries: ab.entries}}); ops == 0 {
+			t.Fatalf("applier shard %d got no operation entries", sh)
+		}
+		replica.applyEntries(&applier{}, ab.from, ab.epoch, ab.entries)
+	}
+	for p := 0; p < 2; p++ {
+		if got, want := replica.db.PartitionChecksum(p), master.db.PartitionChecksum(p); got != want {
+			t.Fatalf("partition %d: replica %x != master %x", p, got, want)
+		}
+	}
+}
+
+// (c) A snapshot read at fence E on the replica, racing the appliers that
+// install epoch E+1's operation entries on the same records, returns E's
+// value every time: the first delta of the epoch saves the fence version
+// under the record latch before it touches the row.
+func TestOpReplicationSnapshotReadAtFenceDuringApply(t *testing.T) {
+	w, replica := newOpReplHarness(t)
+	for _, b := range runEpoch(t, w, replica, 2, singlePartitionTxns(w, 20)) {
+		replica.handle(b)
+	}
+	// Fence: epoch 2 commits on both nodes.
+	for _, n := range []*node{w.n, replica} {
+		n.db.CommitEpochBefore(3)
+		n.epoch.Store(3)
+	}
+	// Epoch 3 keeps writing the same few rows (warehouse, districts).
+	batches := runEpoch(t, w, replica, 3, singlePartitionTxns(w, 60))
+
+	type fenceRow struct {
+		e   *msgReplBatch
+		i   int
+		val []byte
+	}
+	// What fence 2 holds for every row epoch 3 updates, read before any of
+	// epoch 3 is applied here.
+	var rows []fenceRow
+	seen := map[storage.Key]bool{}
+	for _, b := range batches {
+		for i := range b.Entries {
+			en := &b.Entries[i]
+			if !en.IsOp() || seen[en.Key] {
+				continue
+			}
+			seen[en.Key] = true
+			v, _, _ := replica.db.Table(en.Table).Get(int(en.Part), en.Key).ReadStable(nil)
+			rows = append(rows, fenceRow{b, i, append([]byte(nil), v...)})
+		}
+	}
+	if len(rows) == 0 {
+		t.Fatal("epoch 3 shipped no operation entries")
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, b := range batches {
+			replica.handle(b)
+		}
+	}()
+	sctx := &replica.workers[0].sctx
+	for round := 0; round < 200; round++ {
+		sctx.reset(3)
+		for _, r := range rows {
+			en := &r.e.Entries[r.i]
+			got, ok := sctx.Read(en.Table, int(en.Part), en.Key)
+			if !ok || string(got) != string(r.val) {
+				t.Fatalf("round %d: fence-2 read of %v saw a different row while epoch 3 was applying", round, en.Key)
+			}
+		}
+	}
+	wg.Wait()
+	// Applied in full, the current version has moved on and the fence
+	// read still has not.
+	sctx.reset(3)
+	moved := false
+	for _, r := range rows {
+		en := &r.e.Entries[r.i]
+		cur, _, _ := replica.db.Table(en.Table).Get(int(en.Part), en.Key).ReadStable(nil)
+		moved = moved || string(cur) != string(r.val)
+		if got, _ := sctx.Read(en.Table, int(en.Part), en.Key); string(got) != string(r.val) {
+			t.Fatalf("fence-2 read of %v changed once epoch 3 was applied", en.Key)
+		}
+	}
+	if !moved {
+		t.Fatal("epoch 3 changed none of the rows it shipped operations for")
+	}
+	if replica.db.PartitionChecksum(0) != w.n.db.PartitionChecksum(0) {
+		t.Fatal("replica diverged from the master")
+	}
+}
+
+// (b) The partial replica logs whole records although it was fed deltas
+// (§5's op→value transformation), so its log replays in ANY order: every
+// entry of node 1's log files, shuffled into one file, recovers a database
+// equal to the live one.
+func TestOpReplicationLogRecoversInAnyOrder(t *testing.T) {
+	dir := t.TempDir()
+	s := rt.NewSim()
+	wl := opReplTPCC(4)
+	e := New(Config{
+		RT:             s,
+		Nodes:          2,
+		WorkersPerNode: 2,
+		Workload:       wl,
+		Iteration:      2 * time.Millisecond,
+		LogDir:         dir,
+		Seed:           11,
+	})
+	s.Run(40 * time.Millisecond)
+	settle(s, e, 20*time.Millisecond)
+	s.Stop()
+	if err := e.CloseLogs(); err != nil {
+		t.Fatal(err)
+	}
+	if c := e.StatsSnapshot().Counters; c["repl_op_entries"] == 0 {
+		t.Fatal("the run replicated no operation entries")
+	}
+
+	var entries []*wal.Entry
+	for _, path := range e.LogFiles(1) {
+		es, err := readAll(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, es...)
+	}
+	rand.New(rand.NewSource(5)).Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+	shuffled := filepath.Join(dir, "node1-shuffled.log")
+	lg, err := wal.Create(shuffled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := 0
+	for _, en := range entries {
+		switch {
+		case en.Kind == 2:
+			err = lg.AppendEpochMark(en.Epoch)
+		case en.Absent:
+			err = lg.AppendDelete(en.Table, en.Part, en.Key, en.TID)
+		default:
+			writes++
+			err = lg.AppendWrite(en.Table, en.Part, en.Key, en.TID, false, en.Row)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if writes == 0 {
+		t.Fatal("node 1 logged no writes")
+	}
+
+	holds := e.Topology().HoldsMask(1)
+	recovered := wl.BuildDB(4, holds)
+	wl.Load(recovered)
+	if _, applied, err := wal.Recover(recovered, "", []string{shuffled}); err != nil || applied == 0 {
+		t.Fatalf("recover: applied=%d err=%v", applied, err)
+	}
+	for p, h := range holds {
+		if !h {
+			continue
+		}
+		if got, want := recovered.PartitionChecksum(p), e.DB(1).PartitionChecksum(p); got != want {
+			t.Fatalf("partition %d: shuffled recovery %x != live replica %x", p, got, want)
+		}
+	}
+}
+
+// (d) A partition's master fails mid-run: the epoch is reverted, the
+// secondary — whose copy was built from deltas — takes over mastership and
+// keeps committing on top of it, and once the failed node rejoins (a
+// snapshot taken at a quiesced fence, then deltas again) every holder
+// agrees.
+func TestOpReplicationMasterFailoverContinuesFromAppliedState(t *testing.T) {
+	s := rt.NewSim()
+	defer s.Stop()
+	e := New(Config{
+		RT:             s,
+		Nodes:          3,
+		WorkersPerNode: 1,
+		Workload:       opReplTPCC(3),
+		Iteration:      2 * time.Millisecond,
+		Seed:           13,
+	})
+	// Node 2 masters partition 2; node 0 holds its other copy.
+	commits := func() int64 {
+		return e.StatsSnapshot().Gauges[`partition_commits{partition="2"}`]
+	}
+	s.Run(20 * time.Millisecond)
+	if commits() == 0 {
+		t.Fatal("node 2's partition committed nothing before the failure")
+	}
+	e.FailNode(2)
+	s.Run(s.Now() + 50*time.Millisecond)
+	if halted, why := e.Halted(); halted {
+		t.Fatalf("cluster halted: %s", why)
+	}
+	atFailover := commits()
+	s.Run(s.Now() + 20*time.Millisecond)
+	if commits() <= atFailover {
+		t.Fatalf("the re-mastered partition stopped committing at %d", atFailover)
+	}
+
+	e.RecoverNode(2)
+	s.Run(s.Now() + 60*time.Millisecond)
+	if f := e.FailedNodes(); len(f) != 0 {
+		t.Fatalf("node 2 did not rejoin: failed=%v", f)
+	}
+	settle(s, e, 20*time.Millisecond)
+	if err := e.CheckReplicaConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	if c := e.StatsSnapshot().Counters; c["repl_op_entries"] == 0 {
+		t.Fatal("the run replicated no operation entries")
+	}
+}

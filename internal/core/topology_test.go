@@ -1,15 +1,18 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"star/internal/rt"
 )
 
-// TestTopologyBootMatchesStaticLayout pins that the version-1 Topology
-// reproduces the classic Config-derived layout exactly when every slot
-// is a member.
+// TestTopologyBootMatchesStaticLayout pins the version-1 Topology with
+// every slot a member to the paper's static layout: partitions mastered
+// in blocks of WorkersPerNode, a full-replica-mastered partition's
+// secondary striped over the partials, and every full replica holding
+// everything (Fig 2).
 func TestTopologyBootMatchesStaticLayout(t *testing.T) {
 	cfg := Config{Nodes: 4, WorkersPerNode: 3, FullReplicas: 2}
 	cfg = cfg.withDefaults()
@@ -17,28 +20,28 @@ func TestTopologyBootMatchesStaticLayout(t *testing.T) {
 	if topo.Version != 1 || topo.NumMembers() != 4 {
 		t.Fatalf("boot topology: version %d, members %d", topo.Version, topo.NumMembers())
 	}
+	partials := cfg.Nodes - cfg.FullReplicas
 	for p := 0; p < cfg.NumPartitions(); p++ {
-		if topo.MasterOf(p) != cfg.MasterOf(p) {
-			t.Fatalf("partition %d: topo master %d != config master %d", p, topo.MasterOf(p), cfg.MasterOf(p))
+		master := p / cfg.WorkersPerNode
+		secondary := -1
+		want := []int{0, 1}
+		if master < cfg.FullReplicas {
+			secondary = cfg.FullReplicas + p%partials
+			want = append(want, secondary)
+		} else {
+			want = append(want, master)
 		}
-		if topo.SecondaryOf(p) != cfg.SecondaryOf(p) {
-			t.Fatalf("partition %d: topo secondary %d != config secondary %d", p, topo.SecondaryOf(p), cfg.SecondaryOf(p))
+		if topo.MasterOf(p) != master || topo.SecondaryOf(p) != secondary {
+			t.Fatalf("partition %d: master %d secondary %d, want %d and %d",
+				p, topo.MasterOf(p), topo.SecondaryOf(p), master, secondary)
 		}
-		want := cfg.HoldersOf(p)
-		got := topo.HoldersOf(p)
-		if len(got) != len(want) {
-			t.Fatalf("partition %d: holders %v != %v", p, got, want)
+		if got := topo.HoldersOf(p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("partition %d: holders %v, want %v", p, got, want)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("partition %d: holders %v != %v", p, got, want)
-			}
-		}
-	}
-	for i := 0; i < cfg.Nodes; i++ {
-		for p, h := range topo.HoldsMask(i) {
-			if h != cfg.HoldsMask(i)[p] {
-				t.Fatalf("node %d partition %d: residency mismatch", i, p)
+		for i := 0; i < cfg.Nodes; i++ {
+			holds := i < cfg.FullReplicas || i == master || i == secondary
+			if topo.HoldsMask(i)[p] != holds {
+				t.Fatalf("node %d partition %d: residency %v, want %v", i, p, !holds, holds)
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"star/internal/transport"
 	"star/internal/txn"
 	"star/internal/wal"
+	"star/internal/wire"
 	"star/internal/workload"
 )
 
@@ -54,6 +55,7 @@ type worker struct {
 	committed int64
 	genSingle int64
 	genCross  int64
+	repl      replStats
 	// pendingLat holds GenAt stamps of transactions committed this
 	// epoch; the router (sole reader while workers idle at the fence)
 	// releases them as group-commit latencies at the next phase start.
@@ -92,7 +94,7 @@ func (w *worker) loop() {
 	for {
 		cmd := w.ctl.Recv().(msgStartPhase)
 		w.strm.SetEpoch(cmd.Epoch)
-		w.committed, w.genSingle, w.genCross = 0, 0, 0
+		w.committed, w.genSingle, w.genCross, w.repl = 0, 0, 0, replStats{}
 		scripted := cmd.ScriptTxns > 0
 		switch {
 		case cmd.Phase == Partitioned && scripted:
@@ -123,6 +125,7 @@ func (w *worker) loop() {
 			Committed: w.committed,
 			GenSingle: w.genSingle,
 			GenCross:  w.genCross,
+			Repl:      w.repl,
 		})
 	}
 }
@@ -208,13 +211,13 @@ func (w *worker) execSerial(req *txn.Request, epoch uint64) {
 		e.userAborts.Inc()
 		return
 	}
-	collectRows := !e.cfg.HybridRepl || w.logger != nil
-	tidv, ok := occ.CommitSerial(w.n.db, &w.set, epoch, &w.tid, collectRows)
+	// Updates replicate as ops; whole rows are collected only for the log.
+	tidv, ok := occ.CommitSerial(w.n.db, &w.set, epoch, &w.tid, e.cfg.Logging)
 	if !ok {
 		e.aborted.Inc()
 		return
 	}
-	w.emitEntries(tidv, e.cfg.HybridRepl)
+	w.emitEntries(tidv, true)
 	if e.cfg.Logging {
 		w.chargeTxnLog()
 	}
@@ -222,29 +225,57 @@ func (w *worker) execSerial(req *txn.Request, epoch uint64) {
 }
 
 // emitEntries streams the committed write set to the replica targets of
-// each written partition. Entries are built on the stack and their
-// payloads copied into the stream's arenas, so nothing here allocates;
-// the target lists are precomputed per partition on the node and only
-// rebuilt at fences when the failure set changes.
-func (w *worker) emitEntries(tidv uint64, hybrid bool) {
+// each written partition, by §5's hybrid rule. The partitioned phase (ops)
+// ships an update as its field ops: one writer per partition and a FIFO
+// link per replica deliver deltas in commit order. The single-master
+// phase, where several OCC workers write one partition, ships whole rows
+// for the Thomas write rule to order; inserts and deletes have no delta
+// form in either phase. Nothing here allocates: entries are built on the
+// stack, copied into the stream's arenas, and sent to precomputed targets.
+func (w *worker) emitEntries(tidv uint64, ops bool) {
 	for i := range w.set.Writes {
 		wr := &w.set.Writes[i]
 		dsts := w.n.replTargets[wr.Part]
 		if len(dsts) == 0 {
 			continue
 		}
-		var ent replication.Entry
-		if hybrid && !wr.Insert && !wr.Delete {
-			ent = replication.Entry{Table: wr.Table, Part: int32(wr.Part), Key: wr.Key, TID: tidv, Ops: wr.Ops}
+		ent := replication.Entry{Table: wr.Table, Part: int32(wr.Part), Key: wr.Key, TID: tidv}
+		if ops && !wr.Insert && !wr.Delete {
+			if ent.Ops = wr.Ops; ent.Ops == nil {
+				ent.Ops = []storage.FieldOp{} // IsOp is Ops != nil: the replica still bumps the TID
+			}
 		} else {
-			// Inserts and deletes have no delta form even in hybrid mode;
-			// a delete ships as an absent value entry (empty row).
-			ent = replication.Entry{Table: wr.Table, Part: int32(wr.Part), Key: wr.Key, TID: tidv, Row: wr.Row, Absent: wr.Delete}
+			ent.Row, ent.Absent = wr.Row, wr.Delete
 		}
+		w.repl.note(len(dsts), &ent, w.n.db.Table(wr.Table).Schema().RowSize())
 		for _, dst := range dsts {
 			w.strm.Append(dst, ent)
 		}
 	}
+}
+
+// replStats is one worker's replication shard for a phase, folded into
+// the registry by the router at the fence: entries shipped by kind, their
+// encoded size, and what they would have cost as whole records (rows are
+// fixed-size per schema, so that is a sum, not a second run).
+type replStats struct {
+	OpEntries, ValueEntries int64
+	Bytes, ValueEquivBytes  int64
+}
+
+// note counts one entry shipped to ndst replicas; rowSize, its table's
+// row size, is what an operation entry would have carried as a value.
+func (s *replStats) note(ndst int, e *replication.Entry, rowSize int) {
+	size := wire.EntryLen(e)
+	equiv := size
+	if e.IsOp() {
+		equiv = wire.ValueEntryLen(e.Part, rowSize)
+		s.OpEntries += int64(ndst)
+	} else {
+		s.ValueEntries += int64(ndst)
+	}
+	s.Bytes += int64(ndst * size)
+	s.ValueEquivBytes += int64(ndst * equiv)
 }
 
 // ---- single-master phase ----
@@ -412,6 +443,9 @@ func (w *worker) commitSync(req *txn.Request, epoch uint64) bool {
 	want := 0
 	for dst, ents := range perDst {
 		w.n.tracker.AddSent(dst, int64(len(ents)))
+		for i := range ents {
+			w.repl.note(1, &ents[i], 0)
+		}
 		e.net.Send(w.n.id, dst, transport.Replication, syncBatch{
 			Batch:   &msgReplBatch{From: w.n.id, Epoch: epoch, Entries: ents},
 			Worker:  w.idx,

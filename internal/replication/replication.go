@@ -1,8 +1,10 @@
 // Package replication implements STAR's replication machinery (§3, §5):
 // value entries (full records, applied in any order under the Thomas
-// write rule), operation entries (small field deltas, applied FIFO per
-// partition), per-destination batched streams, and the sent/applied
-// counters the replication fence reconciles at every phase switch.
+// write rule — the single-master phase, inserts and deletes), operation
+// entries (small field deltas, applied FIFO per partition — every
+// partitioned-phase update), per-destination batched streams, and the
+// sent/applied counters the replication fence reconciles at every phase
+// switch.
 package replication
 
 import (
@@ -52,40 +54,52 @@ func (e *Entry) Size() int {
 // also maintain the table's secondary indexes, so replica indexes
 // converge with replica rows.
 func Apply(db *storage.DB, epoch uint64, e *Entry, wantRow bool) ([]byte, error) {
+	return ApplyInto(db, epoch, e, nil, wantRow)
+}
+
+// ApplyInto is Apply with the op→value post-image copied into buf's
+// backing array (grown as needed) instead of a fresh slice: an applier
+// that owns a scratch buffer and hands the row straight to its logger
+// applies and transforms an operation entry without allocating.
+func ApplyInto(db *storage.DB, epoch uint64, e *Entry, buf []byte, wantRow bool) ([]byte, error) {
 	tbl := db.Table(e.Table)
 	part := tbl.Partition(int(e.Part))
 	if part == nil {
 		return nil, fmt.Errorf("replication: partition %d not held", e.Part)
 	}
-	rec := part.GetOrCreate(e.Key, epoch)
 	if e.IsOp() {
-		// Op entries only ship for pre-existing rows (inserts have no
-		// delta form), but a placeholder created above starts absent and
-		// ApplyOpsLocked materialises it — detect the transition so the
-		// indexes stay complete even on that defensive path.
-		wasAbsent := storage.TIDAbsent(rec.TID())
+		// A delta only means something against the row it was computed
+		// on. Masters ship one only for a row that exists (inserts and
+		// deletes travel as value entries ahead of it on the same FIFO
+		// stream), and a replica gains a partition only through a snapshot
+		// taken at a quiesced fence — so no arrival order puts a delta in
+		// front of its base row, and one that finds none is a divergence
+		// to stop at, not a row to invent from zeros.
+		rec := part.Get(e.Key)
+		if rec == nil {
+			return nil, fmt.Errorf("replication: operation entry for missing row %v in table %d partition %d", e.Key, e.Table, e.Part)
+		}
 		rec.Lock()
+		if storage.TIDAbsent(rec.TID()) {
+			rec.Unlock()
+			return nil, fmt.Errorf("replication: operation entry for deleted row %v in table %d partition %d", e.Key, e.Table, e.Part)
+		}
 		first, err := rec.ApplyOpsLocked(tbl.Schema(), epoch, e.TID, e.Ops)
 		if err != nil {
 			rec.Unlock()
 			return nil, err
 		}
 		var row []byte
-		if wantRow || (wasAbsent && tbl.NumIndexes() > 0) {
-			row = append(row, rec.ValueLocked()...)
+		if wantRow {
+			row = append(buf[:0], rec.ValueLocked()...)
 		}
 		rec.UnlockWithTID(storage.TIDClean(e.TID))
 		if first {
 			part.MarkDirty(rec, epoch)
 		}
-		if wasAbsent {
-			tbl.NoteInserted(int(e.Part), e.Key, row, epoch)
-		}
-		if !wantRow {
-			row = nil
-		}
 		return row, nil
 	}
+	rec := part.GetOrCreate(e.Key, epoch)
 	// A tombstone entry that lands must also kill the row's secondary
 	// index entries, and those are derived from the pre-delete value —
 	// capture it before the apply (the partition's apply path is the
@@ -388,7 +402,9 @@ func adaptedLimit(configured, epochBytes int) int {
 func (s *Stream) dst(dst int) *dstBuf {
 	b := s.bufs[dst]
 	if b == nil {
-		b = &dstBuf{limit: s.lim.Bytes}
+		// ops starts empty, not nil: a zero-op entry carved from it must
+		// still read as an operation entry (IsOp is Ops != nil).
+		b = &dstBuf{limit: s.lim.Bytes, ops: []storage.FieldOp{}}
 		s.bufs[dst] = b
 	}
 	return b
@@ -415,9 +431,6 @@ func (s *Stream) Append(dst int, e Entry) {
 		// Deep-copy the op headers and their args. Arena growth leaves
 		// earlier entries pointing into the old (immutable) backing
 		// arrays, which stays valid.
-		if b.ops == nil {
-			b.ops = make([]storage.FieldOp, 0, 16)
-		}
 		off := len(b.ops)
 		b.ops = append(b.ops, e.Ops...)
 		ne.Ops = b.ops[off:len(b.ops):len(b.ops)]
@@ -454,10 +467,14 @@ func (s *Stream) flushDst(dst int, b *dstBuf) {
 		return
 	}
 	entries := b.entries
-	// The entries and their arenas escape with the envelope; fresh
-	// buffers start the next batch (one amortised allocation per
-	// envelope, not per entry).
-	b.entries, b.bytes, b.arena, b.ops = nil, 0, nil, nil
+	// The entries and their arenas escape with the envelope; the next
+	// batch starts in fresh buffers as large as this one grew to, so a
+	// stream in steady state pays one allocation per buffer per envelope
+	// instead of regrowing each from nil by doubling.
+	b.entries = make([]Entry, 0, len(entries))
+	b.arena = make([]byte, 0, len(b.arena))
+	b.ops = make([]storage.FieldOp, 0, len(b.ops))
+	b.bytes = 0
 	s.tracker.AddSent(dst, int64(len(entries)))
 	s.net.Send(s.src, dst, transport.Replication, &Batch{From: s.src, Epoch: s.epoch, Entries: entries})
 }

@@ -412,3 +412,94 @@ func TestStreamAdaptiveThreshold(t *testing.T) {
 	s.Run(100 * time.Millisecond)
 	s.Stop()
 }
+
+// An operation entry is a delta against a row the replica must already
+// have: one that finds no row (or a tombstone) is a divergence, reported
+// as an error and leaving nothing behind — not a row invented from zeros.
+func TestApplyOpEntryWithoutBaseRowErrors(t *testing.T) {
+	db := newDB()
+	tbl := db.Table(0)
+	before := db.PartitionChecksum(0)
+	op := &Entry{Table: 0, Part: 0, Key: storage.K1(77), TID: storage.MakeTID(2, 1),
+		Ops: []storage.FieldOp{storage.AddInt64Op(0, 5)}}
+	if _, err := Apply(db, 2, op, true); err == nil {
+		t.Fatal("operation entry for a row the replica never had must error")
+	}
+	if tbl.Get(0, storage.K1(77)) != nil || db.PartitionChecksum(0) != before {
+		t.Fatal("the failed apply fabricated a record")
+	}
+	del := &Entry{Table: 0, Part: 0, Key: storage.K1(3), TID: storage.MakeTID(2, 2), Absent: true}
+	if _, err := Apply(db, 2, del, false); err != nil {
+		t.Fatal(err)
+	}
+	op.Key, op.TID = storage.K1(3), storage.MakeTID(2, 3)
+	if _, err := Apply(db, 2, op, true); err == nil {
+		t.Fatal("operation entry for a deleted row must error")
+	}
+	if _, _, present := tbl.Get(0, storage.K1(3)).ReadStable(nil); present {
+		t.Fatal("the failed apply resurrected a deleted row")
+	}
+}
+
+// TestApplyIntoZeroAllocs pins the applier's side of allocation-free
+// operation replication: applying a delta and copying its post-image into
+// the caller's scratch (the §5 op→value transformation) allocates nothing
+// once the scratch and the record's revert snapshot exist.
+func TestApplyIntoZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	db := newDB()
+	s := db.Table(0).Schema()
+	e := &Entry{Table: 0, Part: 1, Key: storage.K1(2), TID: storage.MakeTID(2, 1), Ops: []storage.FieldOp{
+		storage.AddInt64Op(0, -1),
+		storage.PrependOp(1, []byte("n")),
+	}}
+	var scratch []byte
+	apply := func() {
+		e.TID++
+		row, err := ApplyInto(db, 2, e, scratch, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch = row
+	}
+	apply()
+	if allocs := testing.AllocsPerRun(1000, apply); allocs != 0 {
+		t.Fatalf("ApplyInto allocates %v per operation entry, want 0", allocs)
+	}
+	if got := s.GetInt64(scratch, 0); got != 100-1002 {
+		t.Fatalf("post-image balance %d after 1002 applies of -1 to 100", got)
+	}
+}
+
+// TestStreamEnvelopeAllocBudget pins the send side: a flush hands its
+// buffers to the envelope and starts the next batch in buffers of the
+// size that one reached, so a steady stream of same-sized envelopes costs
+// four allocations each — the envelope, its entries, the payload arena
+// and the op headers — however many entries it carries, instead of
+// regrowing all three buffers from nil by doubling.
+func TestStreamEnvelopeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	st := NewStream(discardNet{}, NewTracker(2), 0, Limits{})
+	ops := []storage.FieldOp{storage.AddInt64Op(0, 1), storage.PrependOp(1, []byte("note"))}
+	row := bankSchema().NewRow()
+	envelope := func() {
+		for i := uint64(0); i < 200; i++ {
+			st.Append(1, Entry{Table: 0, Part: 0, Key: storage.K1(i), TID: i + 1, Ops: ops})
+			st.Append(1, Entry{Table: 0, Part: 0, Key: storage.K1(i), TID: i + 1, Row: row})
+		}
+		st.Flush()
+	}
+	envelope()
+	if allocs := testing.AllocsPerRun(100, envelope); allocs > 4 {
+		t.Fatalf("a 400-entry envelope allocates %v times, want 4", allocs)
+	}
+}
+
+// discardNet is a transport that drops everything (send-path tests).
+type discardNet struct{ transport.Transport }
+
+func (discardNet) Send(int, int, transport.Class, transport.Message) {}

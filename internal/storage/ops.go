@@ -115,11 +115,7 @@ func (op FieldOp) Apply(s *Schema, row []byte) error {
 		s.SetFloat64(row, i, s.GetFloat64(row, i)+d)
 		return nil
 	case OpPrepend:
-		old := s.GetBytes(row, i)
-		merged := make([]byte, 0, len(op.Arg)+len(old))
-		merged = append(merged, op.Arg...)
-		merged = append(merged, old...)
-		s.SetBytes(row, i, merged) // SetBytes truncates at capacity
+		s.prependBytes(row, i, op.Arg)
 		return nil
 	default:
 		return fmt.Errorf("storage: unknown op kind %d", op.Kind)

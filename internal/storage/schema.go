@@ -140,6 +140,23 @@ func (s *Schema) SetBytes(row []byte, i int, v []byte) {
 	copy(row[f.offset+2:], v)
 }
 
+// prependBytes inserts prefix at the front of a FieldBytes column in
+// place, truncating at the field capacity: the old value shifts right
+// (copy handles the overlap) and the prefix lands in front of it, so
+// OpPrepend allocates nothing on a master's commit or a replica's apply.
+func (s *Schema) prependBytes(row []byte, i int, prefix []byte) {
+	f := &s.fields[i]
+	val := row[f.offset+2 : f.offset+2+f.Cap]
+	old := len(s.GetBytes(row, i))
+	if len(prefix) > f.Cap {
+		prefix = prefix[:f.Cap]
+	}
+	n := min(len(prefix)+old, f.Cap)
+	copy(val[len(prefix):n], val[:old])
+	copy(val, prefix)
+	binary.LittleEndian.PutUint16(row[f.offset:], uint16(n))
+}
+
 // GetString is GetBytes as a string copy.
 func (s *Schema) GetString(row []byte, i int) string { return string(s.GetBytes(row, i)) }
 

@@ -140,6 +140,13 @@ func loopbackMatchesSimnet(t *testing.T, wcfg func(nodes, workers int) tpcc.Conf
 	if got.Err != "" {
 		t.Fatalf("TCP run failed: %s", got.Err)
 	}
+	// Both sides' partitioned phases shipped their updates as operation
+	// entries through the real codec, into the peer's two applier shards.
+	for i, run := range []*core.ScriptRun{runA, runB} {
+		if c := run.E.StatsSnapshot().Counters; c["repl_op_entries"] == 0 || c["repl_value_entries"] == 0 {
+			t.Fatalf("process %d shipped %d operation and %d value entries, want both", i, c["repl_op_entries"], c["repl_value_entries"])
+		}
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("TCP run diverged from simnet run:\n got %+v\nwant %+v", got, want)
 	}

@@ -97,7 +97,7 @@ func (p *loopbackPair) awaitEpochs(tb testing.TB, n int64) {
 
 // TestLoopbackBusyWorkersClientWritesAnswered drives ticketed client
 // writes through node 1's gate while both workers run flat out on two
-// processors, with operation replication on: every write must be
+// processors: every write must be
 // answered (its response rides the next phase command, so a starved
 // control plane shows as a timeout), and the replicas must converge —
 // operation entries apply in arrival order, so a yield point or a
@@ -110,7 +110,7 @@ func TestLoopbackBusyWorkersClientWritesAnswered(t *testing.T) {
 	// only this test's writes, each committing in the next backlog-forced
 	// single-master slice, instead of waiting out a deferred backlog
 	// whose depth is a random walk (minutes under the race detector).
-	p := newLoopbackPair(t, 0, func(c *core.Config) { c.HybridRepl = true })
+	p := newLoopbackPair(t, 0, nil)
 	p.awaitEpochs(t, 1)
 	gate := p.eng[1].Gate(1)
 	const writes = 150

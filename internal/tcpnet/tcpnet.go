@@ -270,7 +270,12 @@ func (n *Network) Send(src, dst int, class transport.Class, m transport.Message)
 		n.inboxes[dst].Send(m)
 		return
 	}
-	frame, err := wire.AppendFrame(nil, src, dst, class, n.cfg.Codec, m)
+	// Start from the modelled size — for the messages that carry the
+	// bytes (replication batches, requests, snapshots) it is the encoded
+	// size or a few bytes over — so a frame is one allocation instead of
+	// a buffer grown from nil by doubling. The frame escapes to the link
+	// writer, hence no reuse.
+	frame, err := wire.AppendFrame(make([]byte, 0, wire.FrameOverhead+m.Size()), src, dst, class, n.cfg.Codec, m)
 	if err != nil {
 		// A message type without a codec cannot cross a process boundary;
 		// this is a wiring error, not input.

@@ -113,43 +113,54 @@ func (l *Logger) Rotate(path string) error {
 	return nil
 }
 
-func (l *Logger) append(payload []byte) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := l.w.Write(payload); err != nil {
-		return err
-	}
-	l.bytes += int64(len(hdr) + len(payload))
-	return nil
+// frameHeader is the length+CRC prefix of every entry on disk.
+const frameHeader = 8
+
+// begin resets the encode buffer for a new entry of the given kind,
+// leaving room in front for the frame header that append fills in: the
+// entry leaves in one Write, and no header escapes to the heap on the
+// way (a stack array handed to the bufio.Writer's underlying io.Writer
+// would — once per logged write).
+func (l *Logger) begin(kind byte) {
+	l.buf = append(l.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0, kind)
 }
 
-func encodeWrite(buf []byte, table storage.TableID, part int32, key storage.Key, tid uint64, absent bool, row []byte) []byte {
-	buf = buf[:0]
-	buf = append(buf, kindWrite, byte(table))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(part))
-	buf = binary.LittleEndian.AppendUint64(buf, key.Hi)
-	buf = binary.LittleEndian.AppendUint64(buf, key.Lo)
-	buf = binary.LittleEndian.AppendUint64(buf, tid)
-	if absent {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+// beginRecord starts a write or delete entry: kind plus the record's
+// table, partition, key and TID.
+func (l *Logger) beginRecord(kind byte, table storage.TableID, part int32, key storage.Key, tid uint64) {
+	l.begin(kind)
+	l.buf = append(l.buf, byte(table))
+	l.buf = binary.LittleEndian.AppendUint32(l.buf, uint32(part))
+	l.buf = binary.LittleEndian.AppendUint64(l.buf, key.Hi)
+	l.buf = binary.LittleEndian.AppendUint64(l.buf, key.Lo)
+	l.buf = binary.LittleEndian.AppendUint64(l.buf, tid)
+}
+
+// append frames the entry begin started and hands it to the writer.
+func (l *Logger) append() error {
+	payload := l.buf[frameHeader:]
+	binary.LittleEndian.PutUint32(l.buf[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(l.buf[4:], crc32.ChecksumIEEE(payload))
+	if _, err := l.w.Write(l.buf); err != nil {
+		return err
 	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(row)))
-	buf = append(buf, row...)
-	return buf
+	l.bytes += int64(len(l.buf))
+	return nil
 }
 
 // AppendWrite logs one whole-record write.
 func (l *Logger) AppendWrite(table storage.TableID, part int32, key storage.Key, tid uint64, absent bool, row []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.buf = encodeWrite(l.buf, table, part, key, tid, absent, row)
-	return l.append(l.buf)
+	l.beginRecord(kindWrite, table, part, key, tid)
+	if absent {
+		l.buf = append(l.buf, 1)
+	} else {
+		l.buf = append(l.buf, 0)
+	}
+	l.buf = binary.LittleEndian.AppendUint16(l.buf, uint16(len(row)))
+	l.buf = append(l.buf, row...)
+	return l.append()
 }
 
 // AppendDelete logs a committed delete in compact form: the same header
@@ -159,13 +170,8 @@ func (l *Logger) AppendWrite(table storage.TableID, part int32, key storage.Key,
 func (l *Logger) AppendDelete(table storage.TableID, part int32, key storage.Key, tid uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.buf = l.buf[:0]
-	l.buf = append(l.buf, kindDelete, byte(table))
-	l.buf = binary.LittleEndian.AppendUint32(l.buf, uint32(part))
-	l.buf = binary.LittleEndian.AppendUint64(l.buf, key.Hi)
-	l.buf = binary.LittleEndian.AppendUint64(l.buf, key.Lo)
-	l.buf = binary.LittleEndian.AppendUint64(l.buf, tid)
-	return l.append(l.buf)
+	l.beginRecord(kindDelete, table, part, key, tid)
+	return l.append()
 }
 
 // AppendEpochMark logs a group-commit boundary: every entry of epoch e is
@@ -173,10 +179,9 @@ func (l *Logger) AppendDelete(table storage.TableID, part int32, key storage.Key
 func (l *Logger) AppendEpochMark(epoch uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.buf = l.buf[:0]
-	l.buf = append(l.buf, kindEpochMark)
+	l.begin(kindEpochMark)
 	l.buf = binary.LittleEndian.AppendUint64(l.buf, epoch)
-	return l.append(l.buf)
+	return l.append()
 }
 
 // Flush drains buffers; when sync is true and the logger is file-backed

@@ -68,69 +68,109 @@ func AppendEntry(b []byte, e *replication.Entry) []byte {
 	return AppendBytes(b, e.Row)
 }
 
+// entryHeaderLen is the encoded size of everything in front of an entry's
+// payload: flags, table, partition, key and TID.
+func entryHeaderLen(part int32) int {
+	return 2 + UvarintLen(uint64(uint32(part))) + KeyLen + 8
+}
+
 // EntryLen returns the encoded size of e.
 func EntryLen(e *replication.Entry) int {
-	n := 2 + UvarintLen(uint64(uint32(e.Part))) + KeyLen + 8
-	if e.IsOp() {
-		n += UvarintLen(uint64(len(e.Ops)))
-		for i := range e.Ops {
-			n += 2 + BytesLen(e.Ops[i].Arg)
-		}
-		return n
+	if !e.IsOp() {
+		return ValueEntryLen(e.Part, len(e.Row))
 	}
-	return n + BytesLen(e.Row)
+	n := entryHeaderLen(e.Part) + UvarintLen(uint64(len(e.Ops)))
+	for i := range e.Ops {
+		n += 2 + BytesLen(e.Ops[i].Arg)
+	}
+	return n
+}
+
+// ValueEntryLen returns the encoded size of a value entry carrying a
+// rowSize-byte row for partition part — what an operation entry on that
+// table would have cost shipped as the whole record (rows are fixed-size
+// per schema).
+func ValueEntryLen(part int32, rowSize int) int {
+	return entryHeaderLen(part) + UvarintLen(uint64(rowSize)) + rowSize
 }
 
 // DecodeEntry consumes one entry. Row and op args alias b.
 func DecodeEntry(b []byte) (replication.Entry, []byte, error) {
-	var e replication.Entry
+	e, nops, b, err := scanEntry(b)
+	if err == nil && e.IsOp() {
+		fillOps(&e, make([]storage.FieldOp, nops))
+	}
+	return e, b, err
+}
+
+// noOps marks an operation entry whose ops scanEntry left encoded (IsOp
+// distinguishes op entries by Ops != nil).
+var noOps = []storage.FieldOp{}
+
+// scanEntry consumes one entry and validates all of it, but leaves an
+// operation entry's ops encoded: e.Ops is noOps, e.Row holds the encoded
+// ops (count included) for fillOps, and nops is how many there are. That
+// split lets DecodeBatch learn the batch's total op count in the one pass
+// that decodes everything else, and then carve every entry's Ops from a
+// single allocation. A value entry comes back complete.
+func scanEntry(b []byte) (e replication.Entry, nops int, rest []byte, err error) {
 	if len(b) < 2 {
-		return e, nil, ErrTruncated
+		return e, 0, nil, ErrTruncated
 	}
 	flags := b[0]
 	if flags&^(entryFlagOp|entryFlagAbsent) != 0 {
-		return e, nil, fmt.Errorf("%w: entry flags %#x", ErrCorrupt, flags)
+		return e, 0, nil, fmt.Errorf("%w: entry flags %#x", ErrCorrupt, flags)
 	}
 	e.Absent = flags&entryFlagAbsent != 0
 	e.Table = storage.TableID(b[1])
 	part, b, err := Uvarint(b[2:])
 	if err != nil {
-		return e, nil, err
+		return e, 0, nil, err
 	}
 	e.Part = int32(uint32(part))
 	if e.Key, b, err = Key(b); err != nil {
-		return e, nil, err
+		return e, 0, nil, err
 	}
 	if e.TID, b, err = U64(b); err != nil {
-		return e, nil, err
+		return e, 0, nil, err
 	}
 	if flags&entryFlagOp == 0 {
 		if e.Row, b, err = Bytes(b); err != nil {
-			return e, nil, err
+			return e, 0, nil, err
 		}
-		return e, b, nil
+		return e, 0, b, nil
 	}
-	nops, b, err := Uvarint(b)
+	n, body, err := Uvarint(b)
 	if err != nil {
-		return e, nil, err
+		return e, 0, nil, err
 	}
-	// Each op costs at least 3 bytes, so nops is bounded by the buffer —
-	// reject early instead of allocating from a corrupt count.
-	if nops > uint64(len(b))/3+1 {
-		return e, nil, fmt.Errorf("%w: %d ops in %d-byte buffer", ErrCorrupt, nops, len(b))
+	// Each op costs at least 3 bytes, so the count is bounded by the
+	// buffer — reject early instead of allocating from a corrupt count.
+	if n > uint64(len(body))/3+1 {
+		return e, 0, nil, fmt.Errorf("%w: %d ops in %d-byte buffer", ErrCorrupt, n, len(body))
 	}
-	e.Ops = make([]storage.FieldOp, nops)
-	for i := range e.Ops {
-		if e.Ops[i], b, err = DecodeFieldOp(b); err != nil {
-			return e, nil, err
+	for i := uint64(0); i < n; i++ {
+		if _, body, err = DecodeFieldOp(body); err != nil {
+			return e, 0, nil, err
 		}
 	}
-	// IsOp distinguishes op entries by Ops != nil; a corrupt-free decode
-	// must preserve that even for zero ops.
-	if e.Ops == nil {
-		e.Ops = []storage.FieldOp{}
+	e.Ops = noOps
+	e.Row = b[:len(b)-len(body)]
+	return e, int(n), body, nil
+}
+
+// fillOps materialises the ops scanEntry left encoded in e.Row, carving
+// e.Ops off the front of pool — which must be non-nil, so that a zero-op
+// entry still reads as an operation entry, and hold at least the entry's
+// op count — and returns the rest. The encoding was validated by the scan.
+func fillOps(e *replication.Entry, pool []storage.FieldOp) []storage.FieldOp {
+	n, body, _ := Uvarint(e.Row)
+	e.Row = nil
+	e.Ops, pool = pool[:n:n], pool[n:]
+	for i := range e.Ops {
+		e.Ops[i], body, _ = DecodeFieldOp(body)
 	}
-	return e, b, nil
+	return pool
 }
 
 // Batch encoding: [from uvarint][epoch uvarint][n uvarint] n × entry.
@@ -176,13 +216,26 @@ func DecodeBatch(b []byte) (*replication.Batch, error) {
 	}
 	batch := &replication.Batch{From: int(from), Epoch: epoch,
 		Entries: make([]replication.Entry, n)}
+	nops := 0
 	for i := range batch.Entries {
-		if batch.Entries[i], b, err = DecodeEntry(b); err != nil {
+		var k int
+		if batch.Entries[i], k, b, err = scanEntry(b); err != nil {
 			return nil, err
 		}
+		nops += k
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes after batch", ErrCorrupt, len(b))
+	}
+	// One allocation holds every operation entry's Ops — the mirror of
+	// the send side's per-destination ops arena — so decoding costs the
+	// receiving node a constant number of allocations per envelope, not
+	// one per operation entry (none at all for a batch without ops).
+	pool := make([]storage.FieldOp, nops)
+	for i := range batch.Entries {
+		if e := &batch.Entries[i]; e.IsOp() {
+			pool = fillOps(e, pool)
+		}
 	}
 	return batch, nil
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"star/internal/replication"
+	"star/internal/storage"
 )
 
 // corpusSeed materialises a seed input under testdata/fuzz/<target> (the
@@ -136,11 +137,21 @@ func FuzzFrameRead(f *testing.F) {
 func FuzzBatchDecode(f *testing.F) {
 	good := &replication.Batch{From: 1, Epoch: 7, Entries: sampleEntries()}
 	enc := AppendBatch(nil, good)
+	// All operation entries, spread over four partitions (so several
+	// applier shards): every entry's Ops comes out of one shared slice.
+	allOps := &replication.Batch{From: 2, Epoch: 9}
+	for i := 0; i < 8; i++ {
+		allOps.Entries = append(allOps.Entries, replication.Entry{
+			Table: 1, Part: int32(i % 4), Key: storage.K1(uint64(i)), TID: uint64(100 + i),
+			Ops: sampleEntries()[2].Ops[:i%3], // zero, one and two ops
+		})
+	}
 	seeds := [][]byte{
 		enc,
 		enc[:len(enc)/2],                   // truncated
 		append([]byte{0xff, 0xff}, enc...), // corrupt header
 		AppendBatch(nil, &replication.Batch{}),
+		AppendBatch(nil, allOps),
 	}
 	for i, s := range seeds {
 		corpusSeed(f, "FuzzBatchDecode", i, s)

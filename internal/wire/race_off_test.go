@@ -1,0 +1,7 @@
+//go:build !race
+
+package wire
+
+// raceEnabled reports whether the race detector is active (allocation
+// budget tests skip under it).
+const raceEnabled = false

@@ -76,9 +76,6 @@ type Config struct {
 	Iteration time.Duration
 	// SyncRepl holds write locks until every replica acks (SYNC STAR).
 	SyncRepl bool
-	// HybridRepl enables operation replication in the partitioned phase
-	// (§5's hybrid strategy).
-	HybridRepl bool
 	// Logging enables per-worker value logging with fence flushes.
 	Logging bool
 	// LogDir writes real recovery-log files under this directory
@@ -106,7 +103,7 @@ type Config struct {
 	// flush at every epoch fence.
 	FlushBytes int
 	// FlushEvery additionally bounds a replication batch in entries
-	// (0 = no entry bound).
+	// (default 128; negative = no entry bound).
 	FlushEvery int
 	// FlushPolicy selects how the replication flush threshold evolves:
 	// FlushAdaptive (default) re-sizes each destination's byte bound at
@@ -160,7 +157,6 @@ func New(cfg Config) (*Cluster, error) {
 		Workload:       cfg.Workload,
 		Iteration:      cfg.Iteration,
 		SyncRepl:       cfg.SyncRepl,
-		HybridRepl:     cfg.HybridRepl,
 		Logging:        cfg.Logging,
 		LogDir:         cfg.LogDir,
 		Checkpoint:     cfg.Checkpoint,

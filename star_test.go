@@ -114,10 +114,9 @@ func TestPublicAPITPCC(t *testing.T) {
 			CustomersPerDistrict: 32,
 			Items:                64,
 		}),
-		Iteration:  2 * time.Millisecond,
-		HybridRepl: true,
-		Virtual:    true,
-		Seed:       4,
+		Iteration: 2 * time.Millisecond,
+		Virtual:   true,
+		Seed:      4,
 	})
 	if err != nil {
 		t.Fatal(err)
