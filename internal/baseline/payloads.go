@@ -196,7 +196,7 @@ func decodeCommitPayload(b []byte) (*commitPayload, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(len(b))/27+1 {
+	if n > uint64(len(b))/wire.MinEntryLen {
 		return nil, fmt.Errorf("%w: %d commit entries", wire.ErrCorrupt, n)
 	}
 	if n > 0 {

@@ -233,11 +233,15 @@ func TestSTARHybridReplicationConsistentAndCheaper(t *testing.T) {
 	if shipped*13 > asValues*10 {
 		t.Fatalf("shipped %d B not ≥1.3x cheaper than the %d B value-equivalent (paper §5)", shipped, asValues)
 	}
-	// The entry counters describe the same traffic the transport carried:
-	// envelopes add a header per batch and the fence an epoch marker per
-	// peer, nothing per entry.
-	if st := e.Stats(); st.ReplicationBytes < shipped || st.ReplicationBytes > shipped*12/10 {
-		t.Fatalf("transport carried %d replication bytes for %d encoded entry bytes", st.ReplicationBytes, shipped)
+	// The entry counters describe the same traffic the transport carried.
+	// The simulated transport charges the cost model's fixed 30-byte entry
+	// header (replication.Entry.Size); the counters price the real
+	// encoding, which codes an entry against its envelope and the entry
+	// before it — so the model bounds them from above, by about a third on
+	// this mix. What real sockets carry is pinned against the counters to
+	// the byte in tcpnet's loopback tests.
+	if st := e.Stats(); st.ReplicationBytes < shipped || st.ReplicationBytes > shipped*15/10 {
+		t.Fatalf("transport charged %d replication bytes for %d encoded entry bytes", st.ReplicationBytes, shipped)
 	}
 }
 

@@ -208,10 +208,20 @@ func (e *Engine) buildRegistry() {
 // quantities tracked outside it: log bytes, the transport's byte and
 // message accounting, and — when the transport injects faults
 // (star-node -faults, chaos soaks) — the cumulative injection counters
-// under a fault_ prefix. This is what AdminStats serves and what the
-// -http /metrics endpoint renders.
+// under a fault_ prefix. Log bytes come twice: log_bytes is what the cost
+// model charged (chargeLog: len(row)+32 per logged write, on every
+// runtime), wal_file_bytes what the recovery logs wrote, frames and
+// record headers included (LogDir mode). This is what AdminStats serves
+// and what the -http /metrics endpoint renders.
 func (e *Engine) StatsSnapshot() metrics.Snapshot {
 	e.reg.Gauge("log_bytes").Set(e.logBytes.Load())
+	var written int64
+	for _, n := range e.nodes {
+		if n != nil {
+			n.eachLog(func(l *wal.Logger) { written += l.Bytes() })
+		}
+	}
+	e.reg.Gauge("wal_file_bytes").Set(written)
 	e.reg.Gauge("net_bytes").Set(e.net.TotalBytes())
 	e.reg.Gauge("repl_bytes").Set(e.net.Bytes(transport.Replication))
 	e.reg.Gauge("repl_msgs").Set(e.net.Messages(transport.Replication))
@@ -278,18 +288,11 @@ func (e *Engine) CloseLogs() error {
 		if n == nil {
 			continue
 		}
-		logs := append([]*wal.Logger{n.routerLog}, n.applierLogs...)
-		for _, w := range n.workers {
-			logs = append(logs, w.logger)
-		}
-		for _, l := range logs {
-			if l == nil {
-				continue
-			}
+		n.eachLog(func(l *wal.Logger) {
 			if err := l.Close(); err != nil && first == nil {
 				first = err
 			}
-		}
+		})
 	}
 	return first
 }
@@ -367,10 +370,7 @@ func (e *Engine) checkpointLoop(n *node) {
 // and returns the closed segments' paths.
 func (e *Engine) rotateLogs(n *node, seq int) []string {
 	var closed []string
-	rotate := func(l *wal.Logger) {
-		if l == nil {
-			return
-		}
+	n.eachLog(func(l *wal.Logger) {
 		old := l.Path()
 		base := old
 		if i := strings.LastIndex(base, ".log."); i >= 0 {
@@ -384,14 +384,7 @@ func (e *Engine) rotateLogs(n *node, seq int) []string {
 		e.mu.Lock()
 		e.logFiles = append(e.logFiles, next)
 		e.mu.Unlock()
-	}
-	rotate(n.routerLog)
-	for _, l := range n.applierLogs {
-		rotate(l)
-	}
-	for _, w := range n.workers {
-		rotate(w.logger)
-	}
+	})
 	return closed
 }
 

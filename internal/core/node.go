@@ -130,6 +130,20 @@ type applierBatch struct {
 	entries []replication.Entry
 }
 
+// eachLog calls f on every recovery log the node has open (LogDir mode):
+// the router's, the appliers' and the workers'.
+func (n *node) eachLog(f func(*wal.Logger)) {
+	logs := append([]*wal.Logger{n.routerLog}, n.applierLogs...)
+	for _, w := range n.workers {
+		logs = append(logs, w.logger)
+	}
+	for _, l := range logs {
+		if l != nil {
+			f(l)
+		}
+	}
+}
+
 // workerDoneMsg is sent node-locally when a worker finishes a phase,
 // carrying the worker's monitor shard for the router to fold into the
 // node's phase totals.

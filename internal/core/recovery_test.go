@@ -48,6 +48,22 @@ func TestCase4DiskRecovery(t *testing.T) {
 	if len(logs) == 0 {
 		t.Fatal("full replica wrote no log files")
 	}
+	// wal_file_bytes is what the log files took, to the byte; log_bytes,
+	// the cost model's charge for the same writes, is below it by the
+	// frame and record-header bytes the model does not count.
+	var onDisk int64
+	for node := 0; node < 3; node++ {
+		for _, path := range e.LogFiles(node) {
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			onDisk += fi.Size()
+		}
+	}
+	if g := e.StatsSnapshot().Gauges; g["wal_file_bytes"] != onDisk || g["log_bytes"] >= onDisk || g["log_bytes"] == 0 {
+		t.Fatalf("wal_file_bytes=%d log_bytes=%d, log files hold %d bytes", g["wal_file_bytes"], g["log_bytes"], onDisk)
+	}
 
 	// "Power outage": rebuild node 0 from disk alone.
 	recovered := wl.BuildDB(6, nil)

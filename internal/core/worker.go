@@ -56,6 +56,9 @@ type worker struct {
 	genSingle int64
 	genCross  int64
 	repl      replStats
+	// sizers holds, per destination node, where strm's open envelope to
+	// it stands, so repl prices each entry as the wire will encode it.
+	sizers []wire.EntrySizer
 	// pendingLat holds GenAt stamps of transactions committed this
 	// epoch; the router (sole reader while workers idle at the fence)
 	// releases them as group-commit latencies at the next phase start.
@@ -77,13 +80,14 @@ func newWorker(n *node, idx int) *worker {
 	e := n.e
 	seed := e.cfg.Seed*1_000_003 + int64(n.id)*257 + int64(idx) + 1
 	w := &worker{
-		n:    n,
-		idx:  idx,
-		gen:  e.cfg.Workload.NewGen(seed),
-		rng:  rand.New(rand.NewSource(seed ^ 0x5eed)),
-		strm: replication.NewStream(e.net, n.tracker, n.id, e.cfg.streamLimits()),
-		ctl:  e.cfg.RT.NewChan(4),
-		resp: e.cfg.RT.NewChan(16),
+		n:      n,
+		idx:    idx,
+		gen:    e.cfg.Workload.NewGen(seed),
+		rng:    rand.New(rand.NewSource(seed ^ 0x5eed)),
+		strm:   replication.NewStream(e.net, n.tracker, n.id, e.cfg.streamLimits()),
+		sizers: make([]wire.EntrySizer, n.tracker.Nodes()),
+		ctl:    e.cfg.RT.NewChan(4),
+		resp:   e.cfg.RT.NewChan(16),
 	}
 	w.lctx.w = w
 	w.sctx.n = n
@@ -247,35 +251,43 @@ func (w *worker) emitEntries(tidv uint64, ops bool) {
 		} else {
 			ent.Row, ent.Absent = wr.Row, wr.Delete
 		}
-		w.repl.note(len(dsts), &ent, w.n.db.Table(wr.Table).Schema().RowSize())
+		rowSize := w.n.db.Table(wr.Table).Schema().RowSize()
 		for _, dst := range dsts {
+			sz := &w.sizers[dst]
+			if w.strm.BufferedTo(dst) == 0 {
+				sz.Reset(w.strm.Epoch()) // this entry opens an envelope
+			}
+			w.repl.note(sz, &ent, rowSize)
 			w.strm.Append(dst, ent)
 		}
 	}
 }
 
 // replStats is one worker's replication shard for a phase, folded into
-// the registry by the router at the fence: entries shipped by kind, their
-// encoded size, and what they would have cost as whole records (rows are
-// fixed-size per schema, so that is a sum, not a second run).
+// the registry by the router at the fence: entries shipped by kind, the
+// bytes their envelopes encode them in (each entry is coded against the
+// one before it, so that is not a sum of standalone sizes), and what they
+// would have cost as whole records (rows are fixed-size per schema, so
+// that is a sum, not a second run).
 type replStats struct {
 	OpEntries, ValueEntries int64
 	Bytes, ValueEquivBytes  int64
 }
 
-// note counts one entry shipped to ndst replicas; rowSize, its table's
-// row size, is what an operation entry would have carried as a value.
-func (s *replStats) note(ndst int, e *replication.Entry, rowSize int) {
-	size := wire.EntryLen(e)
-	equiv := size
+// note counts e as the next entry of the envelope sz stands in; rowSize,
+// its table's row size, is what an operation entry would have carried as
+// a value behind the same header.
+func (s *replStats) note(sz *wire.EntrySizer, e *replication.Entry, rowSize int) {
+	header, payload := sz.Next(e)
+	equiv := header + payload
 	if e.IsOp() {
-		equiv = wire.ValueEntryLen(e.Part, rowSize)
-		s.OpEntries += int64(ndst)
+		equiv = header + wire.UvarintLen(uint64(rowSize)) + rowSize
+		s.OpEntries++
 	} else {
-		s.ValueEntries += int64(ndst)
+		s.ValueEntries++
 	}
-	s.Bytes += int64(ndst * size)
-	s.ValueEquivBytes += int64(ndst * equiv)
+	s.Bytes += int64(header + payload)
+	s.ValueEquivBytes += int64(equiv)
 }
 
 // ---- single-master phase ----
@@ -443,8 +455,10 @@ func (w *worker) commitSync(req *txn.Request, epoch uint64) bool {
 	want := 0
 	for dst, ents := range perDst {
 		w.n.tracker.AddSent(dst, int64(len(ents)))
+		var sz wire.EntrySizer
+		sz.Reset(epoch)
 		for i := range ents {
-			w.repl.note(1, &ents[i], 0)
+			w.repl.note(&sz, &ents[i], 0)
 		}
 		e.net.Send(w.n.id, dst, transport.Replication, syncBatch{
 			Batch:   &msgReplBatch{From: w.n.id, Epoch: epoch, Entries: ents},

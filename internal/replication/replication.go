@@ -489,6 +489,18 @@ func (s *Stream) Flush() {
 	}
 }
 
+// Epoch returns the epoch flushed batches are stamped with.
+func (s *Stream) Epoch() uint64 { return s.epoch }
+
+// BufferedTo returns the number of entries queued for dst: at zero, the
+// next Append to dst opens a new envelope.
+func (s *Stream) BufferedTo(dst int) int {
+	if b := s.bufs[dst]; b != nil {
+		return len(b.entries)
+	}
+	return 0
+}
+
 // Buffered returns the number of entries not yet shipped (tests).
 func (s *Stream) Buffered() int {
 	n := 0

@@ -8,6 +8,7 @@ import (
 
 	"star/internal/core"
 	"star/internal/rt"
+	"star/internal/wire"
 	"star/internal/workload/tpcc"
 )
 
@@ -143,8 +144,17 @@ func loopbackMatchesSimnet(t *testing.T, wcfg func(nodes, workers int) tpcc.Conf
 	// Both sides' partitioned phases shipped their updates as operation
 	// entries through the real codec, into the peer's two applier shards.
 	for i, run := range []*core.ScriptRun{runA, runB} {
-		if c := run.E.StatsSnapshot().Counters; c["repl_op_entries"] == 0 || c["repl_value_entries"] == 0 {
+		snap := run.E.StatsSnapshot()
+		if c := snap.Counters; c["repl_op_entries"] == 0 || c["repl_value_entries"] == 0 {
 			t.Fatalf("process %d shipped %d operation and %d value entries, want both", i, c["repl_op_entries"], c["repl_value_entries"])
+		}
+		// repl_entry_bytes prices each entry in its envelope's context, as
+		// the codec encodes it: what the sockets carried in the replication
+		// class is exactly that plus, per message (an envelope or a fence's
+		// epoch mark), the frame and a header of three small uvarints.
+		entries, msgs, carried := snap.Counters["repl_entry_bytes"], snap.Gauges["repl_msgs"], snap.Gauges["repl_bytes"]
+		if over := carried - entries; over < msgs*(wire.FrameOverhead+3) || over > msgs*(wire.FrameOverhead+12) {
+			t.Fatalf("process %d: sockets carried %d replication bytes in %d messages for %d counted entry bytes", i, carried, msgs, entries)
 		}
 	}
 	if !reflect.DeepEqual(got, want) {

@@ -272,7 +272,8 @@ func (n *Network) Send(src, dst int, class transport.Class, m transport.Message)
 	}
 	// Start from the modelled size — for the messages that carry the
 	// bytes (replication batches, requests, snapshots) it is the encoded
-	// size or a few bytes over — so a frame is one allocation instead of
+	// size or over it (the model charges every entry a fixed header the
+	// envelope encoding mostly elides) — so a frame is one allocation instead of
 	// a buffer grown from nil by doubling. The frame escapes to the link
 	// writer, hence no reuse.
 	frame, err := wire.AppendFrame(make([]byte, 0, wire.FrameOverhead+m.Size()), src, dst, class, n.cfg.Codec, m)

@@ -7,16 +7,82 @@ import (
 	"star/internal/storage"
 )
 
-// Entry encoding:
+// Replication envelope format.
 //
-//	[flags u8] bit0 = operation entry, bit1 = absent (tombstone)
-//	[table u8][part uvarint][key 16B][tid u64]
-//	value entry: [row bytes]
-//	op entry:    [nops uvarint] nops × [field u8][kind u8][arg bytes]
+// An envelope (replication.Batch) comes from one worker and one epoch,
+// nearly always for one partition and a run of one table, so an entry is
+// coded against the entry before it, in arrival order — nothing is
+// sorted, operation entries stay FIFO per record — and what repeats is
+// not sent again:
+//
+//	batch:  [from uvarint][epoch uvarint][n uvarint] n × entry
+//	entry:  [flags u8]
+//	        [table u8][part uvarint]    unless flagSamePart
+//	        [key.Hi uvarint][key.Lo uvarint]
+//	                                    or, with flagRawKey, 16 raw bytes
+//	        [tid delta zig-zag varint]  TID − previous TID, wrapping
+//	        value entry: [row len uvarint][row bytes]
+//	        op entry:    [nops uvarint] nops × [field u8][kind u8][arg len uvarint][arg]
+//
+// "Previous" for the first entry of a batch is table 0, partition 0 and
+// TID Epoch<<34 (the epoch's first possible TID; 0 for an ad-hoc stream
+// with Epoch 0). Entries of one transaction share a TID and pay 1 byte
+// for it, the next transaction's pay 1–2; TIDs may step backwards
+// (several single-master workers interleave on one link), hence zig-zag.
+// A standalone entry (AppendEntry/DecodeEntry) is the first entry of an
+// envelope with Epoch 0: there is one entry routine.
+//
+// Flag bits (the rest must be zero):
+//
+//	bit 0  flagOp        operation entry: field ops follow, not a row
+//	bit 1  flagAbsent    tombstone (a value entry whose row is empty)
+//	bit 2  flagSamePart  table and partition are the previous entry's
+//	bit 3  flagRawKey    key is 16 little-endian bytes: its halves as
+//	                     uvarints would be longer (TPC-C history keys set
+//	                     bit 62), so a key never costs more than 16
+//
+// Sizes: a YCSB operation entry after the first is flags 1 + key 4 +
+// TID 1 + nops 1 + op 15 = 22 bytes (43 when every entry carried table,
+// partition, a 16-byte key and an 8-byte TID); the header alone is
+// between MinEntryLen−1 and MaxEntryHeaderLen bytes.
 const (
-	entryFlagOp     = 1 << 0
-	entryFlagAbsent = 1 << 1
+	flagOp       = 1 << 0
+	flagAbsent   = 1 << 1
+	flagSamePart = 1 << 2
+	flagRawKey   = 1 << 3
+	flagsKnown   = flagOp | flagAbsent | flagSamePart | flagRawKey
+
+	// MinEntryLen is the smallest encoded entry: flags, two 1-byte key
+	// halves, a 1-byte TID delta and a 1-byte empty payload (row length
+	// or op count 0). Decoders bound entry counts by it before they
+	// allocate from an untrusted count.
+	MinEntryLen = 5
+
+	// MaxEntryHeaderLen is the largest encoded entry header — everything
+	// in front of the payload: flags 1, table 1, partition 5 (uvarint of
+	// a uint32), raw key 16, TID delta 10.
+	MaxEntryHeaderLen = 1 + 1 + 5 + KeyLen + 10
 )
+
+// entryPrev is what the next entry is coded against: the table, partition
+// and TID of the entry before it, or the envelope's for the first.
+type entryPrev struct {
+	table storage.TableID
+	part  int32
+	tid   uint64
+}
+
+// batchPrev returns the context of the first entry of an envelope
+// stamped with epoch.
+func batchPrev(epoch uint64) entryPrev {
+	return entryPrev{tid: storage.MakeTID(epoch, 0)}
+}
+
+// rawKey reports whether k's halves as uvarints would outgrow its 16 raw
+// bytes.
+func rawKey(k storage.Key) bool {
+	return UvarintLen(k.Hi)+UvarintLen(k.Lo) > KeyLen
+}
 
 // AppendFieldOp appends one field operation: [field u8][kind u8][arg].
 func AppendFieldOp(b []byte, op *storage.FieldOp) []byte {
@@ -45,19 +111,39 @@ func DecodeFieldOp(b []byte) (storage.FieldOp, []byte, error) {
 	return op, b, nil
 }
 
-// AppendEntry appends one replication entry.
-func AppendEntry(b []byte, e *replication.Entry) []byte {
+// appendEntry appends e coded against prev and advances prev to e. It is
+// the one entry encoder: batches thread prev through their entries, a
+// standalone entry starts from the zero context.
+func appendEntry(b []byte, prev *entryPrev, e *replication.Entry) []byte {
 	var flags byte
 	if e.IsOp() {
-		flags |= entryFlagOp
+		flags |= flagOp
 	}
 	if e.Absent {
-		flags |= entryFlagAbsent
+		flags |= flagAbsent
 	}
-	b = append(b, flags, byte(e.Table))
-	b = AppendUvarint(b, uint64(uint32(e.Part)))
-	b = AppendKey(b, e.Key)
-	b = AppendU64(b, e.TID)
+	same := e.Table == prev.table && e.Part == prev.part
+	if same {
+		flags |= flagSamePart
+	}
+	raw := rawKey(e.Key)
+	if raw {
+		flags |= flagRawKey
+	}
+	b = append(b, flags)
+	if !same {
+		b = append(b, byte(e.Table))
+		b = AppendUvarint(b, uint64(uint32(e.Part)))
+		prev.table, prev.part = e.Table, e.Part
+	}
+	if raw {
+		b = AppendKey(b, e.Key)
+	} else {
+		b = AppendUvarint(b, e.Key.Hi)
+		b = AppendUvarint(b, e.Key.Lo)
+	}
+	b = AppendVarint(b, int64(e.TID-prev.tid))
+	prev.tid = e.TID
 	if e.IsOp() {
 		b = AppendUvarint(b, uint64(len(e.Ops)))
 		for i := range e.Ops {
@@ -68,35 +154,61 @@ func AppendEntry(b []byte, e *replication.Entry) []byte {
 	return AppendBytes(b, e.Row)
 }
 
-// entryHeaderLen is the encoded size of everything in front of an entry's
-// payload: flags, table, partition, key and TID.
-func entryHeaderLen(part int32) int {
-	return 2 + UvarintLen(uint64(uint32(part))) + KeyLen + 8
+// AppendEntry appends one standalone replication entry.
+func AppendEntry(b []byte, e *replication.Entry) []byte {
+	var prev entryPrev
+	return appendEntry(b, &prev, e)
 }
 
-// EntryLen returns the encoded size of e.
-func EntryLen(e *replication.Entry) int {
+// EntrySizer measures entries as an envelope encodes them: each against
+// the one before. The zero value measures a standalone entry or the
+// first entry of an Epoch-0 envelope.
+type EntrySizer struct{ prev entryPrev }
+
+// Reset starts a new envelope stamped with epoch.
+func (s *EntrySizer) Reset(epoch uint64) { s.prev = batchPrev(epoch) }
+
+// Next returns the encoded size of e as the envelope's next entry, split
+// into its header (flags, table, partition, key, TID) and its payload
+// (row or ops, length prefix included). The split lets a caller price
+// the same entry with another payload — an operation entry as the whole
+// row it stands for is header + BytesLen of a row.
+func (s *EntrySizer) Next(e *replication.Entry) (header, payload int) {
+	header = 1 + VarintLen(int64(e.TID-s.prev.tid))
+	s.prev.tid = e.TID
+	if e.Table != s.prev.table || e.Part != s.prev.part {
+		header += 1 + UvarintLen(uint64(uint32(e.Part)))
+		s.prev.table, s.prev.part = e.Table, e.Part
+	}
+	if rawKey(e.Key) {
+		header += KeyLen
+	} else {
+		header += UvarintLen(e.Key.Hi) + UvarintLen(e.Key.Lo)
+	}
 	if !e.IsOp() {
-		return ValueEntryLen(e.Part, len(e.Row))
+		return header, BytesLen(e.Row)
 	}
-	n := entryHeaderLen(e.Part) + UvarintLen(uint64(len(e.Ops)))
+	payload = UvarintLen(uint64(len(e.Ops)))
 	for i := range e.Ops {
-		n += 2 + BytesLen(e.Ops[i].Arg)
+		payload += FieldOpLen(&e.Ops[i])
 	}
-	return n
+	return header, payload
 }
 
-// ValueEntryLen returns the encoded size of a value entry carrying a
-// rowSize-byte row for partition part — what an operation entry on that
-// table would have cost shipped as the whole record (rows are fixed-size
-// per schema).
-func ValueEntryLen(part int32, rowSize int) int {
-	return entryHeaderLen(part) + UvarintLen(uint64(rowSize)) + rowSize
+// EntryLen returns the encoded size of e as a standalone entry.
+func EntryLen(e *replication.Entry) int {
+	var s EntrySizer
+	header, payload := s.Next(e)
+	return header + payload
 }
 
-// DecodeEntry consumes one entry. Row and op args alias b.
+// DecodeEntry consumes one standalone entry. Row and op args alias b.
 func DecodeEntry(b []byte) (replication.Entry, []byte, error) {
-	e, nops, b, err := scanEntry(b)
+	var (
+		e    replication.Entry
+		prev entryPrev
+	)
+	nops, b, err := scanEntry(b, &prev, &e)
 	if err == nil && e.IsOp() {
 		fillOps(&e, make([]storage.FieldOp, nops))
 	}
@@ -107,56 +219,69 @@ func DecodeEntry(b []byte) (replication.Entry, []byte, error) {
 // distinguishes op entries by Ops != nil).
 var noOps = []storage.FieldOp{}
 
-// scanEntry consumes one entry and validates all of it, but leaves an
-// operation entry's ops encoded: e.Ops is noOps, e.Row holds the encoded
-// ops (count included) for fillOps, and nops is how many there are. That
-// split lets DecodeBatch learn the batch's total op count in the one pass
-// that decodes everything else, and then carve every entry's Ops from a
-// single allocation. A value entry comes back complete.
-func scanEntry(b []byte) (e replication.Entry, nops int, rest []byte, err error) {
-	if len(b) < 2 {
-		return e, 0, nil, ErrTruncated
+// scanEntry is the one entry decoder: it consumes one entry coded against
+// prev into the zero *e, advances prev, and validates all of it, but
+// leaves an operation entry's ops encoded: e.Ops is noOps, e.Row holds
+// the encoded ops (count included) for fillOps, and nops is how many
+// there are. That split lets DecodeBatch learn the batch's total op count
+// in the one pass that decodes everything else, and then carve every
+// entry's Ops from a single allocation. A value entry comes back complete.
+func scanEntry(b []byte, prev *entryPrev, e *replication.Entry) (nops int, rest []byte, err error) {
+	if len(b) < MinEntryLen {
+		return 0, nil, ErrTruncated
 	}
 	flags := b[0]
-	if flags&^(entryFlagOp|entryFlagAbsent) != 0 {
-		return e, 0, nil, fmt.Errorf("%w: entry flags %#x", ErrCorrupt, flags)
+	if flags&^flagsKnown != 0 {
+		return 0, nil, fmt.Errorf("%w: entry flags %#x", ErrCorrupt, flags)
 	}
-	e.Absent = flags&entryFlagAbsent != 0
-	e.Table = storage.TableID(b[1])
-	part, b, err := Uvarint(b[2:])
-	if err != nil {
-		return e, 0, nil, err
-	}
-	e.Part = int32(uint32(part))
-	if e.Key, b, err = Key(b); err != nil {
-		return e, 0, nil, err
-	}
-	if e.TID, b, err = U64(b); err != nil {
-		return e, 0, nil, err
-	}
-	if flags&entryFlagOp == 0 {
-		if e.Row, b, err = Bytes(b); err != nil {
-			return e, 0, nil, err
+	b = b[1:]
+	if flags&flagSamePart == 0 {
+		prev.table = storage.TableID(b[0])
+		var part uint64
+		if part, b, err = Uvarint(b[1:]); err != nil {
+			return 0, nil, err
 		}
-		return e, 0, b, nil
+		prev.part = int32(uint32(part))
+	}
+	e.Absent = flags&flagAbsent != 0
+	e.Table, e.Part = prev.table, prev.part
+	if flags&flagRawKey != 0 {
+		e.Key, b, err = Key(b)
+	} else if e.Key.Hi, b, err = Uvarint(b); err == nil {
+		e.Key.Lo, b, err = Uvarint(b)
+	}
+	if err != nil {
+		return 0, nil, err
+	}
+	delta, b, err := Varint(b)
+	if err != nil {
+		return 0, nil, err
+	}
+	prev.tid += uint64(delta)
+	e.TID = prev.tid
+	if flags&flagOp == 0 {
+		if e.Row, b, err = Bytes(b); err != nil {
+			return 0, nil, err
+		}
+		return 0, b, nil
 	}
 	n, body, err := Uvarint(b)
 	if err != nil {
-		return e, 0, nil, err
+		return 0, nil, err
 	}
 	// Each op costs at least 3 bytes, so the count is bounded by the
 	// buffer — reject early instead of allocating from a corrupt count.
-	if n > uint64(len(body))/3+1 {
-		return e, 0, nil, fmt.Errorf("%w: %d ops in %d-byte buffer", ErrCorrupt, n, len(body))
+	if n > uint64(len(body))/3 {
+		return 0, nil, fmt.Errorf("%w: %d ops in %d-byte buffer", ErrCorrupt, n, len(body))
 	}
 	for i := uint64(0); i < n; i++ {
 		if _, body, err = DecodeFieldOp(body); err != nil {
-			return e, 0, nil, err
+			return 0, nil, err
 		}
 	}
 	e.Ops = noOps
 	e.Row = b[:len(b)-len(body)]
-	return e, int(n), body, nil
+	return int(n), body, nil
 }
 
 // fillOps materialises the ops scanEntry left encoded in e.Row, carving
@@ -173,15 +298,14 @@ func fillOps(e *replication.Entry, pool []storage.FieldOp) []storage.FieldOp {
 	return pool
 }
 
-// Batch encoding: [from uvarint][epoch uvarint][n uvarint] n × entry.
-
 // AppendBatch appends a replication batch body.
 func AppendBatch(b []byte, batch *replication.Batch) []byte {
 	b = AppendUvarint(b, uint64(batch.From))
 	b = AppendUvarint(b, batch.Epoch)
 	b = AppendUvarint(b, uint64(len(batch.Entries)))
+	prev := batchPrev(batch.Epoch)
 	for i := range batch.Entries {
-		b = AppendEntry(b, &batch.Entries[i])
+		b = appendEntry(b, &prev, &batch.Entries[i])
 	}
 	return b
 }
@@ -190,8 +314,11 @@ func AppendBatch(b []byte, batch *replication.Batch) []byte {
 func BatchLen(batch *replication.Batch) int {
 	n := UvarintLen(uint64(batch.From)) + UvarintLen(batch.Epoch) +
 		UvarintLen(uint64(len(batch.Entries)))
+	var s EntrySizer
+	s.Reset(batch.Epoch)
 	for i := range batch.Entries {
-		n += EntryLen(&batch.Entries[i])
+		header, payload := s.Next(&batch.Entries[i])
+		n += header + payload
 	}
 	return n
 }
@@ -210,16 +337,17 @@ func DecodeBatch(b []byte) (*replication.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Entries cost ≥ 27 bytes each; bound the allocation by the buffer.
-	if n > uint64(len(b))/27+1 {
+	// Bound the allocation by the buffer.
+	if n > uint64(len(b))/MinEntryLen {
 		return nil, fmt.Errorf("%w: %d entries in %d-byte buffer", ErrCorrupt, n, len(b))
 	}
 	batch := &replication.Batch{From: int(from), Epoch: epoch,
 		Entries: make([]replication.Entry, n)}
+	prev := batchPrev(epoch)
 	nops := 0
 	for i := range batch.Entries {
 		var k int
-		if batch.Entries[i], k, b, err = scanEntry(b); err != nil {
+		if k, b, err = scanEntry(b, &prev, &batch.Entries[i]); err != nil {
 			return nil, err
 		}
 		nops += k

@@ -146,12 +146,36 @@ func FuzzBatchDecode(f *testing.F) {
 			Ops: sampleEntries()[2].Ops[:i%3], // zero, one and two ops
 		})
 	}
+	ops, row := sampleEntries()[2].Ops, []byte("rowbytes")
+	one := func(epoch uint64, entries ...replication.Entry) []byte {
+		return AppendBatch(nil, &replication.Batch{From: 1, Epoch: epoch, Entries: entries})
+	}
 	seeds := [][]byte{
 		enc,
 		enc[:len(enc)/2],                   // truncated
 		append([]byte{0xff, 0xff}, enc...), // corrupt header
 		AppendBatch(nil, &replication.Batch{}),
 		AppendBatch(nil, allOps),
+		// Each case of coding an entry against the one before it. Table and
+		// partition change mid-envelope, and change back:
+		one(7, replication.Entry{Table: 1, Part: 2, Key: storage.K1(1), TID: storage.MakeTID(7, 1), Ops: ops},
+			replication.Entry{Table: 1, Part: 2, Key: storage.K1(2), TID: storage.MakeTID(7, 1), Ops: ops},
+			replication.Entry{Table: 3, Part: 200, Key: storage.K1(3), TID: storage.MakeTID(7, 2), Row: row},
+			replication.Entry{Table: 1, Part: 2, Key: storage.K1(4), TID: storage.MakeTID(7, 3), Ops: ops}),
+		// TIDs stepping backwards (single-master workers interleaved):
+		one(7, replication.Entry{Key: storage.K1(1), TID: storage.MakeTID(7, 90), Row: row},
+			replication.Entry{Key: storage.K1(2), TID: storage.MakeTID(7, 40), Row: row},
+			replication.Entry{Key: storage.K1(3), TID: storage.MakeTID(7, 91), Row: row}),
+		// An ad-hoc Epoch-0 stream with arbitrary TIDs:
+		one(0, replication.Entry{Key: storage.K1(1), TID: ^uint64(0), Row: row},
+			replication.Entry{Key: storage.K1(2), TID: 0, Row: row},
+			replication.Entry{Key: storage.K1(3), TID: 1 << 63, Row: row}),
+		// Raw-key escape next to a 9-byte half that stays a uvarint:
+		one(7, replication.Entry{Key: storage.Key{Hi: ^uint64(0), Lo: 1 << 63}, TID: storage.MakeTID(7, 1), Row: row},
+			replication.Entry{Key: storage.K2(2, 1<<62|5), TID: storage.MakeTID(7, 2), Row: row}),
+		// A zero-op entry and a tombstone: the two minimum-length payloads.
+		one(7, replication.Entry{Key: storage.K1(1), TID: storage.MakeTID(7, 1), Ops: ops[:0]}),
+		one(7, replication.Entry{Key: storage.K1(1), TID: storage.MakeTID(7, 1) | storage.TIDAbsentBit, Absent: true}),
 	}
 	for i, s := range seeds {
 		corpusSeed(f, "FuzzBatchDecode", i, s)

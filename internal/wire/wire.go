@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"star/internal/storage"
 )
@@ -41,11 +42,19 @@ var (
 
 // AppendUvarint appends v in LEB128 (1–10 bytes).
 func AppendUvarint(b []byte, v uint64) []byte {
+	if v < 0x80 {
+		return append(b, byte(v))
+	}
 	return binary.AppendUvarint(b, v)
 }
 
 // Uvarint consumes a uvarint from b, returning the value and the rest.
+// Most encoded integers are lengths, counts and small deltas, so the
+// one-byte case is decided ahead of the general loop.
 func Uvarint(b []byte) (uint64, []byte, error) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), b[1:], nil
+	}
 	v, n := binary.Uvarint(b)
 	if n <= 0 {
 		if n == 0 {
@@ -57,30 +66,17 @@ func Uvarint(b []byte) (uint64, []byte, error) {
 }
 
 // UvarintLen returns the encoded size of v.
-func UvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // AppendVarint appends v zig-zag encoded.
 func AppendVarint(b []byte, v int64) []byte {
-	return binary.AppendVarint(b, v)
+	return AppendUvarint(b, uint64(v)<<1^uint64(v>>63))
 }
 
 // Varint consumes a zig-zag varint from b.
 func Varint(b []byte) (int64, []byte, error) {
-	v, n := binary.Varint(b)
-	if n <= 0 {
-		if n == 0 {
-			return 0, nil, ErrTruncated
-		}
-		return 0, nil, ErrCorrupt
-	}
-	return v, b[n:], nil
+	u, rest, err := Uvarint(b)
+	return int64(u>>1) ^ -int64(u&1), rest, err
 }
 
 // VarintLen returns the encoded size of v.
@@ -90,8 +86,9 @@ func VarintLen(v int64) int {
 
 // ---- fixed-width primitives ----
 
-// AppendU64 appends v as 8 little-endian bytes (used for TIDs, whose
-// epoch-in-high-bits layout defeats varint compression).
+// AppendU64 appends v as 8 little-endian bytes (used for standalone
+// TIDs, whose epoch-in-high-bits layout defeats varint compression; a
+// replication entry's TID is a delta from its predecessor's instead).
 func AppendU64(b []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(b, v)
 }
