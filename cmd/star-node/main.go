@@ -64,7 +64,6 @@ func main() {
 		clientWin = flag.Int("client-window", core.DefaultClientWindow, "serve mode: per-connection in-flight request bound")
 		httpAt    = flag.String("http", "", "serve mode: host:port for the observability endpoint (Prometheus text at /metrics, pprof at /debug/pprof/); no listener when empty")
 		traceAt   = flag.String("trace", "", "serve mode: write the coordinator's per-epoch timeline (JSONL, core.TraceEvent) to this file; only the coordinator-hosting process (id 0) emits")
-		probe     = flag.Bool("probe", false, "register an extra probe endpoint (id nodes+1, sharing process 0's address) for an external test/ops observer")
 		faults    = flag.String("faults", "", "JSON fault plan (internal/faultnet) injected into this process's outbound traffic; start every process with the same plan file")
 		districts = flag.Int("districts", 2, "tpcc: districts per warehouse")
 		customers = flag.Int("customers", 300, "tpcc: customers per district")
@@ -137,12 +136,8 @@ func main() {
 	}
 
 	// Endpoint map: node i lives at addrList[i]; the coordinator
-	// endpoint (id = nodes) shares process 0's listener, and so does the
-	// optional probe endpoint (id = nodes+1).
+	// endpoint (id = nodes) shares process 0's listener.
 	endpoints := append(append([]string(nil), addrList...), addrList[0])
-	if *probe {
-		endpoints = append(endpoints, addrList[0])
-	}
 	local := []int{*id}
 	if *id == 0 {
 		local = append(local, *nodes) // coordinator endpoint
@@ -205,7 +200,7 @@ func main() {
 		// Time-driven mode: run the node (and, on process 0, the
 		// coordinator) until the process is killed — the target of the
 		// multi-process kill/restart failure tests. Nothing is printed;
-		// observers use the probe endpoint.
+		// observers use star-admin against a front door (-client).
 		cfg.Iteration = *iteration
 		if *traceAt != "" && *id == 0 {
 			// Only the coordinator-hosting process emits; gating the file on

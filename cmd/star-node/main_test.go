@@ -23,6 +23,7 @@ import (
 	"star/internal/rt"
 	"star/internal/tcpnet"
 	"star/internal/transport"
+	"star/internal/wire"
 	"star/internal/workload/tpcc"
 	"star/internal/workload/ycsb"
 )
@@ -68,6 +69,28 @@ func buildStarAdmin(t *testing.T) string {
 		t.Fatalf("go build star-admin: %v\n%s", err, out)
 	}
 	return bin
+}
+
+// openAdminDoor opens a client front door on the in-process engine's node
+// 0 and dials internal/admin at it: freeze fans out from the door, and
+// node-scoped ops for the child are forwarded to it over the cluster
+// transport — the path star-admin takes against any live door.
+func openAdminDoor(t *testing.T, eng *core.Engine, codec *wire.Codec) *admin.Client {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("front door listen: %v", err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	eng.ServeClients(0, ln, codec, 0)
+	// A dead or evicted child never answers a forwarded op: keep the
+	// round trip short so the convergence loops can re-issue the rejoin.
+	ac, err := admin.Dial(admin.Config{Addr: ln.Addr().String(), OpTimeout: 3 * time.Second})
+	if err != nil {
+		t.Fatalf("admin dial: %v", err)
+	}
+	t.Cleanup(func() { ac.Close() })
+	return ac
 }
 
 // TestStarNodeProcessesMatchSimnet is the acceptance check for the
@@ -153,10 +176,11 @@ func TestStarNodeProcessesMatchSimnet(t *testing.T) {
 // cluster-wide freeze settles replication — its partition checksums
 // must converge to the survivor's.
 //
-// Topology: this test process hosts node 0, the coordinator (endpoint
-// 2) and an observation Probe (endpoint 3) on one listener; node 1 is a
-// real star-node child process in -serve (time-driven) mode, running
-// the full TPC-C mix.
+// Topology: this test process hosts node 0 and the coordinator
+// (endpoint 2) on one listener, plus a front door on node 0 that an
+// internal/admin client observes the cluster through; node 1 is a real
+// star-node child process in -serve (time-driven) mode, running the
+// full TPC-C mix.
 func TestStarNodeKillRestartSnapshotCatchUp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process failure test skipped in -short")
@@ -178,18 +202,19 @@ func TestStarNodeKillRestartSnapshotCatchUp(t *testing.T) {
 	wcfg.SetFullMix()
 	w := tpcc.New(wcfg)
 
-	// Endpoints: nodes 0/1, coordinator (2) and probe (3); everything but
-	// node 1 lives in this process, on one listener.
+	// Endpoints: nodes 0/1 and the coordinator (2); everything but node 1
+	// lives in this process, on one listener.
 	ln, err := net.Listen("tcp", addrs[0])
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	endpoints := []string{addrs[0], addrs[1], addrs[0], addrs[0]}
+	endpoints := []string{addrs[0], addrs[1], addrs[0]}
 	r := rt.NewReal()
+	codec := core.NewWireCodec(w)
 	netA, err := tcpnet.New(r, tcpnet.Config{
 		Endpoints: endpoints,
-		Local:     []int{0, 2, 3},
-		Codec:     core.NewWireCodec(w),
+		Local:     []int{0, 2},
+		Codec:     codec,
 		Listener:  ln,
 	})
 	if err != nil {
@@ -207,7 +232,7 @@ func TestStarNodeKillRestartSnapshotCatchUp(t *testing.T) {
 		cmd := exec.Command(bin,
 			"-id", "1", "-nodes", "2", "-workers", "2", "-seed", seed,
 			"-addrs", addrList, "-mix", "full",
-			"-serve", "-probe", "-iteration", "2ms",
+			"-serve", "-iteration", "2ms",
 		)
 		if err := cmd.Start(); err != nil {
 			t.Fatalf("start star-node child: %v", err)
@@ -266,20 +291,22 @@ func TestStarNodeKillRestartSnapshotCatchUp(t *testing.T) {
 	eng.RecoverNode(1)
 	waitCommitsGrow("after rejoin", 15*time.Second)
 
-	// Freeze the whole cluster (probe → both nodes), let fences settle
-	// in-flight replication, then compare the restarted node's checksums
-	// with the survivor's until they converge. A node whose phase report
-	// arrives a moment too late can be spuriously re-failed by the view
-	// service — its state then legitimately diverges until it rejoins —
-	// so the loop re-issues the rejoin like an operator would (RecoverNode
-	// is idempotent on an alive node).
-	probe := core.NewProbe(netA, nodes+1, nodes)
-	probe.Freeze(true)
+	// Freeze the whole cluster (node 0's door fans out to both nodes), let
+	// fences settle in-flight replication, then compare the restarted
+	// node's checksums with the survivor's until they converge. A node
+	// whose phase report arrives a moment too late can be spuriously
+	// re-failed by the view service — its state then legitimately diverges
+	// until it rejoins — so the loop re-issues the rejoin like an operator
+	// would (RecoverNode is idempotent on an alive node).
+	ac := openAdminDoor(t, eng, codec)
+	if err := ac.Freeze(true); err != nil {
+		t.Fatalf("admin freeze: %v", err)
+	}
 	deadline := time.Now().Add(30 * time.Second)
 	lastRecover := time.Now()
 	for {
 		time.Sleep(100 * time.Millisecond)
-		cs, err := probe.Checksums(1, 3*time.Second)
+		cs, err := ac.Checksums(1)
 		mismatch := -1
 		if err == nil {
 			if len(cs.Parts) == 0 {
@@ -301,7 +328,7 @@ func TestStarNodeKillRestartSnapshotCatchUp(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			if err != nil {
-				t.Fatalf("probe checksums: %v", err)
+				t.Fatalf("admin checksums: %v", err)
 			}
 			for i, p := range cs.Parts {
 				t.Logf("part %d: node1=%x node0=%x", p, cs.Sums[i], eng.DB(0).PartitionChecksum(int(p)))
@@ -316,8 +343,8 @@ func TestStarNodeKillRestartSnapshotCatchUp(t *testing.T) {
 }
 
 // TestStarNodeFaultPlanConverges exercises the multi-process chaos path:
-// both processes (this test hosting node 0 + coordinator + probe, and a
-// real star-node child hosting node 1 started with -faults plan.json)
+// both processes (this test hosting node 0 + coordinator, and a real
+// star-node child hosting node 1 started with -faults plan.json)
 // inject the SAME self-terminating fault plan — Data-class drops,
 // duplicates and reorders over real TCP. The cluster must keep
 // committing through the fault window, and once the window closes the
@@ -366,12 +393,13 @@ func TestStarNodeFaultPlanConverges(t *testing.T) {
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	endpoints := []string{addrs[0], addrs[1], addrs[0], addrs[0]}
+	endpoints := []string{addrs[0], addrs[1], addrs[0]}
 	r := rt.NewReal()
+	codec := core.NewWireCodec(w)
 	netA, err := tcpnet.New(r, tcpnet.Config{
 		Endpoints: endpoints,
-		Local:     []int{0, 2, 3},
-		Codec:     core.NewWireCodec(w),
+		Local:     []int{0, 2},
+		Codec:     codec,
 		Listener:  ln,
 	})
 	if err != nil {
@@ -383,7 +411,7 @@ func TestStarNodeFaultPlanConverges(t *testing.T) {
 	child := exec.Command(bin,
 		"-id", "1", "-nodes", "2", "-workers", "2", "-seed", "11",
 		"-addrs", addrList, "-mix", "full",
-		"-serve", "-probe", "-iteration", "2ms",
+		"-serve", "-iteration", "2ms",
 		"-faults", planPath,
 	)
 	if err := child.Start(); err != nil {
@@ -436,13 +464,13 @@ func TestStarNodeFaultPlanConverges(t *testing.T) {
 	// The plan must have fired on the child's side: deferred cross-
 	// partition requests flow partial → full replica, so node 1 is where
 	// the Data-class traffic originates. Its counters travel back over
-	// the probe protocol. (This process's own fn sees near-zero Data
-	// sends — node 0 executes deferred work locally — so its counters
-	// are informational only.)
-	probe := core.NewProbe(netA, nodes+1, nodes)
-	childStats, err := probe.FaultStats(1, 5*time.Second)
+	// the admin envelope, forwarded by node 0's door. (This process's own
+	// fn sees near-zero Data sends — node 0 executes deferred work
+	// locally — so its counters are informational only.)
+	ac := openAdminDoor(t, eng, codec)
+	childStats, err := ac.FaultStats(1)
 	if err != nil {
-		t.Fatalf("probe fault stats: %v", err)
+		t.Fatalf("admin fault stats: %v", err)
 	}
 	var childTotal int64
 	for _, v := range childStats {
@@ -456,12 +484,14 @@ func TestStarNodeFaultPlanConverges(t *testing.T) {
 	// Freeze and require byte-identical partition checksums. A node that
 	// lost a phase report to the faults may have been evicted — re-issue
 	// the rejoin like an operator until it converges.
-	probe.Freeze(true)
+	if err := ac.Freeze(true); err != nil {
+		t.Fatalf("admin freeze: %v", err)
+	}
 	deadline = time.Now().Add(30 * time.Second)
 	lastRecover := time.Now()
 	for {
 		time.Sleep(100 * time.Millisecond)
-		cs, err := probe.Checksums(1, 3*time.Second)
+		cs, err := ac.Checksums(1)
 		mismatch := -1
 		if err == nil {
 			if len(cs.Parts) == 0 {
@@ -483,7 +513,7 @@ func TestStarNodeFaultPlanConverges(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			if err != nil {
-				t.Fatalf("probe checksums: %v", err)
+				t.Fatalf("admin checksums: %v", err)
 			}
 			t.Fatalf("partition %d never converged after the fault window", mismatch)
 		}

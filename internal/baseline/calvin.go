@@ -137,7 +137,7 @@ func NewCalvin(cfg Config) *Calvin {
 		cfg.BatchSize = 300 * cfg.WorkersPerNode
 	}
 	e := &Calvin{cfg: cfg, st: stats{latency: &metrics.Hist{}}}
-	installSpinWait(cfg.RT)
+	storage.InstallSpinWait(cfg.RT)
 	e.net = simnet.New(cfg.RT, cfg.Net)
 	for i := 0; i < cfg.Nodes; i++ {
 		// One replica group: each node holds only its mastered block.

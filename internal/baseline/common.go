@@ -9,7 +9,6 @@ package baseline
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,18 +47,6 @@ type Config struct {
 	Cost       core.CostModel
 	Seed       int64
 	FlushEvery int
-}
-
-// installSpinWait mirrors core.installSpinWait for the baseline engines.
-func installSpinWait(r rt.Runtime) {
-	if _, isSim := r.(*rt.Sim); isSim {
-		storage.SpinWait = func() { r.Sleep(200 * time.Nanosecond) }
-		return
-	}
-	// Undo what an earlier simulated engine in this process installed: a
-	// real goroutine spinning through a stopped simulation's Sleep never
-	// returns.
-	storage.SpinWait = runtime.Gosched
 }
 
 func (c Config) withDefaults() Config {

@@ -50,7 +50,7 @@ type Dist struct {
 func NewDist(cfg Config, proto Protocol) *Dist {
 	cfg = cfg.withDefaults()
 	e := &Dist{cfg: cfg, proto: proto, st: stats{latency: &metrics.Hist{}}}
-	installSpinWait(cfg.RT)
+	storage.InstallSpinWait(cfg.RT)
 	e.net = simnet.New(cfg.RT, cfg.Net)
 	for i := 0; i < cfg.Nodes; i++ {
 		db := cfg.Workload.BuildDB(cfg.NumPartitions(), cfg.HoldsMask(i))

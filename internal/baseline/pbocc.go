@@ -36,7 +36,7 @@ func NewPBOCC(cfg Config) *PBOCC {
 	cfg.Nodes = 2 // fixed: primary + backup (§7.1.2)
 	cfg = cfg.withDefaults()
 	e := &PBOCC{cfg: cfg, st: stats{latency: &metrics.Hist{}}}
-	installSpinWait(cfg.RT)
+	storage.InstallSpinWait(cfg.RT)
 	e.net = simnet.New(cfg.RT, cfg.Net)
 	for i := 0; i < 2; i++ {
 		db := cfg.Workload.BuildDB(cfg.NumPartitions(), nil) // both hold everything

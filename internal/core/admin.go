@@ -11,19 +11,18 @@ import (
 const AdminProtoVersion = 1
 
 // AdminOp discriminates the unified control-plane protocol: one
-// versioned request/response envelope covers everything the old
-// hand-wired Probe pairs did (freeze, checksums, fault stats) plus the
-// elastic-membership operations. Every node serves the envelope — from
-// the transport (Probe, tests) and from its client front door
-// (star-admin) — forwarding node-scoped ops to their target and
-// membership ops to the coordinator.
+// versioned request/response envelope covers observation (freeze,
+// checksums, fault stats, metrics) and the elastic-membership
+// operations, and internal/admin.Client (star-admin) is its one client.
+// Every node serves the envelope from its client front door, forwarding
+// node-scoped ops to their target and membership ops to the coordinator.
 type AdminOp uint8
 
 const (
 	// AdminFreeze toggles workload generation on the receiving node.
 	// Front-door requests (Ticket != 0) fan out to every member, so one
-	// door freezes the whole cluster; transport requests (Probe) carry
-	// Ticket 0 and apply locally only — the probe does its own fanout.
+	// door freezes the whole cluster; the fanned-out copies carry Ticket
+	// 0 and apply locally only.
 	AdminFreeze AdminOp = iota + 1
 	// AdminChecksums returns the target node's per-partition checksums.
 	AdminChecksums
@@ -76,11 +75,10 @@ type AdminReq struct {
 	// Op selects the operation.
 	Op AdminOp
 	// From is the endpoint the response is routed back to: a node
-	// hosting the submitting front-door connection, the probe endpoint,
-	// or the coordinator.
+	// hosting the submitting front-door connection, or the coordinator.
 	From int
 	// Ticket correlates the response with a waiting submitter. 0 means
-	// fire-and-forget (probe freeze fanout, engine-internal requests).
+	// fire-and-forget (freeze fanout, engine-internal requests).
 	Ticket uint64
 	// Node is the target for node-scoped ops (Checksums, FaultStats) and
 	// the subject for membership ops (Join, Drain). -1 targets the
@@ -170,10 +168,27 @@ func (n *node) serveAdmin(req AdminReq) {
 	}
 	cfg := n.e.cfg
 	switch req.Op {
+	case AdminChecksums, AdminFaultStats, AdminStats:
+		// Node-scoped: a peer's copy is relayed verbatim (it replies
+		// straight to From); Node < 0 or this node's id is served below.
+		if req.Node >= cfg.Nodes {
+			what := req.Op.String()
+			if req.Op == AdminChecksums {
+				what = "checksum"
+			}
+			n.replyAdmin(req, AdminResp{Err: what + " target out of range"})
+			return
+		}
+		if req.Node >= 0 && req.Node != n.id {
+			n.e.net.Send(n.id, req.Node, transport.Control, req)
+			return
+		}
+	}
+	switch req.Op {
 	case AdminFreeze:
 		n.e.frozen.Store(req.On)
 		if req.Ticket == 0 {
-			return // fanned-out / probe copy: apply locally only
+			return // fanned-out copy: apply locally only
 		}
 		// Front-door origin: one door freezes the cluster. The copies
 		// carry Ticket 0 so they cannot fan out again.
@@ -184,12 +199,6 @@ func (n *node) serveAdmin(req AdminReq) {
 		}
 		n.replyAdmin(req, AdminResp{OK: true})
 	case AdminChecksums:
-		if fwd, done := n.forwardAdmin(req); done {
-			if !fwd {
-				n.replyAdmin(req, AdminResp{Err: "checksum target out of range"})
-			}
-			return
-		}
 		resp := AdminResp{OK: true}
 		topo := n.e.topo.Load()
 		for p := 0; p < cfg.NumPartitions(); p++ {
@@ -204,12 +213,6 @@ func (n *node) serveAdmin(req AdminReq) {
 		}
 		n.replyAdmin(req, resp)
 	case AdminFaultStats:
-		if fwd, done := n.forwardAdmin(req); done {
-			if !fwd {
-				n.replyAdmin(req, AdminResp{Err: "fault-stats target out of range"})
-			}
-			return
-		}
 		resp := AdminResp{OK: true}
 		if fi, ok := n.e.net.(faultInjector); ok {
 			inj := fi.Injected()
@@ -225,12 +228,6 @@ func (n *node) serveAdmin(req AdminReq) {
 		}
 		n.replyAdmin(req, resp)
 	case AdminStats:
-		if fwd, done := n.forwardAdmin(req); done {
-			if !fwd {
-				n.replyAdmin(req, AdminResp{Err: "stats target out of range"})
-			}
-			return
-		}
 		n.replyAdmin(req, AdminResp{OK: true, Stats: n.e.StatsSnapshot().Encode()})
 	case AdminTopologyGet:
 		n.replyAdmin(req, n.e.topologyResp())
@@ -243,20 +240,6 @@ func (n *node) serveAdmin(req AdminReq) {
 	}
 }
 
-// forwardAdmin relays a node-scoped request to its target when that is
-// not this node. Returns done=true when the request needs no local
-// serving (forwarded, or dropped as out of range with fwd=false).
-func (n *node) forwardAdmin(req AdminReq) (fwd, done bool) {
-	if req.Node < 0 || req.Node == n.id {
-		return false, false
-	}
-	if req.Node >= n.e.cfg.Nodes {
-		return false, true
-	}
-	n.e.net.Send(n.id, req.Node, transport.Control, req)
-	return true, true
-}
-
 // replyAdmin stamps the correlation header and routes the response to
 // the requester's endpoint.
 func (n *node) replyAdmin(req AdminReq, resp AdminResp) {
@@ -265,10 +248,10 @@ func (n *node) replyAdmin(req AdminReq, resp AdminResp) {
 		resp.Node = n.id
 	}
 	// From came off the wire: clamp it to the known endpoint range
-	// (nodes, coordinator, probe) — a corrupt frame must not panic the
-	// router with an out-of-range transport index.
+	// (nodes, coordinator) — a corrupt frame must not panic the router
+	// with an out-of-range transport index.
 	to := req.From
-	if to < 0 || to > n.e.cfg.Nodes+1 {
+	if to < 0 || to > n.e.cfg.Nodes {
 		to = n.e.cfg.coordID()
 	}
 	n.e.net.Send(n.id, to, transport.Control, resp)

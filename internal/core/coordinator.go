@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -64,6 +65,10 @@ type coordinator struct {
 	// the inbox gathers discard non-matching messages, so AdminReqs are
 	// parked here and processed at the next committed fence.
 	pendingAdmin []AdminReq
+
+	// script, when set (StartScripted), bounds the run's phases by
+	// generator-step counts instead of durations: see runScript.
+	script *ScriptRun
 
 	// Per-iteration accumulators.
 	iterCommitP, iterCommitS int64
@@ -192,6 +197,10 @@ func (c *coordinator) loop() {
 	c.statMu.Lock()
 	c.startTime = r.Now()
 	c.statMu.Unlock()
+	if c.script != nil {
+		c.runScript()
+		return
+	}
 	for {
 		if c.e.halted.Load() {
 			r.Sleep(10 * time.Millisecond)
@@ -217,16 +226,24 @@ func (c *coordinator) runPhase(tau time.Duration) {
 	// near zero), so an absolute coordinator-clock deadline would make a
 	// rejoined process sleep out the clock skew and miss every phase.
 	// Each node's ROUTER localises it on receipt (node.startPhase).
-	c.broadcast(msgStartPhase{
+	cmd := msgStartPhase{
 		Phase:    c.phase,
 		Epoch:    c.epoch,
 		Deadline: budget,
 		Master:   c.master,
 		Failed:   c.failedList(),
 		Lat:      c.lat,
-	})
+	}
 	grace := 10*tau + c.minGrace + c.graceBoost
 	c.graceBoost = 0
+	if c.script != nil {
+		// Count-bounded: the workers stop at a generator-step count (the
+		// master at exactly what the partitioned phase deferred), never at
+		// the deadline, and a gather waits as long as real execution takes.
+		cmd.Deadline, cmd.ScriptTxns, cmd.ScriptDeferred = scriptDeadline, c.script.txns, c.iterGenX
+		grace = scriptTimeout
+	}
+	c.broadcast(cmd)
 
 	// Every node reports twice per epoch: its phase end (sent vector and
 	// monitors) and its completed fence drain. The nodes drain on their
@@ -251,6 +268,9 @@ func (c *coordinator) runPhase(tau time.Duration) {
 		collect(m)
 		return len(done) == c.aliveCount()
 	}) {
+		if c.abortScript("phase report", missing(done, c.alive)) {
+			return
+		}
 		// A failure detected at the phase gather is properly attributed:
 		// renew the fence's one-shot retry budget (a prior fence stall
 		// may have consumed it to funnel detection here).
@@ -259,7 +279,11 @@ func (c *coordinator) runPhase(tau time.Duration) {
 		return
 	}
 	fenceStart := r.Now()
-	c.noteRound(fenceStart - start - budget)
+	if c.script != nil {
+		tau = fenceStart - start // a count-bounded phase's slice is what it took
+	} else {
+		c.noteRound(fenceStart - start - budget)
+	}
 
 	// Replication fence (§4.3): wait until every node has drained what
 	// the others sent.
@@ -267,6 +291,9 @@ func (c *coordinator) runPhase(tau time.Duration) {
 		collect(m)
 		return len(acks) == c.aliveCount()
 	}) {
+		if c.abortScript("fence ack", missing(acks, c.alive)) {
+			return
+		}
 		if !c.ackRetried {
 			// A fence that cannot drain usually means a peer died AFTER
 			// its phase report: its counted-but-in-flight entries are
@@ -476,18 +503,25 @@ func (c *coordinator) hasAliveFull() bool {
 	return false
 }
 
-// revertAndRetryEpoch aborts the in-flight epoch WITHOUT changing the
-// failure set: every (believed-)alive node reverts — which also aborts
-// any fence drain stuck waiting on a dead peer's vanished entries —
-// and the epoch restarts from the partitioned phase.
+// revertAndRetryEpoch aborts the in-flight epoch under the failure set
+// and mastership as they stand: every (believed-)alive node reverts —
+// which also aborts any fence drain stuck waiting on a dead peer's
+// vanished entries — and the epoch restarts from the partitioned phase.
 func (c *coordinator) revertAndRetryEpoch() {
 	c.broadcast(msgRevert{
 		Epoch:      c.epoch,
 		Failed:     c.failedList(),
 		NewMasters: append([]int32(nil), c.masters...),
 	})
+	// Give the revert time to land before restarting the epoch.
 	c.e.cfg.RT.Sleep(4 * c.lat)
 	c.phase = Partitioned
+}
+
+// halt stops the phase-switching loop for good; Engine.Halted reports why.
+func (c *coordinator) halt(reason string) {
+	c.e.haltReason.Store(reason)
+	c.e.halted.Store(true)
 }
 
 // onFailure is the §4.5 path: mark nodes failed, revert the in-flight
@@ -500,7 +534,6 @@ func (c *coordinator) onFailure(missing []int) {
 	for _, m := range missing {
 		c.alive[m] = false
 	}
-	cfg := c.e.cfg
 	lost := 0
 	for p := range c.masters {
 		if c.alive[c.masters[p]] {
@@ -514,9 +547,7 @@ func (c *coordinator) onFailure(missing []int) {
 		}
 	}
 	if lost > 0 {
-		c.e.halted.Store(true)
-		c.e.haltReason.Store(fmt.Sprintf(
-			"case 4: %d partitions lost every replica; recover from checkpoints + logs", lost))
+		c.halt(fmt.Sprintf("case 4: %d partitions lost every replica; recover from checkpoints + logs", lost))
 		return
 	}
 	if !c.hasAliveFull() {
@@ -524,25 +555,13 @@ func (c *coordinator) onFailure(missing []int) {
 		// distributed concurrency-control mode; this engine halts the
 		// phase-switching loop and reports the condition (the Dist. OCC
 		// engine provides that execution mode).
-		c.e.halted.Store(true)
-		c.e.haltReason.Store("case 2: no full replica alive; distributed CC fallback required")
+		c.halt("case 2: no full replica alive; distributed CC fallback required")
 		return
 	}
-	// Choose the designated master among alive full replicas.
-	for i := 0; i < cfg.FullReplicas; i++ {
-		if c.alive[i] {
-			c.master = i
-			break
-		}
-	}
-	c.broadcast(msgRevert{
-		Epoch:      c.epoch,
-		Failed:     c.failedList(),
-		NewMasters: append([]int32(nil), c.masters...),
-	})
-	// Give the revert time to land before restarting the epoch.
-	c.e.cfg.RT.Sleep(4 * c.lat)
-	c.phase = Partitioned
+	// Choose the designated master among alive full replicas, and restart
+	// the epoch under the new failure set and mastership.
+	c.master = c.firstAliveFull(c.e.topo.Load())
+	c.revertAndRetryEpoch()
 }
 
 // aliveHolder prefers the partition's secondary, then any full replica,
@@ -569,11 +588,58 @@ func (c *coordinator) aliveHolderIn(t *Topology, p int) int {
 	return -1
 }
 
-// handleRejoins runs at a quiesced fence boundary: restore connectivity,
-// let the node copy state from healthy holders, align its counters, and
-// hand its partitions back. Quiesced is what makes the copy safe under
-// operation replication: every delta is applied and no phase runs until
-// this returns, so none races the snapshot it would have to apply onto.
+// admit is the one admission routine (§4.5.3): at a quiesced fence it
+// brings slot id up to the cluster's state under next — a failed member
+// rejoining the installed layout (old == next), or a dark or drained slot
+// joining the layout that admits it. Links up, whatever the slot held is
+// discarded, it copies every partition next assigns it from healthy
+// holders, and the replication counters are aligned both ways. Quiesced is
+// what makes the copy safe under operation replication: every delta is
+// applied and no phase runs until this returns, so none races the snapshot
+// it would have to apply onto. On timeout the links go down again and the
+// caller's tail (mark alive and hand masters back; install next) is
+// skipped, so the request can simply be repeated.
+func (c *coordinator) admit(id int, old, next *Topology, done map[int]msgPhaseDone) error {
+	c.e.net.SetDown(id, false)
+	// Epoch 0 is the wildcard revert: a crashed member may have kept
+	// committing an epoch the cluster reverted and re-executed, and a slot
+	// that was a member before may carry the same — uncommitted writes
+	// whose TIDs the Thomas write rule would protect against the snapshot
+	// catch-up forever. Discarding them restores the slot to its last
+	// group-committed state, which the snapshot then tops up.
+	c.e.net.Send(c.id(), id, transport.Control, msgRevert{
+		Epoch:      0,
+		Failed:     c.failedList(),
+		NewMasters: append([]int32(nil), c.masters...),
+	})
+	sent, err := c.migrate(old, next, []int{id})
+	if err != nil {
+		c.e.net.SetDown(id, true)
+		return err
+	}
+	// The slot's applied counters jump to the cluster's cumulative sent
+	// counts as of this fence (its snapshot subsumes them).
+	applied := make([]int64, c.e.cfg.Nodes)
+	for src, pd := range done {
+		applied[src] = pd.Sent[id]
+	}
+	c.e.net.Send(c.id(), id, transport.Control, msgResetCounters{Applied: applied})
+	// Reverse alignment: entries the slot counted as sent but the network
+	// dropped at the crash (or a restart zeroed) can never be applied, so
+	// every survivor adopts the slot's own cumulative count as its
+	// applied-from-id baseline — otherwise the first fence after admission
+	// waits on phantom entries forever.
+	for s, a := range c.alive {
+		if a && s != id && s < len(sent[id]) {
+			c.e.net.Send(c.id(), s, transport.Control, msgAlignCounters{Src: id, Applied: sent[id][s]})
+		}
+	}
+	return nil
+}
+
+// handleRejoins admits the failed members RecoverNode queued, under the
+// installed layout, and hands their partitions back. Dark or drained
+// slots enter through AdminJoin instead.
 func (c *coordinator) handleRejoins(done map[int]msgPhaseDone) {
 	reqs := c.e.takeRecoverReqs()
 	if len(reqs) == 0 {
@@ -581,67 +647,8 @@ func (c *coordinator) handleRejoins(done map[int]msgPhaseDone) {
 	}
 	topo := c.e.topo.Load()
 	for _, id := range reqs {
-		// Only failed MEMBERS rejoin here; dark or drained slots enter
-		// through AdminJoin instead.
-		if id < 0 || id >= c.e.cfg.Nodes || c.alive[id] || !topo.IsMember(id) {
+		if !topo.IsMember(id) || c.alive[id] || c.admit(id, topo, topo, done) != nil {
 			continue
-		}
-		c.e.net.SetDown(id, false)
-		// Revert whatever in-flight state the node accumulated when it
-		// was cut off — Epoch 0 is the wildcard: the node may have kept
-		// committing an epoch the cluster reverted and re-executed, and
-		// those uncommitted writes carry TIDs the Thomas write rule would
-		// protect against the snapshot catch-up forever. Discarding them
-		// restores the node to its last group-committed state, which the
-		// snapshot then tops up.
-		c.e.net.Send(c.id(), id, transport.Control, msgRevert{
-			Epoch:      0,
-			Failed:     c.failedList(),
-			NewMasters: append([]int32(nil), c.masters...),
-		})
-		mask := topo.HoldsMask(id)
-		var parts, from []int32
-		for p, holds := range mask {
-			if !holds {
-				continue
-			}
-			h := c.aliveHolderIn(topo, p)
-			if h == -1 || h == id {
-				continue
-			}
-			parts = append(parts, int32(p))
-			from = append(from, int32(h))
-		}
-		c.e.net.Send(c.id(), id, transport.Control, msgStartRecovery{Parts: parts, From: from})
-		// Snapshot transfer is bandwidth-paced; allow plenty of time.
-		var rejoinSent []int64
-		okDone := c.gather(c.recoveryGrace, func(m any) bool {
-			rd, ok := m.(msgRecoveryDone)
-			if ok && rd.Node == id {
-				rejoinSent = rd.Sent
-				return true
-			}
-			return false
-		})
-		if !okDone {
-			c.e.net.SetDown(id, true)
-			continue
-		}
-		applied := make([]int64, c.e.cfg.Nodes)
-		for src, pd := range done {
-			applied[src] = pd.Sent[id]
-		}
-		c.e.net.Send(c.id(), id, transport.Control, msgResetCounters{Applied: applied})
-		// Reverse alignment: entries the victim counted as sent but the
-		// network dropped at the crash (or a restart zeroed) can never
-		// be applied, so every survivor adopts the rejoined node's own
-		// cumulative count as its applied-from-id baseline — otherwise
-		// the first post-rejoin fence waits on phantom entries forever.
-		for s, a := range c.alive {
-			if !a || s == id || s >= len(rejoinSent) {
-				continue
-			}
-			c.e.net.Send(c.id(), s, transport.Control, msgAlignCounters{Src: id, Applied: rejoinSent[s]})
 		}
 		c.alive[id] = true
 		c.graceBoost = time.Second // lenient first phase for the rejoiner
@@ -682,107 +689,62 @@ func (c *coordinator) processAdmin(done map[int]msgPhaseDone) {
 	}
 }
 
+// processOneAdmin plans the layout a membership change asks for, moves
+// the state it needs — a join admits the dark (or previously drained)
+// slot, which also streams every other gaining member its share; a drain
+// or rebalance migrates gained partitions only — and installs it. The
+// drained node's own msgTopology install signals Engine.Drained so its
+// process can exit cleanly.
 func (c *coordinator) processOneAdmin(req AdminReq, done map[int]msgPhaseDone) {
-	if req.V > AdminProtoVersion {
-		c.replyAdmin(req, AdminResp{Err: "admin protocol version unsupported"})
+	fail := func(why string) { c.replyAdmin(req, AdminResp{Err: why}) }
+	topo := c.e.topo.Load()
+	id := req.Node
+	switch {
+	case req.V > AdminProtoVersion:
+		fail("admin protocol version unsupported")
 		return
-	}
-	if c.e.halted.Load() {
-		c.replyAdmin(req, AdminResp{Err: "cluster halted"})
+	case c.e.halted.Load():
+		fail("cluster halted")
 		return
-	}
-	if len(c.failedList()) > 0 {
+	case len(c.failedList()) > 0:
 		// Membership changes and failure recovery do not compose: a
 		// failed member cannot ack the new version or donate state.
 		// Refuse; the submitter retries after the cluster heals.
-		c.replyAdmin(req, AdminResp{Err: req.Op.String() + ": cluster has failed members; retry after recovery"})
+		fail(req.Op.String() + ": cluster has failed members; retry after recovery")
 		return
 	}
-	topo := c.e.topo.Load()
+	var next *Topology
+	var err error
 	switch req.Op {
 	case AdminJoin:
-		c.adminJoin(req, topo, done)
-	case AdminDrain:
-		c.adminDrain(req, topo)
-	case AdminRebalance:
-		next := topo.Rebalanced()
-		if _, err := c.migrate(topo, next, nil); err != nil {
-			c.replyAdmin(req, AdminResp{Err: "rebalance: " + err.Error()})
+		switch {
+		case id < 0 || id >= c.e.cfg.Nodes:
+			err = errors.New("slot out of range")
+		case topo.IsMember(id):
+			c.replyAdmin(req, c.e.topologyResp()) // idempotent
 			return
+		default:
+			next = topo.Joined(id)
+			err = c.admit(id, topo, next, done)
 		}
-		c.install(topo, next)
-		c.replyAdmin(req, c.e.topologyResp())
+	case AdminDrain:
+		if !topo.IsMember(id) {
+			err = errors.New("not a member")
+			break
+		}
+		next = topo.Drained(id)
+		if err = next.Validate(); err == nil {
+			_, err = c.migrate(topo, next, nil)
+		}
+	case AdminRebalance:
+		next = topo.Rebalanced()
+		_, err = c.migrate(topo, next, nil)
 	default:
-		c.replyAdmin(req, AdminResp{Err: "op not served by the coordinator"})
-	}
-}
-
-// adminJoin admits a dark (or previously drained) slot: open its links,
-// discard any in-flight state a previous membership left behind, stream
-// it (and every other gaining member) the partitions the new layout
-// assigns, align replication counters, then install the new version.
-func (c *coordinator) adminJoin(req AdminReq, topo *Topology, done map[int]msgPhaseDone) {
-	id := req.Node
-	if id < 0 || id >= c.e.cfg.Nodes {
-		c.replyAdmin(req, AdminResp{Err: "join: slot out of range"})
+		fail("op not served by the coordinator")
 		return
 	}
-	if topo.IsMember(id) {
-		c.replyAdmin(req, c.e.topologyResp()) // idempotent
-		return
-	}
-	next := topo.Joined(id)
-	c.e.net.SetDown(id, false)
-	// Wildcard revert (epoch 0): a slot that was a member before may
-	// carry uncommitted writes whose TIDs the Thomas write rule would
-	// protect against the snapshot catch-up forever.
-	c.e.net.Send(c.id(), id, transport.Control, msgRevert{
-		Epoch:      0,
-		Failed:     c.failedList(),
-		NewMasters: append([]int32(nil), c.masters...),
-	})
-	sent, err := c.migrate(topo, next, []int{id})
 	if err != nil {
-		c.e.net.SetDown(id, true)
-		c.replyAdmin(req, AdminResp{Err: "join: " + err.Error()})
-		return
-	}
-	// Counter alignment, the same dance as a crash rejoin: the joiner's
-	// applied counters jump to the cluster's cumulative sent counts (its
-	// snapshot subsumes them), and every survivor adopts the joiner's
-	// own sent counts as its applied-from-joiner baseline.
-	applied := make([]int64, c.e.cfg.Nodes)
-	for src, pd := range done {
-		applied[src] = pd.Sent[id]
-	}
-	c.e.net.Send(c.id(), id, transport.Control, msgResetCounters{Applied: applied})
-	joinerSent := sent[id]
-	for s, a := range c.alive {
-		if !a || s == id || s >= len(joinerSent) {
-			continue
-		}
-		c.e.net.Send(c.id(), s, transport.Control, msgAlignCounters{Src: id, Applied: joinerSent[s]})
-	}
-	c.install(topo, next)
-	c.replyAdmin(req, c.e.topologyResp())
-}
-
-// adminDrain migrates a member's partitions to the remaining members
-// and removes it: the drained node's own msgTopology install signals
-// Engine.Drained so its process can exit cleanly.
-func (c *coordinator) adminDrain(req AdminReq, topo *Topology) {
-	id := req.Node
-	if !topo.IsMember(id) {
-		c.replyAdmin(req, AdminResp{Err: "drain: not a member"})
-		return
-	}
-	next := topo.Drained(id)
-	if err := next.Validate(); err != nil {
-		c.replyAdmin(req, AdminResp{Err: "drain: " + err.Error()})
-		return
-	}
-	if _, err := c.migrate(topo, next, nil); err != nil {
-		c.replyAdmin(req, AdminResp{Err: "drain: " + err.Error()})
+		fail(req.Op.String() + ": " + err.Error())
 		return
 	}
 	c.install(topo, next)
@@ -792,58 +754,45 @@ func (c *coordinator) adminDrain(req AdminReq, topo *Topology) {
 // migrate moves partition state so every member of next holds what the
 // new layout assigns it: each gaining member streams its gained
 // partitions from a holder under the OLD layout (the standard snapshot
-// catch-up path, Thomas write rule plus removal sweep). force lists
-// ids that must report recovery-done even when they gain nothing (a
-// joiner's Sent vector is needed for counter alignment). On timeout the
-// topology is NOT installed; provisionally materialised partitions on
-// gaining members are invisible (checksum serving and replication
-// targets follow the installed topology) and a later retry converges
-// them idempotently.
+// catch-up path, Thomas write rule plus removal sweep). A forced id's
+// current state is untrusted — it crashed, or was a member once — so it
+// streams EVERY partition next assigns it, and reports recovery-done
+// even when that is nothing (its Sent vector is needed for counter
+// alignment). On timeout the topology is NOT installed; provisionally
+// materialised partitions on gaining members are invisible (checksum
+// serving and replication targets follow the installed topology) and a
+// later retry converges them idempotently.
 func (c *coordinator) migrate(old, next *Topology, force []int) (map[int][]int64, error) {
-	type xfer struct{ parts, from []int32 }
-	xfers := map[int]*xfer{}
-	need := func(i int) *xfer {
-		x := xfers[i]
-		if x == nil {
-			x = &xfer{}
-			xfers[i] = x
-		}
-		return x
+	want := map[int]bool{} // members that must report recovery-done
+	for _, id := range force {
+		want[id] = true
 	}
 	for i := 0; i < next.Capacity; i++ {
-		if !next.IsMember(i) {
-			continue
-		}
+		var x msgStartRecovery
 		for p := 0; p < next.Partitions; p++ {
-			if !next.Holds(i, p) || old.Holds(i, p) {
+			if !next.Holds(i, p) || (old.Holds(i, p) && !want[i]) {
 				continue
 			}
-			h := c.aliveHolderIn(old, p)
-			if h == -1 || h == i {
-				continue
+			if h := c.aliveHolderIn(old, p); h != -1 && h != i {
+				x.Parts = append(x.Parts, int32(p))
+				x.From = append(x.From, int32(h))
 			}
-			x := need(i)
-			x.parts = append(x.parts, int32(p))
-			x.from = append(x.from, int32(h))
 		}
-	}
-	for _, id := range force {
-		need(id)
-	}
-	for id, x := range xfers {
-		c.e.net.Send(c.id(), id, transport.Control, msgStartRecovery{Parts: x.parts, From: x.from})
+		if want[i] || len(x.Parts) > 0 {
+			want[i] = true
+			c.e.net.Send(c.id(), i, transport.Control, x)
+		}
 	}
 	sent := map[int][]int64{}
+	// Snapshot transfer is bandwidth-paced; recoveryGrace allows for it.
 	ok := c.gather(c.recoveryGrace, func(m any) bool {
-		if rd, isRD := m.(msgRecoveryDone); isRD {
-			if _, want := xfers[rd.Node]; want {
-				sent[rd.Node] = rd.Sent
-			}
+		if rd, isRD := m.(msgRecoveryDone); isRD && want[rd.Node] {
+			sent[rd.Node] = rd.Sent
 		}
-		return len(sent) == len(xfers)
+		return len(sent) == len(want)
 	})
 	if !ok {
-		return sent, fmt.Errorf("partition migration incomplete: %d/%d members caught up", len(sent), len(xfers))
+		return sent, fmt.Errorf("partition migration incomplete: %d/%d members caught up", len(sent), len(want))
 	}
 	return sent, nil
 }
@@ -886,7 +835,7 @@ func (c *coordinator) replyAdmin(req AdminReq, resp AdminResp) {
 	}
 	resp.V, resp.Op, resp.Ticket, resp.Node = AdminProtoVersion, req.Op, req.Ticket, req.Node
 	to := req.From
-	if to < 0 || to > c.e.cfg.Nodes+1 {
+	if to < 0 || to > c.e.cfg.Nodes {
 		return // corrupt origin: nowhere safe to answer
 	}
 	c.e.net.Send(c.id(), to, transport.Control, resp)

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"star/internal/metrics"
 	"star/internal/replication"
@@ -82,11 +80,9 @@ type Engine struct {
 	// member set (AdminDrain): star-node -serve exits cleanly on it.
 	drainedCh chan int
 
-	// scripted suppresses the time-driven coordinator (StartScripted
-	// drives the phases instead); haltCh delivers the scripted run's
-	// cluster-wide halt to node-only processes.
-	scripted bool
-	haltCh   rt.Chan
+	// haltCh delivers a scripted run's cluster-wide halt to node-only
+	// processes.
+	haltCh rt.Chan
 }
 
 // New builds a STAR cluster: databases are created and loaded, processes
@@ -109,7 +105,7 @@ func build(cfg Config) *Engine {
 	e.haltCh = cfg.RT.NewChan(1)
 	e.drainedCh = make(chan int, cfg.Nodes)
 	e.topo.Store(cfg.Topology())
-	installSpinWait(cfg.RT)
+	storage.InstallSpinWait(cfg.RT)
 	if cfg.Transport != nil {
 		e.net = cfg.Transport
 	} else {
@@ -317,7 +313,7 @@ func (e *Engine) start() {
 			e.cfg.RT.Go(fmt.Sprintf("star-worker-%d-%d", n.id, w.idx), w.loop)
 		}
 	}
-	if e.coord != nil && !e.scripted {
+	if e.coord != nil {
 		e.cfg.RT.Go("star-coordinator", e.coord.loop)
 	}
 	if e.cfg.Checkpoint && e.cfg.LogDir != "" {
@@ -416,19 +412,6 @@ func (e *Engine) LastCheckpoint(node int) string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.lastCheckpoint
-}
-
-// installSpinWait redirects record-latch spinning to a virtual-time
-// sleep on the simulation runtime (see storage.SpinWait).
-func installSpinWait(r rt.Runtime) {
-	if _, isSim := r.(*rt.Sim); isSim {
-		storage.SpinWait = func() { r.Sleep(200 * time.Nanosecond) }
-		return
-	}
-	// Undo what an earlier simulated engine in this process installed: a
-	// real goroutine spinning through a stopped simulation's Sleep never
-	// returns.
-	storage.SpinWait = runtime.Gosched
 }
 
 // Net exposes the cluster network (tests and benches read its byte

@@ -34,14 +34,31 @@ func (n *tapNet) Send(src, dst int, class transport.Class, m transport.Message) 
 	n.Transport.Send(src, dst, class, m)
 }
 
-// tappedCluster is ycsbCluster on a simnet the test can watch.
-func tappedCluster(t *testing.T, s *rt.Sim, nodes, workers, crossPct int) (*Engine, *tapNet) {
-	t.Helper()
-	tap := &tapNet{r: s, Transport: simnet.New(s, simnet.Config{
+// newTapNet is the default simulated network behind a tap.
+func newTapNet(s *rt.Sim, nodes int) *tapNet {
+	return &tapNet{r: s, Transport: simnet.New(s, simnet.Config{
 		Nodes: nodes + 1, Latency: 50 * time.Microsecond, Jitter: 10 * time.Microsecond,
 		Bandwidth: 600e6, Seed: 1,
 	})}
-	e := ycsbCluster(t, s, nodes, workers, crossPct, func(c *Config) { c.Transport = tap })
+}
+
+// since returns the sends recorded from index from on.
+func (n *tapNet) since(from int) []tapped {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return append([]tapped(nil), n.ev[from:]...)
+}
+
+// tappedCluster is ycsbCluster on a simnet the test can watch.
+func tappedCluster(t *testing.T, s *rt.Sim, nodes, workers, crossPct int, mods ...func(*Config)) (*Engine, *tapNet) {
+	t.Helper()
+	tap := newTapNet(s, nodes)
+	e := ycsbCluster(t, s, nodes, workers, crossPct, func(c *Config) {
+		c.Transport = tap
+		for _, mod := range mods {
+			mod(c)
+		}
+	})
 	return e, tap
 }
 

@@ -5,22 +5,22 @@ import (
 	"sort"
 	"time"
 
-	"star/internal/rt"
-	"star/internal/transport"
 	"star/internal/txn"
 )
 
-// Script describes a deterministic bounded run: instead of time-driven
-// phase switching, the cluster executes exactly one partitioned phase
-// (every owned partition runs TxnsPerPartition generator steps, single-
-// partition transactions serially, cross-partition ones deferred) and
-// one single-master phase (worker 0 of the master drains exactly the
-// deferred requests in a deterministic order), each closed by a
-// replication fence. The result — committed count and per-partition
-// checksums — is a pure function of the configuration and seed,
-// independent of runtime (simulated or wall-clock) and transport
-// (simnet or tcpnet): that is the equivalence the loopback TCP
-// integration tests pin.
+// Script describes a deterministic bounded run. It is not a second
+// coordinator: it is a count-bounded policy on coordinator.runPhase (see
+// runScript). Instead of time-driven phase switching, the cluster
+// executes exactly one partitioned phase (every owned partition runs
+// TxnsPerPartition generator steps, single-partition transactions
+// serially, cross-partition ones deferred) and one single-master phase
+// (worker 0 of the master drains exactly the deferred requests in a
+// deterministic order), each closed by the ordinary replication fence.
+// The result — committed count and per-partition checksums — is a pure
+// function of the configuration and seed, independent of runtime
+// (simulated or wall-clock) and transport (simnet or tcpnet): that is the
+// equivalence the loopback TCP integration tests pin, which is why the
+// scripted run exists.
 type Script struct {
 	// TxnsPerPartition is the generator-step count per owned partition
 	// in the partitioned phase. The deferred cross-partition subset must
@@ -53,6 +53,7 @@ type ScriptRun struct {
 	// clusters).
 	E    *Engine
 	done chan ScriptResult
+	txns int // Script.TxnsPerPartition
 }
 
 // Done yields the result exactly once. On the coordinator process it is
@@ -63,6 +64,11 @@ func (r *ScriptRun) Done() <-chan ScriptResult { return r.done }
 // scriptDeadline is far enough in the future that scripted workers and
 // the OCC retry loop never observe a phase end.
 const scriptDeadline = time.Duration(1) << 60
+
+// scriptTimeout bounds each cluster-wide step of a scripted run. Real
+// multi-process runs include dial warm-up and real execution; virtual
+// runs burn it only on actual failure.
+const scriptTimeout = 5 * time.Minute
 
 // StartScripted builds the cluster (honouring Transport/LocalNodes) and
 // starts the scripted run. On the simulated runtime the caller drives
@@ -76,140 +82,75 @@ func StartScripted(cfg Config, sc Script) *ScriptRun {
 		panic("core: Script.TxnsPerPartition must be positive")
 	}
 	e := build(cfg)
-	e.scripted = true
-	e.start()
-	run := &ScriptRun{E: e, done: make(chan ScriptResult, 1)}
+	run := &ScriptRun{E: e, done: make(chan ScriptResult, 1), txns: sc.TxnsPerPartition}
 	if e.coord != nil {
-		cfg.RT.Go("star-script-coordinator", func() {
-			run.done <- e.scriptLoop(sc)
-		})
-		return run
+		e.coord.script = run // before start: coordinator.loop reads it
 	}
-	// Node-only process: wait for the coordinator's halt.
-	cfg.RT.Go("star-script-wait", func() {
-		e.haltCh.Recv()
-		run.done <- ScriptResult{}
-	})
+	e.start()
+	if e.coord == nil {
+		// Node-only process: wait for the coordinator's halt.
+		cfg.RT.Go("star-script-wait", func() {
+			e.haltCh.Recv()
+			run.done <- ScriptResult{}
+		})
+	}
 	return run
 }
 
-// scriptGather pumps the coordinator inbox until pred is satisfied or
-// the timeout expires.
-func scriptGather(r rt.Runtime, in rt.Chan, timeout time.Duration, take func(any) bool) bool {
-	deadline := r.Now() + timeout
-	for {
-		if take(nil) {
-			return true
+// runScript is the scripted run, a count-bounded policy on the
+// coordinator's one phase loop: the same runPhase, fence and gather as
+// the time-driven steady state, but two phases only, each ended by a
+// generator-step count instead of a duration (see runPhase), then the
+// post-fence checksums and a cluster-wide halt. It waits on the alive
+// members, so dark slots cost nothing.
+func (c *coordinator) runScript() {
+	for _, ph := range []Phase{Partitioned, SingleMaster} {
+		if c.e.halted.Load() {
+			break
 		}
-		d := deadline - r.Now()
-		if d <= 0 {
-			return false
-		}
-		m, ok := in.RecvTimeout(d)
-		if !ok {
-			return take(nil)
-		}
-		if take(m) {
-			return true
-		}
+		c.phase = ph
+		c.runPhase(0) // no slice: the bound is the count
 	}
-}
-
-// scriptTimeout bounds each cluster-wide step of a scripted run. Real
-// multi-process runs include dial warm-up and real execution; virtual
-// runs burn it only on actual failure.
-const scriptTimeout = 5 * time.Minute
-
-// scriptLoop drives the scripted run from the coordinator endpoint.
-func (e *Engine) scriptLoop(sc Script) ScriptResult {
-	r := e.cfg.RT
-	coord := e.cfg.coordID()
-	in := e.net.Inbox(coord)
-	nodes := e.cfg.Nodes
-	fail := func(format string, args ...any) ScriptResult {
-		res := ScriptResult{Err: fmt.Sprintf(format, args...)}
-		e.broadcastScript(msgHalt{})
-		return res
-	}
-
-	// runPhase runs one phase and its replication fence (§4.3): every
-	// node reports its phase end, drains what its peers' end-of-epoch
-	// markers count, and acks. A fast node's ack can overtake a slow
-	// node's report, so one gather collects both.
-	runPhase := func(cmd msgStartPhase) (map[int]msgPhaseDone, bool) {
-		e.broadcastScript(cmd)
-		done := map[int]msgPhaseDone{}
-		acks := map[int]bool{}
-		ok := scriptGather(r, in, scriptTimeout, func(m any) bool {
-			switch v := m.(type) {
-			case msgPhaseDone:
-				if v.Epoch == cmd.Epoch {
-					done[v.Node] = v
-				}
-			case msgFenceAck:
-				if v.Epoch == cmd.Epoch {
-					acks[v.Node] = true
-				}
-			}
-			return len(done) == nodes && len(acks) == nodes
-		})
-		return done, ok
-	}
-
-	// Phase 1: partitioned, bounded by generator steps.
-	done1, ok := runPhase(msgStartPhase{
-		Phase: Partitioned, Epoch: 2, Deadline: scriptDeadline, Master: 0,
-		ScriptTxns: sc.TxnsPerPartition,
-	})
-	if !ok {
-		return fail("scripted partitioned phase incomplete: %d/%d nodes", len(done1), nodes)
-	}
-	var committed, deferred int64
-	for _, pd := range done1 {
-		committed += pd.Committed
-		deferred += pd.GenCross
-	}
-
-	// Phase 2: single-master, draining exactly the deferred requests.
-	done2, ok := runPhase(msgStartPhase{
-		Phase: SingleMaster, Epoch: 3, Deadline: scriptDeadline, Master: 0,
-		ScriptTxns: sc.TxnsPerPartition, ScriptDeferred: deferred,
-	})
-	if !ok {
-		return fail("scripted single-master phase incomplete: %d/%d nodes", len(done2), nodes)
-	}
-	for _, pd := range done2 {
-		committed += pd.Committed
-	}
-
 	// Post-fence checksums: the replicas are quiesced and must agree.
 	// Served through the unified admin envelope (Node -1 = yourself).
-	e.broadcastScript(AdminReq{V: AdminProtoVersion, Op: AdminChecksums, From: coord, Node: -1})
 	sums := map[int]AdminResp{}
-	ok = scriptGather(r, in, scriptTimeout, func(m any) bool {
-		if cs, isCS := m.(AdminResp); isCS && cs.Op == AdminChecksums {
-			sums[cs.Node] = cs
+	if !c.e.halted.Load() {
+		c.broadcast(AdminReq{V: AdminProtoVersion, Op: AdminChecksums, From: c.id(), Node: -1})
+		if !c.gather(scriptTimeout, func(m any) bool {
+			// Node came off the wire: only an alive member's answer counts.
+			if cs, isCS := m.(AdminResp); isCS && cs.Op == AdminChecksums &&
+				cs.Node >= 0 && cs.Node < len(c.alive) && c.alive[cs.Node] {
+				sums[cs.Node] = cs
+			}
+			return len(sums) == c.aliveCount()
+		}) {
+			c.halt(fmt.Sprintf("scripted checksum gather incomplete: no answer from nodes %v", missing(sums, c.alive)))
 		}
-		return len(sums) == nodes
-	})
-	if !ok {
-		return fail("checksum gather incomplete: %d/%d nodes", len(sums), nodes)
 	}
-	e.broadcastScript(msgHalt{})
-
-	res := ScriptResult{Committed: committed}
-	for i := 0; i < nodes; i++ {
-		cs := sums[i]
-		res.Checksums = append(res.Checksums, NodeChecksums{Node: i, Parts: cs.Parts, Sums: cs.Sums})
+	c.broadcast(msgHalt{})
+	res := ScriptResult{Committed: c.iterCommitP + c.iterCommitS}
+	if halted, reason := c.e.Halted(); halted {
+		res, sums = ScriptResult{Err: reason}, nil
 	}
-	return res
+	for i := range c.alive {
+		if cs, ok := sums[i]; ok {
+			res.Checksums = append(res.Checksums, NodeChecksums{Node: i, Parts: cs.Parts, Sums: cs.Sums})
+		}
+	}
+	c.script.done <- res
 }
 
-func (e *Engine) broadcastScript(m transport.Message) {
-	coord := e.cfg.coordID()
-	for i := 0; i < e.cfg.Nodes; i++ {
-		e.net.Send(coord, i, transport.Control, m)
+// abortScript halts a count-bounded run whose gather came up short and
+// reports whether there was one to halt. A scripted epoch cannot be
+// reverted and retried like a timed one — the generators have moved on,
+// and the result is a pure function of the seed only if every step runs
+// once — so the reason becomes ScriptResult.Err instead.
+func (c *coordinator) abortScript(what string, missing []int) bool {
+	if c.script == nil {
+		return false
 	}
+	c.halt(fmt.Sprintf("scripted %s phase incomplete: no %s from nodes %v", c.phase, what, missing))
+	return true
 }
 
 // faultInjector is implemented by fault-injecting transport decorators
@@ -232,28 +173,12 @@ func scriptStamp(seq int64, node, worker int) int64 {
 // runPartitioned: exactly ScriptTxns generator steps per owned
 // partition, no deadline, no freeze checks, no tail flushing.
 func (w *worker) runPartitionedScripted(cmd msgStartPhase) {
-	r := w.n.e.cfg.RT
 	parts := w.n.ownedPartitions(w.idx)
-	if len(parts) == 0 {
-		return
-	}
 	seq := int64(0)
 	for step := 0; step < cmd.ScriptTxns; step++ {
 		for _, home := range parts {
 			seq++
-			w.req.ResetFor(w.gen.Mixed(home), scriptStamp(seq, w.n.id, w.idx))
-			if w.req.Cross || txn.IsDeferred(w.req.Proc) {
-				if w.snapshotServe(&w.req, cmd.Epoch) {
-					w.genSingle++ // served locally; not part of the master drain
-					continue
-				}
-				w.genCross++
-				w.n.e.net.Send(w.n.id, cmd.Master, transport.Data, msgDefer{Req: w.req.Clone()})
-				r.Compute(w.n.e.cfg.Cost.TxnOverhead / 2)
-				continue
-			}
-			w.genSingle++
-			w.execSerial(&w.req, cmd.Epoch)
+			w.step(home, scriptStamp(seq, w.n.id, w.idx), cmd.Epoch, cmd.Master)
 		}
 	}
 }

@@ -8,9 +8,9 @@ package core
 // the world.
 //
 // Endpoint slots are fixed at construction (Capacity = Config.Nodes):
-// the transport pre-provisions one endpoint per slot plus coordinator
-// and probe, and membership toggles slots live or dark. Slot ids below
-// Full are full replicas when live; the rest are partial replicas.
+// the transport pre-provisions one endpoint per slot plus the
+// coordinator's, and membership toggles slots live or dark. Slot ids
+// below Full are full replicas when live; the rest are partial replicas.
 //
 // The coordinator owns the committed Topology and installs new versions
 // only between fences (msgTopology); nodes rebuild replication targets,

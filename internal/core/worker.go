@@ -169,33 +169,40 @@ func (w *worker) runPartitioned(cmd msgStartPhase) {
 			yieldAt = now + yieldEvery
 		}
 		tail.maybeFlush(now)
-		home := parts[pi]
+		w.step(parts[pi], int64(r.Now()), cmd.Epoch, cmd.Master)
 		pi = (pi + 1) % len(parts)
-		w.req.ResetFor(w.gen.Mixed(home), int64(r.Now()))
-		if w.req.Cross || txn.IsDeferred(w.req.Proc) {
-			if w.snapshotServe(&w.req, cmd.Epoch) {
-				// Served from the local fence snapshot: no master
-				// routing, and no single-master phase needed for it.
-				w.genSingle++
-				continue
-			}
-			// Defer to the master node's queue (§4.1), one request per
-			// message. Deliberately NOT batched: interleaved arrival
-			// from many source workers is what keeps adjacent queue
-			// entries conflict-independent — shipping runs of requests
-			// from one generator makes the master's OCC workers execute
-			// same-partition transactions back to back and the abort
-			// rate explodes (measured: 4x aborts, -36% throughput on
-			// paper-scale TPC-C at P=10). The request escapes this
-			// worker, so it gets its own heap copy.
-			w.genCross++
-			w.n.e.net.Send(w.n.id, cmd.Master, transport.Data, msgDefer{Req: w.req.Clone()})
-			r.Compute(w.n.e.cfg.Cost.TxnOverhead / 2)
-			continue
-		}
-		w.genSingle++
-		w.execSerial(&w.req, cmd.Epoch)
 	}
+}
+
+// step is one generator step of the partitioned phase, shared by the
+// timed loop above and the scripted one (runPartitionedScripted):
+// generate home's next transaction stamped at, and run it where the
+// phase allows — serially here, from the local fence snapshot, or
+// deferred to the master.
+func (w *worker) step(home int, at int64, epoch uint64, master int) {
+	w.req.ResetFor(w.gen.Mixed(home), at)
+	if !w.req.Cross && !txn.IsDeferred(w.req.Proc) {
+		w.genSingle++
+		w.execSerial(&w.req, epoch)
+		return
+	}
+	if w.snapshotServe(&w.req, epoch) {
+		// Served from the local fence snapshot: no master routing, and
+		// no single-master phase needed for it.
+		w.genSingle++
+		return
+	}
+	// Defer to the master node's queue (§4.1), one request per message.
+	// Deliberately NOT batched: interleaved arrival from many source
+	// workers is what keeps adjacent queue entries conflict-independent —
+	// shipping runs of requests from one generator makes the master's OCC
+	// workers execute same-partition transactions back to back and the
+	// abort rate explodes (measured: 4x aborts, -36% throughput on
+	// paper-scale TPC-C at P=10). The request escapes this worker, so it
+	// gets its own heap copy.
+	w.genCross++
+	w.n.e.net.Send(w.n.id, master, transport.Data, msgDefer{Req: w.req.Clone()})
+	w.n.e.cfg.RT.Compute(w.n.e.cfg.Cost.TxnOverhead / 2)
 }
 
 // execSerial runs a single-partition transaction with no concurrency

@@ -128,7 +128,7 @@ func (db *DB) CommitEpoch() {
 // agree after a replication fence; tests use this to check consistency,
 // and including the index entries makes every convergence check (the
 // scripted determinism pins, CheckReplicaConsistency, the kill/restart
-// Probe comparison) also assert that secondary indexes converged.
+// checksum comparison) also assert that secondary indexes converged.
 func (db *DB) PartitionChecksum(p int) uint64 {
 	var sum uint64
 	for _, t := range db.tables {

@@ -3,15 +3,31 @@ package storage
 import (
 	"runtime"
 	"sync/atomic"
+	"time"
+
+	"star/internal/rt"
 )
 
 // SpinWait is invoked while spinning on a held record latch. The default
-// yields the OS thread. The simulation runtime replaces it (via the
-// engines' constructors) with a small virtual-time sleep so that a
-// spinning process advances the clock instead of wedging the cooperative
-// scheduler — e.g. when synchronous replication parks a worker that
-// still holds its write latches (§6.1).
-var SpinWait = func() { runtime.Gosched() }
+// yields the OS thread; InstallSpinWait, which every engine constructor
+// calls, fits it to the engine's runtime. It is a package variable because
+// a record has no pointer through which to reach a per-database one.
+var SpinWait = runtime.Gosched
+
+// InstallSpinWait points SpinWait at r. On the simulation runtime a
+// spinning process must advance the clock instead of wedging the
+// cooperative scheduler — e.g. when synchronous replication parks a
+// worker that still holds its write latches (§6.1) — so it sleeps a
+// little virtual time. Any other runtime gets the default back: a real
+// goroutine spinning through the Sleep of a stopped simulation that an
+// earlier engine in this process installed never returns.
+func InstallSpinWait(r rt.Runtime) {
+	if _, isSim := r.(*rt.Sim); isSim {
+		SpinWait = func() { r.Sleep(200 * time.Nanosecond) }
+		return
+	}
+	SpinWait = runtime.Gosched
+}
 
 // Record is one row version chain: the current value plus, while an epoch
 // is in flight, the last value committed before that epoch. The prior
