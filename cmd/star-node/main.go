@@ -57,7 +57,7 @@ func main() {
 		txns      = flag.Int("txns", 200, "scripted generator steps per partition")
 		serve     = flag.Bool("serve", false, "time-driven run instead of the scripted one: process the workload until killed or drained (failure-test mode)")
 		iteration = flag.Duration("iteration", 10*time.Millisecond, "serve mode: phase-switch iteration time")
-		members   = flag.String("members", "", "serve mode: comma-separated boot member ids (empty = all slots; -nodes is capacity, dark slots join later)")
+		members   = flag.String("members", "", "comma-separated boot member ids (empty = all slots; -nodes is capacity: a scripted run leaves dark slots out, a -serve cluster can admit them later)")
 		join      = flag.Bool("join", false, "serve mode: ask the coordinator to admit this dark slot at an epoch fence, retrying until membership is installed")
 		clientAt  = flag.String("client", "", "serve mode: host:port to serve star-client connections on (the client front door; off when empty)")
 		clients   = flag.String("clients", "", "serve mode: comma-separated per-slot front-door addresses, in id order (advertised via the admin topology API; empty entries allowed)")
@@ -84,10 +84,6 @@ func main() {
 	}
 	var memberList []int
 	if *members != "" {
-		if !*serve {
-			fmt.Fprintln(os.Stderr, "star-node: -members requires -serve (scripted runs use every slot)")
-			os.Exit(2)
-		}
 		for _, s := range strings.Split(*members, ",") {
 			var m int
 			if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &m); err != nil || m < 0 || m >= *nodes {

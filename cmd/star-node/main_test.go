@@ -167,6 +167,63 @@ func TestStarNodeProcessesMatchSimnet(t *testing.T) {
 	}
 }
 
+// TestStarNodeScriptedRunWithDarkSlot: -members does not need -serve. A
+// scripted run over three provisioned slots with two members — no process
+// at all behind the third address — completes, reports the two members'
+// checksums and nothing for the dark slot, and matches the in-process
+// simnet run of the same configuration.
+func TestStarNodeScriptedRunWithDarkSlot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process integration test skipped in -short")
+	}
+	const nodes, workers, txns, seed = 3, 2, 30, int64(5)
+	sim := rt.NewSim()
+	simRun := core.StartScripted(core.Config{
+		RT: sim, Nodes: nodes, WorkersPerNode: workers, Seed: seed, Members: []int{0, 1},
+		Workload: tpcc.New(tpcc.Config{Warehouses: nodes * workers, Districts: 2, CustomersPerDistrict: 300, Items: 2000}),
+	}, core.Script{TxnsPerPartition: txns})
+	sim.Run(sim.Now() + time.Hour)
+	var want core.ScriptResult
+	select {
+	case want = <-simRun.Done():
+	default:
+		t.Fatal("simnet scripted run did not finish")
+	}
+	sim.Stop()
+	if want.Err != "" || want.Committed == 0 {
+		t.Fatalf("bad simnet reference: %+v", want)
+	}
+
+	bin := buildStarNode(t)
+	addrs := strings.Join(freePorts(t, nodes), ",")
+	args := func(id string) []string {
+		return []string{"-id", id, "-nodes", "3", "-members", "0,1", "-workers", "2", "-txns", "30", "-seed", "5", "-addrs", addrs}
+	}
+	node1 := exec.Command(bin, args("1")...)
+	node1.Stderr = os.Stderr
+	if err := node1.Start(); err != nil {
+		t.Fatalf("start node 1: %v", err)
+	}
+	defer node1.Process.Kill()
+	out, err := exec.Command(bin, args("0")...).Output()
+	if err != nil {
+		t.Fatalf("node 0: %v (output %q)", err, out)
+	}
+	if err := node1.Wait(); err != nil {
+		t.Fatalf("node 1 exited with error: %v", err)
+	}
+	var got core.ScriptResult
+	if err := json.Unmarshal(out, &got); err != nil {
+		t.Fatalf("parse node 0 output %q: %v", out, err)
+	}
+	if len(got.Checksums) != 2 || got.Checksums[0].Node != 0 || got.Checksums[1].Node != 1 {
+		t.Fatalf("checksums %+v, want members 0 and 1 and nothing for the dark slot", got.Checksums)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("star-node cluster diverged from simnet run:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestStarNodeKillRestartSnapshotCatchUp is the multi-process failure
 // test the PR 3 follow-up asked for: a star-node OS process is killed
 // mid-run, the surviving process's coordinator detects the failure,

@@ -59,7 +59,7 @@ func TestPBOCCAsyncCommitsAndReplicates(t *testing.T) {
 	if st.Committed == 0 {
 		t.Fatal("no commits")
 	}
-	if st.Latency.Count() == 0 {
+	if st.Latency.Count == 0 {
 		t.Fatal("group commit never released results")
 	}
 	e.Freeze()

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"star/internal/core"
 	"star/internal/lock"
 	"star/internal/metrics"
 	"star/internal/replication"
@@ -269,10 +270,10 @@ func (e *Calvin) startNode(i int) {
 		for {
 			switch m := in.Recv().(type) {
 			case msgBatch:
-				r.Compute(e.cfg.Cost.MsgHandling)
+				r.Compute(core.CostMsgHandling)
 				cn.schedule(m)
 			case msgPush:
-				r.Compute(e.cfg.Cost.MsgHandling)
+				r.Compute(core.CostMsgHandling)
 				cn.deliverPush(m)
 			}
 		}
@@ -423,7 +424,7 @@ func (cn *calvinNode) workerLoop(_ int) {
 		set.Reset()
 		ctx := &calvinCtx{cn: cn, ct: ct, set: &set}
 		err := ct.req.Proc.Run(ctx)
-		r.Compute(execCost(e.cfg, ctx))
+		r.Compute(core.ExecCost(ctx.counts()))
 		tid := storage.MakeTID(ct.batchNo, ct.seq)
 		if err == nil {
 			for _, en := range replication.OpEntries(&set, tid) {

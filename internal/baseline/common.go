@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"star/internal/core"
 	"star/internal/metrics"
 	"star/internal/replication"
 	"star/internal/rt"
@@ -44,7 +43,6 @@ type Config struct {
 	// BatchSize is Calvin's per-node sequencer batch (0 = auto).
 	BatchSize int
 
-	Cost       core.CostModel
 	Seed       int64
 	FlushEvery int
 }
@@ -55,9 +53,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Epoch == 0 {
 		c.Epoch = 10 * time.Millisecond
-	}
-	if c.Cost == (core.CostModel{}) {
-		c.Cost = core.DefaultCosts()
 	}
 	if c.FlushEvery == 0 {
 		c.FlushEvery = 16
@@ -117,18 +112,22 @@ func (s *stats) pause(r rt.Runtime) bool {
 	return false
 }
 
+// snapshot publishes the bundle under the names the STAR engine's
+// registry uses, so one constructor (metrics.Snapshot.Stats) reads both.
 func (s *stats) snapshot(name string, r rt.Runtime, net transport.Transport) metrics.Stats {
-	return metrics.Stats{
-		Engine:           name,
-		Duration:         r.Now(),
-		Committed:        s.committed.Load(),
-		Aborted:          s.aborted.Load() + s.userAborts.Load(),
-		Latency:          s.latency,
-		ReplicationBytes: net.Bytes(transport.Replication),
-		ReplicationMsgs:  net.Messages(transport.Replication),
-		NetworkBytes:     net.TotalBytes(),
-		Extra:            map[string]float64{"user_aborts": float64(s.userAborts.Load())},
-	}
+	return metrics.Snapshot{
+		Counters: map[string]int64{
+			"committed":   s.committed.Load(),
+			"aborted":     s.aborted.Load(),
+			"user_aborts": s.userAborts.Load(),
+		},
+		Gauges: map[string]int64{
+			"repl_bytes": net.Bytes(transport.Replication),
+			"repl_msgs":  net.Messages(transport.Replication),
+			"net_bytes":  net.TotalBytes(),
+		},
+		Hists: map[string]metrics.HistSnapshot{"latency": s.latency.Snapshot()},
+	}.Stats(name, r.Now())
 }
 
 // bnode is the per-node state shared by the distributed baselines.

@@ -3,12 +3,14 @@ package baseline
 import (
 	"time"
 
+	"star/internal/core"
 	"star/internal/lock"
 	"star/internal/occ"
 	"star/internal/replication"
 	"star/internal/storage"
 	"star/internal/transport"
 	"star/internal/txn"
+	"star/internal/wire"
 )
 
 // callAll issues one RPC per destination in parallel and collects all
@@ -256,9 +258,9 @@ func (c *distCtx) Read(t storage.TableID, part int, key storage.Key) ([]byte, bo
 		if owner == c.node {
 			rep, ok = e.doLockRead(owner, payload)
 		} else {
-			resp := c.port.call(e.net, c.node, owner, c.wi, rpcLockRead, payload.encode())
+			resp := c.port.call(e.net, c.node, owner, c.wi, rpcLockRead, wire.Marshal(payload, readPayloadFields))
 			if resp.OK {
-				rep, ok = mustDecode(decodeReadReply(resp.Payload)), true
+				rep, ok = mustDecode(wire.Unmarshal(resp.Payload, readReplyFields)), true
 			}
 		}
 		if !ok {
@@ -279,9 +281,9 @@ func (c *distCtx) Read(t storage.TableID, part int, key storage.Key) ([]byte, bo
 	if owner == c.node {
 		rep, ok = e.doRead(owner, payload)
 	} else {
-		resp := c.port.call(e.net, c.node, owner, c.wi, rpcRead, payload.encode())
+		resp := c.port.call(e.net, c.node, owner, c.wi, rpcRead, wire.Marshal(payload, readPayloadFields))
 		if resp.OK {
-			rep, ok = mustDecode(decodeReadReply(resp.Payload)), true
+			rep, ok = mustDecode(wire.Unmarshal(resp.Payload, readReplyFields)), true
 		}
 	}
 	if !ok {
@@ -324,12 +326,12 @@ func (c *distCtx) LookupIndex(t storage.TableID, part, idx int, val []byte, dst 
 		return tbl.IndexLookup(part, idx, val, storage.IndexAllEpochs, dst)
 	}
 	payload := &idxPayload{Table: t, Part: part, Index: idx, Val: val}
-	resp := c.port.call(e.net, c.node, e.cfg.MasterOf(part), c.wi, rpcIndexLookup, payload.encode())
+	resp := c.port.call(e.net, c.node, e.cfg.MasterOf(part), c.wi, rpcIndexLookup, wire.Marshal(payload, idxPayloadFields))
 	if !resp.OK {
 		c.failed = true
 		return dst
 	}
-	return append(dst, mustDecode(decodeIdxReply(resp.Payload)).Keys...)
+	return append(dst, mustDecode(wire.Unmarshal(resp.Payload, idxReplyFields)).Keys...)
 }
 
 // participantEntries groups the write set per mastering node.
@@ -351,7 +353,7 @@ func (e *Dist) runOCC(node, wi int, req *txn.Request) {
 		set.Reset()
 		ctx := &distCtx{e: e, node: node, wi: wi, port: port, set: &set}
 		err := req.Proc.Run(ctx)
-		r.Compute(execCost(e.cfg, ctx))
+		r.Compute(core.ExecCost(ctx.counts()))
 		if err == txn.ErrUserAbort {
 			e.st.userAborts.Inc()
 			return
@@ -402,7 +404,7 @@ func (e *Dist) commitOCC(node, wi int, port *rpcPort, set *txn.RWSet, req *txn.R
 			continue
 		}
 		reqs[owner] = &rpcReq{Kind: rpcLockValidate, From: node, Worker: wi,
-			Payload: payload.encode()}
+			Payload: wire.Marshal(payload, lvPayloadFields)}
 	}
 	resps := port.callAll(e.net, node, wi, reqs)
 	allOK := okLocal && len(resps) == len(reqs)
@@ -411,7 +413,7 @@ func (e *Dist) commitOCC(node, wi int, port *rpcPort, set *txn.RWSet, req *txn.R
 			allOK = false
 			continue
 		}
-		if rep := mustDecode(decodeLVReply(resp.Payload)); rep.MaxWriteTID > maxTID {
+		if rep := mustDecode(wire.Unmarshal(resp.Payload, lvReplyFields)); rep.MaxWriteTID > maxTID {
 			maxTID = rep.MaxWriteTID
 		}
 	}
@@ -430,7 +432,7 @@ func (e *Dist) commitOCC(node, wi int, port *rpcPort, set *txn.RWSet, req *txn.R
 				continue
 			}
 			if resp, ok := resps[owner]; ok && resp.OK {
-				abrt[owner] = &rpcReq{Kind: rpcAbort, From: node, Worker: wi, Payload: ap.encode()}
+				abrt[owner] = &rpcReq{Kind: rpcAbort, From: node, Worker: wi, Payload: wire.Marshal(ap, abortPayloadFields)}
 			}
 		}
 		port.callAll(e.net, node, wi, abrt)
@@ -447,7 +449,7 @@ func (e *Dist) commitOCC(node, wi int, port *rpcPort, set *txn.RWSet, req *txn.R
 			e.commitLocal(node, wi, port, payload)
 			continue
 		}
-		creqs[owner] = &rpcReq{Kind: rpcCommitWrites, From: node, Worker: wi, Payload: payload.encode()}
+		creqs[owner] = &rpcReq{Kind: rpcCommitWrites, From: node, Worker: wi, Payload: wire.Marshal(payload, commitPayloadFields)}
 	}
 	port.callAll(e.net, node, wi, creqs)
 	e.finish(node, req)
@@ -477,7 +479,7 @@ func (e *Dist) commitLocal(node, wi int, port *rpcPort, p *commitPayload) {
 	if backup != node {
 		n.tracker.AddSent(backup, int64(len(ents)))
 		resp := port.call(e.net, node, backup, wi, rpcCommitWrites,
-			(&commitPayload{TID: p.TID, Entries: ents}).encode())
+			wire.Marshal(&commitPayload{TID: p.TID, Entries: ents}, commitPayloadFields))
 		_ = resp
 	}
 	for _, nm := range p.Release {
@@ -506,7 +508,7 @@ func (e *Dist) runS2PL(node, wi int, req *txn.Request) {
 			}
 		}
 		err := req.Proc.Run(ctx)
-		r.Compute(execCost(e.cfg, ctx))
+		r.Compute(core.ExecCost(ctx.counts()))
 		if err == nil && !ctx.failed && e.commitS2PL(node, wi, port, ctx, &set, req) {
 			return
 		}
@@ -529,7 +531,7 @@ func (e *Dist) abortS2PL(node, wi int, port *rpcPort, ctx *distCtx) {
 			e.doAbort(node, ap)
 			continue
 		}
-		reqs[owner] = &rpcReq{Kind: rpcAbort, From: node, Worker: wi, Payload: ap.encode()}
+		reqs[owner] = &rpcReq{Kind: rpcAbort, From: node, Worker: wi, Payload: wire.Marshal(ap, abortPayloadFields)}
 	}
 	port.callAll(e.net, node, wi, reqs)
 }
@@ -577,7 +579,7 @@ func (e *Dist) commitS2PL(node, wi int, port *rpcPort, ctx *distCtx, set *txn.RW
 			continue
 		}
 		creqs[owner] = &rpcReq{Kind: rpcCommitWrites, From: node, Worker: wi,
-			Payload: payload.encode()}
+			Payload: wire.Marshal(payload, commitPayloadFields)}
 	}
 	port.callAll(e.net, node, wi, creqs)
 	e.finish(node, req)

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"star/internal/core"
 	"star/internal/lock"
 	"star/internal/metrics"
 	"star/internal/occ"
@@ -9,6 +10,7 @@ import (
 	"star/internal/storage"
 	"star/internal/transport"
 	"star/internal/txn"
+	"star/internal/wire"
 )
 
 // Protocol selects the distributed concurrency control algorithm.
@@ -170,7 +172,7 @@ func (e *Dist) start() {
 		handler = func(m any) {
 			switch msg := m.(type) {
 			case *replication.Batch:
-				r.Compute(e.cfg.Cost.MsgHandling)
+				r.Compute(core.CostMsgHandling)
 				applyBatch(e.cfg, n, msg)
 			case *rpcResp:
 				if msg.Worker >= 0 {
@@ -191,7 +193,7 @@ func (e *Dist) start() {
 				}
 				e.net.Send(i, p.from, transport.Data, &rpcResp{Worker: p.worker, Seq: p.seq, OK: true})
 			case *rpcReq:
-				r.Compute(e.cfg.Cost.MsgHandling)
+				r.Compute(core.CostMsgHandling)
 				e.serve(i, msg, pending, &syncSeq)
 			case msgTick:
 				e.net.Send(i, e.cfg.tickerID(), transport.Control, msgTickDone{
@@ -228,28 +230,28 @@ func (e *Dist) serve(i int, m *rpcReq, pending map[uint64]*pendingSync, syncSeq 
 	}
 	switch m.Kind {
 	case rpcRead:
-		rep, ok := e.doRead(i, mustDecode(decodeReadPayload(m.Payload)))
+		rep, ok := e.doRead(i, mustDecode(wire.Unmarshal(m.Payload, readPayloadFields)))
 		if !ok {
 			reply(false, nil)
 			return
 		}
-		reply(true, rep.encode())
+		reply(true, wire.Marshal(rep, readReplyFields))
 
 	case rpcLockRead:
-		rep, ok := e.doLockRead(i, mustDecode(decodeReadPayload(m.Payload)))
+		rep, ok := e.doLockRead(i, mustDecode(wire.Unmarshal(m.Payload, readPayloadFields)))
 		if !ok {
 			reply(false, nil)
 			return
 		}
-		reply(true, rep.encode())
+		reply(true, wire.Marshal(rep, readReplyFields))
 
 	case rpcLockValidate:
-		rep, ok := e.doLockValidate(i, mustDecode(decodeLVPayload(m.Payload)))
+		rep, ok := e.doLockValidate(i, mustDecode(wire.Unmarshal(m.Payload, lvPayloadFields)))
 		if !ok {
 			reply(false, nil)
 			return
 		}
-		reply(true, rep.encode())
+		reply(true, wire.Marshal(rep, lvReplyFields))
 
 	case rpcPrepare: // 2PC prepare (S2PL: locks already held → yes vote)
 		reply(true, nil)
@@ -257,12 +259,12 @@ func (e *Dist) serve(i int, m *rpcReq, pending map[uint64]*pendingSync, syncSeq 
 	case rpcCommitWrites:
 		if m.Worker == -1 {
 			// We are the BACKUP applying a synchronously replicated batch.
-			p := mustDecode(decodeCommitPayload(m.Payload))
+			p := mustDecode(wire.Unmarshal(m.Payload, commitPayloadFields))
 			applyBatch(e.cfg, n, &replication.Batch{From: m.From, Entries: p.Entries})
 			e.net.Send(i, m.From, transport.Data, &rpcResp{Worker: -1, Seq: m.Seq, OK: true})
 			return
 		}
-		p := mustDecode(decodeCommitPayload(m.Payload))
+		p := mustDecode(wire.Unmarshal(m.Payload, commitPayloadFields))
 		if !p.Sync || len(p.Entries) == 0 {
 			e.doCommitAsync(i, p)
 			reply(true, nil)
@@ -292,17 +294,17 @@ func (e *Dist) serve(i int, m *rpcReq, pending map[uint64]*pendingSync, syncSeq 
 		n.tracker.AddSent(backup, int64(len(ents)))
 		e.net.Send(i, backup, transport.Replication, &rpcReq{
 			Kind: rpcCommitWrites, From: i, Worker: -1, Seq: token,
-			Payload: (&commitPayload{TID: p.TID, Entries: ents}).encode(),
+			Payload: wire.Marshal(&commitPayload{TID: p.TID, Entries: ents}, commitPayloadFields),
 		})
 
 	case rpcAbort:
-		e.doAbort(i, mustDecode(decodeAbortPayload(m.Payload)))
+		e.doAbort(i, mustDecode(wire.Unmarshal(m.Payload, abortPayloadFields)))
 		reply(true, nil)
 
 	case rpcIndexLookup:
-		p := mustDecode(decodeIdxPayload(m.Payload))
+		p := mustDecode(wire.Unmarshal(m.Payload, idxPayloadFields))
 		keys := n.db.Table(p.Table).IndexLookup(p.Part, p.Index, p.Val, storage.IndexAllEpochs, nil)
-		reply(true, (&idxReply{Keys: keys}).encode())
+		reply(true, wire.Marshal(&idxReply{Keys: keys}, idxReplyFields))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"star/internal/core"
 	"star/internal/metrics"
 	"star/internal/occ"
 	"star/internal/replication"
@@ -119,11 +120,11 @@ func (e *PBOCC) start() {
 		for {
 			switch m := in.Recv().(type) {
 			case *replication.Batch:
-				r.Compute(e.cfg.Cost.MsgHandling)
+				r.Compute(core.CostMsgHandling)
 				applierChs[nextApplier].Send(m)
 				nextApplier = (nextApplier + 1) % len(applierChs)
 			case *rpcReq: // sync replication batch
-				r.Compute(e.cfg.Cost.MsgHandling)
+				r.Compute(core.CostMsgHandling)
 				b := mustDecode(wire.DecodeBatch(m.Payload))
 				applyBatch(e.cfg, n, b)
 				e.net.Send(1, m.From, transport.Data, &rpcResp{Worker: m.Worker, Seq: m.Seq, OK: true})
@@ -162,7 +163,7 @@ func (e *PBOCC) workerLoop(wi int, port *rpcPort) {
 			set.Reset()
 			ctx := &dbCtx{db: e.primary.db, set: &set}
 			err := req.Proc.Run(ctx)
-			r.Compute(execCost(e.cfg, ctx))
+			r.Compute(core.ExecCost(ctx.counts()))
 			if err == txn.ErrUserAbort {
 				e.st.userAborts.Inc()
 				break
@@ -265,18 +266,7 @@ func (c *dbCtx) LookupIndexTail(t storage.TableID, part, idx int, val []byte, ma
 	return c.db.Table(t).IndexLookupTail(part, idx, val, storage.IndexAllEpochs, max, dst)
 }
 
-type costCtx interface {
-	counts() (reads, writes int)
-}
-
 func (c *dbCtx) counts() (int, int) { return c.reads, c.writes }
-
-func execCost(cfg Config, ctx costCtx) time.Duration {
-	r, w := ctx.counts()
-	return cfg.Cost.TxnOverhead +
-		time.Duration(r)*cfg.Cost.Read +
-		time.Duration(w)*cfg.Cost.Write
-}
 
 func applyBatch(cfg Config, n *bnode, b *replication.Batch) {
 	for i := range b.Entries {
@@ -284,7 +274,7 @@ func applyBatch(cfg Config, n *bnode, b *replication.Batch) {
 			panic("baseline: replication apply: " + err.Error())
 		}
 	}
-	cfg.RT.Compute(time.Duration(len(b.Entries)) * cfg.Cost.ApplyEntry)
+	cfg.RT.Compute(time.Duration(len(b.Entries)) * core.CostApplyEntry)
 	n.tracker.AddApplied(b.From, int64(len(b.Entries)))
 }
 
@@ -298,7 +288,7 @@ func drainNode(cfg Config, n *bnode, in rt.Chan, m msgTickDrain, lat *metrics.Hi
 			continue
 		}
 		if b, isBatch := msg.(*replication.Batch); isBatch {
-			cfg.RT.Compute(cfg.Cost.MsgHandling)
+			cfg.RT.Compute(core.CostMsgHandling)
 			applyBatch(cfg, n, b)
 			continue
 		}

@@ -8,51 +8,6 @@ import (
 	"star/internal/transport"
 )
 
-// The replication fence reconciles per-entry counts (§4.3) while the
-// wire carries coalesced msgReplBatch envelopes: after a quiesced
-// boundary, every node must have applied exactly the entries each
-// source claims to have sent it, and the envelope count must be far
-// below the entry count (otherwise batching is inert). Pinned to the
-// fixed flush policy: the adaptive default deliberately shrinks
-// low-volume streams' envelopes to overlap application with the phase.
-func TestFenceEntryCountsReconcileUnderBatching(t *testing.T) {
-	s := rt.NewSim()
-	e := ycsbCluster(t, s, 4, 2, 20, func(c *Config) { c.FlushPolicy = FlushFixed })
-	s.Run(60 * time.Millisecond)
-	if e.Stats().Committed == 0 {
-		t.Fatal("no commits")
-	}
-	settle(s, e, 30*time.Millisecond)
-
-	var totalEntries int64
-	for _, src := range e.nodes {
-		sent := src.tracker.SentVector()
-		for dst, want := range sent {
-			totalEntries += want
-			if got := e.nodes[dst].tracker.Applied(src.id); got != want {
-				t.Fatalf("node %d applied %d entries from node %d, but source sent %d",
-					dst, got, src.id, want)
-			}
-		}
-	}
-	if totalEntries == 0 {
-		t.Fatal("no replication entries shipped")
-	}
-	msgs := replEnvelopes(e)
-	if msgs <= 0 {
-		t.Fatal("no replication envelopes")
-	}
-	// Byte-bounded batching must coalesce entries well beyond the seed's
-	// 16-entry flushing even though fence-tail flushing deliberately
-	// ships a few small envelopes at each phase boundary to shorten the
-	// drain (bulk envelopes alone average 2x higher).
-	if perMsg := totalEntries / msgs; perMsg < 20 {
-		t.Fatalf("only %d entries per envelope (%d entries in %d messages); delta batching inert",
-			perMsg, totalEntries, msgs)
-	}
-	s.Stop()
-}
-
 // replEnvelopes is the replication-class message count less the
 // end-of-epoch markers that ride the same class (one per ordered pair of
 // members per epoch; the frozen settle spins through hundreds of empty
@@ -63,12 +18,17 @@ func replEnvelopes(e *Engine) int64 {
 	return e.net.Messages(transport.Replication) - epochs*n*(n-1)
 }
 
-// The adaptive default must also reconcile exactly at the fence, and
-// still coalesce entries into multi-entry envelopes (the thresholds move
-// per destination, the per-entry accounting must not).
+// The replication fence reconciles per-entry counts (§4.3) while the
+// wire carries coalesced msgReplBatch envelopes: after a quiesced
+// boundary, every node must have applied exactly the entries each
+// source claims to have sent it, and the envelopes must still hold
+// several entries each (the adaptive thresholds move per destination,
+// the per-entry accounting must not). What a fixed threshold coalesces
+// is pinned on the stream itself (replication's
+// TestStreamFixedThresholdHoldsAcrossEpochs).
 func TestFenceReconcilesUnderAdaptiveFlushing(t *testing.T) {
 	s := rt.NewSim()
-	e := ycsbCluster(t, s, 4, 2, 20, nil) // FlushAdaptive is the default
+	e := ycsbCluster(t, s, 4, 2, 20, nil)
 	s.Run(60 * time.Millisecond)
 	if e.Stats().Committed == 0 {
 		t.Fatal("no commits")

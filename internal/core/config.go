@@ -18,35 +18,31 @@ import (
 	"star/internal/workload"
 )
 
-// CostModel assigns virtual CPU costs to engine actions so the
-// simulation runtime reproduces compute/communication ratios; on the
-// real runtime these are ignored (real work takes real time).
-type CostModel struct {
-	// Read is the CPU cost of one record read (hash probe + copy).
-	Read time.Duration
-	// Write is the CPU cost of one buffered write's commit application.
-	Write time.Duration
-	// TxnOverhead is per-transaction bookkeeping (generation, TID, ...).
-	TxnOverhead time.Duration
-	// MsgHandling is the CPU cost of handling one network message.
-	MsgHandling time.Duration
-	// ApplyEntry is the CPU cost of applying one replication entry.
-	ApplyEntry time.Duration
-	// LogPerKB is the CPU+IO cost per KiB written to the recovery log.
-	LogPerKB time.Duration
-}
+// The cost table: virtual CPU costs of engine actions, so the simulation
+// runtime reproduces compute/communication ratios (on the real runtime
+// Compute is a no-op: real work takes real time). They are constants,
+// not configuration — calibrated so 4-node sim throughput lands near the
+// paper's absolute numbers (§7.1), and the baselines charge the same
+// table, which is what makes their simulated numbers comparable.
+const (
+	// CostRead is one record read (hash probe + copy).
+	CostRead = 900 * time.Nanosecond
+	// CostWrite is one buffered write's commit application.
+	CostWrite = 350 * time.Nanosecond
+	// CostTxnOverhead is per-transaction bookkeeping (generation, TID, ...).
+	CostTxnOverhead = 1200 * time.Nanosecond
+	// CostMsgHandling is handling one network message.
+	CostMsgHandling = 1500 * time.Nanosecond
+	// CostApplyEntry is applying one replication entry.
+	CostApplyEntry = 400 * time.Nanosecond
+	// CostLogPerKB is the CPU+IO cost per KiB written to the recovery log.
+	CostLogPerKB = 2 * time.Microsecond
+)
 
-// DefaultCosts returns the cost model calibrated so 4-node sim
-// throughput lands near the paper's absolute numbers (§7.1).
-func DefaultCosts() CostModel {
-	return CostModel{
-		Read:        900 * time.Nanosecond,
-		Write:       350 * time.Nanosecond,
-		TxnOverhead: 1200 * time.Nanosecond,
-		MsgHandling: 1500 * time.Nanosecond,
-		ApplyEntry:  400 * time.Nanosecond,
-		LogPerKB:    2 * time.Microsecond,
-	}
+// ExecCost is the virtual CPU cost of executing one transaction that
+// performed the given record reads and buffered writes.
+func ExecCost(reads, writes int) time.Duration {
+	return CostTxnOverhead + time.Duration(reads)*CostRead + time.Duration(writes)*CostWrite
 }
 
 // Config parameterises a STAR cluster.
@@ -145,7 +141,6 @@ type Config struct {
 	// a file; the chaos/gc soaks at an in-memory buffer.
 	Trace io.Writer
 
-	Cost CostModel
 	Seed int64
 
 	// FlushEvery bounds replication batch size in entries. 0 selects
@@ -157,29 +152,12 @@ type Config struct {
 	// FlushBytes bounds replication batch size in modelled wire bytes.
 	// 0 selects DefaultFlushBytes; negative disables the byte bound.
 	// Together with the fence flush this makes a partitioned-phase epoch
-	// ship O(destinations) envelopes instead of O(writes) messages.
+	// ship O(destinations) envelopes instead of O(writes) messages. It
+	// is each destination's starting threshold: every epoch re-sizes it
+	// from the previous epoch's measured write volume (growth only; see
+	// replication.Limits.Adaptive).
 	FlushBytes int
-
-	// FlushPolicy selects how the byte threshold evolves: FlushAdaptive
-	// (the default) re-sizes each destination's threshold every epoch
-	// from the previous epoch's measured write volume, so high-volume
-	// streams grow their envelopes past FlushBytes and idle streams
-	// shrink back toward the floor; FlushFixed keeps FlushBytes as-is.
-	FlushPolicy FlushPolicy
 }
-
-// FlushPolicy selects how the replication flush threshold is sized.
-type FlushPolicy uint8
-
-const (
-	// FlushAdaptive sizes the threshold from the previous epoch's
-	// measured per-destination write volume, starting at FlushBytes and
-	// clamped to replication's adaptive bounds.
-	FlushAdaptive FlushPolicy = iota
-	// FlushFixed uses FlushBytes as a fixed threshold (the pre-adaptive
-	// behaviour; bench comparisons use it for reproducible envelopes).
-	FlushFixed
-)
 
 // DefaultFlushBytes is the default replication batch byte bound: large
 // enough to amortise per-message routing cost over dozens of entries
@@ -210,9 +188,6 @@ func (c Config) withDefaults() Config {
 	if c.Iteration == 0 {
 		c.Iteration = 10 * time.Millisecond
 	}
-	if c.Cost == (CostModel{}) {
-		c.Cost = DefaultCosts()
-	}
 	if c.FlushBytes == 0 {
 		c.FlushBytes = DefaultFlushBytes
 	}
@@ -229,9 +204,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// streamLimits converts the flush knobs into replication stream limits
-// (a negative FlushBytes disables the byte bound, which also disables
-// adaptation — there is no threshold to adapt).
+// streamLimits converts the flush knobs into replication stream limits:
+// an adaptive byte threshold starting at FlushBytes (a negative
+// FlushBytes disables the byte bound, and with it adaptation — there is
+// no threshold to adapt).
 func (c Config) streamLimits() replication.Limits {
 	lim := replication.Limits{Entries: c.FlushEvery}
 	if lim.Entries == 0 {
@@ -239,7 +215,7 @@ func (c Config) streamLimits() replication.Limits {
 	}
 	if c.FlushBytes > 0 {
 		lim.Bytes = c.FlushBytes
-		lim.Adaptive = c.FlushPolicy == FlushAdaptive
+		lim.Adaptive = true
 	}
 	return lim
 }

@@ -99,7 +99,7 @@ func TestSTARGroupCommitLatency(t *testing.T) {
 	e := ycsbCluster(t, s, 4, 2, 10, func(c *Config) { c.Iteration = 4 * time.Millisecond })
 	s.Run(100 * time.Millisecond)
 	st := e.Stats()
-	if st.Latency.Count() == 0 {
+	if st.Latency.Count == 0 {
 		t.Fatal("no latency samples: results were never released")
 	}
 	p50 := st.Latency.Quantile(0.5)

@@ -474,27 +474,7 @@ func (e *Engine) takeRecoverReqs() []int {
 
 // Stats snapshots the run so far.
 func (e *Engine) Stats() metrics.Stats {
-	st := metrics.Stats{
-		Engine:           e.name(),
-		Duration:         e.cfg.RT.Now(),
-		Committed:        e.committed.Load(),
-		Aborted:          e.aborted.Load() + e.userAborts.Load(),
-		Latency:          e.latency,
-		ReplicationBytes: e.net.Bytes(transport.Replication),
-		ReplicationMsgs:  e.net.Messages(transport.Replication),
-		NetworkBytes:     e.net.TotalBytes(),
-		LogBytes:         e.logBytes.Load(),
-		Extra:            map[string]float64{},
-	}
-	st.Extra["user_aborts"] = float64(e.userAborts.Load())
-	st.Extra["deferred"] = float64(e.deferred.Load())
-	st.Extra["rejected"] = float64(e.rejected.Load())
-	st.Extra["snapshot_reads"] = float64(e.snapReads.Load())
-	st.Extra["snapshot_fallbacks"] = float64(e.snapFallback.Load())
-	st.Extra["repl_op_entries"] = float64(e.replOps.Load())
-	st.Extra["repl_value_entries"] = float64(e.replValues.Load())
-	st.Extra["repl_entry_bytes"] = float64(e.replEntryBytes.Load())
-	st.Extra["repl_value_equiv_bytes"] = float64(e.replEquivBytes.Load())
+	st := e.StatsSnapshot().Stats(e.name(), e.cfg.RT.Now())
 	if e.coord != nil {
 		st.Extra["fence_share"] = e.coord.fenceShare()
 		tauP, tauS := e.coord.taus()

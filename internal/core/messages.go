@@ -133,10 +133,9 @@ type msgDefer struct {
 	Req *txn.Request
 }
 
-// wireSizer is implemented by procedures that report their exact encoded
-// parameter size (the workload wire codecs keep WireSize in lock-step
-// with their encoders), so the modelled size below tracks the real frame
-// length; TestModelledSizesTrackEncoding pins the drift.
+// wireSizer is implemented by procedures with a wire form: WireSize is
+// the size pass of the walk that encodes their parameters, so the size
+// below is the real frame length (TestModelledSizesTrackEncoding).
 type wireSizer interface{ WireSize() int }
 
 // Size is the encoded frame length: frame overhead + request header +
@@ -192,18 +191,9 @@ type msgSnapshot struct {
 	Rows  [][]byte
 }
 
-// Size is the encoded frame length (see the codec in wire.go): header,
-// table id, part, count, then a fixed key+TID plus a length-prefixed row
-// per record.
-func (m *msgSnapshot) Size() int {
-	n := wire.FrameOverhead + 1 + wire.UvarintLen(uint64(m.Part)) +
-		wire.UvarintLen(uint64(len(m.Keys)))
-	n += len(m.Keys) * (wire.KeyLen + 8)
-	for _, r := range m.Rows {
-		n += wire.BytesLen(r)
-	}
-	return n
-}
+// Size is the encoded frame length: the size pass of the walk that
+// encodes it (snapshotFields).
+func (m *msgSnapshot) Size() int { return wire.FrameOverhead + wire.SizeOf(m, snapshotFields) }
 
 // msgHalt tells a node process the scripted run is over and it may exit
 // (coordinator → nodes; multi-process clusters only).

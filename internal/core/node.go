@@ -221,10 +221,10 @@ func (n *node) handle(m any) {
 	r := n.e.cfg.RT
 	switch msg := m.(type) {
 	case *msgReplBatch:
-		r.Compute(n.e.cfg.Cost.MsgHandling)
+		r.Compute(CostMsgHandling)
 		n.applyBatch(msg)
 	case syncBatch:
-		r.Compute(n.e.cfg.Cost.MsgHandling)
+		r.Compute(CostMsgHandling)
 		// Synchronous replication: the ack may only be sent after the
 		// entries are durably applied, so bypass the async appliers.
 		n.applyEntries(&applier{}, msg.Batch.From, n.batchEpoch(msg.Batch), msg.Batch.Entries)
@@ -244,7 +244,7 @@ func (n *node) handle(m any) {
 			n.e.rejected.Inc()
 		}
 	case ClientReq:
-		r.Compute(n.e.cfg.Cost.MsgHandling)
+		r.Compute(CostMsgHandling)
 		n.e.deferred.Inc()
 		// Same admission control as msgDefer, but the shed is explicit:
 		// the originating session gets a busy response instead of a
@@ -678,14 +678,14 @@ func (n *node) applyEntries(a *applier, from int, epoch uint64, entries []replic
 	if a.lg != nil {
 		a.lg.Flush(false)
 	}
-	n.e.cfg.RT.Compute(time.Duration(len(entries)) * n.e.cfg.Cost.ApplyEntry)
+	n.e.cfg.RT.Compute(time.Duration(len(entries)) * CostApplyEntry)
 	n.tracker.AddApplied(from, int64(len(entries)))
 }
 
 // chargeLog accounts log bytes and models their virtual IO/CPU cost.
 func (n *node) chargeLog(bytes int) {
 	n.e.logBytes.Add(int64(bytes))
-	n.e.cfg.RT.Compute(time.Duration(float64(bytes) / 1024 * float64(n.e.cfg.Cost.LogPerKB)))
+	n.e.cfg.RT.Compute(time.Duration(float64(bytes) / 1024 * float64(CostLogPerKB)))
 }
 
 // revert rolls the in-flight epoch back after a failure (paper Fig 6)

@@ -202,7 +202,7 @@ func (w *worker) step(home int, at int64, epoch uint64, master int) {
 	// gets its own heap copy.
 	w.genCross++
 	w.n.e.net.Send(w.n.id, master, transport.Data, msgDefer{Req: w.req.Clone()})
-	w.n.e.cfg.RT.Compute(w.n.e.cfg.Cost.TxnOverhead / 2)
+	w.n.e.cfg.RT.Compute(CostTxnOverhead / 2)
 }
 
 // execSerial runs a single-partition transaction with no concurrency
@@ -215,7 +215,7 @@ func (w *worker) execSerial(req *txn.Request, epoch uint64) {
 	w.set.Reset()
 	w.lctx.reset()
 	err := req.Proc.Run(&w.lctx)
-	r.Compute(w.execCost(&w.lctx))
+	r.Compute(ExecCost(w.lctx.reads, w.lctx.writes))
 	if err != nil {
 		// Single-partition transactions only abort for application
 		// reasons (no concurrent access to the partition).
@@ -344,7 +344,7 @@ func (w *worker) execOCC(req *txn.Request, cmd msgStartPhase) {
 		err := req.Proc.Run(&w.lctx)
 		// Yield for the modelled execution time BEFORE commit: the OCC
 		// validation window is exposed to concurrent workers.
-		r.Compute(w.execCost(&w.lctx))
+		r.Compute(ExecCost(w.lctx.reads, w.lctx.writes))
 		if err == txn.ErrUserAbort {
 			e.userAborts.Inc()
 			// Nothing committed: a ticketed client request answers
@@ -418,7 +418,7 @@ func (w *worker) execSnapshot(req *txn.Request, epoch uint64) {
 	r := e.cfg.RT
 	w.sctx.reset(epoch)
 	err := req.Proc.Run(&w.sctx)
-	r.Compute(e.cfg.Cost.TxnOverhead + time.Duration(w.sctx.reads)*e.cfg.Cost.Read)
+	r.Compute(ExecCost(w.sctx.reads, 0))
 	if w.sctx.wrote {
 		panic("core: read-only transaction wrote on the snapshot path")
 	}
@@ -556,13 +556,6 @@ func (t *tailFlusher) maybeFlush(now time.Duration) {
 		t.w.strm.Flush()
 		t.last = now
 	}
-}
-
-func (w *worker) execCost(ctx *localCtx) time.Duration {
-	c := w.n.e.cfg.Cost
-	return c.TxnOverhead +
-		time.Duration(ctx.reads)*c.Read +
-		time.Duration(ctx.writes)*c.Write
 }
 
 // ---- transaction contexts ----

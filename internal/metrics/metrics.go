@@ -111,44 +111,15 @@ func (h *Hist) Count() int64 { return h.count.Load() }
 
 // Mean returns the mean latency, or 0 with no samples.
 func (h *Hist) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sum.Load() / n)
+	return HistSnapshot{Count: h.count.Load(), Sum: h.sum.Load()}.Mean()
 }
 
 // Max returns the largest observed sample.
 func (h *Hist) Max() time.Duration { return time.Duration(h.max.Load()) }
 
-// Quantile returns the latency at quantile q in [0,1], interpolated to the
-// bucket upper bound, or 0 with no samples.
-func (h *Hist) Quantile(q float64) time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for b := 0; b < histBuckets; b++ {
-		seen += h.buckets[b].Load()
-		if seen >= rank {
-			if b == histBuckets-1 {
-				// Overflow bucket: the upper bound is unknown.
-				return h.Max()
-			}
-			u := bucketUpper(b)
-			if m := h.Max(); u > m {
-				return m
-			}
-			return u
-		}
-	}
-	return h.Max()
-}
+// Quantile returns the latency at quantile q in [0,1] of the
+// histogram's current state (HistSnapshot.Quantile has the bucket walk).
+func (h *Hist) Quantile(q float64) time.Duration { return h.Snapshot().Quantile(q) }
 
 // Snapshot captures the histogram's current state, sparse over its
 // non-empty buckets. Concurrent Observes may land between the field
@@ -239,8 +210,9 @@ func (s HistSnapshot) Mean() time.Duration {
 	return time.Duration(s.Sum / s.Count)
 }
 
-// Quantile returns the latency at quantile q in [0,1] (same bucket
-// interpolation as Hist.Quantile), or 0 with no samples.
+// Quantile returns the latency at quantile q in [0,1], interpolated to
+// the bucket upper bound (the largest sample, for the overflow bucket or
+// when the bound exceeds it), or 0 with no samples.
 func (s HistSnapshot) Quantile(q float64) time.Duration {
 	var total int64
 	for _, n := range s.Buckets {
@@ -274,15 +246,17 @@ func (s HistSnapshot) Quantile(q float64) time.Duration {
 	return time.Duration(s.Max)
 }
 
-// Stats is the per-run result bundle every engine returns.
+// Stats is the per-run result bundle every engine returns: a view over
+// the engine's registry snapshot (Snapshot.Stats), so a quantity is read
+// once, where it is published, and the two cannot disagree.
 type Stats struct {
 	Engine    string
 	Duration  time.Duration // measured (virtual) run time
 	Committed int64
-	Aborted   int64
+	Aborted   int64 // concurrency-control and user aborts
 	// Latency of committed transactions from generation to result release
 	// (group commit included, matching the paper's measurement).
-	Latency *Hist
+	Latency HistSnapshot
 	// ReplicationBytes is the total bytes shipped on replication streams.
 	ReplicationBytes int64
 	// ReplicationMsgs is the number of messages those bytes travelled in
@@ -292,8 +266,33 @@ type Stats struct {
 	NetworkBytes int64
 	// LogBytes is bytes written to the recovery logs (0 if disabled).
 	LogBytes int64
-	// Extra carries experiment-specific values (e.g. fence time share).
+	// Extra carries every counter of the snapshot by name (user_aborts,
+	// deferred, snapshot_reads, repl_entry_bytes, ...) plus whatever
+	// experiment-specific values the engine adds (e.g. fence time share).
 	Extra map[string]float64
+}
+
+// Stats builds the result bundle from a registry snapshot: the
+// "committed", "aborted" and "user_aborts" counters, the "latency"
+// histogram and the "repl_bytes", "repl_msgs", "net_bytes" and
+// "log_bytes" gauges.
+func (s Snapshot) Stats(engine string, d time.Duration) Stats {
+	st := Stats{
+		Engine:           engine,
+		Duration:         d,
+		Committed:        s.Counters["committed"],
+		Aborted:          s.Counters["aborted"] + s.Counters["user_aborts"],
+		Latency:          s.Hists["latency"],
+		ReplicationBytes: s.Gauges["repl_bytes"],
+		ReplicationMsgs:  s.Gauges["repl_msgs"],
+		NetworkBytes:     s.Gauges["net_bytes"],
+		LogBytes:         s.Gauges["log_bytes"],
+		Extra:            make(map[string]float64, len(s.Counters)),
+	}
+	for name, v := range s.Counters {
+		st.Extra[name] = float64(v)
+	}
+	return st
 }
 
 // Throughput returns committed transactions per second.
@@ -333,10 +332,7 @@ func (s Stats) AbortRate() float64 {
 
 // String summarises the stats on one line.
 func (s Stats) String() string {
-	p50, p99 := time.Duration(0), time.Duration(0)
-	if s.Latency != nil {
-		p50, p99 = s.Latency.Quantile(0.50), s.Latency.Quantile(0.99)
-	}
 	return fmt.Sprintf("%s: %.0f txn/s (committed=%d aborted=%d) p50=%v p99=%v repl=%dB",
-		s.Engine, s.Throughput(), s.Committed, s.Aborted, p50, p99, s.ReplicationBytes)
+		s.Engine, s.Throughput(), s.Committed, s.Aborted,
+		s.Latency.Quantile(0.50), s.Latency.Quantile(0.99), s.ReplicationBytes)
 }

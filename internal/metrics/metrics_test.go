@@ -140,3 +140,33 @@ func TestStatsDerived(t *testing.T) {
 		t.Fatal("String must work with nil Latency")
 	}
 }
+
+// Stats is a view over a registry snapshot: every field comes from the
+// named metric, aborts of both kinds add up, and every counter is also
+// reachable by name through Extra.
+func TestStatsFromSnapshot(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("committed").Add(90)
+	r.Counter("aborted").Add(7)
+	r.Counter("user_aborts").Add(3)
+	r.Counter("deferred").Add(12)
+	r.Gauge("repl_bytes").Set(4096)
+	r.Gauge("repl_msgs").Set(8)
+	r.Gauge("net_bytes").Set(5000)
+	r.Gauge("log_bytes").Set(777)
+	r.Hist("latency").Observe(3 * time.Millisecond)
+	st := r.Snapshot().Stats("x", time.Second)
+	if st.Engine != "x" || st.Duration != time.Second || st.Committed != 90 || st.Aborted != 10 ||
+		st.ReplicationBytes != 4096 || st.ReplicationMsgs != 8 || st.NetworkBytes != 5000 || st.LogBytes != 777 {
+		t.Fatalf("stats %+v", st)
+	}
+	if st.Latency.Count != 1 || st.Latency.Quantile(0.5) != 3*time.Millisecond {
+		t.Fatalf("latency %+v", st.Latency)
+	}
+	if st.Extra["user_aborts"] != 3 || st.Extra["deferred"] != 12 {
+		t.Fatalf("extra %v", st.Extra)
+	}
+	if empty := (Snapshot{}).Stats("y", 0); empty.Committed != 0 || empty.Extra == nil {
+		t.Fatalf("empty snapshot: %+v", empty)
+	}
+}

@@ -413,6 +413,53 @@ func TestStreamAdaptiveThreshold(t *testing.T) {
 	s.Stop()
 }
 
+// A fixed threshold (Adaptive unset) stays where it was configured
+// however the volume moves: at 16 KiB / 128 entries — the engine's
+// defaults — a 640-entry burst ships the same envelopes after a heavy
+// epoch as after an idle one, well above the 20 entries per envelope that
+// make batching worth having, and the tracker still counts entries, not
+// envelopes.
+func TestStreamFixedThresholdHoldsAcrossEpochs(t *testing.T) {
+	s := rt.NewSim()
+	net := simnet.New(s, simnet.Config{Nodes: 2})
+	tr := NewTracker(2)
+	s.Go("worker", func() {
+		st := NewStream(net, tr, 0, Limits{Bytes: 16 << 10, Entries: 128})
+		e := Entry{Table: 0, Part: 0, Key: storage.K1(1), TID: 1, Row: make([]byte, 100)}
+		burst := func(epoch uint64, n int) int64 {
+			before := net.Messages(transport.Replication)
+			st.SetEpoch(epoch)
+			for i := 0; i < n; i++ {
+				st.Append(1, e)
+			}
+			st.Flush()
+			return net.Messages(transport.Replication) - before
+		}
+		first := burst(2, 640)
+		burst(3, 64000) // a hundred times the volume: an adaptive stream would grow
+		burst(4, 0)
+		if again := burst(5, 640); again != first {
+			t.Errorf("640 entries shipped in %d envelopes, then in %d after a heavy epoch: the fixed threshold moved", first, again)
+		}
+		if lim := st.bufs[1].limit; lim != 16<<10 {
+			t.Errorf("threshold %d, want the configured %d", lim, 16<<10)
+		}
+		if per := 640 / first; per < 20 {
+			t.Errorf("%d entries per envelope (640 in %d); batching inert", per, first)
+		}
+		if sent := tr.SentVector()[1]; sent != 640+64000+640 {
+			t.Errorf("tracker counted %d entries sent, want %d", sent, 640+64000+640)
+		}
+	})
+	s.Go("recv", func() {
+		for {
+			net.Inbox(1).Recv()
+		}
+	})
+	s.Run(time.Second)
+	s.Stop()
+}
+
 // An operation entry is a delta against a row the replica must already
 // have: one that finds no row (or a tombstone) is a divergence, reported
 // as an error and leaving nothing behind — not a row invented from zeros.

@@ -62,10 +62,13 @@ func NewCodec() *Codec {
 	}
 }
 
-// Register binds a message type id to its codec. sample carries the
-// concrete type messages of this id have on the wire (value or pointer
-// form must match what senders pass to Transport.Send). Duplicate ids or
-// types panic: registration is a wiring-time error, not input.
+// Register binds a message type id to a hand-written codec — the
+// replication envelope's, which is coded against its context; every
+// fixed-layout message goes through the generic Register and its field
+// walk instead. sample carries the concrete type messages of this id
+// have on the wire (value or pointer form must match what senders pass
+// to Transport.Send). Duplicate ids or types panic: registration is a
+// wiring-time error, not input.
 func (c *Codec) Register(id uint8, sample transport.Message, enc EncodeFunc, dec DecodeFunc) {
 	t := reflect.TypeOf(sample)
 	if _, dup := c.msgByID[id]; dup {
@@ -79,8 +82,9 @@ func (c *Codec) Register(id uint8, sample transport.Message, enc EncodeFunc, dec
 	c.msgByType[t] = e
 }
 
-// RegisterProc binds a procedure type id to its codec.
-func (c *Codec) RegisterProc(id uint8, sample txn.Procedure, enc ProcEncodeFunc, dec ProcDecodeFunc) {
+// registerProc binds a procedure type id to its codec (RegisterProc
+// builds the pair from the procedure's field walk).
+func (c *Codec) registerProc(id uint8, sample txn.Procedure, enc ProcEncodeFunc, dec ProcDecodeFunc) {
 	t := reflect.TypeOf(sample)
 	if _, dup := c.procByID[id]; dup {
 		panic(fmt.Sprintf("wire: procedure id %d registered twice", id))

@@ -58,6 +58,11 @@ const (
 	// allocate from an untrusted count.
 	MinEntryLen = 5
 
+	// upfrontEntries is how many entries DecodeBatch allocates on the
+	// strength of the count alone: eight default flushes
+	// (core.DefaultFlushEntries), 88 KiB of Entry structs.
+	upfrontEntries = 1024
+
 	// MaxEntryHeaderLen is the largest encoded entry header — everything
 	// in front of the payload: flags 1, table 1, partition 5 (uvarint of
 	// a uint32), raw key 16, TID delta 10.
@@ -337,17 +342,23 @@ func DecodeBatch(b []byte) (*replication.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Bound the allocation by the buffer.
 	if n > uint64(len(b))/MinEntryLen {
 		return nil, fmt.Errorf("%w: %d entries in %d-byte buffer", ErrCorrupt, n, len(b))
 	}
-	batch := &replication.Batch{From: int(from), Epoch: epoch,
-		Entries: make([]replication.Entry, n)}
+	// A count the buffer could hold is still only a claim, and an Entry
+	// in memory is 88 bytes to the 5 of the smallest encoding: allocate
+	// a few flushes' worth up front — an envelope as the engine sends
+	// them costs one allocation — and past that only as entries scan,
+	// doubling, so the memory stays in proportion to bytes that decoded.
+	entries := make([]replication.Entry, min(n, upfrontEntries))
 	prev := batchPrev(epoch)
 	nops := 0
-	for i := range batch.Entries {
+	for i := 0; i < int(n); i++ {
+		if i == len(entries) {
+			entries = append(entries, make([]replication.Entry, min(i, int(n)-i))...)
+		}
 		var k int
-		if k, b, err = scanEntry(b, &prev, &batch.Entries[i]); err != nil {
+		if k, b, err = scanEntry(b, &prev, &entries[i]); err != nil {
 			return nil, err
 		}
 		nops += k
@@ -360,10 +371,10 @@ func DecodeBatch(b []byte) (*replication.Batch, error) {
 	// receiving node a constant number of allocations per envelope, not
 	// one per operation entry (none at all for a batch without ops).
 	pool := make([]storage.FieldOp, nops)
-	for i := range batch.Entries {
-		if e := &batch.Entries[i]; e.IsOp() {
+	for i := range entries {
+		if e := &entries[i]; e.IsOp() {
 			pool = fillOps(e, pool)
 		}
 	}
-	return batch, nil
+	return &replication.Batch{From: int(from), Epoch: epoch, Entries: entries}, nil
 }

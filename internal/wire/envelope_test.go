@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"star/internal/replication"
@@ -163,8 +165,21 @@ func TestEnvelopeByteBudget(t *testing.T) {
 	}
 }
 
+// lyingBatch is a batch body of about size bytes whose count claims as
+// many entries as the count guard lets through — one per MinEntryLen
+// bytes — with two real entries behind it and then 0xff, which no entry
+// starts with.
+func lyingBatch(size int) []byte {
+	two := AppendBatch(nil, &replication.Batch{Entries: make([]replication.Entry, 2)}) // from, epoch, count 2, entries
+	enc := AppendUvarint(two[:2:2], uint64(size/MinEntryLen))
+	enc = append(enc, two[3:]...)
+	return append(enc, bytes.Repeat([]byte{0xff}, size)...)
+}
+
 // TestDecodeBatchBoundsEntryCount: an entry count the buffer cannot hold
-// at MinEntryLen bytes each is rejected before anything is allocated from it.
+// at MinEntryLen bytes each is rejected before anything is allocated from
+// it, and one it could hold buys a flush's worth of entries up front, not
+// twenty times the frame.
 func TestDecodeBatchBoundsEntryCount(t *testing.T) {
 	b := &replication.Batch{Entries: make([]replication.Entry, 3)} // three minimum-length entries
 	for i := range b.Entries {
@@ -177,5 +192,29 @@ func TestDecodeBatchBoundsEntryCount(t *testing.T) {
 	enc[2] = 4 // claim one more entry than 15 bytes can hold
 	if _, err := DecodeBatch(enc); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("entry count past the buffer: %v, want ErrCorrupt from the count guard", err)
+	}
+
+	// A 1 MiB frame claiming 209 715 entries (18 MiB of Entry structs)
+	// with two behind the claim.
+	lying := lyingBatch(1 << 20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeBatch(lying)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
+		t.Fatalf("lying entry count: %v, want a wire error from the scan", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 256<<10 {
+		t.Fatalf("a 1 MiB frame with a lying entry count allocated %d bytes before the scan refused it", alloc)
+	}
+
+	// An honest envelope past the up-front slice still decodes whole.
+	big := &replication.Batch{From: 1, Epoch: 3, Entries: make([]replication.Entry, 5*upfrontEntries+7)}
+	for i := range big.Entries {
+		big.Entries[i] = replication.Entry{Key: storage.K1(uint64(i)), TID: storage.MakeTID(3, uint64(i+1)), Row: []byte("r")}
+	}
+	got, err := DecodeBatch(AppendBatch(nil, big))
+	if err != nil || !reflect.DeepEqual(got, big) {
+		t.Fatalf("%d-entry envelope: err %v, %d entries back", len(big.Entries), err, len(got.Entries))
 	}
 }

@@ -35,6 +35,20 @@ func corpusSeed(f *testing.F, target string, idx int, data []byte) {
 	}
 }
 
+// walkRoundTrip: whatever a walk decodes from data must encode to exactly
+// the bytes its size pass counts, and those must decode to the same value.
+func walkRoundTrip[T any](t *testing.T, name string, data []byte, walk func(*Fields, *T)) {
+	v, err := Unmarshal(data, walk)
+	if err != nil {
+		return
+	}
+	enc := Marshal(v, walk)
+	got, err := Unmarshal(enc, walk)
+	if err != nil || !reflect.DeepEqual(got, v) || len(enc) != SizeOf(v, walk) {
+		t.Fatalf("%s canonical round trip: %v then %v (%v), %d bytes sized %d", name, v, got, err, len(enc), SizeOf(v, walk))
+	}
+}
+
 // FuzzPrimitives feeds arbitrary bytes through every primitive decoder:
 // none may panic, and whatever decodes must re-encode to a buffer that
 // decodes to the same value (canonical round trip).
@@ -43,8 +57,8 @@ func FuzzPrimitives(f *testing.F) {
 		AppendUvarint(nil, 300),
 		AppendVarint(nil, -77),
 		AppendBytes(nil, []byte("hello")),
-		AppendI64s(nil, []int64{1, -2, 3}),
-		AppendU64s(nil, []uint64{9, 1 << 50}),
+		Marshal(&[]int64{1, -2, 3}, (*Fields).I64s),
+		Marshal(&[]uint64{9, 1 << 50}, (*Fields).U64s),
 		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
 	}
 	for i, s := range seeds {
@@ -66,21 +80,11 @@ func FuzzPrimitives(f *testing.F) {
 				t.Fatalf("bytes canonical round trip failed (%v)", err2)
 			}
 		}
-		if v, _, err := I64s(data); err == nil {
-			if got, _, err2 := I64s(AppendI64s(nil, v)); err2 != nil || !reflect.DeepEqual(got, v) {
-				t.Fatalf("i64s canonical round trip failed (%v)", err2)
-			}
-		}
-		if v, _, err := I32s(data); err == nil {
-			if got, _, err2 := I32s(AppendI32s(nil, v)); err2 != nil || !reflect.DeepEqual(got, v) {
-				t.Fatalf("i32s canonical round trip failed (%v)", err2)
-			}
-		}
-		if v, _, err := U64s(data); err == nil {
-			if got, _, err2 := U64s(AppendU64s(nil, v)); err2 != nil || !reflect.DeepEqual(got, v) {
-				t.Fatalf("u64s canonical round trip failed (%v)", err2)
-			}
-		}
+		walkRoundTrip(t, "i64s", data, (*Fields).I64s)
+		walkRoundTrip(t, "i32s", data, (*Fields).I32s)
+		walkRoundTrip(t, "u64s", data, (*Fields).U64s)
+		walkRoundTrip(t, "ints", data, (*Fields).Ints)
+		walkRoundTrip(t, "strings", data, func(f *Fields, v *[]string) { f.Strings(v, 16) })
 		Key(data)
 		Bool(data)
 		if op, _, err := DecodeFieldOp(data); err == nil {
@@ -176,6 +180,8 @@ func FuzzBatchDecode(f *testing.F) {
 		// A zero-op entry and a tombstone: the two minimum-length payloads.
 		one(7, replication.Entry{Key: storage.K1(1), TID: storage.MakeTID(7, 1), Ops: ops[:0]}),
 		one(7, replication.Entry{Key: storage.K1(1), TID: storage.MakeTID(7, 1) | storage.TIDAbsentBit, Absent: true}),
+		// A count the buffer could hold, with two entries behind it.
+		lyingBatch(2 << 10),
 	}
 	for i, s := range seeds {
 		corpusSeed(f, "FuzzBatchDecode", i, s)

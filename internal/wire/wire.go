@@ -1,8 +1,9 @@
 // Package wire is the hand-rolled binary encoding for everything the
-// cluster sends over a real transport: varint integer primitives,
-// length-prefixed frames, codecs for replication entries/batches and
-// transaction requests, and a registry that maps message type ids to
-// their encode/decode functions.
+// cluster sends over a real transport: varint integer primitives, the
+// field walker that describes each fixed-layout message once (Fields:
+// one walk encodes, decodes and sizes it), length-prefixed frames, the
+// context-coded replication envelope, the request header, and a registry
+// that maps message and procedure type ids to their codecs.
 //
 // Design rules:
 //

@@ -60,13 +60,13 @@ func TestDecodersRejectTruncation(t *testing.T) {
 	}
 	// A slice count exceeding the buffer.
 	c := AppendUvarint(nil, 1<<40)
-	if _, _, err := I64s(c); !errors.Is(err, ErrCorrupt) {
+	if _, err := Unmarshal(c, (*Fields).I64s); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("oversized slice count: %v", err)
 	}
 	// A u64-slice count whose byte size (n*8) would overflow uint64 must
 	// still be rejected, not make a huge allocation or wrap the guard.
 	d := AppendUvarint(nil, 1<<61)
-	if _, _, err := U64s(d); !errors.Is(err, ErrCorrupt) {
+	if _, err := Unmarshal(d, (*Fields).U64s); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("overflowing u64s count: %v", err)
 	}
 }

@@ -1,11 +1,6 @@
 package tpcc
 
-import (
-	"fmt"
-
-	"star/internal/txn"
-	"star/internal/wire"
-)
+import "star/internal/wire"
 
 // Wire procedure ids. The id space is shared with other workloads in
 // one codec, so each workload takes a distinct block (tpcc: 1–2 and —
@@ -20,304 +15,98 @@ const (
 	wireTrim        uint8 = 7
 )
 
-// RegisterWire binds the TPC-C procedure codecs to c. Every process of
-// a cluster must call it with an identically configured Workload: the
-// decoder binds decoded transactions to this process's Workload
-// instance (schemas and configuration must match for the replayed
-// transaction to behave identically).
+// RegisterWire binds the TPC-C procedures to c, each by the one walk
+// that describes its parameters. Every process of a cluster must call it
+// with an identically configured Workload: a decoded transaction is
+// bound to this process's Workload instance (schemas and configuration
+// must match for the replayed transaction to behave identically).
 func (w *Workload) RegisterWire(c *wire.Codec) {
-	c.RegisterProc(wireNewOrder, (*NewOrderTxn)(nil),
-		func(b []byte, p txn.Procedure) []byte {
-			t := p.(*NewOrderTxn)
-			b = wire.AppendVarint(b, int64(t.WID))
-			b = wire.AppendVarint(b, int64(t.DID))
-			b = wire.AppendVarint(b, int64(t.CID))
-			b = wire.AppendUvarint(b, uint64(len(t.Lines)))
-			for _, l := range t.Lines {
-				b = wire.AppendVarint(b, int64(l.IID))
-				b = wire.AppendVarint(b, int64(l.SupplyW))
-				b = wire.AppendVarint(b, int64(l.Quantity))
-			}
-			b = wire.AppendBool(b, t.Invalid)
-			return wire.AppendVarint(b, t.EntryD)
-		},
-		func(b []byte) (txn.Procedure, []byte, error) {
-			t := &NewOrderTxn{W: w}
-			var err error
-			var x int64
-			if x, b, err = wire.Varint(b); err != nil {
-				return nil, nil, err
-			}
-			t.WID = int(x)
-			if x, b, err = wire.Varint(b); err != nil {
-				return nil, nil, err
-			}
-			t.DID = int(x)
-			if x, b, err = wire.Varint(b); err != nil {
-				return nil, nil, err
-			}
-			t.CID = int(x)
-			n, b, err := wire.Uvarint(b)
-			if err != nil {
-				return nil, nil, err
-			}
-			if n > uint64(len(b))/3+1 {
-				return nil, nil, fmt.Errorf("%w: %d order lines", wire.ErrCorrupt, n)
-			}
-			t.Lines = make([]orderLineSpec, n)
-			for i := range t.Lines {
-				l := &t.Lines[i]
-				if x, b, err = wire.Varint(b); err != nil {
-					return nil, nil, err
-				}
-				l.IID = int(x)
-				if x, b, err = wire.Varint(b); err != nil {
-					return nil, nil, err
-				}
-				l.SupplyW = int(x)
-				if x, b, err = wire.Varint(b); err != nil {
-					return nil, nil, err
-				}
-				l.Quantity = int(x)
-			}
-			if t.Invalid, b, err = wire.Bool(b); err != nil {
-				return nil, nil, err
-			}
-			if t.EntryD, b, err = wire.Varint(b); err != nil {
-				return nil, nil, err
-			}
-			return t, b, nil
-		})
-
-	c.RegisterProc(wirePayment, (*PaymentTxn)(nil),
-		func(b []byte, p txn.Procedure) []byte {
-			t := p.(*PaymentTxn)
-			b = wire.AppendVarint(b, int64(t.WID))
-			b = wire.AppendVarint(b, int64(t.DID))
-			b = wire.AppendVarint(b, int64(t.CWID))
-			b = wire.AppendVarint(b, int64(t.CDID))
-			b = wire.AppendVarint(b, int64(t.CID))
-			b = wire.AppendBool(b, t.ByName)
-			b = wire.AppendBytes(b, t.CLast)
-			b = wire.AppendF64(b, t.Amount)
-			b = wire.AppendUvarint(b, t.HSeq)
-			b = wire.AppendVarint(b, int64(t.GenID))
-			return wire.AppendVarint(b, t.Date)
-		},
-		func(b []byte) (txn.Procedure, []byte, error) {
-			t := &PaymentTxn{W: w}
-			var err error
-			var x int64
-			for _, dst := range []*int{&t.WID, &t.DID, &t.CWID, &t.CDID, &t.CID} {
-				if x, b, err = wire.Varint(b); err != nil {
-					return nil, nil, err
-				}
-				*dst = int(x)
-			}
-			if t.ByName, b, err = wire.Bool(b); err != nil {
-				return nil, nil, err
-			}
-			var last []byte
-			if last, b, err = wire.Bytes(b); err != nil {
-				return nil, nil, err
-			}
-			if len(last) > 0 {
-				t.CLast = append([]byte(nil), last...)
-			}
-			if t.Amount, b, err = wire.F64(b); err != nil {
-				return nil, nil, err
-			}
-			if t.HSeq, b, err = wire.Uvarint(b); err != nil {
-				return nil, nil, err
-			}
-			if x, b, err = wire.Varint(b); err != nil {
-				return nil, nil, err
-			}
-			t.GenID = int(x)
-			if t.Date, b, err = wire.Varint(b); err != nil {
-				return nil, nil, err
-			}
-			return t, b, nil
-		})
-
-	c.RegisterProc(wireDelivery, (*DeliveryTxn)(nil),
-		func(b []byte, p txn.Procedure) []byte {
-			t := p.(*DeliveryTxn)
-			b = wire.AppendVarint(b, int64(t.WID))
-			b = wire.AppendVarint(b, t.Carrier)
-			return wire.AppendVarint(b, t.DeliveryD)
-		},
-		func(b []byte) (txn.Procedure, []byte, error) {
-			t := &DeliveryTxn{W: w}
-			var err error
-			var x int64
-			if x, b, err = wire.Varint(b); err != nil {
-				return nil, nil, err
-			}
-			t.WID = int(x)
-			if t.Carrier, b, err = wire.Varint(b); err != nil {
-				return nil, nil, err
-			}
-			if t.DeliveryD, b, err = wire.Varint(b); err != nil {
-				return nil, nil, err
-			}
-			return t, b, nil
-		})
-
-	c.RegisterProc(wireOrderStatus, (*OrderStatusTxn)(nil),
-		func(b []byte, p txn.Procedure) []byte {
-			t := p.(*OrderStatusTxn)
-			b = wire.AppendVarint(b, int64(t.WID))
-			b = wire.AppendVarint(b, int64(t.CWID))
-			b = wire.AppendVarint(b, int64(t.CDID))
-			b = wire.AppendVarint(b, int64(t.CID))
-			b = wire.AppendBool(b, t.ByName)
-			return wire.AppendBytes(b, t.CLast)
-		},
-		func(b []byte) (txn.Procedure, []byte, error) {
-			t := &OrderStatusTxn{W: w}
-			var err error
-			var x int64
-			for _, dst := range []*int{&t.WID, &t.CWID, &t.CDID, &t.CID} {
-				if x, b, err = wire.Varint(b); err != nil {
-					return nil, nil, err
-				}
-				*dst = int(x)
-			}
-			if t.ByName, b, err = wire.Bool(b); err != nil {
-				return nil, nil, err
-			}
-			var last []byte
-			if last, b, err = wire.Bytes(b); err != nil {
-				return nil, nil, err
-			}
-			if len(last) > 0 {
-				t.CLast = append([]byte(nil), last...)
-			}
-			return t, b, nil
-		})
-
-	c.RegisterProc(wireTrim, (*TrimTxn)(nil),
-		func(b []byte, p txn.Procedure) []byte {
-			t := p.(*TrimTxn)
-			b = wire.AppendVarint(b, int64(t.WID))
-			b = wire.AppendVarint(b, int64(t.Retain))
-			b = wire.AppendVarint(b, int64(t.Batch))
-			b = wire.AppendVarint(b, int64(t.GenID))
-			b = wire.AppendUvarint(b, uint64(len(t.HistSeqs)))
-			for _, s := range t.HistSeqs {
-				b = wire.AppendUvarint(b, s)
-			}
-			return b
-		},
-		func(b []byte) (txn.Procedure, []byte, error) {
-			t := &TrimTxn{W: w}
-			var err error
-			var x int64
-			for _, dst := range []*int{&t.WID, &t.Retain, &t.Batch, &t.GenID} {
-				if x, b, err = wire.Varint(b); err != nil {
-					return nil, nil, err
-				}
-				*dst = int(x)
-			}
-			n, b, err := wire.Uvarint(b)
-			if err != nil {
-				return nil, nil, err
-			}
-			if n > uint64(len(b))+1 {
-				return nil, nil, fmt.Errorf("%w: %d history seqs", wire.ErrCorrupt, n)
-			}
-			t.HistSeqs = make([]uint64, n)
-			for i := range t.HistSeqs {
-				if t.HistSeqs[i], b, err = wire.Uvarint(b); err != nil {
-					return nil, nil, err
-				}
-			}
-			return t, b, nil
-		})
-
-	c.RegisterProc(wireStockLevel, (*StockLevelTxn)(nil),
-		func(b []byte, p txn.Procedure) []byte {
-			t := p.(*StockLevelTxn)
-			b = wire.AppendVarint(b, int64(t.WID))
-			b = wire.AppendVarint(b, int64(t.DID))
-			b = wire.AppendVarint(b, t.Threshold)
-			return wire.AppendInts(b, t.Remote)
-		},
-		func(b []byte) (txn.Procedure, []byte, error) {
-			t := &StockLevelTxn{W: w}
-			var err error
-			var x int64
-			if x, b, err = wire.Varint(b); err != nil {
-				return nil, nil, err
-			}
-			t.WID = int(x)
-			if x, b, err = wire.Varint(b); err != nil {
-				return nil, nil, err
-			}
-			t.DID = int(x)
-			if t.Threshold, b, err = wire.Varint(b); err != nil {
-				return nil, nil, err
-			}
-			if t.Remote, b, err = wire.Ints(b); err != nil {
-				return nil, nil, err
-			}
-			return t, b, nil
-		})
+	wire.RegisterProc(c, wireNewOrder, func() *NewOrderTxn { return &NewOrderTxn{W: w} }, newOrderFields)
+	wire.RegisterProc(c, wirePayment, func() *PaymentTxn { return &PaymentTxn{W: w} }, paymentFields)
+	wire.RegisterProc(c, wireDelivery, func() *DeliveryTxn { return &DeliveryTxn{W: w} }, deliveryFields)
+	wire.RegisterProc(c, wireStockLevel, func() *StockLevelTxn { return &StockLevelTxn{W: w} }, stockLevelFields)
+	wire.RegisterProc(c, wireOrderStatus, func() *OrderStatusTxn { return &OrderStatusTxn{W: w} }, orderStatusFields)
+	wire.RegisterProc(c, wireTrim, func() *TrimTxn { return &TrimTxn{W: w} }, trimFields)
 }
 
-// WireSize returns the exact encoded parameter size (kept in lock-step
-// with the encoder above; the modelled msgDefer size is derived from
+func newOrderFields(f *wire.Fields, t *NewOrderTxn) {
+	f.Int(&t.WID)
+	f.Int(&t.DID)
+	f.Int(&t.CID)
+	wire.Len(f, &t.Lines, 3)
+	for i := range t.Lines {
+		l := &t.Lines[i]
+		f.Int(&l.IID)
+		f.Int(&l.SupplyW)
+		f.Int(&l.Quantity)
+	}
+	f.Bool(&t.Invalid)
+	f.I64(&t.EntryD)
+}
+
+func paymentFields(f *wire.Fields, t *PaymentTxn) {
+	f.Int(&t.WID)
+	f.Int(&t.DID)
+	f.Int(&t.CWID)
+	f.Int(&t.CDID)
+	f.Int(&t.CID)
+	f.Bool(&t.ByName)
+	f.BytesCopy(&t.CLast)
+	f.F64(&t.Amount)
+	f.Uvarint(&t.HSeq)
+	f.Int(&t.GenID)
+	f.I64(&t.Date)
+}
+
+func deliveryFields(f *wire.Fields, t *DeliveryTxn) {
+	f.Int(&t.WID)
+	f.I64(&t.Carrier)
+	f.I64(&t.DeliveryD)
+}
+
+func orderStatusFields(f *wire.Fields, t *OrderStatusTxn) {
+	f.Int(&t.WID)
+	f.Int(&t.CWID)
+	f.Int(&t.CDID)
+	f.Int(&t.CID)
+	f.Bool(&t.ByName)
+	f.BytesCopy(&t.CLast)
+}
+
+func trimFields(f *wire.Fields, t *TrimTxn) {
+	f.Int(&t.WID)
+	f.Int(&t.Retain)
+	f.Int(&t.Batch)
+	f.Int(&t.GenID)
+	wire.Len(f, &t.HistSeqs, 1)
+	for i := range t.HistSeqs {
+		f.Uvarint(&t.HistSeqs[i])
+	}
+}
+
+func stockLevelFields(f *wire.Fields, t *StockLevelTxn) {
+	f.Int(&t.WID)
+	f.Int(&t.DID)
+	f.I64(&t.Threshold)
+	f.Ints(&t.Remote)
+}
+
+// WireSize returns the exact encoded parameter size: the size pass of
+// the walk that encodes them (the modelled msgDefer size is derived from
 // it).
-func (t *NewOrderTxn) WireSize() int {
-	n := wire.VarintLen(int64(t.WID)) + wire.VarintLen(int64(t.DID)) +
-		wire.VarintLen(int64(t.CID)) + wire.UvarintLen(uint64(len(t.Lines)))
-	for _, l := range t.Lines {
-		n += wire.VarintLen(int64(l.IID)) + wire.VarintLen(int64(l.SupplyW)) +
-			wire.VarintLen(int64(l.Quantity))
-	}
-	return n + 1 + wire.VarintLen(t.EntryD)
-}
+func (t *NewOrderTxn) WireSize() int { return wire.SizeOf(t, newOrderFields) }
 
 // WireSize returns the exact encoded parameter size.
-func (t *PaymentTxn) WireSize() int {
-	return wire.VarintLen(int64(t.WID)) + wire.VarintLen(int64(t.DID)) +
-		wire.VarintLen(int64(t.CWID)) + wire.VarintLen(int64(t.CDID)) +
-		wire.VarintLen(int64(t.CID)) + 1 + wire.BytesLen(t.CLast) + 8 +
-		wire.UvarintLen(t.HSeq) + wire.VarintLen(int64(t.GenID)) +
-		wire.VarintLen(t.Date)
-}
+func (t *PaymentTxn) WireSize() int { return wire.SizeOf(t, paymentFields) }
 
 // WireSize returns the exact encoded parameter size.
-func (t *DeliveryTxn) WireSize() int {
-	return wire.VarintLen(int64(t.WID)) + wire.VarintLen(t.Carrier) +
-		wire.VarintLen(t.DeliveryD)
-}
+func (t *DeliveryTxn) WireSize() int { return wire.SizeOf(t, deliveryFields) }
 
 // WireSize returns the exact encoded parameter size.
-func (t *OrderStatusTxn) WireSize() int {
-	return wire.VarintLen(int64(t.WID)) + wire.VarintLen(int64(t.CWID)) +
-		wire.VarintLen(int64(t.CDID)) + wire.VarintLen(int64(t.CID)) +
-		1 + wire.BytesLen(t.CLast)
-}
+func (t *OrderStatusTxn) WireSize() int { return wire.SizeOf(t, orderStatusFields) }
 
 // WireSize returns the exact encoded parameter size.
-func (t *TrimTxn) WireSize() int {
-	n := wire.VarintLen(int64(t.WID)) + wire.VarintLen(int64(t.Retain)) +
-		wire.VarintLen(int64(t.Batch)) + wire.VarintLen(int64(t.GenID)) +
-		wire.UvarintLen(uint64(len(t.HistSeqs)))
-	for _, s := range t.HistSeqs {
-		n += wire.UvarintLen(s)
-	}
-	return n
-}
+func (t *TrimTxn) WireSize() int { return wire.SizeOf(t, trimFields) }
 
 // WireSize returns the exact encoded parameter size.
-func (t *StockLevelTxn) WireSize() int {
-	n := wire.VarintLen(int64(t.WID)) + wire.VarintLen(int64(t.DID)) +
-		wire.VarintLen(t.Threshold) + wire.UvarintLen(uint64(len(t.Remote)))
-	for _, rw := range t.Remote {
-		n += wire.VarintLen(int64(rw))
-	}
-	return n
-}
+func (t *StockLevelTxn) WireSize() int { return wire.SizeOf(t, stockLevelFields) }

@@ -99,27 +99,15 @@ type Config struct {
 	// Seed drives all deterministic randomness.
 	Seed int64
 	// FlushBytes bounds a replication batch's modelled wire size
-	// (default 16 KiB; negative disables the byte bound). Batches also
-	// flush at every epoch fence.
+	// (default 16 KiB; negative disables the byte bound). It is where each
+	// destination's threshold starts: every epoch fence re-sizes it from
+	// the measured write volume (growth-only, capped). Batches also flush
+	// at every epoch fence.
 	FlushBytes int
 	// FlushEvery additionally bounds a replication batch in entries
 	// (default 128; negative = no entry bound).
 	FlushEvery int
-	// FlushPolicy selects how the replication flush threshold evolves:
-	// FlushAdaptive (default) re-sizes each destination's byte bound at
-	// every epoch fence from the measured write volume (growth-only,
-	// capped), FlushFixed keeps FlushBytes as-is.
-	FlushPolicy FlushPolicy
 }
-
-// FlushPolicy re-exports the replication flush-threshold policy.
-type FlushPolicy = core.FlushPolicy
-
-// Flush policies (see Config.FlushPolicy).
-const (
-	FlushAdaptive = core.FlushAdaptive
-	FlushFixed    = core.FlushFixed
-)
 
 // Cluster is a running STAR cluster.
 type Cluster struct {
@@ -165,7 +153,6 @@ func New(cfg Config) (*Cluster, error) {
 		Seed:           cfg.Seed,
 		FlushBytes:     cfg.FlushBytes,
 		FlushEvery:     cfg.FlushEvery,
-		FlushPolicy:    cfg.FlushPolicy,
 	})
 	return c, nil
 }
