@@ -16,6 +16,13 @@
 //	star-admin -addr HOST:PORT [-node N] stat
 //	star-admin -addr HOST:PORT [-node N] [-interval D] [-iters N] top
 //
+// join admits slot N at the next epoch fence, whatever kept it out: a dark
+// or drained slot joins the next topology version, and a member the
+// cluster evicted as failed — its process restarted — rejoins the
+// installed one, which is how a crashed node is brought back. A failed
+// member can always be joined; drain, rebalance and the join of a dark
+// slot are refused until every member is back.
+//
 // stat prints one metric-registry snapshot — the targeted node's, or
 // (without -node) the cluster-merged aggregate of every member, all
 // fetched through the single connected door. top re-samples every

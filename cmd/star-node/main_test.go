@@ -228,10 +228,11 @@ func TestStarNodeScriptedRunWithDarkSlot(t *testing.T) {
 // test the PR 3 follow-up asked for: a star-node OS process is killed
 // mid-run, the surviving process's coordinator detects the failure,
 // reverts the in-flight epoch and keeps committing; the victim is then
-// restarted from scratch, rejoined via the snapshot catch-up protocol
-// (msgStartRecovery / msgSnapshot over real TCP), and — after a
-// cluster-wide freeze settles replication — its partition checksums
-// must converge to the survivor's.
+// restarted from scratch, re-admitted the way an operator would — a join
+// of the failed member through a front door (star-admin -node 1 join) —
+// by the snapshot catch-up protocol (msgStartRecovery / msgSnapshot over
+// real TCP), and — after a cluster-wide freeze settles replication — its
+// partition checksums must converge to the survivor's.
 //
 // Topology: this test process hosts node 0 and the coordinator
 // (endpoint 2) on one listener, plus a front door on node 0 that an
@@ -341,11 +342,22 @@ func TestStarNodeKillRestartSnapshotCatchUp(t *testing.T) {
 	waitCommitsGrow("after kill", 15*time.Second)
 
 	// Restart the victim from scratch (fresh load state, empty counters)
-	// and schedule its rejoin: the coordinator restores connectivity,
-	// streams partition snapshots over TCP, and hands partitions back.
+	// and join it through the admin plane: the coordinator restores
+	// connectivity, streams partition snapshots over TCP, and installs the
+	// view that has it back. A join whose answer outlives the client's
+	// timeout is simply asked again (it is idempotent on an alive member).
 	child = startChild("1003")
 	time.Sleep(200 * time.Millisecond)
-	eng.RecoverNode(1)
+	ac := openAdminDoor(t, eng, codec)
+	for joinBy := time.Now().Add(15 * time.Second); ; {
+		_, err := ac.Join(1)
+		if err == nil {
+			break
+		}
+		if time.Now().After(joinBy) {
+			t.Fatalf("admin join of the restarted member: %v", err)
+		}
+	}
 	waitCommitsGrow("after rejoin", 15*time.Second)
 
 	// Freeze the whole cluster (node 0's door fans out to both nodes), let
@@ -353,9 +365,8 @@ func TestStarNodeKillRestartSnapshotCatchUp(t *testing.T) {
 	// node's checksums with the survivor's until they converge. A node
 	// whose phase report arrives a moment too late can be spuriously
 	// re-failed by the view service — its state then legitimately diverges
-	// until it rejoins — so the loop re-issues the rejoin like an operator
-	// would (RecoverNode is idempotent on an alive node).
-	ac := openAdminDoor(t, eng, codec)
+	// until it rejoins — so the loop re-issues the join like an operator
+	// would.
 	if err := ac.Freeze(true); err != nil {
 		t.Fatalf("admin freeze: %v", err)
 	}
@@ -380,7 +391,9 @@ func TestStarNodeKillRestartSnapshotCatchUp(t *testing.T) {
 			}
 		}
 		if time.Since(lastRecover) > 3*time.Second {
-			eng.RecoverNode(1)
+			if _, err := ac.Join(1); err != nil {
+				t.Logf("admin join: %v", err)
+			}
 			lastRecover = time.Now()
 		}
 		if time.Now().After(deadline) {
@@ -565,7 +578,9 @@ func TestStarNodeFaultPlanConverges(t *testing.T) {
 			}
 		}
 		if time.Since(lastRecover) > 3*time.Second {
-			eng.RecoverNode(1)
+			if _, err := ac.Join(1); err != nil {
+				t.Logf("admin join: %v", err)
+			}
 			lastRecover = time.Now()
 		}
 		if time.Now().After(deadline) {

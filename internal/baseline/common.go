@@ -61,13 +61,7 @@ func (c Config) withDefaults() Config {
 		c.LockManagers = 2
 	}
 	if c.Net.Nodes == 0 {
-		c.Net = simnet.Config{
-			Nodes:     c.Nodes + 1, // +1 endpoint for the sequencer/ticker
-			Latency:   50 * time.Microsecond,
-			Jitter:    10 * time.Microsecond,
-			Bandwidth: 600e6,
-			Seed:      c.Seed,
-		}
+		c.Net = simnet.DefaultConfig(c.Nodes+1, c.Seed) // +1 endpoint for the sequencer/ticker
 	}
 	return c
 }

@@ -87,13 +87,9 @@ func (o Options) bandwidth() float64 {
 }
 
 func (o Options) netCfg(nodes int) simnet.Config {
-	return simnet.Config{
-		Nodes:     nodes + 1,
-		Latency:   50 * time.Microsecond,
-		Jitter:    10 * time.Microsecond,
-		Bandwidth: o.bandwidth(),
-		Seed:      o.Seed,
-	}
+	cfg := simnet.DefaultConfig(nodes+1, o.Seed)
+	cfg.Bandwidth = o.bandwidth()
+	return cfg
 }
 
 // runSim executes build on a fresh simulation, measures `dur` of virtual
@@ -160,7 +156,7 @@ func (o Options) star(nodes int, wl workload.Workload, mod func(*core.Config)) f
 	return func(s *rt.Sim) func() metrics.Stats {
 		cfg := core.Config{
 			RT: s, Nodes: nodes, WorkersPerNode: o.workers(),
-			Workload: wl, Seed: o.Seed, Net: o.netCfg(nodes),
+			Workload: wl, Seed: o.Seed, Transport: simnet.New(s, o.netCfg(nodes)),
 		}
 		if mod != nil {
 			mod(&cfg)

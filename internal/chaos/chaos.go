@@ -216,13 +216,7 @@ func RunSoak(seed int64, o Options) (Result, error) {
 	tc.TrimRetain = 8
 	wl := tpcc.New(tc)
 
-	inner := simnet.New(s, simnet.Config{
-		Nodes:     o.Nodes + 1, // + coordinator endpoint
-		Latency:   50 * time.Microsecond,
-		Jitter:    10 * time.Microsecond,
-		Bandwidth: 600e6,
-		Seed:      seed,
-	})
+	inner := simnet.New(s, simnet.DefaultConfig(o.Nodes+1, seed)) // + coordinator endpoint
 	fn := faultnet.Wrap(s, inner, plan)
 	cfg := core.Config{
 		RT:             s,

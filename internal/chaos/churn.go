@@ -52,13 +52,7 @@ func RunChurnSoak(seed int64, o Options) (Result, error) {
 	tc.TrimRetain = 8
 	wl := tpcc.New(tc)
 
-	inner := simnet.New(s, simnet.Config{
-		Nodes:     capacity + 1, // + coordinator endpoint
-		Latency:   50 * time.Microsecond,
-		Jitter:    10 * time.Microsecond,
-		Bandwidth: 600e6,
-		Seed:      seed,
-	})
+	inner := simnet.New(s, simnet.DefaultConfig(capacity+1, seed)) // + coordinator endpoint
 	fn := faultnet.Wrap(s, inner, plan)
 	members := make([]int, o.Nodes)
 	for i := range members {

@@ -29,7 +29,9 @@ const (
 	// AdminFaultStats returns the target node's fault-injection counters.
 	AdminFaultStats
 	// AdminJoin asks the coordinator to admit node Node at the next
-	// fence: snapshot catch-up first, then a new topology version.
+	// fence: snapshot catch-up first, then the view that has it — the
+	// next topology version for a dark or drained slot, the installed
+	// one for a failed member (a crash rejoin).
 	AdminJoin
 	// AdminDrain asks the coordinator to migrate node Node's partitions
 	// away at the next fence and remove it from the member set.
@@ -143,11 +145,7 @@ func (m AdminResp) Size() int {
 // OUT of the member set, whose install signals Engine.Drained so the
 // process can exit cleanly.
 type msgTopology struct {
-	Version uint64
-	// Master is the designated single-master under the new layout, so
-	// client-session forwarding switches immediately instead of waiting
-	// for the next phase command.
-	Master    int32
+	Version   uint64
 	Members   []int32
 	Masters   []int32
 	Secondary []int32
@@ -192,7 +190,7 @@ func (n *node) serveAdmin(req AdminReq) {
 		}
 		// Front-door origin: one door freezes the cluster. The copies
 		// carry Ticket 0 so they cannot fan out again.
-		for _, m := range n.e.topo.Load().Members() {
+		for _, m := range n.view.Load().Members() {
 			if m != n.id {
 				n.e.net.Send(n.id, m, transport.Control, AdminReq{V: AdminProtoVersion, Op: AdminFreeze, On: req.On})
 			}
@@ -200,7 +198,7 @@ func (n *node) serveAdmin(req AdminReq) {
 		n.replyAdmin(req, AdminResp{OK: true})
 	case AdminChecksums:
 		resp := AdminResp{OK: true}
-		topo := n.e.topo.Load()
+		topo := n.view.Load()
 		for p := 0; p < cfg.NumPartitions(); p++ {
 			// Planned holdership, not raw storage residency: an abandoned
 			// migration can leave provisionally materialised partitions
@@ -230,7 +228,7 @@ func (n *node) serveAdmin(req AdminReq) {
 	case AdminStats:
 		n.replyAdmin(req, AdminResp{OK: true, Stats: n.e.StatsSnapshot().Encode()})
 	case AdminTopologyGet:
-		n.replyAdmin(req, n.e.topologyResp())
+		n.replyAdmin(req, n.e.topologyResp(n.view.Load().Topology))
 	case AdminJoin, AdminDrain, AdminRebalance:
 		// Membership changes belong to the coordinator; keep From/Ticket
 		// so it answers the submitter directly.
@@ -257,10 +255,8 @@ func (n *node) replyAdmin(req AdminReq, resp AdminResp) {
 	n.e.net.Send(n.id, to, transport.Control, resp)
 }
 
-// topologyResp renders the installed topology as an AdminTopologyGet
-// response body.
-func (e *Engine) topologyResp() AdminResp {
-	topo := e.topo.Load()
+// topologyResp renders a layout as an AdminTopologyGet response body.
+func (e *Engine) topologyResp(topo *Topology) AdminResp {
 	resp := AdminResp{OK: true, Version: topo.Version}
 	resp.Masters = append([]int32(nil), topo.Masters...)
 	for _, m := range topo.Members() {
@@ -274,22 +270,22 @@ func (e *Engine) topologyResp() AdminResp {
 	return resp
 }
 
-// installTopology commits a new topology version on this node: storage
-// residency, live mastership, replication targets and client routing
-// all rebuild from it. Runs on the router between fences (the
-// coordinator broadcasts it only at a committed, quiesced boundary). A
-// node that is no longer a member drops every partition and signals
+// installTopology commits a layout on this node: storage residency
+// rebuilds from it, and the node's view becomes the new layout's under
+// the failed set it already knew — live mastership, replication targets
+// and client routing all follow. Runs on the router between fences (the
+// coordinator sends it only at a committed, quiesced boundary). A node
+// that is no longer a member drops every partition and signals
 // Engine.Drained.
 func (n *node) installTopology(m msgTopology) {
+	if len(m.Masters) != n.e.cfg.NumPartitions() {
+		return // off the wire: not a layout of this cluster (the view indexes it by partition)
+	}
 	t := topologyFromMsg(m, n.e.cfg)
-	n.e.topo.Store(t)
-	copy(n.masters, m.Masters)
-	n.master = int(m.Master)
-	n.curMaster.Store(m.Master)
+	n.setView(newView(t, n.view.Load().failed))
 	for p := 0; p < t.Partitions; p++ {
 		n.db.SetHolds(p, t.Holds(n.id, p))
 	}
-	n.rebuildReplTargets()
 	if !t.IsMember(n.id) {
 		n.e.noteDrained(n.id)
 	}

@@ -45,13 +45,13 @@ func admissionOf(evs []tapped, coord, x int) admission {
 	return a
 }
 
-// A crash rejoin and a join are one admission: slot x, failed and
-// recovered, then drained and joined again, is sent the same sequence
-// both times — wildcard revert, a recovery order for EVERY partition the
-// layout assigns it (not only ones it gains: what it holds is untrusted),
-// counter reset, and one counter alignment per survivor. Only the tail
-// differs: a rejoin hands masters back under the installed layout, a join
-// installs the next version. Run for a full replica and a partial one.
+// A crash rejoin is a join: slot x, failed and recovered, then drained
+// and joined again, is sent the same sequence both times — wildcard
+// revert, a recovery order for EVERY partition the layout assigns it (not
+// only ones it gains: what it holds is untrusted), counter reset, one
+// counter alignment per survivor, and the install of the view that has
+// it back: the installed layout again for the rejoin, the next version
+// for the join. Run for a full replica and a partial one.
 func TestRejoinAndJoinShareOneAdmission(t *testing.T) {
 	const nodes, workers = 4, 2
 	for _, x := range []int{1, 3} {
@@ -96,10 +96,10 @@ func TestRejoinAndJoinShareOneAdmission(t *testing.T) {
 				survivors[i] = 1
 			}
 		}
-		want := []string{"core.msgRevert", "core.msgStartRecovery", "core.msgResetCounters"}
+		want := []string{"core.msgRevert", "core.msgStartRecovery", "core.msgResetCounters", "core.msgTopology"}
 		for name, a := range map[string]admission{"rejoin": rejoin, "join": join} {
-			if len(a.kinds) != 4 || !reflect.DeepEqual(a.kinds[:3], want) {
-				t.Fatalf("slot %d %s: coordinator sent it %v, want %v and one tail message", x, name, a.kinds, want)
+			if !reflect.DeepEqual(a.kinds, want) {
+				t.Fatalf("slot %d %s: coordinator sent it %v, want %v", x, name, a.kinds, want)
 			}
 			if a.revert.Epoch != 0 {
 				t.Fatalf("slot %d %s: revert of epoch %d, want the wildcard", x, name, a.revert.Epoch)
@@ -116,11 +116,11 @@ func TestRejoinAndJoinShareOneAdmission(t *testing.T) {
 				t.Fatalf("slot %d %s: counter alignments per node %v, want one per survivor", x, name, a.aligned)
 			}
 		}
-		if _, ok := rejoin.last.(msgUpdateMasters); !ok {
-			t.Fatalf("slot %d: rejoin tail is %T, want msgUpdateMasters", x, rejoin.last)
+		if tm := rejoin.last.(msgTopology); tm.Version != version-1 {
+			t.Fatalf("slot %d: rejoin installed v%d, want the layout it failed under, v%d", x, tm.Version, version-1)
 		}
-		if tm, ok := join.last.(msgTopology); !ok || tm.Version != version+1 {
-			t.Fatalf("slot %d: join tail is %+v, want msgTopology v%d", x, join.last, version+1)
+		if tm := join.last.(msgTopology); tm.Version != version+1 {
+			t.Fatalf("slot %d: join installed v%d, want v%d", x, tm.Version, version+1)
 		}
 
 		settle(s, e, 30*time.Millisecond)

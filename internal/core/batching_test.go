@@ -13,7 +13,7 @@ import (
 // members per epoch; the frozen settle spins through hundreds of empty
 // epochs). The +1 covers an epoch in flight.
 func replEnvelopes(e *Engine) int64 {
-	n := int64(len(e.topo.Load().Members()))
+	n := int64(len(e.Topology().Members()))
 	epochs := e.StatsSnapshot().Counters["epochs"] + 1
 	return e.net.Messages(transport.Replication) - epochs*n*(n-1)
 }

@@ -13,7 +13,6 @@ import (
 
 	"star/internal/replication"
 	"star/internal/rt"
-	"star/internal/simnet"
 	"star/internal/transport"
 	"star/internal/workload"
 )
@@ -52,12 +51,13 @@ type Config struct {
 	FullReplicas   int // f (≥1); node ids [0,f) hold full copies
 	WorkersPerNode int
 	Workload       workload.Workload
-	Net            simnet.Config
 
-	// Transport overrides the built-in simulated network: when non-nil
-	// the engine sends and receives on it (endpoints 0..Nodes-1 are the
-	// nodes, endpoint Nodes is the coordinator) and Net is ignored.
-	// Multi-process clusters pass a tcpnet.Network here.
+	// Transport is the network the engine sends and receives on
+	// (endpoints 0..Nodes-1 are the nodes, endpoint Nodes is the
+	// coordinator). Nil selects the default simulated network,
+	// simnet.DefaultConfig(Nodes+1, Seed); multi-process clusters pass a
+	// tcpnet.Network, and a caller that wants another simulated network
+	// builds it and passes it here.
 	Transport transport.Transport
 
 	// LocalNodes restricts which node ids this process hosts (nil =
@@ -190,16 +190,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FlushBytes == 0 {
 		c.FlushBytes = DefaultFlushBytes
-	}
-	if c.Net.Nodes == 0 {
-		c.Net = simnet.Config{
-			Nodes:   c.Nodes + 1, // +1 endpoint for the coordinator
-			Latency: 50 * time.Microsecond,
-			Jitter:  10 * time.Microsecond,
-			// ~4.8 Gbit/s, as measured on the paper's EC2 cluster.
-			Bandwidth: 600e6,
-			Seed:      c.Seed,
-		}
 	}
 	return c
 }

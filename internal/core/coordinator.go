@@ -4,29 +4,27 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"star/internal/rt"
+	"star/internal/simnet"
 	"star/internal/transport"
 )
-
-// msgUpdateMasters installs a new partition→master map outside of a
-// revert (used when a recovered node takes its partitions back).
-type msgUpdateMasters struct{ Masters []int32 }
-
-func (m msgUpdateMasters) Size() int { return 8 + 4*len(m.Masters) }
 
 // coordinator drives the phase-switching algorithm (§4.3, Fig 5): start
 // a phase, wait it out, run the replication fence, commit the epoch,
 // recompute τp/τs from the monitored throughputs, repeat. It also serves
-// as the view service for failure detection (§4.5.2).
+// as the view service for failure detection (§4.5.2): every membership
+// event — a failure, a rejoin, a join, a drain — is a new View computed
+// from the current one, stored here and (install) sent to the nodes.
 type coordinator struct {
-	e       *Engine
-	alive   []bool
-	masters []int32
-	epoch   uint64
-	phase   Phase
-	master  int
+	e *Engine
+	// view is written by the coordinator alone; Engine.Topology and
+	// FailedNodes read it from other goroutines.
+	view  atomic.Pointer[View]
+	epoch uint64
+	phase Phase
 
 	// Monitored quantities (EWMA).
 	tp, ts, pEst float64
@@ -51,10 +49,10 @@ type coordinator struct {
 
 	// lat is the one-way message latency the phase budget's propagation
 	// allowance, the post-revert settle time and the workers' fence-tail
-	// flush window are sized from. On the built-in simulated network it
-	// is the configured Net.Latency; on a supplied transport, where Net
-	// describes nothing, it is estimated from the control rounds the
-	// coordinator itself measures every phase (see noteRound).
+	// flush window are sized from. A transport that knows its latency
+	// (latencyReporter: the simulated network) is asked once; on any
+	// other it is estimated from the control rounds the coordinator
+	// itself measures every phase (see noteRound).
 	lat time.Duration
 
 	// ackRetried marks that the current epoch's fence already failed
@@ -88,22 +86,23 @@ type coordinator struct {
 	backlog int64
 }
 
-func newCoordinator(e *Engine) *coordinator {
-	topo := e.topo.Load()
+// latencyReporter is a transport whose one-way latency is configured,
+// not observed (simnet.Network).
+type latencyReporter interface{ Latency() time.Duration }
+
+func newCoordinator(e *Engine, v *View) *coordinator {
 	c := &coordinator{
-		e:       e,
-		alive:   make([]bool, e.cfg.Nodes),
-		masters: append([]int32(nil), topo.Masters...),
-		epoch:   2, // epoch 1 is the initial load
-		phase:   Partitioned,
-		master:  firstFullMember(topo),
+		e:     e,
+		epoch: 2, // epoch 1 is the initial load
+		phase: Partitioned,
+		lat:   simnet.DefaultLatency,
 	}
-	for i := range c.alive {
-		c.alive[i] = topo.IsMember(i)
-	}
+	c.view.Store(v)
 	c.lastTauP = e.cfg.Iteration / 2
 	c.lastTauS = e.cfg.Iteration / 2
-	c.lat = e.cfg.Net.Latency
+	if lr, ok := e.net.(latencyReporter); ok {
+		c.lat = lr.Latency()
+	}
 	c.minGrace = 20 * time.Millisecond
 	c.recoveryGrace = 2 * time.Second
 	if _, isSim := e.cfg.RT.(*rt.Sim); !isSim {
@@ -115,24 +114,9 @@ func newCoordinator(e *Engine) *coordinator {
 
 func (c *coordinator) id() int { return c.e.cfg.coordID() }
 
-func (c *coordinator) failedList() []int {
-	// Failed = a member that stopped answering. Dark slots (capacity not
-	// yet joined) and drained slots are not failures.
-	topo := c.e.topo.Load()
-	var f []int
-	for i, a := range c.alive {
-		if topo.IsMember(i) && !a {
-			f = append(f, i)
-		}
-	}
-	return f
-}
-
 func (c *coordinator) broadcast(m transport.Message) {
-	for i, a := range c.alive {
-		if a {
-			c.e.net.Send(c.id(), i, transport.Control, m)
-		}
+	for _, i := range c.view.Load().up {
+		c.e.net.Send(c.id(), i, transport.Control, m)
 	}
 }
 
@@ -218,6 +202,7 @@ func (c *coordinator) loop() {
 // runPhase executes one phase plus its replication fence.
 func (c *coordinator) runPhase(tau time.Duration) {
 	r := c.e.cfg.RT
+	view := c.view.Load()
 	budget := 2*c.lat + tau // command propagation allowance + the slice
 	start := r.Now()
 	// The phase end crosses process boundaries as a BUDGET relative to
@@ -230,8 +215,7 @@ func (c *coordinator) runPhase(tau time.Duration) {
 		Phase:    c.phase,
 		Epoch:    c.epoch,
 		Deadline: budget,
-		Master:   c.master,
-		Failed:   c.failedList(),
+		Failed:   view.failed,
 		Lat:      c.lat,
 	}
 	grace := 10*tau + c.minGrace + c.graceBoost
@@ -255,27 +239,27 @@ func (c *coordinator) runPhase(tau time.Duration) {
 	collect := func(m any) {
 		switch v := m.(type) {
 		case msgPhaseDone:
-			if v.Epoch == c.epoch && c.alive[v.Node] {
+			if v.Epoch == c.epoch && view.Up(v.Node) {
 				done[v.Node] = v
 			}
 		case msgFenceAck:
-			if v.Epoch == c.epoch && c.alive[v.Node] {
+			if v.Epoch == c.epoch && view.Up(v.Node) {
 				acks[v.Node] = true
 			}
 		}
 	}
 	if !c.gather(budget+grace, func(m any) bool {
 		collect(m)
-		return len(done) == c.aliveCount()
+		return len(done) == len(view.up)
 	}) {
-		if c.abortScript("phase report", missing(done, c.alive)) {
+		if c.abortScript("phase report", missing(done, view.up)) {
 			return
 		}
 		// A failure detected at the phase gather is properly attributed:
 		// renew the fence's one-shot retry budget (a prior fence stall
 		// may have consumed it to funnel detection here).
 		c.ackRetried = false
-		c.onFailure(missing(done, c.alive))
+		c.onFailure(missing(done, view.up))
 		return
 	}
 	fenceStart := r.Now()
@@ -289,9 +273,9 @@ func (c *coordinator) runPhase(tau time.Duration) {
 	// the others sent.
 	if !c.gather(grace, func(m any) bool {
 		collect(m)
-		return len(acks) == c.aliveCount()
+		return len(acks) == len(view.up)
 	}) {
-		if c.abortScript("fence ack", missing(acks, c.alive)) {
+		if c.abortScript("fence ack", missing(acks, view.up)) {
 			return
 		}
 		if !c.ackRetried {
@@ -309,11 +293,11 @@ func (c *coordinator) runPhase(tau time.Duration) {
 			return
 		}
 		c.ackRetried = false
-		c.onFailure(missing(acks, c.alive))
+		c.onFailure(missing(acks, view.up))
 		return
 	}
 	c.ackRetried = false
-	// Epoch committed. Account monitors, handle rejoins, next phase.
+	// Epoch committed. Account monitors, change membership, next phase.
 	fenceDur := r.Now() - fenceStart
 	c.addFenceTime(fenceDur)
 	var queued int64
@@ -323,7 +307,6 @@ func (c *coordinator) runPhase(tau time.Duration) {
 	c.setBacklog(queued)
 	c.accountPhase(done, tau)
 	c.noteEpoch(done, tau, fenceStart-start-tau, fenceDur)
-	c.handleRejoins(done)
 	c.processAdmin(done)
 	c.epoch++
 	c.advancePhase()
@@ -331,16 +314,16 @@ func (c *coordinator) runPhase(tau time.Duration) {
 
 // noteRound folds one measured control round — phase command out to
 // last phase report in, minus the budget the nodes were told to run —
-// into the latency estimate. Only a supplied transport is measured: the
-// built-in simulated network's latency is configured, and its runs are
-// pinned bit for bit. The rounds are propagation plus whatever
+// into the latency estimate. Only a transport that reports no latency
+// of its own is measured: the simulated network's is configured, and its
+// runs are pinned bit for bit. The rounds are propagation plus whatever
 // scheduling and collector noise the hops met, and the noise is
 // one-sided with a tail several times the median, so the average is
 // asymmetric: a shorter round pulls the estimate down at once, a longer
 // one (clipped at twice the estimate) raises it slowly. It settles near
 // the floor of the distribution, which is the propagation.
 func (c *coordinator) noteRound(round time.Duration) {
-	if c.e.cfg.Transport == nil {
+	if _, told := c.e.net.(latencyReporter); told {
 		return
 	}
 	sample := round / 2
@@ -355,16 +338,6 @@ func (c *coordinator) noteRound(round time.Duration) {
 	if lo := 10 * time.Microsecond; c.lat < lo {
 		c.lat = lo
 	}
-}
-
-func (c *coordinator) aliveCount() int {
-	n := 0
-	for _, a := range c.alive {
-		if a {
-			n++
-		}
-	}
-	return n
 }
 
 // gather pumps the coordinator inbox until pred is satisfied or the
@@ -399,10 +372,10 @@ func (c *coordinator) gather(timeout time.Duration, take func(any) bool) bool {
 
 // missing lists the alive nodes with no entry in got (a phase report, or
 // a fence ack — acks are only ever recorded as true).
-func missing[V any](got map[int]V, alive []bool) []int {
+func missing[V any](got map[int]V, up []int) []int {
 	var out []int
-	for i, a := range alive {
-		if _, ok := got[i]; a && !ok {
+	for _, i := range up {
+		if _, ok := got[i]; !ok {
 			out = append(out, i)
 		}
 	}
@@ -483,7 +456,7 @@ func (c *coordinator) retune() {
 func (c *coordinator) advancePhase() {
 	tauP, tauS := c.taus()
 	if c.phase == Partitioned {
-		if (tauS > 0 || c.queuedBacklog() > 0) && c.hasAliveFull() {
+		if (tauS > 0 || c.queuedBacklog() > 0) && c.view.Load().master >= 0 {
 			c.phase = SingleMaster
 		}
 		return // else a degenerate tuning (P=0): the partitioned phase repeats
@@ -494,25 +467,12 @@ func (c *coordinator) advancePhase() {
 	}
 }
 
-func (c *coordinator) hasAliveFull() bool {
-	for i := 0; i < c.e.cfg.FullReplicas; i++ {
-		if c.alive[i] {
-			return true
-		}
-	}
-	return false
-}
-
-// revertAndRetryEpoch aborts the in-flight epoch under the failure set
-// and mastership as they stand: every (believed-)alive node reverts —
-// which also aborts any fence drain stuck waiting on a dead peer's
-// vanished entries — and the epoch restarts from the partitioned phase.
+// revertAndRetryEpoch aborts the in-flight epoch under the view as it
+// stands: every (believed-)alive node reverts — which also aborts any
+// fence drain stuck waiting on a dead peer's vanished entries — and the
+// epoch restarts from the partitioned phase.
 func (c *coordinator) revertAndRetryEpoch() {
-	c.broadcast(msgRevert{
-		Epoch:      c.epoch,
-		Failed:     c.failedList(),
-		NewMasters: append([]int32(nil), c.masters...),
-	})
+	c.broadcast(msgRevert{Epoch: c.epoch, Failed: c.view.Load().failed})
 	// Give the revert time to land before restarting the epoch.
 	c.e.cfg.RT.Sleep(4 * c.lat)
 	c.phase = Partitioned
@@ -524,25 +484,19 @@ func (c *coordinator) halt(reason string) {
 	c.e.halted.Store(true)
 }
 
-// onFailure is the §4.5 path: mark nodes failed, revert the in-flight
-// epoch everywhere, re-master lost partitions, and carry on (or halt if
-// no complete replica remains — case 4).
+// onFailure is the §4.5 path: the view with the silent nodes failed
+// re-masters their partitions by construction; revert the in-flight
+// epoch everywhere under it and carry on (or halt if no complete replica
+// remains — case 4).
 func (c *coordinator) onFailure(missing []int) {
 	if len(missing) == 0 {
 		return
 	}
-	for _, m := range missing {
-		c.alive[m] = false
-	}
+	v := c.view.Load().Fail(missing...)
+	c.view.Store(v)
 	lost := 0
-	for p := range c.masters {
-		if c.alive[c.masters[p]] {
-			continue
-		}
-		switch {
-		case c.aliveHolder(p) >= 0:
-			c.masters[p] = int32(c.aliveHolder(p))
-		default:
+	for _, m := range v.masters {
+		if m < 0 {
 			lost++
 		}
 	}
@@ -550,7 +504,7 @@ func (c *coordinator) onFailure(missing []int) {
 		c.halt(fmt.Sprintf("case 4: %d partitions lost every replica; recover from checkpoints + logs", lost))
 		return
 	}
-	if !c.hasAliveFull() {
+	if v.master < 0 {
 		// Case 2: no full replicas remain. The paper falls back to a
 		// distributed concurrency-control mode; this engine halts the
 		// phase-switching loop and reports the condition (the Dist. OCC
@@ -558,48 +512,21 @@ func (c *coordinator) onFailure(missing []int) {
 		c.halt("case 2: no full replica alive; distributed CC fallback required")
 		return
 	}
-	// Choose the designated master among alive full replicas, and restart
-	// the epoch under the new failure set and mastership.
-	c.master = c.firstAliveFull(c.e.topo.Load())
 	c.revertAndRetryEpoch()
-}
-
-// aliveHolder prefers the partition's secondary, then any full replica,
-// under the installed topology.
-func (c *coordinator) aliveHolder(p int) int {
-	return c.aliveHolderIn(c.e.topo.Load(), p)
-}
-
-// aliveHolderIn is aliveHolder against an explicit layout: migrations
-// pick donors from the OLD topology while the new one is being
-// installed.
-func (c *coordinator) aliveHolderIn(t *Topology, p int) int {
-	if s := t.SecondaryOf(p); s >= 0 && c.alive[s] {
-		return s
-	}
-	for i := 0; i < t.Full; i++ {
-		if t.Member[i] && c.alive[i] {
-			return i
-		}
-	}
-	if m := t.MasterOf(p); c.alive[m] {
-		return m
-	}
-	return -1
 }
 
 // admit is the one admission routine (§4.5.3): at a quiesced fence it
 // brings slot id up to the cluster's state under next — a failed member
-// rejoining the installed layout (old == next), or a dark or drained slot
-// joining the layout that admits it. Links up, whatever the slot held is
-// discarded, it copies every partition next assigns it from healthy
-// holders, and the replication counters are aligned both ways. Quiesced is
-// what makes the copy safe under operation replication: every delta is
-// applied and no phase runs until this returns, so none races the snapshot
-// it would have to apply onto. On timeout the links go down again and the
-// caller's tail (mark alive and hand masters back; install next) is
+// answering again under the installed layout (next = old.Alive(id)), or
+// a dark or drained slot joining the layout that admits it. Links up,
+// whatever the slot held is discarded, it copies every partition next
+// assigns it from healthy holders, and the replication counters are
+// aligned both ways. Quiesced is what makes the copy safe under operation
+// replication: every delta is applied and no phase runs until this
+// returns, so none races the snapshot it would have to apply onto. On
+// timeout the links go down again and the caller's tail (install next) is
 // skipped, so the request can simply be repeated.
-func (c *coordinator) admit(id int, old, next *Topology, done map[int]msgPhaseDone) error {
+func (c *coordinator) admit(id int, old, next *View, done map[int]msgPhaseDone) error {
 	c.e.net.SetDown(id, false)
 	// Epoch 0 is the wildcard revert: a crashed member may have kept
 	// committing an epoch the cluster reverted and re-executed, and a slot
@@ -607,11 +534,7 @@ func (c *coordinator) admit(id int, old, next *Topology, done map[int]msgPhaseDo
 	// whose TIDs the Thomas write rule would protect against the snapshot
 	// catch-up forever. Discarding them restores the slot to its last
 	// group-committed state, which the snapshot then tops up.
-	c.e.net.Send(c.id(), id, transport.Control, msgRevert{
-		Epoch:      0,
-		Failed:     c.failedList(),
-		NewMasters: append([]int32(nil), c.masters...),
-	})
+	c.e.net.Send(c.id(), id, transport.Control, msgRevert{Epoch: 0, Failed: old.failed})
 	sent, err := c.migrate(old, next, []int{id})
 	if err != nil {
 		c.e.net.SetDown(id, true)
@@ -629,49 +552,12 @@ func (c *coordinator) admit(id int, old, next *Topology, done map[int]msgPhaseDo
 	// every survivor adopts the slot's own cumulative count as its
 	// applied-from-id baseline — otherwise the first fence after admission
 	// waits on phantom entries forever.
-	for s, a := range c.alive {
-		if a && s != id && s < len(sent[id]) {
+	for _, s := range old.up {
+		if s != id && s < len(sent[id]) {
 			c.e.net.Send(c.id(), s, transport.Control, msgAlignCounters{Src: id, Applied: sent[id][s]})
 		}
 	}
 	return nil
-}
-
-// handleRejoins admits the failed members RecoverNode queued, under the
-// installed layout, and hands their partitions back. Dark or drained
-// slots enter through AdminJoin instead.
-func (c *coordinator) handleRejoins(done map[int]msgPhaseDone) {
-	reqs := c.e.takeRecoverReqs()
-	if len(reqs) == 0 {
-		return
-	}
-	topo := c.e.topo.Load()
-	for _, id := range reqs {
-		if !topo.IsMember(id) || c.alive[id] || c.admit(id, topo, topo, done) != nil {
-			continue
-		}
-		c.alive[id] = true
-		c.graceBoost = time.Second // lenient first phase for the rejoiner
-	}
-	// Hand partitions back to their planned masters where possible.
-	for p := range c.masters {
-		if m := topo.MasterOf(p); c.alive[m] {
-			c.masters[p] = int32(m)
-		}
-	}
-	c.master = c.firstAliveFull(topo)
-	c.broadcast(msgUpdateMasters{Masters: append([]int32(nil), c.masters...)})
-}
-
-// firstAliveFull returns the lowest alive full member, or the current
-// designated master if none (the caller halts on that path anyway).
-func (c *coordinator) firstAliveFull(t *Topology) int {
-	for i := 0; i < t.Full; i++ {
-		if c.alive[i] {
-			return i
-		}
-	}
-	return c.master
 }
 
 // ---- elastic membership (admin envelope) ----
@@ -679,8 +565,7 @@ func (c *coordinator) firstAliveFull(t *Topology) int {
 // processAdmin runs the queued membership changes at a committed,
 // quiesced fence: replication has fully drained, so partition state can
 // move between members with no counter deltas in flight. One change is
-// processed at a time; each installs a new topology version before the
-// next starts.
+// processed at a time; each installs its view before the next starts.
 func (c *coordinator) processAdmin(done map[int]msgPhaseDone) {
 	reqs := append(c.e.takeAdminReqs(), c.pendingAdmin...)
 	c.pendingAdmin = nil
@@ -689,15 +574,16 @@ func (c *coordinator) processAdmin(done map[int]msgPhaseDone) {
 	}
 }
 
-// processOneAdmin plans the layout a membership change asks for, moves
-// the state it needs — a join admits the dark (or previously drained)
-// slot, which also streams every other gaining member its share; a drain
-// or rebalance migrates gained partitions only — and installs it. The
+// processOneAdmin computes the view a membership change asks for, moves
+// the state it needs — a join admits the slot, a failed member under the
+// installed layout or a dark (or previously drained) one under the next,
+// which also streams every other gaining member its share; a drain or
+// rebalance migrates gained partitions only — and installs it. The
 // drained node's own msgTopology install signals Engine.Drained so its
 // process can exit cleanly.
 func (c *coordinator) processOneAdmin(req AdminReq, done map[int]msgPhaseDone) {
 	fail := func(why string) { c.replyAdmin(req, AdminResp{Err: why}) }
-	topo := c.e.topo.Load()
+	v := c.view.Load()
 	id := req.Node
 	switch {
 	case req.V > AdminProtoVersion:
@@ -706,39 +592,44 @@ func (c *coordinator) processOneAdmin(req AdminReq, done map[int]msgPhaseDone) {
 	case c.e.halted.Load():
 		fail("cluster halted")
 		return
-	case len(c.failedList()) > 0:
-		// Membership changes and failure recovery do not compose: a
-		// failed member cannot ack the new version or donate state.
-		// Refuse; the submitter retries after the cluster heals.
+	case len(v.failed) > 0 && !(req.Op == AdminJoin && v.IsMember(id)):
+		// A change of layout and failure recovery do not compose: a
+		// failed member cannot ack the new version or donate state. Only
+		// the recovery itself — the join of a member — goes ahead; the
+		// rest is refused and the submitter retries after the cluster heals.
 		fail(req.Op.String() + ": cluster has failed members; retry after recovery")
 		return
 	}
-	var next *Topology
+	var next *View
 	var err error
 	switch req.Op {
 	case AdminJoin:
 		switch {
 		case id < 0 || id >= c.e.cfg.Nodes:
 			err = errors.New("slot out of range")
-		case topo.IsMember(id):
-			c.replyAdmin(req, c.e.topologyResp()) // idempotent
+		case v.Up(id):
+			c.replyAdmin(req, c.e.topologyResp(v.Topology)) // idempotent
 			return
+		case v.IsMember(id):
+			next = v.Alive(id) // a crash rejoin: the same layout, one failure fewer
+			err = c.admit(id, v, next, done)
 		default:
-			next = topo.Joined(id)
-			err = c.admit(id, topo, next, done)
+			next = newView(v.Joined(id), nil)
+			err = c.admit(id, v, next, done)
 		}
 	case AdminDrain:
-		if !topo.IsMember(id) {
+		if !v.IsMember(id) {
 			err = errors.New("not a member")
 			break
 		}
-		next = topo.Drained(id)
-		if err = next.Validate(); err == nil {
-			_, err = c.migrate(topo, next, nil)
+		t := v.Drained(id)
+		if err = t.Validate(); err == nil {
+			next = newView(t, nil)
+			_, err = c.migrate(v, next, nil)
 		}
 	case AdminRebalance:
-		next = topo.Rebalanced()
-		_, err = c.migrate(topo, next, nil)
+		next = newView(v.Rebalanced(), nil)
+		_, err = c.migrate(v, next, nil)
 	default:
 		fail("op not served by the coordinator")
 		return
@@ -747,8 +638,8 @@ func (c *coordinator) processOneAdmin(req AdminReq, done map[int]msgPhaseDone) {
 		fail(req.Op.String() + ": " + err.Error())
 		return
 	}
-	c.install(topo, next)
-	c.replyAdmin(req, c.e.topologyResp())
+	c.install(v, next)
+	c.replyAdmin(req, c.e.topologyResp(next.Topology))
 }
 
 // migrate moves partition state so every member of next holds what the
@@ -762,7 +653,7 @@ func (c *coordinator) processOneAdmin(req AdminReq, done map[int]msgPhaseDone) {
 // materialised partitions on gaining members are invisible (checksum
 // serving and replication targets follow the installed topology) and a
 // later retry converges them idempotently.
-func (c *coordinator) migrate(old, next *Topology, force []int) (map[int][]int64, error) {
+func (c *coordinator) migrate(old, next *View, force []int) (map[int][]int64, error) {
 	want := map[int]bool{} // members that must report recovery-done
 	for _, id := range force {
 		want[id] = true
@@ -773,7 +664,7 @@ func (c *coordinator) migrate(old, next *Topology, force []int) (map[int][]int64
 			if !next.Holds(i, p) || (old.Holds(i, p) && !want[i]) {
 				continue
 			}
-			if h := c.aliveHolderIn(old, p); h != -1 && h != i {
+			if h := old.Donor(p); h != -1 && h != i {
 				x.Parts = append(x.Parts, int32(p))
 				x.From = append(x.From, int32(h))
 			}
@@ -797,19 +688,15 @@ func (c *coordinator) migrate(old, next *Topology, force []int) (map[int][]int64
 	return sent, nil
 }
 
-// install commits a new topology version: the coordinator's own state
-// rebuilds from it and every old-or-new member installs the broadcast
-// copy (residency, mastership, replication targets, client routing).
-func (c *coordinator) install(old, next *Topology) {
-	c.e.topo.Store(next)
-	c.masters = append([]int32(nil), next.Masters...)
-	for i := range c.alive {
-		c.alive[i] = next.IsMember(i)
-	}
-	c.master = firstFullMember(next)
+// install is the one way the view changes outside a failure: the
+// coordinator goes by next from here on, and every old-or-new member is
+// sent its layout to install (residency, and the view the node derives
+// from it). The failed set does not travel here — the next phase command
+// carries it, as every phase command does.
+func (c *coordinator) install(old, next *View) {
+	c.view.Store(next)
 	m := msgTopology{
 		Version:   next.Version,
-		Master:    int32(c.master),
 		Masters:   append([]int32(nil), next.Masters...),
 		Secondary: append([]int32(nil), next.Secondary...),
 	}
@@ -823,7 +710,7 @@ func (c *coordinator) install(old, next *Topology) {
 			c.e.net.Send(c.id(), i, transport.Control, m)
 		}
 	}
-	c.graceBoost = time.Second // lenient first phase under the new layout
+	c.graceBoost = time.Second // lenient first phase under the new view
 }
 
 // replyAdmin answers a membership envelope's submitter. Engine-queued

@@ -63,18 +63,10 @@ type Engine struct {
 
 	logFiles   []string
 	mu         sync.Mutex
-	recoverReq []int      // nodes waiting to rejoin at the next fence
 	adminQ     []AdminReq // engine-queued admin ops awaiting the next fence
 	halted     atomic.Bool
 	haltReason atomic.Value // string
 	frozen     atomic.Bool
-
-	// topo is the installed cluster topology. The coordinator commits
-	// new versions between fences and every local node installs the
-	// broadcast copy, so all stores within one process are equivalent;
-	// readers (replication targets, checksum serving, consistency
-	// checks) take whatever the latest install was.
-	topo atomic.Pointer[Topology]
 
 	// drainedCh reports node ids this process hosts that left the
 	// member set (AdminDrain): star-node -serve exits cleanly on it.
@@ -104,12 +96,9 @@ func build(cfg Config) *Engine {
 	e.buildRegistry()
 	e.haltCh = cfg.RT.NewChan(1)
 	e.drainedCh = make(chan int, cfg.Nodes)
-	e.topo.Store(cfg.Topology())
 	storage.InstallSpinWait(cfg.RT)
-	if cfg.Transport != nil {
-		e.net = cfg.Transport
-	} else {
-		e.net = simnet.New(cfg.RT, cfg.Net)
+	if e.net = cfg.Transport; e.net == nil {
+		e.net = simnet.New(cfg.RT, simnet.DefaultConfig(cfg.Nodes+1, cfg.Seed)) // +1: the coordinator's endpoint
 	}
 
 	hostsAll := cfg.LocalNodes == nil
@@ -117,8 +106,9 @@ func build(cfg Config) *Engine {
 	for _, id := range cfg.LocalNodes {
 		local[id] = true
 	}
-	topo := e.topo.Load()
-	masters := topo.Masters
+	// The boot view, shared until the first change: a View is immutable,
+	// and from then on each holder installs what reaches it by message.
+	view := newView(cfg.Topology(), nil)
 	for i := 0; i < cfg.Nodes; i++ {
 		if !hostsAll && !local[i] {
 			// Remote node: hosted by another process, reachable only
@@ -130,7 +120,7 @@ func build(cfg Config) *Engine {
 		// everything, partial members their master/secondary stripes, and
 		// dark slots (capacity provisioned for a later join) nothing —
 		// the workload loader skips partitions a node does not hold.
-		holds := topo.HoldsMask(i)
+		holds := view.HoldsMask(i)
 		db := cfg.Workload.BuildDB(cfg.NumPartitions(), holds)
 		cfg.Workload.Load(db)
 		db.CommitEpoch()
@@ -139,16 +129,11 @@ func build(cfg Config) *Engine {
 			id:      i,
 			db:      db,
 			tracker: replication.NewTracker(cfg.Nodes),
-			masters: append([]int32(nil), masters...),
-			failed:  make([]bool, cfg.Nodes),
 			marks:   make([]epochMark, cfg.Nodes),
 		}
+		n.view.Store(view)
 		n.replLag = e.reg.Gauge(fmt.Sprintf(`repl_lag{node="%d"}`, i))
 		n.masterQ = cfg.RT.NewChan(1 << 16)
-		// Until the first phase command arrives, the designated master is
-		// the first full member (the coordinator's own default).
-		n.curMaster.Store(int32(firstFullMember(topo)))
-		n.rebuildReplTargets()
 		n.workers = make([]*worker, cfg.WorkersPerNode)
 		for wi := range n.workers {
 			n.workers[wi] = newWorker(n, wi)
@@ -157,7 +142,7 @@ func build(cfg Config) *Engine {
 		e.nodes = append(e.nodes, n)
 	}
 	if hostsAll || cfg.LocalCoordinator {
-		e.coord = newCoordinator(e)
+		e.coord = newCoordinator(e, view)
 	}
 	if cfg.LogDir != "" {
 		e.openLogs()
@@ -452,25 +437,15 @@ func (e *Engine) FailedNodes() []int {
 	if e.coord == nil {
 		return nil
 	}
-	return e.coord.failedList()
+	return e.coord.view.Load().failed
 }
 
-// RecoverNode schedules a failed node's rejoin: at the next fence the
-// coordinator restores connectivity, the node copies partition state
-// from healthy holders (Thomas write rule), and it rejoins the cluster.
-func (e *Engine) RecoverNode(id int) {
-	e.mu.Lock()
-	e.recoverReq = append(e.recoverReq, id)
-	e.mu.Unlock()
-}
-
-func (e *Engine) takeRecoverReqs() []int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	r := e.recoverReq
-	e.recoverReq = nil
-	return r
-}
+// RecoverNode schedules a failed node's rejoin, which is a join: at the
+// next fence the coordinator restores connectivity, the node copies
+// partition state from healthy holders (Thomas write rule), and it
+// rejoins the cluster. Like RequestJoin it reaches the coordinator only
+// in the process that hosts it; elsewhere the admin plane's join does.
+func (e *Engine) RecoverNode(id int) { e.queueAdmin(AdminJoin, id) }
 
 // Stats snapshots the run so far.
 func (e *Engine) Stats() metrics.Stats {
@@ -499,8 +474,19 @@ func (e *Engine) Freeze() { e.frozen.Store(true) }
 // Unfreeze resumes workload generation after Freeze.
 func (e *Engine) Unfreeze() { e.frozen.Store(false) }
 
-// Topology returns the currently installed cluster topology.
-func (e *Engine) Topology() *Topology { return e.topo.Load() }
+// Topology returns the installed cluster layout as this process knows
+// it: the coordinator's where it is hosted, else a local node's.
+func (e *Engine) Topology() *Topology {
+	if e.coord != nil {
+		return e.coord.view.Load().Topology
+	}
+	for _, n := range e.nodes {
+		if n != nil {
+			return n.view.Load().Topology
+		}
+	}
+	return nil
+}
 
 // Drained delivers node ids hosted by this process that left the
 // member set via AdminDrain; star-node -serve exits cleanly on it.
@@ -548,7 +534,7 @@ func (e *Engine) takeAdminReqs() []AdminReq {
 // partition agrees on its checksum. Meaningful only after Freeze has
 // settled (a couple of iterations). Failed nodes are skipped.
 func (e *Engine) CheckReplicaConsistency() error {
-	topo := e.topo.Load()
+	topo := e.Topology()
 	for p := 0; p < e.cfg.NumPartitions(); p++ {
 		base := uint64(0)
 		baseNode := -1

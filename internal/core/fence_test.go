@@ -12,12 +12,15 @@ import (
 )
 
 // tapNet records every send that passes through it (message, class,
-// endpoints, runtime clock) and otherwise is the wrapped transport.
+// endpoints, runtime clock) and otherwise is the wrapped transport —
+// except for sends hold picks out, which wait in held until release.
 type tapNet struct {
 	transport.Transport
-	r  rt.Runtime
-	mu sync.Mutex
-	ev []tapped
+	r    rt.Runtime
+	mu   sync.Mutex
+	ev   []tapped
+	hold func(tapped) bool
+	held []tapped
 }
 
 type tapped struct {
@@ -28,18 +31,33 @@ type tapped struct {
 }
 
 func (n *tapNet) Send(src, dst int, class transport.Class, m transport.Message) {
+	ev := tapped{at: n.r.Now(), src: src, dst: dst, class: class, m: m}
 	n.mu.Lock()
-	n.ev = append(n.ev, tapped{at: n.r.Now(), src: src, dst: dst, class: class, m: m})
+	n.ev = append(n.ev, ev)
+	keep := n.hold != nil && n.hold(ev)
+	if keep {
+		n.held = append(n.held, ev)
+	}
 	n.mu.Unlock()
-	n.Transport.Send(src, dst, class, m)
+	if !keep {
+		n.Transport.Send(src, dst, class, m)
+	}
+}
+
+// release stops holding and delivers what was held, in order.
+func (n *tapNet) release() {
+	n.mu.Lock()
+	held := n.held
+	n.hold, n.held = nil, nil
+	n.mu.Unlock()
+	for _, ev := range held {
+		n.Transport.Send(ev.src, ev.dst, ev.class, ev.m)
+	}
 }
 
 // newTapNet is the default simulated network behind a tap.
 func newTapNet(s *rt.Sim, nodes int) *tapNet {
-	return &tapNet{r: s, Transport: simnet.New(s, simnet.Config{
-		Nodes: nodes + 1, Latency: 50 * time.Microsecond, Jitter: 10 * time.Microsecond,
-		Bandwidth: 600e6, Seed: 1,
-	})}
+	return &tapNet{r: s, Transport: simnet.New(s, simnet.DefaultConfig(nodes+1, 1))}
 }
 
 // since returns the sends recorded from index from on.
@@ -122,7 +140,7 @@ func TestPhaseSwitchMessagesPerEpoch(t *testing.T) {
 func TestStandbyNeverExtendsSingleMasterPhase(t *testing.T) {
 	const nodes = 3
 	s := rt.NewSim()
-	_, tap := tappedCluster(t, s, nodes, 2, 30)
+	e, tap := tappedCluster(t, s, nodes, 2, 30)
 	s.Run(80 * time.Millisecond)
 	s.Stop()
 	type epochInfo struct {
@@ -135,7 +153,7 @@ func TestStandbyNeverExtendsSingleMasterPhase(t *testing.T) {
 		switch m := ev.m.(type) {
 		case msgStartPhase:
 			if m.Phase == SingleMaster && single[m.Epoch] == nil {
-				single[m.Epoch] = &epochInfo{master: m.Master, started: ev.at, done: map[int]time.Duration{}}
+				single[m.Epoch] = &epochInfo{master: newView(e.Topology(), m.Failed).master, started: ev.at, done: map[int]time.Duration{}}
 			}
 		case msgPhaseDone:
 			if ei := single[m.Epoch]; ei != nil {
@@ -173,13 +191,14 @@ func TestStandbyNeverExtendsSingleMasterPhase(t *testing.T) {
 // handle directly, and watches the node's fence state.
 func newFenceHarness(t *testing.T) (*Engine, *node) {
 	t.Helper()
+	r := rt.NewReal()
 	e := build(Config{
-		RT:             rt.NewReal(),
+		RT:             r,
 		Nodes:          3,
 		WorkersPerNode: 1,
 		Workload:       ycsb.New(ycsb.Config{Partitions: 3, RecordsPerPartition: 64}),
 		Seed:           1,
-		Net:            simnet.Config{Nodes: 4},
+		Transport:      simnet.New(r, simnet.Config{Nodes: 4}),
 	})
 	t.Cleanup(e.cfg.RT.(*rt.Real).Stop)
 	return e, e.nodes[1]
@@ -279,7 +298,7 @@ func TestRevertDiscardsMarkers(t *testing.T) {
 	n.handle(msgStartPhase{Phase: Partitioned, Epoch: 6, Deadline: time.Hour})
 	n.handle(msgEpochMark{From: 0, Epoch: 6})
 	n.handle(msgEpochMark{From: 2, Epoch: 6, Sent: 7}) // node 2 dies with these in flight
-	n.handle(msgRevert{Epoch: 6, Failed: []int{2}, NewMasters: append([]int32(nil), n.masters...)})
+	n.handle(msgRevert{Epoch: 6, Failed: []int{2}})
 
 	runOwnPhase(n, 6, 2) // the retry, node 2 failed
 	if n.acked {

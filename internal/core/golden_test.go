@@ -33,7 +33,7 @@ func goldenMessages(tw *tpcc.Workload) map[string]transport.Message {
 	retried.Retries = 2
 	return map[string]transport.Message{
 		"start_phase": msgStartPhase{Phase: SingleMaster, Epoch: 9, Deadline: 40 * time.Millisecond,
-			Master: 1, Failed: []int{2, 3}, Lat: 70 * time.Microsecond, ScriptTxns: 5, ScriptDeferred: 17},
+			Failed: []int{2, 3}, Lat: 70 * time.Microsecond, ScriptTxns: 5, ScriptDeferred: 17},
 		"phase_done": msgPhaseDone{Node: 2, Epoch: 300, Sent: []int64{0, 4, 9000}, Committed: 120,
 			GenSingle: 110, GenCross: 12, Queued: 7},
 		"epoch_mark":    msgEpochMark{From: 2, Epoch: 9, Sent: 4096},
@@ -41,7 +41,7 @@ func goldenMessages(tw *tpcc.Workload) map[string]transport.Message {
 		"defer":         msgDefer{Req: retried},
 		"defer_by_name": msgDefer{Req: txn.NewRequest(byName, -558)},
 		"repl_ack":      msgReplAck{Worker: 3, Seq: 41},
-		"revert":        msgRevert{Epoch: 8, Failed: []int{1}, NewMasters: []int32{0, 0, 2, 3}},
+		"revert":        msgRevert{Epoch: 8, Failed: []int{1}},
 		"snapshot_req":  msgSnapshotReq{From: 2, Part: 3},
 		"snapshot": &msgSnapshot{Table: 1, Part: 200,
 			Keys: []storage.Key{storage.K1(1), storage.K2(2, 3)},
@@ -52,7 +52,6 @@ func goldenMessages(tw *tpcc.Workload) map[string]transport.Message {
 		"reset_counters": msgResetCounters{Applied: []int64{5, 0, 9}},
 		"recovery_done":  msgRecoveryDone{Node: 2, Sent: []int64{7, 0, 3}},
 		"start_recovery": msgStartRecovery{Parts: []int32{1, 3}, From: []int32{0, 2}},
-		"update_masters": msgUpdateMasters{Masters: []int32{0, 1, 2, 3}},
 		"worker_done":    workerDoneMsg{Worker: 1, Committed: 50, GenSingle: 45, GenCross: 5},
 		"halt":           msgHalt{},
 		"align_counters": msgAlignCounters{Src: 1, Applied: 4096},
@@ -67,7 +66,7 @@ func goldenMessages(tw *tpcc.Workload) map[string]transport.Message {
 			Masters:     []int32{0, 0, 2, 3},
 			ClientAddrs: []string{"127.0.0.1:7001", "", "127.0.0.1:7003"},
 			Stats:       []byte(`{"counters":{"committed":42}}`)},
-		"topology": msgTopology{Version: 7, Master: 2, Members: []int32{0, 2, 3},
+		"topology": msgTopology{Version: 7, Members: []int32{0, 2, 3},
 			Masters: []int32{0, 0, 2, 3}, Secondary: []int32{2, 3, -1, -1}},
 	}
 }
@@ -114,7 +113,7 @@ func TestGoldenFrames(t *testing.T) {
 			return err
 		})
 	}
-	if len(ids) != 23 || len(samples) != 0 {
-		t.Fatalf("golden frames cover %d message ids and leave %d samples unmatched, want all 23 and 0", len(ids), len(samples))
+	if len(ids) != 22 || len(samples) != 0 {
+		t.Fatalf("golden frames cover %d message ids and leave %d samples unmatched, want all 22 and 0", len(ids), len(samples))
 	}
 }

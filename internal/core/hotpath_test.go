@@ -21,14 +21,15 @@ func newHotPathHarness(records int) (*Engine, *worker) {
 		Partitions:          2, // Nodes × WorkersPerNode
 		RecordsPerPartition: records,
 	})
+	r := rt.NewReal()
 	e := build(Config{
-		RT:             rt.NewReal(),
+		RT:             r,
 		Nodes:          2,
 		FullReplicas:   1,
 		WorkersPerNode: 1,
 		Workload:       wl,
 		Seed:           1,
-		Net:            simnet.Config{Nodes: 3},
+		Transport:      simnet.New(r, simnet.Config{Nodes: 3}),
 	})
 	e.net.SetDown(1, true)
 	w := e.nodes[0].workers[0]
@@ -75,7 +76,7 @@ func TestExecOCCAllocBudget(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	_, w := newHotPathHarness(1024)
-	cmd := msgStartPhase{Phase: SingleMaster, Epoch: 2, Master: 0, Deadline: time.Hour}
+	cmd := msgStartPhase{Phase: SingleMaster, Epoch: 2, Deadline: time.Hour}
 	reqs := make([]*txn.Request, 64)
 	for i := range reqs {
 		reqs[i] = txn.NewRequest(w.gen.Cross(i%2), 0)
@@ -137,7 +138,7 @@ func BenchmarkExecSerialWithGen(b *testing.B) {
 // transactions with no concurrent conflicts.
 func BenchmarkExecOCC(b *testing.B) {
 	_, w := newHotPathHarness(8192)
-	cmd := msgStartPhase{Phase: SingleMaster, Epoch: 2, Master: 0, Deadline: time.Hour}
+	cmd := msgStartPhase{Phase: SingleMaster, Epoch: 2, Deadline: time.Hour}
 	reqs := make([]*txn.Request, 128)
 	for i := range reqs {
 		reqs[i] = txn.NewRequest(w.gen.Cross(i%2), 0)

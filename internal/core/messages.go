@@ -50,8 +50,11 @@ type msgStartPhase struct {
 	// startPhase — processes do not share a clock origin, so an absolute
 	// time would not survive the wire). Scripted phases ignore it.
 	Deadline time.Duration
-	Master   int   // the designated master node
-	Failed   []int // currently failed nodes (empty normally)
+	// Failed is the view's failed set (empty normally), re-asserted by
+	// every phase command: a node that lost a revert learns it here. Who
+	// masters what under it, the designated master included, each node
+	// derives for itself (View).
+	Failed []int
 	// Lat is the coordinator's one-way latency estimate (see
 	// coordinator.lat); workers size the fence-tail flush window from it.
 	Lat time.Duration
@@ -158,17 +161,15 @@ type msgReplAck struct {
 func (msgReplAck) Size() int { return 24 }
 
 // msgRevert orders a node to revert the in-flight epoch after a failure
-// (coordinator → nodes) and describes the new cluster layout.
+// (coordinator → nodes) under the new failed set; the re-mastering of
+// §4.5.3 cases 1 and 3 is what each node's View derives from it.
 type msgRevert struct {
 	Epoch uint64
 	// Failed lists all currently failed nodes.
 	Failed []int
-	// NewMasters maps partition → new mastering node for partitions
-	// whose master failed (re-mastering, §4.5.3 cases 1 and 3).
-	NewMasters []int32
 }
 
-func (m msgRevert) Size() int { return 32 + 4*len(m.NewMasters) + 8*len(m.Failed) }
+func (m msgRevert) Size() int { return 32 + 8*len(m.Failed) }
 
 // msgSnapshotReq asks a healthy holder for a partition's records
 // (recovering-node catch-up, §4.5.3 case 1).

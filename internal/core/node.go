@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,20 +29,19 @@ type node struct {
 	// designated master).
 	masterQ rt.Chan
 
-	// Cluster view, updated by coordinator messages. epoch is atomic
-	// because the applier processes and the checkpointer read it while
-	// the router advances it at phase starts; the exact epoch observed
-	// mid-transition is immaterial (see applyBatch's comment), but the
-	// access must not race.
-	epoch   atomic.Uint64
-	phase   Phase
-	master  int
-	masters []int32 // partition → mastering node
-	failed  []bool
+	// view is this node's cluster view: the layout the last msgTopology
+	// installed under the failed set the last phase command or revert
+	// named. The router alone writes it (setView); the workers (what
+	// they master, where their writes replicate, who the designated
+	// master is), the client gate and the admin plane read it.
+	view atomic.Pointer[View]
 
-	// curMaster mirrors master for readers outside the router (the
-	// client-session gate routes write forwards by it).
-	curMaster atomic.Int32
+	// epoch is atomic because the applier processes and the checkpointer
+	// read it while the router advances it at phase starts; the exact
+	// epoch observed mid-transition is immaterial (see applyBatch's
+	// comment), but the access must not race.
+	epoch atomic.Uint64
+	phase Phase
 
 	// gate is the node's client-session layer (star-client front door).
 	gate *ClientGate
@@ -51,14 +51,6 @@ type node struct {
 	// (repl_lag{node="<id>"}). A scrape mid-phase sees the last fence's
 	// starting backlog — the drain work the fence had to absorb.
 	replLag *metrics.Gauge
-
-	// replTargets maps partition → replica destinations for writes from
-	// this node (holders minus self and failed nodes). Precomputed at
-	// construction and rebuilt by the router at fences when the failure
-	// set changes, so the per-entry commit path never allocates a target
-	// list. Workers read it only between the phase-start command and
-	// their done report, which the router's rebuild points respect.
-	replTargets [][]int
 
 	// Fence state, owned by the router. The node starts draining the
 	// moment its own phase ends (phaseDone): each peer's msgEpochMark
@@ -291,8 +283,6 @@ func (n *node) handle(m any) {
 		n.applySnapshot(msg)
 	case msgStartRecovery:
 		n.startRecovery(msg)
-	case msgUpdateMasters:
-		copy(n.masters, msg.Masters)
 	case msgTopology:
 		n.installTopology(msg)
 	case AdminReq:
@@ -368,8 +358,6 @@ func (n *node) startPhase(m msgStartPhase) {
 	n.releaseResults()
 	n.epoch.Store(m.Epoch)
 	n.phase = m.Phase
-	n.master = m.Master
-	n.curMaster.Store(int32(m.Master))
 	n.setFailed(m.Failed)
 	n.workersDone = 0
 	n.phaseDone, n.acked, n.drainBegun = false, false, false
@@ -379,56 +367,35 @@ func (n *node) startPhase(m msgStartPhase) {
 	}
 }
 
-// setFailed installs a new failure set, rebuilding the precomputed
-// replica-target table only when it actually changed. Callers run on the
-// router with the workers idle (phase start or revert), so workers
-// observe a consistent table for the whole phase.
-//
-// A peer leaving the failure set (a rejoin) also revives this process's
-// transport links to it: the coordinator only resets ITS OWN process's
-// links in handleRejoins, and on a 3+ process cluster the other
-// survivors' tcpnet links to a crashed-and-restarted peer are dead
-// until someone tells the transport the peer is back (no-op on simnet
-// and for peers whose links never died).
+// setFailed moves the node to its layout's view under a new failed set —
+// the one thing a phase command or a revert changes about the view —
+// and only when the set actually differs. A set that leaves no full
+// replica alive is one the coordinator halts on and never sends: a frame
+// that names one is ignored.
 func (n *node) setFailed(failed []int) {
-	changed := false
-	for i := range n.failed {
-		f := false
-		for _, x := range failed {
-			if x == i {
-				f = true
-				break
-			}
-		}
-		if n.failed[i] != f {
-			if n.failed[i] && !f {
-				n.e.net.SetDown(i, false)
-			}
-			n.failed[i] = f
-			changed = true
-		}
+	v := n.view.Load()
+	if slices.Equal(failed, v.failed) {
+		return
 	}
-	if changed || n.replTargets == nil {
-		n.rebuildReplTargets()
+	if next := newView(v.Topology, failed); next.master >= 0 {
+		n.setView(next)
 	}
 }
 
-// rebuildReplTargets recomputes partition → replica destinations from
-// the installed topology (holders minus self and failed nodes).
-func (n *node) rebuildReplTargets() {
-	topo := n.e.topo.Load()
-	if n.replTargets == nil {
-		n.replTargets = make([][]int, topo.Partitions)
-	}
-	for p := range n.replTargets {
-		dsts := n.replTargets[p][:0]
-		for _, h := range topo.HoldersOf(p) {
-			if h != n.id && !n.failed[h] {
-				dsts = append(dsts, h)
-			}
+// setView installs v as the node's view. A peer that left the failed set
+// (a rejoin) also gets this process's transport links to it revived: the
+// coordinator only resets ITS OWN process's links in admit, and on a 3+
+// process cluster the other survivors' tcpnet links to a
+// crashed-and-restarted peer are dead until someone tells the transport
+// the peer is back (no-op on simnet and for peers whose links never
+// died).
+func (n *node) setView(v *View) {
+	for _, i := range n.view.Load().failed {
+		if v.Up(i) {
+			n.e.net.SetDown(i, false)
 		}
-		n.replTargets[p] = dsts
 	}
+	n.view.Store(v)
 }
 
 // releaseResults observes group-commit latency for every transaction
@@ -472,9 +439,8 @@ func (n *node) reportPhaseDone() {
 	epoch := n.epoch.Load()
 	sent := n.tracker.SentVector()
 	n.phaseDone = true
-	topo := n.e.topo.Load()
-	for p := range n.failed {
-		if n.isPeer(topo, p) {
+	for _, p := range n.view.Load().up {
+		if p != n.id {
 			n.e.net.Send(n.id, p, transport.Replication, msgEpochMark{From: n.id, Epoch: epoch, Sent: sent[p]})
 		}
 	}
@@ -491,12 +457,10 @@ func (n *node) reportPhaseDone() {
 }
 
 // isPeer reports whether node p takes part in this node's fences: a
-// live member other than itself. Both sides of a link evaluate it from
-// the failure set and topology the same phase command installed, so
-// every marker a node waits for is one its peer sends.
-func (n *node) isPeer(topo *Topology, p int) bool {
-	return p != n.id && topo.IsMember(p) && !n.failed[p]
-}
+// member that answers, other than itself. Both sides of a link evaluate
+// it in the view the same phase command installed, so every marker a
+// node waits for is one its peer sends.
+func (n *node) isPeer(v *View, p int) bool { return p != n.id && v.Up(p) }
 
 // noteMark records a peer's end-of-epoch marker. Markers of a committed
 // epoch (a duplicate, or a frame that outlived its fence) are ignored.
@@ -523,15 +487,15 @@ func (n *node) tryFinishFence() {
 		return
 	}
 	epoch := n.epoch.Load()
-	topo := n.e.topo.Load()
+	view := n.view.Load()
 	for p := range n.marks {
-		if n.isPeer(topo, p) && n.marks[p].epoch != epoch {
+		if n.isPeer(view, p) && n.marks[p].epoch != epoch {
 			return
 		}
 	}
 	expected := make([]int64, len(n.marks))
 	for p := range n.marks {
-		if n.isPeer(topo, p) {
+		if n.isPeer(view, p) {
 			expected[p] = n.marks[p].sent
 		}
 	}
@@ -689,7 +653,7 @@ func (n *node) chargeLog(bytes int) {
 }
 
 // revert rolls the in-flight epoch back after a failure (paper Fig 6)
-// and installs the post-failure partition mastership.
+// and moves to the post-failure view, whose mastership is derived.
 func (n *node) revert(m msgRevert) {
 	n.db.RevertEpoch(m.Epoch)
 	for _, w := range n.workers {
@@ -700,7 +664,6 @@ func (n *node) revert(m msgRevert) {
 		w.pendingClient = w.pendingClient[:0]
 	}
 	n.setFailed(m.Failed)
-	copy(n.masters, m.NewMasters)
 	// Re-mastered partitions may need local materialisation on a full
 	// replica that already holds them (no-op) or a partial that was the
 	// secondary (also already holds them); nothing to copy (§4.5.3:
@@ -720,8 +683,8 @@ func (n *node) revert(m msgRevert) {
 // for the given worker index (striped across workers).
 func (n *node) ownedPartitions(workerIdx int) []int {
 	var out []int
-	for p := 0; p < len(n.masters); p++ {
-		if int(n.masters[p]) == n.id && p%len(n.workers) == workerIdx {
+	for p, m := range n.view.Load().masters {
+		if int(m) == n.id && p%len(n.workers) == workerIdx {
 			out = append(out, p)
 		}
 	}

@@ -41,14 +41,15 @@ func opReplTPCC(nparts int) *tpcc.Workload {
 // entries, so an epoch is many envelopes.
 func newOpReplHarness(t *testing.T) (master *worker, replica *node) {
 	t.Helper()
+	r := rt.NewReal()
 	e := build(Config{
-		RT:             rt.NewReal(),
+		RT:             r,
 		Nodes:          2,
 		WorkersPerNode: 1,
 		Workload:       opReplTPCC(2),
 		Seed:           7,
 		FlushEvery:     4,
-		Net:            simnet.Config{Nodes: 3},
+		Transport:      simnet.New(r, simnet.Config{Nodes: 3}),
 	})
 	t.Cleanup(e.cfg.RT.(*rt.Real).Stop)
 	return e.nodes[0].workers[0], e.nodes[1]
@@ -131,7 +132,7 @@ func TestOpReplicationRevertAndRetryAppliesDeltasOnce(t *testing.T) {
 	if sum(replica) == base {
 		t.Fatal("half an epoch applied and the replica's checksum did not move")
 	}
-	revert := msgRevert{Epoch: 2, NewMasters: append([]int32(nil), master.masters...)}
+	revert := msgRevert{Epoch: 2}
 	master.handle(revert)
 	replica.handle(revert)
 	if sum(master) != base || sum(replica) != base {
@@ -167,13 +168,14 @@ func TestOpReplicationRevertAndRetryAppliesDeltasOnce(t *testing.T) {
 // entry's Ops from one shared slice, applyBatch copies the entries into
 // per-shard slices, and each shard must still apply exactly its own ops.
 func TestOpReplicationMultiShardBatchThroughCodec(t *testing.T) {
+	r := rt.NewReal()
 	e := build(Config{
-		RT:             rt.NewReal(),
+		RT:             r,
 		Nodes:          2,
 		WorkersPerNode: 2,
 		Workload:       opReplTPCC(4),
 		Seed:           7,
-		Net:            simnet.Config{Nodes: 3},
+		Transport:      simnet.New(r, simnet.Config{Nodes: 3}),
 	})
 	t.Cleanup(e.cfg.RT.(*rt.Real).Stop)
 	master, replica := e.nodes[0], e.nodes[1]

@@ -114,17 +114,17 @@ func (c *coordinator) runScript() {
 	// Post-fence checksums: the replicas are quiesced and must agree.
 	// Served through the unified admin envelope (Node -1 = yourself).
 	sums := map[int]AdminResp{}
+	view := c.view.Load()
 	if !c.e.halted.Load() {
 		c.broadcast(AdminReq{V: AdminProtoVersion, Op: AdminChecksums, From: c.id(), Node: -1})
 		if !c.gather(scriptTimeout, func(m any) bool {
 			// Node came off the wire: only an alive member's answer counts.
-			if cs, isCS := m.(AdminResp); isCS && cs.Op == AdminChecksums &&
-				cs.Node >= 0 && cs.Node < len(c.alive) && c.alive[cs.Node] {
+			if cs, isCS := m.(AdminResp); isCS && cs.Op == AdminChecksums && view.Up(cs.Node) {
 				sums[cs.Node] = cs
 			}
-			return len(sums) == c.aliveCount()
+			return len(sums) == len(view.up)
 		}) {
-			c.halt(fmt.Sprintf("scripted checksum gather incomplete: no answer from nodes %v", missing(sums, c.alive)))
+			c.halt(fmt.Sprintf("scripted checksum gather incomplete: no answer from nodes %v", missing(sums, view.up)))
 		}
 	}
 	c.broadcast(msgHalt{})
@@ -132,7 +132,7 @@ func (c *coordinator) runScript() {
 	if halted, reason := c.e.Halted(); halted {
 		res, sums = ScriptResult{Err: reason}, nil
 	}
-	for i := range c.alive {
+	for _, i := range view.up {
 		if cs, ok := sums[i]; ok {
 			res.Checksums = append(res.Checksums, NodeChecksums{Node: i, Parts: cs.Parts, Sums: cs.Sums})
 		}
@@ -172,13 +172,13 @@ func scriptStamp(seq int64, node, worker int) int64 {
 // runPartitionedScripted is the deterministic variant of
 // runPartitioned: exactly ScriptTxns generator steps per owned
 // partition, no deadline, no freeze checks, no tail flushing.
-func (w *worker) runPartitionedScripted(cmd msgStartPhase) {
+func (w *worker) runPartitionedScripted(cmd msgStartPhase, master int) {
 	parts := w.n.ownedPartitions(w.idx)
 	seq := int64(0)
 	for step := 0; step < cmd.ScriptTxns; step++ {
 		for _, home := range parts {
 			seq++
-			w.step(home, scriptStamp(seq, w.n.id, w.idx), cmd.Epoch, cmd.Master)
+			w.step(home, scriptStamp(seq, w.n.id, w.idx), cmd.Epoch, master)
 		}
 	}
 }

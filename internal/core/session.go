@@ -129,7 +129,7 @@ func (g *ClientGate) Submit(conn, token uint64, req *txn.Request) (uint64, <-cha
 
 	req.Origin = g.n.id
 	req.Ticket = ticket
-	g.n.e.net.Send(g.n.id, int(g.n.curMaster.Load()), transport.Data, ClientReq{Token: token, Req: req})
+	g.n.e.net.Send(g.n.id, g.n.view.Load().master, transport.Data, ClientReq{Token: token, Req: req})
 	return ticket, ch
 }
 

@@ -53,15 +53,16 @@ func newSessionHarness(t *testing.T) (*Engine, *ycsb.Workload) {
 		Partitions:          2, // Nodes × WorkersPerNode
 		RecordsPerPartition: 64,
 	})
+	r := rt.NewReal()
 	e := build(Config{
-		RT:             rt.NewReal(),
+		RT:             r,
 		Nodes:          2,
 		FullReplicas:   2,
 		WorkersPerNode: 1,
 		Workload:       wl,
 		Seed:           1,
 		SnapshotReads:  true,
-		Net:            simnet.Config{Nodes: 3},
+		Transport:      simnet.New(r, simnet.Config{Nodes: 3}),
 	})
 	for _, n := range e.nodes {
 		n.epoch.Store(2) // in-flight epoch 2 everywhere: fence = loaded state

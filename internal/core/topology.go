@@ -9,12 +9,13 @@ package core
 //
 // Endpoint slots are fixed at construction (Capacity = Config.Nodes):
 // the transport pre-provisions one endpoint per slot plus the
-// coordinator's, and membership toggles slots live or dark. Slot ids
-// below Full are full replicas when live; the rest are partial replicas.
+// coordinator's, and membership toggles slots live or dark. Which live
+// slots are full replicas is IsFull's to say; the rest are partial.
 //
-// The coordinator owns the committed Topology and installs new versions
-// only between fences (msgTopology); nodes rebuild replication targets,
-// storage residency, and client routing from the installed value.
+// A Topology is never modified once it is part of a View. The
+// coordinator installs new versions only between fences (msgTopology);
+// nodes rebuild storage residency from the installed value and derive
+// everything else in their View.
 type Topology struct {
 	// Version increments on every installed change (join/drain/
 	// rebalance). Version 1 is the boot layout derived from Config.
@@ -29,8 +30,8 @@ type Topology struct {
 	// Member[i] reports whether slot i is a live cluster member.
 	Member []bool
 	// Masters[p] is the planned master of partition p (always a member
-	// that holds p). Failure re-mastering overlays this at runtime but
-	// never changes the planned assignment.
+	// that holds p). Who masters p while members are down is the View's
+	// to derive; the planned assignment never changes with failures.
 	Masters []int32
 	// Secondary[p] is the partial replica holding p in addition to the
 	// full replicas, or -1 when the master itself is partial (then the
@@ -44,7 +45,8 @@ func (t *Topology) workersPerSlot() int { return t.Partitions / t.Capacity }
 // IsMember reports whether slot i is a live member.
 func (t *Topology) IsMember(i int) bool { return i >= 0 && i < t.Capacity && t.Member[i] }
 
-// IsFull reports whether slot i is a live full replica.
+// IsFull reports whether slot i is a live full replica. It is the one
+// reader of the rule that full-ness is the id prefix [0,Full).
 func (t *Topology) IsFull(i int) bool { return i < t.Full && t.IsMember(i) }
 
 // Members returns the live slot ids in ascending order.
@@ -78,13 +80,7 @@ func (t *Topology) SecondaryOf(p int) int { return int(t.Secondary[p]) }
 
 // Holds reports whether member i holds partition p under this layout.
 func (t *Topology) Holds(i, p int) bool {
-	if !t.IsMember(i) {
-		return false
-	}
-	if i < t.Full {
-		return true
-	}
-	return int(t.Masters[p]) == i || int(t.Secondary[p]) == i
+	return t.IsFull(i) || t.IsMember(i) && (int(t.Masters[p]) == i || int(t.Secondary[p]) == i)
 }
 
 // HoldersOf returns every member holding partition p: the full members,
@@ -92,12 +88,12 @@ func (t *Topology) Holds(i, p int) bool {
 // valid topology (at least one full member is required).
 func (t *Topology) HoldersOf(p int) []int {
 	out := make([]int, 0, t.Full+2)
-	for i := 0; i < t.Full; i++ {
-		if t.Member[i] {
+	for i := range t.Member {
+		if t.IsFull(i) {
 			out = append(out, i)
 		}
 	}
-	if m := int(t.Masters[p]); m >= t.Full {
+	if m := int(t.Masters[p]); !t.IsFull(m) {
 		out = append(out, m)
 	}
 	if s := int(t.Secondary[p]); s >= 0 && s != int(t.Masters[p]) {
@@ -137,7 +133,7 @@ func (t *Topology) relayout() {
 	members := t.Members()
 	partials := make([]int, 0, len(members))
 	for _, m := range members {
-		if m >= t.Full {
+		if !t.IsFull(m) {
 			partials = append(partials, m)
 		}
 	}
@@ -147,7 +143,7 @@ func (t *Topology) relayout() {
 			owner = members[p%len(members)]
 		}
 		t.Masters[p] = int32(owner)
-		if owner >= t.Full || len(partials) == 0 {
+		if !t.IsFull(owner) || len(partials) == 0 {
 			t.Secondary[p] = -1
 		} else {
 			t.Secondary[p] = int32(partials[p%len(partials)])
@@ -175,9 +171,7 @@ func (t *Topology) Drained(id int) *Topology {
 }
 
 // Rebalanced returns the next version with the canonical layout
-// recomputed over the unchanged member set — used to move mastership
-// back to the planned owners after failure re-mastering skewed the
-// live overlay, without any membership change.
+// recomputed over the unchanged member set.
 func (t *Topology) Rebalanced() *Topology {
 	n := t.Clone()
 	n.Version++
@@ -192,23 +186,12 @@ func (t *Topology) Validate() error {
 	if t.NumMembers() < 2 {
 		return errTopoMembers
 	}
-	for i := 0; i < t.Full; i++ {
-		if t.Member[i] {
+	for i := range t.Member {
+		if t.IsFull(i) {
 			return nil
 		}
 	}
 	return errTopoNoFull
-}
-
-// firstFullMember returns the lowest live full-replica slot — the
-// default designated master. Valid topologies always have one.
-func firstFullMember(t *Topology) int {
-	for i := 0; i < t.Full; i++ {
-		if t.Member[i] {
-			return i
-		}
-	}
-	return 0
 }
 
 type topoError string

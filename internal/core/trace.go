@@ -72,6 +72,7 @@ func (c *coordinator) noteEpoch(done map[int]msgPhaseDone, tau, overrun, fenceDu
 	if e.cfg.Trace == nil {
 		return
 	}
+	view := c.view.Load()
 	ev := TraceEvent{
 		Epoch:     c.epoch,
 		Phase:     c.phase.String(),
@@ -81,8 +82,8 @@ func (c *coordinator) noteEpoch(done map[int]msgPhaseDone, tau, overrun, fenceDu
 		FenceUS:   fenceDur.Microseconds(),
 		Committed: committed,
 		Queued:    queued,
-		Topology:  e.topo.Load().Version,
-		Failed:    c.failedList(),
+		Topology:  view.Version,
+		Failed:    view.failed,
 	}
 	if len(done) > 0 {
 		ev.Commits = make(map[string]int64, len(done))

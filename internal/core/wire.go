@@ -12,13 +12,13 @@ import (
 // mixed-version processes fail loudly on unknown ids instead of
 // misparsing.
 const (
-	wireStartPhase uint8 = iota + 1
+	_ uint8 = iota + 1 // retired: wireStartPhase with a Master field (a node derives it from its View)
 	wirePhaseDone
 	_ // retired: wireFenceDrain (peers' msgEpochMark names the drain target)
 	wireFenceAck
 	wireDefer
 	wireReplAck
-	wireRevert
+	_ // retired: wireRevert with a NewMasters map
 	wireSnapshotReq
 	wireSnapshot
 	wireReplBatch
@@ -26,7 +26,7 @@ const (
 	wireResetCounters
 	wireRecoveryDone
 	wireStartRecovery
-	wireUpdateMasters
+	_ // retired: wireUpdateMasters (a rejoin installs like a join)
 	wireWorkerDone
 	_ // retired: wireChecksumReq (folded into the admin envelope)
 	_ // retired: wireChecksumResp
@@ -39,8 +39,11 @@ const (
 	_ // retired: wireFaultStatsResp
 	wireAdminReq
 	wireAdminResp
-	wireTopology
+	_ // retired: wireTopology with a Master field
 	wireEpochMark
+	wireStartPhase
+	wireRevert
+	wireTopology
 )
 
 // wireRegistrar is implemented by workloads whose procedures have a
@@ -72,7 +75,6 @@ func registerMessages(c *wire.Codec) {
 		wire.U8(f, &m.Phase)
 		f.Uvarint(&m.Epoch)
 		f.I64((*int64)(&m.Deadline))
-		f.Int(&m.Master)
 		f.Ints(&m.Failed)
 		f.I64((*int64)(&m.Lat))
 		f.Int(&m.ScriptTxns)
@@ -106,7 +108,6 @@ func registerMessages(c *wire.Codec) {
 	wire.Register(c, wireRevert, func(f *wire.Fields, m *msgRevert) {
 		f.Uvarint(&m.Epoch)
 		f.Ints(&m.Failed)
-		f.I32s(&m.NewMasters)
 	})
 	wire.Register(c, wireSnapshotReq, func(f *wire.Fields, m *msgSnapshotReq) {
 		f.Int(&m.From)
@@ -140,7 +141,6 @@ func registerMessages(c *wire.Codec) {
 		f.I32s(&m.Parts)
 		f.I32s(&m.From)
 	})
-	wire.Register(c, wireUpdateMasters, func(f *wire.Fields, m *msgUpdateMasters) { f.I32s(&m.Masters) })
 	// Node-local in both engines today, but registered so a transport
 	// that encodes local sends (or a future split of workers from
 	// routers) keeps working.
@@ -187,7 +187,6 @@ func registerMessages(c *wire.Codec) {
 	})
 	wire.Register(c, wireTopology, func(f *wire.Fields, m *msgTopology) {
 		f.Uvarint(&m.Version)
-		f.I32(&m.Master)
 		f.I32s(&m.Members)
 		f.I32s(&m.Masters)
 		f.I32s(&m.Secondary)

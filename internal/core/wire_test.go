@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,7 +53,7 @@ func sampleMessages(tw *tpcc.Workload, yw *ycsb.Workload) []transport.Message {
 	}
 	return []transport.Message{
 		msgStartPhase{Phase: SingleMaster, Epoch: 9, Deadline: 40 * time.Millisecond,
-			Master: 1, Failed: []int{2}, Lat: 70 * time.Microsecond, ScriptTxns: 5, ScriptDeferred: 17},
+			Failed: []int{2}, Lat: 70 * time.Microsecond, ScriptTxns: 5, ScriptDeferred: 17},
 		msgPhaseDone{Node: 2, Epoch: 9, Sent: []int64{0, 4, 9}, Committed: 120, GenSingle: 110, GenCross: 12},
 		msgEpochMark{From: 2, Epoch: 9, Sent: 4096},
 		msgFenceAck{Node: 1, Epoch: 9},
@@ -63,7 +65,7 @@ func sampleMessages(tw *tpcc.Workload, yw *ycsb.Workload) []transport.Message {
 		msgDefer{Req: txn.NewRequest(&tpcc.OrderStatusTxn{W: tw, WID: 0, CWID: 3, CDID: 0, CID: -1,
 			ByName: true, CLast: []byte("BARBARBAR")}, 558)},
 		msgReplAck{Worker: 3, Seq: 41},
-		msgRevert{Epoch: 8, Failed: []int{1}, NewMasters: []int32{0, 0, 2, 3}},
+		msgRevert{Epoch: 8, Failed: []int{1}},
 		msgSnapshotReq{From: 2, Part: 3},
 		&msgSnapshot{Table: 1, Part: 2,
 			Keys: []storage.Key{storage.K1(1), storage.K2(2, 3)},
@@ -75,7 +77,7 @@ func sampleMessages(tw *tpcc.Workload, yw *ycsb.Workload) []transport.Message {
 		msgRecoveryDone{Node: 2, Sent: []int64{7, 0, 3}},
 		msgAlignCounters{Src: 1, Applied: 4096},
 		msgStartRecovery{Parts: []int32{1, 3}, From: []int32{0, 0}},
-		msgUpdateMasters{Masters: []int32{0, 1, 2, 3}},
+		ClientResp{Ticket: 14, Status: StatusAborted, Token: 2},
 		workerDoneMsg{Worker: 1, Committed: 50, GenSingle: 45, GenCross: 5},
 		msgHalt{},
 		AdminReq{V: 1, Op: AdminFreeze, From: 5, Ticket: 9, Node: -1, On: true},
@@ -92,7 +94,7 @@ func sampleMessages(tw *tpcc.Workload, yw *ycsb.Workload) []transport.Message {
 		AdminResp{V: 1, Op: AdminTopologyGet, Node: 0, OK: true, Version: 7,
 			Members: []int32{0, 2, 3}, Masters: []int32{0, 0, 2, 3},
 			ClientAddrs: []string{"127.0.0.1:7001", "", "127.0.0.1:7003"}},
-		msgTopology{Version: 7, Master: 0, Members: []int32{0, 2, 3},
+		msgTopology{Version: 7, Members: []int32{0, 2, 3},
 			Masters: []int32{0, 0, 2, 3}, Secondary: []int32{2, 3, -1, -1}},
 		ClientReq{Token: 8, Req: ticketed(txn.NewRequest(tg.Cross(1), 999), 1, 77)},
 		ClientReq{Token: 0, Req: ticketed(txn.NewRequest(&tpcc.StockLevelTxn{
@@ -100,7 +102,6 @@ func sampleMessages(tw *tpcc.Workload, yw *ycsb.Workload) []transport.Message {
 		ClientReq{Token: 3, Req: ticketed(txn.NewRequest(yg.Cross(3), 444), 0, 1<<40)},
 		ClientResp{Ticket: 12, Status: StatusOK, Token: 9, Reads: 31},
 		ClientResp{Ticket: 13, Status: StatusBusy},
-		ClientResp{Ticket: 14, Status: StatusAborted, Token: 2},
 	}
 }
 
@@ -292,6 +293,32 @@ func TestRequestGenAtRebasedAcrossClockDomains(t *testing.T) {
 	}
 }
 
+// retiredFrames holds, per message id this codec retired when mastership
+// stopped travelling, the last frame a parent-commit process encoded
+// under it (testdata/golden_frames.txt at dccb7a8): the phase command
+// with its Master, the revert with its NewMasters, msgUpdateMasters, and
+// the topology install with its Master.
+var retiredFrames = [][]byte{
+	{0x01, 0x01, 0x09, 0x80, 0xe8, 0x92, 0x26, 0x02, 0x02, 0x04, 0x06, 0xe0, 0xc5, 0x08, 0x0a, 0x22},
+	{0x07, 0x08, 0x01, 0x02, 0x04, 0x00, 0x00, 0x04, 0x06},
+	{0x0f, 0x04, 0x00, 0x02, 0x04, 0x06},
+	{0x1c, 0x07, 0x04, 0x03, 0x00, 0x04, 0x06, 0x04, 0x00, 0x00, 0x04, 0x06, 0x04, 0x04, 0x06, 0x01, 0x01},
+}
+
+// A frame from a process one commit behind is refused as an unknown id,
+// loudly, rather than decoded as whatever now has those bytes' shape:
+// the reshaped messages took fresh ids and the old ones stay retired.
+func TestRetiredIDsAreRejected(t *testing.T) {
+	tw, yw := testWorkloads()
+	c := testCodec(tw, yw)
+	for _, frame := range retiredFrames {
+		m, err := c.Decode(frame)
+		if !errors.Is(err, wire.ErrCorrupt) || !strings.Contains(fmt.Sprint(err), "unknown message id") {
+			t.Fatalf("retired id %d: decoded to %#v, err %v; want an unknown-id rejection", frame[0], m, err)
+		}
+	}
+}
+
 // corpusSeed mirrors the wire package's committed-corpus helper.
 func corpusSeed(f *testing.F, target string, idx int, data []byte) {
 	f.Helper()
@@ -317,12 +344,16 @@ func corpusSeed(f *testing.F, target string, idx int, data []byte) {
 func FuzzWireMessages(f *testing.F) {
 	tw, yw := testWorkloads()
 	c := testCodec(tw, yw)
-	for i, m := range sampleMessages(tw, yw) {
+	samples := sampleMessages(tw, yw)
+	for i, m := range samples {
 		enc, err := c.Append(nil, m)
 		if err != nil {
 			f.Fatalf("seed %d: %v", i, err)
 		}
 		corpusSeed(f, "FuzzWireMessages", i, enc)
+	}
+	for i, frame := range retiredFrames {
+		corpusSeed(f, "FuzzWireMessages", len(samples)+i, frame)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := c.Decode(data)

@@ -100,18 +100,20 @@ func (w *worker) loop() {
 		w.strm.SetEpoch(cmd.Epoch)
 		w.committed, w.genSingle, w.genCross, w.repl = 0, 0, 0, replStats{}
 		scripted := cmd.ScriptTxns > 0
+		// The view the router installed before it passed the command on.
+		master := w.n.view.Load().master
 		switch {
 		case cmd.Phase == Partitioned && scripted:
-			w.runPartitionedScripted(cmd)
+			w.runPartitionedScripted(cmd, master)
 		case cmd.Phase == Partitioned:
-			w.runPartitioned(cmd)
-		case cmd.Phase == SingleMaster && w.n.id == cmd.Master && scripted:
+			w.runPartitioned(cmd, master)
+		case cmd.Phase == SingleMaster && w.n.id == master && scripted:
 			// Deterministic drain: worker 0 alone executes the deferred
 			// requests serially; the other workers just report done.
 			if w.idx == 0 {
 				w.runMasterScripted(cmd)
 			}
-		case cmd.Phase == SingleMaster && w.n.id == cmd.Master:
+		case cmd.Phase == SingleMaster && w.n.id == master:
 			w.runSingleMaster(cmd)
 		default:
 			// Standing by for replication (§4.3): the router and appliers
@@ -150,7 +152,7 @@ const yieldEvery = 100 * time.Microsecond
 
 // ---- partitioned phase ----
 
-func (w *worker) runPartitioned(cmd msgStartPhase) {
+func (w *worker) runPartitioned(cmd msgStartPhase, master int) {
 	r := w.n.e.cfg.RT
 	parts := w.n.ownedPartitions(w.idx)
 	if len(parts) == 0 {
@@ -169,7 +171,7 @@ func (w *worker) runPartitioned(cmd msgStartPhase) {
 			yieldAt = now + yieldEvery
 		}
 		tail.maybeFlush(now)
-		w.step(parts[pi], int64(r.Now()), cmd.Epoch, cmd.Master)
+		w.step(parts[pi], int64(r.Now()), cmd.Epoch, master)
 		pi = (pi + 1) % len(parts)
 	}
 }
@@ -242,14 +244,12 @@ func (w *worker) execSerial(req *txn.Request, epoch uint64) {
 // phase, where several OCC workers write one partition, ships whole rows
 // for the Thomas write rule to order; inserts and deletes have no delta
 // form in either phase. Nothing here allocates: entries are built on the
-// stack, copied into the stream's arenas, and sent to precomputed targets.
+// stack, copied into the stream's arenas, and sent to the targets the
+// view precomputed — a partition's alive holders, this node aside.
 func (w *worker) emitEntries(tidv uint64, ops bool) {
+	holders := w.n.view.Load().holders
 	for i := range w.set.Writes {
 		wr := &w.set.Writes[i]
-		dsts := w.n.replTargets[wr.Part]
-		if len(dsts) == 0 {
-			continue
-		}
 		ent := replication.Entry{Table: wr.Table, Part: int32(wr.Part), Key: wr.Key, TID: tidv}
 		if ops && !wr.Insert && !wr.Delete {
 			if ent.Ops = wr.Ops; ent.Ops == nil {
@@ -259,7 +259,10 @@ func (w *worker) emitEntries(tidv uint64, ops bool) {
 			ent.Row, ent.Absent = wr.Row, wr.Delete
 		}
 		rowSize := w.n.db.Table(wr.Table).Schema().RowSize()
-		for _, dst := range dsts {
+		for _, dst := range holders[wr.Part] {
+			if dst == w.n.id {
+				continue
+			}
 			sz := &w.sizers[dst]
 			if w.strm.BufferedTo(dst) == 0 {
 				sz.Reset(w.strm.Epoch()) // this entry opens an envelope
@@ -452,10 +455,13 @@ func (w *worker) commitSync(req *txn.Request, epoch uint64) bool {
 	occ.ApplyWrites(w.n.db, &w.set, epoch, tidv, true)
 
 	entries := replication.ValueEntries(&w.set, tidv)
+	holders := w.n.view.Load().holders
 	perDst := map[int][]replication.Entry{}
 	for i := range entries {
-		for _, dst := range w.n.replTargets[int(entries[i].Part)] {
-			perDst[dst] = append(perDst[dst], entries[i])
+		for _, dst := range holders[entries[i].Part] {
+			if dst != w.n.id {
+				perDst[dst] = append(perDst[dst], entries[i])
+			}
 		}
 	}
 	w.seq++

@@ -64,6 +64,18 @@ type Config struct {
 	Seed int64
 }
 
+// DefaultLatency is the one-way delay of the default simulated network,
+// and what an engine assumes of a transport until it has measured it.
+const DefaultLatency = 50 * time.Microsecond
+
+// DefaultConfig is the network every engine simulates unless handed
+// another: the paper's EC2 cluster, ~4.8 Gbit/s per node as measured
+// there (§7.1). nodes counts endpoints, the coordinator's or
+// sequencer's included.
+func DefaultConfig(nodes int, seed int64) Config {
+	return Config{Nodes: nodes, Latency: DefaultLatency, Jitter: 10 * time.Microsecond, Bandwidth: 600e6, Seed: seed}
+}
+
 type envelope struct {
 	at  time.Duration
 	msg Message
@@ -136,6 +148,10 @@ func New(r rt.Runtime, cfg Config) *Network {
 	}
 	return n
 }
+
+// Latency reports the configured one-way delay: an engine on this
+// network is told its latency and need not estimate it.
+func (n *Network) Latency() time.Duration { return n.cfg.Latency }
 
 // linkSeed derives a distinct deterministic RNG stream per (src,dst).
 func linkSeed(src, dst int) int64 {
