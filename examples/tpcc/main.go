@@ -52,5 +52,5 @@ func main() {
 		shipped/float64(st.Committed), asValues/float64(st.Committed),
 		100*(1-shipped/asValues), 100*ops/(ops+values))
 	fmt.Println("  (§5: Payment and stock deltas replace 300-670 B rows; inserts and the")
-	fmt.Println("  single-master phase still ship rows)")
+	fmt.Println("  single-master phase still ship rows, zero-packed to about half)")
 }

@@ -51,15 +51,17 @@ func lvPayloadFields(f *wire.Fields, p *lvPayload) {
 
 func lvReplyFields(f *wire.Fields, r *lvReply) { f.U64(&r.MaxWriteTID) }
 
+// The entries come last and travel as an Epoch-0 replication envelope,
+// which decodes from all the input left: one entry codec, the engine's.
 func commitPayloadFields(f *wire.Fields, p *commitPayload) {
 	f.U64(&p.TID)
-	wire.Len(f, &p.Entries, wire.MinEntryLen)
-	for i := range p.Entries {
-		f.Entry(&p.Entries[i])
-	}
 	f.Int(&p.Owner)
 	lockNames(f, &p.Release)
 	f.Bool(&p.Sync)
+	b := &replication.Batch{Entries: p.Entries}
+	if f.Batch(&b); f.Decoding() && b != nil {
+		p.Entries = b.Entries
+	}
 }
 
 func abortPayloadFields(f *wire.Fields, p *abortPayload) {

@@ -286,18 +286,18 @@ type replStats struct {
 
 // note counts e as the next entry of the envelope sz stands in; rowSize,
 // its table's row size, is what an operation entry would have carried as
-// a value behind the same header.
+// a value behind the same header — a whole row, as a value entry's own is
+// priced however few bytes it packed into.
 func (s *replStats) note(sz *wire.EntrySizer, e *replication.Entry, rowSize int) {
-	header, payload := sz.Next(e)
-	equiv := header + payload
+	header, payload, raw := sz.Next(e)
 	if e.IsOp() {
-		equiv = header + wire.UvarintLen(uint64(rowSize)) + rowSize
+		raw = wire.UvarintLen(uint64(rowSize)) + rowSize
 		s.OpEntries++
 	} else {
 		s.ValueEntries++
 	}
 	s.Bytes += int64(header + payload)
-	s.ValueEquivBytes += int64(equiv)
+	s.ValueEquivBytes += int64(header + raw)
 }
 
 // ---- single-master phase ----

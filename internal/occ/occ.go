@@ -17,9 +17,6 @@ type TIDGen struct {
 	last uint64
 }
 
-// Last returns the most recently issued TID.
-func (g *TIDGen) Last() uint64 { return g.last }
-
 // Next returns the next TID for a transaction whose read/write-set
 // maximum is maxSeen, in the given epoch.
 func (g *TIDGen) Next(epoch, maxSeen uint64) uint64 {

@@ -143,25 +143,13 @@ func OpEntries(set *txn.RWSet, tid uint64) []Entry {
 	out := make([]Entry, 0, len(set.Writes))
 	for i := range set.Writes {
 		w := &set.Writes[i]
-		if w.Delete {
-			out = append(out, Entry{
-				Table: w.Table, Part: int32(w.Part), Key: w.Key, TID: tid,
-				Absent: true,
-			})
-			continue
-		}
+		e := Entry{Table: w.Table, Part: int32(w.Part), Key: w.Key, TID: tid, Absent: w.Delete}
 		if w.Insert {
-			out = append(out, Entry{
-				Table: w.Table, Part: int32(w.Part), Key: w.Key, TID: tid,
-				Row: append([]byte(nil), w.Row...),
-			})
-			continue
+			e.Row = append([]byte(nil), w.Row...)
+		} else if !w.Delete {
+			e.Ops = append(make([]storage.FieldOp, 0, len(w.Ops)), w.Ops...)
 		}
-		ops := make([]storage.FieldOp, len(w.Ops))
-		copy(ops, w.Ops)
-		out = append(out, Entry{
-			Table: w.Table, Part: int32(w.Part), Key: w.Key, TID: tid, Ops: ops,
-		})
+		out = append(out, e)
 	}
 	return out
 }
@@ -455,13 +443,6 @@ func (s *Stream) Append(dst int, e Entry) {
 	}
 }
 
-// Broadcast appends e for every destination in dsts.
-func (s *Stream) Broadcast(dsts []int, e Entry) {
-	for _, d := range dsts {
-		s.Append(d, e)
-	}
-}
-
 func (s *Stream) flushDst(dst int, b *dstBuf) {
 	if len(b.entries) == 0 {
 		return
@@ -499,15 +480,4 @@ func (s *Stream) BufferedTo(dst int) int {
 		return len(b.entries)
 	}
 	return 0
-}
-
-// Buffered returns the number of entries not yet shipped (tests).
-func (s *Stream) Buffered() int {
-	n := 0
-	for _, b := range s.bufs {
-		if b != nil {
-			n += len(b.entries)
-		}
-	}
-	return n
 }

@@ -220,13 +220,14 @@ func TestStreamByteBoundCoalesces(t *testing.T) {
 		st.SetEpoch(7)
 		for i := uint64(0); i < writes; i++ {
 			e := Entry{Table: 0, Part: 0, Key: storage.K1(i), TID: storage.MakeTID(2, i+1), Row: row}
-			st.Broadcast([]int{1, 2}, e)
+			st.Append(1, e)
+			st.Append(2, e)
 		}
-		if st.Buffered() == 0 {
+		if st.BufferedTo(1) == 0 || st.BufferedTo(2) == 0 {
 			t.Error("expected a partial batch still buffered before Flush")
 		}
 		st.Flush()
-		if st.Buffered() != 0 {
+		if st.BufferedTo(1)+st.BufferedTo(2) != 0 {
 			t.Error("Flush left entries behind")
 		}
 	})

@@ -34,6 +34,11 @@ type Field struct {
 	size   int
 }
 
+// MaxRowSize is the widest row a schema may describe: the recovery log
+// frames a row's length as a uint16, and the replication decoder accepts
+// no packed row that claims more.
+const MaxRowSize = math.MaxUint16
+
 // Schema is an ordered set of fields with precomputed offsets.
 type Schema struct {
 	fields  []Field
@@ -60,6 +65,9 @@ func NewSchema(fields ...Field) *Schema {
 		}
 		f.offset = off
 		off += f.size
+	}
+	if off > MaxRowSize {
+		panic(fmt.Sprintf("storage: row of %d bytes exceeds MaxRowSize %d", off, MaxRowSize))
 	}
 	s.rowSize = off
 	return s

@@ -65,6 +65,23 @@ func TestSchemaPanicsOnBadField(t *testing.T) {
 	NewSchema(Field{Name: "bad", Type: FieldBytes})
 }
 
+// TestSchemaRefusesRowWiderThanMaxRowSize: the recovery log frames a row
+// as uint16(len), so a schema wider than that would log records whose
+// length lies (and recovery would drop them as a torn tail). The widest
+// legal row is exactly MaxRowSize; one more column is refused.
+func TestSchemaRefusesRowWiderThanMaxRowSize(t *testing.T) {
+	widest := Field{Name: "blob", Type: FieldBytes, Cap: MaxRowSize - 2}
+	if got := NewSchema(widest).RowSize(); got != MaxRowSize {
+		t.Fatalf("widest schema is %d bytes, want MaxRowSize %d", got, MaxRowSize)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("NewSchema accepted a row of %d bytes", MaxRowSize+8)
+		}
+	}()
+	NewSchema(widest, Field{Name: "n", Type: FieldInt64})
+}
+
 func TestFieldOpsApply(t *testing.T) {
 	s := testSchema()
 	row := s.NewRow()

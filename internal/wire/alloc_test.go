@@ -43,20 +43,30 @@ func opBatchFixture(n int) (*storage.DB, []byte) {
 // TestDecodeBatchAllocBudget pins the decoder's side of allocation-free
 // operation replication: every entry's Ops is carved from one slice, so
 // an all-op batch costs the same three allocations (the batch, its
-// entries, the ops) at 64 entries as at 1024.
+// entries, the ops) at 64 entries as at 1024 — and an envelope that also
+// carries packed rows one more, the arena they all unpack into.
 func TestDecodeBatchAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	for _, n := range []int{64, 1024} {
 		_, enc := opBatchFixture(n)
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := DecodeBatch(enc); err != nil {
-				t.Fatal(err)
+		mixed, err := DecodeBatch(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i += 2 { // every other entry: a mostly-zero row
+			mixed.Entries[i].Ops, mixed.Entries[i].Row = nil, append(make([]byte, 100), byte(i+1))
+		}
+		for want, enc := range map[float64][]byte{3: enc, 4: AppendBatch(nil, mixed)} {
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := DecodeBatch(enc); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > want {
+				t.Fatalf("DecodeBatch of %d entries allocates %v times, want %v per batch", n, allocs, want)
 			}
-		})
-		if allocs > 3 {
-			t.Fatalf("DecodeBatch of %d operation entries allocates %v times, want 3 per batch", n, allocs)
 		}
 	}
 }

@@ -70,31 +70,21 @@ func NewCodec() *Codec {
 // to Transport.Send). Duplicate ids or types panic: registration is a
 // wiring-time error, not input.
 func (c *Codec) Register(id uint8, sample transport.Message, enc EncodeFunc, dec DecodeFunc) {
-	t := reflect.TypeOf(sample)
-	if _, dup := c.msgByID[id]; dup {
-		panic(fmt.Sprintf("wire: message id %d registered twice", id))
-	}
-	if _, dup := c.msgByType[t]; dup {
-		panic(fmt.Sprintf("wire: message type %v registered twice", t))
-	}
-	e := &msgEntry{id: id, enc: enc, dec: dec}
-	c.msgByID[id] = e
-	c.msgByType[t] = e
+	register(c.msgByID, c.msgByType, id, sample, &msgEntry{id: id, enc: enc, dec: dec})
 }
 
 // registerProc binds a procedure type id to its codec (RegisterProc
 // builds the pair from the procedure's field walk).
 func (c *Codec) registerProc(id uint8, sample txn.Procedure, enc ProcEncodeFunc, dec ProcDecodeFunc) {
+	register(c.procByID, c.procByType, id, sample, &procEntry{id: id, enc: enc, dec: dec})
+}
+
+func register[E any](byID map[uint8]*E, byType map[reflect.Type]*E, id uint8, sample any, e *E) {
 	t := reflect.TypeOf(sample)
-	if _, dup := c.procByID[id]; dup {
-		panic(fmt.Sprintf("wire: procedure id %d registered twice", id))
+	if byID[id] != nil || byType[t] != nil {
+		panic(fmt.Sprintf("wire: id %d or type %v registered twice", id, t))
 	}
-	if _, dup := c.procByType[t]; dup {
-		panic(fmt.Sprintf("wire: procedure type %v registered twice", t))
-	}
-	e := &procEntry{id: id, enc: enc, dec: dec}
-	c.procByID[id] = e
-	c.procByType[t] = e
+	byID[id], byType[t] = e, e
 }
 
 // Append encodes m as [type id][body], appending to b.
@@ -124,11 +114,6 @@ func (c *Codec) Decode(b []byte) (transport.Message, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after message id %d", ErrCorrupt, len(rest), b[0])
 	}
 	return m, nil
-}
-
-// Knows reports whether m's concrete type has a registered codec.
-func (c *Codec) Knows(m transport.Message) bool {
-	return c.msgByType[reflect.TypeOf(m)] != nil
 }
 
 // ---- transaction requests ----

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -16,10 +17,27 @@ import (
 // half, so that half alone costs 9 bytes as a uvarint.
 func historyKey(hi, lo uint64) storage.Key { return storage.K2(1<<62|hi, lo) }
 
+// sparseRow draws a row of n bytes of which about zeroPct in a hundred
+// are zero, the rest random and non-zero (nil for no bytes, as an empty
+// row decodes).
+func sparseRow(rng *rand.Rand, n, zeroPct int) []byte {
+	if n == 0 {
+		return nil
+	}
+	row := make([]byte, n)
+	for i := range row {
+		if rng.Intn(100) >= zeroPct {
+			row[i] = byte(1 + rng.Intn(255))
+		}
+	}
+	return row
+}
+
 // randomEnvelope draws a batch that mixes everything the codec has a case
-// for: op, value and tombstone entries, runs and changes of table and
-// partition, same-transaction, forward and backward TID steps (and, at
-// Epoch 0, arbitrary TIDs), small keys, 9-byte halves and raw-escape keys.
+// for: op, value and tombstone entries, rows of random bytes and rows
+// that are mostly zeros, runs and changes of table and partition,
+// same-transaction, forward and backward TID steps (and, at Epoch 0,
+// arbitrary TIDs), small keys, 9-byte halves and raw-escape keys.
 func randomEnvelope(rng *rand.Rand) *replication.Batch {
 	b := &replication.Batch{From: rng.Intn(8), Epoch: uint64(rng.Intn(3)) * uint64(rng.Intn(1<<20))}
 	var (
@@ -57,9 +75,11 @@ func randomEnvelope(rng *rand.Rand) *replication.Batch {
 		switch rng.Intn(5) {
 		case 0:
 			e.Absent = true
-		case 1, 2:
+		case 1:
 			e.Row = make([]byte, 1+rng.Intn(300))
 			rng.Read(e.Row)
+		case 2:
+			e.Row = sparseRow(rng, 1+rng.Intn(700), rng.Intn(101))
 		default:
 			e.Ops = make([]storage.FieldOp, rng.Intn(4))
 			for j := range e.Ops {
@@ -71,34 +91,119 @@ func randomEnvelope(rng *rand.Rand) *replication.Batch {
 	return b
 }
 
-// TestEnvelopePropertyRoundTrip: whatever the mix, DecodeBatch inverts
-// AppendBatch, BatchLen is the encoded length, and each entry also round
-// trips standalone (the first-entry case of the same routine) at EntryLen.
+// checkEnvelope holds one envelope to the codec's contract: DecodeBatch
+// inverts AppendBatch, BatchLen is the encoded length, and an EntrySizer
+// walking the entries agrees with the encoder on every one of them —
+// never pricing a payload above its raw form, since a row goes packed
+// only when that is strictly shorter.
+func checkEnvelope(t *testing.T, what string, b *replication.Batch) {
+	t.Helper()
+	enc := AppendBatch(nil, b)
+	if len(enc) != BatchLen(b) {
+		t.Fatalf("%s: BatchLen=%d encoded=%d", what, BatchLen(b), len(enc))
+	}
+	got, err := DecodeBatch(enc)
+	if err != nil {
+		t.Fatalf("%s: decode: %v", what, err)
+	}
+	if !reflect.DeepEqual(got, b) {
+		t.Fatalf("%s: round trip changed the batch:\n got %+v\nwant %+v", what, got, b)
+	}
+	var s EntrySizer
+	s.Reset(b.Epoch)
+	prefix := AppendBatch(nil, &replication.Batch{From: b.From, Epoch: b.Epoch, Entries: b.Entries[:0]})
+	sized := len(AppendUvarint(prefix[:len(prefix)-1], uint64(len(b.Entries))))
+	for i := range b.Entries {
+		e := &b.Entries[i]
+		header, payload, raw := s.Next(e)
+		if payload > raw || header > MaxEntryHeaderLen || (e.IsOp() || e.Absent) && payload != raw {
+			t.Fatalf("%s entry %d: header %d payload %d raw %d", what, i, header, payload, raw)
+		}
+		sized += header + payload
+		if upTo := AppendBatch(nil, &replication.Batch{From: b.From, Epoch: b.Epoch, Entries: b.Entries[:i+1]}); len(upTo) != sized {
+			t.Fatalf("%s entry %d: sizer says the envelope is %d bytes so far, encoder wrote %d", what, i, sized, len(upTo))
+		}
+	}
+}
+
+// TestEnvelopePropertyRoundTrip: whatever the mix, the envelope holds to
+// checkEnvelope's contract.
 func TestEnvelopePropertyRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for round := 0; round < 500; round++ {
-		b := randomEnvelope(rng)
-		enc := AppendBatch(nil, b)
-		if len(enc) != BatchLen(b) {
-			t.Fatalf("round %d: BatchLen=%d encoded=%d", round, BatchLen(b), len(enc))
-		}
-		got, err := DecodeBatch(enc)
-		if err != nil {
-			t.Fatalf("round %d: decode: %v", round, err)
-		}
-		if !reflect.DeepEqual(got, b) {
-			t.Fatalf("round %d: round trip changed the batch:\n got %+v\nwant %+v", round, got, b)
-		}
-		for i := range b.Entries {
-			e := &b.Entries[i]
-			one := AppendEntry(nil, e)
-			if len(one) != EntryLen(e) {
-				t.Fatalf("round %d entry %d: EntryLen=%d encoded=%d", round, i, EntryLen(e), len(one))
+		checkEnvelope(t, fmt.Sprintf("round %d", round), randomEnvelope(rng))
+	}
+}
+
+// packedEntry is one value entry whose payload is written by hand: an
+// Epoch-0 envelope of one entry for table 0, partition 0, key (1,1), TID 0.
+func packedEntry(flags byte, payload ...byte) []byte {
+	return append([]byte{0, 0, 1, flags | flagSamePart, 1, 1, 0}, payload...)
+}
+
+// TestRowPackPropertyRoundTrip: over every length class (multiples of 8
+// and not, 0 to 4 096) and zero density (none to all), a row survives
+// the wire, takes the packed form exactly when that is strictly shorter,
+// and then costs a mask byte per word plus its non-zero bytes.
+func TestRowPackPropertyRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	lengths := []int{0, 1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 683, 4095, 4096}
+	for i := 0; i < 200; i++ {
+		lengths = append(lengths, rng.Intn(4097))
+	}
+	for _, n := range lengths {
+		for _, zeroPct := range []int{0, 5, 10, 13, 25, 50, 63, 90, 99, 100} {
+			row := sparseRow(rng, n, zeroPct)
+			nonZero := n - bytes.Count(row, []byte{0})
+			b := &replication.Batch{Entries: []replication.Entry{{Key: storage.K2(1, 1), Row: row}}}
+			checkEnvelope(t, fmt.Sprintf("%d bytes, %d non-zero", n, nonZero), b)
+			enc := AppendBatch(nil, b)
+			rawLen, packLen := len(packedEntry(0))+BytesLen(row), len(packedEntry(0))+UvarintLen(uint64(n))+(n+7)/8+nonZero
+			want, wantFlag := rawLen, byte(0)
+			if packLen < rawLen {
+				want, wantFlag = packLen, flagPacked
 			}
-			back, rest, err := DecodeEntry(one)
-			if err != nil || len(rest) != 0 || !reflect.DeepEqual(&back, e) {
-				t.Fatalf("round %d entry %d standalone: err=%v rest=%d\n got %+v\nwant %+v", round, i, err, len(rest), back, *e)
+			if len(enc) != want || enc[3]&flagPacked != wantFlag {
+				t.Fatalf("%d bytes, %d non-zero: %d bytes on the wire with flags %#x; raw is %d, packed %d", n, nonZero, len(enc), enc[3], rawLen, packLen)
 			}
+		}
+	}
+}
+
+// TestDecodeBatchRejectsIllFormedPackedRows: a packed row decodes only in
+// the one form the encoder produces.
+func TestDecodeBatchRejectsIllFormedPackedRows(t *testing.T) {
+	good := packedEntry(flagPacked, 16, 0b1, 7, 0)
+	b, err := DecodeBatch(good)
+	if want := append([]byte{7}, make([]byte, 15)...); err != nil || !bytes.Equal(b.Entries[0].Row, want) {
+		t.Fatalf("hand-packed row: %v, row %x", err, b.Entries[0].Row)
+	}
+	if re := AppendBatch(nil, b); !bytes.Equal(re, good) {
+		t.Fatalf("hand-packed row re-encodes to %x, was %x", re, good)
+	}
+	tooLong := AppendUvarint(nil, storage.MaxRowSize+1)
+	for _, c := range []struct {
+		name string
+		enc  []byte
+		want error
+	}{
+		{"mask bit past the declared end", packedEntry(flagPacked, 12, 0b1, 7, 0b10000, 9), ErrCorrupt},
+		{"last group missing", packedEntry(flagPacked, 16, 0b1, 7), ErrTruncated},
+		{"last group cut short", packedEntry(flagPacked, 16, 0b1, 7, 0b11, 5), ErrTruncated},
+		{"length beyond MaxRowSize", packedEntry(flagPacked, append(tooLong, make([]byte, 9000)...)...), ErrCorrupt},
+		{"length the frame cannot back", packedEntry(flagPacked, 0xff, 0xff, 0x03, 0, 0), ErrTruncated},
+		{"packed operation entry", packedEntry(flagPacked|flagOp, 16, 0b1, 7, 0), ErrCorrupt},
+		{"packed tombstone", packedEntry(flagPacked|flagAbsent, 16, 0b1, 7, 0), ErrCorrupt},
+		{"packed no shorter than raw", packedEntry(flagPacked, 8, 0xff, 1, 2, 3, 4, 5, 6, 7, 8), ErrCorrupt},
+		{"packed as long as raw", packedEntry(flagPacked, 2, 0b1, 5), ErrCorrupt},
+		{"empty packed row", packedEntry(flagPacked, 0), ErrCorrupt},
+		{"named byte that is zero", packedEntry(flagPacked, 16, 0b1, 0, 0), ErrCorrupt},
+		{"flag bit 5", packedEntry(1<<5, 1, 'r'), ErrCorrupt},
+		{"flag bit 6", packedEntry(1<<6, 1, 'r'), ErrCorrupt},
+		{"flag bit 7", packedEntry(1<<7, 1, 'r'), ErrCorrupt},
+	} {
+		if _, err := DecodeBatch(c.enc); !errors.Is(err, c.want) {
+			t.Errorf("%s: %v, want %v", c.name, err, c.want)
 		}
 	}
 }
@@ -132,22 +237,29 @@ func TestEnvelopeByteBudget(t *testing.T) {
 	}
 
 	// A value entry after the first costs its row plus at most 10 bytes:
-	// a YCSB row (120 B) and a TPC-C stock row (110 B, two-part key), each
-	// following an entry of the transaction before.
+	// a YCSB row (120 B of random text: it does not pack) and a TPC-C
+	// stock row (110 B, two-part key) before packing, each following an
+	// entry of the transaction before. The YCSB entry to the byte: flags
+	// 1, key 4, TID 1, length 1, row 120.
+	rng := rand.New(rand.NewSource(2))
 	for _, c := range []struct {
 		name string
 		key  storage.Key
-		row  int
-	}{{"ycsb", storage.K1(654321), 120}, {"stock", storage.K2(7, 99999), 110}} {
+		row  []byte
+		want int
+	}{{"ycsb", storage.K1(654321), sparseRow(rng, 120, 8), 127}, {"stock", storage.K2(7, 99999), make([]byte, 110), 0}} {
 		var s EntrySizer
 		s.Reset(12)
-		first := replication.Entry{Table: 4, Part: 7, Key: c.key, TID: storage.MakeTID(12, 900), Row: make([]byte, c.row)}
+		first := replication.Entry{Table: 4, Part: 7, Key: c.key, TID: storage.MakeTID(12, 900), Row: c.row}
 		s.Next(&first)
 		next := first
 		next.TID = storage.MakeTID(12, 901)
-		header, payload := s.Next(&next)
-		if over := header + payload - c.row; over > 10 {
-			t.Errorf("%s value entry costs %d bytes over its %d-byte row, budget 10", c.name, over, c.row)
+		header, payload, raw := s.Next(&next)
+		if over := header + raw - len(c.row); over > 10 {
+			t.Errorf("%s value entry costs %d bytes over its %d-byte row, budget 10", c.name, over, len(c.row))
+		}
+		if c.want != 0 && header+payload != c.want {
+			t.Errorf("%s value entry costs %d bytes, pinned at %d", c.name, header+payload, c.want)
 		}
 	}
 
@@ -156,12 +268,12 @@ func TestEnvelopeByteBudget(t *testing.T) {
 	// 27–31 every entry paid when all of it was fixed-width.
 	worst := replication.Entry{Table: 255, Part: -1, Key: storage.Key{Hi: ^uint64(0), Lo: ^uint64(0)}, TID: 1 << 63}
 	var s EntrySizer
-	if header, _ := s.Next(&worst); header != MaxEntryHeaderLen || MaxEntryHeaderLen != 33 {
+	if header, _, _ := s.Next(&worst); header != MaxEntryHeaderLen || MaxEntryHeaderLen != 33 {
 		t.Errorf("worst-case header is %d bytes, MaxEntryHeaderLen %d, stated 33", header, MaxEntryHeaderLen)
 	}
 	// The smallest entry is MinEntryLen, the bound decoders divide by.
-	if got := EntryLen(&replication.Entry{Absent: true}); got != MinEntryLen {
-		t.Errorf("smallest entry is %d bytes, MinEntryLen %d", got, MinEntryLen)
+	if header, payload, _ := new(EntrySizer).Next(&replication.Entry{Absent: true}); header+payload != MinEntryLen {
+		t.Errorf("smallest entry is %d bytes, MinEntryLen %d", header+payload, MinEntryLen)
 	}
 }
 
@@ -174,6 +286,30 @@ func lyingBatch(size int) []byte {
 	enc := AppendUvarint(two[:2:2], uint64(size/MinEntryLen))
 	enc = append(enc, two[3:]...)
 	return append(enc, bytes.Repeat([]byte{0xff}, size)...)
+}
+
+// TestDecodeBatchBoundsRowExpansion: the most a frame can make the decoder
+// allocate for rows is 8× its size — here the worst case itself, 256 KiB
+// of all-zero rows of the largest legal width, a mask byte per 8 bytes.
+func TestDecodeBatchBoundsRowExpansion(t *testing.T) {
+	b := &replication.Batch{Entries: make([]replication.Entry, 32)}
+	for i := range b.Entries {
+		b.Entries[i] = replication.Entry{Key: storage.K1(uint64(i)), Row: make([]byte, storage.MaxRowSize)}
+	}
+	enc := AppendBatch(nil, b)
+	if len(enc) < 256<<10 || len(enc) > 260<<10 {
+		t.Fatalf("worst-case frame is %d bytes, want about 256 KiB", len(enc))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := DecodeBatch(enc)
+	runtime.ReadMemStats(&after)
+	if err != nil || !reflect.DeepEqual(got, b) {
+		t.Fatalf("worst-case frame: err %v", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(8*len(enc)+256<<10) {
+		t.Fatalf("a %d-byte frame made the decoder allocate %d bytes, bound 8× + 256 KiB", len(enc), alloc)
+	}
 }
 
 // TestDecodeBatchBoundsEntryCount: an entry count the buffer cannot hold

@@ -28,7 +28,7 @@ import (
 // The per-write path does not come through here: replication entries
 // and envelopes (entry.go), frames (frame.go) and the request header
 // (Codec.AppendRequest) are coded by hand against their context, and a
-// walk reaches them through Entry, Batch and Request.
+// walk reaches them through Batch and Request.
 type Fields struct {
 	pass pass
 	b    []byte // encoding: the output so far; decoding: the input left
@@ -96,13 +96,6 @@ func (f *Fields) I64(v *int64) {
 func (f *Fields) Int(v *int) {
 	if x := f.varint(int64(*v)); f.pass == decoding {
 		*v = int(x)
-	}
-}
-
-// I32 walks an int32 as a zig-zag varint.
-func (f *Fields) I32(v *int32) {
-	if x := f.varint(int64(*v)); f.pass == decoding {
-		*v = int32(x)
 	}
 }
 
@@ -310,20 +303,6 @@ func (f *Fields) FieldOp(op *storage.FieldOp) {
 	default:
 		if f.err == nil {
 			*op, f.b, f.err = DecodeFieldOp(f.b)
-		}
-	}
-}
-
-// Entry walks one standalone replication entry.
-func (f *Fields) Entry(e *replication.Entry) {
-	switch f.pass {
-	case encoding:
-		f.b = AppendEntry(f.b, e)
-	case sizing:
-		f.n += EntryLen(e)
-	default:
-		if f.err == nil {
-			*e, f.b, f.err = DecodeEntry(f.b)
 		}
 	}
 }

@@ -182,6 +182,19 @@ func FuzzBatchDecode(f *testing.F) {
 		one(7, replication.Entry{Key: storage.K1(1), TID: storage.MakeTID(7, 1) | storage.TIDAbsentBit, Absent: true}),
 		// A count the buffer could hold, with two entries behind it.
 		lyingBatch(2 << 10),
+		// Packed rows: mostly zeros with a partial last word, all zeros,
+		// and one non-zero byte per word — next to a row that stays raw.
+		one(7, replication.Entry{Key: storage.K1(1), TID: storage.MakeTID(7, 1), Row: append(make([]byte, 41), 3, 0, 0, 9)},
+			replication.Entry{Key: storage.K1(2), TID: storage.MakeTID(7, 1), Row: make([]byte, 64)},
+			replication.Entry{Key: storage.K1(3), TID: storage.MakeTID(7, 2), Row: bytes.Repeat([]byte{0, 0, 0, 1, 0, 0, 0, 0}, 5)},
+			replication.Entry{Key: storage.K1(4), TID: storage.MakeTID(7, 3), Row: row}),
+		// A packed row written by hand, and what must not decode: a tiny
+		// frame declaring a row of MaxRowSize, a mask naming a byte past
+		// the end, and a packed form no shorter than the row.
+		packedEntry(flagPacked, 16, 0b1, 7, 0),
+		packedEntry(flagPacked, 0xff, 0xff, 0x03, 0, 0),
+		packedEntry(flagPacked, 12, 0b1, 7, 0b10000, 9),
+		packedEntry(flagPacked, 8, 0xff, 1, 2, 3, 4, 5, 6, 7, 8),
 	}
 	for i, s := range seeds {
 		corpusSeed(f, "FuzzBatchDecode", i, s)

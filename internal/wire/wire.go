@@ -10,11 +10,11 @@
 //   - Append-style encoders: every encoder appends to a caller-supplied
 //     buffer and returns it, so a sender can build a frame with one
 //     amortised allocation.
-//   - Arena-friendly decoders: decoded byte payloads (row images, field
-//     op arguments) alias the input buffer instead of copying. A frame's
-//     buffer must therefore outlive the decoded message — tcpnet reads
-//     each frame into its own buffer and lets the GC collect it with the
-//     message.
+//   - Arena-friendly decoders: decoded byte payloads (field op arguments,
+//     row images bar the zero-packed) alias the input buffer instead of
+//     copying. A frame's buffer must therefore outlive the decoded
+//     message — tcpnet reads each frame into its own buffer and lets the
+//     GC collect it with the message.
 //   - Decoders never panic on malformed input: every length is checked
 //     against the remaining buffer and errors propagate up, so a corrupt
 //     or truncated frame is rejected, not a crash.
@@ -24,7 +24,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 
 	"star/internal/storage"
@@ -153,19 +152,6 @@ func Key(b []byte) (storage.Key, []byte, error) {
 		Hi: binary.LittleEndian.Uint64(b),
 		Lo: binary.LittleEndian.Uint64(b[8:]),
 	}, b[KeyLen:], nil
-}
-
-// ---- floats ----
-
-// AppendF64 appends v as its 8-byte IEEE-754 bit pattern.
-func AppendF64(b []byte, v float64) []byte {
-	return AppendU64(b, math.Float64bits(v))
-}
-
-// F64 consumes an 8-byte float.
-func F64(b []byte) (float64, []byte, error) {
-	u, rest, err := U64(b)
-	return math.Float64frombits(u), rest, err
 }
 
 // ---- bool ----

@@ -95,20 +95,24 @@ func sampleEntries() []replication.Entry {
 	}
 }
 
+// TestEntryRoundTrip: each kind of entry alone in an Epoch-0 envelope —
+// the first-entry case, coded against the zero context.
 func TestEntryRoundTrip(t *testing.T) {
 	for i, e := range sampleEntries() {
-		enc := AppendEntry(nil, &e)
-		if len(enc) != EntryLen(&e) {
-			t.Fatalf("entry %d: EntryLen=%d encoded=%d", i, EntryLen(&e), len(enc))
+		b := &replication.Batch{Entries: []replication.Entry{e}}
+		enc := AppendBatch(nil, b)
+		var s EntrySizer
+		if header, payload, _ := s.Next(&e); len(enc) != 3+header+payload {
+			t.Fatalf("entry %d: sized %d+%d, encoded %d behind a 3-byte envelope header", i, header, payload, len(enc))
 		}
-		got, rest, err := DecodeEntry(enc)
-		if err != nil || len(rest) != 0 {
-			t.Fatalf("entry %d decode: err=%v rest=%d", i, err, len(rest))
+		got, err := DecodeBatch(enc)
+		if err != nil {
+			t.Fatalf("entry %d decode: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, e) {
-			t.Fatalf("entry %d round trip:\n got %+v\nwant %+v", i, got, e)
+		if !reflect.DeepEqual(got, b) {
+			t.Fatalf("entry %d round trip:\n got %+v\nwant %+v", i, got.Entries[0], e)
 		}
-		if got.IsOp() != e.IsOp() {
+		if got.Entries[0].IsOp() != e.IsOp() {
 			t.Fatalf("entry %d: IsOp changed across the wire", i)
 		}
 	}

@@ -269,9 +269,6 @@ func (w *Workload) Name() string { return "tpcc" }
 // Config returns the effective configuration.
 func (w *Workload) Config() Config { return w.cfg }
 
-// CustomerSchema exposes the customer schema (examples print from it).
-func (w *Workload) CustomerSchema() *storage.Schema { return w.customer }
-
 // ---- key packing ----
 // Partition index == warehouse id (0-based).
 
