@@ -429,7 +429,7 @@ func (cn *calvinNode) workerLoop(_ int) {
 		if err == nil {
 			for _, en := range replication.OpEntries(&set, tid) {
 				if e.cfg.MasterOf(int(en.Part)) == cn.id {
-					e.applyCalvinEntry(cn.id, &en, ct.batchNo, tid)
+					landEntry(e.nodes[cn.id].db, &en, ct.batchNo, tid, true)
 				}
 			}
 		}
@@ -522,46 +522,6 @@ func (cn *calvinNode) releaseLocks(ct *calvinTxn) {
 		if len(ns) > 0 {
 			cn.lms[shard].Send(lmRelease{det: ct.det, names: ns})
 		}
-	}
-}
-
-func (e *Calvin) applyCalvinEntry(node int, en *replication.Entry, epoch, tid uint64) {
-	n := e.nodes[node]
-	tbl := n.db.Table(en.Table)
-	part := tbl.Partition(int(en.Part))
-	rec := part.GetOrCreate(en.Key, epoch)
-	wasAbsent := storage.TIDAbsent(rec.TID())
-	rec.Lock()
-	if en.Absent && !en.IsOp() {
-		var prior []byte
-		if !wasAbsent && tbl.NumIndexes() > 0 {
-			prior = append(prior, rec.ValueLocked()...)
-		}
-		if rec.DeleteLocked(epoch, tid) {
-			part.MarkDirty(rec, epoch)
-		}
-		rec.UnlockWithTID(storage.TIDClean(tid) | storage.TIDAbsentBit)
-		if !wasAbsent {
-			tbl.NoteDeleted(int(en.Part), en.Key, prior, epoch)
-		}
-		return
-	}
-	var first bool
-	if en.IsOp() {
-		first, _ = rec.ApplyOpsLocked(tbl.Schema(), epoch, tid, en.Ops)
-	} else {
-		first = rec.WriteLocked(epoch, tid, en.Row)
-	}
-	if first {
-		part.MarkDirty(rec, epoch)
-	}
-	var row []byte
-	if wasAbsent && tbl.NumIndexes() > 0 {
-		row = append(row, rec.ValueLocked()...)
-	}
-	rec.UnlockWithTID(storage.TIDClean(tid))
-	if wasAbsent {
-		tbl.NoteInserted(int(en.Part), en.Key, row, epoch)
 	}
 }
 

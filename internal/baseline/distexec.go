@@ -133,17 +133,8 @@ func (e *Dist) doCommitAsync(node int, p *commitPayload) {
 		}
 		return
 	}
-	epoch := storage.TIDEpoch(p.TID)
 	backup := e.cfg.BackupOf(int(p.Entries[0].Part))
-	ents := make([]replication.Entry, 0, len(p.Entries))
-	for idx := range p.Entries {
-		en := &p.Entries[idx]
-		rec := e.applyEntry(node, en, epoch, p.TID)
-		row, _, present := rec.ReadStable(nil)
-		ents = append(ents, replication.Entry{
-			Table: en.Table, Part: en.Part, Key: en.Key, TID: p.TID, Row: row, Absent: !present,
-		})
-	}
+	ents := e.landAll(node, p)
 	for _, nm := range p.Release {
 		e.locks[node].Unlock(nm, p.Owner)
 	}
@@ -153,51 +144,34 @@ func (e *Dist) doCommitAsync(node int, p *commitPayload) {
 	}
 }
 
-// applyEntry installs one write on the participant's primary copy.
-// For OCC the record latch is already held (from doLockValidate) and is
-// released with the new TID here; S2PL latches briefly (its isolation
-// comes from the lock table).
-func (e *Dist) applyEntry(node int, en *replication.Entry, epoch, tid uint64) *storage.Record {
-	n := e.nodes[node]
-	tbl := n.db.Table(en.Table)
-	part := tbl.Partition(int(en.Part))
-	rec := part.GetOrCreate(en.Key, epoch)
-	wasAbsent := storage.TIDAbsent(rec.TID())
-	if e.proto == DistS2PL {
+// landAll lands a commit's writes on the participant's primary copy and
+// returns their post-images, the value entries its backup is sent. For
+// OCC the record latches are already held (from doLockValidate); S2PL
+// latches briefly (its isolation comes from the lock table).
+func (e *Dist) landAll(node int, p *commitPayload) []replication.Entry {
+	epoch := storage.TIDEpoch(p.TID)
+	ents := make([]replication.Entry, 0, len(p.Entries))
+	for idx := range p.Entries {
+		en := &p.Entries[idx]
+		rec := landEntry(e.nodes[node].db, en, epoch, p.TID, e.proto == DistS2PL)
+		row, _, present := rec.ReadStable(nil)
+		ents = append(ents, replication.Entry{Table: en.Table, Part: en.Part, Key: en.Key, TID: p.TID, Row: row, Absent: !present})
+	}
+	return ents
+}
+
+// landEntry lands one committed write on a primary copy and releases the
+// record latch, which it takes first when lock is set and which the
+// caller already holds otherwise.
+func landEntry(db *storage.DB, en *replication.Entry, epoch, tid uint64, lock bool) *storage.Record {
+	tbl := db.Table(en.Table)
+	rec := tbl.Partition(int(en.Part)).GetOrCreate(en.Key, epoch)
+	if lock {
 		rec.Lock()
 	}
-	if en.Absent && !en.IsOp() {
-		// Delete entry: capture the pre-delete row for index maintenance,
-		// then tombstone. The absent bit must survive the unlock.
-		var prior []byte
-		if !wasAbsent && tbl.NumIndexes() > 0 {
-			prior = append(prior, rec.ValueLocked()...)
-		}
-		if rec.DeleteLocked(epoch, tid) {
-			part.MarkDirty(rec, epoch)
-		}
-		rec.UnlockWithTID(storage.TIDClean(tid) | storage.TIDAbsentBit)
-		if !wasAbsent {
-			tbl.NoteDeleted(int(en.Part), en.Key, prior, epoch)
-		}
-		return rec
-	}
-	var first bool
-	if en.IsOp() {
-		first, _ = rec.ApplyOpsLocked(tbl.Schema(), epoch, tid, en.Ops)
-	} else {
-		first = rec.WriteLocked(epoch, tid, en.Row)
-	}
-	if first {
-		part.MarkDirty(rec, epoch)
-	}
-	var inserted []byte
-	if wasAbsent && tbl.NumIndexes() > 0 {
-		inserted = append(inserted, rec.ValueLocked()...)
-	}
-	rec.UnlockWithTID(storage.TIDClean(tid))
-	if wasAbsent {
-		tbl.NoteInserted(int(en.Part), en.Key, inserted, epoch)
+	defer rec.Unlock()
+	if _, err := tbl.Land(int(en.Part), en.Key, rec, epoch, tid, en.Write()); err != nil {
+		panic("baseline: " + err.Error())
 	}
 	return rec
 }
@@ -465,27 +439,16 @@ func (e *Dist) commitLocal(node, wi int, port *rpcPort, p *commitPayload) {
 		return
 	}
 	n := e.nodes[node]
-	epoch := storage.TIDEpoch(p.TID)
 	backup := e.cfg.BackupOf(int(p.Entries[0].Part))
-	ents := make([]replication.Entry, 0, len(p.Entries))
-	recs := make([]*storage.Record, 0, len(p.Entries))
-	for idx := range p.Entries {
-		en := &p.Entries[idx]
-		rec := e.applyEntry(node, en, epoch, p.TID)
-		recs = append(recs, rec)
-		row, _, present := rec.ReadStable(nil)
-		ents = append(ents, replication.Entry{Table: en.Table, Part: en.Part, Key: en.Key, TID: p.TID, Row: row, Absent: !present})
-	}
+	ents := e.landAll(node, p)
 	if backup != node {
 		n.tracker.AddSent(backup, int64(len(ents)))
-		resp := port.call(e.net, node, backup, wi, rpcCommitWrites,
+		port.call(e.net, node, backup, wi, rpcCommitWrites,
 			wire.Marshal(&commitPayload{TID: p.TID, Entries: ents}, commitPayloadFields))
-		_ = resp
 	}
 	for _, nm := range p.Release {
 		e.locks[node].Unlock(nm, p.Owner)
 	}
-	_ = recs
 }
 
 func (e *Dist) runS2PL(node, wi int, req *txn.Request) {

@@ -272,15 +272,8 @@ func (e *Dist) serve(i int, m *rpcReq, pending map[uint64]*pendingSync, syncSeq 
 		}
 		// Synchronous: apply, forward rows to the backup, and defer the
 		// reply (and S2PL lock release) until the backup acks.
-		epoch := storage.TIDEpoch(p.TID)
 		backup := e.cfg.BackupOf(int(p.Entries[0].Part))
-		ents := make([]replication.Entry, 0, len(p.Entries))
-		for idx := range p.Entries {
-			en := &p.Entries[idx]
-			rec := e.applyEntry(i, en, epoch, p.TID)
-			row, _, _ := rec.ReadStable(nil)
-			ents = append(ents, replication.Entry{Table: en.Table, Part: en.Part, Key: en.Key, TID: p.TID, Row: row})
-		}
+		ents := e.landAll(i, p)
 		if backup == i {
 			for _, nm := range p.Release {
 				e.locks[i].Unlock(nm, p.Owner)

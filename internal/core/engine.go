@@ -284,13 +284,15 @@ func (e *Engine) start() {
 			continue
 		}
 		n := n
-		e.cfg.RT.Go(fmt.Sprintf("star-node-%d", n.id), n.routerLoop)
 		// Parallel replication replay, one applier per worker thread
 		// (SiloR-style parallel value replay, §8 Recoverable Systems).
+		// Their queues exist before the router runs: a peer that started
+		// first may already have an envelope waiting for applyBatch.
 		for a := 0; a < e.cfg.WorkersPerNode; a++ {
-			a := a
-			ch := e.cfg.RT.NewChan(1 << 14)
-			n.appliers = append(n.appliers, ch)
+			n.appliers = append(n.appliers, e.cfg.RT.NewChan(1<<14))
+		}
+		e.cfg.RT.Go(fmt.Sprintf("star-node-%d", n.id), n.routerLoop)
+		for a, ch := range n.appliers {
 			e.cfg.RT.Go(fmt.Sprintf("star-applier-%d-%d", n.id, a), func() { n.applierLoop(a, ch) })
 		}
 		for _, w := range n.workers {

@@ -217,9 +217,10 @@ func (n *node) handle(m any) {
 		n.applyBatch(msg)
 	case syncBatch:
 		r.Compute(CostMsgHandling)
-		// Synchronous replication: the ack may only be sent after the
-		// entries are durably applied, so bypass the async appliers.
-		n.applyEntries(&applier{}, msg.Batch.From, n.batchEpoch(msg.Batch), msg.Batch.Entries)
+		// Synchronous replication: the ack may only leave once the entries
+		// are applied and logged, so the router applies them itself, into
+		// the log it owns (applyEntries flushes it).
+		n.applyEntries(&applier{lg: n.routerLog}, msg.Batch.From, n.batchEpoch(msg.Batch), msg.Batch.Entries)
 		n.e.net.Send(n.id, msg.ReplyTo, transport.Control, msgReplAck{Worker: msg.Worker, Seq: msg.Seq})
 	case msgStartPhase:
 		n.startPhase(msg)
@@ -550,10 +551,6 @@ func (n *node) wakeRouter() { n.inbox().TrySend(fenceWake{}) }
 func (n *node) applyBatch(b *msgReplBatch) {
 	epoch := n.batchEpoch(b)
 	shards := len(n.appliers)
-	if shards == 0 {
-		n.applyEntries(&applier{}, b.From, epoch, b.Entries)
-		return
-	}
 	if shards == 1 {
 		// One applier: the envelope's own slice goes through as is.
 		n.appliers[0].Send(applierBatch{from: b.From, epoch: epoch, entries: b.Entries})
@@ -721,26 +718,12 @@ func (n *node) applySnapshot(m *msgSnapshot) {
 		return
 	}
 	epoch := n.epoch.Load()
+	// Catch-up rows land like replicated ones — registered for revert, so
+	// an abandoned catch-up (a lost snapshot frame, a re-crash) is undone
+	// whole by the next attempt's wildcard revert, and indexed, so the
+	// entries that revert tombstoned come back with their rows.
 	for i, key := range m.Keys {
-		rec := part.GetOrCreate(key, epoch)
-		_, first, inserted, _ := rec.ApplyValueThomas(epoch, m.TIDs[i], m.Rows[i], false)
-		if first {
-			// Catch-up writes must be registered for revert exactly like
-			// replication applies: if THIS catch-up is abandoned (a lost
-			// snapshot frame, a re-crash) the next attempt starts with a
-			// wildcard revert, and an unregistered row would survive it
-			// with the donor's TID while its secondary-index entries (pend-
-			// tracked) are tombstoned — the retried snapshot then loses the
-			// Thomas race against the leftover row and never revives the
-			// index entries, leaving the replica permanently diverged.
-			part.MarkDirty(rec, epoch)
-		}
-		if inserted {
-			// Snapshot catch-up restores secondary-index entries along
-			// with the rows they cover (the rejoin wildcard revert
-			// tombstoned the victim's own uncommitted entries).
-			tbl.NoteInserted(m.Part, key, m.Rows[i], epoch)
-		}
+		_, _ = tbl.LandThomas(m.Part, key, epoch, m.TIDs[i], storage.Write{Kind: storage.WriteRow, Row: m.Rows[i]}) // only field ops can be refused
 	}
 	// The rows themselves applied idempotently above (Thomas write rule);
 	// only the first copy of a (table, partition) snapshot advances the

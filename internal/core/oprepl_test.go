@@ -55,6 +55,13 @@ func newOpReplHarness(t *testing.T) (master *worker, replica *node) {
 	return e.nodes[0].workers[0], e.nodes[1]
 }
 
+// applyNow plays one of n's appliers on the calling goroutine: the
+// harness's nodes are unstarted, so no applier loop is there to take the
+// envelope from the router.
+func applyNow(n *node, b *msgReplBatch) {
+	n.applyEntries(&applier{}, b.From, n.batchEpoch(b), b.Entries)
+}
+
 // singlePartitionTxns draws n single-partition update transactions for
 // the worker's partition.
 func singlePartitionTxns(w *worker, n int) []*txn.Request {
@@ -127,7 +134,7 @@ func TestOpReplicationRevertAndRetryAppliesDeltasOnce(t *testing.T) {
 	}
 	// The failure: the replica applied the first half of the stream.
 	for _, b := range batches[:len(batches)/2] {
-		replica.handle(b)
+		applyNow(replica, b)
 	}
 	if sum(replica) == base {
 		t.Fatal("half an epoch applied and the replica's checksum did not move")
@@ -142,7 +149,7 @@ func TestOpReplicationRevertAndRetryAppliesDeltasOnce(t *testing.T) {
 	// The retry re-executes the same transactions under fresh TIDs.
 	retried := runEpoch(t, w, replica, 2, reqs)
 	for _, b := range retried {
-		replica.handle(b)
+		applyNow(replica, b)
 	}
 	if sum(master) == base {
 		t.Fatal("the retried epoch changed nothing")
@@ -154,7 +161,7 @@ func TestOpReplicationRevertAndRetryAppliesDeltasOnce(t *testing.T) {
 	// Negative control: a delta applied twice is visible.
 	for _, b := range retried {
 		if _, deltas := countOpEntries([]*msgReplBatch{b}); deltas > 0 {
-			replica.handle(b)
+			applyNow(replica, b)
 			break
 		}
 	}
@@ -227,7 +234,7 @@ func TestOpReplicationMultiShardBatchThroughCodec(t *testing.T) {
 func TestOpReplicationSnapshotReadAtFenceDuringApply(t *testing.T) {
 	w, replica := newOpReplHarness(t)
 	for _, b := range runEpoch(t, w, replica, 2, singlePartitionTxns(w, 20)) {
-		replica.handle(b)
+		applyNow(replica, b)
 	}
 	// Fence: epoch 2 commits on both nodes.
 	for _, n := range []*node{w.n, replica} {
@@ -266,7 +273,7 @@ func TestOpReplicationSnapshotReadAtFenceDuringApply(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for _, b := range batches {
-			replica.handle(b)
+			applyNow(replica, b)
 		}
 	}()
 	sctx := &replica.workers[0].sctx

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -82,10 +83,58 @@ func TestCase4DiskRecovery(t *testing.T) {
 	}
 }
 
-// TestLogFilesCoverEveryWrite checks that the union of a full replica's
-// worker logs (its own commits) and applier logs (replicated commits)
+// TestReplicaLogsRecoverEveryNode rebuilds EVERY node — the full replica
+// and both partial ones — from its own log files alone, under asynchronous
+// and synchronous replication: whatever a node applied it also logged, so
+// each held partition recovers to the live state. (SYNC STAR used to apply
+// single-master batches through an applier without a log: replicas charged
+// log_bytes for those writes and wrote none of them.)
+func TestReplicaLogsRecoverEveryNode(t *testing.T) {
+	for _, syncRepl := range []bool{false, true} {
+		t.Run(fmt.Sprintf("SyncRepl=%v", syncRepl), func(t *testing.T) {
+			s := rt.NewSim()
+			wl := ycsb.New(ycsb.Config{Partitions: 6, RecordsPerPartition: 128, CrossPct: 20})
+			e := New(Config{
+				RT:             s,
+				Nodes:          3,
+				WorkersPerNode: 2,
+				Workload:       wl,
+				Iteration:      2 * time.Millisecond,
+				LogDir:         t.TempDir(),
+				SyncRepl:       syncRepl,
+				Seed:           9,
+			})
+			s.Run(40 * time.Millisecond)
+			e.Freeze()
+			s.Run(s.Now() + 20*time.Millisecond)
+			s.Stop()
+			if err := e.CloseLogs(); err != nil {
+				t.Fatal(err)
+			}
+			if e.Stats().Committed == 0 {
+				t.Fatal("no commits")
+			}
+			for node := 0; node < 3; node++ {
+				holds := e.Topology().HoldsMask(node)
+				recovered := wl.BuildDB(6, holds)
+				wl.Load(recovered)
+				if _, applied, err := wal.Recover(recovered, "", e.LogFiles(node)); err != nil || applied == 0 {
+					t.Fatalf("node %d: applied=%d err=%v", node, applied, err)
+				}
+				for p, held := range holds {
+					if got, want := recovered.PartitionChecksum(p), e.DB(node).PartitionChecksum(p); held && got != want {
+						t.Errorf("node %d partition %d: recovered from its own logs %x != live %x", node, p, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestLogFilesCoverEveryWrite checks that the union of a node's worker
+// logs (its own commits) and applier and router logs (replicated commits)
 // contains an entry for every record the live database holds beyond the
-// initial load.
+// initial load — on the full replica and on a partial one.
 func TestLogFilesCoverEveryWrite(t *testing.T) {
 	dir := t.TempDir()
 	s := rt.NewSim()
@@ -111,42 +160,48 @@ func TestLogFilesCoverEveryWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	logged := map[storage.Key]uint64{}
-	for _, path := range e.LogFiles(0) {
-		entries, err := readAll(path)
-		if err != nil {
-			t.Fatal(err)
+	for node := 0; node < 2; node++ {
+		logged := map[storage.Key]uint64{}
+		for _, path := range e.LogFiles(node) {
+			entries, err := readAll(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, en := range entries {
+				if en.Kind != 1 { // writes only
+					continue
+				}
+				if en.TID > logged[en.Key] {
+					logged[en.Key] = en.TID
+				}
+			}
 		}
-		for _, en := range entries {
-			if en.Kind != 1 { // writes only
-				continue
-			}
-			if en.TID > logged[en.Key] {
-				logged[en.Key] = en.TID
-			}
+		if len(logged) == 0 {
+			t.Fatalf("node %d: no write entries logged", node)
 		}
-	}
-	if len(logged) == 0 {
-		t.Fatal("no write entries logged")
-	}
-	// Every record whose TID is beyond the load epoch must be logged
-	// with exactly that TID.
-	checked := 0
-	for p := 0; p < 4; p++ {
-		e.DB(0).Table(0).Partition(p).Range(func(key storage.Key, tid uint64, val []byte) bool {
-			if storage.TIDEpoch(tid) <= 1 {
-				return true // initial load
+		// Every record whose TID is beyond the load epoch must be logged
+		// with exactly that TID.
+		checked := 0
+		for p := 0; p < 4; p++ {
+			part := e.DB(node).Table(0).Partition(p)
+			if part == nil {
+				continue // a partial replica holds only some
 			}
-			if logged[key] != tid {
-				t.Fatalf("key %v: live TID %s, logged TID %s",
-					key, storage.FormatTID(tid), storage.FormatTID(logged[key]))
-			}
-			checked++
-			return true
-		})
-	}
-	if checked == 0 {
-		t.Fatal("no post-load records to check")
+			part.Range(func(key storage.Key, tid uint64, val []byte) bool {
+				if storage.TIDEpoch(tid) <= 1 {
+					return true // initial load
+				}
+				if logged[key] != tid {
+					t.Fatalf("node %d key %v: live TID %s, logged TID %s",
+						node, key, storage.FormatTID(tid), storage.FormatTID(logged[key]))
+				}
+				checked++
+				return true
+			})
+		}
+		if checked == 0 {
+			t.Fatalf("node %d: no post-load records to check", node)
+		}
 	}
 }
 

@@ -34,22 +34,12 @@ func (g *TIDGen) Next(epoch, maxSeen uint64) uint64 {
 	return tid
 }
 
-// LockAndValidate resolves and locks the write set in global order, then
-// validates the read set (unchanged TIDs, no foreign locks). On failure
-// everything is unlocked and false is returned; the transaction must
-// abort and may retry. epoch buckets any insert placeholders created
-// here for revert.
-func LockAndValidate(db *storage.DB, set *txn.RWSet, epoch uint64) bool {
+// lockWrites resolves and locks the write set in global order. On a
+// conflict (a vanished update target, an insert of a present key)
+// everything is unlocked and false is returned. epoch buckets any insert
+// placeholders created here for revert.
+func lockWrites(db *storage.DB, set *txn.RWSet, epoch uint64) bool {
 	set.SortWrites()
-	locked := 0
-	abort := func() bool {
-		for i := 0; i < locked; i++ {
-			if r := set.Writes[i].Rec; r != nil {
-				r.Unlock()
-			}
-		}
-		return false
-	}
 	for i := range set.Writes {
 		w := &set.Writes[i]
 		tbl := db.Table(w.Table)
@@ -57,28 +47,35 @@ func LockAndValidate(db *storage.DB, set *txn.RWSet, epoch uint64) bool {
 			w.Rec = tbl.Partition(w.Part).GetOrCreate(w.Key, epoch)
 		} else if w.Rec == nil {
 			w.Rec = tbl.Get(w.Part, w.Key)
-			if w.Rec == nil {
-				return abort()
-			}
+		}
+		if w.Rec == nil {
+			releaseLocks(set.Writes[:i])
+			return false
 		}
 		w.Rec.Lock()
-		locked++
-		absent := storage.TIDAbsent(w.Rec.TID())
-		if w.Insert && !absent {
-			return abort() // uniqueness violation
+		if w.Insert != storage.TIDAbsent(w.Rec.TID()) {
+			// Uniqueness violation, or update/delete of a vanished record.
+			releaseLocks(set.Writes[:i+1])
+			return false
 		}
-		if !w.Insert && absent {
-			return abort() // update/delete of a vanished record
-		}
+	}
+	return true
+}
+
+// LockAndValidate is lockWrites plus validation of the read set
+// (unchanged TIDs, no foreign locks). On failure everything is unlocked
+// and false is returned; the transaction must abort and may retry.
+func LockAndValidate(db *storage.DB, set *txn.RWSet, epoch uint64) bool {
+	if !lockWrites(db, set, epoch) {
+		return false
 	}
 	for i := range set.Reads {
 		r := &set.Reads[i]
 		cur := r.Rec.TID()
-		if storage.TIDClean(cur) != storage.TIDClean(r.TID) {
-			return abort()
-		}
-		if storage.TIDLocked(cur) && !inWriteSet(set, r.Rec) {
-			return abort()
+		if storage.TIDClean(cur) != storage.TIDClean(r.TID) ||
+			storage.TIDLocked(cur) && !inWriteSet(set, r.Rec) {
+			ReleaseLocks(set)
+			return false
 		}
 	}
 	return true
@@ -93,54 +90,44 @@ func inWriteSet(set *txn.RWSet, rec *storage.Record) bool {
 	return false
 }
 
+// land installs one write-set entry on its resolved, latched record
+// through the storage layer's one landing routine. With collectRows the
+// entry's Row becomes a copy of the final record value (empty for a
+// delete, which replicates as an absent value entry) — the payload for
+// value replication and logging.
+func land(db *storage.DB, w *txn.WriteEntry, epoch, tid uint64, collectRows bool) {
+	wr := storage.Write{Kind: storage.WriteOps, Ops: w.Ops}
+	if w.Insert {
+		wr = storage.Write{Kind: storage.WriteRow, Row: w.Row}
+	} else if w.Delete {
+		wr = storage.Write{Kind: storage.WriteDelete}
+	}
+	row, err := db.Table(w.Table).Land(w.Part, w.Key, w.Rec, epoch, tid, wr)
+	if err != nil {
+		panic("occ: " + err.Error())
+	}
+	if w.Delete {
+		w.Row = w.Row[:0]
+	} else if collectRows {
+		w.Row = append(w.Row[:0], row...)
+	}
+}
+
 // ApplyWrites installs the write set under the locks taken by
 // LockAndValidate, tagging records with tid. Locks remain held (the
 // paper's synchronous-replication variant replicates before release).
-// When collectRows is true each entry's Row is set to a copy of the final
-// record value — the payload for value replication and logging.
-// It returns the FirstTouch flags used for dirty registration.
 func ApplyWrites(db *storage.DB, set *txn.RWSet, epoch, tid uint64, collectRows bool) {
 	for i := range set.Writes {
-		w := &set.Writes[i]
-		tbl := db.Table(w.Table)
-		part := tbl.Partition(w.Part)
-		var first bool
-		if w.Insert {
-			first = w.Rec.WriteLocked(epoch, tid, w.Row)
-			tbl.NoteInserted(w.Part, w.Key, w.Row, epoch)
-		} else if w.Delete {
-			// Capture the final value before tombstoning: NoteDeleted
-			// derives the index entries to kill from it. LockAndValidate
-			// already aborted if the record was absent.
-			row := w.Rec.ValueLocked()
-			first = w.Rec.DeleteLocked(epoch, tid)
-			tbl.NoteDeleted(w.Part, w.Key, row, epoch)
-		} else {
-			var err error
-			first, err = w.Rec.ApplyOpsLocked(tbl.Schema(), epoch, tid, w.Ops)
-			if err != nil {
-				panic("occ: bad field op: " + err.Error())
-			}
-		}
-		if first {
-			part.MarkDirty(w.Rec, epoch)
-		}
-		if collectRows {
-			if w.Delete {
-				w.Row = w.Row[:0] // a delete replicates as an absent value entry
-			} else {
-				w.Row = append(w.Row[:0], w.Rec.ValueLocked()...)
-			}
-		}
+		land(db, &set.Writes[i], epoch, tid, collectRows)
 	}
 }
 
 // ReleaseLocks unlocks the write set after ApplyWrites.
-func ReleaseLocks(set *txn.RWSet) {
-	for i := range set.Writes {
-		if r := set.Writes[i].Rec; r != nil {
-			r.Unlock()
-		}
+func ReleaseLocks(set *txn.RWSet) { releaseLocks(set.Writes) }
+
+func releaseLocks(ws []txn.WriteEntry) {
+	for i := range ws {
+		ws[i].Rec.Unlock()
 	}
 }
 
@@ -169,39 +156,6 @@ func CommitReadCommitted(db *storage.DB, set *txn.RWSet, epoch uint64, gen *TIDG
 	ApplyWrites(db, set, epoch, tid, collectRows)
 	ReleaseLocks(set)
 	return tid, true
-}
-
-// lockWrites is LockAndValidate without the read-validation step.
-func lockWrites(db *storage.DB, set *txn.RWSet, epoch uint64) bool {
-	set.SortWrites()
-	locked := 0
-	abort := func() bool {
-		for i := 0; i < locked; i++ {
-			if r := set.Writes[i].Rec; r != nil {
-				r.Unlock()
-			}
-		}
-		return false
-	}
-	for i := range set.Writes {
-		w := &set.Writes[i]
-		tbl := db.Table(w.Table)
-		if w.Insert {
-			w.Rec = tbl.Partition(w.Part).GetOrCreate(w.Key, epoch)
-		} else if w.Rec == nil {
-			w.Rec = tbl.Get(w.Part, w.Key)
-			if w.Rec == nil {
-				return abort()
-			}
-		}
-		w.Rec.Lock()
-		locked++
-		absent := storage.TIDAbsent(w.Rec.TID())
-		if (w.Insert && !absent) || (!w.Insert && absent) {
-			return abort()
-		}
-	}
-	return true
 }
 
 // CommitSerial commits without locking or validation — the partitioned
@@ -236,45 +190,16 @@ func CommitSerial(db *storage.DB, set *txn.RWSet, epoch uint64, gen *TIDGen, col
 		if w.Rec == nil {
 			w.Rec = tbl.Get(w.Part, w.Key)
 		}
-		if w.Rec == nil {
-			return 0, false
-		}
-		if w.Delete && storage.TIDAbsent(w.Rec.TID()) {
-			return 0, false // delete of a vanished record
+		if w.Rec == nil || storage.TIDAbsent(w.Rec.TID()) {
+			return 0, false // update/delete of a vanished record
 		}
 	}
 	tid := gen.Next(epoch, set.MaxReadTID())
 	for i := range set.Writes {
 		w := &set.Writes[i]
-		tbl := db.Table(w.Table)
-		part := tbl.Partition(w.Part)
-		var first bool
 		w.Rec.Lock()
-		if w.Insert {
-			first = w.Rec.WriteLocked(epoch, tid, w.Row)
-		} else if w.Delete {
-			row := w.Rec.ValueLocked()
-			first = w.Rec.DeleteLocked(epoch, tid)
-			tbl.NoteDeleted(w.Part, w.Key, row, epoch)
-			w.Row = w.Row[:0]
-		} else {
-			var err error
-			first, err = w.Rec.ApplyOpsLocked(tbl.Schema(), epoch, tid, w.Ops)
-			if err != nil {
-				w.Rec.Unlock()
-				panic("occ: bad field op: " + err.Error())
-			}
-		}
-		if first {
-			part.MarkDirty(w.Rec, epoch)
-		}
-		if collectRows && !w.Delete {
-			w.Row = append(w.Row[:0], w.Rec.ValueLocked()...)
-		}
+		land(db, w, epoch, tid, collectRows)
 		w.Rec.Unlock()
-		if w.Insert {
-			tbl.NoteInserted(w.Part, w.Key, w.Row, epoch)
-		}
 	}
 	return tid, true
 }

@@ -32,6 +32,17 @@ type Entry struct {
 // IsOp reports whether this is an operation-replication entry.
 func (e *Entry) IsOp() bool { return e.Ops != nil }
 
+// Write is the entry as storage lands it.
+func (e *Entry) Write() storage.Write {
+	switch {
+	case e.IsOp():
+		return storage.Write{Kind: storage.WriteOps, Ops: e.Ops}
+	case e.Absent:
+		return storage.Write{Kind: storage.WriteDelete}
+	}
+	return storage.Write{Kind: storage.WriteRow, Row: e.Row}
+}
+
 // Size returns the modelled wire size in bytes.
 func (e *Entry) Size() int {
 	n := 1 + 1 + 4 + storage.KeySize + 8 // kind+table+part+key+tid
@@ -50,9 +61,8 @@ func (e *Entry) Size() int {
 // When wantRow is true it returns a copy of the record's value after
 // application (the §5 op→value transformation used before disk logging);
 // for value entries the entry's own Row serves and nil is returned.
-// Entries that create a record (insert replication, placeholder fills)
-// also maintain the table's secondary indexes, so replica indexes
-// converge with replica rows.
+// Both forms land through storage.Table.Land, the step the master's
+// commit ran, so replica rows, revert state and indexes stay equal to it.
 func Apply(db *storage.DB, epoch uint64, e *Entry, wantRow bool) ([]byte, error) {
 	return ApplyInto(db, epoch, e, nil, wantRow)
 }
@@ -84,43 +94,16 @@ func ApplyInto(db *storage.DB, epoch uint64, e *Entry, buf []byte, wantRow bool)
 			rec.Unlock()
 			return nil, fmt.Errorf("replication: operation entry for deleted row %v in table %d partition %d", e.Key, e.Table, e.Part)
 		}
-		first, err := rec.ApplyOpsLocked(tbl.Schema(), epoch, e.TID, e.Ops)
-		if err != nil {
-			rec.Unlock()
-			return nil, err
+		var image []byte
+		row, err := tbl.Land(int(e.Part), e.Key, rec, epoch, e.TID, e.Write())
+		if err == nil && wantRow {
+			image = append(buf[:0], row...)
 		}
-		var row []byte
-		if wantRow {
-			row = append(buf[:0], rec.ValueLocked()...)
-		}
-		rec.UnlockWithTID(storage.TIDClean(e.TID))
-		if first {
-			part.MarkDirty(rec, epoch)
-		}
-		return row, nil
+		rec.Unlock()
+		return image, err
 	}
-	rec := part.GetOrCreate(e.Key, epoch)
-	// A tombstone entry that lands must also kill the row's secondary
-	// index entries, and those are derived from the pre-delete value —
-	// capture it before the apply (the partition's apply path is the
-	// only writer on a replica, so the read is not racing the apply).
-	var prior []byte
-	if e.Absent && tbl.NumIndexes() > 0 {
-		if v, _, present := rec.ReadStable(nil); present {
-			prior = v
-		}
-	}
-	_, first, inserted, deleted := rec.ApplyValueThomas(epoch, e.TID, e.Row, e.Absent)
-	if first {
-		part.MarkDirty(rec, epoch)
-	}
-	if inserted {
-		tbl.NoteInserted(int(e.Part), e.Key, e.Row, epoch)
-	}
-	if deleted {
-		tbl.NoteDeleted(int(e.Part), e.Key, prior, epoch)
-	}
-	return nil, nil
+	_, err := tbl.LandThomas(int(e.Part), e.Key, epoch, e.TID, e.Write())
+	return nil, err
 }
 
 // ValueEntries builds value entries from a committed write set whose

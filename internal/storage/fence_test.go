@@ -12,6 +12,7 @@ func fenceRead(t *testing.T, r *Record, epoch uint64) (val []byte, tid uint64, p
 }
 
 func TestReadStableAtFenceReturnsPriorVersion(t *testing.T) {
+	_, tbl := newTestDB(t, 1, nil)
 	r := NewRecord(MakeTID(2, 5), []byte("aa"))
 
 	// Untouched in epoch 3: the current version IS the fence version.
@@ -22,9 +23,7 @@ func TestReadStableAtFenceReturnsPriorVersion(t *testing.T) {
 
 	// Written in epoch 3 → the epoch-3 fence read yields the epoch-2
 	// version; an epoch-4 fence read yields the new one.
-	r.Lock()
-	r.WriteLocked(3, MakeTID(3, 1), []byte("bb"))
-	r.UnlockWithTID(MakeTID(3, 1))
+	landOn(t, tbl, r, 3, MakeTID(3, 1), rowWrite("bb"))
 
 	val, tid, present = fenceRead(t, r, 3)
 	if !present || !bytes.Equal(val, []byte("aa")) || tid != MakeTID(2, 5) {
@@ -36,9 +35,7 @@ func TestReadStableAtFenceReturnsPriorVersion(t *testing.T) {
 	}
 
 	// A second write in the same epoch does not move the fence version.
-	r.Lock()
-	r.WriteLocked(3, MakeTID(3, 2), []byte("cc"))
-	r.UnlockWithTID(MakeTID(3, 2))
+	landOn(t, tbl, r, 3, MakeTID(3, 2), rowWrite("cc"))
 	val, _, _ = fenceRead(t, r, 3)
 	if !bytes.Equal(val, []byte("aa")) {
 		t.Fatalf("fence version moved after second same-epoch write: %q", val)
@@ -48,10 +45,11 @@ func TestReadStableAtFenceReturnsPriorVersion(t *testing.T) {
 func TestReadStableAtFenceAbsentPrior(t *testing.T) {
 	// A record first inserted in epoch 3 (e.g. by replication) is absent
 	// at the epoch-3 fence and present at the epoch-4 fence.
-	r := NewAbsentRecord(MakeTID(1, 1))
-	if applied, _, _, _ := r.ApplyValueThomas(3, MakeTID(3, 7), []byte("new"), false); !applied {
+	_, tbl := newTestDB(t, 1, nil)
+	if applied, _ := tbl.LandThomas(0, K1(1), 3, MakeTID(3, 7), rowWrite("new")); !applied {
 		t.Fatal("Thomas apply refused a newer TID")
 	}
+	r := tbl.Get(0, K1(1))
 	if _, _, present := fenceRead(t, r, 3); present {
 		t.Fatal("epoch-3 fence read sees a row inserted in epoch 3")
 	}

@@ -101,12 +101,6 @@ func (r *Record) Unlock() {
 	}
 }
 
-// UnlockWithTID installs a new TID word (the caller controls the absent
-// bit; the lock bit is cleared) and releases the latch in one step.
-func (r *Record) UnlockWithTID(tid uint64) {
-	r.tid.Store(tid &^ TIDLockBit)
-}
-
 // ReadStable copies the record's value into buf (grown as needed) and
 // returns the value, its TID, and whether the record is present.
 // It takes the latch briefly.
@@ -219,51 +213,12 @@ func (r *Record) savePriorLocked(epoch uint64) (firstTouch bool) {
 	r.priorTID = TIDClean(cur) | (cur & TIDAbsentBit)
 	if TIDAbsent(cur) {
 		r.priorData = nil
-		r.priorValid = true
 	} else {
 		r.priorData = append(r.priorData[:0], r.data...)
-		r.priorValid = true
 	}
+	r.priorValid = true
 	r.savedEpoch = epoch
 	return true
-}
-
-// WriteLocked installs a new value and TID while the caller holds the
-// latch. The row is copied. It returns true if this was the record's
-// first write in the epoch (the caller must then register the record in
-// the partition's dirty set for revert).
-func (r *Record) WriteLocked(epoch, newTID uint64, row []byte) (firstTouch bool) {
-	firstTouch = r.savePriorLocked(epoch)
-	if cap(r.data) < len(row) {
-		r.data = make([]byte, len(row))
-	}
-	r.data = r.data[:len(row)]
-	copy(r.data, row)
-	r.tid.Store(TIDClean(newTID) | TIDLockBit) // still locked; caller unlocks
-	return firstTouch
-}
-
-// ApplyOpsLocked applies field ops in place under the latch, bumping the
-// TID. Same firstTouch contract as WriteLocked.
-func (r *Record) ApplyOpsLocked(s *Schema, epoch, newTID uint64, ops []FieldOp) (bool, error) {
-	firstTouch := r.savePriorLocked(epoch)
-	if TIDAbsent(r.tid.Load()) && len(r.data) == 0 {
-		r.data = make([]byte, s.RowSize())
-	}
-	for _, op := range ops {
-		if err := op.Apply(s, r.data); err != nil {
-			return firstTouch, err
-		}
-	}
-	r.tid.Store(TIDClean(newTID) | TIDLockBit)
-	return firstTouch, nil
-}
-
-// DeleteLocked marks the record absent under the latch.
-func (r *Record) DeleteLocked(epoch, newTID uint64) (firstTouch bool) {
-	firstTouch = r.savePriorLocked(epoch)
-	r.tid.Store(TIDClean(newTID) | TIDAbsentBit | TIDLockBit)
-	return firstTouch
 }
 
 // CollectibleAt reports whether the record is a committed tombstone that
@@ -302,35 +257,4 @@ func (r *Record) revertLocked(epoch uint64) (absent bool) {
 	r.savedEpoch = 0
 	r.priorValid = false
 	return TIDAbsent(r.priorTID)
-}
-
-// ApplyValueThomas applies a full-row replicated write using the Thomas
-// write rule: the write lands only if its TID is newer than the record's.
-// Returns whether the write was applied, whether it was the record's
-// first touch in the epoch (dirty registration), and whether it
-// transitioned the record absent → present or present → absent — the
-// signals apply paths use to maintain secondary indexes
-// (Table.NoteInserted / Table.NoteDeleted).
-func (r *Record) ApplyValueThomas(epoch, tid uint64, row []byte, absent bool) (applied, firstTouch, inserted, deleted bool) {
-	r.Lock()
-	cur := r.tid.Load()
-	if TIDClean(tid) <= TIDClean(cur) {
-		r.Unlock()
-		return false, false, false, false
-	}
-	wasAbsent := TIDAbsent(cur)
-	if absent {
-		firstTouch = r.DeleteLocked(epoch, tid)
-	} else {
-		firstTouch = r.WriteLocked(epoch, tid, row)
-	}
-	r.UnlockWithTID(tid | boolBit(absent))
-	return true, firstTouch, wasAbsent && !absent, !wasAbsent && absent
-}
-
-func boolBit(absent bool) uint64 {
-	if absent {
-		return TIDAbsentBit
-	}
-	return 0
 }

@@ -8,15 +8,29 @@ import (
 	"testing/quick"
 )
 
+// landOn lands w on r through the one-table fixture tbl the way every
+// commit path does: latch, Table.Land, unlatch. r need not be in tbl's
+// index — Land is handed the record, and registers it for revert in
+// partition 0 either way.
+func landOn(t *testing.T, tbl *Table, r *Record, epoch, tid uint64, w Write) {
+	t.Helper()
+	r.Lock()
+	defer r.Unlock()
+	if _, err := tbl.Land(0, K1(1), r, epoch, tid, w); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func rowWrite(row string) Write { return Write{Kind: WriteRow, Row: []byte(row)} }
+
 func TestRecordReadWrite(t *testing.T) {
+	_, tbl := newTestDB(t, 1, nil)
 	r := NewRecord(MakeTID(1, 1), []byte("hello"))
 	val, tid, present := r.ReadStable(nil)
 	if !present || tid != MakeTID(1, 1) || !bytes.Equal(val, []byte("hello")) {
 		t.Fatalf("read: %q %s %v", val, FormatTID(tid), present)
 	}
-	r.Lock()
-	r.WriteLocked(2, MakeTID(2, 5), []byte("world"))
-	r.UnlockWithTID(MakeTID(2, 5))
+	landOn(t, tbl, r, 2, MakeTID(2, 5), rowWrite("world"))
 	val, tid, _ = r.ReadStable(val)
 	if !bytes.Equal(val, []byte("world")) || tid != MakeTID(2, 5) {
 		t.Fatalf("after write: %q %s", val, FormatTID(tid))
@@ -48,21 +62,15 @@ func TestRecordUnlockPanicsWhenUnlocked(t *testing.T) {
 }
 
 func TestRecordEpochRevert(t *testing.T) {
+	_, tbl := newTestDB(t, 1, nil)
 	r := NewRecord(MakeTID(1, 3), []byte("committed"))
-	r.Lock()
-	if first := r.WriteLocked(2, MakeTID(2, 1), []byte("uncommitted-1")); !first {
-		t.Fatal("first write in epoch must report firstTouch")
-	}
-	r.UnlockWithTID(MakeTID(2, 1))
-	r.Lock()
-	if first := r.WriteLocked(2, MakeTID(2, 2), []byte("uncommitted-2")); first {
-		t.Fatal("second write in same epoch must not report firstTouch")
-	}
-	r.UnlockWithTID(MakeTID(2, 2))
+	landOn(t, tbl, r, 2, MakeTID(2, 1), rowWrite("uncommitted-1"))
+	landOn(t, tbl, r, 2, MakeTID(2, 2), rowWrite("uncommitted-2"))
 
-	r.Lock()
-	r.revertLocked(2)
-	r.Unlock()
+	// Only the first write of the epoch saves and registers the record.
+	if n := tbl.Partition(0).RevertEpoch(2); n != 1 {
+		t.Fatalf("two writes in one epoch registered the record %d times, want 1", n)
+	}
 	val, tid, present := r.ReadStable(nil)
 	if !present || !bytes.Equal(val, []byte("committed")) || tid != MakeTID(1, 3) {
 		t.Fatalf("revert: %q %s %v", val, FormatTID(tid), present)
@@ -70,10 +78,12 @@ func TestRecordEpochRevert(t *testing.T) {
 }
 
 func TestRecordRevertOfInsert(t *testing.T) {
+	_, tbl := newTestDB(t, 1, nil)
 	r := NewAbsentRecord(0)
-	r.Lock()
-	r.WriteLocked(5, MakeTID(5, 1), []byte("new"))
-	r.UnlockWithTID(MakeTID(5, 1))
+	landOn(t, tbl, r, 5, MakeTID(5, 1), rowWrite("new"))
+	if val, tid, present := r.ReadStable(nil); !present || string(val) != "new" || tid != MakeTID(5, 1) {
+		t.Fatalf("insert: %q %s %v", val, FormatTID(tid), present)
+	}
 	r.Lock()
 	if absent := r.revertLocked(5); !absent {
 		t.Fatal("reverting an insert must leave the record absent")
@@ -85,16 +95,13 @@ func TestRecordRevertOfInsert(t *testing.T) {
 }
 
 func TestRecordDeleteAndRevert(t *testing.T) {
+	_, tbl := newTestDB(t, 1, nil)
 	r := NewRecord(MakeTID(1, 1), []byte("v"))
-	r.Lock()
-	r.DeleteLocked(2, MakeTID(2, 9))
-	r.UnlockWithTID(MakeTID(2, 9) | TIDAbsentBit)
-	if _, _, present := r.ReadStable(nil); present {
-		t.Fatal("record should read absent after delete")
+	landOn(t, tbl, r, 2, MakeTID(2, 9), Write{Kind: WriteDelete})
+	if _, tid, present := r.ReadStable(nil); present || tid != MakeTID(2, 9) {
+		t.Fatalf("after delete: tid=%s present=%v", FormatTID(tid), present)
 	}
-	r.Lock()
-	r.revertLocked(2)
-	r.Unlock()
+	tbl.Partition(0).RevertEpoch(2)
 	if val, _, present := r.ReadStable(nil); !present || !bytes.Equal(val, []byte("v")) {
 		t.Fatal("delete not reverted")
 	}
@@ -123,11 +130,11 @@ func TestThomasWriteRuleConvergence(t *testing.T) {
 		maxTID := writes[len(writes)-1].tid
 		rng.Shuffle(len(writes), func(i, j int) { writes[i], writes[j] = writes[j], writes[i] })
 
-		r := NewAbsentRecord(0)
+		_, tbl := newTestDB(t, 1, nil)
 		for _, wr := range writes {
-			r.ApplyValueThomas(1, wr.tid, wr.val, false)
+			tbl.LandThomas(0, K1(1), 1, wr.tid, Write{Kind: WriteRow, Row: wr.val})
 		}
-		val, tid, present := r.ReadStable(nil)
+		val, tid, present := tbl.Get(0, K1(1)).ReadStable(nil)
 		return present && tid == maxTID && bytes.Equal(val, maxVal)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -136,22 +143,29 @@ func TestThomasWriteRuleConvergence(t *testing.T) {
 }
 
 func TestThomasWriteRuleRejectsStale(t *testing.T) {
-	r := NewRecord(MakeTID(3, 10), []byte("new"))
-	applied, _, _, _ := r.ApplyValueThomas(3, MakeTID(3, 9), []byte("old"), false)
-	if applied {
-		t.Fatal("stale write must be rejected")
+	_, tbl := newTestDB(t, 1, nil)
+	tbl.Insert(0, K1(1), 3, MakeTID(3, 10), []byte("new"))
+	for _, c := range []struct {
+		seq     uint64
+		applied bool
+	}{{9, false}, {10, false}, {11, true}} {
+		applied, err := tbl.LandThomas(0, K1(1), 3, MakeTID(3, c.seq), rowWrite("w"))
+		if err != nil || applied != c.applied {
+			t.Fatalf("write at seq %d over seq 10: applied=%v err=%v, want %v", c.seq, applied, err, c.applied)
+		}
 	}
-	applied, _, _, _ = r.ApplyValueThomas(3, MakeTID(3, 10), []byte("same"), false)
-	if applied {
-		t.Fatal("equal-TID write must be rejected")
+	// A stale delete loses the same way.
+	if applied, _ := tbl.LandThomas(0, K1(1), 3, MakeTID(3, 5), Write{Kind: WriteDelete}); applied {
+		t.Fatal("stale delete must be rejected")
 	}
-	if applied, _, _, _ = r.ApplyValueThomas(3, MakeTID(3, 11), []byte("newer"), false); !applied {
-		t.Fatal("newer write must apply")
+	if _, tid, present := tbl.Get(0, K1(1)).ReadStable(nil); !present || tid != MakeTID(3, 11) {
+		t.Fatalf("record: tid=%s present=%v", FormatTID(tid), present)
 	}
 }
 
 func TestRecordConcurrentReadersWriters(t *testing.T) {
 	// Race-detector exercise: concurrent latched reads and writes.
+	_, tbl := newTestDB(t, 1, nil)
 	r := NewRecord(MakeTID(1, 1), bytes.Repeat([]byte{1}, 64))
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -173,8 +187,8 @@ func TestRecordConcurrentReadersWriters(t *testing.T) {
 				} else {
 					row := bytes.Repeat([]byte{byte(i)}, 64)
 					r.Lock()
-					r.WriteLocked(2, MakeTID(2, uint64(i+1)), row)
-					r.UnlockWithTID(MakeTID(2, uint64(i+1)))
+					tbl.Land(0, K1(1), r, 2, MakeTID(2, uint64(i+1)), Write{Kind: WriteRow, Row: row})
+					r.Unlock()
 				}
 			}
 		}(g)
@@ -182,19 +196,36 @@ func TestRecordConcurrentReadersWriters(t *testing.T) {
 	wg.Wait()
 }
 
-func TestApplyOpsLocked(t *testing.T) {
-	s := testSchema()
+func TestLandFieldOps(t *testing.T) {
+	_, tbl := newTestDB(t, 1, nil)
+	s := tbl.Schema()
 	row := s.NewRow()
 	s.SetFloat64(row, 1, 100)
 	r := NewRecord(MakeTID(1, 1), row)
-	r.Lock()
-	first, err := r.ApplyOpsLocked(s, 2, MakeTID(2, 1), []FieldOp{AddFloat64Op(1, -30)})
-	r.UnlockWithTID(MakeTID(2, 1))
-	if err != nil || !first {
-		t.Fatalf("err=%v first=%v", err, first)
+	landOn(t, tbl, r, 2, MakeTID(2, 1), Write{Kind: WriteOps, Ops: []FieldOp{AddFloat64Op(1, -30)}})
+	val, tid, _ := r.ReadStable(nil)
+	if got := s.GetFloat64(val, 1); got != 70 || tid != MakeTID(2, 1) {
+		t.Fatalf("balance=%v tid=%s", got, FormatTID(tid))
 	}
-	val, _, _ := r.ReadStable(nil)
-	if got := s.GetFloat64(val, 1); got != 70 {
-		t.Fatalf("balance=%v", got)
+
+	// No ops at all is still a write: the TID moves, the row does not,
+	// and the epoch's first touch is saved like any other.
+	landOn(t, tbl, r, 3, MakeTID(3, 1), Write{Kind: WriteOps})
+	val2, tid, _ := r.ReadStable(nil)
+	if !bytes.Equal(val2, val) || tid != MakeTID(3, 1) {
+		t.Fatalf("zero-op write: row changed=%v tid=%s", !bytes.Equal(val2, val), FormatTID(tid))
+	}
+	if _, _, ftid, _ := r.ReadStableAtFenceAppend(nil, 3); ftid != MakeTID(2, 1) {
+		t.Fatalf("zero-op write did not save the prior version: fence tid=%s", FormatTID(ftid))
+	}
+
+	// Field ops need the row they were computed on: against an absent
+	// record they are refused, and nothing is invented from zeros.
+	gone := NewAbsentRecord(MakeTID(1, 1))
+	gone.Lock()
+	_, err := tbl.Land(0, K1(2), gone, 2, MakeTID(2, 2), Write{Kind: WriteOps, Ops: []FieldOp{AddFloat64Op(1, 1)}})
+	gone.Unlock()
+	if _, tid, present := gone.ReadStable(nil); err == nil || present || tid != MakeTID(1, 1) {
+		t.Fatalf("ops on an absent record: err=%v present=%v tid=%s", err, present, FormatTID(tid))
 	}
 }

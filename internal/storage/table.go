@@ -114,22 +114,21 @@ func (p *Partition) bucket(epoch uint64) *dirtyBucket {
 	return &p.dirty[len(p.dirty)-1]
 }
 
-// MarkDirty registers a record whose pre-epoch version was just saved
+// markDirty registers a record whose pre-epoch version was just saved
 // for the given epoch.
-func (p *Partition) MarkDirty(r *Record, epoch uint64) {
+func (p *Partition) markDirty(r *Record, epoch uint64) {
 	p.dirtyMu.Lock()
 	b := p.bucket(epoch)
 	b.recs = append(b.recs, r)
 	p.dirtyMu.Unlock()
 }
 
-// MarkDeleted registers a key deleted in the epoch. Once the epoch's
+// markDeleted registers a key deleted in the epoch. Once the epoch's
 // fence passes (CommitEpochBefore / CommitEpoch), the key's index slot
 // is tombstoned and the record becomes unreachable — physical
 // reclamation, deferred to the horizon where no snapshot reader can
-// still need the record's prior version. Table.NoteDeleted calls this;
-// apply paths do not call it directly.
-func (p *Partition) MarkDeleted(key Key, epoch uint64) {
+// still need the record's prior version.
+func (p *Partition) markDeleted(key Key, epoch uint64) {
 	p.dirtyMu.Lock()
 	b := p.bucket(epoch)
 	b.delKeys = append(b.delKeys, key)
@@ -302,8 +301,10 @@ type IndexSpec struct {
 // Table is a named, partitioned collection of records with one fixed
 // schema, implemented as per-partition hash tables (paper §3: "Tables in
 // STAR are implemented as collections of hash tables") plus zero or more
-// ordered secondary indexes maintained at commit time on every insert
-// path (execution, replication apply, snapshot catch-up, log replay).
+// ordered secondary indexes. Every write reaches its record through
+// Table.Land (see land.go), which states and keeps the landing contract:
+// prior version saved and registered for revert, indexes moved on an
+// absent ↔ present transition, TID and absent bit stamped.
 type Table struct {
 	id     TableID
 	name   string
@@ -356,9 +357,6 @@ func (t *Table) AddIndex(spec IndexSpec) int {
 // NumIndexes returns the number of declared secondary indexes.
 func (t *Table) NumIndexes() int { return len(t.specs) }
 
-// IndexName returns index i's declared name.
-func (t *Table) IndexName(i int) string { return t.specs[i].Name }
-
 // Partition returns partition p, or nil when this node does not hold it.
 func (t *Table) Partition(p int) *Partition {
 	if t.replicated {
@@ -375,89 +373,6 @@ func (t *Table) Get(part int, key Key) *Record {
 		panic(fmt.Sprintf("storage: table %s: partition %d not held by this node", t.name, part))
 	}
 	return p.Get(key)
-}
-
-// Insert creates a record at (partition, key). It returns the record and
-// whether a *present* record already existed (callers treat that as a
-// uniqueness violation). Secondary indexes are maintained inline.
-func (t *Table) Insert(part int, key Key, epoch, tid uint64, row []byte) (*Record, bool) {
-	p := t.Partition(part)
-	r := p.GetOrCreate(key, epoch)
-	r.Lock()
-	if !TIDAbsent(r.tid.Load()) {
-		r.Unlock()
-		return r, false
-	}
-	if r.WriteLocked(epoch, tid, row) {
-		p.MarkDirty(r, epoch)
-	}
-	r.UnlockWithTID(TIDClean(tid))
-	t.NoteInserted(part, key, row, epoch)
-	return r, true
-}
-
-// Delete marks the record at (partition, key) absent under the epoch and
-// TID. Returns false when no present record exists (the caller decides
-// whether that is a conflict). Secondary indexes and reclamation
-// bookkeeping are maintained inline; physical reclamation happens at the
-// epoch fence.
-func (t *Table) Delete(part int, key Key, epoch, tid uint64) bool {
-	p := t.Partition(part)
-	r := p.Get(key)
-	if r == nil {
-		return false
-	}
-	r.Lock()
-	if TIDAbsent(r.tid.Load()) {
-		r.Unlock()
-		return false
-	}
-	row := append([]byte(nil), r.ValueLocked()...)
-	if r.DeleteLocked(epoch, tid) {
-		p.MarkDirty(r, epoch)
-	}
-	r.UnlockWithTID(TIDClean(tid) | TIDAbsentBit)
-	t.NoteDeleted(part, key, row, epoch)
-	return true
-}
-
-// NoteInserted maintains the table's secondary indexes for a record that
-// just transitioned absent → present at (part, key) with the given row.
-// Every insert path calls it: transaction commit (occ), replication
-// apply, recovery snapshot catch-up, and WAL replay — so every replica's
-// indexes converge with its rows. A no-op for tables without indexes.
-func (t *Table) NoteInserted(part int, key Key, row []byte, epoch uint64) {
-	if len(t.specs) == 0 {
-		return
-	}
-	p := t.Partition(part)
-	var buf [64]byte
-	for i := range t.specs {
-		val := t.specs[i].Extract(t.schema, key, row, buf[:0])
-		p.oidx[i].Insert(val, key, epoch)
-	}
-}
-
-// NoteDeleted is NoteInserted's inverse: it maintains the secondary
-// indexes and reclamation bookkeeping for a record that just
-// transitioned present → absent at (part, key). row is the row as it
-// stood immediately before the delete (the caller captures it before
-// marking the record absent) — index values must be derivable from it,
-// which holds because indexed fields are never updated after insert.
-// Every delete path calls it: transaction commit (occ), replication
-// apply, snapshot catch-up, and WAL replay. The index entries stay
-// visible to fence-snapshot readers until the epoch commits; the fence
-// then unlinks them and tombstones the primary-index slot.
-func (t *Table) NoteDeleted(part int, key Key, row []byte, epoch uint64) {
-	p := t.Partition(part)
-	if row != nil {
-		var buf [64]byte
-		for i := range t.specs {
-			val := t.specs[i].Extract(t.schema, key, row, buf[:0])
-			p.oidx[i].Delete(val, key, epoch)
-		}
-	}
-	p.MarkDeleted(key, epoch)
 }
 
 // IndexLookup appends the primary keys stored under val in index idx of

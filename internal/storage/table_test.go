@@ -67,13 +67,8 @@ func TestPartitionRevertEpochRemovesInserts(t *testing.T) {
 	db.CommitEpoch()
 
 	// Epoch 2: update K1(1), insert K1(2); then the epoch fails.
-	r := tbl.Get(0, K1(1))
-	r.Lock()
 	s.SetUint64(row, 0, 999)
-	if r.WriteLocked(2, MakeTID(2, 1), row) {
-		tbl.Partition(0).MarkDirty(r, 2)
-	}
-	r.UnlockWithTID(MakeTID(2, 1))
+	landOn(t, tbl, tbl.Get(0, K1(1)), 2, MakeTID(2, 1), Write{Kind: WriteRow, Row: row})
 	tbl.Insert(0, K1(2), 2, MakeTID(2, 2), row)
 
 	if n := db.RevertEpoch(2); n == 0 {
@@ -129,7 +124,7 @@ func byDataSpec() IndexSpec {
 func TestSecondaryIndexMaintainedOnInsert(t *testing.T) {
 	_, tbl := newTestDB(t, 2, nil)
 	id := tbl.AddIndex(byDataSpec())
-	if id != 0 || tbl.NumIndexes() != 1 || tbl.IndexName(0) != "by_data" {
+	if id != 0 || tbl.NumIndexes() != 1 || tbl.specs[0].Name != "by_data" {
 		t.Fatal("index registry broken")
 	}
 	s := tbl.Schema()

@@ -3,6 +3,12 @@
 // epoch revert on failure, §4.5.2 of the paper), partitioned hash tables
 // with optional secondary indexes, and the field operations used by
 // operation replication (§5).
+//
+// Reading is open to every package (Get, the ReadStable family, index
+// lookups). Writing is not: a record changes only inside Table.Land
+// (land.go), which owns the landing contract — save the pre-epoch
+// version, register it for revert, keep the indexes, stamp the TID word —
+// so the pieces of that contract are not exported to be re-assembled.
 package storage
 
 import "fmt"

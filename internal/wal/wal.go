@@ -415,6 +415,10 @@ func Recover(db *storage.DB, checkpoint string, logs []string) (epoch uint64, ap
 	if err != nil {
 		return 0, 0, err
 	}
+	// Recovery is one unit, committed whole at the end: every write lands
+	// under one epoch, so a record is saved and registered once however
+	// many epochs the logs span.
+	landEpoch := max(durable, 1)
 	written := make(map[recKey]struct{}) // keys seen as a value (checkpoint or log write)
 	ghosts := make(map[recKey]struct{})  // keys materialised only by deletes so far
 	apply := func(e *Entry) error {
@@ -425,8 +429,7 @@ func Recover(db *storage.DB, checkpoint string, logs []string) (epoch uint64, ap
 			return nil // beyond the last group commit: discard
 		}
 		tbl := db.Table(e.Table)
-		part := tbl.Partition(int(e.Part))
-		if part == nil {
+		if tbl.Partition(int(e.Part)) == nil {
 			return nil // not held here
 		}
 		rk := recKey{e.Table, e.Part, e.Key}
@@ -438,47 +441,23 @@ func Recover(db *storage.DB, checkpoint string, logs []string) (epoch uint64, ap
 			written[rk] = struct{}{}
 			delete(ghosts, rk)
 		}
-		epoch := storage.TIDEpoch(e.TID)
-		rec := part.GetOrCreate(e.Key, epoch)
-		var prior []byte
-		if e.Absent && tbl.NumIndexes() > 0 {
-			if v, _, present := rec.ReadStable(nil); present {
-				prior = v
-			}
+		// Secondary indexes are not logged: Land rebuilds them here, from
+		// the same absent ↔ present transitions the live paths index.
+		w := storage.Write{Kind: storage.WriteRow, Row: e.Row}
+		if e.Absent {
+			w = storage.Write{Kind: storage.WriteDelete}
 		}
-		ok, _, inserted, deleted := rec.ApplyValueThomas(epoch, e.TID, e.Row, e.Absent)
+		ok, err := tbl.LandThomas(int(e.Part), e.Key, landEpoch, e.TID, w)
 		if ok {
 			applied++
 		}
-		if inserted {
-			// Secondary indexes are not logged: they rebuild here, from
-			// the same absent→present transitions the live paths index.
-			tbl.NoteInserted(int(e.Part), e.Key, e.Row, epoch)
-		}
-		if deleted {
-			tbl.NoteDeleted(int(e.Part), e.Key, prior, epoch)
-		}
-		return nil
+		return err
 	}
+	files := logs
 	if checkpoint != "" {
-		f, err := os.Open(checkpoint)
-		if err != nil {
-			return 0, 0, err
-		}
-		r := NewReader(f)
-		for {
-			e, rerr := r.Next()
-			if rerr != nil {
-				break
-			}
-			if err := apply(e); err != nil {
-				f.Close()
-				return 0, 0, err
-			}
-		}
-		f.Close()
+		files = append([]string{checkpoint}, logs...)
 	}
-	for _, p := range logs {
+	for _, p := range files {
 		f, err := os.Open(p)
 		if err != nil {
 			return 0, 0, err

@@ -233,8 +233,7 @@ func TestFuzzyCheckpointCorrectedByThomasRule(t *testing.T) {
 
 	// Checkpoint taken AFTER the epoch-3 write landed (fuzzy: it contains
 	// the newer version even though its header says epoch 2).
-	rec := db.Table(0).Get(1, storage.K1(5))
-	rec.ApplyValueThomas(3, storage.MakeTID(3, 1), row, false)
+	db.Table(0).LandThomas(1, storage.K1(5), 3, storage.MakeTID(3, 1), storage.Write{Kind: storage.WriteRow, Row: row})
 	ckpt := filepath.Join(dir, "ckpt")
 	if _, err := WriteCheckpoint(db, ckpt, 2); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"star/internal/occ"
 	"star/internal/storage"
 	"star/internal/txn"
 )
@@ -29,6 +30,7 @@ func loadSmall(t *testing.T) (*Workload, *storage.DB) {
 type executor struct {
 	db  *storage.DB
 	set txn.RWSet
+	gen occ.TIDGen
 }
 
 func (e *executor) Read(tb storage.TableID, part int, key storage.Key) ([]byte, bool) {
@@ -72,37 +74,8 @@ func (e *executor) LookupIndex(tb storage.TableID, part, idx int, val []byte, ds
 
 func (e *executor) commit(t *testing.T, db *storage.DB) {
 	t.Helper()
-	for i := range e.set.Writes {
-		w := &e.set.Writes[i]
-		tbl := db.Table(w.Table)
-		part := tbl.Partition(w.Part)
-		rec := part.GetOrCreate(w.Key, 2)
-		rec.Lock()
-		if w.Insert {
-			if !storage.TIDAbsent(rec.TID()) {
-				t.Fatal("duplicate insert")
-			}
-			rec.WriteLocked(2, storage.MakeTID(2, uint64(i+1)), w.Row)
-		} else if w.Delete {
-			if storage.TIDAbsent(rec.TID()) {
-				t.Fatal("delete of absent record")
-			}
-			row := append([]byte(nil), rec.ValueLocked()...)
-			if rec.DeleteLocked(2, storage.MakeTID(2, uint64(i+1))) {
-				part.MarkDirty(rec, 2)
-			}
-			rec.UnlockWithTID(storage.MakeTID(2, uint64(i+1)) | storage.TIDAbsentBit)
-			tbl.NoteDeleted(w.Part, w.Key, row, 2)
-			continue
-		} else {
-			if _, err := rec.ApplyOpsLocked(tbl.Schema(), 2, storage.MakeTID(2, uint64(i+1)), w.Ops); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rec.UnlockWithTID(storage.MakeTID(2, uint64(i+1)))
-		if w.Insert {
-			tbl.NoteInserted(w.Part, w.Key, w.Row, 2)
-		}
+	if _, ok := occ.CommitSerial(db, &e.set, 2, &e.gen, false); !ok {
+		t.Fatal("commit refused: duplicate insert, or update/delete of an absent record")
 	}
 	e.set.Reset()
 }
