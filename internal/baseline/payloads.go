@@ -4,6 +4,7 @@ import (
 	"star/internal/lock"
 	"star/internal/replication"
 	"star/internal/wire"
+	"star/internal/wire/prim"
 )
 
 // RPC payloads: rpcReq/rpcResp carry encoded bytes rather than
@@ -14,7 +15,7 @@ import (
 // an RPC is the encoded payload's length.
 
 func lockNames(f *wire.Fields, names *[]lock.Name) {
-	wire.Len(f, names, 1+wire.KeyLen)
+	wire.Len(f, names, 1+prim.KeyLen)
 	for i := range *names {
 		wire.U8(f, &(*names)[i].Table)
 		f.Key(&(*names)[i].Key)
@@ -37,7 +38,7 @@ func readReplyFields(f *wire.Fields, r *readReply) {
 
 // lvPayload / lvReply: Dist. OCC lock+validate.
 func lvPayloadFields(f *wire.Fields, p *lvPayload) {
-	wire.Len(f, &p.Reads, 1+1+wire.KeyLen+8)
+	wire.Len(f, &p.Reads, 1+1+prim.KeyLen+8)
 	for i := range p.Reads {
 		rd := &p.Reads[i]
 		wire.U8(f, &rd.Table)
@@ -59,7 +60,7 @@ func commitPayloadFields(f *wire.Fields, p *commitPayload) {
 	lockNames(f, &p.Release)
 	f.Bool(&p.Sync)
 	b := &replication.Batch{Entries: p.Entries}
-	if f.Batch(&b); f.Decoding() && b != nil {
+	if wire.Tail(f, &b, replication.AppendBatch, replication.BatchLen, replication.DecodeBatch); f.Decoding() && b != nil {
 		p.Entries = b.Entries
 	}
 }
@@ -74,7 +75,7 @@ func abortPayloadFields(f *wire.Fields, p *abortPayload) {
 // encodeBatchPayload is PB. OCC's synchronous replication payload: the
 // envelope codec's own encoding.
 func encodeBatchPayload(batch *replication.Batch) []byte {
-	return wire.AppendBatch(make([]byte, 0, 16+wire.BatchLen(batch)), batch)
+	return replication.AppendBatch(make([]byte, 0, replication.BatchLen(batch)), batch)
 }
 
 // idxPayload / idxReply: the secondary-index lookup RPC.
@@ -86,7 +87,7 @@ func idxPayloadFields(f *wire.Fields, p *idxPayload) {
 }
 
 func idxReplyFields(f *wire.Fields, r *idxReply) {
-	wire.Len(f, &r.Keys, wire.KeyLen)
+	wire.Len(f, &r.Keys, prim.KeyLen)
 	for i := range r.Keys {
 		f.Key(&r.Keys[i])
 	}

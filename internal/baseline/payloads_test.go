@@ -64,7 +64,7 @@ func goldenPayloads() []goldenPayload {
 		walked("index_reply", &goldenIdxReply, idxReplyFields),
 		{"batch", &goldenBatch,
 			func() []byte { return encodeBatchPayload(&goldenBatch) },
-			func(b []byte) (any, error) { return wire.DecodeBatch(b) }},
+			func(b []byte) (any, error) { return replication.DecodeBatch(b) }},
 	}
 }
 

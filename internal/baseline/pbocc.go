@@ -13,7 +13,6 @@ import (
 	"star/internal/storage"
 	"star/internal/transport"
 	"star/internal/txn"
-	"star/internal/wire"
 	"star/internal/workload"
 )
 
@@ -125,7 +124,7 @@ func (e *PBOCC) start() {
 				nextApplier = (nextApplier + 1) % len(applierChs)
 			case *rpcReq: // sync replication batch
 				r.Compute(core.CostMsgHandling)
-				b := mustDecode(wire.DecodeBatch(m.Payload))
+				b := mustDecode(replication.DecodeBatch(m.Payload))
 				applyBatch(e.cfg, n, b)
 				e.net.Send(1, m.From, transport.Data, &rpcResp{Worker: m.Worker, Seq: m.Seq, OK: true})
 			case msgTick:

@@ -90,8 +90,6 @@ type AdminReq struct {
 	On bool
 }
 
-func (AdminReq) Size() int { return 32 }
-
 // AdminResp is the unified admin response envelope. Fields beyond the
 // correlation header are op-specific; unused ones stay zero.
 type AdminResp struct {
@@ -129,17 +127,6 @@ type AdminResp struct {
 	Stats []byte
 }
 
-func (m AdminResp) Size() int {
-	n := 48 + len(m.Err) + 12*len(m.Parts) + 8*len(m.Vals) + 4*len(m.Members) + 4*len(m.Masters) + len(m.Stats)
-	for _, k := range m.Keys {
-		n += len(k) + 8
-	}
-	for _, a := range m.ClientAddrs {
-		n += len(a) + 4
-	}
-	return n
-}
-
 // msgTopology installs a new topology version on a node (coordinator →
 // nodes, between fences). It is also sent to a node that just drained
 // OUT of the member set, whose install signals Engine.Drained so the
@@ -149,10 +136,6 @@ type msgTopology struct {
 	Members   []int32
 	Masters   []int32
 	Secondary []int32
-}
-
-func (m msgTopology) Size() int {
-	return 24 + 4*len(m.Members) + 4*len(m.Masters) + 4*len(m.Secondary)
 }
 
 // serveAdmin handles an admin envelope on the node router: local ops

@@ -149,7 +149,7 @@ type Config struct {
 	// with FlushBytes: -1.
 	FlushEvery int
 
-	// FlushBytes bounds replication batch size in modelled wire bytes.
+	// FlushBytes bounds replication batch size in encoded bytes.
 	// 0 selects DefaultFlushBytes; negative disables the byte bound.
 	// Together with the fence flush this makes a partitioned-phase epoch
 	// ship O(destinations) envelopes instead of O(writes) messages. It

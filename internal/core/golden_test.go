@@ -10,6 +10,7 @@ import (
 	"star/internal/storage"
 	"star/internal/transport"
 	"star/internal/txn"
+	"star/internal/wire/prim"
 	"star/internal/wire/wiretest"
 	"star/internal/workload/tpcc"
 )
@@ -18,7 +19,11 @@ import (
 // field with a different value in each so that two same-typed fields
 // walked in the wrong order change the bytes. The frames these encode to
 // were captured from the hand-written encoders of commit 44cf024 (the
-// last one before the field walk) into testdata/golden_frames.txt.
+// last one before the field walk) into testdata/golden_frames.txt —
+// bar worker_done's, re-captured when its walk took in the replication
+// shard it had been dropping (a node-local message: no peer ever read
+// the old form); the Size column was re-captured when Size() became the
+// frame's length.
 func goldenMessages(tw *tpcc.Workload) map[string]transport.Message {
 	ents := []replication.Entry{
 		{Table: 2, Part: 1, Key: storage.K2(3, 4), TID: storage.MakeTID(5, 6), Row: []byte("row")},
@@ -52,7 +57,8 @@ func goldenMessages(tw *tpcc.Workload) map[string]transport.Message {
 		"reset_counters": msgResetCounters{Applied: []int64{5, 0, 9}},
 		"recovery_done":  msgRecoveryDone{Node: 2, Sent: []int64{7, 0, 3}},
 		"start_recovery": msgStartRecovery{Parts: []int32{1, 3}, From: []int32{0, 2}},
-		"worker_done":    workerDoneMsg{Worker: 1, Committed: 50, GenSingle: 45, GenCross: 5},
+		"worker_done": workerDoneMsg{Worker: 1, Committed: 50, GenSingle: 45, GenCross: 5,
+			Repl: replStats{OpEntries: 40, ValueEntries: 9, Bytes: 1234, ValueEquivBytes: 5678}},
 		"halt":           msgHalt{},
 		"align_counters": msgAlignCounters{Src: 1, Applied: 4096},
 		"client_req":     ClientReq{Token: 8, Req: ticketed(txn.NewRequest(stock, 600), 2, 1<<40)},
@@ -74,8 +80,9 @@ func goldenMessages(tw *tpcc.Workload) map[string]transport.Message {
 // TestGoldenFrames shows wire compatibility with the hand-written codecs
 // the field walk replaced: every message id encodes to the parent
 // commit's bytes, the parent's bytes decode to the same struct and
-// re-encode unchanged, Size() is the parent's number, and every strict
-// prefix of a frame is rejected with a wire error.
+// re-encode unchanged, Size() is the captured number and the frame's
+// length, and every strict prefix of a frame is rejected with a wire
+// error.
 func TestGoldenFrames(t *testing.T) {
 	tw, yw := testWorkloads()
 	c := testCodec(tw, yw)
@@ -95,8 +102,8 @@ func TestGoldenFrames(t *testing.T) {
 		if !bytes.Equal(enc, g.Frame) {
 			t.Fatalf("%s: encodes to\n%x\nparent commit encoded\n%x", g.Name, enc, g.Frame)
 		}
-		if got := m.Size(); got != g.Size {
-			t.Fatalf("%s: Size() = %d, parent commit's was %d", g.Name, got, g.Size)
+		if got := m.Size(); got != g.Size || got != prim.FrameOverhead-1+len(g.Frame) {
+			t.Fatalf("%s: Size() = %d, captured %d, frame of %d bytes", g.Name, got, g.Size, prim.FrameOverhead-1+len(g.Frame))
 		}
 		dec, err := c.Decode(g.Frame)
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"star/internal/replication"
 	"star/internal/storage"
 	"star/internal/txn"
-	"star/internal/wire"
 )
 
 // msgReplBatch is the per-destination replication envelope: one worker's
@@ -68,8 +67,6 @@ type msgStartPhase struct {
 	ScriptDeferred int64
 }
 
-func (msgStartPhase) Size() int { return 64 }
-
 // InjectionEpoch lets a fault-injecting transport decorator key fault
 // windows to cluster epochs (faultnet.EpochCarrier): the coordinator's
 // phase commands announce the epoch on every process that sends them.
@@ -96,8 +93,6 @@ type msgPhaseDone struct {
 	Queued int64
 }
 
-func (m msgPhaseDone) Size() int { return 56 + 8*len(m.Sent) }
-
 // InjectionEpoch mirrors msgStartPhase's: phase reports carry the epoch
 // on node-hosting processes, which never send phase commands.
 func (m msgPhaseDone) InjectionEpoch() uint64 { return m.Epoch }
@@ -116,8 +111,6 @@ type msgEpochMark struct {
 	Sent  int64
 }
 
-func (msgEpochMark) Size() int { return 24 }
-
 // msgFenceAck reports a completed fence drain (node → coordinator): the
 // node's own phase ended, every peer's marker arrived, and everything
 // the markers count has been applied.
@@ -125,8 +118,6 @@ type msgFenceAck struct {
 	Node  int
 	Epoch uint64
 }
-
-func (msgFenceAck) Size() int { return 24 }
 
 // msgDefer routes a cross-partition request to the master node's queue
 // (§4.3: "the system would re-route the request to the master node").
@@ -136,29 +127,12 @@ type msgDefer struct {
 	Req *txn.Request
 }
 
-// wireSizer is implemented by procedures with a wire form: WireSize is
-// the size pass of the walk that encodes their parameters, so the size
-// below is the real frame length (TestModelledSizesTrackEncoding).
-type wireSizer interface{ WireSize() int }
-
-// Size is the encoded frame length: frame overhead + request header +
-// the procedure's parameters. Procedures without a wire codec fall back
-// to the legacy footprint model.
-func (m msgDefer) Size() int {
-	if ws, ok := m.Req.Proc.(wireSizer); ok {
-		return wire.FrameOverhead + wire.RequestOverhead(m.Req.GenAt) + ws.WireSize()
-	}
-	return 48 + 24*len(m.Req.Parts)
-}
-
 // msgReplAck acknowledges application of a synchronously replicated
 // batch (SYNC STAR only).
 type msgReplAck struct {
 	Worker int
 	Seq    uint64
 }
-
-func (msgReplAck) Size() int { return 24 }
 
 // msgRevert orders a node to revert the in-flight epoch after a failure
 // (coordinator → nodes) under the new failed set; the re-mastering of
@@ -169,16 +143,12 @@ type msgRevert struct {
 	Failed []int
 }
 
-func (m msgRevert) Size() int { return 32 + 8*len(m.Failed) }
-
 // msgSnapshotReq asks a healthy holder for a partition's records
 // (recovering-node catch-up, §4.5.3 case 1).
 type msgSnapshotReq struct {
 	From int
 	Part int
 }
-
-func (msgSnapshotReq) Size() int { return 24 }
 
 // msgSnapshot carries one table's slice of a partition back to a
 // recovering node as encoded row images: parallel key/TID/row columns
@@ -192,15 +162,9 @@ type msgSnapshot struct {
 	Rows  [][]byte
 }
 
-// Size is the encoded frame length: the size pass of the walk that
-// encodes it (snapshotFields).
-func (m *msgSnapshot) Size() int { return wire.FrameOverhead + wire.SizeOf(m, snapshotFields) }
-
 // msgHalt tells a node process the scripted run is over and it may exit
 // (coordinator → nodes; multi-process clusters only).
 type msgHalt struct{}
-
-func (msgHalt) Size() int { return 8 }
 
 // ClientStatus is the outcome of a client-submitted request.
 type ClientStatus uint8
@@ -246,14 +210,6 @@ type ClientReq struct {
 	Req   *txn.Request
 }
 
-// Size mirrors msgDefer's encoded-length model plus the client header.
-func (m ClientReq) Size() int {
-	if ws, ok := m.Req.Proc.(wireSizer); ok {
-		return wire.FrameOverhead + wire.RequestOverhead(m.Req.GenAt) + ws.WireSize() + 24
-	}
-	return 72 + 24*len(m.Req.Parts)
-}
-
 // ClientResp answers one ClientReq (master → origin gate → client).
 type ClientResp struct {
 	// Ticket echoes the request's correlation id.
@@ -268,5 +224,3 @@ type ClientResp struct {
 	// execution fingerprint for clients and tests. Zero for writes.
 	Reads int64
 }
-
-func (ClientResp) Size() int { return 40 }

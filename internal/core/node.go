@@ -147,8 +147,6 @@ type workerDoneMsg struct {
 	Repl      replStats
 }
 
-func (workerDoneMsg) Size() int { return 64 }
-
 // syncBatch wraps a replication batch that must be acknowledged before
 // the writer releases its locks (SYNC STAR).
 type syncBatch struct {
@@ -158,13 +156,9 @@ type syncBatch struct {
 	ReplyTo int
 }
 
-func (s syncBatch) Size() int { return s.Batch.Size() + 24 }
-
 // msgResetCounters aligns a rejoined node's applied counters with the
 // cluster's cumulative sent counts (its snapshot subsumes them).
 type msgResetCounters struct{ Applied []int64 }
-
-func (m msgResetCounters) Size() int { return 8 + 8*len(m.Applied) }
 
 // msgRecoveryDone tells the coordinator a rejoining node finished its
 // snapshot catch-up. Sent carries the node's cumulative per-destination
@@ -180,8 +174,6 @@ type msgRecoveryDone struct {
 	Sent []int64
 }
 
-func (m msgRecoveryDone) Size() int { return 8 + 8*len(m.Sent) }
-
 // msgAlignCounters sets the receiver's applied-from-Src counter to
 // exactly Applied (rejoin reconciliation; see msgRecoveryDone.Sent).
 type msgAlignCounters struct {
@@ -189,16 +181,12 @@ type msgAlignCounters struct {
 	Applied int64
 }
 
-func (msgAlignCounters) Size() int { return 24 }
-
 // msgStartRecovery orders a rejoining node to copy the listed partitions
 // from the given healthy holders.
 type msgStartRecovery struct {
 	Parts []int32
 	From  []int32
 }
-
-func (m msgStartRecovery) Size() int { return 8 + 8*len(m.Parts) }
 
 func (n *node) inbox() rt.Chan { return n.e.net.Inbox(n.id) }
 

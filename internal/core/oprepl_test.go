@@ -13,7 +13,6 @@ import (
 	"star/internal/storage"
 	"star/internal/txn"
 	"star/internal/wal"
-	"star/internal/wire"
 	"star/internal/workload/tpcc"
 )
 
@@ -202,7 +201,7 @@ func TestOpReplicationMultiShardBatchThroughCodec(t *testing.T) {
 			}
 		}
 	}
-	decoded, err := wire.DecodeBatch(wire.AppendBatch(nil, merged))
+	decoded, err := replication.DecodeBatch(replication.AppendBatch(nil, merged))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"star/internal/transport"
 	"star/internal/txn"
 	"star/internal/wire"
+	"star/internal/wire/prim"
 	"star/internal/workload"
 )
 
@@ -66,165 +67,117 @@ func NewWireCodec(w workload.Workload) *wire.Codec {
 	return c
 }
 
-// registerMessages describes every engine message once: each walk below
-// is the message's encoder, decoder and (where Size is the encoded
-// length) its size. The bytes are what the hand-written codecs before
-// the walk produced; testdata/golden_frames.txt holds theirs.
+// registerMessages binds every engine message to its id and its walk:
+// the walks below are each message's encoder, decoder and — through
+// wire.FrameLen — its Size(). The bytes are what the hand-written codecs
+// before the walk produced; testdata/golden_frames.txt holds theirs.
 func registerMessages(c *wire.Codec) {
-	wire.Register(c, wireStartPhase, func(f *wire.Fields, m *msgStartPhase) {
-		wire.U8(f, &m.Phase)
-		f.Uvarint(&m.Epoch)
-		f.I64((*int64)(&m.Deadline))
-		f.Ints(&m.Failed)
-		f.I64((*int64)(&m.Lat))
-		f.Int(&m.ScriptTxns)
-		f.I64(&m.ScriptDeferred)
-	})
-	wire.Register(c, wirePhaseDone, func(f *wire.Fields, m *msgPhaseDone) {
-		f.Int(&m.Node)
-		f.Uvarint(&m.Epoch)
-		f.I64s(&m.Sent)
-		f.I64(&m.Committed)
-		f.I64(&m.GenSingle)
-		f.I64(&m.GenCross)
-		f.I64(&m.Queued)
-	})
-	wire.Register(c, wireEpochMark, func(f *wire.Fields, m *msgEpochMark) {
-		f.Int(&m.From)
-		f.Uvarint(&m.Epoch)
-		f.I64(&m.Sent)
-	})
-	wire.Register(c, wireFenceAck, func(f *wire.Fields, m *msgFenceAck) {
-		f.Int(&m.Node)
-		f.Uvarint(&m.Epoch)
-	})
-	// msgDefer carries the whole routing request; the request codec
-	// recomputes Home/Parts/Cross from the decoded procedure.
-	wire.Register(c, wireDefer, func(f *wire.Fields, m *msgDefer) { f.Request(c, &m.Req) })
-	wire.Register(c, wireReplAck, func(f *wire.Fields, m *msgReplAck) {
-		f.Int(&m.Worker)
-		f.Uvarint(&m.Seq)
-	})
-	wire.Register(c, wireRevert, func(f *wire.Fields, m *msgRevert) {
-		f.Uvarint(&m.Epoch)
-		f.Ints(&m.Failed)
-	})
-	wire.Register(c, wireSnapshotReq, func(f *wire.Fields, m *msgSnapshotReq) {
-		f.Int(&m.From)
-		f.Int(&m.Part)
-	})
+	wire.Register(c, wireStartPhase, startPhaseFields)
+	wire.Register(c, wirePhaseDone, phaseDoneFields)
+	wire.Register(c, wireEpochMark, epochMarkFields)
+	wire.Register(c, wireFenceAck, fenceAckFields)
+	wire.Register(c, wireDefer, deferFields)
+	wire.Register(c, wireReplAck, replAckFields)
+	wire.Register(c, wireRevert, revertFields)
+	wire.Register(c, wireSnapshotReq, snapshotReqFields)
 	wire.Register(c, wireSnapshot, snapshotFields)
-
-	// The envelope is coded against its context (wire/entry.go), not
-	// field by field.
+	// The envelope is coded against its context (replication/envelope.go),
+	// not field by field.
 	c.Register(wireReplBatch, (*replication.Batch)(nil),
 		func(b []byte, m transport.Message) []byte {
-			return wire.AppendBatch(b, m.(*replication.Batch))
+			return replication.AppendBatch(b, m.(*replication.Batch))
 		},
 		func(b []byte) (transport.Message, []byte, error) {
-			batch, err := wire.DecodeBatch(b)
+			batch, err := replication.DecodeBatch(b)
 			return batch, nil, err
 		})
-	wire.Register(c, wireSyncBatch, func(f *wire.Fields, m *syncBatch) {
-		f.Int(&m.Worker)
-		f.Uvarint(&m.Seq)
-		f.Int(&m.ReplyTo)
-		f.Batch(&m.Batch)
-	})
-
-	wire.Register(c, wireResetCounters, func(f *wire.Fields, m *msgResetCounters) { f.I64s(&m.Applied) })
-	wire.Register(c, wireRecoveryDone, func(f *wire.Fields, m *msgRecoveryDone) {
-		f.Int(&m.Node)
-		f.I64s(&m.Sent)
-	})
-	wire.Register(c, wireStartRecovery, func(f *wire.Fields, m *msgStartRecovery) {
-		f.I32s(&m.Parts)
-		f.I32s(&m.From)
-	})
-	// Node-local in both engines today, but registered so a transport
-	// that encodes local sends (or a future split of workers from
-	// routers) keeps working.
-	wire.Register(c, wireWorkerDone, func(f *wire.Fields, m *workerDoneMsg) {
-		f.Int(&m.Worker)
-		f.I64(&m.Committed)
-		f.I64(&m.GenSingle)
-		f.I64(&m.GenCross)
-	})
-	wire.Register(c, wireHalt, func(*wire.Fields, *msgHalt) {})
-	wire.Register(c, wireAlignCounters, func(f *wire.Fields, m *msgAlignCounters) {
-		f.Int(&m.Src)
-		f.I64(&m.Applied)
-	})
-
-	wire.Register(c, wireAdminReq, func(f *wire.Fields, m *AdminReq) {
-		wire.U8(f, &m.V)
-		wire.U8(f, &m.Op)
-		f.Int(&m.From)
-		f.U64(&m.Ticket)
-		f.Int(&m.Node)
-		f.Bool(&m.On)
-	})
-	wire.Register(c, wireAdminResp, func(f *wire.Fields, m *AdminResp) {
-		wire.U8(f, &m.V)
-		wire.U8(f, &m.Op)
-		f.U64(&m.Ticket)
-		f.Int(&m.Node)
-		f.Bool(&m.OK)
-		f.String(&m.Err)
-		f.I32s(&m.Parts)
-		f.U64s(&m.Sums)
-		f.Check(len(m.Sums) == len(m.Parts))
-		f.Strings(&m.Keys, 1<<12)
-		f.I64s(&m.Vals)
-		f.Check(len(m.Vals) == len(m.Keys))
-		f.Uvarint(&m.Version)
-		f.I32s(&m.Members)
-		f.I32s(&m.Masters)
-		f.Strings(&m.ClientAddrs, 1<<12)
-		// The snapshot blob outlives the frame (the admin client hands it
-		// to the decoder after more frames arrive), so it is copied out.
-		f.BytesCopy(&m.Stats)
-	})
-	wire.Register(c, wireTopology, func(f *wire.Fields, m *msgTopology) {
-		f.Uvarint(&m.Version)
-		f.I32s(&m.Members)
-		f.I32s(&m.Masters)
-		f.I32s(&m.Secondary)
-		f.Check(len(m.Secondary) == len(m.Masters))
-	})
-
-	// ClientReq carries the session header (token, origin, ticket) ahead
-	// of the request body: AppendRequest does not ship Origin/Ticket (the
-	// engine-internal msgDefer has no use for them), so the client
-	// envelope walks them itself and stamps the decoded request.
-	wire.Register(c, wireClientReq, func(f *wire.Fields, m *ClientReq) {
-		var hdr txn.Request // Origin and Ticket, walked ahead of the body
-		if m.Req != nil {
-			hdr = *m.Req
-		}
-		f.Uvarint(&m.Token)
-		f.Int(&hdr.Origin)
-		f.U64(&hdr.Ticket)
-		f.Request(c, &m.Req)
-		if f.Decoding() && m.Req != nil {
-			m.Req.Origin, m.Req.Ticket = hdr.Origin, hdr.Ticket
-		}
-	})
-	wire.Register(c, wireClientResp, func(f *wire.Fields, m *ClientResp) {
-		f.U64(&m.Ticket)
-		wire.U8(f, &m.Status)
-		f.Check(m.Status >= StatusOK && m.Status <= StatusAborted)
-		f.Uvarint(&m.Token)
-		f.I64(&m.Reads)
-	})
+	wire.Register(c, wireSyncBatch, syncBatchFields)
+	wire.Register(c, wireResetCounters, resetCountersFields)
+	wire.Register(c, wireRecoveryDone, recoveryDoneFields)
+	wire.Register(c, wireStartRecovery, startRecoveryFields)
+	wire.Register(c, wireWorkerDone, workerDoneFields)
+	wire.Register(c, wireHalt, haltFields)
+	wire.Register(c, wireAlignCounters, alignCountersFields)
+	wire.Register(c, wireAdminReq, adminReqFields)
+	wire.Register(c, wireAdminResp, adminRespFields)
+	wire.Register(c, wireTopology, topologyFields)
+	wire.Register(c, wireClientReq, clientReqFields)
+	wire.Register(c, wireClientResp, clientRespFields)
 }
 
-// snapshotFields is msgSnapshot's walk: parallel key/TID/row columns
-// under one count. Each record costs at least 25 bytes.
+func (m msgStartPhase) Size() int { return wire.FrameLen(&m, startPhaseFields) }
+func startPhaseFields(f *wire.Fields, m *msgStartPhase) {
+	wire.U8(f, &m.Phase)
+	f.Uvarint(&m.Epoch)
+	f.I64((*int64)(&m.Deadline))
+	f.Ints(&m.Failed)
+	f.I64((*int64)(&m.Lat))
+	f.Int(&m.ScriptTxns)
+	f.I64(&m.ScriptDeferred)
+}
+
+func (m msgPhaseDone) Size() int { return wire.FrameLen(&m, phaseDoneFields) }
+func phaseDoneFields(f *wire.Fields, m *msgPhaseDone) {
+	f.Int(&m.Node)
+	f.Uvarint(&m.Epoch)
+	f.I64s(&m.Sent)
+	f.I64(&m.Committed)
+	f.I64(&m.GenSingle)
+	f.I64(&m.GenCross)
+	f.I64(&m.Queued)
+}
+
+func (m msgEpochMark) Size() int { return wire.FrameLen(&m, epochMarkFields) }
+func epochMarkFields(f *wire.Fields, m *msgEpochMark) {
+	f.Int(&m.From)
+	f.Uvarint(&m.Epoch)
+	f.I64(&m.Sent)
+}
+
+func (m msgFenceAck) Size() int { return wire.FrameLen(&m, fenceAckFields) }
+func fenceAckFields(f *wire.Fields, m *msgFenceAck) {
+	f.Int(&m.Node)
+	f.Uvarint(&m.Epoch)
+}
+
+// msgDefer carries the whole routing request; the request codec
+// recomputes Home/Parts/Cross from the decoded procedure. A procedure with
+// no codec (examples/bank's, tests': the simulator's only) cannot be
+// encoded, and is priced by its footprint instead — the one modelled size
+// left here.
+func (m msgDefer) Size() int {
+	if _, ok := m.Req.Proc.(interface{ WireSize() int }); !ok {
+		return 48 + 24*len(m.Req.Parts)
+	}
+	return wire.FrameLen(&m, deferFields)
+}
+func deferFields(f *wire.Fields, m *msgDefer) { f.Request(&m.Req) }
+
+func (m msgReplAck) Size() int { return wire.FrameLen(&m, replAckFields) }
+func replAckFields(f *wire.Fields, m *msgReplAck) {
+	f.Int(&m.Worker)
+	f.Uvarint(&m.Seq)
+}
+
+func (m msgRevert) Size() int { return wire.FrameLen(&m, revertFields) }
+func revertFields(f *wire.Fields, m *msgRevert) {
+	f.Uvarint(&m.Epoch)
+	f.Ints(&m.Failed)
+}
+
+func (m msgSnapshotReq) Size() int { return wire.FrameLen(&m, snapshotReqFields) }
+func snapshotReqFields(f *wire.Fields, m *msgSnapshotReq) {
+	f.Int(&m.From)
+	f.Int(&m.Part)
+}
+
+// msgSnapshot is parallel key/TID/row columns under one count. Each record
+// costs at least 25 bytes.
+func (m *msgSnapshot) Size() int { return wire.FrameLen(m, snapshotFields) }
 func snapshotFields(f *wire.Fields, m *msgSnapshot) {
 	wire.U8(f, &m.Table)
 	f.Uint(&m.Part)
-	if n := wire.Len(f, &m.Keys, wire.KeyLen+8+1); f.Decoding() && n > 0 {
+	if n := wire.Len(f, &m.Keys, prim.KeyLen+8+1); f.Decoding() && n > 0 {
 		m.TIDs, m.Rows = make([]uint64, n), make([][]byte, n)
 	}
 	for i := range m.Keys {
@@ -232,4 +185,122 @@ func snapshotFields(f *wire.Fields, m *msgSnapshot) {
 		f.U64(&m.TIDs[i])
 		f.Bytes(&m.Rows[i])
 	}
+}
+
+func (m syncBatch) Size() int { return wire.FrameLen(&m, syncBatchFields) }
+func syncBatchFields(f *wire.Fields, m *syncBatch) {
+	f.Int(&m.Worker)
+	f.Uvarint(&m.Seq)
+	f.Int(&m.ReplyTo)
+	wire.Tail(f, &m.Batch, replication.AppendBatch, replication.BatchLen, replication.DecodeBatch)
+}
+
+func (m msgResetCounters) Size() int                          { return wire.FrameLen(&m, resetCountersFields) }
+func resetCountersFields(f *wire.Fields, m *msgResetCounters) { f.I64s(&m.Applied) }
+
+func (m msgRecoveryDone) Size() int { return wire.FrameLen(&m, recoveryDoneFields) }
+func recoveryDoneFields(f *wire.Fields, m *msgRecoveryDone) {
+	f.Int(&m.Node)
+	f.I64s(&m.Sent)
+}
+
+func (m msgStartRecovery) Size() int { return wire.FrameLen(&m, startRecoveryFields) }
+func startRecoveryFields(f *wire.Fields, m *msgStartRecovery) {
+	f.I32s(&m.Parts)
+	f.I32s(&m.From)
+}
+
+// workerDoneMsg is node-local in both engines today, but registered so a
+// transport that encodes local sends (or a future split of workers from
+// routers) keeps working — which is why its replication shard is walked
+// too.
+func (m workerDoneMsg) Size() int { return wire.FrameLen(&m, workerDoneFields) }
+func workerDoneFields(f *wire.Fields, m *workerDoneMsg) {
+	f.Int(&m.Worker)
+	f.I64(&m.Committed)
+	f.I64(&m.GenSingle)
+	f.I64(&m.GenCross)
+	f.I64(&m.Repl.OpEntries)
+	f.I64(&m.Repl.ValueEntries)
+	f.I64(&m.Repl.Bytes)
+	f.I64(&m.Repl.ValueEquivBytes)
+}
+
+func (m msgHalt) Size() int             { return wire.FrameLen(&m, haltFields) }
+func haltFields(*wire.Fields, *msgHalt) {}
+
+func (m msgAlignCounters) Size() int { return wire.FrameLen(&m, alignCountersFields) }
+func alignCountersFields(f *wire.Fields, m *msgAlignCounters) {
+	f.Int(&m.Src)
+	f.I64(&m.Applied)
+}
+
+func (m AdminReq) Size() int { return wire.FrameLen(&m, adminReqFields) }
+func adminReqFields(f *wire.Fields, m *AdminReq) {
+	wire.U8(f, &m.V)
+	wire.U8(f, &m.Op)
+	f.Int(&m.From)
+	f.U64(&m.Ticket)
+	f.Int(&m.Node)
+	f.Bool(&m.On)
+}
+
+func (m AdminResp) Size() int { return wire.FrameLen(&m, adminRespFields) }
+func adminRespFields(f *wire.Fields, m *AdminResp) {
+	wire.U8(f, &m.V)
+	wire.U8(f, &m.Op)
+	f.U64(&m.Ticket)
+	f.Int(&m.Node)
+	f.Bool(&m.OK)
+	f.String(&m.Err)
+	f.I32s(&m.Parts)
+	f.U64s(&m.Sums)
+	f.Check(len(m.Sums) == len(m.Parts))
+	f.Strings(&m.Keys, 1<<12)
+	f.I64s(&m.Vals)
+	f.Check(len(m.Vals) == len(m.Keys))
+	f.Uvarint(&m.Version)
+	f.I32s(&m.Members)
+	f.I32s(&m.Masters)
+	f.Strings(&m.ClientAddrs, 1<<12)
+	// The snapshot blob outlives the frame (the admin client hands it
+	// to the decoder after more frames arrive), so it is copied out.
+	f.BytesCopy(&m.Stats)
+}
+
+func (m msgTopology) Size() int { return wire.FrameLen(&m, topologyFields) }
+func topologyFields(f *wire.Fields, m *msgTopology) {
+	f.Uvarint(&m.Version)
+	f.I32s(&m.Members)
+	f.I32s(&m.Masters)
+	f.I32s(&m.Secondary)
+	f.Check(len(m.Secondary) == len(m.Masters))
+}
+
+// ClientReq carries the session header (token, origin, ticket) ahead of
+// the request body. AppendRequest does not ship
+// Origin/Ticket (the engine-internal msgDefer has no use for them), so
+// the client envelope walks them itself and stamps the decoded request.
+func (m ClientReq) Size() int { return wire.FrameLen(&m, clientReqFields) }
+func clientReqFields(f *wire.Fields, m *ClientReq) {
+	var hdr txn.Request // Origin and Ticket, walked ahead of the body
+	if m.Req != nil {
+		hdr = *m.Req
+	}
+	f.Uvarint(&m.Token)
+	f.Int(&hdr.Origin)
+	f.U64(&hdr.Ticket)
+	f.Request(&m.Req)
+	if f.Decoding() && m.Req != nil {
+		m.Req.Origin, m.Req.Ticket = hdr.Origin, hdr.Ticket
+	}
+}
+
+func (m ClientResp) Size() int { return wire.FrameLen(&m, clientRespFields) }
+func clientRespFields(f *wire.Fields, m *ClientResp) {
+	f.U64(&m.Ticket)
+	wire.U8(f, &m.Status)
+	f.Check(m.Status >= StatusOK && m.Status <= StatusAborted)
+	f.Uvarint(&m.Token)
+	f.I64(&m.Reads)
 }

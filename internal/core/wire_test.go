@@ -17,6 +17,7 @@ import (
 	"star/internal/transport"
 	"star/internal/txn"
 	"star/internal/wire"
+	"star/internal/wire/prim"
 	"star/internal/workload/tpcc"
 	"star/internal/workload/ycsb"
 )
@@ -139,14 +140,12 @@ func TestWireMessagesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestModelledSizesTrackEncoding pins the three sizes documented as
-// "the encoded frame length" to exactly that, for a large sample of
-// generated transactions: msgDefer and msgSnapshot with ==, ClientReq
-// less the one modelled part of it (its session header counts as 24
-// bytes). They cannot drift — the size is a pass of the walk that
-// encodes — short of the request header's Retries, which the model takes
-// for the single byte it is below 128 retries.
-func TestModelledSizesTrackEncoding(t *testing.T) {
+// TestSizeIsEncodedFrameLength: a message's Size() is the length of the
+// frame it encodes to — for every golden sample, for 600 generated TPC-C
+// and YCSB requests both deferred (msgDefer) and submitted by a client
+// (ClientReq), one of them retried 300 times, for random snapshots, and
+// for random envelopes, with zero-packed rows, alone and synchronous.
+func TestSizeIsEncodedFrameLength(t *testing.T) {
 	tw, yw := testWorkloads()
 	c := testCodec(tw, yw)
 	rng := rand.New(rand.NewSource(99))
@@ -156,40 +155,33 @@ func TestModelledSizesTrackEncoding(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: encode: %v", name, err)
 		}
-		modelled := m.Size()
-		if d, ok := m.(msgDefer); ok {
-			// The same request behind a client session header.
-			cr := ClientReq{Token: uint64(modelled), Req: ticketed(d.Req.Clone(), 1, 77)}
-			cframe, err := wire.AppendFrame(nil, 0, 1, transport.Data, c, cr)
-			if err != nil {
-				t.Fatalf("%s: encode as client request: %v", name, err)
-			}
-			header := wire.UvarintLen(cr.Token) + wire.VarintLen(1) + 8
-			if got := cr.Size() - 24 + header; got != len(cframe) {
-				t.Fatalf("%s as client request: Size() %d with a %d-byte header is %d, encoded %d",
-					name, cr.Size(), header, got, len(cframe))
-			}
-		}
-		if modelled != len(frame) {
-			t.Fatalf("%s: Size() %d, encoded frame %d", name, modelled, len(frame))
+		if m.Size() != len(frame) {
+			t.Fatalf("%s: Size() %d, encoded frame %d", name, m.Size(), len(frame))
 		}
 	}
-	tg := tw.NewGen(7)
-	yg := yw.NewGen(8)
-	for i := 0; i < 200; i++ {
-		home := i % 4
-		check("tpcc defer", msgDefer{Req: txn.NewRequest(tg.Mixed(home), int64(i)*1001)})
-		check("ycsb defer", msgDefer{Req: txn.NewRequest(yg.Mixed(home), int64(i)*77)})
+	for name, m := range goldenMessages(tw) {
+		check(name, m)
 	}
-	// Full-mix generator: Delivery and Stock-Level defers must track too.
+	request := func(name string, req *txn.Request) {
+		t.Helper()
+		check(name+" defer", msgDefer{Req: req})
+		client := ticketed(req.Clone(), rng.Intn(300)-100, rng.Uint64()>>rng.Intn(64))
+		check(name+" client request", ClientReq{Token: rng.Uint64() >> rng.Intn(64), Req: client})
+	}
+	// Full-mix generator: Delivery and Stock-Level requests too.
 	ftw := tpcc.New(tpcc.Config{
 		Warehouses: 4, Districts: 2, CustomersPerDistrict: 100, Items: 500,
 		DeliveryPct: 20, StockLevelPct: 20, CrossPctStockLevel: 50,
 	})
-	fg := ftw.NewGen(9)
+	tg, yg, fg := tw.NewGen(7), yw.NewGen(8), ftw.NewGen(9)
 	for i := 0; i < 200; i++ {
-		check("tpcc full-mix defer", msgDefer{Req: txn.NewRequest(fg.Mixed(i%4), int64(i)*501)})
+		request("tpcc", txn.NewRequest(tg.Mixed(i%4), int64(i)*1001))
+		request("ycsb", txn.NewRequest(yg.Mixed(i%4), int64(i)*77))
+		request("tpcc full-mix", txn.NewRequest(fg.Mixed(i%4), int64(i)*501))
 	}
+	retried := txn.NewRequest(yg.Cross(1), 5)
+	retried.Retries = 300 // a two-byte uvarint
+	request("request retried 300 times", retried)
 	for i := 0; i < 20; i++ {
 		snap := &msgSnapshot{Table: storage.TableID(i % 3), Part: i}
 		for j := 0; j < 1+rng.Intn(50); j++ {
@@ -201,11 +193,47 @@ func TestModelledSizesTrackEncoding(t *testing.T) {
 		}
 		check("snapshot", snap)
 	}
+	for i := 0; i < 200; i++ {
+		b := randomEnvelope(rng)
+		check("envelope", b)
+		check("sync envelope", syncBatch{Batch: b, Worker: rng.Intn(8), Seq: rng.Uint64() >> rng.Intn(64), ReplyTo: rng.Intn(4)})
+	}
 }
+
+// randomEnvelope draws an envelope of operation entries, tombstones and
+// rows from random to all zeros (which cross zero-packed), over changing
+// tables, partitions, keys (raw-escaped ones among them) and TIDs.
+func randomEnvelope(rng *rand.Rand) *replication.Batch {
+	b := &replication.Batch{From: rng.Intn(4), Epoch: uint64(rng.Intn(1000))}
+	for n := rng.Intn(60); len(b.Entries) < n; {
+		e := replication.Entry{Table: storage.TableID(rng.Intn(3)), Part: int32(rng.Intn(300)),
+			Key: storage.K2(uint64(rng.Intn(64)), rng.Uint64()>>rng.Intn(64)), TID: storage.MakeTID(b.Epoch, uint64(rng.Intn(500)))}
+		switch rng.Intn(4) {
+		case 0:
+			e.Ops = []storage.FieldOp{storage.AddInt64Op(rng.Intn(8), rng.Int63()), storage.PrependOp(1, []byte("note"))}[:rng.Intn(3)]
+		case 1:
+			e.Absent = true
+		default:
+			e.Row = make([]byte, 1+rng.Intn(300))
+			zeroPct := rng.Intn(101)
+			for j := range e.Row {
+				if rng.Intn(100) >= zeroPct {
+					e.Row[j] = byte(1 + rng.Intn(255))
+				}
+			}
+		}
+		b.Entries = append(b.Entries, e)
+	}
+	return b
+}
+
+// sizeSink keeps the size passes the budget below measures.
+var sizeSink int
 
 // TestRequestCodecAllocBudget pins what the field walk costs a routed
 // request: the encoding and sizing passes allocate nothing (the walker
-// is pooled, the output buffer is the caller's), and decoding allocates
+// is pooled, or for a Size() on the stack; the output buffer is the
+// caller's), and decoding allocates
 // what the hand-written decoders did — the request, its partition list,
 // the procedure and its parameter slices: 7 for a YCSB transaction, 6 for
 // a New-Order.
@@ -237,7 +265,8 @@ func TestRequestCodecAllocBudget(t *testing.T) {
 		if n := testing.AllocsPerRun(200, func() { c.AppendRequest(buf, tc.req) }); n != 0 {
 			t.Errorf("%s: encoding into a sized buffer allocates %v times, want 0", tc.name, n)
 		}
-		if n := testing.AllocsPerRun(200, func() { tc.req.Proc.(wireSizer).WireSize() }); n != 0 {
+		sizes := func() { sizeSink = msgDefer{Req: tc.req}.Size() + ClientReq{Req: tc.req}.Size() }
+		if n := testing.AllocsPerRun(200, sizes); n != 0 {
 			t.Errorf("%s: the size pass allocates %v times, want 0", tc.name, n)
 		}
 		if n := testing.AllocsPerRun(200, func() { c.DecodeRequest(enc) }); n != tc.decode {
@@ -313,7 +342,7 @@ func TestRetiredIDsAreRejected(t *testing.T) {
 	c := testCodec(tw, yw)
 	for _, frame := range retiredFrames {
 		m, err := c.Decode(frame)
-		if !errors.Is(err, wire.ErrCorrupt) || !strings.Contains(fmt.Sprint(err), "unknown message id") {
+		if !errors.Is(err, prim.ErrCorrupt) || !strings.Contains(fmt.Sprint(err), "unknown message id") {
 			t.Fatalf("retired id %d: decoded to %#v, err %v; want an unknown-id rejection", frame[0], m, err)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 	"star/internal/transport"
 	"star/internal/txn"
 	"star/internal/wal"
-	"star/internal/wire"
+	"star/internal/wire/prim"
 	"star/internal/workload"
 )
 
@@ -56,9 +56,6 @@ type worker struct {
 	genSingle int64
 	genCross  int64
 	repl      replStats
-	// sizers holds, per destination node, where strm's open envelope to
-	// it stands, so repl prices each entry as the wire will encode it.
-	sizers []wire.EntrySizer
 	// pendingLat holds GenAt stamps of transactions committed this
 	// epoch; the router (sole reader while workers idle at the fence)
 	// releases them as group-commit latencies at the next phase start.
@@ -80,14 +77,13 @@ func newWorker(n *node, idx int) *worker {
 	e := n.e
 	seed := e.cfg.Seed*1_000_003 + int64(n.id)*257 + int64(idx) + 1
 	w := &worker{
-		n:      n,
-		idx:    idx,
-		gen:    e.cfg.Workload.NewGen(seed),
-		rng:    rand.New(rand.NewSource(seed ^ 0x5eed)),
-		strm:   replication.NewStream(e.net, n.tracker, n.id, e.cfg.streamLimits()),
-		sizers: make([]wire.EntrySizer, n.tracker.Nodes()),
-		ctl:    e.cfg.RT.NewChan(4),
-		resp:   e.cfg.RT.NewChan(16),
+		n:    n,
+		idx:  idx,
+		gen:  e.cfg.Workload.NewGen(seed),
+		rng:  rand.New(rand.NewSource(seed ^ 0x5eed)),
+		strm: replication.NewStream(e.net, n.tracker, n.id, e.cfg.streamLimits()),
+		ctl:  e.cfg.RT.NewChan(4),
+		resp: e.cfg.RT.NewChan(16),
 	}
 	w.lctx.w = w
 	w.sctx.n = n
@@ -263,12 +259,8 @@ func (w *worker) emitEntries(tidv uint64, ops bool) {
 			if dst == w.n.id {
 				continue
 			}
-			sz := &w.sizers[dst]
-			if w.strm.BufferedTo(dst) == 0 {
-				sz.Reset(w.strm.Epoch()) // this entry opens an envelope
-			}
-			w.repl.note(sz, &ent, rowSize)
-			w.strm.Append(dst, ent)
+			header, payload, raw := w.strm.Append(dst, ent)
+			w.repl.note(&ent, rowSize, header, payload, raw)
 		}
 	}
 }
@@ -284,14 +276,13 @@ type replStats struct {
 	Bytes, ValueEquivBytes  int64
 }
 
-// note counts e as the next entry of the envelope sz stands in; rowSize,
-// its table's row size, is what an operation entry would have carried as
-// a value behind the same header — a whole row, as a value entry's own is
-// priced however few bytes it packed into.
-func (s *replStats) note(sz *wire.EntrySizer, e *replication.Entry, rowSize int) {
-	header, payload, raw := sz.Next(e)
+// note counts e at what its envelope encodes it in (EntrySizer.Next);
+// rowSize, its table's row size, is what an operation entry would have
+// carried as a value behind the same header — a whole row, as a value
+// entry's own is priced however few bytes it packed into.
+func (s *replStats) note(e *replication.Entry, rowSize, header, payload, raw int) {
 	if e.IsOp() {
-		raw = wire.UvarintLen(uint64(rowSize)) + rowSize
+		raw = prim.UvarintLen(uint64(rowSize)) + rowSize
 		s.OpEntries++
 	} else {
 		s.ValueEntries++
@@ -468,10 +459,11 @@ func (w *worker) commitSync(req *txn.Request, epoch uint64) bool {
 	want := 0
 	for dst, ents := range perDst {
 		w.n.tracker.AddSent(dst, int64(len(ents)))
-		var sz wire.EntrySizer
+		var sz replication.EntrySizer
 		sz.Reset(epoch)
 		for i := range ents {
-			w.repl.note(&sz, &ents[i], 0)
+			header, payload, raw := sz.Next(&ents[i])
+			w.repl.note(&ents[i], 0, header, payload, raw)
 		}
 		e.net.Send(w.n.id, dst, transport.Replication, syncBatch{
 			Batch:   &msgReplBatch{From: w.n.id, Epoch: epoch, Entries: ents},

@@ -1,21 +1,20 @@
-package wire
+package replication
 
 import (
 	"bytes"
 	"fmt"
 	"math/bits"
 
-	"star/internal/replication"
 	"star/internal/storage"
+	"star/internal/wire/prim"
 )
 
-// Replication envelope format.
+// Envelope format.
 //
-// An envelope (replication.Batch) comes from one worker and one epoch,
-// nearly always for one partition and a run of one table, so an entry is
-// coded against the entry before it, in arrival order — nothing is
-// sorted, operation entries stay FIFO per record — and what repeats is
-// not sent again:
+// An envelope (Batch) comes from one worker and one epoch, nearly always
+// for one partition and a run of one table, so an entry is coded against
+// the entry before it, in arrival order — nothing is sorted, operation
+// entries stay FIFO per record — and what repeats is not sent again:
 //
 //	batch:  [from uvarint][epoch uvarint][n uvarint] n × entry
 //	entry:  [flags u8]
@@ -63,7 +62,9 @@ import (
 // Sizes: a YCSB operation entry after the first is flags 1 + key 4 +
 // TID 1 + nops 1 + op 15 = 22 bytes (43 when every entry carried table,
 // partition, a 16-byte key and an 8-byte TID); the header alone is
-// between MinEntryLen−1 and MaxEntryHeaderLen bytes.
+// between MinEntryLen−1 and MaxEntryHeaderLen bytes. Everything that
+// prices an entry asks EntrySizer — the Stream's byte bound, Batch.Size,
+// what a worker reports it replicated — so all of them count these bytes.
 const (
 	flagOp       = 1 << 0
 	flagAbsent   = 1 << 1
@@ -86,7 +87,7 @@ const (
 	// MaxEntryHeaderLen is the largest encoded entry header — everything
 	// in front of the payload: flags 1, table 1, partition 5 (uvarint of
 	// a uint32), raw key 16, TID delta 10.
-	MaxEntryHeaderLen = 1 + 1 + 5 + KeyLen + 10
+	MaxEntryHeaderLen = 1 + 1 + 5 + prim.KeyLen + 10
 )
 
 // entryPrev is what the next entry is coded against: the table, partition
@@ -101,33 +102,6 @@ type entryPrev struct {
 // stamped with epoch.
 func batchPrev(epoch uint64) entryPrev {
 	return entryPrev{tid: storage.MakeTID(epoch, 0)}
-}
-
-// AppendFieldOp appends one field operation: [field u8][kind u8][arg].
-func AppendFieldOp(b []byte, op *storage.FieldOp) []byte {
-	b = append(b, op.Field, byte(op.Kind))
-	return AppendBytes(b, op.Arg)
-}
-
-// FieldOpLen returns the encoded size of op.
-func FieldOpLen(op *storage.FieldOp) int { return 2 + BytesLen(op.Arg) }
-
-// DecodeFieldOp consumes one field operation. Arg aliases b.
-func DecodeFieldOp(b []byte) (storage.FieldOp, []byte, error) {
-	var op storage.FieldOp
-	if len(b) < 2 {
-		return op, nil, ErrTruncated
-	}
-	op.Field = b[0]
-	op.Kind = storage.OpKind(b[1])
-	if op.Kind > storage.OpSetRow {
-		return op, nil, fmt.Errorf("%w: op kind %d", ErrCorrupt, op.Kind)
-	}
-	var err error
-	if op.Arg, b, err = Bytes(b[2:]); err != nil {
-		return op, nil, err
-	}
-	return op, b, nil
 }
 
 // packedLen returns the size of row's body on the wire: of its packed
@@ -159,7 +133,7 @@ func appendPacked(b, row []byte) []byte {
 // is decided (the sizer runs it into a stack buffer), including the form
 // its row takes — body is the row's packedLen if it goes packed, else its
 // length.
-func appendHeader(b []byte, prev *entryPrev, e *replication.Entry) (_ []byte, body int) {
+func appendHeader(b []byte, prev *entryPrev, e *Entry) (_ []byte, body int) {
 	var flags byte
 	if e.IsOp() {
 		flags |= flagOp
@@ -177,41 +151,41 @@ func appendHeader(b []byte, prev *entryPrev, e *replication.Entry) (_ []byte, bo
 	if same {
 		flags |= flagSamePart
 	}
-	raw := UvarintLen(e.Key.Hi)+UvarintLen(e.Key.Lo) > KeyLen // as uvarints, longer than raw
+	raw := prim.UvarintLen(e.Key.Hi)+prim.UvarintLen(e.Key.Lo) > prim.KeyLen // as uvarints, longer than raw
 	if raw {
 		flags |= flagRawKey
 	}
 	b = append(b, flags)
 	if !same {
 		b = append(b, byte(e.Table))
-		b = AppendUvarint(b, uint64(uint32(e.Part)))
+		b = prim.AppendUvarint(b, uint64(uint32(e.Part)))
 		prev.table, prev.part = e.Table, e.Part
 	}
 	if raw {
-		b = AppendKey(b, e.Key)
+		b = prim.AppendKey(b, e.Key)
 	} else {
-		b = AppendUvarint(b, e.Key.Hi)
-		b = AppendUvarint(b, e.Key.Lo)
+		b = prim.AppendUvarint(b, e.Key.Hi)
+		b = prim.AppendUvarint(b, e.Key.Lo)
 	}
-	b = AppendVarint(b, int64(e.TID-prev.tid))
+	b = prim.AppendVarint(b, int64(e.TID-prev.tid))
 	prev.tid = e.TID
 	return b, body
 }
 
 // appendEntry is the one entry encoder.
-func appendEntry(b []byte, prev *entryPrev, e *replication.Entry) []byte {
+func appendEntry(b []byte, prev *entryPrev, e *Entry) []byte {
 	b, body := appendHeader(b, prev, e)
 	if e.IsOp() {
-		b = AppendUvarint(b, uint64(len(e.Ops)))
+		b = prim.AppendUvarint(b, uint64(len(e.Ops)))
 		for i := range e.Ops {
-			b = AppendFieldOp(b, &e.Ops[i])
+			b = prim.AppendFieldOp(b, &e.Ops[i])
 		}
 		return b
 	}
 	if body == len(e.Row) {
-		return AppendBytes(b, e.Row)
+		return prim.AppendBytes(b, e.Row)
 	}
-	return appendPacked(AppendUvarint(b, uint64(len(e.Row))), e.Row)
+	return appendPacked(prim.AppendUvarint(b, uint64(len(e.Row))), e.Row)
 }
 
 // EntrySizer measures entries as an envelope encodes them: each against
@@ -227,17 +201,17 @@ func (s *EntrySizer) Reset(epoch uint64) { s.prev = batchPrev(epoch) }
 // (row or ops, length prefix included), and beside them raw: the payload
 // had its row not packed. The split lets a caller price the entry as the
 // whole row it stands for — header + raw, or for an operation entry
-// header + BytesLen of its table's row.
-func (s *EntrySizer) Next(e *replication.Entry) (header, payload, raw int) {
+// header + the length-prefixed size of its table's row.
+func (s *EntrySizer) Next(e *Entry) (header, payload, raw int) {
 	var buf [MaxEntryHeaderLen]byte
 	b, body := appendHeader(buf[:0], &s.prev, e)
 	if !e.IsOp() {
-		raw = BytesLen(e.Row)
+		raw = prim.BytesLen(e.Row)
 		return len(b), raw - len(e.Row) + body, raw
 	}
-	payload = UvarintLen(uint64(len(e.Ops)))
+	payload = prim.UvarintLen(uint64(len(e.Ops)))
 	for i := range e.Ops {
-		payload += FieldOpLen(&e.Ops[i])
+		payload += prim.FieldOpLen(&e.Ops[i])
 	}
 	return len(b), payload, payload
 }
@@ -266,20 +240,20 @@ type batchScan struct {
 // the one pass that decodes everything else, and then carve every entry's
 // Ops from one allocation and every packed row from another. A raw value
 // entry comes back complete.
-func scanEntry(b []byte, s *batchScan, e *replication.Entry) (rest []byte, err error) {
+func scanEntry(b []byte, s *batchScan, e *Entry) (rest []byte, err error) {
 	if len(b) < MinEntryLen {
-		return nil, ErrTruncated
+		return nil, prim.ErrTruncated
 	}
 	flags := b[0]
 	if flags&^flagsKnown != 0 || flags&flagPacked != 0 && flags&(flagOp|flagAbsent) != 0 {
-		return nil, fmt.Errorf("%w: entry flags %#x", ErrCorrupt, flags)
+		return nil, fmt.Errorf("%w: entry flags %#x", prim.ErrCorrupt, flags)
 	}
 	b = b[1:]
 	prev := &s.prev
 	if flags&flagSamePart == 0 {
 		prev.table = storage.TableID(b[0])
 		var part uint64
-		if part, b, err = Uvarint(b[1:]); err != nil {
+		if part, b, err = prim.Uvarint(b[1:]); err != nil {
 			return nil, err
 		}
 		prev.part = int32(uint32(part))
@@ -287,24 +261,24 @@ func scanEntry(b []byte, s *batchScan, e *replication.Entry) (rest []byte, err e
 	e.Absent = flags&flagAbsent != 0
 	e.Table, e.Part = prev.table, prev.part
 	if flags&flagRawKey != 0 {
-		e.Key, b, err = Key(b)
-	} else if e.Key.Hi, b, err = Uvarint(b); err == nil {
-		e.Key.Lo, b, err = Uvarint(b)
+		e.Key, b, err = prim.Key(b)
+	} else if e.Key.Hi, b, err = prim.Uvarint(b); err == nil {
+		e.Key.Lo, b, err = prim.Uvarint(b)
 	}
 	if err != nil {
 		return nil, err
 	}
-	delta, b, err := Varint(b)
+	delta, b, err := prim.Varint(b)
 	if err != nil {
 		return nil, err
 	}
 	prev.tid += uint64(delta)
 	e.TID = prev.tid
 	if flags&(flagOp|flagPacked) == 0 {
-		e.Row, b, err = Bytes(b)
+		e.Row, b, err = prim.Bytes(b)
 		return b, err
 	}
-	n, body, err := Uvarint(b)
+	n, body, err := prim.Uvarint(b)
 	if err != nil {
 		return nil, err
 	}
@@ -313,12 +287,12 @@ func scanEntry(b []byte, s *batchScan, e *replication.Entry) (rest []byte, err e
 		packed, zeroMasks := body, 0
 		for left := int(n); left > 0; left -= 8 {
 			if len(body) == 0 || bits.OnesCount8(body[0]) >= len(body) {
-				return nil, ErrTruncated
+				return nil, prim.ErrTruncated
 			}
 			if body[0] == 0 {
 				zeroMasks++
 			} else if left < 8 && body[0]>>left != 0 {
-				return nil, fmt.Errorf("%w: packed row mask %#x past the row's end", ErrCorrupt, body[0])
+				return nil, fmt.Errorf("%w: packed row mask %#x past the row's end", prim.ErrCorrupt, body[0])
 			}
 			body = body[1+bits.OnesCount8(body[0]):]
 		}
@@ -327,7 +301,7 @@ func scanEntry(b []byte, s *batchScan, e *replication.Entry) (rest []byte, err e
 		// with no zero byte but the masks of zero words.
 		packed = packed[:len(packed)-len(body)]
 		if n > storage.MaxRowSize || len(packed) >= int(n) || bytes.Count(packed, []byte{0}) != zeroMasks {
-			return nil, fmt.Errorf("%w: row of %d bytes packed into %d", ErrCorrupt, n, len(packed))
+			return nil, fmt.Errorf("%w: row of %d bytes packed into %d", prim.ErrCorrupt, n, len(packed))
 		}
 		s.nrows += int(n)
 		mark = packedRow
@@ -335,10 +309,10 @@ func scanEntry(b []byte, s *batchScan, e *replication.Entry) (rest []byte, err e
 		// Each op costs at least 3 bytes, so the count is bounded by the
 		// buffer — reject early instead of allocating from a corrupt count.
 		if n > uint64(len(body))/3 {
-			return nil, fmt.Errorf("%w: %d ops in %d-byte buffer", ErrCorrupt, n, len(body))
+			return nil, fmt.Errorf("%w: %d ops in %d-byte buffer", prim.ErrCorrupt, n, len(body))
 		}
 		for i := uint64(0); i < n; i++ {
-			if _, body, err = DecodeFieldOp(body); err != nil {
+			if _, body, err = prim.DecodeFieldOp(body); err != nil {
 				return nil, err
 			}
 		}
@@ -352,20 +326,20 @@ func scanEntry(b []byte, s *batchScan, e *replication.Entry) (rest []byte, err e
 // e.Ops off the front of pool — which must be non-nil, so that a zero-op
 // entry still reads as an operation entry, and hold at least the entry's
 // op count — and returns the rest. The encoding was validated by the scan.
-func fillOps(e *replication.Entry, pool []storage.FieldOp) []storage.FieldOp {
-	n, body, _ := Uvarint(e.Row)
+func fillOps(e *Entry, pool []storage.FieldOp) []storage.FieldOp {
+	n, body, _ := prim.Uvarint(e.Row)
 	e.Row = nil
 	e.Ops, pool = pool[:n:n], pool[n:]
 	for i := range e.Ops {
-		e.Ops[i], body, _ = DecodeFieldOp(body)
+		e.Ops[i], body, _ = prim.DecodeFieldOp(body)
 	}
 	return pool
 }
 
 // fillRow unpacks the row scanEntry left packed in e.Row into the front
 // of arena, which is zeroed, and returns the rest.
-func fillRow(e *replication.Entry, arena []byte) []byte {
-	n, body, _ := Uvarint(e.Row)
+func fillRow(e *Entry, arena []byte) []byte {
+	n, body, _ := prim.Uvarint(e.Row)
 	e.Ops, e.Row = nil, arena[:n:n]
 	for row := e.Row; len(row) > 0; row = row[min(8, len(row)):] {
 		mask := body[0]
@@ -377,11 +351,12 @@ func fillRow(e *replication.Entry, arena []byte) []byte {
 	return arena[n:]
 }
 
-// AppendBatch appends a replication batch body.
-func AppendBatch(b []byte, batch *replication.Batch) []byte {
-	b = AppendUvarint(b, uint64(batch.From))
-	b = AppendUvarint(b, batch.Epoch)
-	b = AppendUvarint(b, uint64(len(batch.Entries)))
+// AppendBatch appends a batch body: what follows the message id in its
+// frame.
+func AppendBatch(b []byte, batch *Batch) []byte {
+	b = prim.AppendUvarint(b, uint64(batch.From))
+	b = prim.AppendUvarint(b, batch.Epoch)
+	b = prim.AppendUvarint(b, uint64(len(batch.Entries)))
 	prev := batchPrev(batch.Epoch)
 	for i := range batch.Entries {
 		b = appendEntry(b, &prev, &batch.Entries[i])
@@ -390,9 +365,9 @@ func AppendBatch(b []byte, batch *replication.Batch) []byte {
 }
 
 // BatchLen returns the encoded size of a batch body.
-func BatchLen(batch *replication.Batch) int {
-	n := UvarintLen(uint64(batch.From)) + UvarintLen(batch.Epoch) +
-		UvarintLen(uint64(len(batch.Entries)))
+func BatchLen(batch *Batch) int {
+	n := prim.UvarintLen(uint64(batch.From)) + prim.UvarintLen(batch.Epoch) +
+		prim.UvarintLen(uint64(len(batch.Entries)))
 	var s EntrySizer
 	s.Reset(batch.Epoch)
 	for i := range batch.Entries {
@@ -404,39 +379,39 @@ func BatchLen(batch *replication.Batch) int {
 
 // DecodeBatch decodes a whole batch body. Entry payloads alias b, rows
 // that arrived packed the one arena they are unpacked into.
-func DecodeBatch(b []byte) (*replication.Batch, error) {
-	from, b, err := Uvarint(b)
+func DecodeBatch(b []byte) (*Batch, error) {
+	from, b, err := prim.Uvarint(b)
 	if err != nil {
 		return nil, err
 	}
-	epoch, b, err := Uvarint(b)
+	epoch, b, err := prim.Uvarint(b)
 	if err != nil {
 		return nil, err
 	}
-	n, b, err := Uvarint(b)
+	n, b, err := prim.Uvarint(b)
 	if err != nil {
 		return nil, err
 	}
 	if n > uint64(len(b))/MinEntryLen {
-		return nil, fmt.Errorf("%w: %d entries in %d-byte buffer", ErrCorrupt, n, len(b))
+		return nil, fmt.Errorf("%w: %d entries in %d-byte buffer", prim.ErrCorrupt, n, len(b))
 	}
 	// A count the buffer could hold is still only a claim, and an Entry
 	// in memory is 88 bytes to the 5 of the smallest encoding: allocate
 	// a few flushes' worth up front — an envelope as the engine sends
 	// them costs one allocation — and past that only as entries scan,
 	// doubling, so the memory stays in proportion to bytes that decoded.
-	entries := make([]replication.Entry, min(n, upfrontEntries))
+	entries := make([]Entry, min(n, upfrontEntries))
 	s := batchScan{prev: batchPrev(epoch)}
 	for i := 0; i < int(n); i++ {
 		if i == len(entries) {
-			entries = append(entries, make([]replication.Entry, min(i, int(n)-i))...)
+			entries = append(entries, make([]Entry, min(i, int(n)-i))...)
 		}
 		if b, err = scanEntry(b, &s, &entries[i]); err != nil {
 			return nil, err
 		}
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after batch", ErrCorrupt, len(b))
+		return nil, fmt.Errorf("%w: %d trailing bytes after batch", prim.ErrCorrupt, len(b))
 	}
 	// One allocation holds every operation entry's Ops — the mirror of
 	// the send side's per-destination ops arena — and one more every
@@ -451,5 +426,5 @@ func DecodeBatch(b []byte) (*replication.Batch, error) {
 			pool = fillOps(e, pool)
 		}
 	}
-	return &replication.Batch{From: int(from), Epoch: epoch, Entries: entries}, nil
+	return &Batch{From: int(from), Epoch: epoch, Entries: entries}, nil
 }

@@ -2,9 +2,9 @@
 // value entries (full records, applied in any order under the Thomas
 // write rule — the single-master phase, inserts and deletes), operation
 // entries (small field deltas, applied FIFO per partition — every
-// partitioned-phase update), per-destination batched streams, and the
-// sent/applied counters the replication fence reconciles at every phase
-// switch.
+// partitioned-phase update), per-destination batched streams and the
+// envelope they ship in (envelope.go: its format, size and codec), and
+// the sent/applied counters the fence reconciles at every phase switch.
 package replication
 
 import (
@@ -14,6 +14,7 @@ import (
 	"star/internal/storage"
 	"star/internal/transport"
 	"star/internal/txn"
+	"star/internal/wire/prim"
 )
 
 // Entry is one replicated write. Exactly one of Row/Ops is meaningful:
@@ -41,18 +42,6 @@ func (e *Entry) Write() storage.Write {
 		return storage.Write{Kind: storage.WriteDelete}
 	}
 	return storage.Write{Kind: storage.WriteRow, Row: e.Row}
-}
-
-// Size returns the modelled wire size in bytes.
-func (e *Entry) Size() int {
-	n := 1 + 1 + 4 + storage.KeySize + 8 // kind+table+part+key+tid
-	if e.IsOp() {
-		for _, op := range e.Ops {
-			n += op.Size()
-		}
-		return n
-	}
-	return n + 2 + len(e.Row)
 }
 
 // Apply installs the entry into db for the given epoch. Value entries use
@@ -148,14 +137,8 @@ type Batch struct {
 	Entries []Entry
 }
 
-// Size implements simnet.Message.
-func (b *Batch) Size() int {
-	n := 24
-	for i := range b.Entries {
-		n += b.Entries[i].Size()
-	}
-	return n
-}
+// Size implements transport.Message: the envelope's frame length.
+func (b *Batch) Size() int { return prim.FrameOverhead + BatchLen(b) }
 
 // Tracker counts entries sent to and applied from each peer; the
 // replication fence compares the two sides (§4.3: "each node learns how
@@ -273,9 +256,9 @@ const (
 type Limits struct {
 	// Entries flushes a destination once this many entries are buffered.
 	Entries int
-	// Bytes flushes a destination once its buffered modelled wire size
-	// reaches this many bytes. With Adaptive set it is only the initial
-	// threshold.
+	// Bytes flushes a destination once its buffered entries' encoded
+	// size reaches this many bytes. With Adaptive set it is only the
+	// initial threshold.
 	Bytes int
 	// Adaptive re-sizes the byte threshold per destination at every
 	// epoch from the previous epoch's measured write volume.
@@ -289,9 +272,12 @@ type Limits struct {
 // the amortised arena growths and the per-envelope handoff at flush.
 type dstBuf struct {
 	entries []Entry
-	bytes   int
-	arena   []byte            // Row bytes and FieldOp args
-	ops     []storage.FieldOp // op-entry headers
+	// sizer stands where the open envelope's encoding does; bytes is
+	// what its entries encode to.
+	sizer EntrySizer
+	bytes int
+	arena []byte            // Row bytes and FieldOp args
+	ops   []storage.FieldOp // op-entry headers
 	// limit is this destination's current byte threshold (adaptive mode
 	// re-derives it each epoch; fixed mode mirrors Limits.Bytes).
 	limit int
@@ -382,15 +368,19 @@ func (s *Stream) dst(dst int) *dstBuf {
 }
 
 // Append queues e for dst, flushing the destination's batch when a limit
-// is hit. The entry's Row and Ops payloads are copied into the
-// destination's arena, so the caller may reuse their backing arrays
-// immediately. Local (src==dst) appends are dropped: a node does not
-// replicate to itself.
-func (s *Stream) Append(dst int, e Entry) {
+// is hit, and returns what e costs in the envelope (EntrySizer.Next): the
+// bytes the limits count. The entry's Row and Ops payloads are copied
+// into the destination's arena, so the caller may reuse their backing
+// arrays immediately. Local (src==dst) appends are dropped, and cost
+// nothing: a node does not replicate to itself.
+func (s *Stream) Append(dst int, e Entry) (header, payload, raw int) {
 	if dst == s.src {
-		return
+		return 0, 0, 0
 	}
 	b := s.dst(dst)
+	if len(b.entries) == 0 {
+		b.sizer.Reset(s.epoch) // e opens an envelope
+	}
 	if len(b.entries) < cap(b.entries) {
 		b.entries = b.entries[:len(b.entries)+1]
 	} else {
@@ -417,13 +407,14 @@ func (s *Stream) Append(dst int, e Entry) {
 		b.arena = append(b.arena, e.Row...)
 		ne.Row = b.arena[off:len(b.arena):len(b.arena)]
 	}
-	sz := ne.Size()
-	b.bytes += sz
-	b.epochBytes += sz
+	header, payload, raw = b.sizer.Next(ne)
+	b.bytes += header + payload
+	b.epochBytes += header + payload
 	if (s.lim.Entries > 0 && len(b.entries) >= s.lim.Entries) ||
 		(b.limit > 0 && b.bytes >= b.limit) {
 		s.flushDst(dst, b)
 	}
+	return header, payload, raw
 }
 
 func (s *Stream) flushDst(dst int, b *dstBuf) {
@@ -451,16 +442,4 @@ func (s *Stream) Flush() {
 			s.flushDst(dst, b)
 		}
 	}
-}
-
-// Epoch returns the epoch flushed batches are stamped with.
-func (s *Stream) Epoch() uint64 { return s.epoch }
-
-// BufferedTo returns the number of entries queued for dst: at zero, the
-// next Append to dst opens a new envelope.
-func (s *Stream) BufferedTo(dst int) int {
-	if b := s.bufs[dst]; b != nil {
-		return len(b.entries)
-	}
-	return 0
 }

@@ -12,6 +12,7 @@ import (
 	"star/internal/storage"
 	"star/internal/transport"
 	"star/internal/txn"
+	"star/internal/wire/prim"
 )
 
 func bankSchema() *storage.Schema {
@@ -124,14 +125,22 @@ func TestEntrySizesOpMuchSmallerThanValue(t *testing.T) {
 		storage.Field{Name: "data", Type: storage.FieldBytes, Cap: 500},
 	)
 	row := big.NewRow()
+	for i := range row {
+		row[i] = byte(1 + i%251) // a filled record: nothing to zero-pack
+	}
+	size := func(e *Entry) int {
+		var s EntrySizer
+		header, payload, _ := s.Next(e)
+		return header + payload
+	}
 	val := Entry{Table: 0, Part: 0, Key: storage.K1(1), TID: 1, Row: row}
 	op := Entry{Table: 0, Part: 0, Key: storage.K1(1), TID: 1,
 		Ops: []storage.FieldOp{storage.AddFloat64Op(0, 1.0)}}
-	if val.Size() < 500 {
-		t.Fatalf("value entry suspiciously small: %d", val.Size())
+	if size(&val) < 500 {
+		t.Fatalf("value entry suspiciously small: %d", size(&val))
 	}
-	if op.Size()*10 > val.Size() {
-		t.Fatalf("op entry %dB not ≥10x smaller than value entry %dB", op.Size(), val.Size())
+	if size(&op)*10 > size(&val) {
+		t.Fatalf("op entry %dB not ≥10x smaller than value entry %dB", size(&op), size(&val))
 	}
 }
 
@@ -209,26 +218,35 @@ func TestStreamByteBoundCoalesces(t *testing.T) {
 	net := simnet.New(s, simnet.Config{Nodes: 3, Latency: 10 * time.Microsecond})
 	tr := NewTracker(3)
 	row := bankSchema().NewRow()
-	proto := Entry{Table: 0, Part: 0, Key: storage.K1(0), TID: 1, Row: row}
-	entrySize := proto.Size()
-
 	const writes = 100
+	entry := func(i uint64) Entry {
+		return Entry{Table: 0, Part: 0, Key: storage.K1(i), TID: storage.MakeTID(2, i+1), Row: row}
+	}
+	// A byte bound one over what the first half of the burst encodes to in
+	// an envelope, so each destination ships its first 51 entries when the
+	// 51st arrives and keeps the other 49 buffered until the explicit Flush.
+	var sz EntrySizer
+	sz.Reset(7)
+	half := 0
+	for i := uint64(0); i < writes/2; i++ {
+		e := entry(i)
+		header, payload, _ := sz.Next(&e)
+		half += header + payload
+	}
+
 	s.Go("worker0", func() {
-		// Byte bound sized to hold ~half the burst per destination (off by
-		// one so the second half stays buffered until the explicit Flush).
-		st := NewStream(net, tr, 0, Limits{Bytes: writes/2*entrySize + 1})
+		st := NewStream(net, tr, 0, Limits{Bytes: half + 1})
 		st.SetEpoch(7)
 		for i := uint64(0); i < writes; i++ {
-			e := Entry{Table: 0, Part: 0, Key: storage.K1(i), TID: storage.MakeTID(2, i+1), Row: row}
-			st.Append(1, e)
-			st.Append(2, e)
+			st.Append(1, entry(i))
+			st.Append(2, entry(i))
 		}
-		if st.BufferedTo(1) == 0 || st.BufferedTo(2) == 0 {
-			t.Error("expected a partial batch still buffered before Flush")
+		if n := net.Messages(transport.Replication); n != 2 {
+			t.Errorf("%d envelopes shipped before Flush, want one per destination with a partial batch still buffered", n)
 		}
 		st.Flush()
-		if st.BufferedTo(1)+st.BufferedTo(2) != 0 {
-			t.Error("Flush left entries behind")
+		if v := tr.SentVector(); v[1] != writes || v[2] != writes {
+			t.Errorf("Flush left entries behind: sent %v", v)
 		}
 	})
 	drained := make([]int, 3)
@@ -375,7 +393,7 @@ func TestStreamAdaptiveThreshold(t *testing.T) {
 	s := rt.NewSim()
 	net := simnet.New(s, simnet.Config{Nodes: 2})
 	tr := NewTracker(2)
-	row := make([]byte, 1000)
+	row := bytes.Repeat([]byte{7}, 1000) // no zero byte: it crosses whole
 	s.Go("worker", func() {
 		const configured = 4 << 10
 		st := NewStream(net, tr, 0, Limits{Bytes: configured, Adaptive: true})
@@ -416,7 +434,8 @@ func TestStreamAdaptiveThreshold(t *testing.T) {
 
 // A fixed threshold (Adaptive unset) stays where it was configured
 // however the volume moves: at 16 KiB / 128 entries — the engine's
-// defaults — a 640-entry burst ships the same envelopes after a heavy
+// defaults — a 640-entry burst of 200-byte rows (which do not pack, so the
+// byte bound is the one that binds) ships the same envelopes after a heavy
 // epoch as after an idle one, well above the 20 entries per envelope that
 // make batching worth having, and the tracker still counts entries, not
 // envelopes.
@@ -426,7 +445,7 @@ func TestStreamFixedThresholdHoldsAcrossEpochs(t *testing.T) {
 	tr := NewTracker(2)
 	s.Go("worker", func() {
 		st := NewStream(net, tr, 0, Limits{Bytes: 16 << 10, Entries: 128})
-		e := Entry{Table: 0, Part: 0, Key: storage.K1(1), TID: 1, Row: make([]byte, 100)}
+		e := Entry{Table: 0, Part: 0, Key: storage.K1(1), TID: 1, Row: bytes.Repeat([]byte{7}, 200)}
 		burst := func(epoch uint64, n int) int64 {
 			before := net.Messages(transport.Replication)
 			st.SetEpoch(epoch)
@@ -445,8 +464,8 @@ func TestStreamFixedThresholdHoldsAcrossEpochs(t *testing.T) {
 		if lim := st.bufs[1].limit; lim != 16<<10 {
 			t.Errorf("threshold %d, want the configured %d", lim, 16<<10)
 		}
-		if per := 640 / first; per < 20 {
-			t.Errorf("%d entries per envelope (640 in %d); batching inert", per, first)
+		if per := 640 / first; per < 20 || per >= 128 {
+			t.Errorf("%d entries per envelope (640 in %d); want batching by the byte bound", per, first)
 		}
 		if sent := tr.SentVector()[1]; sent != 640+64000+640 {
 			t.Errorf("tracker counted %d entries sent, want %d", sent, 640+64000+640)
@@ -551,3 +570,66 @@ func TestStreamEnvelopeAllocBudget(t *testing.T) {
 type discardNet struct{ transport.Transport }
 
 func (discardNet) Send(int, int, transport.Class, transport.Message) {}
+
+// captureNet keeps what a stream ships (send-path tests).
+type captureNet struct {
+	transport.Transport
+	sent []*Batch
+}
+
+func (c *captureNet) Send(_, _ int, _ transport.Class, m transport.Message) {
+	c.sent = append(c.sent, m.(*Batch))
+}
+
+// TestStreamByteBoundCountsEncodedBytes: the byte bound counts entries as
+// their envelope encodes them. Whatever the mix — operation entries,
+// random and mostly-zero rows, tombstones, changes of table and
+// partition — a stream under a small Limits.Bytes ships an envelope at
+// the Append that takes the encoded size of its entries to the bound and
+// not before, and what Append reports is what the envelope encodes.
+func TestStreamByteBoundCountsEncodedBytes(t *testing.T) {
+	const bound = 300
+	rng := rand.New(rand.NewSource(25))
+	net := &captureNet{}
+	st := NewStream(net, NewTracker(2), 0, Limits{Bytes: bound})
+	st.SetEpoch(9)
+	pending := 0 // what Append reported for the open envelope
+	for i := 0; i < 2000; i++ {
+		e := Entry{Table: storage.TableID(rng.Intn(2)), Part: int32(rng.Intn(2)),
+			Key: storage.K2(uint64(rng.Intn(50)), uint64(rng.Intn(1<<20))), TID: storage.MakeTID(9, uint64(i/3+1))}
+		switch rng.Intn(4) {
+		case 0:
+			e.Ops = []storage.FieldOp{storage.AddInt64Op(rng.Intn(4), rng.Int63n(1000))}
+		case 1:
+			e.Absent = true
+		default:
+			e.Row = make([]byte, 1+rng.Intn(120))
+			for j := range e.Row {
+				if rng.Intn(100) < 60 {
+					e.Row[j] = byte(1 + rng.Intn(255))
+				}
+			}
+		}
+		shipped := len(net.sent)
+		header, payload, _ := st.Append(1, e)
+		under := pending
+		pending += header + payload
+		if len(net.sent) == shipped {
+			if pending >= bound {
+				t.Fatalf("append %d: %d encoded bytes buffered, bound %d, nothing shipped", i, pending, bound)
+			}
+			continue
+		}
+		b := net.sent[len(net.sent)-1]
+		envHeader := prim.UvarintLen(uint64(b.From)) + prim.UvarintLen(b.Epoch) + prim.UvarintLen(uint64(len(b.Entries)))
+		enc := AppendBatch(nil, b)
+		if under >= bound || pending < bound || len(enc)-envHeader != pending || b.Size() != prim.FrameOverhead+len(enc) {
+			t.Fatalf("append %d: shipped %d entries encoding to %d bytes (Size %d) at %d reported, %d before this entry; bound %d",
+				i, len(b.Entries), len(enc)-envHeader, b.Size(), pending, under, bound)
+		}
+		pending = 0
+	}
+	if len(net.sent) < 100 {
+		t.Fatalf("%d envelopes for 2000 entries under a %d-byte bound", len(net.sent), bound)
+	}
+}

@@ -30,8 +30,8 @@ import (
 	"star/internal/transport"
 )
 
-// Message aliases the transport message contract (modelled wire size in
-// bytes, used here for bandwidth pacing and byte accounting).
+// Message aliases the transport message contract: its Size, the frame
+// it would take on a real wire, is what a send is paced and charged by.
 type Message = transport.Message
 
 // Class aliases the transport traffic class.

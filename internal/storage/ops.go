@@ -79,10 +79,6 @@ func SetRowOp(row []byte) FieldOp {
 	return FieldOp{Kind: OpSetRow, Arg: append([]byte(nil), row...)}
 }
 
-// Size returns the wire size of the op (1 kind + 1 field + arg), the
-// quantity operation replication saves versus shipping whole rows.
-func (op FieldOp) Size() int { return 2 + len(op.Arg) }
-
 // Apply mutates row in place according to the op.
 func (op FieldOp) Apply(s *Schema, row []byte) error {
 	i := int(op.Field)

@@ -127,8 +127,8 @@ func TestSetFieldOpCarriesRawEncoding(t *testing.T) {
 	if got := s.GetString(dst, 3); got != "abc" {
 		t.Fatalf("got %q", got)
 	}
-	if op.Size() >= s.RowSize() {
-		t.Fatalf("field op (%dB) should be smaller than the row (%dB)", op.Size(), s.RowSize())
+	if size := 2 + len(op.Arg); size >= s.RowSize() { // field, kind, argument
+		t.Fatalf("field op (%dB) should be smaller than the row (%dB)", size, s.RowSize())
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 	"star/internal/core"
 	"star/internal/rt"
-	"star/internal/wire"
+	"star/internal/wire/prim"
 	"star/internal/workload/tpcc"
 )
 
@@ -153,7 +153,7 @@ func loopbackMatchesSimnet(t *testing.T, wcfg func(nodes, workers int) tpcc.Conf
 		// class is exactly that plus, per message (an envelope or a fence's
 		// epoch mark), the frame and a header of three small uvarints.
 		entries, msgs, carried := snap.Counters["repl_entry_bytes"], snap.Gauges["repl_msgs"], snap.Gauges["repl_bytes"]
-		if over := carried - entries; over < msgs*(wire.FrameOverhead+3) || over > msgs*(wire.FrameOverhead+12) {
+		if over := carried - entries; over < msgs*(prim.FrameOverhead+3) || over > msgs*(prim.FrameOverhead+12) {
 			t.Fatalf("process %d: sockets carried %d replication bytes in %d messages for %d counted entry bytes", i, carried, msgs, entries)
 		}
 	}

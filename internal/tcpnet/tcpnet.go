@@ -19,8 +19,9 @@
 // cost no goroutine hand-off on the sending side.
 // Receivers read each frame into its own buffer, decode (payload slices
 // alias the buffer), and deliver to the destination endpoint's inbox.
-// Byte accounting counts encoded frame lengths on the sending process;
-// modelled Size() is used only for local (in-process) sends.
+// Byte accounting counts frame lengths on the sending process — a
+// message's Size(), which for a local (in-process) send is what its frame
+// would have been — so a message costs the same wherever its peer runs.
 //
 // tcpnet runs on the real runtime only: its goroutines block in socket
 // I/O, which the simulated runtime cannot schedule.
@@ -40,6 +41,7 @@ import (
 	"star/internal/rt"
 	"star/internal/transport"
 	"star/internal/wire"
+	"star/internal/wire/prim"
 )
 
 // Config parameterises one process's view of the cluster network.
@@ -248,7 +250,7 @@ func (n *Network) Close() error {
 
 // Send implements transport.Transport. Remote sends encode the frame
 // here (so the caller may reuse the message's buffers) and enqueue it on
-// the link's writer.
+// the link's writer. Local or remote, a send is charged m.Size().
 func (n *Network) Send(src, dst int, class transport.Class, m transport.Message) {
 	if src < 0 || src >= len(n.down) || dst < 0 || dst >= len(n.down) {
 		// Endpoint ids can originate from the wire (e.g. a checksum
@@ -261,22 +263,15 @@ func (n *Network) Send(src, dst int, class transport.Class, m transport.Message)
 		n.dropped.Add(1)
 		return
 	}
+	size := m.Size()
 	if n.local[dst] {
-		// In-process delivery: modelled size, no encoding.
-		size := int64(m.Size())
-		n.bytesByClass[class].Add(size)
-		n.msgsByClass[class].Add(1)
-		n.bytesFrom[src].Add(size)
-		n.inboxes[dst].Send(m)
+		n.charge(src, class, size)
+		n.inboxes[dst].Send(m) // in-process delivery: no encoding
 		return
 	}
-	// Start from the modelled size — for the messages that carry the
-	// bytes (replication batches, requests, snapshots) it is the encoded
-	// size or over it (the model charges every entry a fixed header the
-	// envelope encoding mostly elides) — so a frame is one allocation instead of
-	// a buffer grown from nil by doubling. The frame escapes to the link
+	// The frame is allocated at its length and escapes to the link
 	// writer, hence no reuse.
-	frame, err := wire.AppendFrame(make([]byte, 0, wire.FrameOverhead+m.Size()), src, dst, class, n.cfg.Codec, m)
+	frame, err := wire.AppendFrame(make([]byte, 0, size), src, dst, class, n.cfg.Codec, m)
 	if err != nil {
 		// A message type without a codec cannot cross a process boundary;
 		// this is a wiring error, not input.
@@ -301,18 +296,14 @@ func (n *Network) Send(src, dst int, class transport.Class, m transport.Message)
 		select {
 		case l.out <- frame:
 			l.queued.Add(int64(len(frame)))
-			n.bytesByClass[class].Add(int64(len(frame)))
-			n.msgsByClass[class].Add(1)
-			n.bytesFrom[src].Add(int64(len(frame)))
+			n.charge(src, class, size)
 		default:
 			l.inflight.Add(-1)
 			n.dropped.Add(1)
 		}
 		return
 	}
-	n.bytesByClass[class].Add(int64(len(frame)))
-	n.msgsByClass[class].Add(1)
-	n.bytesFrom[src].Add(int64(len(frame)))
+	n.charge(src, class, size)
 	if class == transport.Control && n.sendDirect(l, frame) {
 		return
 	}
@@ -322,6 +313,13 @@ func (n *Network) Send(src, dst int, class transport.Class, m transport.Message)
 		l.queued.Add(int64(len(frame)))
 	case <-n.stop:
 	}
+}
+
+// charge accounts one accepted send of size bytes.
+func (n *Network) charge(src int, class transport.Class, size int) {
+	n.bytesByClass[class].Add(int64(size))
+	n.msgsByClass[class].Add(1)
+	n.bytesFrom[src].Add(int64(size))
 }
 
 // sendDirect writes a control frame on the caller's goroutine when the
@@ -626,7 +624,7 @@ func (n *Network) runReader(conn net.Conn) {
 		if err != nil {
 			// Distinguish stream corruption (oversized/garbage length
 			// prefix) from a peer simply closing the connection.
-			if errors.Is(err, wire.ErrCorrupt) {
+			if errors.Is(err, prim.ErrCorrupt) {
 				n.decodeErrs.Add(1)
 			}
 			return
@@ -679,8 +677,8 @@ func (n *Network) SetDown(node int, down bool) {
 // IsDown implements transport.Transport.
 func (n *Network) IsDown(node int) bool { return n.down[node].Load() }
 
-// Bytes implements transport.Transport (encoded bytes for remote sends,
-// modelled Size for local ones; sender side only).
+// Bytes implements transport.Transport: the frame lengths of the sends
+// this process accepted, local and remote alike (sender side only).
 func (n *Network) Bytes(c transport.Class) int64 { return n.bytesByClass[c].Load() }
 
 // Messages implements transport.Transport.

@@ -6,11 +6,15 @@ import (
 	"testing"
 	"time"
 
+	"star/internal/core"
 	"star/internal/faultnet"
 	"star/internal/rt"
 	"star/internal/transport"
 	"star/internal/transport/conformance"
 	"star/internal/wire"
+	"star/internal/wire/prim"
+	"star/internal/wire/wiretest"
+	"star/internal/workload/tpcc"
 )
 
 // wtMsg is the conformance test message: its encoding pads the frame to
@@ -28,20 +32,20 @@ func testCodec() *wire.Codec {
 	c.Register(1, wtMsg{},
 		func(b []byte, m transport.Message) []byte {
 			v := m.(wtMsg)
-			b = wire.AppendVarint(b, int64(v.id))
-			pad := v.size - wire.FrameOverhead - wire.VarintLen(int64(v.id))
+			b = prim.AppendVarint(b, int64(v.id))
+			pad := v.size - prim.FrameOverhead - prim.VarintLen(int64(v.id))
 			for i := 0; i < pad; i++ {
 				b = append(b, 0xa5)
 			}
 			return b
 		},
 		func(b []byte) (transport.Message, []byte, error) {
-			id, rest, err := wire.Varint(b)
+			id, rest, err := prim.Varint(b)
 			if err != nil {
 				return nil, nil, err
 			}
 			// The padding is the rest of the body: consumed entirely.
-			return wtMsg{id: int(id), size: wire.FrameOverhead + wire.VarintLen(id) + len(rest)}, nil, nil
+			return wtMsg{id: int(id), size: prim.FrameOverhead + prim.VarintLen(id) + len(rest)}, nil, nil
 		})
 	return c
 }
@@ -115,6 +119,50 @@ func newCluster(t *testing.T) *conformance.Cluster {
 // endpoint.
 func TestConformance(t *testing.T) {
 	conformance.Run(t, func(t *testing.T) *conformance.Cluster { return newCluster(t) })
+}
+
+// TestLocalAndRemoteSendsChargeTheSame: every engine message — one per
+// id, the core package's golden frames, decoded — is charged the same
+// bytes whether its peer is hosted in this process or across a socket:
+// its Size(), the length of the frame a remote send writes.
+func TestLocalAndRemoteSendsChargeTheSame(t *testing.T) {
+	codec := core.NewWireCodec(tpcc.New(tpcc.Config{Warehouses: 4, Districts: 2, CustomersPerDistrict: 100, Items: 500}))
+	r := rt.NewReal()
+	t.Cleanup(r.Stop)
+	var lns [2]net.Listener
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		lns[i] = ln
+	}
+	// Process A hosts endpoints 0 and 1, process B endpoint 2.
+	addrs := []string{lns[0].Addr().String(), lns[0].Addr().String(), lns[1].Addr().String()}
+	var nets [2]*Network
+	for i, local := range [][]int{{0, 1}, {2}} {
+		nw, err := New(r, Config{Endpoints: addrs, Local: local, Codec: codec, Listener: lns[i]})
+		if err != nil {
+			t.Fatalf("tcpnet.New: %v", err)
+		}
+		t.Cleanup(func() { nw.Close() })
+		nets[i] = nw
+	}
+	a := nets[0]
+	for _, g := range wiretest.Read(t, "../core/testdata/golden_frames.txt") {
+		m, err := codec.Decode(g.Frame)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", g.Name, err)
+		}
+		before := a.Bytes(transport.Control)
+		a.Send(0, 1, transport.Control, m)
+		local := a.Bytes(transport.Control) - before
+		a.Send(0, 2, transport.Control, m)
+		remote := a.Bytes(transport.Control) - before - local
+		if local != remote || local != int64(prim.FrameOverhead-1+len(g.Frame)) {
+			t.Errorf("%s: charged %d bytes sent locally, %d remotely; its frame is %d", g.Name, local, remote, prim.FrameOverhead-1+len(g.Frame))
+		}
+	}
 }
 
 // TestCorruptStreamRejected feeds garbage into a listener and checks the

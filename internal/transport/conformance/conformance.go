@@ -29,8 +29,9 @@ type Cluster struct {
 	// runtimes) or until virtual time runs out (simulated ones). Each
 	// subtest spawns, settles once, then asserts.
 	Settle func()
-	// Msg builds a test message with the given id and modelled size
-	// (size ≥ 16; encodable on transports with a real codec).
+	// Msg builds a test message with the given id whose Size() is size
+	// (size ≥ 16; encodable on transports with a real codec, to a frame
+	// of that length).
 	Msg func(id, size int) transport.Message
 	// MsgID extracts the id from a received test message.
 	MsgID func(m any) int
@@ -274,8 +275,7 @@ func Run(t *testing.T, mk func(t *testing.T) *Cluster) {
 				}
 			}
 		}
-		// Message counts are exact; byte counts cover at least the
-		// modelled sizes (real codecs add framing overhead).
+		// Exact: a send is charged its message's Size(), the frame length.
 		wantMsgs := map[transport.Class]int64{}
 		wantBytes := map[transport.Class]int64{}
 		for _, s := range script {
@@ -287,14 +287,10 @@ func Run(t *testing.T, mk func(t *testing.T) *Cluster) {
 			if got := sender.Messages(cl); got != wantMsgs[cl] {
 				t.Fatalf("class %d: %d messages, want %d", cl, got, wantMsgs[cl])
 			}
-			got := sender.Bytes(cl)
-			if got < wantBytes[cl] {
-				t.Fatalf("class %d: %d bytes < modelled %d", cl, got, wantBytes[cl])
+			if got := sender.Bytes(cl); got != wantBytes[cl] {
+				t.Fatalf("class %d: %d bytes, want the sizes' sum %d", cl, got, wantBytes[cl])
 			}
-			if got > wantBytes[cl]+64*wantMsgs[cl] {
-				t.Fatalf("class %d: %d bytes exceeds modelled %d + framing allowance", cl, got, wantBytes[cl])
-			}
-			total += got
+			total += sender.Bytes(cl)
 		}
 		if sender.TotalBytes() != total {
 			t.Fatalf("TotalBytes %d != sum of classes %d", sender.TotalBytes(), total)

@@ -25,10 +25,11 @@ package transport
 
 import "star/internal/rt"
 
-// Message is anything sent over the network. Size is the modelled wire
-// size in bytes, used for bandwidth pacing and byte accounting on
-// transports that do not produce a real encoding (simnet); transports
-// that do (tcpnet) account the encoded frame length instead.
+// Message is anything sent over the network. Size is the length in bytes
+// of the frame the message encodes to (wire/frame.go) — what tcpnet
+// writes to a socket for it — and every transport paces and charges a
+// send by it, wherever the peer is hosted. Only a message with no wire
+// form (the simulated baselines', tests') states a modelled size.
 type Message interface{ Size() int }
 
 // Class buckets traffic for accounting.

@@ -37,7 +37,7 @@ func opBatchFixture(n int) (*storage.DB, []byte) {
 		})
 	}
 	db.CommitEpoch()
-	return db, AppendBatch(nil, batch)
+	return db, replication.AppendBatch(nil, batch)
 }
 
 // TestDecodeBatchAllocBudget pins the decoder's side of allocation-free
@@ -51,16 +51,16 @@ func TestDecodeBatchAllocBudget(t *testing.T) {
 	}
 	for _, n := range []int{64, 1024} {
 		_, enc := opBatchFixture(n)
-		mixed, err := DecodeBatch(enc)
+		mixed, err := replication.DecodeBatch(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i += 2 { // every other entry: a mostly-zero row
 			mixed.Entries[i].Ops, mixed.Entries[i].Row = nil, append(make([]byte, 100), byte(i+1))
 		}
-		for want, enc := range map[float64][]byte{3: enc, 4: AppendBatch(nil, mixed)} {
+		for want, enc := range map[float64][]byte{3: enc, 4: replication.AppendBatch(nil, mixed)} {
 			allocs := testing.AllocsPerRun(100, func() {
-				if _, err := DecodeBatch(enc); err != nil {
+				if _, err := replication.DecodeBatch(enc); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -87,7 +87,7 @@ func TestDecodeApplyLogZeroAllocsPerEntry(t *testing.T) {
 		var scratch []byte
 		tid := storage.MakeTID(2, uint64(n))
 		replay := func() {
-			b, err := DecodeBatch(enc)
+			b, err := replication.DecodeBatch(enc)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 
 	"star/internal/transport"
 	"star/internal/txn"
+	"star/internal/wire/prim"
 )
 
 // EncodeFunc appends a message body (no type id) to b.
@@ -63,12 +64,12 @@ func NewCodec() *Codec {
 }
 
 // Register binds a message type id to a hand-written codec — the
-// replication envelope's, which is coded against its context; every
-// fixed-layout message goes through the generic Register and its field
-// walk instead. sample carries the concrete type messages of this id
-// have on the wire (value or pointer form must match what senders pass
-// to Transport.Send). Duplicate ids or types panic: registration is a
-// wiring-time error, not input.
+// replication envelope's (replication.AppendBatch / DecodeBatch), which
+// is coded against its context; every fixed-layout message goes through
+// the generic Register and its field walk instead. sample carries the
+// concrete type messages of this id have on the wire (value or pointer
+// form must match what senders pass to Transport.Send). Duplicate ids or
+// types panic: registration is a wiring-time error, not input.
 func (c *Codec) Register(id uint8, sample transport.Message, enc EncodeFunc, dec DecodeFunc) {
 	register(c.msgByID, c.msgByType, id, sample, &msgEntry{id: id, enc: enc, dec: dec})
 }
@@ -100,18 +101,18 @@ func (c *Codec) Append(b []byte, m transport.Message) ([]byte, error) {
 // Decode decodes one [type id][body] message occupying all of b.
 func (c *Codec) Decode(b []byte) (transport.Message, error) {
 	if len(b) == 0 {
-		return nil, fmt.Errorf("%w: empty message", ErrTruncated)
+		return nil, fmt.Errorf("%w: empty message", prim.ErrTruncated)
 	}
 	e := c.msgByID[b[0]]
 	if e == nil {
-		return nil, fmt.Errorf("%w: unknown message id %d", ErrCorrupt, b[0])
+		return nil, fmt.Errorf("%w: unknown message id %d", prim.ErrCorrupt, b[0])
 	}
 	m, rest, err := e.dec(b[1:])
 	if err != nil {
 		return nil, err
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after message id %d", ErrCorrupt, len(rest), b[0])
+		return nil, fmt.Errorf("%w: %d trailing bytes after message id %d", prim.ErrCorrupt, len(rest), b[0])
 	}
 	return m, nil
 }
@@ -130,10 +131,11 @@ func (c *Codec) Decode(b []byte) (transport.Message, error) {
 // that must cross the wire verbatim (see core.scriptStamp).
 func (c *Codec) SetClock(now func() int64) { c.now = now }
 
-// RequestOverhead is the encoded size of a request minus its procedure
-// body: [proc id][GenAt zig-zag][sendNow u64][Retries uvarint] with
-// Retries ≈ 0.
-func RequestOverhead(genAt int64) int { return 1 + VarintLen(genAt) + 8 + 1 }
+// RequestOverhead is the encoded size of r minus its procedure body:
+// [proc id][GenAt zig-zag][sendNow u64][Retries uvarint].
+func RequestOverhead(r *txn.Request) int {
+	return 1 + prim.VarintLen(r.GenAt) + 8 + prim.UvarintLen(uint64(r.Retries))
+}
 
 // AppendRequest encodes a routing request as
 // [proc id][GenAt][sendNow][Retries][proc body]. Home/Parts/Cross are
@@ -146,13 +148,13 @@ func (c *Codec) AppendRequest(b []byte, r *txn.Request) ([]byte, error) {
 		return b, fmt.Errorf("wire: no codec for procedure type %T", r.Proc)
 	}
 	b = append(b, e.id)
-	b = AppendVarint(b, r.GenAt)
+	b = prim.AppendVarint(b, r.GenAt)
 	var sendNow int64
 	if c.now != nil {
 		sendNow = c.now()
 	}
-	b = AppendU64(b, uint64(sendNow))
-	b = AppendUvarint(b, uint64(r.Retries))
+	b = prim.AppendU64(b, uint64(sendNow))
+	b = prim.AppendUvarint(b, uint64(r.Retries))
 	return e.enc(b, r.Proc), nil
 }
 
@@ -161,21 +163,21 @@ func (c *Codec) AppendRequest(b []byte, r *txn.Request) ([]byte, error) {
 // process's clock domain (see SetClock).
 func (c *Codec) DecodeRequest(b []byte) (*txn.Request, []byte, error) {
 	if len(b) == 0 {
-		return nil, nil, fmt.Errorf("%w: empty request", ErrTruncated)
+		return nil, nil, fmt.Errorf("%w: empty request", prim.ErrTruncated)
 	}
 	e := c.procByID[b[0]]
 	if e == nil {
-		return nil, nil, fmt.Errorf("%w: unknown procedure id %d", ErrCorrupt, b[0])
+		return nil, nil, fmt.Errorf("%w: unknown procedure id %d", prim.ErrCorrupt, b[0])
 	}
-	genAt, b, err := Varint(b[1:])
+	genAt, b, err := prim.Varint(b[1:])
 	if err != nil {
 		return nil, nil, err
 	}
-	sendNow, b, err := U64(b)
+	sendNow, b, err := prim.U64(b)
 	if err != nil {
 		return nil, nil, err
 	}
-	retries, b, err := Uvarint(b)
+	retries, b, err := prim.Uvarint(b)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -11,6 +11,16 @@ import (
 
 	"star/internal/replication"
 	"star/internal/storage"
+	"star/internal/wire/prim"
+)
+
+// The envelope's flag bits (replication/envelope.go), for entries coded
+// by hand below.
+const (
+	flagOp       = 1 << 0
+	flagAbsent   = 1 << 1
+	flagSamePart = 1 << 2
+	flagPacked   = 1 << 4
 )
 
 // historyKey is a key shaped like TPC-C's history keys: bit 62 set in one
@@ -98,29 +108,29 @@ func randomEnvelope(rng *rand.Rand) *replication.Batch {
 // only when that is strictly shorter.
 func checkEnvelope(t *testing.T, what string, b *replication.Batch) {
 	t.Helper()
-	enc := AppendBatch(nil, b)
-	if len(enc) != BatchLen(b) {
-		t.Fatalf("%s: BatchLen=%d encoded=%d", what, BatchLen(b), len(enc))
+	enc := replication.AppendBatch(nil, b)
+	if len(enc) != replication.BatchLen(b) {
+		t.Fatalf("%s: BatchLen=%d encoded=%d", what, replication.BatchLen(b), len(enc))
 	}
-	got, err := DecodeBatch(enc)
+	got, err := replication.DecodeBatch(enc)
 	if err != nil {
 		t.Fatalf("%s: decode: %v", what, err)
 	}
 	if !reflect.DeepEqual(got, b) {
 		t.Fatalf("%s: round trip changed the batch:\n got %+v\nwant %+v", what, got, b)
 	}
-	var s EntrySizer
+	var s replication.EntrySizer
 	s.Reset(b.Epoch)
-	prefix := AppendBatch(nil, &replication.Batch{From: b.From, Epoch: b.Epoch, Entries: b.Entries[:0]})
-	sized := len(AppendUvarint(prefix[:len(prefix)-1], uint64(len(b.Entries))))
+	prefix := replication.AppendBatch(nil, &replication.Batch{From: b.From, Epoch: b.Epoch, Entries: b.Entries[:0]})
+	sized := len(prim.AppendUvarint(prefix[:len(prefix)-1], uint64(len(b.Entries))))
 	for i := range b.Entries {
 		e := &b.Entries[i]
 		header, payload, raw := s.Next(e)
-		if payload > raw || header > MaxEntryHeaderLen || (e.IsOp() || e.Absent) && payload != raw {
+		if payload > raw || header > replication.MaxEntryHeaderLen || (e.IsOp() || e.Absent) && payload != raw {
 			t.Fatalf("%s entry %d: header %d payload %d raw %d", what, i, header, payload, raw)
 		}
 		sized += header + payload
-		if upTo := AppendBatch(nil, &replication.Batch{From: b.From, Epoch: b.Epoch, Entries: b.Entries[:i+1]}); len(upTo) != sized {
+		if upTo := replication.AppendBatch(nil, &replication.Batch{From: b.From, Epoch: b.Epoch, Entries: b.Entries[:i+1]}); len(upTo) != sized {
 			t.Fatalf("%s entry %d: sizer says the envelope is %d bytes so far, encoder wrote %d", what, i, sized, len(upTo))
 		}
 	}
@@ -157,8 +167,8 @@ func TestRowPackPropertyRoundTrip(t *testing.T) {
 			nonZero := n - bytes.Count(row, []byte{0})
 			b := &replication.Batch{Entries: []replication.Entry{{Key: storage.K2(1, 1), Row: row}}}
 			checkEnvelope(t, fmt.Sprintf("%d bytes, %d non-zero", n, nonZero), b)
-			enc := AppendBatch(nil, b)
-			rawLen, packLen := len(packedEntry(0))+BytesLen(row), len(packedEntry(0))+UvarintLen(uint64(n))+(n+7)/8+nonZero
+			enc := replication.AppendBatch(nil, b)
+			rawLen, packLen := len(packedEntry(0))+prim.BytesLen(row), len(packedEntry(0))+prim.UvarintLen(uint64(n))+(n+7)/8+nonZero
 			want, wantFlag := rawLen, byte(0)
 			if packLen < rawLen {
 				want, wantFlag = packLen, flagPacked
@@ -174,35 +184,35 @@ func TestRowPackPropertyRoundTrip(t *testing.T) {
 // the one form the encoder produces.
 func TestDecodeBatchRejectsIllFormedPackedRows(t *testing.T) {
 	good := packedEntry(flagPacked, 16, 0b1, 7, 0)
-	b, err := DecodeBatch(good)
+	b, err := replication.DecodeBatch(good)
 	if want := append([]byte{7}, make([]byte, 15)...); err != nil || !bytes.Equal(b.Entries[0].Row, want) {
 		t.Fatalf("hand-packed row: %v, row %x", err, b.Entries[0].Row)
 	}
-	if re := AppendBatch(nil, b); !bytes.Equal(re, good) {
+	if re := replication.AppendBatch(nil, b); !bytes.Equal(re, good) {
 		t.Fatalf("hand-packed row re-encodes to %x, was %x", re, good)
 	}
-	tooLong := AppendUvarint(nil, storage.MaxRowSize+1)
+	tooLong := prim.AppendUvarint(nil, storage.MaxRowSize+1)
 	for _, c := range []struct {
 		name string
 		enc  []byte
 		want error
 	}{
-		{"mask bit past the declared end", packedEntry(flagPacked, 12, 0b1, 7, 0b10000, 9), ErrCorrupt},
-		{"last group missing", packedEntry(flagPacked, 16, 0b1, 7), ErrTruncated},
-		{"last group cut short", packedEntry(flagPacked, 16, 0b1, 7, 0b11, 5), ErrTruncated},
-		{"length beyond MaxRowSize", packedEntry(flagPacked, append(tooLong, make([]byte, 9000)...)...), ErrCorrupt},
-		{"length the frame cannot back", packedEntry(flagPacked, 0xff, 0xff, 0x03, 0, 0), ErrTruncated},
-		{"packed operation entry", packedEntry(flagPacked|flagOp, 16, 0b1, 7, 0), ErrCorrupt},
-		{"packed tombstone", packedEntry(flagPacked|flagAbsent, 16, 0b1, 7, 0), ErrCorrupt},
-		{"packed no shorter than raw", packedEntry(flagPacked, 8, 0xff, 1, 2, 3, 4, 5, 6, 7, 8), ErrCorrupt},
-		{"packed as long as raw", packedEntry(flagPacked, 2, 0b1, 5), ErrCorrupt},
-		{"empty packed row", packedEntry(flagPacked, 0), ErrCorrupt},
-		{"named byte that is zero", packedEntry(flagPacked, 16, 0b1, 0, 0), ErrCorrupt},
-		{"flag bit 5", packedEntry(1<<5, 1, 'r'), ErrCorrupt},
-		{"flag bit 6", packedEntry(1<<6, 1, 'r'), ErrCorrupt},
-		{"flag bit 7", packedEntry(1<<7, 1, 'r'), ErrCorrupt},
+		{"mask bit past the declared end", packedEntry(flagPacked, 12, 0b1, 7, 0b10000, 9), prim.ErrCorrupt},
+		{"last group missing", packedEntry(flagPacked, 16, 0b1, 7), prim.ErrTruncated},
+		{"last group cut short", packedEntry(flagPacked, 16, 0b1, 7, 0b11, 5), prim.ErrTruncated},
+		{"length beyond MaxRowSize", packedEntry(flagPacked, append(tooLong, make([]byte, 9000)...)...), prim.ErrCorrupt},
+		{"length the frame cannot back", packedEntry(flagPacked, 0xff, 0xff, 0x03, 0, 0), prim.ErrTruncated},
+		{"packed operation entry", packedEntry(flagPacked|flagOp, 16, 0b1, 7, 0), prim.ErrCorrupt},
+		{"packed tombstone", packedEntry(flagPacked|flagAbsent, 16, 0b1, 7, 0), prim.ErrCorrupt},
+		{"packed no shorter than raw", packedEntry(flagPacked, 8, 0xff, 1, 2, 3, 4, 5, 6, 7, 8), prim.ErrCorrupt},
+		{"packed as long as raw", packedEntry(flagPacked, 2, 0b1, 5), prim.ErrCorrupt},
+		{"empty packed row", packedEntry(flagPacked, 0), prim.ErrCorrupt},
+		{"named byte that is zero", packedEntry(flagPacked, 16, 0b1, 0, 0), prim.ErrCorrupt},
+		{"flag bit 5", packedEntry(1<<5, 1, 'r'), prim.ErrCorrupt},
+		{"flag bit 6", packedEntry(1<<6, 1, 'r'), prim.ErrCorrupt},
+		{"flag bit 7", packedEntry(1<<7, 1, 'r'), prim.ErrCorrupt},
 	} {
-		if _, err := DecodeBatch(c.enc); !errors.Is(err, c.want) {
+		if _, err := replication.DecodeBatch(c.enc); !errors.Is(err, c.want) {
 			t.Errorf("%s: %v, want %v", c.name, err, c.want)
 		}
 	}
@@ -232,7 +242,7 @@ func TestEnvelopeByteBudget(t *testing.T) {
 	// with table and partition paid once and the envelope header spread
 	// over 128 entries.
 	ycsb := ycsbOpEnvelope(128)
-	if got := float64(BatchLen(ycsb)) / 128; got > 24 {
+	if got := float64(replication.BatchLen(ycsb)) / 128; got > 24 {
 		t.Errorf("YCSB operation envelope costs %.2f B/entry, budget 24", got)
 	}
 
@@ -248,7 +258,7 @@ func TestEnvelopeByteBudget(t *testing.T) {
 		row  []byte
 		want int
 	}{{"ycsb", storage.K1(654321), sparseRow(rng, 120, 8), 127}, {"stock", storage.K2(7, 99999), make([]byte, 110), 0}} {
-		var s EntrySizer
+		var s replication.EntrySizer
 		s.Reset(12)
 		first := replication.Entry{Table: 4, Part: 7, Key: c.key, TID: storage.MakeTID(12, 900), Row: c.row}
 		s.Next(&first)
@@ -267,13 +277,13 @@ func TestEnvelopeByteBudget(t *testing.T) {
 	// a 10-byte TID delta — is MaxEntryHeaderLen = 33 bytes, against the
 	// 27–31 every entry paid when all of it was fixed-width.
 	worst := replication.Entry{Table: 255, Part: -1, Key: storage.Key{Hi: ^uint64(0), Lo: ^uint64(0)}, TID: 1 << 63}
-	var s EntrySizer
-	if header, _, _ := s.Next(&worst); header != MaxEntryHeaderLen || MaxEntryHeaderLen != 33 {
-		t.Errorf("worst-case header is %d bytes, MaxEntryHeaderLen %d, stated 33", header, MaxEntryHeaderLen)
+	var s replication.EntrySizer
+	if header, _, _ := s.Next(&worst); header != replication.MaxEntryHeaderLen || replication.MaxEntryHeaderLen != 33 {
+		t.Errorf("worst-case header is %d bytes, MaxEntryHeaderLen %d, stated 33", header, replication.MaxEntryHeaderLen)
 	}
 	// The smallest entry is MinEntryLen, the bound decoders divide by.
-	if header, payload, _ := new(EntrySizer).Next(&replication.Entry{Absent: true}); header+payload != MinEntryLen {
-		t.Errorf("smallest entry is %d bytes, MinEntryLen %d", header+payload, MinEntryLen)
+	if header, payload, _ := new(replication.EntrySizer).Next(&replication.Entry{Absent: true}); header+payload != replication.MinEntryLen {
+		t.Errorf("smallest entry is %d bytes, MinEntryLen %d", header+payload, replication.MinEntryLen)
 	}
 }
 
@@ -282,8 +292,8 @@ func TestEnvelopeByteBudget(t *testing.T) {
 // bytes — with two real entries behind it and then 0xff, which no entry
 // starts with.
 func lyingBatch(size int) []byte {
-	two := AppendBatch(nil, &replication.Batch{Entries: make([]replication.Entry, 2)}) // from, epoch, count 2, entries
-	enc := AppendUvarint(two[:2:2], uint64(size/MinEntryLen))
+	two := replication.AppendBatch(nil, &replication.Batch{Entries: make([]replication.Entry, 2)}) // from, epoch, count 2, entries
+	enc := prim.AppendUvarint(two[:2:2], uint64(size/replication.MinEntryLen))
 	enc = append(enc, two[3:]...)
 	return append(enc, bytes.Repeat([]byte{0xff}, size)...)
 }
@@ -296,13 +306,13 @@ func TestDecodeBatchBoundsRowExpansion(t *testing.T) {
 	for i := range b.Entries {
 		b.Entries[i] = replication.Entry{Key: storage.K1(uint64(i)), Row: make([]byte, storage.MaxRowSize)}
 	}
-	enc := AppendBatch(nil, b)
+	enc := replication.AppendBatch(nil, b)
 	if len(enc) < 256<<10 || len(enc) > 260<<10 {
 		t.Fatalf("worst-case frame is %d bytes, want about 256 KiB", len(enc))
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	got, err := DecodeBatch(enc)
+	got, err := replication.DecodeBatch(enc)
 	runtime.ReadMemStats(&after)
 	if err != nil || !reflect.DeepEqual(got, b) {
 		t.Fatalf("worst-case frame: err %v", err)
@@ -321,12 +331,12 @@ func TestDecodeBatchBoundsEntryCount(t *testing.T) {
 	for i := range b.Entries {
 		b.Entries[i].Absent = true
 	}
-	enc := AppendBatch(nil, b)
-	if _, err := DecodeBatch(enc); err != nil {
+	enc := replication.AppendBatch(nil, b)
+	if _, err := replication.DecodeBatch(enc); err != nil {
 		t.Fatalf("densest legal batch rejected: %v", err)
 	}
 	enc[2] = 4 // claim one more entry than 15 bytes can hold
-	if _, err := DecodeBatch(enc); !errors.Is(err, ErrCorrupt) {
+	if _, err := replication.DecodeBatch(enc); !errors.Is(err, prim.ErrCorrupt) {
 		t.Fatalf("entry count past the buffer: %v, want ErrCorrupt from the count guard", err)
 	}
 
@@ -335,21 +345,22 @@ func TestDecodeBatchBoundsEntryCount(t *testing.T) {
 	lying := lyingBatch(1 << 20)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := DecodeBatch(lying)
+	_, err := replication.DecodeBatch(lying)
 	runtime.ReadMemStats(&after)
-	if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
+	if !errors.Is(err, prim.ErrCorrupt) && !errors.Is(err, prim.ErrTruncated) {
 		t.Fatalf("lying entry count: %v, want a wire error from the scan", err)
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 256<<10 {
 		t.Fatalf("a 1 MiB frame with a lying entry count allocated %d bytes before the scan refused it", alloc)
 	}
 
-	// An honest envelope past the up-front slice still decodes whole.
-	big := &replication.Batch{From: 1, Epoch: 3, Entries: make([]replication.Entry, 5*upfrontEntries+7)}
+	// An honest envelope past the up-front slice (1024 entries) still
+	// decodes whole.
+	big := &replication.Batch{From: 1, Epoch: 3, Entries: make([]replication.Entry, 5*1024+7)}
 	for i := range big.Entries {
 		big.Entries[i] = replication.Entry{Key: storage.K1(uint64(i)), TID: storage.MakeTID(3, uint64(i+1)), Row: []byte("r")}
 	}
-	got, err := DecodeBatch(AppendBatch(nil, big))
+	got, err := replication.DecodeBatch(AppendBatch(nil, big))
 	if err != nil || !reflect.DeepEqual(got, big) {
 		t.Fatalf("%d-entry envelope: err %v, %d entries back", len(big.Entries), err, len(got.Entries))
 	}

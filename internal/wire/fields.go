@@ -5,10 +5,10 @@ import (
 	"math"
 	"sync"
 
-	"star/internal/replication"
 	"star/internal/storage"
 	"star/internal/transport"
 	"star/internal/txn"
+	"star/internal/wire/prim"
 )
 
 // Fields walks a message's fields in wire order. A message type is
@@ -26,14 +26,15 @@ import (
 // method says otherwise.
 //
 // The per-write path does not come through here: replication entries
-// and envelopes (entry.go), frames (frame.go) and the request header
-// (Codec.AppendRequest) are coded by hand against their context, and a
-// walk reaches them through Batch and Request.
+// and envelopes (replication/envelope.go), frames (frame.go) and the
+// request header (Codec.AppendRequest) are coded by hand against their
+// context, and a walk reaches them through Tail and Request.
 type Fields struct {
 	pass pass
 	b    []byte // encoding: the output so far; decoding: the input left
 	n    int    // sizing: bytes counted so far
 	err  error  // decoding: the first error
+	c    *Codec // encoding and decoding: the registration's (for Request)
 }
 
 type pass uint8
@@ -52,7 +53,7 @@ func (f *Fields) Decoding() bool { return f.pass == decoding }
 // (parallel slices of different lengths, an enum out of range).
 func (f *Fields) Check(ok bool) {
 	if f.pass == decoding && f.err == nil && !ok {
-		f.err = ErrCorrupt
+		f.err = prim.ErrCorrupt
 	}
 }
 
@@ -60,12 +61,12 @@ func (f *Fields) Check(ok bool) {
 func (f *Fields) Uvarint(v *uint64) {
 	switch f.pass {
 	case encoding:
-		f.b = AppendUvarint(f.b, *v)
+		f.b = prim.AppendUvarint(f.b, *v)
 	case sizing:
-		f.n += UvarintLen(*v)
+		f.n += prim.UvarintLen(*v)
 	default:
 		if f.err == nil {
-			*v, f.b, f.err = Uvarint(f.b)
+			*v, f.b, f.err = prim.Uvarint(f.b)
 		}
 	}
 }
@@ -74,12 +75,12 @@ func (f *Fields) Uvarint(v *uint64) {
 func (f *Fields) varint(x int64) int64 {
 	switch f.pass {
 	case encoding:
-		f.b = AppendVarint(f.b, x)
+		f.b = prim.AppendVarint(f.b, x)
 	case sizing:
-		f.n += VarintLen(x)
+		f.n += prim.VarintLen(x)
 	default:
 		if f.err == nil {
-			x, f.b, f.err = Varint(f.b)
+			x, f.b, f.err = prim.Varint(f.b)
 		}
 	}
 	return x
@@ -119,7 +120,7 @@ func U8[T ~uint8](f *Fields, v *T) {
 			return
 		}
 		if len(f.b) < 1 {
-			f.err = ErrTruncated
+			f.err = prim.ErrTruncated
 			return
 		}
 		*v, f.b = T(f.b[0]), f.b[1:]
@@ -130,12 +131,12 @@ func U8[T ~uint8](f *Fields, v *T) {
 func (f *Fields) U64(v *uint64) {
 	switch f.pass {
 	case encoding:
-		f.b = AppendU64(f.b, *v)
+		f.b = prim.AppendU64(f.b, *v)
 	case sizing:
 		f.n += 8
 	default:
 		if f.err == nil {
-			*v, f.b, f.err = U64(f.b)
+			*v, f.b, f.err = prim.U64(f.b)
 		}
 	}
 }
@@ -152,12 +153,12 @@ func (f *Fields) F64(v *float64) {
 func (f *Fields) Bool(v *bool) {
 	switch f.pass {
 	case encoding:
-		f.b = AppendBool(f.b, *v)
+		f.b = prim.AppendBool(f.b, *v)
 	case sizing:
 		f.n++
 	default:
 		if f.err == nil {
-			*v, f.b, f.err = Bool(f.b)
+			*v, f.b, f.err = prim.Bool(f.b)
 		}
 	}
 }
@@ -166,12 +167,12 @@ func (f *Fields) Bool(v *bool) {
 func (f *Fields) Key(v *storage.Key) {
 	switch f.pass {
 	case encoding:
-		f.b = AppendKey(f.b, *v)
+		f.b = prim.AppendKey(f.b, *v)
 	case sizing:
-		f.n += KeyLen
+		f.n += prim.KeyLen
 	default:
 		if f.err == nil {
-			*v, f.b, f.err = Key(f.b)
+			*v, f.b, f.err = prim.Key(f.b)
 		}
 	}
 }
@@ -181,12 +182,12 @@ func (f *Fields) Key(v *storage.Key) {
 func (f *Fields) Bytes(v *[]byte) {
 	switch f.pass {
 	case encoding:
-		f.b = AppendBytes(f.b, *v)
+		f.b = prim.AppendBytes(f.b, *v)
 	case sizing:
-		f.n += BytesLen(*v)
+		f.n += prim.BytesLen(*v)
 	default:
 		if f.err == nil {
-			*v, f.b, f.err = Bytes(f.b)
+			*v, f.b, f.err = prim.Bytes(f.b)
 		}
 	}
 }
@@ -203,9 +204,9 @@ func (f *Fields) BytesCopy(v *[]byte) {
 func (f *Fields) String(v *string) {
 	switch f.pass {
 	case encoding:
-		f.b = append(AppendUvarint(f.b, uint64(len(*v))), *v...)
+		f.b = append(prim.AppendUvarint(f.b, uint64(len(*v))), *v...)
 	case sizing:
-		f.n += UvarintLen(uint64(len(*v))) + len(*v)
+		f.n += prim.UvarintLen(uint64(len(*v))) + len(*v)
 	default:
 		var p []byte
 		f.Bytes(&p)
@@ -221,21 +222,21 @@ func (f *Fields) String(v *string) {
 func Len[E any](f *Fields, s *[]E, min int) int {
 	switch f.pass {
 	case encoding:
-		f.b = AppendUvarint(f.b, uint64(len(*s)))
+		f.b = prim.AppendUvarint(f.b, uint64(len(*s)))
 	case sizing:
-		f.n += UvarintLen(uint64(len(*s)))
+		f.n += prim.UvarintLen(uint64(len(*s)))
 	default:
 		*s = nil
 		if f.err != nil {
 			break
 		}
 		var n uint64
-		if n, f.b, f.err = Uvarint(f.b); f.err != nil {
+		if n, f.b, f.err = prim.Uvarint(f.b); f.err != nil {
 			break
 		}
 		// Divide rather than multiply: n*min would overflow for corrupt counts.
 		if n > uint64(len(f.b))/uint64(min) {
-			f.err = fmt.Errorf("%w: %d elements of %d+ bytes in %d-byte buffer", ErrCorrupt, n, min, len(f.b))
+			f.err = fmt.Errorf("%w: %d elements of %d+ bytes in %d-byte buffer", prim.ErrCorrupt, n, min, len(f.b))
 		} else if n > 0 {
 			*s = make([]E, n)
 		}
@@ -284,7 +285,7 @@ func (f *Fields) Strings(v *[]string, max int) {
 	if f.pass == decoding && f.err == nil {
 		// Refuse an oversized count before Len allocates from it (a
 		// count that does not parse is Len's to report).
-		n, _, _ := Uvarint(f.b)
+		n, _, _ := prim.Uvarint(f.b)
 		f.Check(n <= uint64(max))
 	}
 	Len(f, v, 1)
@@ -297,46 +298,47 @@ func (f *Fields) Strings(v *[]string, max int) {
 func (f *Fields) FieldOp(op *storage.FieldOp) {
 	switch f.pass {
 	case encoding:
-		f.b = AppendFieldOp(f.b, op)
+		f.b = prim.AppendFieldOp(f.b, op)
 	case sizing:
-		f.n += FieldOpLen(op)
+		f.n += prim.FieldOpLen(op)
 	default:
 		if f.err == nil {
-			*op, f.b, f.err = DecodeFieldOp(f.b)
+			*op, f.b, f.err = prim.DecodeFieldOp(f.b)
 		}
 	}
 }
 
-// Batch walks a replication envelope as a message's last field: decoded,
-// it takes all the input left.
-func (f *Fields) Batch(b **replication.Batch) {
+// Tail walks *v as a message's last field in a form coded by hand against
+// its own context (a replication envelope): app appends it, size counts
+// it, and dec decodes it from all the input left.
+func Tail[T any](f *Fields, v *T, app func([]byte, T) []byte, size func(T) int, dec func([]byte) (T, error)) {
 	switch f.pass {
 	case encoding:
-		f.b = AppendBatch(f.b, *b)
+		f.b = app(f.b, *v)
 	case sizing:
-		f.n += BatchLen(*b)
+		f.n += size(*v)
 	default:
 		if f.err == nil {
-			*b, f.err = DecodeBatch(f.b)
+			*v, f.err = dec(f.b)
 			f.b = nil
 		}
 	}
 }
 
-// Request walks a routing request through c's request codec. Its size
-// is the model's: RequestOverhead takes Retries for a single byte.
-func (f *Fields) Request(c *Codec, r **txn.Request) {
+// Request walks a routing request through the request codec of the Codec
+// the message is registered with (none is needed to size it).
+func (f *Fields) Request(r **txn.Request) {
 	switch f.pass {
 	case encoding:
 		var err error
-		if f.b, err = c.AppendRequest(f.b, *r); err != nil {
+		if f.b, err = f.c.AppendRequest(f.b, *r); err != nil {
 			panic("wire: encode request: " + err.Error())
 		}
 	case sizing:
-		f.n += RequestOverhead((*r).GenAt) + (*r).Proc.(interface{ WireSize() int }).WireSize()
+		f.n += RequestOverhead(*r) + (*r).Proc.(interface{ WireSize() int }).WireSize()
 	default:
 		if f.err == nil {
-			*r, f.b, f.err = c.DecodeRequest(f.b)
+			*r, f.b, f.err = f.c.DecodeRequest(f.b)
 		}
 	}
 }
@@ -348,12 +350,12 @@ func (f *Fields) Request(c *Codec, r **txn.Request) {
 // anything but its output.
 var fieldsPool = sync.Pool{New: func() any { return new(Fields) }}
 
-// run makes one pass of fields over v. It returns the output (encoding)
-// or the input left over (decoding), the byte count (sizing) and the
-// decoding error.
-func run[T any](p pass, b []byte, v *T, fields func(*Fields, *T)) ([]byte, int, error) {
+// run makes one pass of fields over v for codec c. It returns the output
+// (encoding) or the input left over (decoding), the byte count (sizing)
+// and the decoding error.
+func run[T any](c *Codec, p pass, b []byte, v *T, fields func(*Fields, *T)) ([]byte, int, error) {
 	f := fieldsPool.Get().(*Fields)
-	*f = Fields{pass: p, b: b}
+	*f = Fields{pass: p, b: b, c: c}
 	fields(f, v)
 	b, n, err := f.b, f.n, f.err
 	*f = Fields{}
@@ -361,22 +363,31 @@ func run[T any](p pass, b []byte, v *T, fields func(*Fields, *T)) ([]byte, int, 
 	return b, n, err
 }
 
-// SizeOf returns the number of bytes v encodes to.
+// SizeOf returns the number of bytes v encodes to, on a Fields of its
+// own: inlined where the walk is named (a Size(), a WireSize()) the walk
+// is a direct call and nothing escapes, so the pass allocates nothing.
 func SizeOf[T any](v *T, fields func(*Fields, *T)) int {
-	_, n, _ := run(sizing, nil, v, fields)
-	return n
+	f := Fields{pass: sizing}
+	fields(&f, v)
+	return f.n
+}
+
+// FrameLen is v's Size(): the size pass of its walk plus the frame header.
+func FrameLen[T any](v *T, fields func(*Fields, *T)) int {
+	return prim.FrameOverhead + SizeOf(v, fields)
 }
 
 // Marshal encodes v into a buffer of exactly its size.
 func Marshal[T any](v *T, fields func(*Fields, *T)) []byte {
-	b, _, _ := run(encoding, make([]byte, 0, SizeOf(v, fields)), v, fields)
+	_, n, _ := run(nil, sizing, nil, v, fields)
+	b, _, _ := run(nil, encoding, make([]byte, 0, n), v, fields)
 	return b
 }
 
 // Unmarshal decodes a T from the front of b; bytes after it are ignored.
 func Unmarshal[T any](b []byte, fields func(*Fields, *T)) (*T, error) {
 	v := new(T)
-	if _, _, err := run(decoding, b, v, fields); err != nil {
+	if _, _, err := run(nil, decoding, b, v, fields); err != nil {
 		return nil, err
 	}
 	return v, nil
@@ -400,7 +411,7 @@ func Register[T any](c *Codec, id uint8, fields func(*Fields, *T)) {
 				v = copies.Get().(*T)
 				*v = any(m).(T)
 			}
-			b, _, _ = run(encoding, b, v, fields)
+			b, _, _ = run(c, encoding, b, v, fields)
 			if !isPtr {
 				*v = zero
 				copies.Put(v)
@@ -410,11 +421,11 @@ func Register[T any](c *Codec, id uint8, fields func(*Fields, *T)) {
 		func(b []byte) (transport.Message, []byte, error) {
 			if !byValue {
 				v := new(T)
-				rest, _, err := run(decoding, b, v, fields)
+				rest, _, err := run(c, decoding, b, v, fields)
 				return any(v).(transport.Message), rest, err
 			}
 			v := copies.Get().(*T)
-			rest, _, err := run(decoding, b, v, fields)
+			rest, _, err := run(c, decoding, b, v, fields)
 			m := any(*v).(transport.Message)
 			*v = zero
 			copies.Put(v)
@@ -428,12 +439,12 @@ func Register[T any](c *Codec, id uint8, fields func(*Fields, *T)) {
 func RegisterProc[T any](c *Codec, id uint8, newT func() *T, fields func(*Fields, *T)) {
 	c.registerProc(id, any(newT()).(txn.Procedure),
 		func(b []byte, p txn.Procedure) []byte {
-			b, _, _ = run(encoding, b, any(p).(*T), fields)
+			b, _, _ = run(c, encoding, b, any(p).(*T), fields)
 			return b
 		},
 		func(b []byte) (txn.Procedure, []byte, error) {
 			t := newT()
-			rest, _, err := run(decoding, b, t, fields)
+			rest, _, err := run(c, decoding, b, t, fields)
 			return any(t).(txn.Procedure), rest, err
 		})
 }

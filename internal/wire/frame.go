@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"star/internal/transport"
+	"star/internal/wire/prim"
 )
 
 // Frame layout (the unit a TCP stream carries):
@@ -15,11 +16,8 @@ import (
 //
 // The length prefix covers the body only. Src/dst ride in every frame so
 // a receiving process can demux one stream into its local inboxes
-// without per-connection state.
-
-// FrameOverhead is the fixed per-frame cost excluding the message body:
-// length prefix + class + src + dst + message type id.
-const FrameOverhead = 4 + 1 + 2 + 2 + 1
+// without per-connection state. Everything but the message payload is
+// prim.FrameOverhead bytes, which every Size() counts.
 
 // MaxFrame is the default bound a reader enforces on the body length —
 // far above any legal message (snapshots dominate; they are shipped per
@@ -67,11 +65,11 @@ type FrameInfo struct {
 func DecodeFrameBody(body []byte, c *Codec) (FrameInfo, transport.Message, error) {
 	var fi FrameInfo
 	if len(body) < 5 {
-		return fi, nil, fmt.Errorf("%w: %d-byte frame body", ErrTruncated, len(body))
+		return fi, nil, fmt.Errorf("%w: %d-byte frame body", prim.ErrTruncated, len(body))
 	}
 	fi.Class = transport.Class(body[0])
 	if fi.Class >= transport.NumClasses {
-		return fi, nil, fmt.Errorf("%w: traffic class %d", ErrCorrupt, body[0])
+		return fi, nil, fmt.Errorf("%w: traffic class %d", prim.ErrCorrupt, body[0])
 	}
 	fi.Src = int(binary.LittleEndian.Uint16(body[1:]))
 	fi.Dst = int(binary.LittleEndian.Uint16(body[3:]))
@@ -99,7 +97,7 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[:]))
 	if n > max {
-		return nil, fmt.Errorf("%w: %d-byte frame exceeds %d", ErrCorrupt, n, max)
+		return nil, fmt.Errorf("%w: %d-byte frame exceeds %d", prim.ErrCorrupt, n, max)
 	}
 	body := make([]byte, min(n, frameReadChunk))
 	filled := 0

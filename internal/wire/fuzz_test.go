@@ -12,6 +12,7 @@ import (
 
 	"star/internal/replication"
 	"star/internal/storage"
+	"star/internal/wire/prim"
 )
 
 // corpusSeed materialises a seed input under testdata/fuzz/<target> (the
@@ -54,9 +55,9 @@ func walkRoundTrip[T any](t *testing.T, name string, data []byte, walk func(*Fie
 // decodes to the same value (canonical round trip).
 func FuzzPrimitives(f *testing.F) {
 	seeds := [][]byte{
-		AppendUvarint(nil, 300),
-		AppendVarint(nil, -77),
-		AppendBytes(nil, []byte("hello")),
+		prim.AppendUvarint(nil, 300),
+		prim.AppendVarint(nil, -77),
+		prim.AppendBytes(nil, []byte("hello")),
 		Marshal(&[]int64{1, -2, 3}, (*Fields).I64s),
 		Marshal(&[]uint64{9, 1 << 50}, (*Fields).U64s),
 		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
@@ -65,18 +66,18 @@ func FuzzPrimitives(f *testing.F) {
 		corpusSeed(f, "FuzzPrimitives", i, s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if v, _, err := Uvarint(data); err == nil {
-			if got, _, err2 := Uvarint(AppendUvarint(nil, v)); err2 != nil || got != v {
+		if v, _, err := prim.Uvarint(data); err == nil {
+			if got, _, err2 := prim.Uvarint(prim.AppendUvarint(nil, v)); err2 != nil || got != v {
 				t.Fatalf("uvarint canonical round trip: %d vs %d (%v)", v, got, err2)
 			}
 		}
-		if v, _, err := Varint(data); err == nil {
-			if got, _, err2 := Varint(AppendVarint(nil, v)); err2 != nil || got != v {
+		if v, _, err := prim.Varint(data); err == nil {
+			if got, _, err2 := prim.Varint(prim.AppendVarint(nil, v)); err2 != nil || got != v {
 				t.Fatalf("varint canonical round trip: %d vs %d (%v)", v, got, err2)
 			}
 		}
-		if p, _, err := Bytes(data); err == nil {
-			if got, _, err2 := Bytes(AppendBytes(nil, p)); err2 != nil || !reflect.DeepEqual(got, p) {
+		if p, _, err := prim.Bytes(data); err == nil {
+			if got, _, err2 := prim.Bytes(prim.AppendBytes(nil, p)); err2 != nil || !reflect.DeepEqual(got, p) {
 				t.Fatalf("bytes canonical round trip failed (%v)", err2)
 			}
 		}
@@ -85,10 +86,10 @@ func FuzzPrimitives(f *testing.F) {
 		walkRoundTrip(t, "u64s", data, (*Fields).U64s)
 		walkRoundTrip(t, "ints", data, (*Fields).Ints)
 		walkRoundTrip(t, "strings", data, func(f *Fields, v *[]string) { f.Strings(v, 16) })
-		Key(data)
-		Bool(data)
-		if op, _, err := DecodeFieldOp(data); err == nil {
-			got, _, err2 := DecodeFieldOp(AppendFieldOp(nil, &op))
+		prim.Key(data)
+		prim.Bool(data)
+		if op, _, err := prim.DecodeFieldOp(data); err == nil {
+			got, _, err2 := prim.DecodeFieldOp(prim.AppendFieldOp(nil, &op))
 			if err2 != nil || !reflect.DeepEqual(got, op) {
 				t.Fatalf("field op canonical round trip failed (%v)", err2)
 			}
@@ -140,7 +141,7 @@ func FuzzFrameRead(f *testing.F) {
 // canonical re-encode/decode cycle bit-identically.
 func FuzzBatchDecode(f *testing.F) {
 	good := &replication.Batch{From: 1, Epoch: 7, Entries: sampleEntries()}
-	enc := AppendBatch(nil, good)
+	enc := replication.AppendBatch(nil, good)
 	// All operation entries, spread over four partitions (so several
 	// applier shards): every entry's Ops comes out of one shared slice.
 	allOps := &replication.Batch{From: 2, Epoch: 9}
@@ -152,14 +153,14 @@ func FuzzBatchDecode(f *testing.F) {
 	}
 	ops, row := sampleEntries()[2].Ops, []byte("rowbytes")
 	one := func(epoch uint64, entries ...replication.Entry) []byte {
-		return AppendBatch(nil, &replication.Batch{From: 1, Epoch: epoch, Entries: entries})
+		return replication.AppendBatch(nil, &replication.Batch{From: 1, Epoch: epoch, Entries: entries})
 	}
 	seeds := [][]byte{
 		enc,
 		enc[:len(enc)/2],                   // truncated
 		append([]byte{0xff, 0xff}, enc...), // corrupt header
-		AppendBatch(nil, &replication.Batch{}),
-		AppendBatch(nil, allOps),
+		replication.AppendBatch(nil, &replication.Batch{}),
+		replication.AppendBatch(nil, allOps),
 		// Each case of coding an entry against the one before it. Table and
 		// partition change mid-envelope, and change back:
 		one(7, replication.Entry{Table: 1, Part: 2, Key: storage.K1(1), TID: storage.MakeTID(7, 1), Ops: ops},
@@ -200,12 +201,12 @@ func FuzzBatchDecode(f *testing.F) {
 		corpusSeed(f, "FuzzBatchDecode", i, s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := DecodeBatch(data)
+		b, err := replication.DecodeBatch(data)
 		if err != nil {
 			return // rejected without panicking: the property under test
 		}
-		re := AppendBatch(nil, b)
-		b2, err := DecodeBatch(re)
+		re := replication.AppendBatch(nil, b)
+		b2, err := replication.DecodeBatch(re)
 		if err != nil {
 			t.Fatalf("re-decode of canonical encoding failed: %v", err)
 		}

@@ -9,7 +9,7 @@ import (
 	"star/internal/replication"
 	"star/internal/storage"
 	"star/internal/txn"
-	"star/internal/wire"
+	"star/internal/wire/prim"
 	"star/internal/workload/tpcc"
 )
 
@@ -99,14 +99,14 @@ func TestEnvelopeTPCCRowsRoundTrip(t *testing.T) {
 			for _, entries := range traffic[at:min(at+32, len(traffic))] {
 				b.Entries = append(b.Entries, entries...)
 			}
-			enc := wire.AppendBatch(nil, b)
-			got, err := wire.DecodeBatch(enc)
+			enc := replication.AppendBatch(nil, b)
+			got, err := replication.DecodeBatch(enc)
 			if err != nil || !reflect.DeepEqual(got, b) {
 				t.Fatalf("envelope at transaction %d (%d entries) did not survive the wire: err %v", at, len(b.Entries), err)
 			}
-			var s wire.EntrySizer
+			var s replication.EntrySizer
 			s.Reset(b.Epoch)
-			sized := wire.BatchLen(&replication.Batch{From: 1, Epoch: 2}) - 1 + wire.UvarintLen(uint64(len(b.Entries)))
+			sized := replication.BatchLen(&replication.Batch{From: 1, Epoch: 2}) - 1 + prim.UvarintLen(uint64(len(b.Entries)))
 			for i := range b.Entries {
 				header, payload, raw := s.Next(&b.Entries[i])
 				sized += header + payload
@@ -114,8 +114,8 @@ func TestEnvelopeTPCCRowsRoundTrip(t *testing.T) {
 					rowBytes, payloadBytes = rowBytes+raw, payloadBytes+payload
 				}
 			}
-			if sized != len(enc) || sized != wire.BatchLen(b) {
-				t.Fatalf("envelope at transaction %d: sized %d, BatchLen %d, encoded %d", at, sized, wire.BatchLen(b), len(enc))
+			if sized != len(enc) || sized != replication.BatchLen(b) {
+				t.Fatalf("envelope at transaction %d: sized %d, BatchLen %d, encoded %d", at, sized, replication.BatchLen(b), len(enc))
 			}
 		}
 	}
@@ -139,7 +139,7 @@ func TestEnvelopeByteBudgetTPCC(t *testing.T) {
 			if e.Absent {
 				continue
 			}
-			var s wire.EntrySizer
+			var s replication.EntrySizer
 			s.Reset(2)
 			prior := *e
 			prior.TID -= 4 // the transaction before
@@ -185,7 +185,7 @@ func BenchmarkEnvelopeTPCC(b *testing.B) {
 			batch.Entries = append(batch.Entries, es...)
 		}
 		batches = append(batches, batch)
-		encs = append(encs, wire.AppendBatch(nil, batch))
+		encs = append(encs, replication.AppendBatch(nil, batch))
 		entries += len(batch.Entries)
 		bytes += len(encs[len(encs)-1])
 	}
@@ -196,7 +196,7 @@ func BenchmarkEnvelopeTPCC(b *testing.B) {
 	b.Run("size", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, batch := range batches {
-				wire.BatchLen(batch)
+				replication.BatchLen(batch)
 			}
 		}
 		perEntry(b)
@@ -205,7 +205,7 @@ func BenchmarkEnvelopeTPCC(b *testing.B) {
 		var buf []byte
 		for i := 0; i < b.N; i++ {
 			for _, batch := range batches {
-				buf = wire.AppendBatch(buf[:0], batch)
+				buf = replication.AppendBatch(buf[:0], batch)
 			}
 		}
 		perEntry(b)
@@ -214,7 +214,7 @@ func BenchmarkEnvelopeTPCC(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, enc := range encs {
-				if _, err := wire.DecodeBatch(enc); err != nil {
+				if _, err := replication.DecodeBatch(enc); err != nil {
 					b.Fatal(err)
 				}
 			}

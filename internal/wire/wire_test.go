@@ -13,27 +13,28 @@ import (
 	"star/internal/replication"
 	"star/internal/storage"
 	"star/internal/transport"
+	"star/internal/wire/prim"
 )
 
 func TestVarintRoundTrip(t *testing.T) {
 	uvals := []uint64{0, 1, 127, 128, 1 << 20, 1<<63 - 1, ^uint64(0)}
 	for _, v := range uvals {
-		b := AppendUvarint(nil, v)
-		if len(b) != UvarintLen(v) {
-			t.Fatalf("UvarintLen(%d)=%d, encoded %d", v, UvarintLen(v), len(b))
+		b := prim.AppendUvarint(nil, v)
+		if len(b) != prim.UvarintLen(v) {
+			t.Fatalf("UvarintLen(%d)=%d, encoded %d", v, prim.UvarintLen(v), len(b))
 		}
-		got, rest, err := Uvarint(b)
+		got, rest, err := prim.Uvarint(b)
 		if err != nil || got != v || len(rest) != 0 {
 			t.Fatalf("uvarint %d: got %d rest=%d err=%v", v, got, len(rest), err)
 		}
 	}
 	ivals := []int64{0, 1, -1, 63, -64, 1 << 40, -1 << 40, 1<<63 - 1, -1 << 63}
 	for _, v := range ivals {
-		b := AppendVarint(nil, v)
-		if len(b) != VarintLen(v) {
-			t.Fatalf("VarintLen(%d)=%d, encoded %d", v, VarintLen(v), len(b))
+		b := prim.AppendVarint(nil, v)
+		if len(b) != prim.VarintLen(v) {
+			t.Fatalf("VarintLen(%d)=%d, encoded %d", v, prim.VarintLen(v), len(b))
 		}
-		got, rest, err := Varint(b)
+		got, rest, err := prim.Varint(b)
 		if err != nil || got != v || len(rest) != 0 {
 			t.Fatalf("varint %d: got %d rest=%d err=%v", v, got, len(rest), err)
 		}
@@ -41,39 +42,39 @@ func TestVarintRoundTrip(t *testing.T) {
 }
 
 func TestDecodersRejectTruncation(t *testing.T) {
-	if _, _, err := Uvarint(nil); !errors.Is(err, ErrTruncated) {
+	if _, _, err := prim.Uvarint(nil); !errors.Is(err, prim.ErrTruncated) {
 		t.Fatalf("empty uvarint: %v", err)
 	}
-	if _, _, err := U64([]byte{1, 2, 3}); !errors.Is(err, ErrTruncated) {
+	if _, _, err := prim.U64([]byte{1, 2, 3}); !errors.Is(err, prim.ErrTruncated) {
 		t.Fatalf("short u64: %v", err)
 	}
-	if _, _, err := Key([]byte{1}); !errors.Is(err, ErrTruncated) {
+	if _, _, err := prim.Key([]byte{1}); !errors.Is(err, prim.ErrTruncated) {
 		t.Fatalf("short key: %v", err)
 	}
 	// A byte string claiming more bytes than the buffer holds.
-	b := AppendUvarint(nil, 1000)
-	if _, _, err := Bytes(b); !errors.Is(err, ErrTruncated) {
+	b := prim.AppendUvarint(nil, 1000)
+	if _, _, err := prim.Bytes(b); !errors.Is(err, prim.ErrTruncated) {
 		t.Fatalf("overlong byte string: %v", err)
 	}
-	if _, _, err := Bool([]byte{7}); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := prim.Bool([]byte{7}); !errors.Is(err, prim.ErrCorrupt) {
 		t.Fatalf("bad bool byte: %v", err)
 	}
 	// A slice count exceeding the buffer.
-	c := AppendUvarint(nil, 1<<40)
-	if _, err := Unmarshal(c, (*Fields).I64s); !errors.Is(err, ErrCorrupt) {
+	c := prim.AppendUvarint(nil, 1<<40)
+	if _, err := Unmarshal(c, (*Fields).I64s); !errors.Is(err, prim.ErrCorrupt) {
 		t.Fatalf("oversized slice count: %v", err)
 	}
 	// A u64-slice count whose byte size (n*8) would overflow uint64 must
 	// still be rejected, not make a huge allocation or wrap the guard.
-	d := AppendUvarint(nil, 1<<61)
-	if _, err := Unmarshal(d, (*Fields).U64s); !errors.Is(err, ErrCorrupt) {
+	d := prim.AppendUvarint(nil, 1<<61)
+	if _, err := Unmarshal(d, (*Fields).U64s); !errors.Is(err, prim.ErrCorrupt) {
 		t.Fatalf("overflowing u64s count: %v", err)
 	}
 }
 
 func TestBytesAliasing(t *testing.T) {
-	src := AppendBytes(nil, []byte("payload"))
-	p, _, err := Bytes(src)
+	src := prim.AppendBytes(nil, []byte("payload"))
+	p, _, err := prim.Bytes(src)
 	if err != nil || string(p) != "payload" {
 		t.Fatalf("bytes round trip: %q err=%v", p, err)
 	}
@@ -100,12 +101,12 @@ func sampleEntries() []replication.Entry {
 func TestEntryRoundTrip(t *testing.T) {
 	for i, e := range sampleEntries() {
 		b := &replication.Batch{Entries: []replication.Entry{e}}
-		enc := AppendBatch(nil, b)
-		var s EntrySizer
+		enc := replication.AppendBatch(nil, b)
+		var s replication.EntrySizer
 		if header, payload, _ := s.Next(&e); len(enc) != 3+header+payload {
 			t.Fatalf("entry %d: sized %d+%d, encoded %d behind a 3-byte envelope header", i, header, payload, len(enc))
 		}
-		got, err := DecodeBatch(enc)
+		got, err := replication.DecodeBatch(enc)
 		if err != nil {
 			t.Fatalf("entry %d decode: %v", i, err)
 		}
@@ -120,11 +121,11 @@ func TestEntryRoundTrip(t *testing.T) {
 
 func TestBatchRoundTrip(t *testing.T) {
 	b := &replication.Batch{From: 3, Epoch: 12, Entries: sampleEntries()}
-	enc := AppendBatch(nil, b)
-	if len(enc) != BatchLen(b) {
-		t.Fatalf("BatchLen=%d encoded=%d", BatchLen(b), len(enc))
+	enc := replication.AppendBatch(nil, b)
+	if len(enc) != replication.BatchLen(b) {
+		t.Fatalf("BatchLen=%d encoded=%d", replication.BatchLen(b), len(enc))
 	}
-	got, err := DecodeBatch(enc)
+	got, err := replication.DecodeBatch(enc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -132,7 +133,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		t.Fatalf("batch round trip:\n got %+v\nwant %+v", got, b)
 	}
 	// Trailing garbage is corrupt, not ignored.
-	if _, err := DecodeBatch(append(enc, 0)); !errors.Is(err, ErrCorrupt) {
+	if _, err := replication.DecodeBatch(append(enc, 0)); !errors.Is(err, prim.ErrCorrupt) {
 		t.Fatalf("trailing bytes: %v", err)
 	}
 }
@@ -144,9 +145,9 @@ func (frameMsg) Size() int { return 8 }
 func TestFrameRoundTrip(t *testing.T) {
 	c := NewCodec()
 	c.Register(9, frameMsg{},
-		func(b []byte, m transport.Message) []byte { return AppendVarint(b, int64(m.(frameMsg).V)) },
+		func(b []byte, m transport.Message) []byte { return prim.AppendVarint(b, int64(m.(frameMsg).V)) },
 		func(b []byte) (transport.Message, []byte, error) {
-			v, rest, err := Varint(b)
+			v, rest, err := prim.Varint(b)
 			return frameMsg{V: int(v)}, rest, err
 		})
 	frame, err := AppendFrame(nil, 2, 5, 1, c, frameMsg{V: -42})
@@ -167,14 +168,14 @@ func TestFrameRoundTrip(t *testing.T) {
 	if fi.Src != 2 || fi.Dst != 5 || fi.Class != 1 || m.(frameMsg).V != -42 {
 		t.Fatalf("frame fields: %+v %+v", fi, m)
 	}
-	if len(frame) != FrameOverhead+VarintLen(-42) {
+	if len(frame) != prim.FrameOverhead+prim.VarintLen(-42) {
 		t.Fatalf("FrameOverhead accounting: frame=%d overhead=%d body=%d",
-			len(frame), FrameOverhead, VarintLen(-42))
+			len(frame), prim.FrameOverhead, prim.VarintLen(-42))
 	}
 	// Unknown message id is corrupt.
 	bad := append([]byte(nil), got...)
 	bad[5] = 200
-	if _, _, err := DecodeFrameBody(bad, c); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := DecodeFrameBody(bad, c); !errors.Is(err, prim.ErrCorrupt) {
 		t.Fatalf("unknown id: %v", err)
 	}
 }
@@ -197,7 +198,7 @@ func TestReadFrameLyingLength(t *testing.T) {
 	// Claim over the cap: rejected from the header, no body read at all.
 	hdr := binary.LittleEndian.AppendUint32(nil, MaxClientFrame+1)
 	r := io.MultiReader(bytes.NewReader(hdr), rejectBodyReader{t})
-	if _, err := ReadFrame(r, MaxClientFrame); !errors.Is(err, ErrCorrupt) {
+	if _, err := ReadFrame(r, MaxClientFrame); !errors.Is(err, prim.ErrCorrupt) {
 		t.Fatalf("over-max claim: %v", err)
 	}
 

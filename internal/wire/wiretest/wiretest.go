@@ -17,6 +17,7 @@ import (
 
 	"star/internal/txn"
 	"star/internal/wire"
+	"star/internal/wire/prim"
 )
 
 // Golden is one captured frame: its name, the Size()/WireSize() the
@@ -61,7 +62,7 @@ func Truncations(t *testing.T, name string, frame []byte, decode func([]byte) er
 	t.Helper()
 	for cut := 0; cut < len(frame); cut++ {
 		err := decode(frame[:cut:cut])
-		if !errors.Is(err, wire.ErrTruncated) && !errors.Is(err, wire.ErrCorrupt) {
+		if !errors.Is(err, prim.ErrTruncated) && !errors.Is(err, prim.ErrCorrupt) {
 			t.Fatalf("%s cut at %d of %d: %v, want ErrTruncated or ErrCorrupt", name, cut, len(frame), err)
 		}
 	}
@@ -91,7 +92,7 @@ func Requests(t *testing.T, c *wire.Codec, path string, samples map[string]*txn.
 			t.Fatalf("%s: encodes to\n%x\ncaptured\n%x", g.Name, enc, g.Frame)
 		}
 		got := req.Proc.(interface{ WireSize() int }).WireSize()
-		if body := len(g.Frame) - wire.RequestOverhead(req.GenAt); got != g.Size || got != body {
+		if body := len(g.Frame) - wire.RequestOverhead(req); got != g.Size || got != body {
 			t.Fatalf("%s: WireSize() = %d, captured %d, encoded body is %d", g.Name, got, g.Size, body)
 		}
 		dec, rest, err := c.DecodeRequest(g.Frame)

@@ -7,6 +7,7 @@ import (
 	"star/internal/occ"
 	"star/internal/storage"
 	"star/internal/txn"
+	"star/internal/wire/prim"
 )
 
 func smallCfg() Config {
@@ -359,8 +360,8 @@ func TestBadCreditCustomerGetsCDataPrepend(t *testing.T) {
 			for _, op := range wr.Ops {
 				if op.Kind == storage.OpPrepend {
 					found = true
-					if op.Size() > 60 {
-						t.Fatalf("prepend op %dB; should be small", op.Size())
+					if size := prim.FieldOpLen(&op); size > 60 {
+						t.Fatalf("prepend op %dB; should be small", size)
 					}
 				}
 			}

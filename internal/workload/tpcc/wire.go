@@ -92,8 +92,7 @@ func stockLevelFields(f *wire.Fields, t *StockLevelTxn) {
 }
 
 // WireSize returns the exact encoded parameter size: the size pass of
-// the walk that encodes them (the modelled msgDefer size is derived from
-// it).
+// the walk that encodes them (msgDefer's and ClientReq's Size count it).
 func (t *NewOrderTxn) WireSize() int { return wire.SizeOf(t, newOrderFields) }
 
 // WireSize returns the exact encoded parameter size.

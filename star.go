@@ -98,7 +98,7 @@ type Config struct {
 	Virtual bool
 	// Seed drives all deterministic randomness.
 	Seed int64
-	// FlushBytes bounds a replication batch's modelled wire size
+	// FlushBytes bounds a replication batch's entries in encoded bytes
 	// (default 16 KiB; negative disables the byte bound). It is where each
 	// destination's threshold starts: every epoch fence re-sizes it from
 	// the measured write volume (growth-only, capped). Batches also flush
