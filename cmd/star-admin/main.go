@@ -215,8 +215,8 @@ func runTop(c *admin.Client, node int, interval time.Duration, iters int) {
 			100*ratio(ops, ops+delta("repl_value_entries")))
 		// Recovery-log bytes per committed transaction, twice: what the
 		// cost model charged (log_bytes: len(row)+32 per logged write, on
-		// every runtime) and what the log files took (wal_file_bytes:
-		// frames and record headers included; 0 without a LogDir).
+		// every runtime) and what the log files took (wal_file_bytes: the
+		// envelope frames, rows zero-packed; 0 without a LogDir).
 		gauge := func(name string) float64 { return float64(cur.Gauges[name] - prev.Gauges[name]) }
 		fmt.Printf("  wal:  %6.0f B/txn charged (log_bytes)  %6.0f B/txn written (wal_file_bytes)\n",
 			ratio(gauge("log_bytes"), delta("committed")), ratio(gauge("wal_file_bytes"), delta("committed")))

@@ -191,8 +191,8 @@ func (e *Engine) buildRegistry() {
 // (star-node -faults, chaos soaks) — the cumulative injection counters
 // under a fault_ prefix. Log bytes come twice: log_bytes is what the cost
 // model charged (chargeLog: len(row)+32 per logged write, on every
-// runtime), wal_file_bytes what the recovery logs wrote, frames and
-// record headers included (LogDir mode). This is what AdminStats serves
+// runtime), wal_file_bytes what the recovery logs wrote: their envelope
+// frames, to the byte (LogDir mode). This is what AdminStats serves
 // and what the -http /metrics endpoint renders.
 func (e *Engine) StatsSnapshot() metrics.Snapshot {
 	e.reg.Gauge("log_bytes").Set(e.logBytes.Load())

@@ -22,8 +22,9 @@ import (
 // last one before the field walk) into testdata/golden_frames.txt —
 // bar worker_done's, re-captured when its walk took in the replication
 // shard it had been dropping (a node-local message: no peer ever read
-// the old form); the Size column was re-captured when Size() became the
-// frame's length.
+// the old form) and snapshot's, re-captured on a fresh id when a
+// partition's catch-up became one replication envelope; the Size column
+// was re-captured when Size() became the frame's length.
 func goldenMessages(tw *tpcc.Workload) map[string]transport.Message {
 	ents := []replication.Entry{
 		{Table: 2, Part: 1, Key: storage.K2(3, 4), TID: storage.MakeTID(5, 6), Row: []byte("row")},
@@ -48,10 +49,11 @@ func goldenMessages(tw *tpcc.Workload) map[string]transport.Message {
 		"repl_ack":      msgReplAck{Worker: 3, Seq: 41},
 		"revert":        msgRevert{Epoch: 8, Failed: []int{1}},
 		"snapshot_req":  msgSnapshotReq{From: 2, Part: 3},
-		"snapshot": &msgSnapshot{Table: 1, Part: 200,
-			Keys: []storage.Key{storage.K1(1), storage.K2(2, 3)},
-			TIDs: []uint64{storage.MakeTID(2, 1), storage.MakeTID(2, 2)},
-			Rows: [][]byte{[]byte("alpha"), nil}},
+		"snapshot": &msgSnapshot{Part: 200, Rows: &replication.Batch{From: 2, Epoch: 3, Entries: []replication.Entry{
+			{Table: 1, Part: 200, Key: storage.K1(1), TID: storage.MakeTID(2, 1), Row: []byte("alpha")},
+			{Table: 1, Part: 200, Key: storage.K2(2, 3), TID: storage.MakeTID(2, 2), Row: append(make([]byte, 15), 9)},
+			{Table: 4, Part: 200, Key: storage.K1(5), TID: storage.MakeTID(1, 7), Row: []byte("beta")},
+		}}},
 		"repl_batch":     &replication.Batch{From: 1, Epoch: 9, Entries: ents},
 		"sync_batch":     syncBatch{Batch: &replication.Batch{From: 0, Epoch: 9, Entries: ents[:1]}, Worker: 2, Seq: 5, ReplyTo: 1},
 		"reset_counters": msgResetCounters{Applied: []int64{5, 0, 9}},

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"star/internal/replication"
-	"star/internal/storage"
 	"star/internal/txn"
 )
 
@@ -150,16 +149,13 @@ type msgSnapshotReq struct {
 	Part int
 }
 
-// msgSnapshot carries one table's slice of a partition back to a
-// recovering node as encoded row images: parallel key/TID/row columns
-// with no in-process pointers, so the message crosses a real wire
-// unchanged (recovering-node catch-up, §4.5.3 case 1).
+// msgSnapshot carries a partition back to a recovering node: every
+// present record of every partitioned table, as value entries of one
+// replication envelope — the form the log and the stream carry them in
+// (recovering-node catch-up, §4.5.3 case 1).
 type msgSnapshot struct {
-	Table storage.TableID
-	Part  int
-	Keys  []storage.Key
-	TIDs  []uint64
-	Rows  [][]byte
+	Part int
+	Rows *replication.Batch
 }
 
 // msgHalt tells a node process the scripted run is over and it may exit

@@ -80,14 +80,14 @@ type node struct {
 	// by Engine.LastCheckpoint).
 	mu sync.Mutex
 
-	// snapPending tracks the (table, partition) snapshot messages still
+	// snapPending tracks the partitions whose snapshot is still
 	// outstanding during a rejoin catch-up. A set, not a counter: the
 	// request/snapshot plane tolerates duplicate delivery (re-dialled
 	// links, chaos testing), and a duplicated snapshot must not make the
 	// node report recovery-done while other partitions are still in
 	// flight — the coordinator would align its counters around a copy
 	// that is missing data.
-	snapPending map[uint64]bool
+	snapPending map[int]bool
 
 	// appliers parallelise replication replay (SiloR-style): entries are
 	// sharded by partition so operation entries keep their per-partition
@@ -302,22 +302,11 @@ func (n *node) startRecovery(m msgStartRecovery) {
 	for _, p := range m.Parts {
 		n.db.SetHolds(int(p), true)
 	}
-	n.snapPending = make(map[uint64]bool)
-	for ti := 0; ti < n.db.NumTables(); ti++ {
-		if n.db.Table(storage.TableID(ti)).Replicated() {
-			continue
-		}
-		for _, p := range m.Parts {
-			n.snapPending[snapKey(storage.TableID(ti), int(p))] = true
-		}
-	}
+	n.snapPending = make(map[int]bool)
 	for i, p := range m.Parts {
+		n.snapPending[int(p)] = true
 		n.e.net.Send(n.id, int(m.From[i]), transport.Data, msgSnapshotReq{From: n.id, Part: int(p)})
 	}
-}
-
-func snapKey(t storage.TableID, part int) uint64 {
-	return uint64(t)<<32 | uint64(uint32(part))
 }
 
 // startPhase commits the previous epoch (revert info dropped, group-
@@ -676,33 +665,35 @@ func (n *node) ownedPartitions(workerIdx int) []int {
 	return out
 }
 
-// serveSnapshot streams a partition's records to a recovering node, one
-// message per table, as encoded row images.
+// serveSnapshot sends a recovering node one partition it holds, in one
+// message.
 func (n *node) serveSnapshot(m msgSnapshotReq) {
-	for ti := 0; ti < n.db.NumTables(); ti++ {
-		tbl := n.db.Table(storage.TableID(ti))
-		if tbl.Replicated() {
-			continue
-		}
-		part := tbl.Partition(m.Part)
-		if part == nil {
-			continue
-		}
-		snap := &msgSnapshot{Table: tbl.ID(), Part: m.Part}
-		part.Range(func(key storage.Key, tid uint64, val []byte) bool {
-			snap.Keys = append(snap.Keys, key)
-			snap.TIDs = append(snap.TIDs, tid)
-			snap.Rows = append(snap.Rows, append([]byte(nil), val...))
-			return true
-		})
-		n.e.net.Send(n.id, m.From, transport.Data, snap)
+	if n.db.Holds(m.Part) {
+		n.e.net.Send(n.id, m.From, transport.Data, snapshotOf(n.db, m.Part, n.id, n.epoch.Load()))
 	}
 }
 
+// snapshotOf copies partition part of db — every present record of every
+// partitioned table — into a catch-up message from node from, taken in
+// epoch.
+func snapshotOf(db *storage.DB, part, from int, epoch uint64) *msgSnapshot {
+	rows := &replication.Batch{From: from, Epoch: epoch}
+	for ti := 0; ti < db.NumTables(); ti++ {
+		tbl := db.Table(storage.TableID(ti))
+		if tbl.Replicated() {
+			continue
+		}
+		tbl.Partition(part).Range(func(key storage.Key, tid uint64, val []byte) bool {
+			rows.Entries = append(rows.Entries, replication.Entry{Table: tbl.ID(), Part: int32(part), Key: key, TID: tid,
+				Row: append([]byte(nil), val...)})
+			return true
+		})
+	}
+	return &msgSnapshot{Part: part, Rows: rows}
+}
+
 func (n *node) applySnapshot(m *msgSnapshot) {
-	tbl := n.db.Table(m.Table)
-	part := tbl.Partition(m.Part)
-	if part == nil {
+	if !n.db.Holds(m.Part) {
 		return
 	}
 	epoch := n.epoch.Load()
@@ -710,13 +701,14 @@ func (n *node) applySnapshot(m *msgSnapshot) {
 	// an abandoned catch-up (a lost snapshot frame, a re-crash) is undone
 	// whole by the next attempt's wildcard revert, and indexed, so the
 	// entries that revert tombstoned come back with their rows.
-	for i, key := range m.Keys {
-		_, _ = tbl.LandThomas(m.Part, key, epoch, m.TIDs[i], storage.Write{Kind: storage.WriteRow, Row: m.Rows[i]}) // only field ops can be refused
+	for i := range m.Rows.Entries {
+		e := &m.Rows.Entries[i]
+		_, _ = n.db.Table(e.Table).LandThomas(m.Part, e.Key, epoch, e.TID, e.Write()) // only field ops can be refused
 	}
 	// The rows themselves applied idempotently above (Thomas write rule);
-	// only the first copy of a (table, partition) snapshot advances the
-	// catch-up accounting.
-	if !n.snapPending[snapKey(m.Table, m.Part)] {
+	// only the first copy of a partition's snapshot advances the catch-up
+	// accounting.
+	if !n.snapPending[m.Part] {
 		return
 	}
 	// Removal sweep: a row the cluster deleted (and reclaimed) while this
@@ -727,23 +719,33 @@ func (n *node) applySnapshot(m *msgSnapshot) {
 	// Thomas rule. Guarded by the pending check above: a duplicate
 	// (re-delivered, stale) snapshot must not delete rows inserted since
 	// the first copy applied.
-	seen := make(map[storage.Key]struct{}, len(m.Keys))
-	for _, key := range m.Keys {
-		seen[key] = struct{}{}
+	type row struct {
+		table storage.TableID
+		key   storage.Key
 	}
-	var stale []storage.Key
-	var staleTIDs []uint64
-	part.Range(func(key storage.Key, tid uint64, val []byte) bool {
-		if _, ok := seen[key]; !ok {
-			stale = append(stale, key)
-			staleTIDs = append(staleTIDs, tid)
+	seen := make(map[row]struct{}, len(m.Rows.Entries))
+	for i := range m.Rows.Entries {
+		seen[row{m.Rows.Entries[i].Table, m.Rows.Entries[i].Key}] = struct{}{}
+	}
+	for ti := 0; ti < n.db.NumTables(); ti++ {
+		tbl := n.db.Table(storage.TableID(ti))
+		if tbl.Replicated() {
+			continue
 		}
-		return true
-	})
-	for i, key := range stale {
-		tbl.Delete(m.Part, key, epoch, staleTIDs[i])
+		var stale []storage.Key
+		var staleTIDs []uint64
+		tbl.Partition(m.Part).Range(func(key storage.Key, tid uint64, val []byte) bool {
+			if _, ok := seen[row{tbl.ID(), key}]; !ok {
+				stale = append(stale, key)
+				staleTIDs = append(staleTIDs, tid)
+			}
+			return true
+		})
+		for i, key := range stale {
+			tbl.Delete(m.Part, key, epoch, staleTIDs[i])
+		}
 	}
-	delete(n.snapPending, snapKey(m.Table, m.Part))
+	delete(n.snapPending, m.Part)
 	if len(n.snapPending) == 0 {
 		n.e.net.Send(n.id, n.e.cfg.coordID(), transport.Control, msgRecoveryDone{Node: n.id, Sent: n.tracker.SentVector()})
 	}

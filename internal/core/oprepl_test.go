@@ -334,13 +334,19 @@ func TestOpReplicationLogRecoversInAnyOrder(t *testing.T) {
 		t.Fatal("the run replicated no operation entries")
 	}
 
-	var entries []*wal.Entry
+	var entries []replication.Entry
+	var marks []uint64
 	for _, path := range e.LogFiles(1) {
-		es, err := readAll(path)
+		frames, err := readLog(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries = append(entries, es...)
+		for _, b := range frames {
+			if len(b.Entries) == 0 {
+				marks = append(marks, b.Epoch)
+			}
+			entries = append(entries, b.Entries...)
+		}
 	}
 	rand.New(rand.NewSource(5)).Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
 	shuffled := filepath.Join(dir, "node1-shuffled.log")
@@ -349,17 +355,19 @@ func TestOpReplicationLogRecoversInAnyOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	writes := 0
-	for _, en := range entries {
-		switch {
-		case en.Kind == 2:
-			err = lg.AppendEpochMark(en.Epoch)
-		case en.Absent:
-			err = lg.AppendDelete(en.Table, en.Part, en.Key, en.TID)
-		default:
+	for i, en := range entries {
+		if !en.Absent {
 			writes++
-			err = lg.AppendWrite(en.Table, en.Part, en.Key, en.TID, false, en.Row)
 		}
-		if err != nil {
+		if err := lg.AppendWrite(en.Table, en.Part, en.Key, en.TID, en.Absent, en.Row); err != nil {
+			t.Fatal(err)
+		}
+		if i%64 == 63 {
+			lg.Flush(false)
+		}
+	}
+	for _, m := range marks {
+		if err := lg.AppendEpochMark(m); err != nil {
 			t.Fatal(err)
 		}
 	}

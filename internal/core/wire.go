@@ -5,7 +5,6 @@ import (
 	"star/internal/transport"
 	"star/internal/txn"
 	"star/internal/wire"
-	"star/internal/wire/prim"
 	"star/internal/workload"
 )
 
@@ -21,7 +20,7 @@ const (
 	wireReplAck
 	_ // retired: wireRevert with a NewMasters map
 	wireSnapshotReq
-	wireSnapshot
+	_ // retired: wireSnapshot as one table's key/TID/row columns
 	wireReplBatch
 	wireSyncBatch
 	wireResetCounters
@@ -45,6 +44,7 @@ const (
 	wireStartPhase
 	wireRevert
 	wireTopology
+	wireSnapshot
 )
 
 // wireRegistrar is implemented by workloads whose procedures have a
@@ -171,20 +171,10 @@ func snapshotReqFields(f *wire.Fields, m *msgSnapshotReq) {
 	f.Int(&m.Part)
 }
 
-// msgSnapshot is parallel key/TID/row columns under one count. Each record
-// costs at least 25 bytes.
 func (m *msgSnapshot) Size() int { return wire.FrameLen(m, snapshotFields) }
 func snapshotFields(f *wire.Fields, m *msgSnapshot) {
-	wire.U8(f, &m.Table)
 	f.Uint(&m.Part)
-	if n := wire.Len(f, &m.Keys, prim.KeyLen+8+1); f.Decoding() && n > 0 {
-		m.TIDs, m.Rows = make([]uint64, n), make([][]byte, n)
-	}
-	for i := range m.Keys {
-		f.Key(&m.Keys[i])
-		f.U64(&m.TIDs[i])
-		f.Bytes(&m.Rows[i])
-	}
+	wire.Tail(f, &m.Rows, replication.AppendBatch, replication.BatchLen, replication.DecodeBatch)
 }
 
 func (m syncBatch) Size() int { return wire.FrameLen(&m, syncBatchFields) }

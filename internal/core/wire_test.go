@@ -68,10 +68,10 @@ func sampleMessages(tw *tpcc.Workload, yw *ycsb.Workload) []transport.Message {
 		msgReplAck{Worker: 3, Seq: 41},
 		msgRevert{Epoch: 8, Failed: []int{1}},
 		msgSnapshotReq{From: 2, Part: 3},
-		&msgSnapshot{Table: 1, Part: 2,
-			Keys: []storage.Key{storage.K1(1), storage.K2(2, 3)},
-			TIDs: []uint64{storage.MakeTID(2, 1), storage.MakeTID(2, 2)},
-			Rows: [][]byte{[]byte("alpha"), nil}},
+		&msgSnapshot{Part: 2, Rows: &replication.Batch{From: 1, Epoch: 3, Entries: []replication.Entry{
+			{Table: 1, Part: 2, Key: storage.K1(1), TID: storage.MakeTID(2, 1), Row: []byte("alpha")},
+			{Table: 2, Part: 2, Key: storage.K2(2, 3), TID: storage.MakeTID(2, 2), Row: make([]byte, 24)},
+		}}},
 		&replication.Batch{From: 1, Epoch: 9, Entries: ents},
 		syncBatch{Batch: &replication.Batch{From: 0, Epoch: 9, Entries: ents[:1]}, Worker: 2, Seq: 5, ReplyTo: 0},
 		msgResetCounters{Applied: []int64{5, 0, 9}},
@@ -143,8 +143,8 @@ func TestWireMessagesRoundTrip(t *testing.T) {
 // TestSizeIsEncodedFrameLength: a message's Size() is the length of the
 // frame it encodes to — for every golden sample, for 600 generated TPC-C
 // and YCSB requests both deferred (msgDefer) and submitted by a client
-// (ClientReq), one of them retried 300 times, for random snapshots, and
-// for random envelopes, with zero-packed rows, alone and synchronous.
+// (ClientReq), one of them retried 300 times, and for random envelopes,
+// with zero-packed rows, alone, synchronous and as a partition's snapshot.
 func TestSizeIsEncodedFrameLength(t *testing.T) {
 	tw, yw := testWorkloads()
 	c := testCodec(tw, yw)
@@ -182,20 +182,10 @@ func TestSizeIsEncodedFrameLength(t *testing.T) {
 	retried := txn.NewRequest(yg.Cross(1), 5)
 	retried.Retries = 300 // a two-byte uvarint
 	request("request retried 300 times", retried)
-	for i := 0; i < 20; i++ {
-		snap := &msgSnapshot{Table: storage.TableID(i % 3), Part: i}
-		for j := 0; j < 1+rng.Intn(50); j++ {
-			row := make([]byte, rng.Intn(200))
-			rng.Read(row)
-			snap.Keys = append(snap.Keys, storage.K2(uint64(i), uint64(j)))
-			snap.TIDs = append(snap.TIDs, storage.MakeTID(3, uint64(j+1)))
-			snap.Rows = append(snap.Rows, row)
-		}
-		check("snapshot", snap)
-	}
 	for i := 0; i < 200; i++ {
 		b := randomEnvelope(rng)
 		check("envelope", b)
+		check("snapshot", &msgSnapshot{Part: rng.Intn(300), Rows: b})
 		check("sync envelope", syncBatch{Batch: b, Worker: rng.Intn(8), Seq: rng.Uint64() >> rng.Intn(64), ReplyTo: rng.Intn(4)})
 	}
 }
@@ -322,16 +312,24 @@ func TestRequestGenAtRebasedAcrossClockDomains(t *testing.T) {
 	}
 }
 
-// retiredFrames holds, per message id this codec retired when mastership
-// stopped travelling, the last frame a parent-commit process encoded
-// under it (testdata/golden_frames.txt at dccb7a8): the phase command
-// with its Master, the revert with its NewMasters, msgUpdateMasters, and
-// the topology install with its Master.
+// retiredFrames holds, per message id this codec retired, the last frame
+// a parent-commit process encoded under it: from
+// testdata/golden_frames.txt at dccb7a8, when mastership stopped
+// travelling, the phase command with its Master, the revert with its
+// NewMasters, msgUpdateMasters and the topology install with its Master;
+// and from the same file at 36363a7, the snapshot as one table's
+// key/TID/row columns.
 var retiredFrames = [][]byte{
 	{0x01, 0x01, 0x09, 0x80, 0xe8, 0x92, 0x26, 0x02, 0x02, 0x04, 0x06, 0xe0, 0xc5, 0x08, 0x0a, 0x22},
 	{0x07, 0x08, 0x01, 0x02, 0x04, 0x00, 0x00, 0x04, 0x06},
 	{0x0f, 0x04, 0x00, 0x02, 0x04, 0x06},
 	{0x1c, 0x07, 0x04, 0x03, 0x00, 0x04, 0x06, 0x04, 0x00, 0x00, 0x04, 0x06, 0x04, 0x04, 0x06, 0x01, 0x01},
+	{
+		0x09, 0x01, 0xc8, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x05, 0x61, 0x6c,
+		0x70, 0x68, 0x61, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00,
+		0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00,
+	},
 }
 
 // A frame from a process one commit behind is refused as an unknown id,

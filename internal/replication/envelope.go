@@ -9,7 +9,10 @@ import (
 	"star/internal/wire/prim"
 )
 
-// Envelope format.
+// Envelope format — the one encoding of a record image: the replication
+// stream ships it, a recovery log and a checkpoint are frames of it
+// (package wal), and a catch-up copy is one per partition (core's
+// msgSnapshot).
 //
 // An envelope (Batch) comes from one worker and one epoch, nearly always
 // for one partition and a run of one table, so an entry is coded against
@@ -351,15 +354,34 @@ func fillRow(e *Entry, arena []byte) []byte {
 	return arena[n:]
 }
 
+// EntryEncoder appends an envelope's entries one at a time, each coded
+// against the one before, for a writer that holds no Batch and learns the
+// entry count last (the recovery log): AppendBatchHeader followed by the
+// entries it appended is AppendBatch's body. The zero value encodes the
+// first entry of an Epoch-0 envelope.
+type EntryEncoder struct{ prev entryPrev }
+
+// Reset starts a new envelope stamped with epoch.
+func (c *EntryEncoder) Reset(epoch uint64) { c.prev = batchPrev(epoch) }
+
+// Append appends e as the envelope's next entry.
+func (c *EntryEncoder) Append(b []byte, e *Entry) []byte { return appendEntry(b, &c.prev, e) }
+
+// AppendBatchHeader appends what precedes an envelope's n entries.
+func AppendBatchHeader(b []byte, from int, epoch uint64, n int) []byte {
+	b = prim.AppendUvarint(b, uint64(from))
+	b = prim.AppendUvarint(b, epoch)
+	return prim.AppendUvarint(b, uint64(n))
+}
+
 // AppendBatch appends a batch body: what follows the message id in its
 // frame.
 func AppendBatch(b []byte, batch *Batch) []byte {
-	b = prim.AppendUvarint(b, uint64(batch.From))
-	b = prim.AppendUvarint(b, batch.Epoch)
-	b = prim.AppendUvarint(b, uint64(len(batch.Entries)))
-	prev := batchPrev(batch.Epoch)
+	b = AppendBatchHeader(b, batch.From, batch.Epoch, len(batch.Entries))
+	var enc EntryEncoder
+	enc.Reset(batch.Epoch)
 	for i := range batch.Entries {
-		b = appendEntry(b, &prev, &batch.Entries[i])
+		b = enc.Append(b, &batch.Entries[i])
 	}
 	return b
 }

@@ -4,6 +4,19 @@
 // epoch markers written at every replication fence (the group-commit
 // boundary), fuzzy checkpoints that do not freeze the database, and
 // recovery that corrects an inconsistent checkpoint by replaying logs.
+//
+// A log segment and a checkpoint are both a sequence of frames
+//
+//	[body length u32 LE][CRC-32 (IEEE) of the body u32 LE][body]
+//
+// whose body is a replication envelope (replication/envelope.go), the
+// same encoding the replication stream and a catch-up copy carry. A
+// logger writes a frame at every Flush, and once 64 KiB of entries are
+// pending, so neither a log nor a checkpoint is ever held whole in
+// memory. Its entries are value entries — rows and tombstones, never
+// operations — stamped with the first entry's epoch. An epoch mark is an
+// envelope with no entries; its Epoch is the mark. A checkpoint starts
+// with the mark of the epoch in flight when its scan began.
 package wal
 
 import (
@@ -16,44 +29,50 @@ import (
 	"os"
 	"sync"
 
+	"star/internal/replication"
 	"star/internal/storage"
 )
 
-// Record kinds on disk.
 const (
-	kindWrite     = 1
-	kindEpochMark = 2
-	kindDelete    = 3
+	// frameHeader is the length+CRC prefix of every frame.
+	frameHeader = 8
+	// headRoom is where an open frame's entries start in the encode
+	// buffer: room for the frame header and the envelope's three uvarints
+	// (sender, epoch, count), written in front of the entries once the
+	// count is known, so a frame leaves in one Write, with no copy.
+	headRoom = frameHeader + 3*binary.MaxVarintLen64
+	// frameBytes is how many bytes of entries a logger holds before it
+	// writes them as a frame without waiting for a Flush.
+	frameBytes = 64 << 10
+	// maxFrame bounds a frame's length on read: a logger's frames stay
+	// under frameBytes plus one row, so a longer claim is a torn tail.
+	maxFrame = 1 << 20
+	// maxMarkLen bounds a mark's body: sender 0, an epoch of at most ten
+	// bytes and a zero count. A longer frame holds entries.
+	maxMarkLen = 1 + binary.MaxVarintLen64 + 1
 )
 
-// Entry is one durable record: a whole-row write or an epoch marker.
-type Entry struct {
-	Kind   uint8
-	Table  storage.TableID
-	Part   int32
-	Key    storage.Key
-	TID    uint64
-	Absent bool
-	Row    []byte
-	Epoch  uint64 // for epoch marks
-}
-
-// Logger frames entries onto a writer with length+CRC headers.
-// One logger per worker thread, as in the paper. The mutex exists for
-// segment rotation: the checkpointer retires a file-backed logger's
-// segment concurrently with the owning thread's appends.
+// Logger writes entries as envelope frames. One logger per worker
+// thread, as in the paper. The mutex exists for segment rotation: the
+// checkpointer retires a file-backed logger's segment concurrently with
+// the owning thread's appends.
 type Logger struct {
 	mu    sync.Mutex
 	w     *bufio.Writer
 	f     *os.File // nil when backed by a plain writer
 	path  string   // current file path ("" when not file-backed)
 	bytes int64
+	// buf is the open frame: headRoom bytes, then its n entries, each
+	// coded by enc against the one before; epoch is its envelope's.
 	buf   []byte
+	enc   replication.EntryEncoder
+	n     int
+	epoch uint64
 }
 
 // NewLogger wraps any writer (benchmarks use counting sinks).
 func NewLogger(w io.Writer) *Logger {
-	return &Logger{w: bufio.NewWriterSize(w, 1<<16)}
+	return &Logger{w: bufio.NewWriterSize(w, 1<<16), buf: make([]byte, headRoom)}
 }
 
 // Create opens a log file for appending.
@@ -68,8 +87,8 @@ func Create(path string) (*Logger, error) {
 	return l, nil
 }
 
-// Bytes returns the total payload bytes appended so far (cumulative
-// across rotations).
+// Bytes returns the total frame bytes written so far (cumulative across
+// rotations); entries still pending in the open frame are not counted.
 func (l *Logger) Bytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -94,10 +113,7 @@ func (l *Logger) Rotate(path string) error {
 	if l.f == nil {
 		return errors.New("wal: rotate on a non-file logger")
 	}
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.flushLocked(true); err != nil {
 		return err
 	}
 	if err := l.f.Close(); err != nil {
@@ -113,79 +129,81 @@ func (l *Logger) Rotate(path string) error {
 	return nil
 }
 
-// frameHeader is the length+CRC prefix of every entry on disk.
-const frameHeader = 8
-
-// begin resets the encode buffer for a new entry of the given kind,
-// leaving room in front for the frame header that append fills in: the
-// entry leaves in one Write, and no header escapes to the heap on the
-// way (a stack array handed to the bufio.Writer's underlying io.Writer
-// would — once per logged write).
-func (l *Logger) begin(kind byte) {
-	l.buf = append(l.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0, kind)
+// append encodes e into the open frame, straight into its buffer, and
+// writes the frame once it holds frameBytes.
+func (l *Logger) append(e *replication.Entry) error {
+	if l.n == 0 {
+		l.epoch = storage.TIDEpoch(e.TID)
+		l.enc.Reset(l.epoch)
+	}
+	l.buf = l.enc.Append(l.buf, e)
+	l.n++
+	if len(l.buf)-headRoom < frameBytes {
+		return nil
+	}
+	return l.seal()
 }
 
-// beginRecord starts a write or delete entry: kind plus the record's
-// table, partition, key and TID.
-func (l *Logger) beginRecord(kind byte, table storage.TableID, part int32, key storage.Key, tid uint64) {
-	l.begin(kind)
-	l.buf = append(l.buf, byte(table))
-	l.buf = binary.LittleEndian.AppendUint32(l.buf, uint32(part))
-	l.buf = binary.LittleEndian.AppendUint64(l.buf, key.Hi)
-	l.buf = binary.LittleEndian.AppendUint64(l.buf, key.Lo)
-	l.buf = binary.LittleEndian.AppendUint64(l.buf, tid)
+// seal writes the open frame, if it holds an entry, and empties it.
+func (l *Logger) seal() error {
+	if l.n == 0 {
+		return nil
+	}
+	err := l.writeFrame(l.epoch, l.n)
+	l.buf, l.n = l.buf[:headRoom], 0
+	return err
 }
 
-// append frames the entry begin started and hands it to the writer.
-func (l *Logger) append() error {
-	payload := l.buf[frameHeader:]
-	binary.LittleEndian.PutUint32(l.buf[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(l.buf[4:], crc32.ChecksumIEEE(payload))
-	if _, err := l.w.Write(l.buf); err != nil {
+// writeFrame puts the envelope header for n entries, then the frame
+// header, in front of the entries in buf and hands the frame to the
+// writer.
+func (l *Logger) writeFrame(epoch uint64, n int) error {
+	var hdr [headRoom - frameHeader]byte
+	h := replication.AppendBatchHeader(hdr[:0], 0, epoch, n)
+	frame := l.buf[headRoom-len(h)-frameHeader:]
+	copy(frame[frameHeader:], h)
+	body := frame[frameHeader:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(body)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(body))
+	if _, err := l.w.Write(frame); err != nil {
 		return err
 	}
-	l.bytes += int64(len(l.buf))
+	l.bytes += int64(len(frame))
 	return nil
 }
 
-// AppendWrite logs one whole-record write.
+// AppendWrite logs one whole-record write (absent: a tombstone, whose
+// row is dropped).
 func (l *Logger) AppendWrite(table storage.TableID, part int32, key storage.Key, tid uint64, absent bool, row []byte) error {
+	if absent {
+		row = nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.beginRecord(kindWrite, table, part, key, tid)
-	if absent {
-		l.buf = append(l.buf, 1)
-	} else {
-		l.buf = append(l.buf, 0)
-	}
-	l.buf = binary.LittleEndian.AppendUint16(l.buf, uint16(len(row)))
-	l.buf = append(l.buf, row...)
-	return l.append()
+	return l.append(&replication.Entry{Table: table, Part: part, Key: key, TID: tid, Row: row, Absent: absent})
 }
 
-// AppendDelete logs a committed delete in compact form: the same header
-// as a write but no row payload at all (a tombstone has no value, and
-// the dedicated kind lets recovery distinguish "deleted" from "written
-// with an empty row").
+// AppendDelete logs a committed delete: a tombstone, which carries no
+// row.
 func (l *Logger) AppendDelete(table storage.TableID, part int32, key storage.Key, tid uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.beginRecord(kindDelete, table, part, key, tid)
-	return l.append()
+	return l.AppendWrite(table, part, key, tid, true, nil)
 }
 
 // AppendEpochMark logs a group-commit boundary: every entry of epoch e is
-// durable once the mark for e is.
+// durable once the mark for e is. The mark is a frame of its own, behind
+// the entries appended before it.
 func (l *Logger) AppendEpochMark(epoch uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.begin(kindEpochMark)
-	l.buf = binary.LittleEndian.AppendUint64(l.buf, epoch)
-	return l.append()
+	if err := l.seal(); err != nil {
+		return err
+	}
+	return l.writeFrame(epoch, 0)
 }
 
-// Flush drains buffers; when sync is true and the logger is file-backed
-// it also fsyncs (the fence flush, §4.5.1).
+// Flush writes the pending entries as a frame and drains buffers; when
+// sync is true and the logger is file-backed it also fsyncs (the fence
+// flush, §4.5.1).
 func (l *Logger) Flush(sync bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -193,6 +211,9 @@ func (l *Logger) Flush(sync bool) error {
 }
 
 func (l *Logger) flushLocked(sync bool) error {
+	if err := l.seal(); err != nil {
+		return err
+	}
 	if err := l.w.Flush(); err != nil {
 		return err
 	}
@@ -217,113 +238,59 @@ func (l *Logger) Close() error {
 
 // ---- reading ----
 
-// Reader iterates a log stream, stopping cleanly at a torn tail.
-type Reader struct {
-	r   *bufio.Reader
-	buf []byte
-}
-
-// NewReader wraps a reader.
-func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReaderSize(r, 1<<16)} }
-
-// Next returns the next entry. It returns io.EOF at a clean end and also
-// at a torn/corrupt tail (the damaged suffix is ignored, as recovery
-// treats unsynced bytes as never written).
-func (r *Reader) Next() (*Entry, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		return nil, io.EOF
+// ReadFrames hands visit the body of every frame of the file at path, in
+// order — body is reused once visit returns — and stops quietly at the
+// first frame that is torn or fails its CRC: damage costs only a suffix,
+// and bytes a crash left unsynced count as never written. An error from
+// visit ends the walk and is returned.
+func ReadFrames(path string, visit func(body []byte) error) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:])
-	crc := binary.LittleEndian.Uint32(hdr[4:])
-	if n > 1<<20 {
-		return nil, io.EOF // implausible length: torn tail
-	}
-	if cap(r.buf) < int(n) {
-		r.buf = make([]byte, n)
-	}
-	r.buf = r.buf[:n]
-	if _, err := io.ReadFull(r.r, r.buf); err != nil {
-		return nil, io.EOF
-	}
-	if crc32.ChecksumIEEE(r.buf) != crc {
-		return nil, io.EOF
-	}
-	return decode(r.buf)
-}
-
-func decode(b []byte) (*Entry, error) {
-	if len(b) < 1 {
-		return nil, errors.New("wal: empty payload")
-	}
-	switch b[0] {
-	case kindEpochMark:
-		if len(b) != 9 {
-			return nil, errors.New("wal: bad epoch mark")
+	defer f.Close()
+	r := bufio.NewReaderSize(f, 1<<16)
+	var hdr [frameHeader]byte
+	var body []byte
+	for {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return nil
 		}
-		return &Entry{Kind: kindEpochMark, Epoch: binary.LittleEndian.Uint64(b[1:])}, nil
-	case kindWrite:
-		if len(b) < 2+4+16+8+1+2 {
-			return nil, errors.New("wal: short write entry")
+		n := binary.LittleEndian.Uint32(hdr[:])
+		if n > maxFrame {
+			return nil
 		}
-		e := &Entry{Kind: kindWrite, Table: storage.TableID(b[1])}
-		off := 2
-		e.Part = int32(binary.LittleEndian.Uint32(b[off:]))
-		off += 4
-		e.Key.Hi = binary.LittleEndian.Uint64(b[off:])
-		off += 8
-		e.Key.Lo = binary.LittleEndian.Uint64(b[off:])
-		off += 8
-		e.TID = binary.LittleEndian.Uint64(b[off:])
-		off += 8
-		e.Absent = b[off] == 1
-		off++
-		rl := int(binary.LittleEndian.Uint16(b[off:]))
-		off += 2
-		if len(b) != off+rl {
-			return nil, fmt.Errorf("wal: row length mismatch")
+		if cap(body) < int(n) {
+			body = make([]byte, n)
 		}
-		e.Row = append([]byte(nil), b[off:]...)
-		return e, nil
-	case kindDelete:
-		if len(b) != 2+4+16+8 {
-			return nil, errors.New("wal: bad delete entry")
+		body = body[:n]
+		if _, err := io.ReadFull(r, body); err != nil || crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(hdr[4:]) {
+			return nil
 		}
-		e := &Entry{Kind: kindDelete, Table: storage.TableID(b[1]), Absent: true}
-		off := 2
-		e.Part = int32(binary.LittleEndian.Uint32(b[off:]))
-		off += 4
-		e.Key.Hi = binary.LittleEndian.Uint64(b[off:])
-		off += 8
-		e.Key.Lo = binary.LittleEndian.Uint64(b[off:])
-		off += 8
-		e.TID = binary.LittleEndian.Uint64(b[off:])
-		return e, nil
-	default:
-		return nil, fmt.Errorf("wal: unknown kind %d", b[0])
+		if err := visit(body); err != nil {
+			return err
+		}
 	}
 }
 
 // ---- checkpointing ----
 
 // WriteCheckpoint scans the database fuzzily (no freeze, §4.5.1) and
-// writes every present record plus a starting epoch header. Returns
-// bytes written.
+// writes a starting epoch mark plus every present record. Returns bytes
+// written.
 func WriteCheckpoint(db *storage.DB, path string, epochStart uint64) (int64, error) {
 	l, err := Create(path)
 	if err != nil {
 		return 0, err
 	}
-	if err := l.AppendEpochMark(epochStart); err != nil {
-		return 0, err
-	}
-	for ti := 0; ti < db.NumTables(); ti++ {
+	err = l.AppendEpochMark(epochStart)
+	for ti := 0; ti < db.NumTables() && err == nil; ti++ {
 		tbl := db.Table(storage.TableID(ti))
 		nparts := db.NumPartitions()
 		if tbl.Replicated() {
 			nparts = 1
 		}
-		for p := 0; p < nparts; p++ {
+		for p := 0; p < nparts && err == nil; p++ {
 			if !tbl.Replicated() && !db.Holds(p) {
 				continue
 			}
@@ -331,32 +298,16 @@ func WriteCheckpoint(db *storage.DB, path string, epochStart uint64) (int64, err
 			if part == nil {
 				continue
 			}
-			var ferr error
 			part.Range(func(key storage.Key, tid uint64, val []byte) bool {
-				ferr = l.AppendWrite(tbl.ID(), int32(p), key, tid, false, val)
-				return ferr == nil
+				err = l.AppendWrite(tbl.ID(), int32(p), key, tid, false, val)
+				return err == nil
 			})
-			if ferr != nil {
-				return l.Bytes(), ferr
-			}
 		}
 	}
-	n := l.Bytes()
-	return n, l.Close()
-}
-
-// CheckpointEpoch reads the starting-epoch header of a checkpoint.
-func CheckpointEpoch(path string) (uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
+	if cerr := l.Close(); err == nil {
+		err = cerr
 	}
-	defer f.Close()
-	e, err := NewReader(f).Next()
-	if err != nil || e.Kind != kindEpochMark {
-		return 0, errors.New("wal: checkpoint missing epoch header")
-	}
-	return e.Epoch, nil
+	return l.Bytes(), err
 }
 
 // ---- recovery ----
@@ -364,25 +315,41 @@ func CheckpointEpoch(path string) (uint64, error) {
 // MaxDurableEpoch scans log files for the largest epoch mark: the last
 // group commit known durable.
 func MaxDurableEpoch(paths []string) (uint64, error) {
-	var max uint64
+	var top uint64
 	for _, p := range paths {
-		f, err := os.Open(p)
+		err := ReadFrames(p, func(body []byte) error {
+			if len(body) > maxMarkLen {
+				return nil
+			}
+			if b, err := replication.DecodeBatch(body); err == nil && len(b.Entries) == 0 {
+				top = max(top, b.Epoch)
+			}
+			return nil
+		})
 		if err != nil {
 			return 0, err
 		}
-		r := NewReader(f)
-		for {
-			e, err := r.Next()
-			if err != nil {
-				break
-			}
-			if e.Kind == kindEpochMark && e.Epoch > max {
-				max = e.Epoch
-			}
-		}
-		f.Close()
 	}
-	return max, nil
+	return top, nil
+}
+
+// checkpointEpoch reads the mark a checkpoint starts with.
+func checkpointEpoch(path string) (uint64, error) {
+	var epoch uint64
+	found := false
+	err := ReadFrames(path, func(body []byte) error {
+		if b, err := replication.DecodeBatch(body); err == nil && len(b.Entries) == 0 {
+			epoch, found = b.Epoch, true
+		}
+		return io.EOF // the first frame only
+	})
+	if err != nil && err != io.EOF {
+		return 0, err
+	}
+	if !found {
+		return 0, fmt.Errorf("wal: checkpoint %s does not start with an epoch mark", path)
+	}
+	return epoch, nil
 }
 
 // recKey identifies one record across the recovery pass.
@@ -393,10 +360,14 @@ type recKey struct {
 }
 
 // Recover rebuilds db from a checkpoint (optional, "" to skip) plus log
-// files, applying writes with the Thomas write rule and discarding
-// entries newer than the last durable epoch (they were never group-
-// committed). Returns the recovered epoch and the number of applied
-// writes.
+// files, landing entries with the Thomas write rule. The durable epoch
+// is the largest mark in the logs, or the epoch before the checkpoint's
+// mark if that is larger (the checkpointer stamps the epoch in flight);
+// an entry of a later epoch was never group-committed and is discarded,
+// in the checkpoint as in the logs. Returns the durable epoch and the
+// number of applied writes. A frame that passes its CRC but does not
+// decode, and an operation entry — a log holds row images only — are
+// errors.
 //
 // Deletes participate like writes (a newer tombstone beats an older row
 // and vice versa, so per-worker logs still replay in any order), and
@@ -415,18 +386,32 @@ func Recover(db *storage.DB, checkpoint string, logs []string) (epoch uint64, ap
 	if err != nil {
 		return 0, 0, err
 	}
+	files := logs
+	if checkpoint != "" {
+		start, err := checkpointEpoch(checkpoint)
+		if err != nil {
+			return 0, 0, err
+		}
+		if start > 0 {
+			durable = max(durable, start-1)
+		}
+		files = append([]string{checkpoint}, logs...)
+	}
 	// Recovery is one unit, committed whole at the end: every write lands
 	// under one epoch, so a record is saved and registered once however
 	// many epochs the logs span.
 	landEpoch := max(durable, 1)
 	written := make(map[recKey]struct{}) // keys seen as a value (checkpoint or log write)
 	ghosts := make(map[recKey]struct{})  // keys materialised only by deletes so far
-	apply := func(e *Entry) error {
-		if e.Kind != kindWrite && e.Kind != kindDelete {
-			return nil
+	apply := func(e *replication.Entry) error {
+		if e.IsOp() {
+			return fmt.Errorf("wal: operation entry for %v in table %d part %d: a log holds row images only", e.Key, e.Table, e.Part)
 		}
-		if storage.TIDEpoch(e.TID) > durable && durable > 0 {
+		if storage.TIDEpoch(e.TID) > durable {
 			return nil // beyond the last group commit: discard
+		}
+		if int(e.Table) >= db.NumTables() || e.Part < 0 || int(e.Part) >= db.NumPartitions() {
+			return fmt.Errorf("wal: entry for table %d part %d, which the database does not have", e.Table, e.Part)
 		}
 		tbl := db.Table(e.Table)
 		if tbl.Partition(int(e.Part)) == nil {
@@ -443,37 +428,28 @@ func Recover(db *storage.DB, checkpoint string, logs []string) (epoch uint64, ap
 		}
 		// Secondary indexes are not logged: Land rebuilds them here, from
 		// the same absent ↔ present transitions the live paths index.
-		w := storage.Write{Kind: storage.WriteRow, Row: e.Row}
-		if e.Absent {
-			w = storage.Write{Kind: storage.WriteDelete}
-		}
-		ok, err := tbl.LandThomas(int(e.Part), e.Key, landEpoch, e.TID, w)
+		ok, err := tbl.LandThomas(int(e.Part), e.Key, landEpoch, e.TID, e.Write())
 		if ok {
 			applied++
 		}
 		return err
 	}
-	files := logs
-	if checkpoint != "" {
-		files = append([]string{checkpoint}, logs...)
-	}
 	for _, p := range files {
-		f, err := os.Open(p)
+		err := ReadFrames(p, func(body []byte) error {
+			b, err := replication.DecodeBatch(body)
+			if err != nil {
+				return fmt.Errorf("wal: %s: %w", p, err)
+			}
+			for i := range b.Entries {
+				if err := apply(&b.Entries[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 		if err != nil {
 			return 0, 0, err
 		}
-		r := NewReader(f)
-		for {
-			e, rerr := r.Next()
-			if rerr != nil {
-				break
-			}
-			if err := apply(e); err != nil {
-				f.Close()
-				return 0, 0, err
-			}
-		}
-		f.Close()
 	}
 	if checkpoint == "" && len(ghosts) > 0 {
 		for rk := range ghosts {

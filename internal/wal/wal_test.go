@@ -2,10 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"star/internal/replication"
 	"star/internal/storage"
 )
 
@@ -39,6 +42,29 @@ func dbValue(db *storage.DB, k uint64) (int64, bool) {
 	return schema().GetInt64(val, 0), true
 }
 
+// frame wraps an envelope body the way a logger frames it.
+func frame(body []byte) []byte {
+	f := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+	f = binary.LittleEndian.AppendUint32(f, crc32.ChecksumIEEE(body))
+	return append(f, body...)
+}
+
+// readLog decodes every frame of the file at path, each into buffers of
+// its own.
+func readLog(t *testing.T, path string) []*replication.Batch {
+	t.Helper()
+	var out []*replication.Batch
+	err := ReadFrames(path, func(body []byte) error {
+		b, err := replication.DecodeBatch(append([]byte(nil), body...))
+		out = append(out, b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestLogRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "w0.log")
@@ -61,23 +87,19 @@ func TestLogRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, _ := os.Open(path)
-	defer f.Close()
-	r := NewReader(f)
-	e1, err := r.Next()
-	if err != nil {
-		t.Fatal(err)
+	frames := readLog(t, path)
+	if len(frames) != 2 {
+		t.Fatalf("%d frames, want the write's and the mark's", len(frames))
 	}
-	if e1.Kind != kindWrite || e1.Key != storage.K1(7) || e1.TID != storage.MakeTID(2, 3) ||
-		!bytes.Equal(e1.Row, row) || e1.Part != 1 {
-		t.Fatalf("entry mismatch: %+v", e1)
+	if f := frames[0]; f.Epoch != 2 || len(f.Entries) != 1 {
+		t.Fatalf("write frame: %+v", f)
 	}
-	e2, err := r.Next()
-	if err != nil || e2.Kind != kindEpochMark || e2.Epoch != 2 {
-		t.Fatalf("epoch mark: %+v err=%v", e2, err)
+	if e := frames[0].Entries[0]; e.IsOp() || e.Absent || e.Table != 0 || e.Key != storage.K1(7) ||
+		e.TID != storage.MakeTID(2, 3) || !bytes.Equal(e.Row, row) || e.Part != 1 {
+		t.Fatalf("entry mismatch: %+v", e)
 	}
-	if _, err := r.Next(); err == nil {
-		t.Fatal("expected EOF")
+	if m := frames[1]; m.Epoch != 2 || len(m.Entries) != 0 {
+		t.Fatalf("epoch mark: %+v", m)
 	}
 }
 
@@ -94,46 +116,53 @@ func TestTornTailIgnored(t *testing.T) {
 	f.Write([]byte{0xde, 0xad, 0xbe})
 	f.Close()
 
-	in, _ := os.Open(path)
-	defer in.Close()
-	r := NewReader(in)
-	n := 0
-	for {
-		if _, err := r.Next(); err != nil {
-			break
-		}
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("read %d entries, want 2 (garbage tail ignored)", n)
+	if n := len(readLog(t, path)); n != 2 {
+		t.Fatalf("read %d frames, want 2 (garbage tail ignored)", n)
 	}
 }
 
+// TestCorruptMiddleStopsReplay: a frame that fails its CRC ends the log —
+// the frames before it come back, none after it does.
 func TestCorruptMiddleStopsReplay(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "c.log")
 	l, _ := Create(path)
 	row := schema().NewRow()
+	var ends []int64
 	for i := uint64(1); i <= 5; i++ {
 		l.AppendWrite(0, 0, storage.K1(i), storage.MakeTID(1, i), false, row)
+		l.Flush(false)
+		ends = append(ends, l.Bytes())
 	}
 	l.Close()
 	data, _ := os.ReadFile(path)
-	data[20] ^= 0xFF // flip a byte inside the first entry's payload
+	data[ends[1]+frameHeader+2] ^= 0xFF // a byte inside the third frame's body
 	os.WriteFile(path, data, 0o644)
 
-	in, _ := os.Open(path)
-	defer in.Close()
-	r := NewReader(in)
-	n := 0
-	for {
-		if _, err := r.Next(); err != nil {
-			break
-		}
-		n++
+	if n := len(readLog(t, path)); n != 2 {
+		t.Fatalf("CRC must end the log at the corrupt frame; read %d frames, want 2", n)
 	}
-	if n != 0 {
-		t.Fatalf("CRC must reject corrupt entry; read %d", n)
+}
+
+// TestFramesHoldAtMostFrameBytes: a logger that is never flushed still
+// writes its entries out as frames of about frameBytes, so a checkpoint
+// never holds the database in memory.
+func TestFramesHoldAtMostFrameBytes(t *testing.T) {
+	var sink bytes.Buffer
+	l := NewLogger(&sink)
+	row := bytes.Repeat([]byte{7}, 100)
+	for i := uint64(1); i <= 2000; i++ {
+		l.AppendWrite(0, 0, storage.K1(i), storage.MakeTID(1, i), false, row)
+	}
+	if written := l.Bytes(); written < 2*frameBytes {
+		t.Fatalf("%d bytes written before any flush, want the full frames of 2000 110-byte entries", written)
+	}
+	l.Flush(false)
+	starts := frameStarts(sink.Bytes())
+	for i := 1; i < len(starts); i++ {
+		if n := starts[i] - starts[i-1]; n > headRoom+frameBytes+replication.MaxEntryHeaderLen+3+len(row) {
+			t.Fatalf("frame %d holds %d bytes", i-1, n)
+		}
 	}
 }
 
@@ -173,6 +202,85 @@ func TestRecoverFromLogsOnly(t *testing.T) {
 	}
 }
 
+// TestRecoverWithoutMarkDiscardsFirstEpoch: a crash inside the first
+// epoch leaves writes and no mark. Nothing was group-committed, so
+// nothing recovers.
+func TestRecoverWithoutMarkDiscardsFirstEpoch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "w.log")
+	l, _ := Create(path)
+	row := schema().NewRow()
+	schema().SetInt64(row, 0, 5)
+	l.AppendWrite(0, 1, storage.K1(1), storage.MakeTID(1, 1), false, row)
+	l.Close()
+
+	db := newDB(nil, 1)
+	epoch, applied, err := Recover(db, "", []string{path})
+	if err != nil || epoch != 0 || applied != 0 {
+		t.Fatalf("epoch %d applied %d err %v; want epoch 0 and nothing applied", epoch, applied, err)
+	}
+	if _, ok := dbValue(db, 1); ok {
+		t.Fatal("an epoch no fence committed surfaced")
+	}
+}
+
+// TestCheckpointHeaderBoundsDurableEpoch: the checkpointer stamps the
+// epoch in flight, E. With no mark in the logs, what recovers is the
+// rows of epochs before E — from the checkpoint and the logs alike.
+func TestCheckpointHeaderBoundsDurableEpoch(t *testing.T) {
+	dir := t.TempDir()
+	s := schema()
+	db := newDB(nil, 1)
+	for k, epoch := range map[uint64]uint64{1: 3, 2: 4, 3: 5} {
+		row := s.NewRow()
+		s.SetInt64(row, 0, int64(10*k))
+		db.Table(0).LandThomas(int(k%2), storage.K1(k), epoch, storage.MakeTID(epoch, 1), storage.Write{Kind: storage.WriteRow, Row: row})
+	}
+	ckpt := filepath.Join(dir, "ckpt")
+	if _, err := WriteCheckpoint(db, ckpt, 4); err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(dir, "w.log")
+	l, _ := Create(logPath)
+	row := s.NewRow()
+	s.SetInt64(row, 0, 99)
+	l.AppendWrite(0, 1, storage.K1(1), storage.MakeTID(4, 2), false, row) // epoch 4: no mark
+	l.AppendWrite(0, 0, storage.K1(4), storage.MakeTID(3, 2), false, row) // epoch 3: durable
+	l.Close()
+
+	db2 := newDB(nil, 1)
+	epoch, _, err := Recover(db2, ckpt, []string{logPath})
+	if err != nil || epoch != 3 {
+		t.Fatalf("epoch %d err %v, want 3", epoch, err)
+	}
+	for k, want := range map[uint64]int64{1: 10, 4: 99} {
+		if v, ok := dbValue(db2, k); !ok || v != want {
+			t.Fatalf("k%d=%d,%v, want %d", k, v, ok, want)
+		}
+	}
+	for _, k := range []uint64{2, 3} {
+		if _, ok := dbValue(db2, k); ok {
+			t.Fatalf("k%d, written in epoch %d or later, recovered", k, 4)
+		}
+	}
+}
+
+// TestRecoverRefusesOperationEntry: a log holds row images; a frame with
+// an operation entry in it is an error, and the entry never lands.
+func TestRecoverRefusesOperationEntry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "w.log")
+	op := &replication.Batch{Epoch: 2, Entries: []replication.Entry{{Part: 1, Key: storage.K1(3), TID: storage.MakeTID(2, 1),
+		Ops: []storage.FieldOp{storage.AddInt64Op(0, 1)}}}}
+	log := append(frame(replication.AppendBatch(nil, op)), frame(replication.AppendBatch(nil, &replication.Batch{Epoch: 2}))...)
+	os.WriteFile(path, log, 0o644)
+	db := newDB(nil, 1)
+	if _, _, err := Recover(db, "", []string{path}); err == nil {
+		t.Fatal("an operation entry was replayed")
+	}
+	if db.Table(0).Partition(1).Get(storage.K1(3)) != nil {
+		t.Fatal("the operation entry landed")
+	}
+}
+
 func TestCheckpointPlusLogRecovery(t *testing.T) {
 	dir := t.TempDir()
 	db := newDB(map[uint64]int64{1: 100, 2: 200, 3: 300}, 2)
@@ -181,7 +289,7 @@ func TestCheckpointPlusLogRecovery(t *testing.T) {
 	if _, err := WriteCheckpoint(db, ckpt, 2); err != nil {
 		t.Fatal(err)
 	}
-	if e, err := CheckpointEpoch(ckpt); err != nil || e != 2 {
+	if e, err := checkpointEpoch(ckpt); err != nil || e != 2 {
 		t.Fatalf("checkpoint epoch %d err=%v", e, err)
 	}
 

@@ -20,9 +20,9 @@ import (
 // prim.FrameOverhead bytes, which every Size() counts.
 
 // MaxFrame is the default bound a reader enforces on the body length —
-// far above any legal message (snapshots dominate; they are shipped per
-// partition per table) but small enough to reject corrupt prefixes
-// before allocating.
+// far above any legal message (snapshots dominate; one carries a whole
+// partition, rows zero-packed) but small enough to reject corrupt
+// prefixes before allocating.
 const MaxFrame = 64 << 20
 
 // MaxClientFrame bounds frames accepted from untrusted client
