@@ -2,7 +2,9 @@
 // through any node's client front door (star-node -client): freezing
 // the workload, reading per-node checksums and fault-injection
 // counters, inspecting the installed topology, and changing membership
-// at epoch fences (join / drain / rebalance).
+// at epoch fences (join / drain / rebalance). It is a thin CLI over the
+// admin verbs of internal/client, the one front-door client: -timeout is
+// the client's ReqTimeout and -dial-deadline its DialDeadline.
 //
 // Usage:
 //
@@ -40,14 +42,15 @@ import (
 	"strings"
 	"time"
 
-	"star/internal/admin"
+	"star/internal/client"
+	"star/internal/core"
 	"star/internal/metrics"
 )
 
 func main() {
 	addr := flag.String("addr", "", "front-door address (host:port) of any cluster member")
 	node := flag.Int("node", -1, "target slot id for node-scoped and membership verbs")
-	opTimeout := flag.Duration("timeout", 30*time.Second, "per-operation timeout")
+	reqTimeout := flag.Duration("timeout", 30*time.Second, "per-operation timeout")
 	dialDeadline := flag.Duration("dial-deadline", 15*time.Second, "overall connect deadline")
 	interval := flag.Duration("interval", 2*time.Second, "top: sampling interval")
 	iters := flag.Int("iters", 0, "top: number of refreshes (0 = until interrupted)")
@@ -65,7 +68,9 @@ func main() {
 		return *node
 	}
 
-	c, err := admin.Dial(admin.Config{Addr: *addr, OpTimeout: *opTimeout, DialDeadline: *dialDeadline})
+	// Admin envelopes carry no workload payloads: the codec needs no
+	// workload registration.
+	c, err := client.Dial(client.Config{Addr: *addr, Codec: core.NewWireCodec(nil), ReqTimeout: *reqTimeout, DialDeadline: *dialDeadline})
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -125,7 +130,7 @@ func main() {
 // clusterStats fetches one node's metric snapshot, or — when node < 0 —
 // every member's through the single connected door (the door forwards
 // node-targeted AdminStats internally) merged into the cluster view.
-func clusterStats(c *admin.Client, node int) (metrics.Snapshot, error) {
+func clusterStats(c *client.Client, node int) (metrics.Snapshot, error) {
 	if node >= 0 {
 		return c.Stats(node)
 	}
@@ -174,7 +179,7 @@ func printSnapshot(s metrics.Snapshot) {
 // runTop samples the cluster-merged (or node-targeted) snapshot every
 // interval and prints per-window delta rates plus the window's latency
 // quantiles.
-func runTop(c *admin.Client, node int, interval time.Duration, iters int) {
+func runTop(c *client.Client, node int, interval time.Duration, iters int) {
 	prev, err := clusterStats(c, node)
 	check(err)
 	for i := 0; iters <= 0 || i < iters; i++ {
@@ -252,7 +257,7 @@ func histDelta(cur, prev metrics.HistSnapshot) metrics.HistSnapshot {
 	return d
 }
 
-func printTopology(t admin.Topology) {
+func printTopology(t client.Topology) {
 	fmt.Printf("version %d\n", t.Version)
 	for i, m := range t.Members {
 		addr := ""

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"star/internal/admin"
 	"star/internal/client"
 	"star/internal/core"
 	"star/internal/faultnet"
@@ -72,10 +71,10 @@ func buildStarAdmin(t *testing.T) string {
 }
 
 // openAdminDoor opens a client front door on the in-process engine's node
-// 0 and dials internal/admin at it: freeze fans out from the door, and
+// 0 and dials an admin client at it: freeze fans out from the door, and
 // node-scoped ops for the child are forwarded to it over the cluster
 // transport — the path star-admin takes against any live door.
-func openAdminDoor(t *testing.T, eng *core.Engine, codec *wire.Codec) *admin.Client {
+func openAdminDoor(t *testing.T, eng *core.Engine, codec *wire.Codec) *client.Client {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -85,7 +84,7 @@ func openAdminDoor(t *testing.T, eng *core.Engine, codec *wire.Codec) *admin.Cli
 	eng.ServeClients(0, ln, codec, 0)
 	// A dead or evicted child never answers a forwarded op: keep the
 	// round trip short so the convergence loops can re-issue the rejoin.
-	ac, err := admin.Dial(admin.Config{Addr: ln.Addr().String(), OpTimeout: 3 * time.Second})
+	ac, err := client.Dial(client.Config{Addr: ln.Addr().String(), Codec: core.NewWireCodec(nil), ReqTimeout: 3 * time.Second})
 	if err != nil {
 		t.Fatalf("admin dial: %v", err)
 	}
@@ -236,7 +235,7 @@ func TestStarNodeScriptedRunWithDarkSlot(t *testing.T) {
 //
 // Topology: this test process hosts node 0 and the coordinator
 // (endpoint 2) on one listener, plus a front door on node 0 that an
-// internal/admin client observes the cluster through; node 1 is a real
+// admin client observes the cluster through; node 1 is a real
 // star-node child process in -serve (time-driven) mode, running the
 // full TPC-C mix.
 func TestStarNodeKillRestartSnapshotCatchUp(t *testing.T) {
@@ -815,7 +814,7 @@ func TestStarNodeScaleOutJoinDrain(t *testing.T) {
 	waitCommitsGrow("after unfreeze", 15*time.Second)
 
 	// The client learns the joined member's door from a topology refresh.
-	if err := cl.RefreshTopology(10 * time.Second); err != nil {
+	if err := cl.RefreshTopology(); err != nil {
 		t.Fatalf("client topology refresh: %v", err)
 	}
 	if eps := cl.Endpoints(); len(eps) != 3 {
@@ -854,7 +853,7 @@ func TestStarNodeScaleOutJoinDrain(t *testing.T) {
 	waitChecksums("after drain", door2, []int{2, 3})
 	adminRun("-addr", door2, "unfreeze")
 	readAll("after drain")
-	if err := cl.RefreshTopology(10 * time.Second); err != nil {
+	if err := cl.RefreshTopology(); err != nil {
 		t.Fatalf("client topology refresh after drain: %v", err)
 	}
 	eps := cl.Endpoints()
@@ -926,7 +925,7 @@ func TestStarNodeObservabilityLiveCluster(t *testing.T) {
 
 	// Admin through node 1's door: Stats(0) then exercises the internal
 	// forwarding hop, not just the node-local answer.
-	ac, err := admin.Dial(admin.Config{Addr: doors[1]})
+	ac, err := client.Dial(client.Config{Addr: doors[1], Codec: core.NewWireCodec(nil)})
 	if err != nil {
 		t.Fatalf("admin dial: %v", err)
 	}

@@ -1,6 +1,10 @@
-// Package client is the star-client library: a session-aware client for
-// a STAR cluster's front door (core.ServeClients), speaking the
-// internal/wire framing over one TCP connection.
+// Package client is the library for a STAR cluster's front door
+// (core.ServeClients): star-client's transaction sessions and
+// star-admin's control plane, speaking the internal/wire framing over one
+// TCP connection. Every request, a transaction (Do) or an admin envelope
+// (Admin), takes a ticket, and its response, a core.ClientResp or a
+// core.AdminResp, finds its waiter by that ticket, so one connection
+// carries both kinds interleaved.
 //
 // Sessions and freshness: every committed write returns the fence epoch
 // it committed in, and the client keeps the running maximum as its
@@ -10,10 +14,18 @@
 // SCAR-style session guarantee) — while writes and too-fresh reads are
 // forwarded to the master by the server.
 //
+// The admin API: Freeze, Checksums, FaultStats, Stats, Topology, Join,
+// Drain and Rebalance are admin envelopes. The connected node answers
+// node-local ops itself, forwards node-scoped ops (checksums, fault
+// stats, stats) to their target, and relays membership ops to the
+// coordinator — the caller never needs to know which node is which.
+// Admin envelopes carry no workload payloads, so an admin-only client
+// dials with core.NewWireCodec(nil).
+//
 // Flow control is cooperative: the client bounds its own in-flight
-// window, and the server sheds excess with an explicit StatusBusy
-// response (ErrBusy here) rather than queueing unboundedly; callers back
-// off and retry.
+// window, admin envelopes included, and the server sheds excess with an
+// explicit busy response (ErrBusy here for transactions) rather than
+// queueing unboundedly; callers back off and retry.
 package client
 
 import (
@@ -26,6 +38,7 @@ import (
 
 	"star/internal/backoff"
 	"star/internal/core"
+	"star/internal/metrics"
 	"star/internal/transport"
 	"star/internal/txn"
 	"star/internal/wire"
@@ -138,14 +151,10 @@ type Client struct {
 	conn    net.Conn
 	cur     int // index into addrs of the live endpoint
 	next    uint64
-	pending map[uint64]chan core.ClientResp
-	// pendingAdmin tracks in-flight admin envelopes (topology refresh) —
-	// a separate rendezvous map because the response type differs; the
-	// ticket counter is shared, so tickets stay unique across both.
-	pendingAdmin map[uint64]chan core.AdminResp
-	token        uint64
-	closed       bool // current connection broke; Failover may re-bind
-	stopped      bool // Close was called; the session is over for good
+	pending map[uint64]chan transport.Message // by ticket
+	token   uint64
+	closed  bool // current connection broke; Failover may re-bind
+	stopped bool // Close was called; the session is over for good
 
 	sem chan struct{} // in-flight window
 }
@@ -163,12 +172,11 @@ func Dial(cfg Config) (*Client, error) {
 		return nil, fmt.Errorf("client: no address: set Config.Addr or Config.Addrs")
 	}
 	c := &Client{
-		cfg:          cfg,
-		addrs:        addrs,
-		start:        time.Now(),
-		pending:      map[uint64]chan core.ClientResp{},
-		pendingAdmin: map[uint64]chan core.AdminResp{},
-		sem:          make(chan struct{}, cfg.Window),
+		cfg:     cfg,
+		addrs:   addrs,
+		start:   time.Now(),
+		pending: map[uint64]chan transport.Message{},
+		sem:     make(chan struct{}, cfg.Window),
 	}
 	if c.cfg.Now == nil {
 		c.cfg.Now = func() int64 { return int64(time.Since(c.start)) }
@@ -248,7 +256,7 @@ func (c *Client) Failover() error {
 	// The endpoint that died may be gone for good (drained); learn the
 	// current member doors from the cluster. Best-effort and async — the
 	// session is already usable on the re-bound connection.
-	go c.RefreshTopology(c.cfg.ReqTimeout)
+	go c.RefreshTopology()
 	return nil
 }
 
@@ -257,65 +265,35 @@ func (c *Client) Failover() error {
 // advertised client addresses (elastic membership: joined nodes become
 // dial targets, drained nodes stop being retried). Endpoints the
 // cluster does not advertise are kept only if nothing was returned.
-func (c *Client) RefreshTopology(timeout time.Duration) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	c.next++
-	ticket := c.next
-	ch := make(chan core.AdminResp, 1)
-	c.pendingAdmin[ticket] = ch
-	c.mu.Unlock()
-
-	req := core.AdminReq{V: core.AdminProtoVersion, Op: core.AdminTopologyGet, Ticket: ticket, Node: -1}
-	if err := c.writeReq(req); err != nil {
-		c.mu.Lock()
-		delete(c.pendingAdmin, ticket)
-		c.mu.Unlock()
+func (c *Client) RefreshTopology() error {
+	t, err := c.Topology()
+	if err != nil {
 		return err
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return ErrClosed
+	var doors []string
+	for _, a := range t.ClientAddrs {
+		if a != "" {
+			doors = append(doors, a)
 		}
-		if !resp.OK {
-			return fmt.Errorf("client: topology refresh: %s", resp.Err)
-		}
-		var doors []string
-		for _, a := range resp.ClientAddrs {
-			if a != "" {
-				doors = append(doors, a)
-			}
-		}
-		if len(doors) == 0 {
-			return nil // cluster advertises no doors; keep what we have
-		}
-		c.mu.Lock()
-		curAddr := ""
-		if c.cur < len(c.addrs) {
-			curAddr = c.addrs[c.cur]
-		}
-		c.addrs = doors
-		c.cur = 0
-		for i, a := range doors {
-			if a == curAddr {
-				c.cur = i
-				break
-			}
-		}
-		c.mu.Unlock()
-		return nil
-	case <-timer.C:
-		c.mu.Lock()
-		delete(c.pendingAdmin, ticket)
-		c.mu.Unlock()
-		return fmt.Errorf("client: topology refresh: timeout after %v", timeout)
 	}
+	if len(doors) == 0 {
+		return nil // cluster advertises no doors; keep what we have
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	curAddr := ""
+	if c.cur < len(c.addrs) {
+		curAddr = c.addrs[c.cur]
+	}
+	c.addrs = doors
+	c.cur = 0
+	for i, a := range doors {
+		if a == curAddr {
+			c.cur = i
+			break
+		}
+	}
+	return nil
 }
 
 // Endpoints returns the current failover list (tests observe topology
@@ -360,10 +338,6 @@ func (c *Client) fail(conn net.Conn) {
 		delete(c.pending, t)
 		close(ch)
 	}
-	for t, ch := range c.pendingAdmin {
-		delete(c.pendingAdmin, t)
-		close(ch)
-	}
 }
 
 func (c *Client) readLoop(conn net.Conn) {
@@ -377,29 +351,21 @@ func (c *Client) readLoop(conn net.Conn) {
 		if err != nil {
 			return
 		}
+		var ticket uint64
 		switch resp := m.(type) {
 		case core.ClientResp:
-			c.mu.Lock()
-			ch, ok := c.pending[resp.Ticket]
-			if ok {
-				delete(c.pending, resp.Ticket)
-			}
-			c.mu.Unlock()
-			if ok {
-				ch <- resp // cap 1: never blocks
-			}
+			ticket = resp.Ticket
 		case core.AdminResp:
-			c.mu.Lock()
-			ch, ok := c.pendingAdmin[resp.Ticket]
-			if ok {
-				delete(c.pendingAdmin, resp.Ticket)
-			}
-			c.mu.Unlock()
-			if ok {
-				ch <- resp
-			}
+			ticket = resp.Ticket
 		default:
 			return
+		}
+		c.mu.Lock()
+		ch, ok := c.pending[ticket]
+		delete(c.pending, ticket)
+		c.mu.Unlock()
+		if ok {
+			ch <- m // cap 1: never blocks
 		}
 	}
 }
@@ -410,59 +376,79 @@ func (c *Client) readLoop(conn net.Conn) {
 // advances to the response's token. Errors: ErrBusy (shed, retry after
 // backoff), ErrAborted (application abort), ErrClosed, or a timeout.
 func (c *Client) Do(p txn.Procedure) (Result, error) {
+	m, err := c.roundTrip(p.Name(), func(ticket, token uint64) transport.Message {
+		req := txn.NewRequest(p, c.cfg.Now())
+		req.Ticket = ticket // client-side correlation; the gate re-stamps on forward
+		return core.ClientReq{Token: token, Req: req}
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	resp, ok := m.(core.ClientResp)
+	if !ok {
+		return Result{}, fmt.Errorf("client: %s: answered with %T", p.Name(), m)
+	}
+	res := Result{Status: resp.Status, Token: resp.Token, Reads: resp.Reads}
+	switch resp.Status {
+	case core.StatusBusy:
+		return res, ErrBusy
+	case core.StatusAborted:
+		return res, ErrAborted
+	}
+	c.mu.Lock()
+	if resp.Token > c.token {
+		c.token = resp.Token
+	}
+	c.mu.Unlock()
+	return res, nil
+}
+
+// roundTrip is the one request path, for transactions and admin
+// envelopes alike: it takes a window slot and a ticket, writes the
+// envelope build makes for the ticket and the session token, and waits
+// for the response that carries the ticket back. ReqTimeout bounds the
+// whole wait; a timed-out request's late response is discarded. what
+// names the request in errors.
+func (c *Client) roundTrip(what string, build func(ticket, token uint64) transport.Message) (transport.Message, error) {
 	timeout := time.NewTimer(c.cfg.ReqTimeout)
 	defer timeout.Stop()
 	select {
 	case c.sem <- struct{}{}:
 		defer func() { <-c.sem }()
 	case <-timeout.C:
-		return Result{}, fmt.Errorf("client: window wait: timeout after %v", c.cfg.ReqTimeout)
+		return nil, fmt.Errorf("client: window wait: timeout after %v", c.cfg.ReqTimeout)
 	}
 
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return Result{}, ErrClosed
+		return nil, ErrClosed
 	}
 	c.next++
 	ticket := c.next
-	ch := make(chan core.ClientResp, 1)
+	ch := make(chan transport.Message, 1)
 	c.pending[ticket] = ch
 	token := c.token
 	c.mu.Unlock()
-
-	req := txn.NewRequest(p, c.cfg.Now())
-	req.Ticket = ticket // client-side correlation; the gate re-stamps on forward
-	if err := c.writeReq(core.ClientReq{Token: token, Req: req}); err != nil {
+	forget := func() {
 		c.mu.Lock()
 		delete(c.pending, ticket)
 		c.mu.Unlock()
-		return Result{}, err
 	}
 
+	if err := c.writeReq(build(ticket, token)); err != nil {
+		forget()
+		return nil, err
+	}
 	select {
 	case resp, ok := <-ch:
 		if !ok {
-			return Result{}, ErrClosed
+			return nil, ErrClosed
 		}
-		res := Result{Status: resp.Status, Token: resp.Token, Reads: resp.Reads}
-		switch resp.Status {
-		case core.StatusBusy:
-			return res, ErrBusy
-		case core.StatusAborted:
-			return res, ErrAborted
-		}
-		c.mu.Lock()
-		if resp.Token > c.token {
-			c.token = resp.Token
-		}
-		c.mu.Unlock()
-		return res, nil
+		return resp, nil
 	case <-timeout.C:
-		c.mu.Lock()
-		delete(c.pending, ticket) // a late response is discarded
-		c.mu.Unlock()
-		return Result{}, fmt.Errorf("client: %s: timeout after %v", p.Name(), c.cfg.ReqTimeout)
+		forget() // a late response is discarded
+		return nil, fmt.Errorf("client: %s: timeout after %v", what, c.cfg.ReqTimeout)
 	}
 }
 
@@ -515,4 +501,109 @@ func (c *Client) writeReq(m transport.Message) error {
 		return fmt.Errorf("client: write %v: %w", err, ErrClosed)
 	}
 	return nil
+}
+
+// Admin runs one admin envelope through the session's round trip and
+// returns its response; a refusal (OK false) is an error carrying the
+// server's reason.
+func (c *Client) Admin(req core.AdminReq) (core.AdminResp, error) {
+	m, err := c.roundTrip(req.Op.String(), func(ticket, _ uint64) transport.Message {
+		req.V, req.Ticket = core.AdminProtoVersion, ticket
+		return req
+	})
+	if err != nil {
+		return core.AdminResp{}, err
+	}
+	resp, ok := m.(core.AdminResp)
+	if !ok {
+		return core.AdminResp{}, fmt.Errorf("client: %s: answered with %T", req.Op, m)
+	}
+	if !resp.OK {
+		return resp, fmt.Errorf("client: %s: %s", req.Op, resp.Err)
+	}
+	return resp, nil
+}
+
+// Freeze toggles workload generation cluster-wide (the connected door
+// fans the toggle out to every member).
+func (c *Client) Freeze(on bool) error {
+	_, err := c.Admin(core.AdminReq{Op: core.AdminFreeze, Node: -1, On: on})
+	return err
+}
+
+// Checksums returns node's per-partition checksums (its own planned
+// holdings under the installed topology).
+func (c *Client) Checksums(node int) (core.NodeChecksums, error) {
+	resp, err := c.Admin(core.AdminReq{Op: core.AdminChecksums, Node: node})
+	if err != nil {
+		return core.NodeChecksums{}, err
+	}
+	return core.NodeChecksums{Node: resp.Node, Parts: resp.Parts, Sums: resp.Sums}, nil
+}
+
+// FaultStats returns node's fault-injection counters (star-node
+// -faults), empty when its transport injects nothing.
+func (c *Client) FaultStats(node int) (map[string]int64, error) {
+	resp, err := c.Admin(core.AdminReq{Op: core.AdminFaultStats, Node: node})
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]int64, len(resp.Keys))
+	for i, k := range resp.Keys {
+		out[k] = resp.Vals[i]
+	}
+	return out, nil
+}
+
+// Stats returns node's live metric-registry snapshot (counters, gauges,
+// histograms — AdminStats). Node -1 asks the connected door's own node;
+// any other id is forwarded to its target internally. Merge the members'
+// snapshots with metrics.Snapshot.Merge for a cluster view.
+func (c *Client) Stats(node int) (metrics.Snapshot, error) {
+	resp, err := c.Admin(core.AdminReq{Op: core.AdminStats, Node: node})
+	if err != nil {
+		return metrics.Snapshot{}, err
+	}
+	return metrics.DecodeSnapshot(resp.Stats)
+}
+
+// Topology describes the installed cluster layout as the admin API
+// reports it.
+type Topology struct {
+	Version uint64
+	// Members are the live slot ids, ascending.
+	Members []int
+	// Masters maps partition -> master slot.
+	Masters []int32
+	// ClientAddrs aligns with Members ("" when a member advertises no
+	// front door).
+	ClientAddrs []string
+}
+
+// Topology returns the installed topology.
+func (c *Client) Topology() (Topology, error) { return c.layout(core.AdminTopologyGet, -1) }
+
+// Join admits slot node at the next epoch fence (snapshot catch-up
+// first) and returns the installed topology.
+func (c *Client) Join(node int) (Topology, error) { return c.layout(core.AdminJoin, node) }
+
+// Drain migrates slot node's partitions away at the next fence and
+// removes it from the member set; its process exits cleanly.
+func (c *Client) Drain(node int) (Topology, error) { return c.layout(core.AdminDrain, node) }
+
+// Rebalance reinstalls the canonical mastership layout over the current
+// member set (no data moves on a stable layout).
+func (c *Client) Rebalance() (Topology, error) { return c.layout(core.AdminRebalance, -1) }
+
+// layout runs an op whose answer is a topology.
+func (c *Client) layout(op core.AdminOp, node int) (Topology, error) {
+	resp, err := c.Admin(core.AdminReq{Op: op, Node: node})
+	if err != nil {
+		return Topology{}, err
+	}
+	t := Topology{Version: resp.Version, Masters: resp.Masters, ClientAddrs: resp.ClientAddrs}
+	for _, m := range resp.Members {
+		t.Members = append(t.Members, int(m))
+	}
+	return t, nil
 }

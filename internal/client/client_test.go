@@ -1,9 +1,11 @@
 package client_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,20 +13,25 @@ import (
 	"star/internal/client"
 	"star/internal/core"
 	"star/internal/rt"
+	"star/internal/wire"
 	"star/internal/workload/ycsb"
 )
 
 // killableProxy forwards TCP connections to a target and can cut every
 // established stream at once — the server-side connection loss the
 // failover path exists for, without needing the front door itself to
-// track connections.
+// track connections. It can also hold the target's response frames back
+// until released, so a test decides when a response arrives.
 type killableProxy struct {
 	ln     net.Listener
 	target string
 
-	mu    sync.Mutex
-	conns []net.Conn
-	dead  bool
+	mu     sync.Mutex
+	cond   *sync.Cond
+	conns  []net.Conn
+	dead   bool
+	held   bool // response frames wait at the proxy
+	frames int  // response frames read from the target
 }
 
 func newKillableProxy(t *testing.T, target string) *killableProxy {
@@ -34,6 +41,7 @@ func newKillableProxy(t *testing.T, target string) *killableProxy {
 		t.Fatalf("proxy listen: %v", err)
 	}
 	p := &killableProxy{ln: ln, target: target}
+	p.cond = sync.NewCond(&p.mu)
 	go p.accept()
 	return p
 }
@@ -61,7 +69,72 @@ func (p *killableProxy) accept() {
 		p.conns = append(p.conns, c, s)
 		p.mu.Unlock()
 		go func() { io.Copy(s, c); s.Close() }()
-		go func() { io.Copy(c, s); c.Close() }()
+		go p.respond(c, s)
+	}
+}
+
+// respond copies the target's response frames to the client in order,
+// holding them back while the proxy is held: one goroutine reads and
+// counts them, this one forwards them.
+func (p *killableProxy) respond(c, s net.Conn) {
+	// Room for every frame a test holds back, so the reader keeps
+	// counting them while the forwarder waits.
+	frames := make(chan []byte, 64)
+	defer func() {
+		c.Close()
+		s.Close()
+		for range frames { // let the reader exit
+		}
+	}()
+	go func() {
+		defer close(frames)
+		for {
+			body, err := wire.ReadFrame(s, wire.MaxFrame)
+			if err != nil {
+				return
+			}
+			p.mu.Lock()
+			p.frames++
+			p.mu.Unlock()
+			frames <- body
+		}
+	}()
+	for body := range frames {
+		p.mu.Lock()
+		for p.held && !p.dead {
+			p.cond.Wait()
+		}
+		p.mu.Unlock()
+		if _, err := c.Write(append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...)); err != nil {
+			return
+		}
+	}
+}
+
+// hold holds response frames back (on) or lets them and any held ones
+// through (off).
+func (p *killableProxy) hold(on bool) {
+	p.mu.Lock()
+	p.held = on
+	p.cond.Broadcast()
+	p.mu.Unlock()
+}
+
+// awaitFrames waits until n response frames have reached the proxy.
+func (p *killableProxy) awaitFrames(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		p.mu.Lock()
+		got := p.frames
+		p.mu.Unlock()
+		if got >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("proxy saw %d response frames, want %d", got, n)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -70,12 +143,35 @@ func (p *killableProxy) kill() {
 	p.ln.Close()
 	p.mu.Lock()
 	p.dead = true
+	p.cond.Broadcast()
 	conns := p.conns
 	p.conns = nil
 	p.mu.Unlock()
 	for _, c := range conns {
 		c.Close()
 	}
+}
+
+// newDoorCluster starts a two-node cluster of full replicas on the real
+// runtime with a front door on node 1, and returns the workload, the
+// codec both sides build and the door's address.
+func newDoorCluster(t *testing.T) (*ycsb.Workload, string) {
+	t.Helper()
+	wl := ycsb.New(ycsb.Config{Partitions: 2, RecordsPerPartition: 64})
+	r := rt.NewReal()
+	t.Cleanup(r.Stop)
+	e := core.New(core.Config{
+		RT: r, Nodes: 2, FullReplicas: 2, WorkersPerNode: 1,
+		Workload: wl, Iteration: 2 * time.Millisecond, Seed: 1,
+		SnapshotReads: true,
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	e.ServeClients(1, ln, core.NewWireCodec(wl), 16)
+	return wl, ln.Addr().String()
 }
 
 // TestClientFailoverAcrossFrontDoors pins the multi-address session:
@@ -206,5 +302,137 @@ func TestClientDialFailsOverToSecondAddress(t *testing.T) {
 	defer c.Close()
 	if _, err := c.DoRetry(wl.ReadTxn([]int{0}, []int{0}), 32); err != nil {
 		t.Fatalf("read via surviving endpoint: %v", err)
+	}
+}
+
+// TestClientInterleavesTransactionsAndAdmin pins the one rendezvous: one
+// connection carries transactions and admin envelopes interleaved, and
+// every response reaches its own caller — a write its commit token, a
+// read its own row count, each checksum request its own node's
+// partitions, a topology request a topology.
+func TestClientInterleavesTransactionsAndAdmin(t *testing.T) {
+	wl, door := newDoorCluster(t)
+	c, err := client.Dial(client.Config{Addr: door, Codec: core.NewWireCodec(wl), ReqTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+
+	const rounds = 20
+	var wg sync.WaitGroup
+	errs := make(chan error, 6*rounds)
+	run := func(f func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := f(i); err != nil {
+					errs <- err
+				}
+			}
+		}()
+	}
+	run(func(i int) error {
+		res, err := c.DoRetry(wl.WriteTxn([]int{i % 2}, []int{i}, []byte("w")), 32)
+		if err == nil && res.Token < 2 {
+			err = errors.New("write answered without its commit epoch")
+		}
+		return err
+	})
+	run(func(i int) error {
+		res, err := c.DoRetry(wl.ReadTxn([]int{0, 1}, []int{i, i}), 32)
+		if err == nil && res.Reads != 2 {
+			err = errors.New("two-row read answered with another request's read count")
+		}
+		return err
+	})
+	for node := 0; node < 2; node++ {
+		run(func(int) error {
+			cs, err := c.Checksums(node)
+			if err == nil && (cs.Node != node || len(cs.Parts) != 2) {
+				err = errors.New("checksums answered for another node")
+			}
+			return err
+		})
+	}
+	run(func(int) error {
+		top, err := c.Topology()
+		if err == nil && (top.Version != 1 || len(top.Members) != 2) {
+			err = errors.New("topology answered with something else")
+		}
+		return err
+	})
+	run(func(int) error {
+		s, err := c.Stats(-1)
+		if _, ok := s.Counters["committed"]; err == nil && !ok {
+			err = errors.New("stats snapshot without a committed counter")
+		}
+		return err
+	})
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestClientAdminTimeoutDiscardsLateResponse: an admin op that times out
+// gives up its ticket, and its response, arriving late on the same
+// connection, is discarded — the next op, admin or transaction, gets its
+// own answer.
+func TestClientAdminTimeoutDiscardsLateResponse(t *testing.T) {
+	wl, door := newDoorCluster(t)
+	px := newKillableProxy(t, door)
+	defer px.kill()
+	c, err := client.Dial(client.Config{Addr: px.addr(), Codec: core.NewWireCodec(wl), ReqTimeout: time.Second})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+
+	px.hold(true)
+	if _, err := c.Stats(-1); err == nil || !strings.Contains(err.Error(), "timeout") {
+		t.Fatalf("held stats: err = %v, want a timeout", err)
+	}
+	px.awaitFrames(t, 1) // the stats answer is at the proxy
+	// Released, the late answer reaches the client ahead of anything the
+	// next op can cause: the proxy forwards one stream in order.
+	px.hold(false)
+	resp, err := c.Admin(core.AdminReq{Op: core.AdminTopologyGet, Node: -1})
+	if err != nil {
+		t.Fatalf("topology after a timed-out op: %v", err)
+	}
+	if resp.Op != core.AdminTopologyGet || resp.Version != 1 {
+		t.Fatalf("topology after a timed-out op answered with %s (version %d)", resp.Op, resp.Version)
+	}
+	if res, err := c.DoRetry(wl.ReadTxn([]int{0}, []int{0}), 32); err != nil || res.Reads != 1 {
+		t.Fatalf("read after a timed-out op: res=%+v err=%v", res, err)
+	}
+}
+
+// TestClientBrokenConnectionFailsEveryWaiter: when the stream breaks,
+// transaction waiters and admin waiters alike fail with ErrClosed.
+func TestClientBrokenConnectionFailsEveryWaiter(t *testing.T) {
+	wl, door := newDoorCluster(t)
+	px := newKillableProxy(t, door)
+	c, err := client.Dial(client.Config{Addr: px.addr(), Codec: core.NewWireCodec(wl), ReqTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+
+	px.hold(true)
+	errs := make(chan error, 3)
+	go func() { _, err := c.Do(wl.WriteTxn([]int{0}, []int{0}, []byte("w"))); errs <- err }()
+	go func() { _, err := c.Stats(-1); errs <- err }()
+	go func() { _, err := c.Topology(); errs <- err }()
+	// All three answers are held at the proxy, so all three callers are
+	// waiting on their tickets when the stream breaks.
+	px.awaitFrames(t, 3)
+	px.kill()
+	for i := 0; i < 3; i++ {
+		if err := <-errs; !errors.Is(err, client.ErrClosed) {
+			t.Fatalf("waiter on a broken connection: err = %v, want ErrClosed", err)
+		}
 	}
 }

@@ -13,9 +13,10 @@ const AdminProtoVersion = 1
 // AdminOp discriminates the unified control-plane protocol: one
 // versioned request/response envelope covers observation (freeze,
 // checksums, fault stats, metrics) and the elastic-membership
-// operations, and internal/admin.Client (star-admin) is its one client.
-// Every node serves the envelope from its client front door, forwarding
-// node-scoped ops to their target and membership ops to the coordinator.
+// operations. Its one client is internal/client, the same session that
+// runs transactions (star-admin is a CLI over it). Every node serves the
+// envelope from its client front door, forwarding node-scoped ops to
+// their target and membership ops to the coordinator.
 type AdminOp uint8
 
 const (

@@ -15,17 +15,19 @@ import (
 const DefaultClientWindow = 64
 
 // ServeClients turns ln into node id's client front door: each accepted
-// connection carries length-prefixed ClientReq frames (the same wire
-// framing the cluster speaks) and receives one ClientResp frame per
-// request. Real-runtime clusters only (star-node -serve); returns after
-// spawning the accept loop, which exits when ln is closed.
+// connection carries length-prefixed ClientReq and AdminReq frames (the
+// same wire framing the cluster speaks) and receives one ClientResp or
+// AdminResp frame per request. Real-runtime clusters only (star-node
+// -serve); returns after spawning the accept loop, which exits when ln
+// is closed.
 //
-// Per-connection admission control: at most window forwarded requests
-// may be in flight at once — beyond that the door answers StatusBusy
-// immediately instead of queueing, so a flooding client backs off
-// instead of ballooning server state. Read-only requests the local
-// replica can serve under the session's freshness token never count
-// against the window (they complete inline, no master round trip).
+// Per-connection admission control: at most window submitted envelopes,
+// transactions and admin ops alike, may be in flight at once — beyond
+// that the door answers busy immediately instead of queueing, so a
+// flooding client backs off instead of ballooning server state.
+// Read-only requests the local replica can serve under the session's
+// freshness token never count against the window (they complete inline,
+// no master round trip).
 func (e *Engine) ServeClients(id int, ln net.Listener, codec *wire.Codec, window int) {
 	n := e.nodes[id]
 	if n == nil {
@@ -64,7 +66,7 @@ type clientConn struct {
 	c      net.Conn
 	codec  *wire.Codec
 	window int32
-	// inflight counts forwarded requests awaiting their master response
+	// inflight counts submitted envelopes awaiting their response
 	// (incremented by the reader, decremented by waiters).
 	inflight atomic.Int32
 	out      chan transport.Message
@@ -104,54 +106,64 @@ func (cc *clientConn) readLoop() {
 		if err != nil {
 			return // a malformed client is disconnected, not served
 		}
-		if areq, isAdmin := m.(AdminReq); isAdmin {
-			// Admin envelope over the front door (star-admin): forward it
-			// through the gate under a server ticket, answering with the
-			// client's own correlation id restored.
-			ticket := areq.Ticket
-			_, ch := cc.n.gate.SubmitAdmin(cc.id, areq)
-			go func() {
-				resp, ok := <-ch
-				if !ok {
-					return // connection dropped; ticket abandoned
-				}
+		// The client's own correlation id: the gate re-stamps the envelope
+		// with a server ticket on submit, so it is captured here for the
+		// response.
+		var ticket uint64
+		switch req := m.(type) {
+		case ClientReq:
+			ticket = req.Req.Ticket
+			if resp, served := cc.n.gate.TryRead(req.Token, req.Req); served {
 				resp.Ticket = ticket
 				cc.send(resp)
-			}()
-			continue
-		}
-		creq, ok := m.(ClientReq)
-		if !ok {
+				continue
+			}
+		case AdminReq:
+			ticket = req.Ticket
+		default:
 			return
-		}
-		// The client's own correlation id arrives in Req.Ticket; the gate
-		// re-stamps the request with a server ticket on forward, so it is
-		// captured here for the response.
-		ticket := creq.Req.Ticket
-		if resp, served := cc.n.gate.TryRead(creq.Token, creq.Req); served {
-			resp.Ticket = ticket
-			cc.send(resp)
-			continue
 		}
 		if cc.inflight.Load() >= cc.window {
 			// Window full: shed explicitly rather than queue. The client
 			// library backs off and retries.
 			cc.n.e.shedClient.Inc()
-			cc.send(ClientResp{Ticket: ticket, Status: StatusBusy})
+			cc.send(busy(m, ticket))
 			continue
 		}
 		cc.inflight.Add(1)
-		_, ch := cc.n.gate.Submit(cc.id, creq.Token, creq.Req)
+		ch := cc.n.gate.Submit(cc.id, m)
 		go func() {
 			defer cc.inflight.Add(-1)
 			resp, ok := <-ch
 			if !ok {
 				return // connection dropped; ticket abandoned
 			}
-			resp.Ticket = ticket
-			cc.send(resp)
+			cc.send(withTicket(resp, ticket))
 		}()
 	}
+}
+
+// busy is the door's refusal of an envelope past the window, in the
+// envelope's own response kind.
+func busy(req transport.Message, ticket uint64) transport.Message {
+	if a, ok := req.(AdminReq); ok {
+		return AdminResp{V: AdminProtoVersion, Op: a.Op, Ticket: ticket, Err: "front door busy"}
+	}
+	return ClientResp{Ticket: ticket, Status: StatusBusy}
+}
+
+// withTicket returns resp carrying the client's ticket in place of the
+// gate's.
+func withTicket(resp transport.Message, ticket uint64) transport.Message {
+	switch r := resp.(type) {
+	case ClientResp:
+		r.Ticket = ticket
+		return r
+	case AdminResp:
+		r.Ticket = ticket
+		return r
+	}
+	return resp
 }
 
 func (cc *clientConn) writeLoop() {

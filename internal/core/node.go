@@ -235,9 +235,10 @@ func (n *node) handle(m any) {
 			n.respondClient(msg.Req, ClientResp{Status: StatusBusy})
 		}
 	case ClientResp:
-		if n.gate != nil {
-			n.gate.deliver(msg)
-		}
+		// Responses routed back to front-door submissions hosted here.
+		n.gate.deliver(msg.Ticket, m.(transport.Message))
+	case AdminResp:
+		n.gate.deliver(msg.Ticket, m.(transport.Message))
 	case msgReplAck:
 		n.workers[msg.Worker].resp.Send(msg)
 	case workerDoneMsg:
@@ -276,11 +277,6 @@ func (n *node) handle(m any) {
 		n.installTopology(msg)
 	case AdminReq:
 		n.serveAdmin(msg)
-	case AdminResp:
-		// A response routed back to a front-door submission hosted here.
-		if n.gate != nil {
-			n.gate.deliverAdmin(msg)
-		}
 	case msgHalt:
 		n.e.haltCh.TrySend(struct{}{})
 	default:

@@ -194,7 +194,7 @@ func TestSessionTokenlessReadsRouteZeroMasterMessages(t *testing.T) {
 	if _, ok := g1.TryRead(0, wreq); ok {
 		t.Fatal("gate served a WRITE from the snapshot path")
 	}
-	g1.Submit(1, 0, wreq)
+	g1.Submit(1, ClientReq{Req: wreq})
 	if d := e.Net().Messages(transport.Data) - base; d != 1 {
 		t.Fatalf("forwarded write routed %d master messages, want 1", d)
 	}
@@ -207,7 +207,8 @@ func TestSessionTokenlessReadsRouteZeroMasterMessages(t *testing.T) {
 // for satellite #3: a client that fills the front door's admission
 // window with forwarded requests and then dies mid-request must leak
 // nothing — every gate slot is dropped, every waiter unblocks, and the
-// door keeps serving new connections.
+// door keeps serving new connections. Admin envelopes are held to the
+// same window and released the same way.
 func TestClientDisconnectReleasesSessionSlots(t *testing.T) {
 	e, wl := newSessionHarness(t)
 	codec := NewWireCodec(wl)
@@ -231,11 +232,9 @@ func TestClientDisconnectReleasesSessionSlots(t *testing.T) {
 		}
 		return c
 	}
-	sendReq := func(c net.Conn, ticket uint64, p txn.Procedure) {
+	send := func(c net.Conn, m transport.Message) {
 		t.Helper()
-		req := txn.NewRequest(p, 0)
-		req.Ticket = ticket
-		frame, err := wire.AppendFrame(nil, 0, 0, 0, codec, ClientReq{Req: req})
+		frame, err := wire.AppendFrame(nil, 0, 0, 0, codec, m)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
@@ -243,7 +242,13 @@ func TestClientDisconnectReleasesSessionSlots(t *testing.T) {
 			t.Fatalf("write: %v", err)
 		}
 	}
-	readResp := func(c net.Conn) ClientResp {
+	sendReq := func(c net.Conn, ticket uint64, p txn.Procedure) {
+		t.Helper()
+		req := txn.NewRequest(p, 0)
+		req.Ticket = ticket
+		send(c, ClientReq{Req: req})
+	}
+	read := func(c net.Conn) transport.Message {
 		t.Helper()
 		c.SetReadDeadline(time.Now().Add(5 * time.Second))
 		body, err := wire.ReadFrame(c, wire.MaxClientFrame)
@@ -254,7 +259,11 @@ func TestClientDisconnectReleasesSessionSlots(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		return m.(ClientResp)
+		return m
+	}
+	readResp := func(c net.Conn) ClientResp {
+		t.Helper()
+		return read(c).(ClientResp)
 	}
 	waitPending := func(label string, want int) {
 		t.Helper()
@@ -286,6 +295,21 @@ func TestClientDisconnectReleasesSessionSlots(t *testing.T) {
 	victim.Close()
 	waitPending("after kill", 0)
 
+	// Admin envelopes hold window slots too (the unstarted router never
+	// answers the self-sent copies): past the window one is refused at
+	// once, and killing the connection drains its tickets.
+	admin := dial()
+	for i := uint64(1); i <= window; i++ {
+		send(admin, AdminReq{V: AdminProtoVersion, Op: AdminStats, Ticket: i, Node: -1})
+	}
+	waitPending("admin window full", window)
+	send(admin, AdminReq{V: AdminProtoVersion, Op: AdminStats, Ticket: window + 1, Node: -1})
+	if resp, ok := read(admin).(AdminResp); !ok || resp.OK || resp.Err != "front door busy" || resp.Ticket != window+1 {
+		t.Fatalf("admin overflow response = %+v, want a busy refusal for ticket %d", resp, window+1)
+	}
+	admin.Close()
+	waitPending("after admin kill", 0)
+
 	// The door is still healthy: a new session's snapshot read completes,
 	// and its forwarded writes get fresh window slots (no leaked count).
 	fresh := dial()
@@ -301,7 +325,7 @@ func TestClientDisconnectReleasesSessionSlots(t *testing.T) {
 
 	// A late master response for a dropped ticket is discarded, not
 	// misdelivered: deliver() on an unknown ticket is a no-op.
-	g1.deliver(ClientResp{Ticket: 1, Status: StatusOK})
+	g1.deliver(1, ClientResp{Ticket: 1, Status: StatusOK})
 	if g1.Pending() != window {
 		t.Fatalf("late response disturbed live sessions: pending = %d", g1.Pending())
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"star/internal/rt"
+	"star/internal/transport"
 )
 
 // randomView draws a layout (capacity, workers per slot, full count,
@@ -130,12 +131,12 @@ func TestViewSecondaryTakesPartitionBackFromFullReplica(t *testing.T) {
 // simulation, runs it for d, and returns the answer.
 func adminAsk(t *testing.T, s *rt.Sim, e *Engine, node int, req AdminReq, d time.Duration) AdminResp {
 	t.Helper()
-	var ch <-chan AdminResp
-	s.Go("admin-ask", func() { _, ch = e.Gate(node).SubmitAdmin(1, req) })
+	var ch <-chan transport.Message
+	s.Go("admin-ask", func() { ch = e.Gate(node).Submit(1, req) })
 	s.Run(s.Now() + d)
 	select {
 	case resp := <-ch:
-		return resp
+		return resp.(AdminResp)
 	default:
 		t.Fatalf("%s of node %d: no answer within %v", req.Op, req.Node, d)
 		return AdminResp{}

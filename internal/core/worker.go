@@ -380,59 +380,65 @@ func (w *worker) execOCC(req *txn.Request, cmd msgStartPhase) {
 // ---- read-only snapshot path (Config.SnapshotReads) ----
 
 // snapshotServe serves a routable request (cross-partition footprint or
-// deferred-execution class) from the local fence snapshot when the
-// snapshot path is enabled, the procedure is read-only, and this node
-// holds every partition the footprint touches. Returns true when the
-// request was consumed locally; false means the caller must route it to
-// the master as usual.
+// deferred-execution class) from the local fence snapshot (readAtFence,
+// for no session: token 0). Returns true when the request was consumed
+// locally; false means the caller must route it to the master as usual.
 func (w *worker) snapshotServe(req *txn.Request, epoch uint64) bool {
-	e := w.n.e
-	if !e.cfg.SnapshotReads || !txn.IsReadOnly(req.Proc) {
+	resp, ok := w.n.readAtFence(&w.sctx, epoch, 0, req)
+	if !ok {
 		return false
 	}
-	for _, p := range req.Parts {
-		if !w.n.db.Holds(p) {
-			e.snapFallback.Inc()
-			return false
+	e := w.n.e
+	r := e.cfg.RT
+	r.Compute(ExecCost(w.sctx.reads, 0))
+	if resp.Status == StatusOK {
+		if h := req.Home; h >= 0 && h < len(e.partCommits) {
+			e.partCommits[h].Inc()
 		}
+		w.committed++
+		e.latency.Observe(time.Duration(int64(r.Now()) - req.GenAt))
 	}
-	w.execSnapshot(req, epoch)
+	w.n.respondClient(req, resp)
 	return true
 }
 
-// execSnapshot runs a read-only transaction against the node's last
-// epoch fence: every read resolves to the pre-epoch version of records
-// written in the in-flight epoch, which is the consistent cluster-wide
-// snapshot the previous replication fence installed on every replica.
-// No locks, no validation, no replication, no master routing — and no
-// group-commit wait: the result releases immediately because it only
-// exposes state that already group-committed at the fence.
-func (w *worker) execSnapshot(req *txn.Request, epoch uint64) {
-	e := w.n.e
-	r := e.cfg.RT
-	w.sctx.reset(epoch)
-	err := req.Proc.Run(&w.sctx)
-	r.Compute(ExecCost(w.sctx.reads, 0))
-	if w.sctx.wrote {
+// readAtFence runs a read-only transaction for a session holding token
+// against the node's last epoch fence, epoch being the one in flight:
+// every read resolves to the pre-epoch version of records written in the
+// in-flight epoch, which is the consistent cluster-wide snapshot the
+// previous replication fence installed on every replica. No locks, no
+// validation, no replication, no master routing — and no group-commit
+// wait: the result releases immediately because it only exposes state
+// that already group-committed at the fence, and the token it carries is
+// the fence it observed. ok=false means the request must go to the master
+// instead: the snapshot path is off, the procedure writes, the token's
+// fence has not completed here (see ClientGate), or this node does not
+// hold every partition the footprint touches. The caller owns the ticket.
+func (n *node) readAtFence(c *snapshotCtx, epoch, token uint64, req *txn.Request) (ClientResp, bool) {
+	e := n.e
+	if !e.cfg.SnapshotReads || !txn.IsReadOnly(req.Proc) {
+		return ClientResp{}, false
+	}
+	here := token < epoch
+	for _, p := range req.Parts {
+		here = here && n.db.Holds(p)
+	}
+	if !here {
+		e.snapFallback.Inc()
+		return ClientResp{}, false
+	}
+	c.reset(epoch)
+	err := req.Proc.Run(c)
+	if c.wrote {
 		panic("core: read-only transaction wrote on the snapshot path")
 	}
 	if err != nil {
 		e.userAborts.Inc()
-		w.n.respondClient(req, ClientResp{Status: StatusAborted})
-		return
+		return ClientResp{Status: StatusAborted}, true
 	}
 	e.snapReads.Inc()
 	e.committed.Inc()
-	if h := req.Home; h >= 0 && h < len(e.partCommits) {
-		e.partCommits[h].Inc()
-	}
-	w.committed++
-	e.latency.Observe(time.Duration(int64(r.Now()) - req.GenAt))
-	// Snapshot reads expose only fenced state, so the response releases
-	// immediately; the token it establishes is the fence it observed.
-	w.n.respondClient(req, ClientResp{
-		Status: StatusOK, Token: epoch - 1, Reads: int64(w.sctx.reads),
-	})
+	return ClientResp{Status: StatusOK, Token: epoch - 1, Reads: int64(c.reads)}, true
 }
 
 // commitSync implements SYNC STAR: locks are held while every replica

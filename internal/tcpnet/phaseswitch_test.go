@@ -122,9 +122,10 @@ func TestLoopbackBusyWorkersClientWritesAnswered(t *testing.T) {
 			parts, rows = []int{0, 1}, []int{i % 50, (i + 1) % 50}
 		}
 		req := txn.NewRequest(p.wl.WriteTxn(parts, rows, []byte{byte(i), byte(i >> 8)}), int64(p.r.Now()))
-		_, ch := gate.Submit(1, 0, req)
+		ch := gate.Submit(1, core.ClientReq{Req: req})
 		select {
-		case resp, ok := <-ch:
+		case m, ok := <-ch:
+			resp, _ := m.(core.ClientResp)
 			if !ok || resp.Status != core.StatusOK {
 				t.Fatalf("write %d: ok=%v resp=%+v", i, ok, resp)
 			}
