@@ -210,9 +210,9 @@ func runTop(c *client.Client, node int, interval time.Duration, iters int) {
 			100*float64(over.Sum+fence.Sum)/float64(interval))
 		// Replication by entry kind (worker shards, folded at each fence):
 		// encoded entry bytes per committed transaction, what shipping
-		// the partitioned phase's updates as field ops, and rows packed,
+		// updates as field ops where §5's rule allows, and rows packed,
 		// saved against the same entries as whole unpacked rows, and the
-		// share that were ops (the rest ship rows: single-master, inserts).
+		// share that were ops (the rest ship rows or tombstones).
 		delta := func(name string) float64 { return float64(cur.Counters[name] - prev.Counters[name]) }
 		ops, shipped, asValues := delta("repl_op_entries"), delta("repl_entry_bytes"), delta("repl_value_equiv_bytes")
 		fmt.Printf("  repl: %6.0f B/txn shipped  %4.1f%% saved vs value-equivalent  %4.1f%% operation entries\n",

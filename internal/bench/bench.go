@@ -459,8 +459,8 @@ func Fig14b(o Options) {
 // Fig15a compares SYNC STAR and STAR on TPC-C, reporting throughput and,
 // per transaction, the encoded replication entry bytes shipped next to
 // what the same entries would have cost as whole records. STAR replicates
-// the partitioned phase as field ops (§5's hybrid strategy — the only one
-// the engine has), so the second number is its own counter, not a run.
+// updates as field ops where §5's hybrid strategy allows (the only one the
+// engine has), so the second number is its own counter, not a run.
 func Fig15a(o Options) {
 	o.printf("# Figure 15a: replication strategies (TPC-C, 4 nodes), k txns/s [shipped B / value-equivalent B per txn]\n")
 	o.printf("%-8s %-26s %-26s\n", "P%", "SYNC STAR", "STAR")

@@ -92,7 +92,7 @@ type Config struct {
 	// SyncRepl makes the single-master phase hold write locks until all
 	// replicas ack each transaction's writes (the SYNC STAR baseline of
 	// Fig 15a). Default is asynchronous replication + fence. What ships
-	// is not configurable: ops or rows by phase (worker.emitEntries).
+	// is not configurable: ops or rows by the rule in worker.emitEntries.
 	SyncRepl bool
 
 	// Logging enables per-worker value logging with fence flushes; its

@@ -48,9 +48,9 @@ type Engine struct {
 	shedClient  metrics.Counter // front-door admission sheds (StatusBusy)
 	checkpoints metrics.Counter // fuzzy checkpoints written
 	// Replication by entry kind, folded from the workers' shards at each
-	// fence (see replStats).
-	replOps, replValues            metrics.Counter
-	replEntryBytes, replEquivBytes metrics.Counter
+	// fence (see replStats), and operation entries replicas refused.
+	replOps, replValues, replRefused metrics.Counter
+	replEntryBytes, replEquivBytes   metrics.Counter
 	// Coordinator-fed metrics (zero on processes not hosting it).
 	epochsC      metrics.Counter // committed epochs
 	phasePart    metrics.Counter // partitioned phases run
@@ -168,6 +168,7 @@ func (e *Engine) buildRegistry() {
 	r.RegisterCounter("checkpoints", &e.checkpoints)
 	r.RegisterCounter("repl_op_entries", &e.replOps)
 	r.RegisterCounter("repl_value_entries", &e.replValues)
+	r.RegisterCounter("repl_ops_refused", &e.replRefused)
 	r.RegisterCounter("repl_entry_bytes", &e.replEntryBytes)
 	r.RegisterCounter("repl_value_equiv_bytes", &e.replEquivBytes)
 	r.RegisterCounter("epochs", &e.epochsC)

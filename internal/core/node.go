@@ -584,13 +584,19 @@ func (n *node) applierLoop(idx int, ch rt.Chan) {
 // logging on, every write is logged as a whole record — §5: an operation
 // entry is transformed into the row it produced, under the latch that
 // applied it, so the log replays in any order though its stream did not.
+// An operation entry the Thomas rule refused logs nothing: the newer image
+// that refused it already holds its delta and was logged when it landed.
 func (n *node) applyEntries(a *applier, from int, epoch uint64, entries []replication.Entry) {
 	logging := n.e.cfg.Logging
 	for i := range entries {
 		en := &entries[i]
-		row, err := replication.ApplyInto(n.db, epoch, en, a.row, logging)
+		row, landed, err := replication.ApplyInto(n.db, epoch, en, a.row, logging)
 		if err != nil {
 			panic("core: replication apply: " + err.Error())
+		}
+		if !landed && en.IsOp() {
+			n.e.replRefused.Inc()
+			continue
 		}
 		if row != nil {
 			a.row = row
@@ -600,13 +606,8 @@ func (n *node) applyEntries(a *applier, from int, epoch uint64, entries []replic
 		if logging {
 			n.chargeLog(len(row) + 32)
 		}
-		if a.lg == nil {
-			continue
-		}
-		if en.Absent {
-			a.lg.AppendDelete(en.Table, en.Part, en.Key, en.TID)
-		} else {
-			a.lg.AppendWrite(en.Table, en.Part, en.Key, en.TID, false, row)
+		if a.lg != nil {
+			a.lg.AppendWrite(en.Table, en.Part, en.Key, en.TID, en.Absent, row)
 		}
 	}
 	if a.lg != nil {
@@ -699,7 +700,7 @@ func (n *node) applySnapshot(m *msgSnapshot) {
 	// entries that revert tombstoned come back with their rows.
 	for i := range m.Rows.Entries {
 		e := &m.Rows.Entries[i]
-		_, _ = n.db.Table(e.Table).LandThomas(m.Part, e.Key, epoch, e.TID, e.Write()) // only field ops can be refused
+		_, _ = n.db.Table(e.Table).LandThomas(m.Part, e.Key, epoch, e.TID, e.Write(), nil) // only field ops can be refused
 	}
 	// The rows themselves applied idempotently above (Thomas write rule);
 	// only the first copy of a partition's snapshot advances the catch-up

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"star/internal/occ"
 	"star/internal/replication"
 	"star/internal/rt"
 	"star/internal/simnet"
@@ -16,12 +17,14 @@ import (
 	"star/internal/workload/tpcc"
 )
 
-// Operation replication is the partitioned phase's only replication path,
-// and its deltas (AddInt64, AddFloat64, Prepend) are not idempotent: these
-// tests walk it through the fault paths value replication used to absorb
-// with the Thomas write rule — revert and retry, log recovery, fence
-// reads, master failover — on TPC-C, whose Payment and NewOrder carry all
-// three delta kinds.
+// Operation replication carries every partitioned-phase update and a
+// record's first single-master write of an epoch. Its deltas (AddInt64,
+// AddFloat64, Prepend) are not idempotent by themselves; only the Thomas
+// rule's TID guard keeps a re-delivered or overtaken one from landing.
+// These tests walk it through the fault paths — revert and retry, log
+// recovery, fence reads, master failover, envelopes of the master's OCC
+// workers crossing — on TPC-C, whose Payment and NewOrder carry all three
+// delta kinds.
 
 func opReplTPCC(nparts int) *tpcc.Workload {
 	return tpcc.New(tpcc.Config{
@@ -157,12 +160,30 @@ func TestOpReplicationRevertAndRetryAppliesDeltasOnce(t *testing.T) {
 		t.Fatalf("replica diverged after revert and retry: %x vs master %x", sum(replica), sum(master))
 	}
 
-	// Negative control: a delta applied twice is visible.
+	// A re-delivered envelope is refused: an operation entry lands only
+	// over an older TID, so deltas are idempotent on the replica.
+	var redo *msgReplBatch
+	var delta *replication.Entry
 	for _, b := range retried {
-		if _, deltas := countOpEntries([]*msgReplBatch{b}); deltas > 0 {
-			applyNow(replica, b)
-			break
+		for i := range b.Entries {
+			if _, d := countOpEntries([]*msgReplBatch{{Entries: b.Entries[i : i+1]}}); d > 0 && delta == nil {
+				redo, delta = b, &b.Entries[i]
+			}
 		}
+	}
+	applyNow(replica, redo)
+	if sum(replica) != sum(master) {
+		t.Fatalf("a re-delivered envelope changed the replica: %x vs master %x", sum(replica), sum(master))
+	}
+	// Negative control: the same delta landed a second time past the
+	// Thomas rule, straight through Table.Land, is visible.
+	tbl := replica.db.Table(delta.Table)
+	rec := tbl.Get(int(delta.Part), delta.Key)
+	rec.Lock()
+	_, err := tbl.Land(int(delta.Part), delta.Key, rec, 2, delta.TID, delta.Write())
+	rec.Unlock()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if sum(replica) == sum(master) {
 		t.Fatal("a double-applied delta left the checksum unchanged: this test cannot see what it guards")
@@ -440,5 +461,139 @@ func TestOpReplicationMasterFailoverContinuesFromAppliedState(t *testing.T) {
 	}
 	if c := e.StatsSnapshot().Counters; c["repl_op_entries"] == 0 {
 		t.Fatal("the run replicated no operation entries")
+	}
+}
+
+// (f) §5's hybrid rule on one record: two of the master's OCC workers
+// update warehouse 0's YTD in one single-master epoch. The first write
+// ships as a field op, the second as its row, and the replica converges
+// whichever envelope arrives first — the row overtaking the op refuses it,
+// because it already holds its delta. Built by hand as an op, the second
+// write diverges when it overtakes the first: that is why it ships a row.
+func TestReorderedWritesOfOneRecordConverge(t *testing.T) {
+	r := rt.NewReal()
+	e := build(Config{
+		RT:             r,
+		Nodes:          2,
+		WorkersPerNode: 2,
+		Workload:       opReplTPCC(4),
+		Seed:           7,
+		Transport:      simnet.New(r, simnet.Config{Nodes: 3}),
+	})
+	t.Cleanup(r.Stop)
+	master, replica := e.nodes[0], e.nodes[1]
+	if !replica.db.Holds(0) {
+		t.Fatal("node 1 does not hold partition 0")
+	}
+	const epoch = 2
+	var sent [2]*msgReplBatch
+	for i, w := range master.workers {
+		w.strm.SetEpoch(epoch)
+		w.set.Reset()
+		w.set.AddWrite(tpcc.TWarehouse, 0, tpcc.WKey(0), storage.AddFloat64Op(tpcc.WYtd, float64(10*(i+1))))
+		tid, ok := occ.Commit(master.db, &w.set, epoch, &w.tid, true)
+		if !ok {
+			t.Fatalf("worker %d's update did not commit", i)
+		}
+		w.emitEntries(tid, false)
+		w.strm.Flush()
+		m, ok := replica.inbox().RecvTimeout(5 * time.Second)
+		if !ok {
+			t.Fatalf("worker %d shipped nothing", i)
+		}
+		sent[i] = m.(*msgReplBatch)
+	}
+	first, second := sent[0], sent[1]
+	if !first.Entries[0].IsOp() || second.Entries[0].IsOp() {
+		t.Fatalf("first write op=%v, second op=%v: want ops, then a row", first.Entries[0].IsOp(), second.Entries[0].IsOp())
+	}
+	want := master.db.PartitionChecksum(0)
+	deliver := func(order ...*msgReplBatch) uint64 {
+		for _, b := range order {
+			applyNow(replica, b)
+		}
+		got := replica.db.PartitionChecksum(0)
+		replica.db.RevertEpoch(epoch)
+		return got
+	}
+	if got := deliver(first, second); got != want {
+		t.Fatalf("in commit order the replica holds %x, master %x", got, want)
+	}
+	if got := deliver(second, first); got != want {
+		t.Fatalf("with the row first the replica holds %x, master %x", got, want)
+	}
+	if n := e.StatsSnapshot().Counters["repl_ops_refused"]; n != 1 {
+		t.Fatalf("%d op entries refused, want the one the row overtook", n)
+	}
+	// Negative control: the second write as the delta it was committed with.
+	asOp := &msgReplBatch{From: second.From, Epoch: epoch, Entries: []replication.Entry{second.Entries[0]}}
+	asOp.Entries[0].Row, asOp.Entries[0].Ops = nil, master.workers[1].set.Writes[0].Ops
+	if got := deliver(asOp, first); got == want {
+		t.Fatal("the second write shipped as ops and delivered first still converged: this test cannot see what it guards")
+	}
+}
+
+// (g) The rule under a real multi-worker master: four OCC workers per node,
+// each holding its entries in its own stream until a flush bound, so the
+// envelopes carrying one record's writes cross between workers for real
+// (hundreds of times a run; with every entry shipped at commit, a crossing
+// needs a preemption between commit and send, and most runs see none). The
+// replicas converge, the TID guard refused at least one overtaken op (so
+// crossing happened), no refused op reached the replica's log, and that
+// log replays to the master's state.
+func TestReorderedSingleMasterOpsConvergeUnderMultiWorkerMaster(t *testing.T) {
+	dir := t.TempDir()
+	r := rt.NewReal()
+	cfg := tpcc.Config{Warehouses: 8, Districts: 2, CustomersPerDistrict: 8, Items: 32}
+	cfg.SetCrossPct(60)
+	cfg.SetFullMix()
+	wl := tpcc.New(cfg)
+	e := New(Config{
+		RT:             r,
+		Nodes:          2,
+		WorkersPerNode: 4,
+		Workload:       wl,
+		LogDir:         dir,
+		Seed:           3,
+	})
+	time.Sleep(400 * time.Millisecond)
+	e.Freeze()
+	time.Sleep(200 * time.Millisecond) // a dozen fences: every shipped entry applied
+	r.Stop()
+	if err := e.CloseLogs(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CheckReplicaConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	c := e.StatsSnapshot().Counters
+	t.Logf("committed=%d op entries=%d value entries=%d refused=%d", c["committed"], c["repl_op_entries"], c["repl_value_entries"], c["repl_ops_refused"])
+	if c["repl_ops_refused"] == 0 {
+		t.Fatal("no op entry was refused: nothing crossed, so this run tested nothing")
+	}
+
+	holds := e.Topology().HoldsMask(1)
+	for _, path := range e.LogFiles(1) {
+		frames, err := readLog(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range frames {
+			for _, en := range b.Entries {
+				if !en.Absent && len(en.Row) == 0 {
+					t.Fatalf("%s: an empty row image for %v at %s", filepath.Base(path), en.Key, storage.FormatTID(en.TID))
+				}
+			}
+		}
+	}
+	recovered := wl.BuildDB(8, holds)
+	wl.Load(recovered)
+	if _, applied, err := wal.Recover(recovered, "", e.LogFiles(1)); err != nil || applied == 0 {
+		t.Fatalf("recover: applied=%d err=%v", applied, err)
+	}
+	for p, h := range holds {
+		if got, want := recovered.PartitionChecksum(p), e.DB(0).PartitionChecksum(p); h && got != want {
+			t.Fatalf("partition %d: node 1's log recovers %x, master holds %x", p, got, want)
+		}
 	}
 }

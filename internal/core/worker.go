@@ -233,21 +233,21 @@ func (w *worker) execSerial(req *txn.Request, epoch uint64) {
 	w.finishCommit(req, epoch)
 }
 
-// emitEntries streams the committed write set to the replica targets of
-// each written partition, by §5's hybrid rule. The partitioned phase (ops)
-// ships an update as its field ops: one writer per partition and a FIFO
-// link per replica deliver deltas in commit order. The single-master
-// phase, where several OCC workers write one partition, ships whole rows
-// for the Thomas write rule to order; inserts and deletes have no delta
-// form in either phase. Nothing here allocates: entries are built on the
-// stack, copied into the stream's arenas, and sent to the targets the
-// view precomputed — a partition's alive holders, this node aside.
-func (w *worker) emitEntries(tidv uint64, ops bool) {
+// emitEntries streams the committed write set to each written partition's
+// replica targets by §5's hybrid rule. An update ships as its field ops
+// from the partitioned phase (one writer, FIFO links) and, in the
+// single-master phase, whose workers' envelopes may cross, when it is its
+// record's first write of the epoch: computed on the fence version every
+// replica holds, it is contained in any later row of the record that
+// overtakes it. Later updates ship rows; inserts and deletes have no delta
+// form. No allocation: entries are built on the stack, copied into the
+// stream's arenas, and sent to the view's alive holders, this node aside.
+func (w *worker) emitEntries(tidv uint64, partitioned bool) {
 	holders := w.n.view.Load().holders
 	for i := range w.set.Writes {
 		wr := &w.set.Writes[i]
 		ent := replication.Entry{Table: wr.Table, Part: int32(wr.Part), Key: wr.Key, TID: tidv}
-		if ops && !wr.Insert && !wr.Delete {
+		if (partitioned || wr.FirstOfEpoch) && !wr.Insert && !wr.Delete {
 			if ent.Ops = wr.Ops; ent.Ops == nil {
 				ent.Ops = []storage.FieldOp{} // IsOp is Ops != nil: the replica still bumps the TID
 			}
@@ -527,12 +527,7 @@ func (w *worker) chargeTxnLog() {
 	}
 	for i := range w.set.Writes {
 		wr := &w.set.Writes[i]
-		tid := storage.TIDClean(wr.Rec.TID())
-		if wr.Delete {
-			w.logger.AppendDelete(wr.Table, int32(wr.Part), wr.Key, tid)
-		} else {
-			w.logger.AppendWrite(wr.Table, int32(wr.Part), wr.Key, tid, false, wr.Row)
-		}
+		w.logger.AppendWrite(wr.Table, int32(wr.Part), wr.Key, storage.TIDClean(wr.Rec.TID()), wr.Delete, wr.Row)
 	}
 }
 

@@ -91,11 +91,13 @@ func inWriteSet(set *txn.RWSet, rec *storage.Record) bool {
 }
 
 // land installs one write-set entry on its resolved, latched record
-// through the storage layer's one landing routine. With collectRows the
+// through the storage layer's one landing routine, noting first whether
+// it is the record's first write of the epoch. With collectRows the
 // entry's Row becomes a copy of the final record value (empty for a
 // delete, which replicates as an absent value entry) — the payload for
 // value replication and logging.
 func land(db *storage.DB, w *txn.WriteEntry, epoch, tid uint64, collectRows bool) {
+	w.FirstOfEpoch = storage.TIDEpoch(w.Rec.TID()) < epoch
 	wr := storage.Write{Kind: storage.WriteOps, Ops: w.Ops}
 	if w.Insert {
 		wr = storage.Write{Kind: storage.WriteRow, Row: w.Row}

@@ -188,7 +188,7 @@ func TestEveryPathLandsTheSamePartition(t *testing.T) {
 			db := landingDB(true)
 			var buf []byte
 			for i := range shipped.stream {
-				row, err := replication.ApplyInto(db, 2, &shipped.stream[i], buf, true)
+				row, _, err := replication.ApplyInto(db, 2, &shipped.stream[i], buf, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -202,7 +202,7 @@ func TestEveryPathLandsTheSamePartition(t *testing.T) {
 				}
 			}
 			for i := range stale {
-				if _, err := replication.ApplyInto(db, 2, &stale[i], nil, false); err != nil {
+				if _, _, err := replication.ApplyInto(db, 2, &stale[i], nil, false); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -249,7 +249,7 @@ func TestEveryPathLandsTheSamePartition(t *testing.T) {
 			rand.New(rand.NewSource(seed)).Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 			for i := range all {
 				e := &all[i]
-				if _, err := db.Table(e.Table).LandThomas(int(e.Part), e.Key, 2, e.TID, e.Write()); err != nil {
+				if _, err := db.Table(e.Table).LandThomas(int(e.Part), e.Key, 2, e.TID, e.Write(), nil); err != nil {
 					t.Fatal(err)
 				}
 			}

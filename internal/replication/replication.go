@@ -1,10 +1,11 @@
 // Package replication implements STAR's replication machinery (§3, §5):
-// value entries (full records, applied in any order under the Thomas
-// write rule — the single-master phase, inserts and deletes), operation
-// entries (small field deltas, applied FIFO per partition — every
-// partitioned-phase update), per-destination batched streams and the
-// envelope they ship in (envelope.go: its format, size and codec), and
-// the sent/applied counters the fence reconciles at every phase switch.
+// value entries (full records: inserts, deletes, and a single-master
+// update of a record the epoch already wrote), operation entries (small
+// field deltas: every partitioned-phase update, and a record's first
+// single-master write of an epoch), both applied in any order under the
+// Thomas write rule, per-destination batched streams and the envelope
+// they ship in (envelope.go: its format, size and codec), and the
+// sent/applied counters the fence reconciles at every phase switch.
 package replication
 
 import (
@@ -44,55 +45,39 @@ func (e *Entry) Write() storage.Write {
 	return storage.Write{Kind: storage.WriteRow, Row: e.Row}
 }
 
-// Apply installs the entry into db for the given epoch. Value entries use
-// the Thomas write rule; operation entries apply unconditionally in
-// arrival order (FIFO per partition is guaranteed by the transport).
-// When wantRow is true it returns a copy of the record's value after
-// application (the §5 op→value transformation used before disk logging);
-// for value entries the entry's own Row serves and nil is returned.
-// Both forms land through storage.Table.Land, the step the master's
-// commit ran, so replica rows, revert state and indexes stay equal to it.
+// Apply is ApplyInto with no scratch buffer and without the landed flag.
 func Apply(db *storage.DB, epoch uint64, e *Entry, wantRow bool) ([]byte, error) {
-	return ApplyInto(db, epoch, e, nil, wantRow)
+	row, _, err := ApplyInto(db, epoch, e, nil, wantRow)
+	return row, err
 }
 
-// ApplyInto is Apply with the op→value post-image copied into buf's
-// backing array (grown as needed) instead of a fresh slice: an applier
-// that owns a scratch buffer and hands the row straight to its logger
-// applies and transforms an operation entry without allocating.
-func ApplyInto(db *storage.DB, epoch uint64, e *Entry, buf []byte, wantRow bool) ([]byte, error) {
+// ApplyInto lands the entry in db for the given epoch through
+// storage.Table.LandThomas, the step the master's commit ran, so replica
+// rows, revert state and indexes stay equal to the master's. Whatever its
+// form, an entry lands only over an older TID, which makes a delta safe in
+// any arrival order: one ships only from a partition's one writer, in
+// order, or as its record's first single-master write of an epoch, on the
+// version the last fence put on every replica. So the replica holds that
+// base, or a newer image of the same epoch that contains the delta and
+// refuses it. A delta finding no row, or an older tombstone, is an error.
+//
+// With wantRow a landed operation entry's post-image (§5's op→value
+// transformation, for the log) is returned in buf's backing array, grown
+// as needed, so a scratch-owning applier does not allocate; for a value
+// entry its own Row serves and nil is returned.
+func ApplyInto(db *storage.DB, epoch uint64, e *Entry, buf []byte, wantRow bool) (row []byte, landed bool, err error) {
 	tbl := db.Table(e.Table)
-	part := tbl.Partition(int(e.Part))
-	if part == nil {
-		return nil, fmt.Errorf("replication: partition %d not held", e.Part)
+	if tbl.Partition(int(e.Part)) == nil {
+		return nil, false, fmt.Errorf("replication: partition %d not held", e.Part)
 	}
-	if e.IsOp() {
-		// A delta only means something against the row it was computed
-		// on. Masters ship one only for a row that exists (inserts and
-		// deletes travel as value entries ahead of it on the same FIFO
-		// stream), and a replica gains a partition only through a snapshot
-		// taken at a quiesced fence — so no arrival order puts a delta in
-		// front of its base row, and one that finds none is a divergence
-		// to stop at, not a row to invent from zeros.
-		rec := part.Get(e.Key)
-		if rec == nil {
-			return nil, fmt.Errorf("replication: operation entry for missing row %v in table %d partition %d", e.Key, e.Table, e.Part)
-		}
-		rec.Lock()
-		if storage.TIDAbsent(rec.TID()) {
-			rec.Unlock()
-			return nil, fmt.Errorf("replication: operation entry for deleted row %v in table %d partition %d", e.Key, e.Table, e.Part)
-		}
-		var image []byte
-		row, err := tbl.Land(int(e.Part), e.Key, rec, epoch, e.TID, e.Write())
-		if err == nil && wantRow {
-			image = append(buf[:0], row...)
-		}
-		rec.Unlock()
-		return image, err
+	var image *[]byte
+	if wantRow && e.IsOp() {
+		image = &buf
 	}
-	_, err := tbl.LandThomas(int(e.Part), e.Key, epoch, e.TID, e.Write())
-	return nil, err
+	if landed, err = tbl.LandThomas(int(e.Part), e.Key, epoch, e.TID, e.Write(), image); landed && image != nil {
+		row = buf
+	}
+	return row, landed, err
 }
 
 // ValueEntries builds value entries from a committed write set whose

@@ -481,8 +481,10 @@ func TestStreamFixedThresholdHoldsAcrossEpochs(t *testing.T) {
 }
 
 // An operation entry is a delta against a row the replica must already
-// have: one that finds no row (or a tombstone) is a divergence, reported
-// as an error and leaving nothing behind — not a row invented from zeros.
+// have: one that finds no row (or a tombstone older than itself) is a
+// divergence, reported as an error and leaving nothing behind — not a row
+// invented from zeros. One older than the tombstone was overtaken by the
+// delete: the Thomas rule refuses it, and that is no error.
 func TestApplyOpEntryWithoutBaseRowErrors(t *testing.T) {
 	db := newDB()
 	tbl := db.Table(0)
@@ -499,7 +501,11 @@ func TestApplyOpEntryWithoutBaseRowErrors(t *testing.T) {
 	if _, err := Apply(db, 2, del, false); err != nil {
 		t.Fatal(err)
 	}
-	op.Key, op.TID = storage.K1(3), storage.MakeTID(2, 3)
+	op.Key, op.TID = storage.K1(3), storage.MakeTID(2, 1)
+	if row, landed, err := ApplyInto(db, 2, op, nil, true); err != nil || landed || row != nil {
+		t.Fatalf("operation entry older than the tombstone: landed=%v row=%v err=%v, want refused", landed, row, err)
+	}
+	op.TID = storage.MakeTID(2, 3)
 	if _, err := Apply(db, 2, op, true); err == nil {
 		t.Fatal("operation entry for a deleted row must error")
 	}
@@ -511,23 +517,24 @@ func TestApplyOpEntryWithoutBaseRowErrors(t *testing.T) {
 // TestApplyIntoZeroAllocs pins the applier's side of allocation-free
 // operation replication: applying a delta and copying its post-image into
 // the caller's scratch (the §5 op→value transformation) allocates nothing
-// once the scratch and the record's revert snapshot exist.
+// once the scratch and the record's revert snapshot exist. Every apply
+// carries the next sequence number, so the Thomas rule lands each one.
 func TestApplyIntoZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	db := newDB()
 	s := db.Table(0).Schema()
-	e := &Entry{Table: 0, Part: 1, Key: storage.K1(2), TID: storage.MakeTID(2, 1), Ops: []storage.FieldOp{
+	e := &Entry{Table: 0, Part: 1, Key: storage.K1(2), TID: storage.MakeTID(2, 0), Ops: []storage.FieldOp{
 		storage.AddInt64Op(0, -1),
 		storage.PrependOp(1, []byte("n")),
 	}}
 	var scratch []byte
 	apply := func() {
-		e.TID++
-		row, err := ApplyInto(db, 2, e, scratch, true)
-		if err != nil {
-			t.Fatal(err)
+		e.TID += storage.MakeTID(0, 1)
+		row, landed, err := ApplyInto(db, 2, e, scratch, true)
+		if err != nil || !landed {
+			t.Fatalf("apply at %s: landed=%v err=%v", storage.FormatTID(e.TID), landed, err)
 		}
 		scratch = row
 	}

@@ -46,7 +46,7 @@ func TestReadStableAtFenceAbsentPrior(t *testing.T) {
 	// A record first inserted in epoch 3 (e.g. by replication) is absent
 	// at the epoch-3 fence and present at the epoch-4 fence.
 	_, tbl := newTestDB(t, 1, nil)
-	if applied, _ := tbl.LandThomas(0, K1(1), 3, MakeTID(3, 7), rowWrite("new")); !applied {
+	if applied, _ := tbl.LandThomas(0, K1(1), 3, MakeTID(3, 7), rowWrite("new"), nil); !applied {
 		t.Fatal("Thomas apply refused a newer TID")
 	}
 	r := tbl.Get(0, K1(1))

@@ -89,15 +89,27 @@ func (t *Table) Land(part int, key Key, r *Record, epoch, tid uint64, w Write) (
 }
 
 // LandThomas is Land under the Thomas write rule, for writes that arrive
-// in any order (value replication, snapshot rows, log replay): it
-// resolves the record — creating a placeholder in epoch's revert bucket
-// when there is none — latches it, lands w only if tid is newer than the
-// record's, and unlatches. It reports whether the write landed.
-func (t *Table) LandThomas(part int, key Key, epoch, tid uint64, w Write) (landed bool, err error) {
-	r := t.Partition(part).GetOrCreate(key, epoch)
+// in any order (replication, snapshot rows, log replay): it resolves the
+// record, latches it, lands w only if tid is newer than the record's, and
+// unlatches. A row or tombstone for a missing record creates a placeholder
+// in epoch's revert bucket; field ops for one are an error, as they are
+// for an absent record (Land). When w lands and image is not nil, the row
+// as it then stands is copied into *image's backing array (grown as
+// needed) under the latch. It reports whether the write landed.
+func (t *Table) LandThomas(part int, key Key, epoch, tid uint64, w Write, image *[]byte) (landed bool, err error) {
+	p := t.Partition(part)
+	r := p.Get(key)
+	if r == nil && w.Kind == WriteOps {
+		return false, fmt.Errorf("storage: field ops for missing row %v in table %s partition %d", key, t.name, part)
+	} else if r == nil {
+		r = p.GetOrCreate(key, epoch)
+	}
 	r.Lock()
 	if landed = TIDClean(tid) > TIDClean(r.tid.Load()); landed {
-		_, err = t.Land(part, key, r, epoch, tid, w)
+		var row []byte
+		if row, err = t.Land(part, key, r, epoch, tid, w); err == nil && image != nil {
+			*image = append((*image)[:0], row...)
+		}
 	}
 	r.Unlock()
 	return landed && err == nil, err

@@ -132,7 +132,7 @@ func TestThomasWriteRuleConvergence(t *testing.T) {
 
 		_, tbl := newTestDB(t, 1, nil)
 		for _, wr := range writes {
-			tbl.LandThomas(0, K1(1), 1, wr.tid, Write{Kind: WriteRow, Row: wr.val})
+			tbl.LandThomas(0, K1(1), 1, wr.tid, Write{Kind: WriteRow, Row: wr.val}, nil)
 		}
 		val, tid, present := tbl.Get(0, K1(1)).ReadStable(nil)
 		return present && tid == maxTID && bytes.Equal(val, maxVal)
@@ -149,13 +149,13 @@ func TestThomasWriteRuleRejectsStale(t *testing.T) {
 		seq     uint64
 		applied bool
 	}{{9, false}, {10, false}, {11, true}} {
-		applied, err := tbl.LandThomas(0, K1(1), 3, MakeTID(3, c.seq), rowWrite("w"))
+		applied, err := tbl.LandThomas(0, K1(1), 3, MakeTID(3, c.seq), rowWrite("w"), nil)
 		if err != nil || applied != c.applied {
 			t.Fatalf("write at seq %d over seq 10: applied=%v err=%v, want %v", c.seq, applied, err, c.applied)
 		}
 	}
 	// A stale delete loses the same way.
-	if applied, _ := tbl.LandThomas(0, K1(1), 3, MakeTID(3, 5), Write{Kind: WriteDelete}); applied {
+	if applied, _ := tbl.LandThomas(0, K1(1), 3, MakeTID(3, 5), Write{Kind: WriteDelete}, nil); applied {
 		t.Fatal("stale delete must be rejected")
 	}
 	if _, tid, present := tbl.Get(0, K1(1)).ReadStable(nil); !present || tid != MakeTID(3, 11) {

@@ -212,6 +212,10 @@ type WriteEntry struct {
 	Insert bool
 	Delete bool
 	Row    []byte
+	// FirstOfEpoch is set at commit, under the write latch: the record's
+	// prior TID is from an earlier epoch, so the write landed on the
+	// version the last fence put on every replica.
+	FirstOfEpoch bool
 }
 
 // RWSet accumulates a transaction's reads and writes.

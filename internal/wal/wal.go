@@ -428,7 +428,7 @@ func Recover(db *storage.DB, checkpoint string, logs []string) (epoch uint64, ap
 		}
 		// Secondary indexes are not logged: Land rebuilds them here, from
 		// the same absent ↔ present transitions the live paths index.
-		ok, err := tbl.LandThomas(int(e.Part), e.Key, landEpoch, e.TID, e.Write())
+		ok, err := tbl.LandThomas(int(e.Part), e.Key, landEpoch, e.TID, e.Write(), nil)
 		if ok {
 			applied++
 		}

@@ -233,7 +233,7 @@ func TestCheckpointHeaderBoundsDurableEpoch(t *testing.T) {
 	for k, epoch := range map[uint64]uint64{1: 3, 2: 4, 3: 5} {
 		row := s.NewRow()
 		s.SetInt64(row, 0, int64(10*k))
-		db.Table(0).LandThomas(int(k%2), storage.K1(k), epoch, storage.MakeTID(epoch, 1), storage.Write{Kind: storage.WriteRow, Row: row})
+		db.Table(0).LandThomas(int(k%2), storage.K1(k), epoch, storage.MakeTID(epoch, 1), storage.Write{Kind: storage.WriteRow, Row: row}, nil)
 	}
 	ckpt := filepath.Join(dir, "ckpt")
 	if _, err := WriteCheckpoint(db, ckpt, 4); err != nil {
@@ -341,7 +341,7 @@ func TestFuzzyCheckpointCorrectedByThomasRule(t *testing.T) {
 
 	// Checkpoint taken AFTER the epoch-3 write landed (fuzzy: it contains
 	// the newer version even though its header says epoch 2).
-	db.Table(0).LandThomas(1, storage.K1(5), 3, storage.MakeTID(3, 1), storage.Write{Kind: storage.WriteRow, Row: row})
+	db.Table(0).LandThomas(1, storage.K1(5), 3, storage.MakeTID(3, 1), storage.Write{Kind: storage.WriteRow, Row: row}, nil)
 	ckpt := filepath.Join(dir, "ckpt")
 	if _, err := WriteCheckpoint(db, ckpt, 2); err != nil {
 		t.Fatal(err)

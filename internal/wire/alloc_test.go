@@ -93,11 +93,11 @@ func TestDecodeApplyLogZeroAllocsPerEntry(t *testing.T) {
 			}
 			for i := range b.Entries {
 				en := &b.Entries[i]
-				tid++
+				tid += storage.MakeTID(0, 1) // newer than the row's: the Thomas rule lands it
 				en.TID = tid
-				row, err := replication.ApplyInto(db, b.Epoch, en, scratch, true)
-				if err != nil {
-					t.Fatal(err)
+				row, landed, err := replication.ApplyInto(db, b.Epoch, en, scratch, true)
+				if err != nil || !landed {
+					t.Fatalf("entry %d: landed=%v err=%v", i, landed, err)
 				}
 				scratch = row
 				lg.AppendWrite(en.Table, en.Part, en.Key, en.TID, false, row)

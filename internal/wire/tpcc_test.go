@@ -55,8 +55,8 @@ func (c *tpccCtx) LookupIndex(tb storage.TableID, part, idx int, val []byte, dst
 
 // tpccTraffic runs n transactions of the full mix drawn from Gen.Mixed
 // and returns the database and what each committed one replicates, in
-// both of §5's forms: whole rows (the single-master phase) and field ops
-// with rows for inserts only (the partitioned phase).
+// both of §5's forms: whole rows (a single-master write of a record its
+// epoch already wrote) and field ops with rows for inserts only.
 func tpccTraffic(t testing.TB, n int) (db *storage.DB, values, ops [][]replication.Entry) {
 	t.Helper()
 	cfg := tpcc.Config{Warehouses: 2, Districts: 4, CustomersPerDistrict: 40, Items: 200, TrimPct: 2}
