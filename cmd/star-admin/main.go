@@ -200,13 +200,15 @@ func runTop(c *client.Client, node int, interval time.Duration, iters int) {
 			rate("committed"), rate("aborted")+rate("user_aborts"), rate("epochs"),
 			lat.Quantile(0.5), lat.Quantile(0.99),
 			rate("shed_frontdoor")+rate("rejected"), lag)
-		// The phase switch: how far phases ran past their slice, how long
-		// the fences took, and the share of the window that was neither
-		// slice nor work — overrun plus fence.
+		// The phase switch: the slices the tuner set now (the coordinator's
+		// τp/τs gauges), how far phases ran past their slice, how long the
+		// fences took, and the share of the window that was neither slice
+		// nor work — overrun plus fence.
 		over := histDelta(cur.Hists["phase_overrun"], prev.Hists["phase_overrun"])
 		fence := histDelta(cur.Hists["fence"], prev.Hists["fence"])
-		fmt.Printf("  switch: overrun p50 %-10v p99 %-10v fence p50 %-10v p99 %-10v outside-slice %4.1f%%\n",
-			over.Quantile(0.5), over.Quantile(0.99), fence.Quantile(0.5), fence.Quantile(0.99),
+		us := func(name string) time.Duration { return time.Duration(cur.Gauges[name]) * time.Microsecond }
+		fmt.Printf("  switch: τp %-8v τs %-8v overrun p50 %-10v p99 %-10v fence p50 %-10v p99 %-10v outside-slice %4.1f%%\n",
+			us("tau_p_us"), us("tau_s_us"), over.Quantile(0.5), over.Quantile(0.99), fence.Quantile(0.5), fence.Quantile(0.99),
 			100*float64(over.Sum+fence.Sum)/float64(interval))
 		// Replication by entry kind (worker shards, folded at each fence):
 		// encoded entry bytes per committed transaction, what shipping

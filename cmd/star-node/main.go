@@ -242,13 +242,11 @@ func main() {
 		}
 		if *join && !eng.Topology().IsMember(*id) {
 			// Elastic scale-out: keep asking the coordinator to admit this
-			// slot until the new topology version lands here. The request
-			// rides the node's own transport endpoint; the coordinator's
-			// snapshot catch-up and fence install do the rest.
+			// slot until the new topology version lands here. The
+			// coordinator's snapshot catch-up and fence install do the rest.
 			go func() {
 				for !eng.Topology().IsMember(*id) {
-					tr.Send(*id, *nodes, transport.Control,
-						core.AdminReq{V: core.AdminProtoVersion, Op: core.AdminJoin, From: *id, Node: *id})
+					eng.RequestJoin(*id)
 					time.Sleep(time.Second)
 				}
 			}()

@@ -649,14 +649,14 @@ func TestStarNodeScaleOutJoinDrain(t *testing.T) {
 	}
 	defer netA.Close()
 
-	startChild := func(id int) *exec.Cmd {
-		cmd := exec.Command(nodeBin,
+	startChild := func(id int, extra ...string) *exec.Cmd {
+		cmd := exec.Command(nodeBin, append([]string{
 			"-id", strconv.Itoa(id), "-nodes", "4", "-workers", "2", "-seed", "13",
 			"-addrs", addrList, "-workload", "ycsb", "-records", "512",
 			"-serve", "-snapshot-reads", "-iteration", "2ms",
 			"-members", "0,1,2",
 			"-client", doors[id-1], "-clients", doorList,
-		)
+		}, extra...)...)
 		if err := cmd.Start(); err != nil {
 			t.Fatalf("start star-node %d: %v", id, err)
 		}
@@ -666,8 +666,6 @@ func TestStarNodeScaleOutJoinDrain(t *testing.T) {
 	defer func() { node1.Process.Kill(); node1.Wait() }()
 	node2 := startChild(2)
 	defer func() { node2.Process.Kill(); node2.Wait() }()
-	node3 := startChild(3) // dark slot: provisioned, not a member
-	defer func() { node3.Process.Kill(); node3.Wait() }()
 	time.Sleep(200 * time.Millisecond)
 
 	eng := core.New(core.Config{
@@ -758,7 +756,7 @@ func TestStarNodeScaleOutJoinDrain(t *testing.T) {
 			}
 			if time.Since(lastRecover) > 3*time.Second {
 				for _, id := range eng.FailedNodes() {
-					eng.RecoverNode(id)
+					eng.RequestJoin(id)
 				}
 				lastRecover = time.Now()
 			}
@@ -799,11 +797,18 @@ func TestStarNodeScaleOutJoinDrain(t *testing.T) {
 	}
 	readAll("before join")
 
-	// Join the dark slot through node 2's door: the coordinator fences,
-	// streams partition snapshots to node 3 over TCP, and installs v2.
-	out = adminRun("-addr", door2, "-node", "3", "-timeout", "90s", "join")
-	if !strings.Contains(out, "member 3 ") {
-		t.Fatalf("join did not report node 3 as a member:\n%s", out)
+	// Join the dark slot the way a new box does: start it with -join, and
+	// its node-only process keeps asking (Engine.RequestJoin) until the
+	// coordinator fences, streams partition snapshots to node 3 over TCP,
+	// and installs v2.
+	node3 := startChild(3, "-join")
+	defer func() { node3.Process.Kill(); node3.Wait() }()
+	for joinBy := time.Now().Add(90 * time.Second); !strings.Contains(out, "member 3 "); {
+		if time.Now().After(joinBy) {
+			t.Fatalf("star-node -join never admitted node 3:\n%s", out)
+		}
+		time.Sleep(200 * time.Millisecond)
+		out = adminRun("-addr", door2, "topology")
 	}
 	waitCommitsGrow("after join", 15*time.Second)
 
@@ -1032,6 +1037,14 @@ func TestStarNodeObservabilityLiveCluster(t *testing.T) {
 	if got, want := promVal("star_committed"), s0.Counters["committed"]; got != want {
 		t.Fatalf("/metrics committed %d != AdminStats committed %d", got, want)
 	}
+	// The coordinator's tuned slices: every retune splits the 2ms
+	// iteration between τp and τs, on both paths.
+	if got := s0.Gauges["tau_p_us"] + s0.Gauges["tau_s_us"]; got != 2000 {
+		t.Fatalf("AdminStats τp+τs = %dµs, want the 2000µs iteration", got)
+	}
+	if got := promVal("star_tau_p_us") + promVal("star_tau_s_us"); got != 2000 {
+		t.Fatalf("/metrics τp+τs = %dµs, want the 2000µs iteration", got)
+	}
 	if promVal("star_latency_count") == 0 {
 		t.Fatal("latency histogram empty on a node that committed")
 	}
@@ -1062,7 +1075,7 @@ func TestStarNodeObservabilityLiveCluster(t *testing.T) {
 		t.Fatalf("star-admin stat merged view missing %q:\n%s", wantLine, out)
 	}
 	out, err = exec.Command(adminBin, "-addr", doors[0], "-interval", "300ms", "-iters", "1", "top").CombinedOutput()
-	if err != nil || !strings.Contains(string(out), "txn/s") {
+	if err != nil || !strings.Contains(string(out), "txn/s") || !strings.Contains(string(out), "switch: τp ") {
 		t.Fatalf("star-admin top: %v\n%s", err, out)
 	}
 

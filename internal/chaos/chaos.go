@@ -193,15 +193,40 @@ func (p *probeRead) Run(ctx txn.Ctx) error {
 // the plan, run Duration of virtual time under faults (rejoining
 // crashed nodes as their windows close), heal, converge, verify. The
 // returned error is the verdict — nil means every invariant held.
-func RunSoak(seed int64, o Options) (Result, error) {
+func RunSoak(seed int64, o Options) (Result, error) { return runSoak(seed, o, false) }
+
+// RunChurnSoak is the elastic-membership variant: the cluster boots with
+// one dark spare slot (capacity o.Nodes+1, boot members 0..o.Nodes-1),
+// the fault schedule fires on the boot members, and a join request for
+// the spare arrives while those faults are still live — so the snapshot
+// migration itself runs through drops, duplicates, reorders, a partition
+// and a crash window, and the coordinator's refuse-while-failed rule
+// actually gets exercised (the submitter keeps retrying, exactly like the
+// star-node -join loop). After heal the join must land, the enlarged
+// cluster must keep committing, and a drain must hand the spare's
+// partitions back with every surviving replica byte-identical. Two runs
+// of the same seed return identical Committed, Digest and Injected
+// values.
+func RunChurnSoak(seed int64, o Options) (Result, error) { return runSoak(seed, o, true) }
+
+// runSoak is both soaks' one operator loop; spare adds the dark slot, its
+// join stage in the fault and heal loops, and the drain after
+// convergence.
+func runSoak(seed int64, o Options, spare bool) (Result, error) {
 	o = o.withDefaults()
+	// The plan draws its victims from the BOOT members (GeneratePlan
+	// never touches ids >= o.Nodes), but the per-frame Data rules match
+	// AnyNode — a joiner's snapshot transfer rides through them too.
 	plan := GeneratePlan(seed, o)
 	s := rt.NewSim()
 	defer s.Stop()
 
-	nparts := o.Nodes * o.Workers
+	name, capacity, joiner := "chaos", o.Nodes, o.Nodes
+	if spare {
+		name, capacity = "churn", o.Nodes+1
+	}
 	tc := tpcc.Config{
-		Warehouses:           nparts,
+		Warehouses:           capacity * o.Workers,
 		Districts:            2,
 		CustomersPerDistrict: 64,
 		Items:                256,
@@ -214,58 +239,72 @@ func RunSoak(seed int64, o Options) (Result, error) {
 	// tombstones and trim cursors byte-identically through heal+converge.
 	tc.TrimPct = 4
 	tc.TrimRetain = 8
-	wl := tpcc.New(tc)
 
-	inner := simnet.New(s, simnet.DefaultConfig(o.Nodes+1, seed)) // + coordinator endpoint
+	inner := simnet.New(s, simnet.DefaultConfig(capacity+1, seed)) // + coordinator endpoint
 	fn := faultnet.Wrap(s, inner, plan)
 	cfg := core.Config{
 		RT:             s,
-		Nodes:          o.Nodes,
+		Nodes:          capacity,
 		FullReplicas:   1,
 		WorkersPerNode: o.Workers,
-		Workload:       wl,
+		Workload:       tpcc.New(tc),
 		Iteration:      2 * time.Millisecond,
 		Seed:           seed,
 		SnapshotReads:  true,
 		Transport:      fn,
 		Trace:          o.Trace,
 	}
+	if spare {
+		for i := 0; i < o.Nodes; i++ {
+			cfg.Members = append(cfg.Members, i)
+		}
+	}
 	e := core.New(cfg)
+	joined := func() bool { return spare && e.Topology().IsMember(joiner) }
 
-	// The read-your-own-writes probe: a synthetic session whose token is
-	// the last group-committed epoch seen on the wire. Safety invariant:
-	// a gate may refuse (fall back) under lag, but a SERVED read's fence
-	// must cover the token — a served snapshot older than the session's
-	// last commit would be a read-your-own-writes violation.
+	// The read-your-own-writes probe (off with the spare slot): a
+	// synthetic session whose token is the last group-committed epoch
+	// seen on the wire. Safety invariant: a gate may refuse (fall back)
+	// under lag, but a SERVED read's fence must cover the token — a served
+	// snapshot older than the session's last commit would be a
+	// read-your-own-writes violation.
 	var served, fallbacks int64
 	var violation string
-	s.Go("chaos-ryw-probe", func() {
-		for i := 0; ; i++ {
-			s.Sleep(700 * time.Microsecond)
-			e2 := fn.Epoch()
-			if e2 < 3 {
-				continue
+	if !spare {
+		s.Go("chaos-ryw-probe", func() {
+			for i := 0; ; i++ {
+				s.Sleep(700 * time.Microsecond)
+				e2 := fn.Epoch()
+				if e2 < 3 {
+					continue
+				}
+				token := e2 - 1 // last epoch a commit could have returned
+				node := i % o.Nodes
+				resp, ok := e.Gate(node).TryRead(token, txn.NewRequest(newProbeRead(node*o.Workers), 0))
+				if !ok {
+					fallbacks++
+					continue
+				}
+				served++
+				if resp.Token < token && violation == "" {
+					violation = fmt.Sprintf("node %d served token-%d session from fence %d", node, token, resp.Token)
+				}
 			}
-			token := e2 - 1 // last epoch a commit could have returned
-			node := i % o.Nodes
-			resp, ok := e.Gate(node).TryRead(token, txn.NewRequest(newProbeRead(node*o.Workers), 0))
-			if !ok {
-				fallbacks++
-				continue
-			}
-			served++
-			if resp.Token < token && violation == "" {
-				violation = fmt.Sprintf("node %d served token-%d session from fence %d", node, token, resp.Token)
-			}
-		}
-	})
+		})
+	}
 
 	// Fault phase: run in slices, rejoining each crashed node once its
 	// blackhole window closes (detection and eviction are the protocol's
 	// own job — the harness only plays the operator restarting a box).
+	// With the spare slot, from a quarter of the way in, keep
+	// re-submitting its join until the topology carries it. Most
+	// submissions are refused (members are failed, or a fault window ate
+	// the snapshot transfer and the migration timed out); refusal-and-retry
+	// is the protocol under test.
 	const slice = 5 * time.Millisecond
 	crashSeen := map[int]bool{}
-	for s.Now() < o.Duration {
+	joinAsked := false
+	for i := 0; s.Now() < o.Duration; i++ {
 		s.Run(s.Now() + slice)
 		if halted, reason := e.Halted(); halted {
 			return Result{}, fmt.Errorf("seed %d: cluster halted mid-soak: %s", seed, reason)
@@ -275,56 +314,79 @@ func RunSoak(seed int64, o Options) (Result, error) {
 				crashSeen[c.Node] = true
 			} else if crashSeen[c.Node] {
 				crashSeen[c.Node] = false
-				o.Logf("chaos: seed %d: crash window on node %d closed at epoch %d, rejoining", seed, c.Node, fn.Epoch())
-				e.RecoverNode(c.Node)
+				o.Logf("%s: seed %d: crash window on node %d closed at epoch %d, rejoining", name, seed, c.Node, fn.Epoch())
+				e.RequestJoin(c.Node)
 			}
+		}
+		if spare && s.Now() >= o.Duration/4 && i%8 == 0 && !joined() {
+			if !joinAsked {
+				joinAsked = true
+				o.Logf("churn: seed %d: submitting join of slot %d at epoch %d (faults live)", seed, joiner, fn.Epoch())
+			}
+			e.RequestJoin(joiner)
 		}
 	}
 	if c := e.Stats().Committed; c == 0 {
 		return Result{}, fmt.Errorf("seed %d: nothing committed under faults", seed)
 	}
 
-	// Heal and converge: no new faults, parked messages released; rejoin
-	// whatever the coordinator still considers failed until every node is
-	// back and all replica checksums agree. The budget is virtual TIME,
-	// not attempts: a rejoin whose snapshot transfer lost a frame to a
-	// still-armed fault window parks the coordinator in a 30s (virtual)
-	// recovery gather, and the harness must outwait it (virtual seconds
-	// are cheap) before the re-issued RecoverNode can succeed.
-	fn.Heal()
-	o.Logf("chaos: seed %d: healed at epoch %d, injected %v", seed, fn.Epoch(), fn.Injected())
-	var lastErr error
-	converged := false
-	budget := s.Now() + 12*time.Second
-	for attempt := 0; s.Now() < budget && !converged; attempt++ {
-		failed := e.FailedNodes()
-		for _, id := range failed {
-			e.RecoverNode(id)
+	// converge runs the cluster until every member is up (and the spare
+	// joined, when join is set) and all replica checksums agree,
+	// re-issuing the joins still owed each round. The budget is virtual
+	// TIME, not attempts: a rejoin whose snapshot transfer lost a frame to
+	// a still-armed fault window parks the coordinator in a long (virtual)
+	// recovery gather, and the harness must outwait it (virtual seconds are
+	// cheap) before the re-issued join can succeed. It returns with the
+	// cluster frozen.
+	converge := func(stage string, join bool) error {
+		var lastErr error
+		budget := s.Now() + 12*time.Second
+		for attempt := 0; s.Now() < budget; attempt++ {
+			failed := e.FailedNodes()
+			for _, id := range failed {
+				e.RequestJoin(id)
+			}
+			if join && !joined() {
+				e.RequestJoin(joiner)
+			}
+			if attempt%20 == 19 {
+				o.Logf("%s: seed %d: converging %s at epoch %d, failed=%v, last: %v", name, seed, stage, fn.Epoch(), failed, lastErr)
+			}
+			s.Run(s.Now() + 30*time.Millisecond)
+			if halted, reason := e.Halted(); halted {
+				return fmt.Errorf("seed %d: cluster halted %s: %s", seed, stage, reason)
+			}
+			e.Freeze()
+			s.Run(s.Now() + 30*time.Millisecond)
+			lastErr = e.CheckReplicaConsistency()
+			if lastErr == nil && len(e.FailedNodes()) == 0 && joined() == join {
+				return nil
+			}
+			e.Unfreeze()
 		}
-		if attempt%20 == 19 {
-			o.Logf("chaos: seed %d: converging at epoch %d, failed=%v, last: %v", seed, fn.Epoch(), failed, lastErr)
-		}
-		s.Run(s.Now() + 30*time.Millisecond)
-		if halted, reason := e.Halted(); halted {
-			return Result{}, fmt.Errorf("seed %d: cluster halted post-heal: %s", seed, reason)
-		}
-		e.Freeze()
-		s.Run(s.Now() + 30*time.Millisecond)
-		lastErr = e.CheckReplicaConsistency()
-		if lastErr == nil && len(e.FailedNodes()) == 0 {
-			converged = true
-			break
-		}
-		e.Unfreeze()
-	}
-	if !converged {
 		if lastErr == nil {
-			lastErr = fmt.Errorf("nodes still evicted: %v", e.FailedNodes())
+			lastErr = fmt.Errorf("failed=%v, slot %d member=%v", e.FailedNodes(), joiner, joined())
 		}
-		return Result{}, fmt.Errorf("seed %d: no convergence after heal: %w", seed, lastErr)
+		return fmt.Errorf("seed %d: no convergence %s: %w", seed, stage, lastErr)
+	}
+
+	// Heal and converge: no new faults, parked messages released.
+	fn.Heal()
+	o.Logf("%s: seed %d: healed at epoch %d, injected %v", name, seed, fn.Epoch(), fn.Injected())
+	if err := converge("after heal", spare); err != nil {
+		return Result{}, err
 	}
 	if violation != "" {
 		return Result{}, fmt.Errorf("seed %d: read-your-own-writes violated: %s", seed, violation)
+	}
+	if spare {
+		if err := joinAndDrain(s, e, seed, joiner, o); err != nil {
+			return Result{}, err
+		}
+		if err := converge("after drain", false); err != nil {
+			return Result{}, err
+		}
+		o.Logf("churn: seed %d: slot %d drained, topology v%d", seed, joiner, e.Topology().Version)
 	}
 
 	// Fold every partition's checksum (which already covers the ordered
@@ -344,6 +406,51 @@ func RunSoak(seed int64, o Options) (Result, error) {
 		ProbeServed:    served,
 		ProbeFallbacks: fallbacks,
 	}, nil
+}
+
+// joinAndDrain checks the churn soak's joined cluster — the spare masters
+// its stripe, and commits keep flowing across the new topology version —
+// then drains the spare back out: its partitions migrate to the survivors
+// at a fence, the topology drops it, and the engine's drain signal (what a
+// star-node process exits on) must fire for exactly that slot.
+func joinAndDrain(s *rt.Sim, e *core.Engine, seed int64, joiner int, o Options) error {
+	topo := e.Topology()
+	if got := topo.MasterOf(joiner * o.Workers); got != joiner {
+		return fmt.Errorf("seed %d: joined topology v%d does not master partition %d on slot %d (got %d)",
+			seed, topo.Version, joiner*o.Workers, joiner, got)
+	}
+	o.Logf("churn: seed %d: slot %d joined, topology v%d", seed, joiner, topo.Version)
+	preDrain := e.Stats().Committed
+	e.Unfreeze()
+	s.Run(s.Now() + 50*time.Millisecond)
+	if c := e.Stats().Committed; c <= preDrain {
+		return fmt.Errorf("seed %d: no commits on the joined topology (stuck at %d)", seed, preDrain)
+	}
+
+	e.RequestDrain(joiner)
+	budget := s.Now() + 12*time.Second
+	for s.Now() < budget && e.Topology().IsMember(joiner) {
+		s.Run(s.Now() + 30*time.Millisecond)
+		if halted, reason := e.Halted(); halted {
+			return fmt.Errorf("seed %d: cluster halted during drain: %s", seed, reason)
+		}
+	}
+	if e.Topology().IsMember(joiner) {
+		return fmt.Errorf("seed %d: drain of slot %d never installed", seed, joiner)
+	}
+	gotDrain := -1
+	for s.Now() < budget && gotDrain < 0 {
+		select {
+		case id := <-e.Drained():
+			gotDrain = id
+		default:
+			s.Run(s.Now() + 5*time.Millisecond)
+		}
+	}
+	if gotDrain != joiner {
+		return fmt.Errorf("seed %d: drain installed but Drained() signalled %d, want %d", seed, gotDrain, joiner)
+	}
+	return nil
 }
 
 func dbChecksum(e *core.Engine, p int) uint64 {

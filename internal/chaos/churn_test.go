@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"flag"
 	"reflect"
 	"testing"
@@ -24,15 +25,18 @@ func churnSeeds() []int64 {
 // schedule is still dropping, duplicating, reordering, partitioning and
 // crashing must land after heal, the enlarged cluster must keep
 // committing, and the subsequent drain must leave every surviving
-// replica byte-identical.
+// replica byte-identical. The coordinator's timeline must be as usable
+// a flight recorder as the plain soak's.
 func TestChurnSoakConvergesFixedSeed(t *testing.T) {
 	for _, seed := range churnSeeds() {
 		seed := seed
 		t.Run(seedName(seed), func(t *testing.T) {
-			res, err := RunChurnSoak(seed, Options{Logf: t.Logf})
+			var trace bytes.Buffer
+			res, err := RunChurnSoak(seed, Options{Logf: t.Logf, Trace: &trace})
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkTimeline(t, &trace, res)
 			t.Logf("seed %d: committed=%d epoch=%d digest=%016x injected=%v",
 				seed, res.Committed, res.Epoch, res.Digest, res.Injected)
 			if res.Committed == 0 {

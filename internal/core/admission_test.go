@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"star/internal/rt"
+	"star/internal/transport"
 )
 
 // admission is what the coordinator sent while admitting slot x: the
@@ -75,7 +76,7 @@ func TestRejoinAndJoinShareOneAdmission(t *testing.T) {
 			t.Fatalf("slot %d: failed set %v after the crash", x, got)
 		}
 		mark := len(tap.since(0))
-		e.RecoverNode(x)
+		e.RequestJoin(x)
 		s.Run(s.Now() + 100*time.Millisecond)
 		rejoin := admissionOf(tap.since(mark), coord, x)
 
@@ -129,6 +130,78 @@ func TestRejoinAndJoinShareOneAdmission(t *testing.T) {
 		}
 		if halted, reason := e.Halted(); halted {
 			t.Fatalf("slot %d: halted: %s", x, reason)
+		}
+		s.Stop()
+	}
+}
+
+// A replication envelope can outlive its destination's failure and
+// arrive after that node's readmission has begun: a TCP link's queue
+// survives the peer's down/up bounce, and the wildcard revert and the
+// catch-up travel on other links. The envelope's epoch was reverted at its
+// sender, and the catch-up holds the cluster's outcome of it, so it must
+// not land. Here node 0's stream to node 1 is held from the moment it
+// stalls node 1's fence — through the failure that stall causes and the
+// reverts — and released either once node 1 is readmitted, or ahead of
+// its catch-up (after the wildcard revert). Node 1 must converge either
+// way, and also when it comes back as a restarted process, whose router
+// starts over at epoch 0 (then only the catch-up dates the held stream).
+func TestHeldEnvelopesReleasedAfterRejoin(t *testing.T) {
+	const nodes, workers = 2, 2
+	isSnapshot := func(ev tapped) bool { _, ok := ev.m.(*msgSnapshot); return ok }
+	for _, c := range []struct{ aheadOfCatchUp, restarted bool }{{false, false}, {true, false}, {false, true}} {
+		aheadOfCatchUp := c.aheadOfCatchUp
+		s := rt.NewSim()
+		e, tap := tappedCluster(t, s, nodes, workers, 10)
+		s.Run(20 * time.Millisecond)
+		runUntil := func(what string, done func() bool) {
+			t.Helper()
+			for deadline := s.Now() + 500*time.Millisecond; !done(); s.Run(s.Now() + time.Millisecond) {
+				if s.Now() > deadline {
+					t.Fatalf("%s never happened", what)
+				}
+			}
+		}
+		setHold := func(hold func(tapped) bool) {
+			tap.mu.Lock()
+			tap.hold = hold
+			tap.mu.Unlock()
+		}
+
+		setHold(func(ev tapped) bool { return ev.src == 0 && ev.dst == 1 && ev.class == transport.Replication })
+		runUntil("node 1's failure", func() bool { return len(e.FailedNodes()) == 1 })
+		var stale int
+		for _, ev := range tap.held {
+			b, ok := ev.m.(*msgReplBatch)
+			if !ok {
+				continue // an end-of-epoch marker
+			}
+			t.Logf("held envelope: epoch %d, %d entries (node 1 failed at epoch %d)", b.Epoch, len(b.Entries), e.nodes[0].epoch.Load())
+			stale += len(b.Entries)
+		}
+		if stale == 0 {
+			t.Fatal("nothing held across the failure: the test exercised nothing")
+		}
+		// The failed node is sent no replication; what is held stays held.
+		// Ahead of the catch-up, node 0's snapshot for node 1 queues behind
+		// it, and the release delivers the stale stream first.
+		setHold(func(ev tapped) bool { return aheadOfCatchUp && ev.src == 0 && ev.dst == 1 && isSnapshot(ev) })
+		if c.restarted {
+			e.nodes[1].epoch.Store(0)
+		}
+		e.RequestJoin(1)
+		if aheadOfCatchUp {
+			runUntil("node 0's catch-up for node 1", func() bool { return isSnapshot(tap.held[len(tap.held)-1]) })
+			tap.release()
+		}
+		runUntil("node 1's readmission", func() bool { return len(e.FailedNodes()) == 0 })
+		tap.release()
+		settle(s, e, 40*time.Millisecond)
+		if err := e.CheckReplicaConsistency(); err != nil {
+			t.Fatalf("%+v: released envelopes made node 1 diverge: %v", c, err)
+		}
+		if halted, reason := e.Halted(); halted {
+			t.Fatalf("halted: %s", reason)
 		}
 		s.Stop()
 	}

@@ -99,7 +99,7 @@ func TestSTARSoakFailRecoverConsistencyUnderBatching(t *testing.T) {
 			t.Fatalf("cycle %d: cluster halted after partial failure: %s", cycle, reason)
 		}
 		before := e.Stats().Committed
-		e.RecoverNode(victim)
+		e.RequestJoin(victim)
 		s.Run(s.Now() + 120*time.Millisecond)
 		if e.Stats().Committed <= before {
 			t.Fatalf("cycle %d: no progress after node %d rejoined", cycle, victim)

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -59,9 +58,10 @@ type coordinator struct {
 	// once and was reverted for retry (see the ack-gather failure path).
 	ackRetried bool
 
-	// pendingAdmin stashes membership envelopes that arrived mid-gather:
-	// the inbox gathers discard non-matching messages, so AdminReqs are
-	// parked here and processed at the next committed fence.
+	// pendingAdmin is the one intake of membership changes: every
+	// AdminReq reaches the coordinator as a message in its inbox — from a
+	// front door, or Engine.RequestJoin and friends in any process — and
+	// gather parks it here for the next committed fence.
 	pendingAdmin []AdminReq
 
 	// script, when set (StartScripted), bounds the run's phases by
@@ -72,12 +72,9 @@ type coordinator struct {
 	iterCommitP, iterCommitS int64
 	iterGenSingle, iterGenX  int64
 
-	// statMu guards the fields below, which Engine.Stats reads from
-	// other goroutines on the real runtime.
-	statMu             sync.Mutex
-	lastTauP, lastTauS time.Duration
-	fenceTime          time.Duration
-	startTime          time.Duration
+	// tauP and tauS are the tuned phase slices; setTaus publishes them to
+	// the registry, where Engine.Stats and star-admin top read them.
+	tauP, tauS time.Duration
 	// backlog is the cluster's master-queue depth at the last phase
 	// report. Client sessions submit out of band of the workload
 	// generators, so a purely single-partition generated load tunes τs
@@ -98,8 +95,7 @@ func newCoordinator(e *Engine, v *View) *coordinator {
 		lat:   simnet.DefaultLatency,
 	}
 	c.view.Store(v)
-	c.lastTauP = e.cfg.Iteration / 2
-	c.lastTauS = e.cfg.Iteration / 2
+	c.setTaus(e.cfg.Iteration/2, e.cfg.Iteration/2)
 	if lr, ok := e.net.(latencyReporter); ok {
 		c.lat = lr.Latency()
 	}
@@ -120,67 +116,31 @@ func (c *coordinator) broadcast(m transport.Message) {
 	}
 }
 
-func (c *coordinator) fenceShare() float64 {
-	c.statMu.Lock()
-	defer c.statMu.Unlock()
-	total := c.e.cfg.RT.Now() - c.startTime
-	if total <= 0 {
-		return 0
-	}
-	return float64(c.fenceTime) / float64(total)
-}
-
-// taus returns the current phase durations for Stats.
-func (c *coordinator) taus() (tauP, tauS time.Duration) {
-	c.statMu.Lock()
-	defer c.statMu.Unlock()
-	return c.lastTauP, c.lastTauS
-}
-
 func (c *coordinator) curTau(phase Phase) time.Duration {
-	c.statMu.Lock()
-	defer c.statMu.Unlock()
 	if phase == SingleMaster {
-		if c.lastTauS <= 0 && c.backlog > 0 {
+		if c.tauS <= 0 && c.backlog > 0 {
 			// Backlog-forced drain slice: τs is tuned to zero (no
 			// cross-partition work in the generated load), but forwarded
 			// client requests are waiting at the master.
 			return c.e.cfg.Iteration / 50
 		}
-		return c.lastTauS
+		return c.tauS
 	}
-	return c.lastTauP
+	return c.tauP
 }
 
-func (c *coordinator) setBacklog(q int64) {
-	c.statMu.Lock()
-	c.backlog = q
-	c.statMu.Unlock()
-}
-
-func (c *coordinator) queuedBacklog() int64 {
-	c.statMu.Lock()
-	defer c.statMu.Unlock()
-	return c.backlog
-}
-
+// setTaus installs the tuned slices and publishes them as the registry's
+// tau_p_us and tau_s_us gauges, split so that the two sum to the
+// iteration in µs.
 func (c *coordinator) setTaus(tauP, tauS time.Duration) {
-	c.statMu.Lock()
-	c.lastTauP, c.lastTauS = tauP, tauS
-	c.statMu.Unlock()
-}
-
-func (c *coordinator) addFenceTime(d time.Duration) {
-	c.statMu.Lock()
-	c.fenceTime += d
-	c.statMu.Unlock()
+	c.tauP, c.tauS = tauP, tauS
+	s := tauS.Microseconds()
+	c.e.reg.Gauge("tau_s_us").Set(s)
+	c.e.reg.Gauge("tau_p_us").Set((tauP + tauS).Microseconds() - s)
 }
 
 func (c *coordinator) loop() {
 	r := c.e.cfg.RT
-	c.statMu.Lock()
-	c.startTime = r.Now()
-	c.statMu.Unlock()
 	if c.script != nil {
 		c.runScript()
 		return
@@ -299,12 +259,10 @@ func (c *coordinator) runPhase(tau time.Duration) {
 	c.ackRetried = false
 	// Epoch committed. Account monitors, change membership, next phase.
 	fenceDur := r.Now() - fenceStart
-	c.addFenceTime(fenceDur)
-	var queued int64
+	c.backlog = 0
 	for _, pd := range done {
-		queued += pd.Queued
+		c.backlog += pd.Queued
 	}
-	c.setBacklog(queued)
 	c.accountPhase(done, tau)
 	c.noteEpoch(done, tau, fenceStart-start-tau, fenceDur)
 	c.processAdmin(done)
@@ -454,15 +412,14 @@ func (c *coordinator) retune() {
 }
 
 func (c *coordinator) advancePhase() {
-	tauP, tauS := c.taus()
 	if c.phase == Partitioned {
-		if (tauS > 0 || c.queuedBacklog() > 0) && c.view.Load().master >= 0 {
+		if (c.tauS > 0 || c.backlog > 0) && c.view.Load().master >= 0 {
 			c.phase = SingleMaster
 		}
 		return // else a degenerate tuning (P=0): the partitioned phase repeats
 	}
 	c.phase = Partitioned
-	if tauP == 0 {
+	if c.tauP == 0 {
 		c.phase = SingleMaster // P=1: the single-master phase repeats
 	}
 }
@@ -562,12 +519,12 @@ func (c *coordinator) admit(id int, old, next *View, done map[int]msgPhaseDone) 
 
 // ---- elastic membership (admin envelope) ----
 
-// processAdmin runs the queued membership changes at a committed,
+// processAdmin runs the parked membership changes at a committed,
 // quiesced fence: replication has fully drained, so partition state can
 // move between members with no counter deltas in flight. One change is
 // processed at a time; each installs its view before the next starts.
 func (c *coordinator) processAdmin(done map[int]msgPhaseDone) {
-	reqs := append(c.e.takeAdminReqs(), c.pendingAdmin...)
+	reqs := c.pendingAdmin
 	c.pendingAdmin = nil
 	for _, req := range reqs {
 		c.processOneAdmin(req, done)
@@ -713,11 +670,10 @@ func (c *coordinator) install(old, next *View) {
 	c.graceBoost = time.Second // lenient first phase under the new view
 }
 
-// replyAdmin answers a membership envelope's submitter. Engine-queued
-// requests (RequestJoin and friends: no ticket, no origin) have nobody
-// waiting.
+// replyAdmin answers a membership envelope's submitter. A request with
+// no ticket (Engine.RequestJoin and friends) has nobody waiting.
 func (c *coordinator) replyAdmin(req AdminReq, resp AdminResp) {
-	if req.Ticket == 0 && req.From == 0 {
+	if req.Ticket == 0 {
 		return
 	}
 	resp.V, resp.Op, resp.Ticket, resp.Node = AdminProtoVersion, req.Op, req.Ticket, req.Node

@@ -336,7 +336,7 @@ func TestSTARNodeRejoinCatchesUp(t *testing.T) {
 		t.Fatalf("halted: %s", reason)
 	}
 	midway := e.Stats().Committed
-	e.RecoverNode(2)
+	e.RequestJoin(2)
 	s.Run(s.Now() + 150*time.Millisecond)
 	if e.Stats().Committed <= midway {
 		t.Fatal("no progress after rejoin")

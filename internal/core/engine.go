@@ -63,7 +63,6 @@ type Engine struct {
 
 	logFiles   []string
 	mu         sync.Mutex
-	adminQ     []AdminReq // engine-queued admin ops awaiting the next fence
 	halted     atomic.Bool
 	haltReason atomic.Value // string
 	frozen     atomic.Bool
@@ -443,22 +442,19 @@ func (e *Engine) FailedNodes() []int {
 	return e.coord.view.Load().failed
 }
 
-// RecoverNode schedules a failed node's rejoin, which is a join: at the
-// next fence the coordinator restores connectivity, the node copies
-// partition state from healthy holders (Thomas write rule), and it
-// rejoins the cluster. Like RequestJoin it reaches the coordinator only
-// in the process that hosts it; elsewhere the admin plane's join does.
-func (e *Engine) RecoverNode(id int) { e.queueAdmin(AdminJoin, id) }
-
-// Stats snapshots the run so far.
+// Stats snapshots the run so far: the registry's view, with what the
+// coordinator publishes there read as the run's figures — the fence's
+// share of the run (the fence histogram's sum) and the tuned slices. In a
+// process that does not host the coordinator they read zero.
 func (e *Engine) Stats() metrics.Stats {
-	st := e.StatsSnapshot().Stats(e.name(), e.cfg.RT.Now())
-	if e.coord != nil {
-		st.Extra["fence_share"] = e.coord.fenceShare()
-		tauP, tauS := e.coord.taus()
-		st.Extra["tau_p_ms"] = tauP.Seconds() * 1000
-		st.Extra["tau_s_ms"] = tauS.Seconds() * 1000
+	now := e.cfg.RT.Now()
+	snap := e.StatsSnapshot()
+	st := snap.Stats(e.name(), now)
+	if now > 0 {
+		st.Extra["fence_share"] = float64(snap.Hists["fence"].Sum) / float64(now)
 	}
+	st.Extra["tau_p_ms"] = float64(snap.Gauges["tau_p_us"]) / 1000
+	st.Extra["tau_s_ms"] = float64(snap.Gauges["tau_s_us"]) / 1000
 	return st
 }
 
@@ -506,31 +502,35 @@ func (e *Engine) noteDrained(id int) {
 	}
 }
 
-// RequestJoin queues an engine-internal membership change: admit node
-// id at the next fence. Used by in-process tests and harnesses; remote
-// processes submit AdminJoin through a front door or the transport.
-func (e *Engine) RequestJoin(id int) { e.queueAdmin(AdminJoin, id) }
+// RequestJoin asks the coordinator to admit node id at the next
+// committed fence: a dark or drained slot joins the layout, a failed
+// member rejoins it (a crash rejoin is a join). Like every membership
+// request it is an AdminReq in the coordinator's inbox, so any process of
+// the cluster may ask; nobody waits for the answer (Topology shows it).
+func (e *Engine) RequestJoin(id int) { e.requestAdmin(AdminJoin, id) }
 
-// RequestDrain queues node id's removal from the member set at the
+// RequestDrain asks for node id's removal from the member set at the
 // next fence (its partitions migrate to the remaining members first).
-func (e *Engine) RequestDrain(id int) { e.queueAdmin(AdminDrain, id) }
+func (e *Engine) RequestDrain(id int) { e.requestAdmin(AdminDrain, id) }
 
-// RequestRebalance queues a reinstall of the canonical mastership
+// RequestRebalance asks for a reinstall of the canonical mastership
 // layout over the current member set at the next fence.
-func (e *Engine) RequestRebalance() { e.queueAdmin(AdminRebalance, -1) }
+func (e *Engine) RequestRebalance() { e.requestAdmin(AdminRebalance, -1) }
 
-func (e *Engine) queueAdmin(op AdminOp, node int) {
-	e.mu.Lock()
-	e.adminQ = append(e.adminQ, AdminReq{V: AdminProtoVersion, Op: op, Node: node})
-	e.mu.Unlock()
-}
-
-func (e *Engine) takeAdminReqs() []AdminReq {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	r := e.adminQ
-	e.adminQ = nil
-	return r
+// requestAdmin sends a fire-and-forget membership request (Ticket 0) to
+// the coordinator from this process's own endpoint: the coordinator's
+// where it is hosted here, else the first local node's.
+func (e *Engine) requestAdmin(op AdminOp, node int) {
+	from := e.cfg.coordID()
+	if e.coord == nil {
+		for _, n := range e.nodes {
+			if n != nil {
+				from = n.id
+				break
+			}
+		}
+	}
+	e.net.Send(from, e.cfg.coordID(), transport.Control, AdminReq{V: AdminProtoVersion, Op: op, From: from, Node: node})
 }
 
 // CheckReplicaConsistency verifies that every live holder of every

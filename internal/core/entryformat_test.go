@@ -38,7 +38,7 @@ func TestEveryFrameIsAnEnvelope(t *testing.T) {
 	s.Run(40 * time.Millisecond)
 	e.FailNode(2)
 	s.Run(s.Now() + 30*time.Millisecond)
-	e.RecoverNode(2)
+	e.RequestJoin(2)
 	s.Run(s.Now() + 60*time.Millisecond)
 	settle(s, e, 20*time.Millisecond)
 	s.Stop()

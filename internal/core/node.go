@@ -89,6 +89,13 @@ type node struct {
 	// that is missing data.
 	snapPending map[int]bool
 
+	// caughtUp is the newest epoch admission made this node's state
+	// account for: the one a wildcard revert found it in, or a catch-up
+	// snapshot's. An envelope stamped no later — a TCP queue can outlive
+	// its peer's down/up bounce — is superseded and dropped uncounted
+	// (admission's counter reset already counts it as applied).
+	caughtUp uint64
+
 	// appliers parallelise replication replay (SiloR-style): entries are
 	// sharded by partition so operation entries keep their per-partition
 	// FIFO order.
@@ -202,13 +209,17 @@ func (n *node) handle(m any) {
 	switch msg := m.(type) {
 	case *msgReplBatch:
 		r.Compute(CostMsgHandling)
-		n.applyBatch(msg)
+		if !n.superseded(msg) {
+			n.applyBatch(msg)
+		}
 	case syncBatch:
 		r.Compute(CostMsgHandling)
 		// Synchronous replication: the ack may only leave once the entries
 		// are applied and logged, so the router applies them itself, into
 		// the log it owns (applyEntries flushes it).
-		n.applyEntries(&applier{lg: n.routerLog}, msg.Batch.From, n.batchEpoch(msg.Batch), msg.Batch.Entries)
+		if !n.superseded(msg.Batch) {
+			n.applyEntries(&applier{lg: n.routerLog}, msg.Batch.From, n.batchEpoch(msg.Batch), msg.Batch.Entries)
+		}
 		n.e.net.Send(n.id, msg.ReplyTo, transport.Control, msgReplAck{Worker: msg.Worker, Seq: msg.Seq})
 	case msgStartPhase:
 		n.startPhase(msg)
@@ -553,6 +564,10 @@ func (n *node) applyBatch(b *msgReplBatch) {
 	}
 }
 
+// superseded reports an envelope of an epoch this node's state already
+// accounts for (see caughtUp).
+func (n *node) superseded(b *msgReplBatch) bool { return b.Epoch != 0 && b.Epoch <= n.caughtUp }
+
 // batchEpoch resolves the epoch a replication envelope applies under.
 func (n *node) batchEpoch(b *msgReplBatch) uint64 {
 	if b.Epoch != 0 {
@@ -626,6 +641,9 @@ func (n *node) chargeLog(bytes int) {
 // revert rolls the in-flight epoch back after a failure (paper Fig 6)
 // and moves to the post-failure view, whose mastership is derived.
 func (n *node) revert(m msgRevert) {
+	if m.Epoch == 0 {
+		n.caughtUp = max(n.caughtUp, n.epoch.Load())
+	}
 	n.db.RevertEpoch(m.Epoch)
 	for _, w := range n.workers {
 		w.pendingLat = w.pendingLat[:0] // uncommitted: results never released
@@ -693,6 +711,7 @@ func (n *node) applySnapshot(m *msgSnapshot) {
 	if !n.db.Holds(m.Part) {
 		return
 	}
+	n.caughtUp = max(n.caughtUp, m.Rows.Epoch)
 	epoch := n.epoch.Load()
 	// Catch-up rows land like replicated ones — registered for revert, so
 	// an abandoned catch-up (a lost snapshot frame, a re-crash) is undone

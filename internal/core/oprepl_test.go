@@ -450,7 +450,7 @@ func TestOpReplicationMasterFailoverContinuesFromAppliedState(t *testing.T) {
 		t.Fatalf("the re-mastered partition stopped committing at %d", atFailover)
 	}
 
-	e.RecoverNode(2)
+	e.RequestJoin(2)
 	s.Run(s.Now() + 60*time.Millisecond)
 	if f := e.FailedNodes(); len(f) != 0 {
 		t.Fatalf("node 2 did not rejoin: failed=%v", f)

@@ -55,10 +55,9 @@ type TraceEvent struct {
 func (c *coordinator) noteEpoch(done map[int]msgPhaseDone, tau, overrun, fenceDur time.Duration) {
 	e := c.e
 	e.epochsC.Inc()
-	var committed, queued int64
+	var committed int64
 	for _, pd := range done {
 		committed += pd.Committed
-		queued += pd.Queued
 	}
 	if c.phase == Partitioned {
 		e.phasePart.Inc()
@@ -81,7 +80,7 @@ func (c *coordinator) noteEpoch(done map[int]msgPhaseDone, tau, overrun, fenceDu
 		OverrunUS: overrun.Microseconds(),
 		FenceUS:   fenceDur.Microseconds(),
 		Committed: committed,
-		Queued:    queued,
+		Queued:    c.backlog,
 		Topology:  view.Version,
 		Failed:    view.failed,
 	}

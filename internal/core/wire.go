@@ -48,8 +48,8 @@ const (
 )
 
 // wireRegistrar is implemented by workloads whose procedures have a
-// binary codec (tpcc, ycsb). A real transport needs it for msgDefer;
-// without it deferred cross-partition requests cannot leave the process.
+// binary codec (tpcc, ycsb, examples/bank): every workload whose
+// procedures can be deferred, since msgDefer is its procedure's encoding.
 type wireRegistrar interface {
 	RegisterWire(c *wire.Codec)
 }
@@ -141,16 +141,10 @@ func fenceAckFields(f *wire.Fields, m *msgFenceAck) {
 }
 
 // msgDefer carries the whole routing request; the request codec
-// recomputes Home/Parts/Cross from the decoded procedure. A procedure with
-// no codec (examples/bank's, tests': the simulator's only) cannot be
-// encoded, and is priced by its footprint instead — the one modelled size
-// left here.
-func (m msgDefer) Size() int {
-	if _, ok := m.Req.Proc.(interface{ WireSize() int }); !ok {
-		return 48 + 24*len(m.Req.Parts)
-	}
-	return wire.FrameLen(&m, deferFields)
-}
+// recomputes Home/Parts/Cross from the decoded procedure. Like every
+// message it is sized by its walk, on the simulator too, so a procedure
+// that can be deferred needs a codec (see wireRegistrar).
+func (m msgDefer) Size() int                  { return wire.FrameLen(&m, deferFields) }
 func deferFields(f *wire.Fields, m *msgDefer) { f.Request(&m.Req) }
 
 func (m msgReplAck) Size() int { return wire.FrameLen(&m, replAckFields) }

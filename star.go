@@ -14,7 +14,10 @@
 //
 // Workloads follow the stored-procedure model (see Workload, Procedure):
 // the built-in YCSB and TPC-C generators mirror §7.1.1, and custom
-// workloads implement the same interfaces (see examples/bank).
+// workloads implement the same interfaces (see examples/bank). A
+// procedure that can be deferred — any cross-partition one — crosses to
+// the master as its encoding, so it needs a codec: a WireSize method and
+// the workload's RegisterWire, as examples/bank/wire.go writes them.
 package star
 
 import (
@@ -175,10 +178,11 @@ func (c *Cluster) Stats() Stats { return c.engine.Stats() }
 // node's partitions onto surviving replicas (§4.5).
 func (c *Cluster) FailNode(id int) { c.engine.FailNode(id) }
 
-// RecoverNode rejoins a failed node: at the next fence it copies
-// partition state from healthy holders under the Thomas write rule and
-// resumes mastering its partitions.
-func (c *Cluster) RecoverNode(id int) { c.engine.RecoverNode(id) }
+// RecoverNode rejoins a failed node. A rejoin is a join of a member:
+// at the next committed fence the node copies partition state from
+// healthy holders under the Thomas write rule and resumes mastering its
+// partitions.
+func (c *Cluster) RecoverNode(id int) { c.engine.RequestJoin(id) }
 
 // Halted reports whether the cluster lost availability (no complete
 // replica remains — §4.5.3 cases 2 and 4) and why.
