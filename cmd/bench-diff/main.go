@@ -51,15 +51,13 @@ func main() {
 		// fresh sweep.
 		cur.Results = filterPoints(cur.Results, bench.SplitList(*workloads), bench.SplitList(*engines))
 	} else {
-		// Rerun at the baseline's recorded scale and seed; batching
-		// comparison runs are not diffed, so skip them.
+		// Rerun at the baseline's recorded scale and seed.
 		opt := bench.Options{Out: os.Stderr, Short: base.Short, Seed: base.Seed}
 		cfg := bench.SweepConfig{
-			Nodes:        base.Nodes,
-			Workloads:    bench.SplitList(*workloads),
-			Engines:      bench.SplitList(*engines),
-			CrossPcts:    base.CrossPcts,
-			SkipBatching: true,
+			Nodes:     base.Nodes,
+			Workloads: bench.SplitList(*workloads),
+			Engines:   bench.SplitList(*engines),
+			CrossPcts: base.CrossPcts,
 		}
 		if cfg.Workloads == nil {
 			cfg.Workloads = base.Workloads

@@ -3,7 +3,7 @@
 // the Calvin/PB.OCC/distributed baselines — on the deterministic
 // simulation runtime and writes a machine-readable BENCH_results.json
 // (throughput, abort rate, replication bytes and messages per committed
-// transaction, plus the delta-batching comparison), so successive PRs
+// transaction, plus the snapshot-read comparison), so successive PRs
 // have a perf trajectory to beat. It can also regenerate any individual
 // figure/table of the paper's evaluation (§7).
 //
@@ -67,8 +67,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "write results:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("# sweep: %d points + %d batching runs → %s in %v\n",
-			len(res.Results), len(res.Batching), *out, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("# sweep: %d points → %s in %v\n",
+			len(res.Results), *out, time.Since(start).Round(time.Millisecond))
 		return
 	}
 

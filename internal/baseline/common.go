@@ -43,8 +43,7 @@ type Config struct {
 	// BatchSize is Calvin's per-node sequencer batch (0 = auto).
 	BatchSize int
 
-	Seed       int64
-	FlushEvery int
+	Seed int64
 }
 
 func (c Config) withDefaults() Config {
@@ -53,9 +52,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Epoch == 0 {
 		c.Epoch = 10 * time.Millisecond
-	}
-	if c.FlushEvery == 0 {
-		c.FlushEvery = 16
 	}
 	if c.LockManagers == 0 {
 		c.LockManagers = 2

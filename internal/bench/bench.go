@@ -9,6 +9,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"os"
 	"time"
 
 	"star/internal/baseline"
@@ -495,7 +496,15 @@ func Fig15b(o Options) {
 			return o.tpccWorkload(nodes, -1) // paper default mix
 		}
 		plain := runSim(o.duration(), o.star(nodes, mk(), nil)).Throughput()
-		logged := runSim(o.duration(), o.star(nodes, mk(), func(c *core.Config) { c.Logging = true })).Throughput()
+		// A node logs iff it has a log directory: the logged run writes its
+		// recovery logs to a temporary one.
+		dir, err := os.MkdirTemp("", "star-fig15b-")
+		if err != nil {
+			o.printf("%-8s log directory: %v\n", wlName, err)
+			continue
+		}
+		logged := runSim(o.duration(), o.star(nodes, mk(), func(c *core.Config) { c.LogDir = dir })).Throughput()
+		os.RemoveAll(dir)
 		ovh := 100 * (1 - logged/plain)
 		if ovh < 0 {
 			ovh = 0

@@ -73,11 +73,11 @@ func TestSweepConfigDefaults(t *testing.T) {
 
 func TestUnknownSweepEngineErrors(t *testing.T) {
 	o := Options{Out: io.Discard, Short: true, Duration: time.Millisecond, Seed: 1}
-	_, err := RunSweep(o, SweepConfig{Engines: []string{"bogus"}, CrossPcts: []int{0}, Workloads: []string{"ycsb"}, SkipBatching: true})
+	_, err := RunSweep(o, SweepConfig{Engines: []string{"bogus"}, CrossPcts: []int{0}, Workloads: []string{"ycsb"}})
 	if err == nil {
 		t.Fatal("unknown engine must error, not silently skip")
 	}
-	_, err = RunSweep(o, SweepConfig{Engines: []string{"STAR"}, CrossPcts: []int{0}, Workloads: []string{"YCSB"}, SkipBatching: true})
+	_, err = RunSweep(o, SweepConfig{Engines: []string{"STAR"}, CrossPcts: []int{0}, Workloads: []string{"YCSB"}})
 	if err == nil {
 		t.Fatal("unknown workload must error, not fall through to TPC-C")
 	}
@@ -130,28 +130,6 @@ func TestSweepSmokeWritesWellFormedJSON(t *testing.T) {
 	for _, pt := range back.Results {
 		if pt.Engine == "STAR" && pt.CrossPct == 0 && pt.Committed == 0 {
 			t.Fatalf("STAR committed nothing: %+v", pt)
-		}
-	}
-	// The batching comparison ships with the bundle and must show the
-	// batched mode at or below the seed's messages per commit.
-	if len(back.Batching) != 2*len(SweepWorkloads) {
-		t.Fatalf("batching comparison has %d rows, want %d", len(back.Batching), 2*len(SweepWorkloads))
-	}
-	byMode := map[string]map[string]BatchingPoint{}
-	for _, bp := range back.Batching {
-		if byMode[bp.Workload] == nil {
-			byMode[bp.Workload] = map[string]BatchingPoint{}
-		}
-		byMode[bp.Workload][bp.Mode] = bp
-	}
-	for wl, modes := range byMode {
-		seed, ok1 := modes["seed-16-entry"]
-		batched, ok2 := modes["batched"]
-		if !ok1 || !ok2 {
-			t.Fatalf("%s: missing batching modes: %v", wl, modes)
-		}
-		if seed.Committed > 0 && batched.Committed > 0 && batched.MsgsPerCommit > seed.MsgsPerCommit {
-			t.Fatalf("%s: batched %.3f msg/txn exceeds seed %.3f", wl, batched.MsgsPerCommit, seed.MsgsPerCommit)
 		}
 	}
 }

@@ -80,3 +80,15 @@ func TestReadResultsFileRoundTrip(t *testing.T) {
 		t.Fatal("schema mismatch must error")
 	}
 }
+
+// The committed baseline bench-diff compares against still loads: the key
+// of the retired batching comparison in it is ignored.
+func TestReadResultsFileLoadsCommittedBaseline(t *testing.T) {
+	res, err := ReadResultsFile(filepath.Join("..", "..", "BENCH_results.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Results) == 0 {
+		t.Fatal("committed baseline has no sweep points")
+	}
+}

@@ -53,8 +53,6 @@ type SweepConfig struct {
 	Workloads []string
 	Engines   []string
 	CrossPcts []int
-	// SkipBatching drops the replication-batching comparison runs.
-	SkipBatching bool
 }
 
 func (c SweepConfig) withDefaults(o Options) SweepConfig {
@@ -91,22 +89,6 @@ type SweepPoint struct {
 	MsgsPerCommit    float64 `json:"repl_msgs_per_commit"`
 }
 
-// BatchingPoint is one leg of the delta-batching comparison: STAR with
-// the seed's small fixed-entry flushing versus the byte/epoch-bounded
-// batched stream, on otherwise identical configurations.
-type BatchingPoint struct {
-	Workload       string  `json:"workload"`
-	Mode           string  `json:"mode"` // "seed-16-entry" or "batched"
-	CrossPct       int     `json:"cross_pct"`
-	FlushEvery     int     `json:"flush_every"`
-	FlushBytes     int     `json:"flush_bytes"`
-	Committed      int64   `json:"committed"`
-	ThroughputTxnS float64 `json:"throughput_txn_s"`
-	ReplMsgs       int64   `json:"replication_msgs"`
-	MsgsPerCommit  float64 `json:"repl_msgs_per_commit"`
-	BytesPerCommit float64 `json:"repl_bytes_per_commit"`
-}
-
 // SnapshotPoint is one leg of the read-only snapshot-path comparison:
 // STAR on the full TPC-C mix with cross-partition Stock-Level, with the
 // snapshot-read path off (every read-only transaction routes to the
@@ -125,16 +107,16 @@ type SnapshotPoint struct {
 	// snapshot path but deferred to the master anyway (footprint not
 	// held locally, or a session freshness token the local fence had
 	// not covered yet).
-	SnapshotFallbacks int64 `json:"snapshot_fallbacks"`
-	Deferred          int64 `json:"deferred"`
-	P50Ms          float64 `json:"p50_ms"`
-	P99Ms          float64 `json:"p99_ms"`
+	SnapshotFallbacks int64   `json:"snapshot_fallbacks"`
+	Deferred          int64   `json:"deferred"`
+	P50Ms             float64 `json:"p50_ms"`
+	P99Ms             float64 `json:"p99_ms"`
 }
 
 // SweepResults is the machine-readable bundle star-bench writes to
 // BENCH_results.json: the paper's headline cross-partition sweeps plus
-// the replication-batching and snapshot-read comparisons, so every
-// later PR has a trajectory to beat.
+// the snapshot-read comparison, so every later PR has a trajectory to
+// beat.
 type SweepResults struct {
 	Schema     string          `json:"schema"`
 	Seed       int64           `json:"seed"`
@@ -146,7 +128,6 @@ type SweepResults struct {
 	Engines    []string        `json:"engines"`
 	CrossPcts  []int           `json:"cross_pcts"`
 	Results    []SweepPoint    `json:"results"`
-	Batching   []BatchingPoint `json:"batching"`
 	Snapshot   []SnapshotPoint `json:"snapshot_reads,omitempty"`
 }
 
@@ -205,8 +186,9 @@ func (o Options) runSweepEngine(engine, wl string, nodes, crossPct int) (metrics
 	return metrics.Stats{}, 0, fmt.Errorf("bench: unknown sweep engine %q (known: %v)", engine, SweepEngines)
 }
 
-// RunSweep executes the cross-partition sweeps plus the batching
-// comparison and returns the result bundle. Progress lines go to o.Out.
+// RunSweep executes the cross-partition sweeps plus, with tpcc-full, the
+// snapshot-read comparison and returns the result bundle. Progress lines
+// go to o.Out.
 func RunSweep(o Options, cfg SweepConfig) (SweepResults, error) {
 	cfg = cfg.withDefaults(o)
 	res := SweepResults{
@@ -246,9 +228,6 @@ func RunSweep(o Options, cfg SweepConfig) (SweepResults, error) {
 					wl, engine, p, pt.ThroughputTxnS, pt.AbortRate, pt.MsgsPerCommit, pt.BytesPerCommit)
 			}
 		}
-	}
-	if !cfg.SkipBatching {
-		res.Batching = o.runBatchingComparison(cfg.Nodes, cfg.Workloads)
 	}
 	if slices.Contains(cfg.Workloads, "tpcc-full") {
 		res.Snapshot = o.runSnapshotComparison(cfg.Nodes)
@@ -296,49 +275,6 @@ func (o Options) runSnapshotComparison(nodes int) []SnapshotPoint {
 				o.printf("# snapshot %-12s %-14s P=%-3d  %8.0f txn/s  %7d snapshot reads  %5d fallbacks  %7d deferred\n",
 					wl.name, m.name, crossPct, pt.ThroughputTxnS, pt.SnapshotReads, pt.SnapshotFallbacks, pt.Deferred)
 			}
-		}
-	}
-	return out
-}
-
-// runBatchingComparison measures STAR's replication messages per
-// committed transaction with the seed's 16-entry flushing versus the
-// byte/epoch-bounded batched stream, at the paper's default
-// cross-partition rate.
-func (o Options) runBatchingComparison(nodes int, workloads []string) []BatchingPoint {
-	const crossPct = 10
-	modes := []struct {
-		name string
-		mod  func(*core.Config)
-	}{
-		// The seed shipped one small message every 16 entries with no
-		// byte bound — reproduced here so the win stays measurable from
-		// the same harness.
-		{"seed-16-entry", func(c *core.Config) { c.FlushEvery = 16; c.FlushBytes = -1 }},
-		// Current defaults: byte-bounded envelopes flushed at the fence.
-		{"batched", nil},
-	}
-	var out []BatchingPoint
-	for _, wl := range workloads {
-		for _, m := range modes {
-			st := runSim(o.duration(), o.star(nodes, o.sweepWorkload(wl, nodes, crossPct), m.mod))
-			// Record the effective flush knobs for the JSON trail.
-			cfg := core.Config{FlushBytes: core.DefaultFlushBytes}
-			if m.mod != nil {
-				m.mod(&cfg)
-			}
-			pt := BatchingPoint{
-				Workload: wl, Mode: m.name, CrossPct: crossPct,
-				FlushEvery: cfg.FlushEvery, FlushBytes: cfg.FlushBytes,
-				Committed:      st.Committed,
-				ThroughputTxnS: st.Throughput(),
-				ReplMsgs:       st.ReplicationMsgs,
-				MsgsPerCommit:  st.ReplMsgsPerCommit(),
-				BytesPerCommit: st.ReplBytesPerCommit(),
-			}
-			out = append(out, pt)
-			o.printf("# batching %-5s %-14s %6.2f msg/txn  %8.0f txn/s\n",
-				wl, m.name, pt.MsgsPerCommit, pt.ThroughputTxnS)
 		}
 	}
 	return out

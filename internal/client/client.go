@@ -75,14 +75,8 @@ type Config struct {
 	// Keep it at or below the server's front-door window, or the excess
 	// just bounces back as ErrBusy.
 	Window int
-	// DialTimeout is the per-attempt dial timeout (default 1s).
-	DialTimeout time.Duration
-	// DialRetry / DialRetryMax / DialDeadline shape the connect retry:
-	// capped exponential backoff with jitter from DialRetry (default
-	// 50ms) up to DialRetryMax (default 2s), giving up after
-	// DialDeadline (default 15s). The server may still be starting.
-	DialRetry    time.Duration
-	DialRetryMax time.Duration
+	// DialDeadline is how long Dial and Failover keep retrying the
+	// endpoints (default 15s): the server may still be starting.
 	DialDeadline time.Duration
 	// ReqTimeout bounds one request round trip (default 30s). A timed-out
 	// request's late response is discarded.
@@ -96,18 +90,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Window == 0 {
 		c.Window = 32
-	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = time.Second
-	}
-	if c.DialRetry == 0 {
-		c.DialRetry = 50 * time.Millisecond
-	}
-	if c.DialRetryMax == 0 {
-		c.DialRetryMax = 2 * time.Second
-	}
-	if c.DialRetryMax < c.DialRetry {
-		c.DialRetryMax = c.DialRetry
 	}
 	if c.DialDeadline == 0 {
 		c.DialDeadline = 15 * time.Second
@@ -190,15 +172,24 @@ func Dial(cfg Config) (*Client, error) {
 	return c, nil
 }
 
+// The connect retry: an attempt gives up after dialTimeout, and a sweep
+// of the endpoints that found none answering backs off exponentially,
+// with jitter, from dialRetry up to dialRetryMax.
+const (
+	dialTimeout  = time.Second
+	dialRetry    = 50 * time.Millisecond
+	dialRetryMax = 2 * time.Second
+)
+
 // dialAny tries every endpoint round-robin starting at addrs[from],
 // sleeping the backoff between full sweeps, until DialDeadline.
 func (c *Client) dialAny(from int) (net.Conn, int, error) {
-	pol := backoff.Policy{Base: c.cfg.DialRetry, Max: c.cfg.DialRetryMax, Jitter: 0.5}
+	pol := backoff.Policy{Base: dialRetry, Max: dialRetryMax, Jitter: 0.5}
 	deadline := time.Now().Add(c.cfg.DialDeadline)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		idx := (from + attempt) % len(c.addrs)
-		conn, err := net.DialTimeout("tcp", c.addrs[idx], c.cfg.DialTimeout)
+		conn, err := net.DialTimeout("tcp", c.addrs[idx], dialTimeout)
 		if err == nil {
 			if tc, ok := conn.(*net.TCPConn); ok {
 				tc.SetNoDelay(true)

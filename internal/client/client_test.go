@@ -174,6 +174,37 @@ func newDoorCluster(t *testing.T) (*ycsb.Workload, string) {
 	return wl, ln.Addr().String()
 }
 
+// TestClientDoorDropsRequestOutsideTheConfiguration: a read or a write
+// naming a partition the cluster does not have is refused at decode, and
+// the door closes the connection that sent it, not the node: a second
+// client's write still commits.
+func TestClientDoorDropsRequestOutsideTheConfiguration(t *testing.T) {
+	wl, door := newDoorCluster(t) // partitions 0 and 1
+	codec := core.NewWireCodec(wl)
+	dial := func() *client.Client {
+		c, err := client.Dial(client.Config{Addr: door, Codec: codec, ReqTimeout: 10 * time.Second})
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		return c
+	}
+	good := dial()
+	defer good.Close()
+	for name, p := range map[string]*ycsb.Txn{
+		"read":  wl.ReadTxn([]int{99}, []int{0}),
+		"write": wl.WriteTxn([]int{99}, []int{0}, []byte("w")),
+	} {
+		bad := dial()
+		if _, err := bad.Do(p); !errors.Is(err, client.ErrClosed) {
+			t.Errorf("%s of partition 99: err = %v, want the door to close the connection", name, err)
+		}
+		bad.Close()
+	}
+	if res, err := good.DoRetry(wl.WriteTxn([]int{0}, []int{0}, []byte("ok")), 32); err != nil || res.Status != core.StatusOK {
+		t.Fatalf("write on another connection after the refusals: res=%+v err=%v", res, err)
+	}
+}
+
 // TestClientFailoverAcrossFrontDoors pins the multi-address session:
 // a client dialed with two front doors loses its connection mid-session
 // (the first door dies) and DoRetry must transparently re-dial the next

@@ -56,29 +56,6 @@ func TestFenceReconcilesUnderAdaptiveFlushing(t *testing.T) {
 	s.Stop()
 }
 
-// An entry-bounded stream (the seed's configuration) must still
-// reconcile — the fence accounting is per entry regardless of packing.
-func TestFenceReconcilesWithEntryBoundedFlushing(t *testing.T) {
-	s := rt.NewSim()
-	e := ycsbCluster(t, s, 3, 2, 10, func(c *Config) {
-		c.FlushEvery = 16
-		c.FlushBytes = -1
-	})
-	s.Run(40 * time.Millisecond)
-	settle(s, e, 20*time.Millisecond)
-	for _, src := range e.nodes {
-		for dst, want := range src.tracker.SentVector() {
-			if got := e.nodes[dst].tracker.Applied(src.id); got != want {
-				t.Fatalf("node %d applied %d/%d entries from node %d", dst, got, want, src.id)
-			}
-		}
-	}
-	if err := e.CheckReplicaConsistency(); err != nil {
-		t.Fatal(err)
-	}
-	s.Stop()
-}
-
 // Soak: interleave partial-replica failures and rejoins with frozen
 // consistency checks on a seeded simulation. Batched envelopes in
 // flight at a crash must never leave replicas diverged after the

@@ -95,14 +95,11 @@ type Config struct {
 	// is not configurable: ops or rows by the rule in worker.emitEntries.
 	SyncRepl bool
 
-	// Logging enables per-worker value logging with fence flushes; its
-	// virtual cost is LogPerKB (Fig 15b).
-	Logging bool
-
-	// LogDir, when non-empty, additionally writes real recovery-log
-	// files (one per worker and per applier thread, §4.5.1) under this
-	// directory; wal.Recover can rebuild a node's database from them
-	// (§4.5.3 case 4). Implies Logging.
+	// LogDir, when non-empty, turns on value logging with fence flushes:
+	// every worker, applier and router writes a recovery log (§4.5.1)
+	// under this directory, charged at CostLogPerKB of virtual time
+	// (Fig 15b), from which wal.Recover can rebuild a node's database
+	// (§4.5.3 case 4). A node logs iff it has a log directory.
 	LogDir string
 
 	// Checkpoint enables a dedicated checkpointing process per node
@@ -142,45 +139,28 @@ type Config struct {
 	Trace io.Writer
 
 	Seed int64
-
-	// FlushEvery bounds replication batch size in entries. 0 selects
-	// DefaultFlushEntries; negative disables the entry bound. The seed
-	// behaviour — one small message every 16 writes — is FlushEvery: 16
-	// with FlushBytes: -1.
-	FlushEvery int
-
-	// FlushBytes bounds replication batch size in encoded bytes.
-	// 0 selects DefaultFlushBytes; negative disables the byte bound.
-	// Together with the fence flush this makes a partitioned-phase epoch
-	// ship O(destinations) envelopes instead of O(writes) messages. It
-	// is each destination's starting threshold: every epoch re-sizes it
-	// from the previous epoch's measured write volume (growth only; see
-	// replication.Limits.Adaptive).
-	FlushBytes int
 }
 
-// DefaultFlushBytes is the default replication batch byte bound: large
-// enough to amortise per-message routing cost over dozens of entries
-// (paper-scale TPC-C ships ~8x fewer messages per commit than 16-entry
-// flushing), small enough that replica application keeps overlapping
-// the phase instead of bursting into the fence drain.
+// DefaultFlushBytes is where every destination's replication byte
+// threshold starts: large enough to amortise per-message routing cost
+// over dozens of entries (paper-scale TPC-C ships ~8x fewer messages per
+// commit than 16-entry flushing), small enough that replica application
+// keeps overlapping the phase instead of bursting into the fence drain.
+// Every epoch re-sizes it from the previous epoch's measured write volume
+// (growth only; see replication.Limits.Adaptive). With the fence flush
+// this makes a partitioned-phase epoch ship O(destinations) envelopes
+// instead of O(writes) messages.
 const DefaultFlushBytes = 16 << 10
 
-// DefaultFlushEntries is the default entry bound: what a replica still
-// owes at the fence is apply and log work per entry, not per byte. 16 KiB
-// is ~110 YCSB rows but ~380 operation entries, 3-4× the work buffered at
-// the sender when a phase ends (measured: +4 % commit p50 without it).
+// DefaultFlushEntries is the entry bound: what a replica still owes at
+// the fence is apply and log work per entry, not per byte. 16 KiB is ~110
+// YCSB rows but ~380 operation entries, 3-4× the work buffered at the
+// sender when a phase ends (measured: +4 % commit p50 without it).
 const DefaultFlushEntries = 128
 
 func (c Config) withDefaults() Config {
 	if c.FullReplicas == 0 {
 		c.FullReplicas = 1
-	}
-	if c.LogDir != "" {
-		c.Logging = true
-	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = 100 * time.Millisecond
 	}
 	if c.WorkersPerNode == 0 {
 		c.WorkersPerNode = 4
@@ -188,26 +168,16 @@ func (c Config) withDefaults() Config {
 	if c.Iteration == 0 {
 		c.Iteration = 10 * time.Millisecond
 	}
-	if c.FlushBytes == 0 {
-		c.FlushBytes = DefaultFlushBytes
+	if c.CheckpointEvery == 0 {
+		c.CheckpointEvery = 10 * c.Iteration
 	}
 	return c
 }
 
-// streamLimits converts the flush knobs into replication stream limits:
-// an adaptive byte threshold starting at FlushBytes (a negative
-// FlushBytes disables the byte bound, and with it adaptation — there is
-// no threshold to adapt).
-func (c Config) streamLimits() replication.Limits {
-	lim := replication.Limits{Entries: c.FlushEvery}
-	if lim.Entries == 0 {
-		lim.Entries = DefaultFlushEntries
-	}
-	if c.FlushBytes > 0 {
-		lim.Bytes = c.FlushBytes
-		lim.Adaptive = true
-	}
-	return lim
+// streamLimits bounds every worker's replication stream: an adaptive byte
+// threshold starting at DefaultFlushBytes, and DefaultFlushEntries.
+func streamLimits() replication.Limits {
+	return replication.Limits{Entries: DefaultFlushEntries, Bytes: DefaultFlushBytes, Adaptive: true}
 }
 
 // NumPartitions returns the cluster partition count (workers == owned

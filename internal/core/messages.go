@@ -9,8 +9,8 @@ import (
 
 // msgReplBatch is the per-destination replication envelope: one worker's
 // coalesced value/operation deltas for a single destination, flushed on
-// a size boundary (Config.FlushBytes / FlushEvery) or at the epoch
-// fence, so a partitioned-phase epoch ships O(destinations) messages
+// a size boundary (DefaultFlushBytes / DefaultFlushEntries) or at the
+// epoch fence, so a partitioned-phase epoch ships O(destinations) messages
 // instead of O(writes). The fence accounting stays per entry: the
 // sender's Tracker.AddSent counts len(Entries) when the envelope ships,
 // and the receiver's AddApplied counts entries as they are applied, so

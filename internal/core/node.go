@@ -204,16 +204,22 @@ func (n *node) routerLoop() {
 	}
 }
 
+// handle is the router's one way in. Every partition, table and node id a
+// frame names came off the wire: a frame naming one the cluster does not
+// have is dropped whole, before anything indexes by it.
 func (n *node) handle(m any) {
 	r := n.e.cfg.RT
 	switch msg := m.(type) {
 	case *msgReplBatch:
 		r.Compute(CostMsgHandling)
-		if !n.superseded(msg) {
+		if !n.superseded(msg) && n.inRange(msg.Entries) {
 			n.applyBatch(msg)
 		}
 	case syncBatch:
 		r.Compute(CostMsgHandling)
+		if !n.inRange(msg.Batch.Entries) || !n.isNode(msg.ReplyTo) {
+			break
+		}
 		// Synchronous replication: the ack may only leave once the entries
 		// are applied and logged, so the router applies them itself, into
 		// the log it owns (applyEntries flushes it).
@@ -273,17 +279,21 @@ func (n *node) handle(m any) {
 			}
 		}
 	case msgAlignCounters:
-		// Src came off the wire: a corrupt frame must not panic the
-		// router with an out-of-range counter index.
-		if msg.Src >= 0 && msg.Src < n.tracker.Nodes() {
+		if n.isNode(msg.Src) {
 			n.tracker.SetApplied(msg.Src, msg.Applied)
 		}
 	case msgSnapshotReq:
-		n.serveSnapshot(msg)
+		if n.isPart(msg.Part) && n.isNode(msg.From) {
+			n.serveSnapshot(msg)
+		}
 	case *msgSnapshot:
-		n.applySnapshot(msg)
+		if n.isPart(msg.Part) && n.inRange(msg.Rows.Entries) {
+			n.applySnapshot(msg)
+		}
 	case msgStartRecovery:
-		n.startRecovery(msg)
+		if n.recoverable(msg) {
+			n.startRecovery(msg)
+		}
 	case msgTopology:
 		n.installTopology(msg)
 	case AdminReq:
@@ -293,6 +303,34 @@ func (n *node) handle(m any) {
 	default:
 		panic("core: unknown message")
 	}
+}
+
+// isPart and isNode check a partition or node id a frame names.
+func (n *node) isPart(p int) bool  { return p >= 0 && p < n.db.NumPartitions() }
+func (n *node) isNode(id int) bool { return id >= 0 && id < n.e.cfg.Nodes }
+
+// inRange checks the table and partition every entry names.
+func (n *node) inRange(ents []replication.Entry) bool {
+	for i := range ents {
+		if !n.db.Has(ents[i].Table, int(ents[i].Part)) {
+			return false
+		}
+	}
+	return true
+}
+
+// recoverable checks a recovery order: one donor per partition, and only
+// ids the cluster has.
+func (n *node) recoverable(m msgStartRecovery) bool {
+	if len(m.From) != len(m.Parts) {
+		return false
+	}
+	for i, p := range m.Parts {
+		if !n.isPart(int(p)) || !n.isNode(int(m.From[i])) {
+			return false
+		}
+	}
+	return true
 }
 
 // startRecovery fetches partition snapshots from healthy holders
@@ -451,7 +489,7 @@ func (n *node) isPeer(v *View, p int) bool { return p != n.id && v.Up(p) }
 // epoch (a duplicate, or a frame that outlived its fence) are ignored.
 func (n *node) noteMark(m msgEpochMark) {
 	// From came off the wire: bounds-check before indexing.
-	if m.From < 0 || m.From >= len(n.marks) {
+	if !n.isNode(m.From) {
 		return
 	}
 	if m.Epoch < n.epoch.Load() || m.Epoch < n.marks[m.From].epoch {
@@ -506,7 +544,7 @@ func (n *node) tryFinishFence() {
 	}
 	n.acked = true
 	n.e.drainHist.Observe(n.e.cfg.RT.Now() - n.drainStart)
-	if n.e.cfg.Logging {
+	if n.routerLog != nil {
 		// Fence flush: logs are durable at every epoch boundary (§4.5.1).
 		n.chargeLog(64)
 	}
@@ -595,17 +633,16 @@ func (n *node) applierLoop(idx int, ch rt.Chan) {
 	}
 }
 
-// applyEntries replays entries from one source under their epoch. With
-// logging on, every write is logged as a whole record — §5: an operation
+// applyEntries replays entries from one source under their epoch. On a
+// node that logs, every write is logged as a whole record — §5: an operation
 // entry is transformed into the row it produced, under the latch that
 // applied it, so the log replays in any order though its stream did not.
 // An operation entry the Thomas rule refused logs nothing: the newer image
 // that refused it already holds its delta and was logged when it landed.
 func (n *node) applyEntries(a *applier, from int, epoch uint64, entries []replication.Entry) {
-	logging := n.e.cfg.Logging
 	for i := range entries {
 		en := &entries[i]
-		row, landed, err := replication.ApplyInto(n.db, epoch, en, a.row, logging)
+		row, landed, err := replication.ApplyInto(n.db, epoch, en, a.row, a.lg != nil)
 		if err != nil {
 			panic("core: replication apply: " + err.Error())
 		}
@@ -618,10 +655,8 @@ func (n *node) applyEntries(a *applier, from int, epoch uint64, entries []replic
 		} else {
 			row = en.Row
 		}
-		if logging {
-			n.chargeLog(len(row) + 32)
-		}
 		if a.lg != nil {
+			n.chargeLog(len(row) + 32)
 			a.lg.AppendWrite(en.Table, en.Part, en.Key, en.TID, en.Absent, row)
 		}
 	}

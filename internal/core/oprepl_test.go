@@ -39,8 +39,8 @@ func opReplTPCC(nparts int) *tpcc.Workload {
 // runtime (as newFenceHarness does): the test drives node 0's worker —
 // the master of partition 0 — synchronously and plays node 1's router,
 // feeding it the envelopes node 0's stream shipped. Node 1 is the partial
-// replica holding partition 0 as a secondary. Batches flush every four
-// entries, so an epoch is many envelopes.
+// replica holding partition 0 as a secondary. The worker's stream flushes
+// every four entries, so an epoch is many envelopes.
 func newOpReplHarness(t *testing.T) (master *worker, replica *node) {
 	t.Helper()
 	r := rt.NewReal()
@@ -50,11 +50,12 @@ func newOpReplHarness(t *testing.T) (master *worker, replica *node) {
 		WorkersPerNode: 1,
 		Workload:       opReplTPCC(2),
 		Seed:           7,
-		FlushEvery:     4,
 		Transport:      simnet.New(r, simnet.Config{Nodes: 3}),
 	})
 	t.Cleanup(e.cfg.RT.(*rt.Real).Stop)
-	return e.nodes[0].workers[0], e.nodes[1]
+	w := e.nodes[0].workers[0]
+	w.strm = replication.NewStream(e.net, w.n.tracker, w.n.id, replication.Limits{Entries: 4})
+	return w, e.nodes[1]
 }
 
 // applyNow plays one of n's appliers on the calling goroutine: the

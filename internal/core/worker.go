@@ -81,7 +81,7 @@ func newWorker(n *node, idx int) *worker {
 		idx:  idx,
 		gen:  e.cfg.Workload.NewGen(seed),
 		rng:  rand.New(rand.NewSource(seed ^ 0x5eed)),
-		strm: replication.NewStream(e.net, n.tracker, n.id, e.cfg.streamLimits()),
+		strm: replication.NewStream(e.net, n.tracker, n.id, streamLimits()),
 		ctl:  e.cfg.RT.NewChan(4),
 		resp: e.cfg.RT.NewChan(16),
 	}
@@ -221,15 +221,13 @@ func (w *worker) execSerial(req *txn.Request, epoch uint64) {
 		return
 	}
 	// Updates replicate as ops; whole rows are collected only for the log.
-	tidv, ok := occ.CommitSerial(w.n.db, &w.set, epoch, &w.tid, e.cfg.Logging)
+	tidv, ok := occ.CommitSerial(w.n.db, &w.set, epoch, &w.tid, w.logger != nil)
 	if !ok {
 		e.aborted.Inc()
 		return
 	}
 	w.emitEntries(tidv, true)
-	if e.cfg.Logging {
-		w.chargeTxnLog()
-	}
+	w.chargeTxnLog()
 	w.finishCommit(req, epoch)
 }
 
@@ -359,9 +357,7 @@ func (w *worker) execOCC(req *txn.Request, cmd msgStartPhase) {
 				tidv, ok := commit(w.n.db, &w.set, cmd.Epoch, &w.tid, true)
 				if ok {
 					w.emitEntries(tidv, false)
-					if e.cfg.Logging {
-						w.chargeTxnLog()
-					}
+					w.chargeTxnLog()
 					w.finishCommit(req, cmd.Epoch)
 					return
 				}
@@ -489,9 +485,7 @@ func (w *worker) commitSync(req *txn.Request, epoch uint64) bool {
 		}
 	}
 	occ.ReleaseLocks(&w.set)
-	if e.cfg.Logging {
-		w.chargeTxnLog()
-	}
+	w.chargeTxnLog()
 	w.finishCommit(req, epoch)
 	return true
 }
@@ -514,17 +508,17 @@ func (w *worker) finishCommit(req *txn.Request, epoch uint64) {
 	}
 }
 
-// chargeTxnLog models logging the write set locally (§4.5.1) and, in
-// LogDir mode, writes the whole-row entries to the worker's real log.
+// chargeTxnLog logs the committed write set locally as whole rows
+// (§4.5.1), on a node that logs, and charges the log's modelled cost.
 func (w *worker) chargeTxnLog() {
+	if w.logger == nil {
+		return
+	}
 	bytes := 0
 	for i := range w.set.Writes {
 		bytes += 32 + len(w.set.Writes[i].Row)
 	}
 	w.n.chargeLog(bytes)
-	if w.logger == nil {
-		return
-	}
 	for i := range w.set.Writes {
 		wr := &w.set.Writes[i]
 		w.logger.AppendWrite(wr.Table, int32(wr.Part), wr.Key, storage.TIDClean(wr.Rec.TID()), wr.Delete, wr.Row)

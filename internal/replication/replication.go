@@ -66,10 +66,10 @@ func Apply(db *storage.DB, epoch uint64, e *Entry, wantRow bool) ([]byte, error)
 // as needed, so a scratch-owning applier does not allocate; for a value
 // entry its own Row serves and nil is returned.
 func ApplyInto(db *storage.DB, epoch uint64, e *Entry, buf []byte, wantRow bool) (row []byte, landed bool, err error) {
-	tbl := db.Table(e.Table)
-	if tbl.Partition(int(e.Part)) == nil {
-		return nil, false, fmt.Errorf("replication: partition %d not held", e.Part)
+	if !db.Has(e.Table, int(e.Part)) || db.Table(e.Table).Partition(int(e.Part)) == nil {
+		return nil, false, fmt.Errorf("replication: table %d partition %d not held", e.Table, e.Part)
 	}
+	tbl := db.Table(e.Table)
 	var image *[]byte
 	if wantRow && e.IsOp() {
 		image = &buf

@@ -111,9 +111,16 @@ func TestApplyInsertAndDelete(t *testing.T) {
 func TestApplyUnheldPartitionErrors(t *testing.T) {
 	db := storage.NewDB(2, []bool{true, false})
 	db.AddTable("acct", bankSchema(), false)
-	e := &Entry{Table: 0, Part: 1, Key: storage.K1(1), TID: 5, Row: bankSchema().NewRow()}
-	if _, err := Apply(db, 1, e, false); err == nil {
-		t.Fatal("applying to an unheld partition must error")
+	// Partition 1 exists but is not held; the others came off a corrupt
+	// wire and exist nowhere.
+	for _, at := range []struct {
+		table storage.TableID
+		part  int32
+	}{{0, 1}, {0, 2}, {0, -1}, {1, 0}, {255, 0}} {
+		e := &Entry{Table: at.table, Part: at.part, Key: storage.K1(1), TID: 5, Row: bankSchema().NewRow()}
+		if _, err := Apply(db, 1, e, false); err == nil {
+			t.Fatalf("applying to table %d partition %d must error", at.table, at.part)
+		}
 	}
 }
 

@@ -58,8 +58,6 @@ type Config struct {
 	// Bandwidth is each node's egress capacity in bytes/second;
 	// 0 disables pacing.
 	Bandwidth float64
-	// InboxCap bounds each node's inbox (backpressure); 0 means 65536.
-	InboxCap int
 	// Seed drives the jitter RNGs (each link derives its own stream).
 	Seed int64
 }
@@ -115,11 +113,11 @@ type Network struct {
 	dropped      atomic.Int64
 }
 
+// inboxCap bounds each node's inbox and each link's queue (backpressure).
+const inboxCap = 1 << 16
+
 // New builds the network and spawns one deliverer process per link.
 func New(r rt.Runtime, cfg Config) *Network {
-	if cfg.InboxCap == 0 {
-		cfg.InboxCap = 65536
-	}
 	n := &Network{
 		r:         r,
 		cfg:       cfg,
@@ -130,7 +128,7 @@ func New(r rt.Runtime, cfg Config) *Network {
 		bytesFrom: make([]atomic.Int64, cfg.Nodes),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		n.inboxes[i] = r.NewChan(cfg.InboxCap)
+		n.inboxes[i] = r.NewChan(inboxCap)
 	}
 	for src := 0; src < cfg.Nodes; src++ {
 		n.links[src] = make([]*link, cfg.Nodes)
@@ -139,7 +137,7 @@ func New(r rt.Runtime, cfg Config) *Network {
 				continue
 			}
 			l := &link{
-				queue: r.NewChan(cfg.InboxCap),
+				queue: r.NewChan(inboxCap),
 				rng:   rand.New(rand.NewSource(cfg.Seed ^ linkSeed(src, dst))),
 			}
 			n.links[src][dst] = l

@@ -59,10 +59,6 @@ type Config struct {
 	// ":0" and exchange real addresses); when nil, New listens on the
 	// local endpoints' configured address.
 	Listener net.Listener
-	// InboxCap bounds each local inbox (backpressure); 0 means 65536.
-	InboxCap int
-	// MaxFrame bounds accepted frame bodies; 0 means wire.MaxFrame.
-	MaxFrame int
 	// DialTimeout is the per-attempt dial timeout (default 1s).
 	DialTimeout time.Duration
 	// DialRetry is the FIRST retry delay while a peer is still starting
@@ -85,13 +81,10 @@ type Config struct {
 	LinkQueueBytes int64
 }
 
+// inboxCap bounds each local inbox (backpressure).
+const inboxCap = 1 << 16
+
 func (c Config) withDefaults() Config {
-	if c.InboxCap == 0 {
-		c.InboxCap = 65536
-	}
-	if c.MaxFrame == 0 {
-		c.MaxFrame = wire.MaxFrame
-	}
 	if c.DialTimeout == 0 {
 		c.DialTimeout = time.Second
 	}
@@ -206,7 +199,7 @@ func New(r rt.Runtime, cfg Config) (*Network, error) {
 				addr, cfg.Endpoints[id])
 		}
 		n.local[id] = true
-		n.inboxes[id] = r.NewChan(cfg.InboxCap)
+		n.inboxes[id] = r.NewChan(inboxCap)
 	}
 	ln := cfg.Listener
 	if ln == nil {
@@ -620,7 +613,7 @@ func (n *Network) runReader(conn net.Conn) {
 	}()
 	br := bufio.NewReaderSize(conn, 64<<10)
 	for {
-		body, err := wire.ReadFrame(br, n.cfg.MaxFrame)
+		body, err := wire.ReadFrame(br, wire.MaxFrame)
 		if err != nil {
 			// Distinguish stream corruption (oversized/garbage length
 			// prefix) from a peer simply closing the connection.

@@ -410,7 +410,7 @@ func Recover(db *storage.DB, checkpoint string, logs []string) (epoch uint64, ap
 		if storage.TIDEpoch(e.TID) > durable {
 			return nil // beyond the last group commit: discard
 		}
-		if int(e.Table) >= db.NumTables() || e.Part < 0 || int(e.Part) >= db.NumPartitions() {
+		if !db.Has(e.Table, int(e.Part)) {
 			return fmt.Errorf("wal: entry for table %d part %d, which the database does not have", e.Table, e.Part)
 		}
 		tbl := db.Table(e.Table)

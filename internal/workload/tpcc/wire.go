@@ -21,13 +21,63 @@ const (
 // bound to this process's Workload instance (schemas and configuration
 // must match for the replayed transaction to behave identically).
 func (w *Workload) RegisterWire(c *wire.Codec) {
-	wire.RegisterProc(c, wireNewOrder, func() *NewOrderTxn { return &NewOrderTxn{W: w} }, newOrderFields)
-	wire.RegisterProc(c, wirePayment, func() *PaymentTxn { return &PaymentTxn{W: w} }, paymentFields)
-	wire.RegisterProc(c, wireDelivery, func() *DeliveryTxn { return &DeliveryTxn{W: w} }, deliveryFields)
-	wire.RegisterProc(c, wireStockLevel, func() *StockLevelTxn { return &StockLevelTxn{W: w} }, stockLevelFields)
-	wire.RegisterProc(c, wireOrderStatus, func() *OrderStatusTxn { return &OrderStatusTxn{W: w} }, orderStatusFields)
-	wire.RegisterProc(c, wireTrim, func() *TrimTxn { return &TrimTxn{W: w} }, trimFields)
+	wire.RegisterProc(c, wireNewOrder, func() *NewOrderTxn { return &NewOrderTxn{W: w} }, checked(newOrderFields))
+	wire.RegisterProc(c, wirePayment, func() *PaymentTxn { return &PaymentTxn{W: w} }, checked(paymentFields))
+	wire.RegisterProc(c, wireDelivery, func() *DeliveryTxn { return &DeliveryTxn{W: w} }, checked(deliveryFields))
+	wire.RegisterProc(c, wireStockLevel, func() *StockLevelTxn { return &StockLevelTxn{W: w} }, checked(stockLevelFields))
+	wire.RegisterProc(c, wireOrderStatus, func() *OrderStatusTxn { return &OrderStatusTxn{W: w} }, checked(orderStatusFields))
+	wire.RegisterProc(c, wireTrim, func() *TrimTxn { return &TrimTxn{W: w} }, checked(trimFields))
 }
+
+// checked is a procedure's walk that refuses, decoding, a request naming
+// an id outside the workload's configuration. Every id came off the wire:
+// a warehouse outside it indexes a partition no process has, and a
+// district, customer or item outside it names a row that never exists,
+// which an engine would retry as a conflict every phase.
+func checked[T interface{ inRange() bool }](fields func(*wire.Fields, T)) func(*wire.Fields, T) {
+	return func(f *wire.Fields, t T) {
+		if fields(f, t); f.Decoding() {
+			f.Check(t.inRange())
+		}
+	}
+}
+
+func (w *Workload) isW(id int) bool { return id >= 0 && id < w.cfg.Warehouses }
+func (w *Workload) isD(id int) bool { return id >= 0 && id < w.cfg.Districts }
+func (w *Workload) isC(id int) bool { return id >= 0 && id < w.cfg.CustomersPerDistrict }
+
+func (t *NewOrderTxn) inRange() bool {
+	w := t.W
+	ok := w.isW(t.WID) && w.isD(t.DID) && w.isC(t.CID)
+	for _, l := range t.Lines {
+		// An unused item id is how an Invalid order asks for its §2.4.1.5
+		// rollback.
+		ok = ok && w.isW(l.SupplyW) && l.IID >= 0 && (l.IID < w.cfg.Items || t.Invalid)
+	}
+	return ok
+}
+
+func (t *PaymentTxn) inRange() bool {
+	w := t.W
+	return w.isW(t.WID) && w.isD(t.DID) && w.isW(t.CWID) && w.isD(t.CDID) && (t.ByName || w.isC(t.CID))
+}
+
+func (t *DeliveryTxn) inRange() bool { return t.W.isW(t.WID) }
+
+func (t *StockLevelTxn) inRange() bool {
+	ok := t.W.isW(t.WID) && t.W.isD(t.DID)
+	for _, rw := range t.Remote {
+		ok = ok && t.W.isW(rw)
+	}
+	return ok
+}
+
+func (t *OrderStatusTxn) inRange() bool {
+	w := t.W
+	return w.isW(t.WID) && w.isW(t.CWID) && w.isD(t.CDID) && (t.ByName || w.isC(t.CID))
+}
+
+func (t *TrimTxn) inRange() bool { return t.W.isW(t.WID) }
 
 func newOrderFields(f *wire.Fields, t *NewOrderTxn) {
 	f.Int(&t.WID)

@@ -18,10 +18,13 @@ func txnFields(f *wire.Fields, t *Txn) {
 	wire.Len(f, &t.accs, 4)
 	for i := range t.accs {
 		a := &t.accs[i]
+		f.Int(&a.Part)
 		if f.Decoding() {
 			a.Table = TableID
+			// The partition came off the wire: one the configuration does
+			// not have would index past every partition slice serving it.
+			f.Check(a.Part >= 0 && a.Part < t.w.cfg.Partitions)
 		}
-		f.Int(&a.Part)
 		// Row numbers are small: two varints (Hi is zero) are 4-5
 		// bytes where the fixed-width key is 16, and the keys are
 		// most of a routed request.

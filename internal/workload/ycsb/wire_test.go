@@ -1,11 +1,13 @@
 package ycsb
 
 import (
+	"errors"
 	"testing"
 
 	"star/internal/storage"
 	"star/internal/txn"
 	"star/internal/wire"
+	"star/internal/wire/prim"
 	"star/internal/wire/wiretest"
 )
 
@@ -31,10 +33,28 @@ func goldenTxns(w *Workload) map[string]*txn.Request {
 // unchanged, WireSize() is the parent's number and the exact body
 // length, and every strict prefix is rejected with a wire error.
 func TestGoldenFrames(t *testing.T) {
-	w := small()
+	w := New(Config{Partitions: 201, RecordsPerPartition: 64}) // "wide" names partition 200
 	c := wire.NewCodec()
 	w.RegisterWire(c)
 	if ids := wiretest.Requests(t, c, "testdata/golden_requests.txt", goldenTxns(w)); len(ids) != 1 || !ids[wireTxn] {
 		t.Fatalf("golden requests cover procedure ids %v, want %d", ids, wireTxn)
+	}
+}
+
+// TestDecodeRefusesPartitionOutsideTheConfiguration: an access's
+// partition came off the wire, and decoding refuses one the workload does
+// not have.
+func TestDecodeRefusesPartitionOutsideTheConfiguration(t *testing.T) {
+	w := small() // partitions 0..3
+	c := wire.NewCodec()
+	w.RegisterWire(c)
+	for _, part := range []int{-1, 4, 99} {
+		b, err := c.AppendRequest(nil, txn.NewRequest(w.ReadTxn([]int{0, part}, []int{1, 2}), 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.DecodeRequest(b); !errors.Is(err, prim.ErrCorrupt) {
+			t.Errorf("partition %d: decode err = %v, want a corrupt-request refusal", part, err)
+		}
 	}
 }

@@ -79,10 +79,9 @@ type Config struct {
 	Iteration time.Duration
 	// SyncRepl holds write locks until every replica acks (SYNC STAR).
 	SyncRepl bool
-	// Logging enables per-worker value logging with fence flushes.
-	Logging bool
-	// LogDir writes real recovery-log files under this directory
-	// (implies Logging); see internal/wal for the recovery path.
+	// LogDir turns on value logging with fence flushes: every thread
+	// writes a recovery log under this directory (see internal/wal for
+	// the recovery path). A cluster logs iff it has one.
 	LogDir string
 	// Checkpoint starts a per-node fuzzy checkpointing process (§4.5.1);
 	// requires LogDir.
@@ -101,15 +100,6 @@ type Config struct {
 	Virtual bool
 	// Seed drives all deterministic randomness.
 	Seed int64
-	// FlushBytes bounds a replication batch's entries in encoded bytes
-	// (default 16 KiB; negative disables the byte bound). It is where each
-	// destination's threshold starts: every epoch fence re-sizes it from
-	// the measured write volume (growth-only, capped). Batches also flush
-	// at every epoch fence.
-	FlushBytes int
-	// FlushEvery additionally bounds a replication batch in entries
-	// (default 128; negative = no entry bound).
-	FlushEvery int
 }
 
 // Cluster is a running STAR cluster.
@@ -148,14 +138,11 @@ func New(cfg Config) (*Cluster, error) {
 		Workload:       cfg.Workload,
 		Iteration:      cfg.Iteration,
 		SyncRepl:       cfg.SyncRepl,
-		Logging:        cfg.Logging,
 		LogDir:         cfg.LogDir,
 		Checkpoint:     cfg.Checkpoint,
 		ReadCommitted:  cfg.ReadCommitted,
 		SnapshotReads:  cfg.SnapshotReads,
 		Seed:           cfg.Seed,
-		FlushBytes:     cfg.FlushBytes,
-		FlushEvery:     cfg.FlushEvery,
 	})
 	return c, nil
 }
