@@ -103,13 +103,12 @@ type Config struct {
 	LogDir string
 
 	// Checkpoint enables a dedicated checkpointing process per node
-	// (§4.5.1): every CheckpointEvery (default 10 iterations) it writes a
-	// fuzzy snapshot to LogDir, rotates every logger onto a fresh
-	// segment, and deletes segments (and the superseded checkpoint)
-	// covered by the new snapshot — restart replay stays bounded by
-	// checkpoint cadence instead of run length. Requires LogDir.
-	Checkpoint      bool
-	CheckpointEvery time.Duration
+	// (§4.5.1): every checkpointEvery iterations it writes a fuzzy
+	// snapshot to LogDir, rotates every logger onto a fresh segment, and
+	// deletes segments (and the superseded checkpoint) covered by the new
+	// snapshot — restart replay stays bounded by checkpoint cadence
+	// instead of run length. Requires LogDir.
+	Checkpoint bool
 
 	// ReadCommitted runs single-master transactions under READ COMMITTED
 	// instead of serializability (§3: read validation is skipped).
@@ -167,9 +166,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Iteration == 0 {
 		c.Iteration = 10 * time.Millisecond
-	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = 10 * c.Iteration
 	}
 	return c
 }

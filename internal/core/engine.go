@@ -2,10 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
-	"sync"
 	"sync/atomic"
 
 	"star/internal/metrics"
@@ -61,8 +57,6 @@ type Engine struct {
 	fenceHist    *metrics.Hist   // fence duration per committed epoch
 	drainHist    *metrics.Hist   // router wall time spent in fence drains
 
-	logFiles   []string
-	mu         sync.Mutex
 	halted     atomic.Bool
 	haltReason atomic.Value // string
 	frozen     atomic.Bool
@@ -198,8 +192,8 @@ func (e *Engine) StatsSnapshot() metrics.Snapshot {
 	e.reg.Gauge("log_bytes").Set(e.logBytes.Load())
 	var written int64
 	for _, n := range e.nodes {
-		if n != nil {
-			n.eachLog(func(l *wal.Logger) { written += l.Bytes() })
+		if n != nil && n.dir != nil {
+			written += n.dir.Bytes()
 		}
 	}
 	e.reg.Gauge("wal_file_bytes").Set(written)
@@ -218,47 +212,40 @@ func (e *Engine) StatsSnapshot() metrics.Snapshot {
 	return snap
 }
 
-// openLogs creates the per-thread recovery-log files (§4.5.1).
+// openLogs creates the per-thread recovery logs (§4.5.1), one per
+// role in the node's share of the log directory.
 func (e *Engine) openLogs() {
-	mustCreate := func(path string) *wal.Logger {
-		l, err := wal.Create(path)
-		if err != nil {
-			panic("core: open log: " + err.Error())
-		}
-		e.logFiles = append(e.logFiles, path)
-		return l
-	}
 	for _, n := range e.nodes {
 		if n == nil {
 			continue
 		}
-		n.routerLog = mustCreate(filepath.Join(e.cfg.LogDir, fmt.Sprintf("node%d-router.log", n.id)))
+		n.dir = wal.NewDir(e.cfg.LogDir, n.id)
+		mustCreate := func(role string) *wal.Logger {
+			l, err := n.dir.Create(role)
+			if err != nil {
+				panic("core: open log: " + err.Error())
+			}
+			return l
+		}
+		n.routerLog = mustCreate("router")
 		for a := 0; a < e.cfg.WorkersPerNode; a++ {
-			n.applierLogs = append(n.applierLogs,
-				mustCreate(filepath.Join(e.cfg.LogDir, fmt.Sprintf("node%d-applier%d.log", n.id, a))))
+			n.applierLogs = append(n.applierLogs, mustCreate(fmt.Sprintf("applier%d", a)))
 		}
 		for _, w := range n.workers {
-			w.logger = mustCreate(filepath.Join(e.cfg.LogDir, fmt.Sprintf("node%d-worker%d.log", n.id, w.idx)))
+			w.logger = mustCreate(fmt.Sprintf("worker%d", w.idx))
 		}
 	}
 }
 
-// LogFiles returns the live recovery-log paths written in LogDir mode
-// (segments already covered by a checkpoint are truncated away). Node
-// i's database can be rebuilt with wal.Recover from the subset of files
-// whose name starts with "node<i>-" (a full replica's set covers the
-// whole database).
+// LogFiles returns node's live recovery-log segments in LogDir mode, as
+// the directory lists them (wal.Dir.Live): segments a checkpoint covers
+// are gone. A full replica's set covers the whole database.
 func (e *Engine) LogFiles(node int) []string {
-	var out []string
-	prefix := fmt.Sprintf("node%d-", node)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, f := range e.logFiles {
-		if strings.HasPrefix(filepath.Base(f), prefix) {
-			out = append(out, f)
-		}
+	if e.cfg.LogDir == "" {
+		return nil
 	}
-	return out
+	_, segs, _ := wal.NewDir(e.cfg.LogDir, node).Live()
+	return segs
 }
 
 // CloseLogs flushes and closes the recovery logs (call after the runtime
@@ -266,14 +253,12 @@ func (e *Engine) LogFiles(node int) []string {
 func (e *Engine) CloseLogs() error {
 	var first error
 	for _, n := range e.nodes {
-		if n == nil {
+		if n == nil || n.dir == nil {
 			continue
 		}
-		n.eachLog(func(l *wal.Logger) {
-			if err := l.Close(); err != nil && first == nil {
-				first = err
-			}
-		})
+		if err := n.dir.Close(); err != nil && first == nil {
+			first = err
+		}
 	}
 	return first
 }
@@ -314,91 +299,22 @@ func (e *Engine) start() {
 	}
 }
 
-// checkpointLoop periodically writes a fuzzy checkpoint of the node's
-// database (§4.5.1: "a checkpoint does not need to be a consistent
-// snapshot ... on recovery, STAR uses the logs since the checkpoint to
-// correct the inconsistent snapshot with the Thomas write rule") and
-// truncates the recovery log behind it. Each round first rotates every
-// logger onto a fresh segment, then checkpoints; a segment retired one
-// full round earlier had all its writes applied to the database long
-// before this round's scan began, so the new checkpoint covers it and
-// the file — like the superseded checkpoint — is deleted. Restart
-// replay is thereby bounded by checkpoint cadence, not run length.
+// checkpointEvery is the checkpoint cadence, in iterations.
+const checkpointEvery = 10
+
+// checkpointLoop writes a fuzzy checkpoint of the node's database every
+// checkpointEvery iterations (§4.5.1: "a checkpoint does not need to be
+// a consistent snapshot ... on recovery, STAR uses the logs since the
+// checkpoint to correct the inconsistent snapshot with the Thomas write
+// rule"); each round also truncates the log behind it (wal.Dir).
 func (e *Engine) checkpointLoop(n *node) {
-	seq := 0
-	var retired []string // segments closed at the previous round
-	for {
-		e.cfg.RT.Sleep(e.cfg.CheckpointEvery)
-		epoch := n.epoch.Load()
-		closed := e.rotateLogs(n, seq)
-		path := filepath.Join(e.cfg.LogDir, fmt.Sprintf("node%d-ckpt%d", n.id, seq))
-		if _, err := wal.WriteCheckpoint(n.db, path, epoch); err != nil {
+	for round := 0; ; round++ {
+		e.cfg.RT.Sleep(checkpointEvery * e.cfg.Iteration)
+		if err := n.dir.Checkpoint(n.db, round, n.epoch.Load()); err != nil {
 			panic("core: checkpoint: " + err.Error())
 		}
 		e.checkpoints.Inc()
-		n.mu.Lock()
-		prevCkpt := n.lastCheckpoint
-		n.lastCheckpoint = path
-		n.mu.Unlock()
-		e.dropLogFiles(retired)
-		if prevCkpt != "" {
-			os.Remove(prevCkpt)
-		}
-		retired = closed
-		seq++
 	}
-}
-
-// rotateLogs retires every recovery-log segment of n onto a fresh file
-// and returns the closed segments' paths.
-func (e *Engine) rotateLogs(n *node, seq int) []string {
-	var closed []string
-	n.eachLog(func(l *wal.Logger) {
-		old := l.Path()
-		base := old
-		if i := strings.LastIndex(base, ".log."); i >= 0 {
-			base = base[:i+4]
-		}
-		next := fmt.Sprintf("%s.%d", base, seq+1)
-		if err := l.Rotate(next); err != nil {
-			panic("core: rotate log: " + err.Error())
-		}
-		closed = append(closed, old)
-		e.mu.Lock()
-		e.logFiles = append(e.logFiles, next)
-		e.mu.Unlock()
-	})
-	return closed
-}
-
-// dropLogFiles deletes retired log segments and forgets them.
-func (e *Engine) dropLogFiles(paths []string) {
-	if len(paths) == 0 {
-		return
-	}
-	gone := make(map[string]bool, len(paths))
-	for _, p := range paths {
-		gone[p] = true
-		os.Remove(p)
-	}
-	e.mu.Lock()
-	kept := e.logFiles[:0]
-	for _, f := range e.logFiles {
-		if !gone[f] {
-			kept = append(kept, f)
-		}
-	}
-	e.logFiles = kept
-	e.mu.Unlock()
-}
-
-// LastCheckpoint returns the most recent checkpoint file written for a
-// node ("" when none yet).
-func (e *Engine) LastCheckpoint(node int) string {
-	n := e.nodes[node]
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.lastCheckpoint
 }
 
 // Net exposes the cluster network (tests and benches read its byte

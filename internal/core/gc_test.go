@@ -72,15 +72,14 @@ func TestSTARFullMixTrimSoakFlatAndRecoverable(t *testing.T) {
 	const nparts = 4
 	wl := trimMixWL(nparts)
 	e := New(Config{
-		RT:              s,
-		Nodes:           2,
-		WorkersPerNode:  2,
-		Workload:        wl,
-		Iteration:       2 * time.Millisecond,
-		LogDir:          dir,
-		Checkpoint:      true,
-		CheckpointEvery: 8 * time.Millisecond,
-		Seed:            *gcSeed,
+		RT:             s,
+		Nodes:          2,
+		WorkersPerNode: 2,
+		Workload:       wl,
+		Iteration:      2 * time.Millisecond,
+		LogDir:         dir,
+		Checkpoint:     true,
+		Seed:           *gcSeed,
 	})
 
 	// Warm up until the trimmer has drained the initial backlog and the
@@ -168,11 +167,15 @@ func TestSTARFullMixTrimSoakFlatAndRecoverable(t *testing.T) {
 		t.Fatalf("soak exercised too little: delivered=%v trimmed=%v", delivered, trimmed)
 	}
 
-	// Truncation: ~50 checkpoint rounds rotated every logger, so without
-	// segment deletion node 0 would hold hundreds of files. The live set
-	// must be a couple of generations per logger, and rotated names must
-	// actually appear (the suffix proves rotation happened).
-	logs := e.LogFiles(0)
+	// Truncation: ~39 checkpoint rounds rotated every logger, so without
+	// segment deletion node 0 would hold about two hundred files. The
+	// live set the directory holds once the logs are closed must be a
+	// couple of generations per logger, and rotated names must actually
+	// appear (the suffix proves rotation happened).
+	ckpt, logs, err := wal.NewDir(dir, 0).Live()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(logs) == 0 {
 		t.Fatal("no live log files")
 	}
@@ -196,10 +199,9 @@ func TestSTARFullMixTrimSoakFlatAndRecoverable(t *testing.T) {
 		t.Fatalf("live log bytes %d vs %d appended: replay is not bounded", liveBytes, appended)
 	}
 
-	// Restart: checkpoint + surviving suffix onto an empty DB must equal
-	// the live state byte for byte — deletes, tombstone reclamation and
-	// index maintenance included.
-	ckpt := e.LastCheckpoint(0)
+	// Restart: the newest checkpoint + surviving suffix onto an empty DB
+	// must equal the live state byte for byte — deletes, tombstone
+	// reclamation and index maintenance included.
 	if ckpt == "" {
 		t.Fatal("checkpointer never ran")
 	}

@@ -20,9 +20,7 @@ import (
 // walked in the wrong order change the bytes. The frames these encode to
 // were captured from the hand-written encoders of commit 44cf024 (the
 // last one before the field walk) into testdata/golden_frames.txt —
-// bar worker_done's, re-captured when its walk took in the replication
-// shard it had been dropping (a node-local message: no peer ever read
-// the old form) and snapshot's, re-captured on a fresh id when a
+// bar snapshot's, re-captured on a fresh id when a
 // partition's catch-up became one replication envelope; the Size column
 // was re-captured when Size() became the frame's length.
 func goldenMessages(tw *tpcc.Workload) map[string]transport.Message {
@@ -59,8 +57,6 @@ func goldenMessages(tw *tpcc.Workload) map[string]transport.Message {
 		"reset_counters": msgResetCounters{Applied: []int64{5, 0, 9}},
 		"recovery_done":  msgRecoveryDone{Node: 2, Sent: []int64{7, 0, 3}},
 		"start_recovery": msgStartRecovery{Parts: []int32{1, 3}, From: []int32{0, 2}},
-		"worker_done": workerDoneMsg{Worker: 1, Committed: 50, GenSingle: 45, GenCross: 5,
-			Repl: replStats{OpEntries: 40, ValueEntries: 9, Bytes: 1234, ValueEquivBytes: 5678}},
 		"halt":           msgHalt{},
 		"align_counters": msgAlignCounters{Src: 1, Applied: 4096},
 		"client_req":     ClientReq{Token: 8, Req: ticketed(txn.NewRequest(stock, 600), 2, 1<<40)},
@@ -122,7 +118,7 @@ func TestGoldenFrames(t *testing.T) {
 			return err
 		})
 	}
-	if len(ids) != 22 || len(samples) != 0 {
-		t.Fatalf("golden frames cover %d message ids and leave %d samples unmatched, want all 22 and 0", len(ids), len(samples))
+	if len(ids) != 21 || len(samples) != 0 {
+		t.Fatalf("golden frames cover %d message ids and leave %d samples unmatched, want all 21 and 0", len(ids), len(samples))
 	}
 }

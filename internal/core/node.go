@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -76,10 +75,6 @@ type node struct {
 	genSingle      int64
 	genCross       int64
 
-	// mu guards lastCheckpoint (written by the checkpoint process, read
-	// by Engine.LastCheckpoint).
-	mu sync.Mutex
-
 	// snapPending tracks the partitions whose snapshot is still
 	// outstanding during a rejoin catch-up. A set, not a counter: the
 	// request/snapshot plane tolerates duplicate delivery (re-dialled
@@ -102,11 +97,11 @@ type node struct {
 	appliers []rt.Chan
 
 	// Real recovery-log writers (LogDir mode): one per applier plus the
-	// router's own (which carries the epoch marks).
+	// router's own (which carries the epoch marks). dir (nil without a
+	// LogDir) made them and the workers' and runs the checkpoint rounds.
 	routerLog   *wal.Logger
 	applierLogs []*wal.Logger
-	// lastCheckpoint (guarded by mu) is the newest fuzzy checkpoint path.
-	lastCheckpoint string
+	dir         *wal.Dir
 }
 
 // epochMark is one peer's end-of-epoch marker as the router holds it.
@@ -129,23 +124,9 @@ type applierBatch struct {
 	entries []replication.Entry
 }
 
-// eachLog calls f on every recovery log the node has open (LogDir mode):
-// the router's, the appliers' and the workers'.
-func (n *node) eachLog(f func(*wal.Logger)) {
-	logs := append([]*wal.Logger{n.routerLog}, n.applierLogs...)
-	for _, w := range n.workers {
-		logs = append(logs, w.logger)
-	}
-	for _, l := range logs {
-		if l != nil {
-			f(l)
-		}
-	}
-}
-
-// workerDoneMsg is sent node-locally when a worker finishes a phase,
-// carrying the worker's monitor shard for the router to fold into the
-// node's phase totals.
+// workerDoneMsg is what a worker drops into its router's inbox when it
+// finishes a phase, carrying its monitor shard for the router to fold
+// into the node's phase totals. It never crosses the transport.
 type workerDoneMsg struct {
 	Worker    int
 	Committed int64

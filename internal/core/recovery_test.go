@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -216,11 +217,43 @@ func readLog(path string) ([]*replication.Batch, error) {
 }
 
 // TestCheckpointPlusLogRecovery runs the engine with the dedicated
-// checkpointing process (§4.5.1) and rebuilds the full replica from the
-// latest fuzzy checkpoint plus the logs; the Thomas write rule corrects
-// any newer versions the fuzzy scan captured.
+// checkpointing process (§4.5.1) and rebuilds the full replica from
+// what the log directory holds once the logs are closed — the newest
+// fuzzy checkpoint plus the live segments, as wal.Dir finds them; the
+// Thomas write rule corrects any newer versions the fuzzy scan captured.
 func TestCheckpointPlusLogRecovery(t *testing.T) {
-	dir := t.TempDir()
+	checkpointRecovery(t, t.TempDir())
+}
+
+// TestLogDirNamedLikeASegment: a log directory whose own name holds
+// ".log." keeps every segment inside it, and recovery from it still
+// equals the live database. Segment names come from the role a logger
+// was created for, never from editing a path.
+func TestLogDirNamedLikeASegment(t *testing.T) {
+	parent := t.TempDir()
+	dir := filepath.Join(parent, "star.log.d")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	checkpointRecovery(t, dir)
+	ents, err := os.ReadDir(parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		if ent.Name() != "star.log.d" {
+			t.Errorf("%s written beside the log directory", ent.Name())
+		}
+	}
+}
+
+// checkpointRecovery runs a checkpointing cluster logging to dir through
+// several checkpoint rounds, then recovers node 0 onto an EMPTY database
+// from the directory alone: the checkpoint supplies the base state
+// (including the initial load), the surviving segments everything after
+// it.
+func checkpointRecovery(t *testing.T, dir string) {
+	t.Helper()
 	s := rt.NewSim()
 	wl := ycsb.New(ycsb.Config{
 		Partitions:          4,
@@ -228,38 +261,37 @@ func TestCheckpointPlusLogRecovery(t *testing.T) {
 		CrossPct:            20,
 	})
 	e := New(Config{
-		RT:              s,
-		Nodes:           2,
-		WorkersPerNode:  2,
-		Workload:        wl,
-		Iteration:       2 * time.Millisecond,
-		LogDir:          dir,
-		Checkpoint:      true,
-		CheckpointEvery: 10 * time.Millisecond,
-		Seed:            13,
+		RT:             s,
+		Nodes:          2,
+		WorkersPerNode: 2,
+		Workload:       wl,
+		Iteration:      2 * time.Millisecond,
+		LogDir:         dir,
+		Checkpoint:     true,
+		Seed:           13,
 	})
-	s.Run(45 * time.Millisecond)
+	s.Run(70 * time.Millisecond)
 	e.Freeze()
-	s.Run(s.Now() + 15*time.Millisecond)
+	s.Run(s.Now() + 8*time.Millisecond)
 	s.Stop()
 	if err := e.CloseLogs(); err != nil {
 		t.Fatal(err)
 	}
-	ckpt := e.LastCheckpoint(0)
-	if ckpt == "" {
-		t.Fatal("checkpointer never ran")
+	if rounds := e.StatsSnapshot().Counters["checkpoints"]; rounds < 2*3 {
+		t.Fatalf("%d checkpoint rounds over two nodes, want three each", rounds)
 	}
-
-	// Recover from checkpoint + logs onto an EMPTY database: the
-	// checkpoint supplies the base state (including the initial load),
-	// the logs supply everything after it.
+	ckpt, segs, err := wal.NewDir(dir, 0).Live()
+	if err != nil || ckpt == "" || len(segs) == 0 {
+		t.Fatalf("the directory holds checkpoint %q and %d segments (%v)", ckpt, len(segs), err)
+	}
 	recovered := wl.BuildDB(4, nil)
-	if epoch, _, err := wal.Recover(recovered, ckpt, e.LogFiles(0)); err != nil || epoch < 2 {
+	epoch, _, err := wal.Recover(recovered, ckpt, segs)
+	if err != nil || epoch < 2 {
 		t.Fatalf("recovered epoch %d err=%v", epoch, err)
 	}
 	for p := 0; p < 4; p++ {
 		if got, want := recovered.PartitionChecksum(p), e.DB(0).PartitionChecksum(p); got != want {
-			t.Fatalf("partition %d: recovered %x != live %x", p, got, want)
+			t.Errorf("partition %d: recovered %x at epoch %d != live %x", p, got, epoch, want)
 		}
 	}
 }

@@ -27,7 +27,7 @@ const (
 	wireRecoveryDone
 	wireStartRecovery
 	_ // retired: wireUpdateMasters (a rejoin installs like a join)
-	wireWorkerDone
+	_ // retired: wireWorkerDone (a worker's report goes straight into its router's inbox)
 	_ // retired: wireChecksumReq (folded into the admin envelope)
 	_ // retired: wireChecksumResp
 	wireHalt
@@ -95,7 +95,6 @@ func registerMessages(c *wire.Codec) {
 	wire.Register(c, wireResetCounters, resetCountersFields)
 	wire.Register(c, wireRecoveryDone, recoveryDoneFields)
 	wire.Register(c, wireStartRecovery, startRecoveryFields)
-	wire.Register(c, wireWorkerDone, workerDoneFields)
 	wire.Register(c, wireHalt, haltFields)
 	wire.Register(c, wireAlignCounters, alignCountersFields)
 	wire.Register(c, wireAdminReq, adminReqFields)
@@ -192,22 +191,6 @@ func (m msgStartRecovery) Size() int { return wire.FrameLen(&m, startRecoveryFie
 func startRecoveryFields(f *wire.Fields, m *msgStartRecovery) {
 	f.I32s(&m.Parts)
 	f.I32s(&m.From)
-}
-
-// workerDoneMsg is node-local in both engines today, but registered so a
-// transport that encodes local sends (or a future split of workers from
-// routers) keeps working — which is why its replication shard is walked
-// too.
-func (m workerDoneMsg) Size() int { return wire.FrameLen(&m, workerDoneFields) }
-func workerDoneFields(f *wire.Fields, m *workerDoneMsg) {
-	f.Int(&m.Worker)
-	f.I64(&m.Committed)
-	f.I64(&m.GenSingle)
-	f.I64(&m.GenCross)
-	f.I64(&m.Repl.OpEntries)
-	f.I64(&m.Repl.ValueEntries)
-	f.I64(&m.Repl.Bytes)
-	f.I64(&m.Repl.ValueEquivBytes)
 }
 
 func (m msgHalt) Size() int             { return wire.FrameLen(&m, haltFields) }

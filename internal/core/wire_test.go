@@ -79,7 +79,6 @@ func sampleMessages(tw *tpcc.Workload, yw *ycsb.Workload) []transport.Message {
 		msgAlignCounters{Src: 1, Applied: 4096},
 		msgStartRecovery{Parts: []int32{1, 3}, From: []int32{0, 0}},
 		ClientResp{Ticket: 14, Status: StatusAborted, Token: 2},
-		workerDoneMsg{Worker: 1, Committed: 50, GenSingle: 45, GenCross: 5},
 		msgHalt{},
 		AdminReq{V: 1, Op: AdminFreeze, From: 5, Ticket: 9, Node: -1, On: true},
 		AdminReq{V: 1, Op: AdminChecksums, From: 4, Node: 2},
@@ -317,8 +316,9 @@ func TestRequestGenAtRebasedAcrossClockDomains(t *testing.T) {
 // testdata/golden_frames.txt at dccb7a8, when mastership stopped
 // travelling, the phase command with its Master, the revert with its
 // NewMasters, msgUpdateMasters and the topology install with its Master;
-// and from the same file at 36363a7, the snapshot as one table's
-// key/TID/row columns.
+// from the same file at 36363a7, the snapshot as one table's key/TID/row
+// columns; and at 966dc75, the worker's done report, which no longer
+// crosses the transport.
 var retiredFrames = [][]byte{
 	{0x01, 0x01, 0x09, 0x80, 0xe8, 0x92, 0x26, 0x02, 0x02, 0x04, 0x06, 0xe0, 0xc5, 0x08, 0x0a, 0x22},
 	{0x07, 0x08, 0x01, 0x02, 0x04, 0x00, 0x00, 0x04, 0x06},
@@ -330,6 +330,7 @@ var retiredFrames = [][]byte{
 		0x70, 0x68, 0x61, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00,
 		0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00,
 	},
+	{0x10, 0x02, 0x64, 0x5a, 0x0a, 0x50, 0x12, 0xa4, 0x13, 0xdc, 0x58},
 }
 
 // A frame from a process one commit behind is refused as an unknown id,

@@ -122,7 +122,7 @@ func (w *worker) loop() {
 		if w.logger != nil {
 			w.logger.Flush(false) // fence flush (§4.5.1)
 		}
-		w.n.e.net.Send(w.n.id, w.n.id, transport.Control, workerDoneMsg{
+		w.n.inbox().Send(workerDoneMsg{
 			Worker:    w.idx,
 			Committed: w.committed,
 			GenSingle: w.genSingle,

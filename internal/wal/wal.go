@@ -16,7 +16,9 @@
 // memory. Its entries are value entries — rows and tombstones, never
 // operations — stamped with the first entry's epoch. An epoch mark is an
 // envelope with no entries; its Epoch is the mark. A checkpoint starts
-// with the mark of the epoch in flight when its scan began.
+// with the mark of the epoch in flight when its scan began. What a
+// node's files in a log directory are called, and which of them are
+// live, is Dir's (dir.go).
 package wal
 
 import (
@@ -27,6 +29,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"strconv"
 	"sync"
 
 	"star/internal/replication"
@@ -53,14 +56,14 @@ const (
 )
 
 // Logger writes entries as envelope frames. One logger per worker
-// thread, as in the paper. The mutex exists for segment rotation: the
-// checkpointer retires a file-backed logger's segment concurrently with
-// the owning thread's appends.
+// thread, as in the paper. The mutex exists for segment rotation: a
+// Dir's checkpoint round moves a file-backed logger to its next segment
+// concurrently with the owning thread's appends.
 type Logger struct {
 	mu    sync.Mutex
 	w     *bufio.Writer
 	f     *os.File // nil when backed by a plain writer
-	path  string   // current file path ("" when not file-backed)
+	base  string   // the path Create was given: segment 0's, and every later segment's stem
 	bytes int64
 	// buf is the open frame: headRoom bytes, then its n entries, each
 	// coded by enc against the one before; epoch is its envelope's.
@@ -83,7 +86,7 @@ func Create(path string) (*Logger, error) {
 	}
 	l := NewLogger(f)
 	l.f = f
-	l.path = path
+	l.base = path
 	return l, nil
 }
 
@@ -95,19 +98,11 @@ func (l *Logger) Bytes() int64 {
 	return l.bytes
 }
 
-// Path returns the current segment's file path ("" when the logger is
-// not file-backed).
-func (l *Logger) Path() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.path
-}
-
-// Rotate durably closes the current segment and continues appending to
-// a fresh file at path. Entries already appended stay in the retired
-// segment; the caller owns deciding when a checkpoint covers it and the
-// file can be deleted.
-func (l *Logger) Rotate(path string) error {
+// rotate durably closes the current segment and continues appending to
+// segment seg (> 0) of the logger's base path, base.seg. Entries already
+// appended stay in the closed segment, until a checkpoint covers it
+// (Dir.Checkpoint).
+func (l *Logger) rotate(seg int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
@@ -119,12 +114,11 @@ func (l *Logger) Rotate(path string) error {
 	if err := l.f.Close(); err != nil {
 		return err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(l.base+"."+strconv.Itoa(seg), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
 	l.f = f
-	l.path = path
 	l.w = bufio.NewWriterSize(f, 1<<16)
 	return nil
 }
@@ -276,10 +270,11 @@ func ReadFrames(path string, visit func(body []byte) error) error {
 // ---- checkpointing ----
 
 // WriteCheckpoint scans the database fuzzily (no freeze, §4.5.1) and
-// writes a starting epoch mark plus every present record. Returns bytes
-// written.
+// writes a starting epoch mark plus every present record to path.tmp,
+// which it syncs and renames to path: a file at path is a complete
+// checkpoint. Returns bytes written.
 func WriteCheckpoint(db *storage.DB, path string, epochStart uint64) (int64, error) {
-	l, err := Create(path)
+	l, err := Create(path + ".tmp")
 	if err != nil {
 		return 0, err
 	}
@@ -306,6 +301,9 @@ func WriteCheckpoint(db *storage.DB, path string, epochStart uint64) (int64, err
 	}
 	if cerr := l.Close(); err == nil {
 		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(path+".tmp", path)
 	}
 	return l.Bytes(), err
 }

@@ -22,8 +22,8 @@ func TestOptionCeilings(t *testing.T) {
 		typ     reflect.Type
 		ceiling int
 	}{
-		{reflect.TypeOf(core.Config{}), 19},
-		{reflect.TypeOf(Config{}), 12},
+		{reflect.TypeOf(core.Config{}), 18},
+		{reflect.TypeOf(Config{}), 8},
 		{reflect.TypeOf(client.Config{}), 7},
 		{reflect.TypeOf(tcpnet.Config{}), 9},
 		{reflect.TypeOf(simnet.Config{}), 5},

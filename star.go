@@ -77,24 +77,10 @@ type Config struct {
 	// Iteration is the phase-switching iteration time e = τp+τs
 	// (default 10ms, §4.3).
 	Iteration time.Duration
-	// SyncRepl holds write locks until every replica acks (SYNC STAR).
-	SyncRepl bool
 	// LogDir turns on value logging with fence flushes: every thread
 	// writes a recovery log under this directory (see internal/wal for
 	// the recovery path). A cluster logs iff it has one.
 	LogDir string
-	// Checkpoint starts a per-node fuzzy checkpointing process (§4.5.1);
-	// requires LogDir.
-	Checkpoint bool
-	// ReadCommitted lowers single-master isolation to READ COMMITTED
-	// (§3): read validation is skipped at commit.
-	ReadCommitted bool
-	// SnapshotReads serves read-only transactions (txn.ReadOnlyMarker,
-	// e.g. TPC-C Stock-Level) from the generating node's epoch-fence
-	// snapshot instead of routing them to the master: consistent as of
-	// the last phase switch, no coordination, results release
-	// immediately.
-	SnapshotReads bool
 	// Virtual runs the cluster on the deterministic simulation runtime;
 	// use Cluster.RunVirtual to advance time.
 	Virtual bool
@@ -137,11 +123,7 @@ func New(cfg Config) (*Cluster, error) {
 		WorkersPerNode: cfg.WorkersPerNode,
 		Workload:       cfg.Workload,
 		Iteration:      cfg.Iteration,
-		SyncRepl:       cfg.SyncRepl,
 		LogDir:         cfg.LogDir,
-		Checkpoint:     cfg.Checkpoint,
-		ReadCommitted:  cfg.ReadCommitted,
-		SnapshotReads:  cfg.SnapshotReads,
 		Seed:           cfg.Seed,
 	})
 	return c, nil
