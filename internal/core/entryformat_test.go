@@ -158,8 +158,8 @@ func TestEntryFormatBytePins(t *testing.T) {
 		wl   workload.Workload
 		pct  int
 	}{
-		{"tpcc", tpcc.New(tpcc.Config{Warehouses: 2, Districts: 10, CustomersPerDistrict: 300, Items: 10000}), 35},
-		{"ycsb", ycsb.New(ycsb.Config{Partitions: 2, RecordsPerPartition: 5000}), 90},
+		{"tpcc", tpcc.New(tpcc.Config{Warehouses: 2, Districts: 10, CustomersPerDistrict: 300, Items: 10000}), 31},
+		{"ycsb", ycsb.New(ycsb.Config{Partitions: 2, RecordsPerPartition: 5000}), 88},
 	} {
 		db := tc.wl.BuildDB(2, nil)
 		tc.wl.Load(db)
@@ -199,7 +199,7 @@ func TestEntryFormatBytePins(t *testing.T) {
 		}
 	}
 	t.Logf("tpcc log: %d B as envelope frames, %d B as records (%.1f %%)", written, records, 100*float64(written)/float64(records))
-	if written == 0 || written*100 > int64(records)*45 {
-		t.Errorf("tpcc log: %d B, over 45 %% of the %d B records", written, records)
+	if written == 0 || written*100 > int64(records)*36 {
+		t.Errorf("tpcc log: %d B, over 36 %% of the %d B records", written, records)
 	}
 }

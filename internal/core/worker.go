@@ -231,18 +231,18 @@ func (w *worker) execSerial(req *txn.Request, epoch uint64) {
 	w.finishCommit(req, epoch)
 }
 
-// emitEntries streams the committed write set to each written partition's
-// replica targets by §5's hybrid rule. An update ships as its field ops
-// from the partitioned phase (one writer, FIFO links) and, in the
-// single-master phase, whose workers' envelopes may cross, when it is its
-// record's first write of the epoch: computed on the fence version every
-// replica holds, it is contained in any later row of the record that
-// overtakes it. Later updates ship rows; inserts and deletes have no delta
-// form. No allocation: entries are built on the stack, copied into the
-// stream's arenas, and sent to the view's alive holders, this node aside.
+// emitEntries streams the committed write set, in key order, to each
+// written partition's replica targets by §5's hybrid rule. An update ships
+// as its field ops from the partitioned phase (one writer, FIFO links) and,
+// in the single-master phase, whose workers' envelopes may cross, when it
+// is its record's first write of the epoch: computed on the fence version
+// every replica holds, it is contained in any later row that overtakes it.
+// Later updates ship rows; inserts and deletes have no delta form. Entries
+// are built on the stack, copied into the stream's arenas (no allocation)
+// and sent to the view's alive holders, this node aside.
 func (w *worker) emitEntries(tidv uint64, partitioned bool) {
 	holders := w.n.view.Load().holders
-	for i := range w.set.Writes {
+	for _, i := range w.set.KeyOrder() {
 		wr := &w.set.Writes[i]
 		ent := replication.Entry{Table: wr.Table, Part: int32(wr.Part), Key: wr.Key, TID: tidv}
 		if (partitioned || wr.FirstOfEpoch) && !wr.Insert && !wr.Delete {
@@ -274,7 +274,7 @@ type replStats struct {
 	Bytes, ValueEquivBytes  int64
 }
 
-// note counts e at what its envelope encodes it in (EntrySizer.Next);
+// note counts e at what its envelope encodes it in (EntryCoder.Next);
 // rowSize, its table's row size, is what an operation entry would have
 // carried as a value behind the same header — a whole row, as a value
 // entry's own is priced however few bytes it packed into.
@@ -461,7 +461,7 @@ func (w *worker) commitSync(req *txn.Request, epoch uint64) bool {
 	want := 0
 	for dst, ents := range perDst {
 		w.n.tracker.AddSent(dst, int64(len(ents)))
-		var sz replication.EntrySizer
+		var sz replication.EntryCoder
 		sz.Reset(epoch)
 		for i := range ents {
 			header, payload, raw := sz.Next(&ents[i])

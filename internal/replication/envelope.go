@@ -16,25 +16,26 @@ import (
 //
 // An envelope (Batch) comes from one worker and one epoch, nearly always
 // for one partition and a run of one table, so an entry is coded against
-// the entry before it, in arrival order — nothing is sorted, operation
-// entries stay FIFO per record — and what repeats is not sent again:
+// the entry before it, in arrival order — a worker emits a transaction's
+// writes in key order, a record's op entries FIFO — and sends no repeats:
 //
 //	batch:  [from uvarint][epoch uvarint][n uvarint] n × entry
 //	entry:  [flags u8]
 //	        [table u8][part uvarint]    unless flagSamePart
 //	        [key.Hi uvarint][key.Lo uvarint]
 //	                                    or, with flagRawKey, 16 raw bytes
+//	                                    or, with flagKeyDelta, [Lo − previous Lo zig-zag varint]
 //	        [tid delta zig-zag varint]  TID − previous TID, wrapping
 //	        value entry: [row len uvarint][row bytes]
 //	                                    or, with flagPacked, [row len uvarint]
 //	                                    then per 8-byte word of the row:
 //	                                    [mask u8][its non-zero bytes]
-//	        op entry:    [nops uvarint] nops × [field u8][kind u8][arg len uvarint][arg]
+//	        op entry:    [nops uvarint] nops × field op (prim.AppendFieldOp)
 //
-// "Previous" for the first entry of a batch is table 0, partition 0 and
-// TID Epoch<<34 (the epoch's first possible TID; 0 for an ad-hoc stream
-// with Epoch 0). Entries of one transaction share a TID and pay 1 byte
-// for it, the next transaction's pay 1–2; TIDs may step backwards
+// "Previous" for the first entry of a batch is table 0, partition 0, key
+// 0 and TID Epoch<<34 (the epoch's first possible TID; 0 for an ad-hoc
+// stream with Epoch 0). Entries of one transaction share a TID and pay 1
+// byte for it, the next transaction's pay 1–2; TIDs may step backwards
 // (several single-master workers interleave on one link), hence zig-zag.
 //
 // Flag bits (the rest must be zero):
@@ -48,9 +49,14 @@ import (
 //	bit 4  flagPacked    the row is zero-packed: each mask names its
 //	                     word's non-zero bytes (bit i: byte i; none past
 //	                     the row's end), which follow it. Only a present
-//	                     value entry's, and only when strictly shorter:
-//	                     like flagRawKey, the shorter of two forms, and
-//	                     the only one of them a decoder accepts
+//	                     value entry's, and only when strictly shorter
+//	bit 5  flagKeyDelta  key.Hi is the previous entry's, key.Lo a delta from
+//	                     its Lo (an order line behind its neighbour: 1 byte,
+//	                     not 10); only with flagSamePart, not flagRawKey
+//
+// A key or op argument goes in its shortest form (a key delta only when
+// strictly so) but decodes in any, so logs written before a form existed
+// still read; only a packed row is held to one encoding, packedLen's.
 //
 // Rows are fixed-width images — 8-byte integers holding small numbers,
 // byte columns padded to capacity — so most of a TPC-C row is 0x00 and
@@ -62,25 +68,26 @@ import (
 // 49 % of raw on TPC-C's rows against 50 % here, and would let 2 bytes
 // claim 2 KiB.
 //
-// Sizes: a YCSB operation entry after the first is flags 1 + key 4 +
-// TID 1 + nops 1 + op 15 = 22 bytes (43 when every entry carried table,
-// partition, a 16-byte key and an 8-byte TID); the header alone is
-// between MinEntryLen−1 and MaxEntryHeaderLen bytes. Everything that
-// prices an entry asks EntrySizer — the Stream's byte bound, Batch.Size,
-// what a worker reports it replicated — so all of them count these bytes.
+// Sizes: a YCSB op entry after the first is flags 1 + key delta 3 + TID 1
+// + nops 1 + op 15 = 21 bytes (43 with every field fixed-width), a TPC-C
+// stock update ≈ 15; a header is MinEntryLen−1 to MaxEntryHeaderLen bytes.
+// Everything that prices an entry asks EntryCoder.Next — the Stream's byte
+// bound, Batch.Size, what a worker reports it replicated — so all of them
+// count these bytes.
 const (
 	flagOp       = 1 << 0
 	flagAbsent   = 1 << 1
 	flagSamePart = 1 << 2
 	flagRawKey   = 1 << 3
 	flagPacked   = 1 << 4
-	flagsKnown   = flagOp | flagAbsent | flagSamePart | flagRawKey | flagPacked
+	flagKeyDelta = 1 << 5
+	flagsKnown   = flagOp | flagAbsent | flagSamePart | flagRawKey | flagPacked | flagKeyDelta
 
-	// MinEntryLen is the smallest encoded entry: flags, two 1-byte key
-	// halves, a 1-byte TID delta and a 1-byte empty payload (row length
-	// or op count 0). Decoders bound entry counts by it before they
-	// allocate from an untrusted count.
-	MinEntryLen = 5
+	// MinEntryLen is the smallest encoded entry: flags, a 1-byte key
+	// delta, a 1-byte TID delta and a 1-byte empty payload (row length or
+	// op count 0). Decoders bound entry counts by it before they allocate
+	// from an untrusted count.
+	MinEntryLen = 4
 
 	// upfrontEntries is how many entries DecodeBatch allocates on the
 	// strength of the count alone: eight default flushes
@@ -93,11 +100,12 @@ const (
 	MaxEntryHeaderLen = 1 + 1 + 5 + prim.KeyLen + 10
 )
 
-// entryPrev is what the next entry is coded against: the table, partition
-// and TID of the entry before it, or the envelope's for the first.
+// entryPrev is what the next entry is coded against: the table, partition,
+// key and TID of the entry before it, or the envelope's for the first.
 type entryPrev struct {
 	table storage.TableID
 	part  int32
+	key   storage.Key
 	tid   uint64
 }
 
@@ -154,8 +162,10 @@ func appendHeader(b []byte, prev *entryPrev, e *Entry) (_ []byte, body int) {
 	if same {
 		flags |= flagSamePart
 	}
-	raw := prim.UvarintLen(e.Key.Hi)+prim.UvarintLen(e.Key.Lo) > prim.KeyLen // as uvarints, longer than raw
-	if raw {
+	delta, keyLen := int64(e.Key.Lo-prev.key.Lo), prim.UvarintLen(e.Key.Hi)+prim.UvarintLen(e.Key.Lo)
+	if same && e.Key.Hi == prev.key.Hi && prim.VarintLen(delta) < min(keyLen, prim.KeyLen) {
+		flags |= flagKeyDelta
+	} else if keyLen > prim.KeyLen {
 		flags |= flagRawKey
 	}
 	b = append(b, flags)
@@ -164,20 +174,31 @@ func appendHeader(b []byte, prev *entryPrev, e *Entry) (_ []byte, body int) {
 		b = prim.AppendUvarint(b, uint64(uint32(e.Part)))
 		prev.table, prev.part = e.Table, e.Part
 	}
-	if raw {
+	switch flags & (flagRawKey | flagKeyDelta) {
+	case flagRawKey:
 		b = prim.AppendKey(b, e.Key)
-	} else {
-		b = prim.AppendUvarint(b, e.Key.Hi)
-		b = prim.AppendUvarint(b, e.Key.Lo)
+	case flagKeyDelta:
+		b = prim.AppendVarint(b, delta)
+	default:
+		b = prim.AppendUvarint(prim.AppendUvarint(b, e.Key.Hi), e.Key.Lo)
 	}
 	b = prim.AppendVarint(b, int64(e.TID-prev.tid))
-	prev.tid = e.TID
+	prev.key, prev.tid = e.Key, e.TID
 	return b, body
 }
 
-// appendEntry is the one entry encoder.
-func appendEntry(b []byte, prev *entryPrev, e *Entry) []byte {
-	b, body := appendHeader(b, prev, e)
+// EntryCoder codes an envelope's entries one at a time, each against the
+// one before: Next sizes the next entry, Append encodes it (behind
+// AppendBatchHeader, for the recovery log, which learns the count last).
+// The zero value codes the first entry of an Epoch-0 envelope.
+type EntryCoder struct{ prev entryPrev }
+
+// Reset starts a new envelope stamped with epoch.
+func (c *EntryCoder) Reset(epoch uint64) { c.prev = batchPrev(epoch) }
+
+// Append appends e as the envelope's next entry: the one entry encoder.
+func (c *EntryCoder) Append(b []byte, e *Entry) []byte {
+	b, body := appendHeader(b, &c.prev, e)
 	if e.IsOp() {
 		b = prim.AppendUvarint(b, uint64(len(e.Ops)))
 		for i := range e.Ops {
@@ -191,23 +212,15 @@ func appendEntry(b []byte, prev *entryPrev, e *Entry) []byte {
 	return appendPacked(prim.AppendUvarint(b, uint64(len(e.Row))), e.Row)
 }
 
-// EntrySizer measures entries as an envelope encodes them: each against
-// the one before. The zero value measures the first entry of an Epoch-0
-// envelope.
-type EntrySizer struct{ prev entryPrev }
-
-// Reset starts a new envelope stamped with epoch.
-func (s *EntrySizer) Reset(epoch uint64) { s.prev = batchPrev(epoch) }
-
 // Next returns the encoded size of e as the envelope's next entry, split
 // into its header (flags, table, partition, key, TID) and its payload
 // (row or ops, length prefix included), and beside them raw: the payload
 // had its row not packed. The split lets a caller price the entry as the
 // whole row it stands for — header + raw, or for an operation entry
 // header + the length-prefixed size of its table's row.
-func (s *EntrySizer) Next(e *Entry) (header, payload, raw int) {
+func (c *EntryCoder) Next(e *Entry) (header, payload, raw int) {
 	var buf [MaxEntryHeaderLen]byte
-	b, body := appendHeader(buf[:0], &s.prev, e)
+	b, body := appendHeader(buf[:0], &c.prev, e)
 	if !e.IsOp() {
 		raw = prim.BytesLen(e.Row)
 		return len(b), raw - len(e.Row) + body, raw
@@ -248,7 +261,8 @@ func scanEntry(b []byte, s *batchScan, e *Entry) (rest []byte, err error) {
 		return nil, prim.ErrTruncated
 	}
 	flags := b[0]
-	if flags&^flagsKnown != 0 || flags&flagPacked != 0 && flags&(flagOp|flagAbsent) != 0 {
+	if flags&^flagsKnown != 0 || flags&flagPacked != 0 && flags&(flagOp|flagAbsent) != 0 ||
+		flags&flagKeyDelta != 0 && flags&(flagSamePart|flagRawKey) != flagSamePart {
 		return nil, fmt.Errorf("%w: entry flags %#x", prim.ErrCorrupt, flags)
 	}
 	b = b[1:]
@@ -263,14 +277,22 @@ func scanEntry(b []byte, s *batchScan, e *Entry) (rest []byte, err error) {
 	}
 	e.Absent = flags&flagAbsent != 0
 	e.Table, e.Part = prev.table, prev.part
-	if flags&flagRawKey != 0 {
+	switch flags & (flagRawKey | flagKeyDelta) {
+	case flagRawKey:
 		e.Key, b, err = prim.Key(b)
-	} else if e.Key.Hi, b, err = prim.Uvarint(b); err == nil {
-		e.Key.Lo, b, err = prim.Uvarint(b)
+	case flagKeyDelta:
+		var d int64
+		d, b, err = prim.Varint(b)
+		e.Key = storage.Key{Hi: prev.key.Hi, Lo: prev.key.Lo + uint64(d)}
+	default:
+		if e.Key.Hi, b, err = prim.Uvarint(b); err == nil {
+			e.Key.Lo, b, err = prim.Uvarint(b)
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
+	prev.key = e.Key
 	delta, b, err := prim.Varint(b)
 	if err != nil {
 		return nil, err
@@ -354,19 +376,6 @@ func fillRow(e *Entry, arena []byte) []byte {
 	return arena[n:]
 }
 
-// EntryEncoder appends an envelope's entries one at a time, each coded
-// against the one before, for a writer that holds no Batch and learns the
-// entry count last (the recovery log): AppendBatchHeader followed by the
-// entries it appended is AppendBatch's body. The zero value encodes the
-// first entry of an Epoch-0 envelope.
-type EntryEncoder struct{ prev entryPrev }
-
-// Reset starts a new envelope stamped with epoch.
-func (c *EntryEncoder) Reset(epoch uint64) { c.prev = batchPrev(epoch) }
-
-// Append appends e as the envelope's next entry.
-func (c *EntryEncoder) Append(b []byte, e *Entry) []byte { return appendEntry(b, &c.prev, e) }
-
 // AppendBatchHeader appends what precedes an envelope's n entries.
 func AppendBatchHeader(b []byte, from int, epoch uint64, n int) []byte {
 	b = prim.AppendUvarint(b, uint64(from))
@@ -378,7 +387,7 @@ func AppendBatchHeader(b []byte, from int, epoch uint64, n int) []byte {
 // frame.
 func AppendBatch(b []byte, batch *Batch) []byte {
 	b = AppendBatchHeader(b, batch.From, batch.Epoch, len(batch.Entries))
-	var enc EntryEncoder
+	var enc EntryCoder
 	enc.Reset(batch.Epoch)
 	for i := range batch.Entries {
 		b = enc.Append(b, &batch.Entries[i])
@@ -390,10 +399,10 @@ func AppendBatch(b []byte, batch *Batch) []byte {
 func BatchLen(batch *Batch) int {
 	n := prim.UvarintLen(uint64(batch.From)) + prim.UvarintLen(batch.Epoch) +
 		prim.UvarintLen(uint64(len(batch.Entries)))
-	var s EntrySizer
-	s.Reset(batch.Epoch)
+	var c EntryCoder
+	c.Reset(batch.Epoch)
 	for i := range batch.Entries {
-		header, payload, _ := s.Next(&batch.Entries[i])
+		header, payload, _ := c.Next(&batch.Entries[i])
 		n += header + payload
 	}
 	return n
@@ -418,7 +427,7 @@ func DecodeBatch(b []byte) (*Batch, error) {
 		return nil, fmt.Errorf("%w: %d entries in %d-byte buffer", prim.ErrCorrupt, n, len(b))
 	}
 	// A count the buffer could hold is still only a claim, and an Entry
-	// in memory is 88 bytes to the 5 of the smallest encoding: allocate
+	// in memory is 88 bytes to the 4 of the smallest encoding: allocate
 	// a few flushes' worth up front — an envelope as the engine sends
 	// them costs one allocation — and past that only as entries scan,
 	// doubling, so the memory stays in proportion to bytes that decoded.

@@ -259,7 +259,7 @@ type dstBuf struct {
 	entries []Entry
 	// sizer stands where the open envelope's encoding does; bytes is
 	// what its entries encode to.
-	sizer EntrySizer
+	sizer EntryCoder
 	bytes int
 	arena []byte            // Row bytes and FieldOp args
 	ops   []storage.FieldOp // op-entry headers
@@ -317,11 +317,7 @@ func (s *Stream) SetEpoch(epoch uint64) {
 		if b == nil {
 			continue
 		}
-		vol := b.epochBytes
-		if b.prevEpochBytes > vol {
-			vol = b.prevEpochBytes
-		}
-		b.limit = adaptedLimit(s.lim.Bytes, vol)
+		b.limit = adaptedLimit(s.lim.Bytes, max(b.epochBytes, b.prevEpochBytes))
 		b.prevEpochBytes = b.epochBytes
 		b.epochBytes = 0
 	}
@@ -353,7 +349,7 @@ func (s *Stream) dst(dst int) *dstBuf {
 }
 
 // Append queues e for dst, flushing the destination's batch when a limit
-// is hit, and returns what e costs in the envelope (EntrySizer.Next): the
+// is hit, and returns what e costs in the envelope (EntryCoder.Next): the
 // bytes the limits count. The entry's Row and Ops payloads are copied
 // into the destination's arena, so the caller may reuse their backing
 // arrays immediately. Local (src==dst) appends are dropped, and cost
@@ -366,25 +362,20 @@ func (s *Stream) Append(dst int, e Entry) (header, payload, raw int) {
 	if len(b.entries) == 0 {
 		b.sizer.Reset(s.epoch) // e opens an envelope
 	}
-	if len(b.entries) < cap(b.entries) {
-		b.entries = b.entries[:len(b.entries)+1]
-	} else {
-		b.entries = append(b.entries, Entry{})
-	}
+	b.entries = append(b.entries, e)
 	ne := &b.entries[len(b.entries)-1]
-	*ne = e
 	if e.Ops != nil {
-		// Deep-copy the op headers and their args. Arena growth leaves
-		// earlier entries pointing into the old (immutable) backing
-		// arrays, which stays valid.
+		// Deep-copy the op headers and the args they do not hold. Arena
+		// growth leaves earlier entries pointing into the old (immutable)
+		// backing arrays, which stays valid.
 		off := len(b.ops)
 		b.ops = append(b.ops, e.Ops...)
 		ne.Ops = b.ops[off:len(b.ops):len(b.ops)]
 		for i := range ne.Ops {
-			op := &ne.Ops[i]
-			ao := len(b.arena)
-			b.arena = append(b.arena, op.Arg...)
-			op.Arg = b.arena[ao:len(b.arena):len(b.arena)]
+			if op, ao := &ne.Ops[i], len(b.arena); op.Arg != nil {
+				b.arena = append(b.arena, op.Arg...)
+				op.Arg = b.arena[ao:len(b.arena):len(b.arena)]
+			}
 		}
 		ne.Row = nil
 	} else if len(e.Row) > 0 {

@@ -136,7 +136,7 @@ func TestEntrySizesOpMuchSmallerThanValue(t *testing.T) {
 		row[i] = byte(1 + i%251) // a filled record: nothing to zero-pack
 	}
 	size := func(e *Entry) int {
-		var s EntrySizer
+		var s EntryCoder
 		header, payload, _ := s.Next(e)
 		return header + payload
 	}
@@ -232,7 +232,7 @@ func TestStreamByteBoundCoalesces(t *testing.T) {
 	// A byte bound one over what the first half of the burst encodes to in
 	// an envelope, so each destination ships its first 51 entries when the
 	// 51st arrives and keeps the other 49 buffered until the explicit Flush.
-	var sz EntrySizer
+	var sz EntryCoder
 	sz.Reset(7)
 	half := 0
 	for i := uint64(0); i < writes/2; i++ {

@@ -26,11 +26,36 @@ const (
 	OpSetRow
 )
 
-// FieldOp is one field-level mutation. Arg is interpreted per Kind.
+// FieldOp is one field-level mutation, its argument interpreted per Kind:
+// an 8-byte one (a fixed-width field, an integer or float delta) held in
+// word, so building or decoding it allocates nothing, any other in Arg.
 type FieldOp struct {
 	Field uint8
 	Kind  OpKind
+	wide  bool // the argument is word, little-endian
+	word  uint64
 	Arg   []byte
+}
+
+// NewFieldOp builds an op of arg, which Arg aliases unless it is 8 bytes.
+func NewFieldOp(field int, kind OpKind, arg []byte) FieldOp {
+	if len(arg) == 8 {
+		return WordOp(field, kind, binary.LittleEndian.Uint64(arg))
+	}
+	return FieldOp{Field: uint8(field), Kind: kind, Arg: arg}
+}
+
+// WordOp builds an op whose argument is the 8 little-endian bytes of w.
+func WordOp(field int, kind OpKind, w uint64) FieldOp {
+	return FieldOp{Field: uint8(field), Kind: kind, wide: true, word: w}
+}
+
+// Argument returns the op's argument, writing an 8-byte one into *w.
+func (op *FieldOp) Argument(w *[8]byte) []byte {
+	if op.wide {
+		return binary.LittleEndian.AppendUint64(w[:0], op.word)
+	}
+	return op.Arg
 }
 
 // SetFieldOp builds an OpSetField carrying the field's raw encoding.
@@ -42,76 +67,65 @@ func SetFieldOp(s *Schema, row []byte, field int) FieldOp {
 // buf instead of a fresh slice: a caller that owns storage with the op's
 // lifetime saves the allocation (the append still grows past cap(buf)).
 func SetFieldOpInto(s *Schema, row []byte, field int, buf []byte) FieldOp {
-	return FieldOp{Field: uint8(field), Kind: OpSetField, Arg: append(buf, s.fieldSlice(row, field)...)}
+	return NewFieldOp(field, OpSetField, append(buf, s.fieldSlice(row, field)...))
 }
 
 // AddInt64Op builds an integer-delta op.
 func AddInt64Op(field int, delta int64) FieldOp {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(delta))
-	return FieldOp{Field: uint8(field), Kind: OpAddInt64, Arg: b[:]}
+	return WordOp(field, OpAddInt64, uint64(delta))
 }
 
-// SetInt64Op builds an op that overwrites an integer field with v
-// (TPC-C Delivery's O_CARRIER_ID / OL_DELIVERY_D stamps). Fixed-width
-// fields are stored as 8 little-endian bytes, so this is OpSetField with
-// the value's raw encoding.
+// SetInt64Op builds an OpSetField that overwrites an integer field with v
+// (TPC-C Delivery's O_CARRIER_ID / OL_DELIVERY_D stamps).
 func SetInt64Op(field int, v int64) FieldOp {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	return FieldOp{Field: uint8(field), Kind: OpSetField, Arg: b[:]}
+	return WordOp(field, OpSetField, uint64(v))
 }
 
 // AddFloat64Op builds a float-delta op.
 func AddFloat64Op(field int, delta float64) FieldOp {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(delta))
-	return FieldOp{Field: uint8(field), Kind: OpAddFloat64, Arg: b[:]}
+	return WordOp(field, OpAddFloat64, math.Float64bits(delta))
 }
 
 // PrependOp builds a string-prepend op.
 func PrependOp(field int, prefix []byte) FieldOp {
-	return FieldOp{Field: uint8(field), Kind: OpPrepend, Arg: append([]byte(nil), prefix...)}
+	return NewFieldOp(field, OpPrepend, append([]byte(nil), prefix...))
 }
 
 // SetRowOp builds a whole-row replacement op.
 func SetRowOp(row []byte) FieldOp {
-	return FieldOp{Kind: OpSetRow, Arg: append([]byte(nil), row...)}
+	return NewFieldOp(0, OpSetRow, append([]byte(nil), row...))
 }
 
 // Apply mutates row in place according to the op.
 func (op FieldOp) Apply(s *Schema, row []byte) error {
-	i := int(op.Field)
+	i, w := int(op.Field), [8]byte{}
+	arg := op.Argument(&w)
 	switch op.Kind {
 	case OpSetRow:
-		if len(op.Arg) != len(row) {
-			return fmt.Errorf("storage: OpSetRow size %d != row size %d", len(op.Arg), len(row))
+		if len(arg) != len(row) {
+			return fmt.Errorf("storage: OpSetRow size %d != row size %d", len(arg), len(row))
 		}
-		copy(row, op.Arg)
+		copy(row, arg)
 		return nil
 	case OpSetField:
 		raw := s.fieldSlice(row, i)
-		if len(op.Arg) != len(raw) {
-			return fmt.Errorf("storage: OpSetField size %d != field size %d", len(op.Arg), len(raw))
+		if len(arg) != len(raw) {
+			return fmt.Errorf("storage: OpSetField size %d != field size %d", len(arg), len(raw))
 		}
-		copy(raw, op.Arg)
+		copy(raw, arg)
 		return nil
-	case OpAddInt64:
-		if len(op.Arg) != 8 {
-			return fmt.Errorf("storage: OpAddInt64 wants 8 bytes, got %d", len(op.Arg))
+	case OpAddInt64, OpAddFloat64:
+		if len(arg) != 8 {
+			return fmt.Errorf("storage: op kind %d wants 8 bytes, got %d", op.Kind, len(arg))
 		}
-		d := int64(binary.LittleEndian.Uint64(op.Arg))
-		s.SetInt64(row, i, s.GetInt64(row, i)+d)
-		return nil
-	case OpAddFloat64:
-		if len(op.Arg) != 8 {
-			return fmt.Errorf("storage: OpAddFloat64 wants 8 bytes, got %d", len(op.Arg))
+		if d := binary.LittleEndian.Uint64(arg); op.Kind == OpAddInt64 {
+			s.SetInt64(row, i, s.GetInt64(row, i)+int64(d))
+		} else {
+			s.SetFloat64(row, i, s.GetFloat64(row, i)+math.Float64frombits(d))
 		}
-		d := math.Float64frombits(binary.LittleEndian.Uint64(op.Arg))
-		s.SetFloat64(row, i, s.GetFloat64(row, i)+d)
 		return nil
 	case OpPrepend:
-		s.prependBytes(row, i, op.Arg)
+		s.prependBytes(row, i, arg)
 		return nil
 	default:
 		return fmt.Errorf("storage: unknown op kind %d", op.Kind)

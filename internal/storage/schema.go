@@ -79,9 +79,6 @@ func (s *Schema) RowSize() int { return s.rowSize }
 // NumFields returns the number of columns.
 func (s *Schema) NumFields() int { return len(s.fields) }
 
-// FieldName returns the name of column i.
-func (s *Schema) FieldName(i int) string { return s.fields[i].Name }
-
 // FieldIndex returns the index of the named column, or -1.
 func (s *Schema) FieldIndex(name string) int {
 	for i := range s.fields {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -175,5 +176,31 @@ func TestOpReplicationEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWordOpsHoldTheirArgument: an 8-byte argument lives in its op, so
+// building one allocates nothing; NewFieldOp gives any 8 bytes that form,
+// and Argument and Apply read it back.
+func TestWordOpsHoldTheirArgument(t *testing.T) {
+	s := testSchema()
+	var ops [3]FieldOp
+	if allocs := testing.AllocsPerRun(100, func() {
+		ops[0], ops[1], ops[2] = SetInt64Op(2, 7), AddInt64Op(2, -5), AddFloat64Op(1, 2.5)
+	}); allocs != 0 && !raceEnabled {
+		t.Fatalf("building three integer and float ops allocates %v times", allocs)
+	}
+	row := s.NewRow()
+	for i := range ops {
+		var w [8]byte
+		if again := NewFieldOp(int(ops[i].Field), ops[i].Kind, ops[i].Argument(&w)); !reflect.DeepEqual(again, ops[i]) {
+			t.Fatalf("op %d through its 8 argument bytes: %+v, want %+v", i, again, ops[i])
+		}
+		if err := ops[i].Apply(s, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.GetInt64(row, 2) != 2 || s.GetFloat64(row, 1) != 2.5 {
+		t.Fatalf("count %d, balance %v after set 7, add -5, add 2.5", s.GetInt64(row, 2), s.GetFloat64(row, 1))
 	}
 }

@@ -222,6 +222,7 @@ type WriteEntry struct {
 type RWSet struct {
 	Reads  []ReadEntry
 	Writes []WriteEntry
+	order  []int32 // KeyOrder's
 }
 
 // Reset clears the set for reuse. Entry payload buffers (Ops, Row) are
@@ -320,6 +321,20 @@ func (s *RWSet) SortWrites() {
 			w[j], w[j-1] = w[j-1], w[j]
 		}
 	}
+}
+
+// KeyOrder returns the write set's indices in SortWrites' order, valid
+// until the next call: a walk in key order that moves no entry.
+func (s *RWSet) KeyOrder() []int32 {
+	s.order = s.order[:0]
+	for i := range s.Writes {
+		j := len(s.order)
+		for s.order = append(s.order, int32(i)); j > 0 && writeLess(&s.Writes[i], &s.Writes[s.order[j-1]]); j-- {
+			s.order[j] = s.order[j-1]
+		}
+		s.order[j] = int32(i)
+	}
+	return s.order
 }
 
 func writeLess(a, b *WriteEntry) bool {

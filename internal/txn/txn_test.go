@@ -1,6 +1,8 @@
 package txn
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"star/internal/storage"
@@ -74,6 +76,36 @@ func TestRWSetSortWritesGlobalOrder(t *testing.T) {
 			}
 		}
 		prev = w
+	}
+}
+
+// TestRWSetKeyOrderIsSortWritesOrder: KeyOrder visits a write set in the
+// order SortWrites would put it in — stable, so an insert and a later
+// update of one record keep their order — and moves no entry.
+func TestRWSetKeyOrderIsSortWritesOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for round := 0; round < 200; round++ {
+		var s RWSet
+		for i := rng.Intn(30); i > 0; i-- {
+			tb, part, key := storage.TableID(rng.Intn(4)), rng.Intn(3), storage.K2(uint64(rng.Intn(3)), uint64(rng.Intn(8)))
+			if rng.Intn(3) == 0 {
+				s.AddInsert(tb, part, key, []byte{byte(i)})
+			} else {
+				s.AddWrite(tb, part, key, storage.AddInt64Op(0, int64(i)))
+			}
+		}
+		before := append([]WriteEntry(nil), s.Writes...)
+		var visited []WriteEntry
+		for _, i := range s.KeyOrder() {
+			visited = append(visited, s.Writes[i])
+		}
+		if !reflect.DeepEqual(s.Writes, before) {
+			t.Fatal("KeyOrder moved an entry")
+		}
+		s.SortWrites()
+		if !reflect.DeepEqual(visited, s.Writes) {
+			t.Fatalf("round %d: KeyOrder visits %+v, SortWrites orders %+v", round, visited, s.Writes)
+		}
 	}
 }
 

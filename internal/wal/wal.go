@@ -68,7 +68,7 @@ type Logger struct {
 	// buf is the open frame: headRoom bytes, then its n entries, each
 	// coded by enc against the one before; epoch is its envelope's.
 	buf   []byte
-	enc   replication.EntryEncoder
+	enc   replication.EntryCoder
 	n     int
 	epoch uint64
 }

@@ -120,7 +120,7 @@ func FuzzWALCorruption(f *testing.F) {
 	f.Add(uint32(starts[2]+10|reCRC), byte(2)) // a re-checksummed frame whose entry count lies
 	// A re-checksummed frame holding an operation entry: the empty row's
 	// flags gain the op bit, and its zero row length reads as zero ops.
-	var s replication.EntrySizer
+	var s replication.EntryCoder
 	s.Reset(frames[0].Epoch)
 	header, payload, _ := s.Next(&frames[0].Entries[0])
 	f.Add(uint32(starts[0]+11+header+payload|reCRC), byte(0x01))

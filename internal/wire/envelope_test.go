@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -20,7 +21,9 @@ const (
 	flagOp       = 1 << 0
 	flagAbsent   = 1 << 1
 	flagSamePart = 1 << 2
+	flagRawKey   = 1 << 3
 	flagPacked   = 1 << 4
+	flagKeyDelta = 1 << 5
 )
 
 // historyKey is a key shaped like TPC-C's history keys: bit 62 set in one
@@ -72,7 +75,12 @@ func randomEnvelope(rng *rand.Rand) *replication.Batch {
 			tid += uint64(1+rng.Intn(8)) << 2
 		}
 		e := replication.Entry{Table: table, Part: part, TID: tid}
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
+		case 4: // the row next to the previous entry's, either side
+			if i > 0 {
+				e.Key = b.Entries[i-1].Key
+			}
+			e.Key.Lo += uint64(rng.Intn(5)) - 2
 		case 0:
 			e.Key = storage.K1(uint64(rng.Intn(1 << 21)))
 		case 1:
@@ -93,7 +101,7 @@ func randomEnvelope(rng *rand.Rand) *replication.Batch {
 		default:
 			e.Ops = make([]storage.FieldOp, rng.Intn(4))
 			for j := range e.Ops {
-				e.Ops[j] = storage.AddInt64Op(rng.Intn(8), rng.Int63n(1000)-500)
+				e.Ops[j] = randomOp(rng)
 			}
 		}
 		b.Entries[i] = e
@@ -101,8 +109,30 @@ func randomEnvelope(rng *rand.Rand) *replication.Batch {
 	return b
 }
 
+// randomOp draws a field op whose argument takes each of its forms: small
+// and large integers either side of zero, floats, 8 random bytes, and
+// arguments of other lengths (which always travel raw).
+func randomOp(rng *rand.Rand) storage.FieldOp {
+	field := rng.Intn(8)
+	switch rng.Intn(6) {
+	case 0:
+		return storage.AddInt64Op(field, rng.Int63n(1000)-500)
+	case 1:
+		return storage.SetInt64Op(field, rng.Int63()>>rng.Intn(63)*int64(1-2*rng.Intn(2)))
+	case 2:
+		return storage.AddFloat64Op(field, float64(rng.Intn(2000)-1000)/4)
+	case 3:
+		return storage.AddFloat64Op(field, rng.NormFloat64()*1e4)
+	case 4:
+		return storage.SetInt64Op(field, int64(rng.Uint64()))
+	}
+	arg := make([]byte, 1+rng.Intn(20))
+	rng.Read(arg)
+	return storage.NewFieldOp(field, storage.OpSetField, arg)
+}
+
 // checkEnvelope holds one envelope to the codec's contract: DecodeBatch
-// inverts AppendBatch, BatchLen is the encoded length, and an EntrySizer
+// inverts AppendBatch, BatchLen is the encoded length, and an EntryCoder
 // walking the entries agrees with the encoder on every one of them —
 // never pricing a payload above its raw form, since a row goes packed
 // only when that is strictly shorter.
@@ -119,7 +149,7 @@ func checkEnvelope(t *testing.T, what string, b *replication.Batch) {
 	if !reflect.DeepEqual(got, b) {
 		t.Fatalf("%s: round trip changed the batch:\n got %+v\nwant %+v", what, got, b)
 	}
-	var s replication.EntrySizer
+	var s replication.EntryCoder
 	s.Reset(b.Epoch)
 	prefix := replication.AppendBatch(nil, &replication.Batch{From: b.From, Epoch: b.Epoch, Entries: b.Entries[:0]})
 	sized := len(prim.AppendUvarint(prefix[:len(prefix)-1], uint64(len(b.Entries))))
@@ -208,7 +238,6 @@ func TestDecodeBatchRejectsIllFormedPackedRows(t *testing.T) {
 		{"packed as long as raw", packedEntry(flagPacked, 2, 0b1, 5), prim.ErrCorrupt},
 		{"empty packed row", packedEntry(flagPacked, 0), prim.ErrCorrupt},
 		{"named byte that is zero", packedEntry(flagPacked, 16, 0b1, 0, 0), prim.ErrCorrupt},
-		{"flag bit 5", packedEntry(1<<5, 1, 'r'), prim.ErrCorrupt},
 		{"flag bit 6", packedEntry(1<<6, 1, 'r'), prim.ErrCorrupt},
 		{"flag bit 7", packedEntry(1<<7, 1, 'r'), prim.ErrCorrupt},
 	} {
@@ -216,6 +245,102 @@ func TestDecodeBatchRejectsIllFormedPackedRows(t *testing.T) {
 			t.Errorf("%s: %v, want %v", c.name, err, c.want)
 		}
 	}
+}
+
+// parentFrame is an envelope as the encoder before key deltas and short
+// op arguments wrote it, from 1 in epoch 7: two stock updates (8-byte
+// arguments raw: a set, two integer adds and a float add; then one add),
+// two order-line rows (packed) and an order-line tombstone, each key two
+// uvarints.
+const parentFrame = "0107050103010111280402000829000000000000000301080500000000000000040108010000000000000005020800000000000004c00501170001030108ffffffffffffffff1007010181928080808080800200420103010900000001050000001401829280808080808002004201040101000000010500000006018186808080808080020800"
+
+// TestDecodeBatchReadsParentFrames: a log, checkpoint or envelope written
+// before key deltas and short arguments still decodes — to the batch it
+// was, which now encodes shorter — and so does a key the old encoder sent
+// raw where uvarints were shorter (the decoder accepts every key and
+// argument form, shortest or not).
+func TestDecodeBatchReadsParentFrames(t *testing.T) {
+	olRow := func(a, b byte) []byte {
+		r := make([]byte, 66)
+		r[0], r[8], r[40] = a, b, 5
+		return r
+	}
+	want := &replication.Batch{From: 1, Epoch: 7, Entries: []replication.Entry{
+		{Table: 3, Part: 1, Key: storage.K2(1, 17), TID: storage.MakeTID(7, 5), Ops: []storage.FieldOp{
+			storage.SetInt64Op(2, 41), storage.AddInt64Op(3, 5), storage.AddInt64Op(4, 1), storage.AddFloat64Op(5, -2.5)}},
+		{Table: 3, Part: 1, Key: storage.K2(1, 23), TID: storage.MakeTID(7, 5), Ops: []storage.FieldOp{storage.AddInt64Op(3, -1)}},
+		{Table: 7, Part: 1, Key: storage.K2(1, 2<<56|9<<8|1), TID: storage.MakeTID(7, 5), Row: olRow(3, 9)},
+		{Table: 7, Part: 1, Key: storage.K2(1, 2<<56|9<<8|2), TID: storage.MakeTID(7, 5), Row: olRow(4, 1)},
+		{Table: 7, Part: 1, Key: storage.K2(1, 2<<56|3<<8|1), TID: storage.MakeTID(7, 6), Absent: true},
+	}}
+	for _, c := range []struct {
+		name        string
+		enc         []byte
+		want        *replication.Batch
+		reencodedTo int
+	}{
+		{"TPC-C entries", mustHex(t, parentFrame), want, 78},
+		{"a raw key uvarints would beat", rawKeyFrame(), &replication.Batch{Entries: []replication.Entry{{Key: storage.K1(1), Row: []byte("r")}}}, 8},
+	} {
+		got, err := replication.DecodeBatch(c.enc)
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("%s: %v\n got %+v\nwant %+v", c.name, err, got, c.want)
+		}
+		re := replication.AppendBatch(nil, got)
+		if again, err := replication.DecodeBatch(re); err != nil || !reflect.DeepEqual(again, c.want) || len(re) != c.reencodedTo {
+			t.Fatalf("%s: %d bytes re-encode to %d, want %d (%v)", c.name, len(c.enc), len(re), c.reencodedTo, err)
+		}
+	}
+}
+
+// TestDecodeBatchRejectsIllFormedKeysAndArguments: a key delta needs the
+// previous entry's table and partition and is the key's only form; an op
+// argument has one form.
+func TestDecodeBatchRejectsIllFormedKeysAndArguments(t *testing.T) {
+	delta := []byte{0, 0, 1, flagKeyDelta | flagSamePart, 2, 0, 1, 'r'} // K1(1) behind key 0
+	if b, err := replication.DecodeBatch(delta); err != nil || b.Entries[0].Key != storage.K1(1) {
+		t.Fatalf("hand-written key delta: %v", err)
+	}
+	op := func(kind byte, arg ...byte) []byte {
+		return append([]byte{0, 0, 1, flagOp | flagSamePart, 1, 1, 0, 1, 0, kind}, arg...)
+	}
+	for _, c := range []struct {
+		name string
+		enc  []byte
+		want error
+	}{
+		{"key delta with a table and partition", []byte{0, 0, 1, flagKeyDelta, 0, 0, 2, 0, 1, 'r'}, prim.ErrCorrupt},
+		{"key delta and raw key", []byte{0, 0, 1, flagKeyDelta | flagRawKey | flagSamePart, 2, 0, 1, 'r'}, prim.ErrCorrupt},
+		{"both argument forms", op(byte(storage.OpAddInt64)|0xc0, 2), prim.ErrCorrupt},
+		{"short argument cut off", op(byte(storage.OpAddInt64)|0x40, 0x80), prim.ErrTruncated},
+	} {
+		if _, err := replication.DecodeBatch(c.enc); !errors.Is(err, c.want) {
+			t.Errorf("%s: %v, want %v", c.name, err, c.want)
+		}
+	}
+	for _, form := range []byte{0x40, 0x80} {
+		b, err := replication.DecodeBatch(op(byte(storage.OpAddInt64)|form, 2))
+		var w [8]byte
+		if err != nil || len(b.Entries[0].Ops[0].Argument(&w)) != 8 {
+			t.Errorf("argument form %#x: %v", form, err)
+		}
+	}
+}
+
+// rawKeyFrame is an Epoch-0 envelope of one value entry, row "r", whose
+// key K1(1) is sent raw: 16 bytes where two uvarints take 2.
+func rawKeyFrame() []byte {
+	b := append([]byte{0, 0, 1, flagRawKey, 0, 0}, prim.AppendKey(nil, storage.K1(1))...)
+	return append(b, 0, 1, 'r')
+}
+
+// mustHex decodes a hex literal.
+func mustHex(t testing.TB, s string) []byte {
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // ycsbOpEnvelope is what one worker ships for one partition in the
@@ -238,32 +363,37 @@ func ycsbOpEnvelope(n int) *replication.Batch {
 // TestEnvelopeByteBudget pins what an entry costs on the wire, so a codec
 // edit that fattens it fails here and not in the next benchmark run.
 func TestEnvelopeByteBudget(t *testing.T) {
-	// The partitioned phase's unit: flags 1, key 4, TID 1, nops 1, op 15,
-	// with table and partition paid once and the envelope header spread
-	// over 128 entries.
+	// The partitioned phase's unit: flags 1, key 3 (a delta from the row
+	// before: 4 as two uvarints), TID 1, nops 1, op 15 (its 12-byte
+	// argument travels raw), with table and partition paid once and the
+	// envelope header spread over 128 entries.
 	ycsb := ycsbOpEnvelope(128)
-	if got := float64(replication.BatchLen(ycsb)) / 128; got > 24 {
-		t.Errorf("YCSB operation envelope costs %.2f B/entry, budget 24", got)
+	if got := float64(replication.BatchLen(ycsb)) / 128; got > 21 {
+		t.Errorf("YCSB operation envelope costs %.2f B/entry, budget 21", got)
 	}
 
 	// A value entry after the first costs its row plus at most 10 bytes:
 	// a YCSB row (120 B of random text: it does not pack) and a TPC-C
-	// stock row (110 B, two-part key) before packing, each following an
-	// entry of the transaction before. The YCSB entry to the byte: flags
-	// 1, key 4, TID 1, length 1, row 120.
+	// stock row (110 B, two-part key) before packing, each following the
+	// transaction before's entry for another record of its table and
+	// partition. The YCSB entry to the byte: flags 1, key delta 3, TID 1,
+	// length 1, row 120.
 	rng := rand.New(rand.NewSource(2))
 	for _, c := range []struct {
-		name string
-		key  storage.Key
-		row  []byte
-		want int
-	}{{"ycsb", storage.K1(654321), sparseRow(rng, 120, 8), 127}, {"stock", storage.K2(7, 99999), make([]byte, 110), 0}} {
-		var s replication.EntrySizer
+		name      string
+		prev, key storage.Key
+		row       []byte
+		want      int
+	}{
+		{"ycsb", storage.K1(123456), storage.K1(654321), sparseRow(rng, 120, 8), 126},
+		{"stock", storage.K2(7, 12345), storage.K2(7, 99999), make([]byte, 110), 0},
+	} {
+		var s replication.EntryCoder
 		s.Reset(12)
-		first := replication.Entry{Table: 4, Part: 7, Key: c.key, TID: storage.MakeTID(12, 900), Row: c.row}
+		first := replication.Entry{Table: 4, Part: 7, Key: c.prev, TID: storage.MakeTID(12, 900), Row: c.row}
 		s.Next(&first)
 		next := first
-		next.TID = storage.MakeTID(12, 901)
+		next.Key, next.TID = c.key, storage.MakeTID(12, 901)
 		header, payload, raw := s.Next(&next)
 		if over := header + raw - len(c.row); over > 10 {
 			t.Errorf("%s value entry costs %d bytes over its %d-byte row, budget 10", c.name, over, len(c.row))
@@ -277,12 +407,12 @@ func TestEnvelopeByteBudget(t *testing.T) {
 	// a 10-byte TID delta — is MaxEntryHeaderLen = 33 bytes, against the
 	// 27–31 every entry paid when all of it was fixed-width.
 	worst := replication.Entry{Table: 255, Part: -1, Key: storage.Key{Hi: ^uint64(0), Lo: ^uint64(0)}, TID: 1 << 63}
-	var s replication.EntrySizer
+	var s replication.EntryCoder
 	if header, _, _ := s.Next(&worst); header != replication.MaxEntryHeaderLen || replication.MaxEntryHeaderLen != 33 {
 		t.Errorf("worst-case header is %d bytes, MaxEntryHeaderLen %d, stated 33", header, replication.MaxEntryHeaderLen)
 	}
 	// The smallest entry is MinEntryLen, the bound decoders divide by.
-	if header, payload, _ := new(replication.EntrySizer).Next(&replication.Entry{Absent: true}); header+payload != replication.MinEntryLen {
+	if header, payload, _ := new(replication.EntryCoder).Next(&replication.Entry{Absent: true}); header+payload != replication.MinEntryLen {
 		t.Errorf("smallest entry is %d bytes, MinEntryLen %d", header+payload, replication.MinEntryLen)
 	}
 }
@@ -332,15 +462,15 @@ func TestDecodeBatchBoundsEntryCount(t *testing.T) {
 		b.Entries[i].Absent = true
 	}
 	enc := replication.AppendBatch(nil, b)
-	if _, err := replication.DecodeBatch(enc); err != nil {
-		t.Fatalf("densest legal batch rejected: %v", err)
+	if _, err := replication.DecodeBatch(enc); err != nil || len(enc) != 3+3*replication.MinEntryLen {
+		t.Fatalf("densest legal batch: %d bytes, err %v", len(enc), err)
 	}
-	enc[2] = 4 // claim one more entry than 15 bytes can hold
+	enc[2] = 4 // claim one more entry than 12 bytes can hold
 	if _, err := replication.DecodeBatch(enc); !errors.Is(err, prim.ErrCorrupt) {
 		t.Fatalf("entry count past the buffer: %v, want ErrCorrupt from the count guard", err)
 	}
 
-	// A 1 MiB frame claiming 209 715 entries (18 MiB of Entry structs)
+	// A 1 MiB frame claiming 262 144 entries (22 MiB of Entry structs)
 	// with two behind the claim.
 	lying := lyingBatch(1 << 20)
 	var before, after runtime.MemStats

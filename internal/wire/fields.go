@@ -294,7 +294,8 @@ func (f *Fields) Strings(v *[]string, max int) {
 	}
 }
 
-// FieldOp walks one field operation; decoded, its Arg aliases the input.
+// FieldOp walks one field operation; decoded, an argument not held in the
+// op aliases the input.
 func (f *Fields) FieldOp(op *storage.FieldOp) {
 	switch f.pass {
 	case encoding:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -61,6 +62,18 @@ func FuzzPrimitives(f *testing.F) {
 		Marshal(&[]int64{1, -2, 3}, (*Fields).I64s),
 		Marshal(&[]uint64{9, 1 << 50}, (*Fields).U64s),
 		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+	}
+	// Field ops whose 8-byte argument travels short, each at an edge of
+	// its form: the longest zig-zag varint, the shortest, a float NaN and
+	// a negative zero (byte-reversed), and 2^20.
+	for _, op := range []storage.FieldOp{
+		storage.AddInt64Op(0, math.MinInt64),
+		storage.AddInt64Op(1, -1),
+		storage.AddFloat64Op(2, math.NaN()),
+		storage.AddFloat64Op(3, math.Copysign(0, -1)),
+		storage.SetInt64Op(4, 1<<20),
+	} {
+		seeds = append(seeds, prim.AppendFieldOp(nil, &op))
 	}
 	for i, s := range seeds {
 		corpusSeed(f, "FuzzPrimitives", i, s)
@@ -196,6 +209,23 @@ func FuzzBatchDecode(f *testing.F) {
 		packedEntry(flagPacked, 0xff, 0xff, 0x03, 0, 0),
 		packedEntry(flagPacked, 12, 0b1, 7, 0b10000, 9),
 		packedEntry(flagPacked, 8, 0xff, 1, 2, 3, 4, 5, 6, 7, 8),
+		// Keys as deltas — a run of order lines, a step back, a new Hi —
+		// and op arguments in each form: zig-zag, byte-reversed, raw.
+		one(7, replication.Entry{Table: 7, Key: storage.K2(1, 2<<56|9<<8|1), TID: storage.MakeTID(7, 1), Row: row},
+			replication.Entry{Table: 7, Key: storage.K2(1, 2<<56|9<<8|2), TID: storage.MakeTID(7, 1), Row: row},
+			replication.Entry{Table: 7, Key: storage.K2(1, 2<<56|8<<8|5), TID: storage.MakeTID(7, 1), Absent: true},
+			replication.Entry{Table: 7, Key: storage.K2(2, 2<<56|8<<8|6), TID: storage.MakeTID(7, 2), Row: row}),
+		one(7, replication.Entry{Table: 3, Key: storage.K2(1, 17), TID: storage.MakeTID(7, 1), Ops: []storage.FieldOp{
+			storage.AddInt64Op(0, -3), storage.AddFloat64Op(1, 5.0), storage.SetInt64Op(2, -1<<62), storage.AddFloat64Op(3, 0.1)}}),
+		// A frame as the encoder before key deltas and short arguments
+		// wrote it, and a raw key two uvarints would beat.
+		mustHex(f, parentFrame),
+		rawKeyFrame(),
+		// What must not decode: a key delta with a table and partition, a
+		// key delta and a raw key, an argument in both short forms.
+		{0, 0, 1, flagKeyDelta, 0, 0, 2, 0, 1, 'r'},
+		{0, 0, 1, flagKeyDelta | flagRawKey | flagSamePart, 2, 0, 1, 'r'},
+		{0, 0, 1, flagOp | flagSamePart, 1, 1, 0, 1, 0, 0xc1, 2},
 	}
 	for i, s := range seeds {
 		corpusSeed(f, "FuzzBatchDecode", i, s)

@@ -147,31 +147,64 @@ func Key(b []byte) (storage.Key, []byte, error) {
 
 // ---- field operations ----
 
-// AppendFieldOp appends one field operation: [field u8][kind u8][arg].
+// A field op is [field u8][kind u8][arg]; the kind byte's top two bits
+// name the argument's form. Raw (0) is [len uvarint][bytes]; an 8-byte
+// argument — an integer or float, mostly small — goes in the shortest of
+// raw, argVarint (zig-zag varint of its little-endian int64) and
+// argReversed (uvarint of it byte-reversed: 5.0 takes 2 bytes). Both bits
+// set is corrupt; any form decodes, shortest or not.
+const argVarint, argReversed = 1 << 6, 2 << 6
+
+// argForm returns op's argument (an 8-byte one written into *w), its
+// form, the uvarint a short form sends, and its encoded size.
+func argForm(op *storage.FieldOp, w *[8]byte) (arg []byte, form byte, v uint64, n int) {
+	if arg = op.Argument(w); len(arg) != 8 {
+		return arg, 0, 0, BytesLen(arg)
+	}
+	u, n := binary.LittleEndian.Uint64(arg), 9
+	if z := u<<1 ^ uint64(int64(u)>>63); UvarintLen(z) < n {
+		form, v, n = argVarint, z, UvarintLen(z)
+	}
+	if r := bits.ReverseBytes64(u); UvarintLen(r) < n {
+		form, v, n = argReversed, r, UvarintLen(r)
+	}
+	return arg, form, v, n
+}
+
+// AppendFieldOp appends one field operation.
 func AppendFieldOp(b []byte, op *storage.FieldOp) []byte {
-	b = append(b, op.Field, byte(op.Kind))
-	return AppendBytes(b, op.Arg)
+	var w [8]byte
+	arg, form, v, _ := argForm(op, &w)
+	if b = append(b, op.Field, byte(op.Kind)|form); form == 0 {
+		return AppendBytes(b, arg)
+	}
+	return AppendUvarint(b, v)
 }
 
 // FieldOpLen returns the encoded size of op.
-func FieldOpLen(op *storage.FieldOp) int { return 2 + BytesLen(op.Arg) }
+func FieldOpLen(op *storage.FieldOp) int { _, _, _, n := argForm(op, new([8]byte)); return 2 + n }
 
-// DecodeFieldOp consumes one field operation. Arg aliases b.
-func DecodeFieldOp(b []byte) (storage.FieldOp, []byte, error) {
-	var op storage.FieldOp
+// DecodeFieldOp consumes one field operation. An 8-byte argument, in
+// whichever form it came, is held in the op; any other aliases b.
+func DecodeFieldOp(b []byte) (op storage.FieldOp, _ []byte, err error) {
 	if len(b) < 2 {
 		return op, nil, ErrTruncated
 	}
-	op.Field = b[0]
-	op.Kind = storage.OpKind(b[1])
-	if op.Kind > storage.OpSetRow {
-		return op, nil, fmt.Errorf("%w: op kind %d", ErrCorrupt, op.Kind)
+	field, kind, form := int(b[0]), storage.OpKind(b[1]&^(argVarint|argReversed)), b[1]&(argVarint|argReversed)
+	if kind > storage.OpSetRow || form == argVarint|argReversed {
+		return op, nil, fmt.Errorf("%w: op kind byte %#x", ErrCorrupt, b[1])
 	}
-	var err error
-	if op.Arg, b, err = Bytes(b[2:]); err != nil {
-		return op, nil, err
+	if form == 0 {
+		arg, b, err := Bytes(b[2:])
+		return storage.NewFieldOp(field, kind, arg), b, err
 	}
-	return op, b, nil
+	v, b, err := Uvarint(b[2:])
+	if form == argVarint {
+		v = uint64(int64(v>>1) ^ -int64(v&1))
+	} else {
+		v = bits.ReverseBytes64(v)
+	}
+	return storage.WordOp(field, kind, v), b, err
 }
 
 // ---- bool ----

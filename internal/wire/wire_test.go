@@ -102,7 +102,7 @@ func TestEntryRoundTrip(t *testing.T) {
 	for i, e := range sampleEntries() {
 		b := &replication.Batch{Entries: []replication.Entry{e}}
 		enc := replication.AppendBatch(nil, b)
-		var s replication.EntrySizer
+		var s replication.EntryCoder
 		if header, payload, _ := s.Next(&e); len(enc) != 3+header+payload {
 			t.Fatalf("entry %d: sized %d+%d, encoded %d behind a 3-byte envelope header", i, header, payload, len(enc))
 		}
