@@ -344,8 +344,7 @@ func (e *Dist) runOCC(node, wi int, req *txn.Request) {
 // commitOCC runs the two commit rounds: lock+validate, then apply (2PC
 // when synchronous replication is on, §7.1.3).
 func (e *Dist) commitOCC(node, wi int, port *rpcPort, set *txn.RWSet, req *txn.Request) bool {
-	set.SortWrites()
-	// Group the footprint by participant.
+	// Group the footprint by participant, each one's writes in lock order.
 	lvs := map[int]*lvPayload{}
 	at := func(owner int) *lvPayload {
 		p := lvs[owner]
@@ -355,7 +354,7 @@ func (e *Dist) commitOCC(node, wi int, port *rpcPort, set *txn.RWSet, req *txn.R
 		}
 		return p
 	}
-	for i := range set.Writes {
+	for _, i := range set.KeyOrder() {
 		w := &set.Writes[i]
 		p := at(e.cfg.MasterOf(w.Part))
 		p.Writes = append(p.Writes, lock.Name{Table: w.Table, Key: w.Key})

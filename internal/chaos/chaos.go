@@ -157,6 +157,9 @@ type Result struct {
 	Digest    uint64           // folded partition+index checksums, post-convergence
 	Epoch     uint64           // last cluster epoch observed on the wire
 	Injected  map[string]int64 // per-fault-type injection counters
+	// Published is the engine's snapshot counters at the end: what
+	// /metrics and star-admin stat show, the injection counters included.
+	Published map[string]int64
 
 	// Read-your-own-writes probe accounting: reads served from fence
 	// snapshots vs refused for freshness (the refusals prove replica lag
@@ -403,6 +406,7 @@ func runSoak(seed int64, o Options, spare bool) (Result, error) {
 		Digest:         digest,
 		Epoch:          fn.Epoch(),
 		Injected:       fn.Injected(),
+		Published:      e.StatsSnapshot().Counters,
 		ProbeServed:    served,
 		ProbeFallbacks: fallbacks,
 	}, nil

@@ -55,6 +55,11 @@ func TestChaosSoakConvergesFixedSeed(t *testing.T) {
 					t.Errorf("fault family %s never fired (injected=%v)", k, res.Injected)
 				}
 			}
+			// The engine publishes the injector's counters under their own
+			// names.
+			if got, want := res.Published["fault_drops"], res.Injected["fault_drops"]; got != want {
+				t.Errorf("engine snapshot fault_drops=%d, injector counted %d", got, want)
+			}
 		})
 	}
 }

@@ -128,15 +128,18 @@ type AdminResp struct {
 	Stats []byte
 }
 
-// msgTopology installs a new topology version on a node (coordinator →
-// nodes, between fences). It is also sent to a node that just drained
-// OUT of the member set, whose install signals Engine.Drained so the
-// process can exit cleanly.
+// msgTopology installs the coordinator's whole view on a node
+// (coordinator → nodes, between fences): a topology version and the
+// failed set under it. It is the one message that brings a peer back up
+// in a node's view — phase commands and reverts only add failures. It is
+// also sent to a node that just drained OUT of the member set, whose
+// install signals Engine.Drained so the process can exit cleanly.
 type msgTopology struct {
 	Version   uint64
 	Members   []int32
 	Masters   []int32
 	Secondary []int32
+	Failed    []int
 }
 
 // serveAdmin handles an admin envelope on the node router: local ops
@@ -254,19 +257,24 @@ func (e *Engine) topologyResp(topo *Topology) AdminResp {
 	return resp
 }
 
-// installTopology commits a layout on this node: storage residency
-// rebuilds from it, and the node's view becomes the new layout's under
-// the failed set it already knew — live mastership, replication targets
-// and client routing all follow. Runs on the router between fences (the
-// coordinator sends it only at a committed, quiesced boundary). A node
-// that is no longer a member drops every partition and signals
-// Engine.Drained.
+// installTopology commits the coordinator's view on this node: storage
+// residency rebuilds from its layout, and the node's view becomes that
+// layout's under the failed set the install names — live mastership,
+// replication targets and client routing all follow, and every link that
+// comes up restarts its counters (setView). Runs on the router between
+// fences (the coordinator sends it only at a committed, quiesced
+// boundary). A node that is no longer a member drops every partition and
+// signals Engine.Drained.
 func (n *node) installTopology(m msgTopology) {
 	if len(m.Masters) != n.e.cfg.NumPartitions() {
 		return // off the wire: not a layout of this cluster (the view indexes it by partition)
 	}
 	t := topologyFromMsg(m, n.e.cfg)
-	n.setView(newView(t, n.view.Load().failed))
+	v := newView(t, m.Failed)
+	if v.master < 0 {
+		return // no full replica alive: a view the coordinator halts on, never one it installs
+	}
+	n.setView(v)
 	for p := 0; p < t.Partitions; p++ {
 		n.db.SetHolds(p, t.Holds(n.id, p))
 	}

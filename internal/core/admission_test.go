@@ -11,27 +11,23 @@ import (
 )
 
 // admission is what the coordinator sent while admitting slot x: the
-// kinds of message x itself received, in order (phase commands aside),
-// the recovery order among them, and which survivors were told to adopt
-// x's sent counts.
+// kinds of message each node received from it, in order (phase commands
+// aside), and the revert, recovery order and install among x's.
 type admission struct {
-	kinds    []string
+	kinds    map[int][]string
 	revert   msgRevert
 	recovery msgStartRecovery
-	aligned  map[int]int
-	last     any
+	install  msgTopology
 }
 
 func admissionOf(evs []tapped, coord, x int) admission {
-	a := admission{aligned: map[int]int{}}
+	a := admission{kinds: map[int][]string{}}
 	for _, ev := range evs {
-		if ev.src != coord {
+		if _, phase := ev.m.(msgStartPhase); phase || ev.src != coord {
 			continue
 		}
-		if al, ok := ev.m.(msgAlignCounters); ok && al.Src == x {
-			a.aligned[ev.dst]++
-		}
-		if _, phase := ev.m.(msgStartPhase); phase || ev.dst != x {
+		a.kinds[ev.dst] = append(a.kinds[ev.dst], fmt.Sprintf("%T", ev.m))
+		if ev.dst != x {
 			continue
 		}
 		switch m := ev.m.(type) {
@@ -39,9 +35,9 @@ func admissionOf(evs []tapped, coord, x int) admission {
 			a.revert = m
 		case msgStartRecovery:
 			a.recovery = m
+		case msgTopology:
+			a.install = m
 		}
-		a.kinds = append(a.kinds, fmt.Sprintf("%T", ev.m))
-		a.last = ev.m
 	}
 	return a
 }
@@ -49,10 +45,13 @@ func admissionOf(evs []tapped, coord, x int) admission {
 // A crash rejoin is a join: slot x, failed and recovered, then drained
 // and joined again, is sent the same sequence both times — wildcard
 // revert, a recovery order for EVERY partition the layout assigns it (not
-// only ones it gains: what it holds is untrusted), counter reset, one
-// counter alignment per survivor, and the install of the view that has
-// it back: the installed layout again for the rejoin, the next version
-// for the join. Run for a full replica and a partial one.
+// only ones it gains: what it holds is untrusted), and the install of the
+// view that has it back: the installed layout again for the rejoin, the
+// next version for the join. The survivors are sent the install and
+// nothing else (bar, for the join, a recovery order for what the next
+// layout gains them). Between the install and the next phase, every link to x
+// reads zero at both ends — what x's catch-up stands for is counted by
+// neither. Run for a full replica and a partial one.
 func TestRejoinAndJoinShareOneAdmission(t *testing.T) {
 	const nodes, workers = 4, 2
 	for _, x := range []int{1, 3} {
@@ -68,6 +67,42 @@ func TestRejoinAndJoinShareOneAdmission(t *testing.T) {
 		if x < 2 && len(holds) != nodes*workers {
 			t.Fatalf("full replica %d holds %v", x, holds)
 		}
+		// admit asks for x's join and holds the first phase command after
+		// the install while it reads every link's counters at x.
+		admit := func(name string) admission {
+			t.Helper()
+			mark := len(tap.since(0))
+			installed := false
+			tap.mu.Lock()
+			tap.hold = func(ev tapped) bool { // runs under tap.mu
+				if _, ok := ev.m.(msgTopology); ok && ev.src == coord {
+					installed = true
+				}
+				_, phase := ev.m.(msgStartPhase)
+				return phase && installed
+			}
+			tap.mu.Unlock()
+			e.RequestJoin(x)
+			for deadline := s.Now() + 200*time.Millisecond; len(tap.heldNow()) == 0; s.Run(s.Now() + time.Millisecond) {
+				if s.Now() > deadline {
+					t.Fatalf("slot %d %s: no phase command after an install", x, name)
+				}
+			}
+			s.Run(s.Now() + time.Millisecond) // the installs land; the phase waits
+			for i, n := range e.nodes {
+				sent := n.tracker.SentVector()
+				for j := range nodes {
+					if (i == x || j == x) && i != j && (sent[j] != 0 || n.tracker.Applied(j) != 0) {
+						t.Fatalf("slot %d %s: node %d's link to %d reads sent %d, applied %d after the install, want zero",
+							x, name, i, j, sent[j], n.tracker.Applied(j))
+					}
+				}
+			}
+			a := admissionOf(tap.since(mark), coord, x)
+			tap.release()
+			s.Run(s.Now() + 60*time.Millisecond)
+			return a
+		}
 		s.Run(20 * time.Millisecond)
 
 		e.FailNode(x)
@@ -75,10 +110,7 @@ func TestRejoinAndJoinShareOneAdmission(t *testing.T) {
 		if got := e.FailedNodes(); !reflect.DeepEqual(got, []int{x}) {
 			t.Fatalf("slot %d: failed set %v after the crash", x, got)
 		}
-		mark := len(tap.since(0))
-		e.RequestJoin(x)
-		s.Run(s.Now() + 100*time.Millisecond)
-		rejoin := admissionOf(tap.since(mark), coord, x)
+		rejoin := admit("rejoin")
 
 		e.RequestDrain(x)
 		s.Run(s.Now() + 60*time.Millisecond)
@@ -86,21 +118,21 @@ func TestRejoinAndJoinShareOneAdmission(t *testing.T) {
 			t.Fatalf("slot %d: drain not installed", x)
 		}
 		version := e.Topology().Version
-		mark = len(tap.since(0))
-		e.RequestJoin(x)
-		s.Run(s.Now() + 60*time.Millisecond)
-		join := admissionOf(tap.since(mark), coord, x)
+		join := admit("join")
 
-		survivors := map[int]int{}
-		for i := 0; i < nodes; i++ {
-			if i != x {
-				survivors[i] = 1
-			}
-		}
-		want := []string{"core.msgRevert", "core.msgStartRecovery", "core.msgResetCounters", "core.msgTopology"}
+		want := []string{"core.msgRevert", "core.msgStartRecovery", "core.msgTopology"}
 		for name, a := range map[string]admission{"rejoin": rejoin, "join": join} {
-			if !reflect.DeepEqual(a.kinds, want) {
-				t.Fatalf("slot %d %s: coordinator sent it %v, want %v", x, name, a.kinds, want)
+			if !reflect.DeepEqual(a.kinds[x], want) {
+				t.Fatalf("slot %d %s: coordinator sent it %v, want %v", x, name, a.kinds[x], want)
+			}
+			for i := 0; i < nodes; i++ {
+				got := a.kinds[i]
+				if name == "join" && len(got) == 2 && got[0] == "core.msgStartRecovery" {
+					got = got[1:] // its share of the new layout, streamed like the slot's
+				}
+				if i != x && !reflect.DeepEqual(got, []string{"core.msgTopology"}) {
+					t.Fatalf("slot %d %s: coordinator sent survivor %d %v, want the install alone", x, name, i, a.kinds[i])
+				}
 			}
 			if a.revert.Epoch != 0 {
 				t.Fatalf("slot %d %s: revert of epoch %d, want the wildcard", x, name, a.revert.Epoch)
@@ -113,15 +145,15 @@ func TestRejoinAndJoinShareOneAdmission(t *testing.T) {
 					t.Fatalf("slot %d %s: told to copy from itself", x, name)
 				}
 			}
-			if !reflect.DeepEqual(a.aligned, survivors) {
-				t.Fatalf("slot %d %s: counter alignments per node %v, want one per survivor", x, name, a.aligned)
+			if len(a.install.Failed) != 0 {
+				t.Fatalf("slot %d %s: install names failed %v, want none", x, name, a.install.Failed)
 			}
 		}
-		if tm := rejoin.last.(msgTopology); tm.Version != version-1 {
-			t.Fatalf("slot %d: rejoin installed v%d, want the layout it failed under, v%d", x, tm.Version, version-1)
+		if v := rejoin.install.Version; v != version-1 {
+			t.Fatalf("slot %d: rejoin installed v%d, want the layout it failed under, v%d", x, v, version-1)
 		}
-		if tm := join.last.(msgTopology); tm.Version != version+1 {
-			t.Fatalf("slot %d: join installed v%d, want v%d", x, tm.Version, version+1)
+		if v := join.install.Version; v != version+1 {
+			t.Fatalf("slot %d: join installed v%d, want v%d", x, v, version+1)
 		}
 
 		settle(s, e, 30*time.Millisecond)

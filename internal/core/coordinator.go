@@ -189,11 +189,11 @@ func (c *coordinator) runPhase(tau time.Duration) {
 	}
 	c.broadcast(cmd)
 
-	// Every node reports twice per epoch: its phase end (sent vector and
-	// monitors) and its completed fence drain. The nodes drain on their
-	// own — each peer's end-of-epoch marker tells them what to wait for —
-	// so a fast node's ack can overtake a slow node's phase report; both
-	// gathers collect both kinds.
+	// Every node reports twice per epoch: its phase end (monitors) and
+	// its completed fence drain. The nodes drain on their own — each
+	// peer's end-of-epoch marker tells them what to wait for — so a fast
+	// node's ack can overtake a slow node's phase report; both gathers
+	// collect both kinds.
 	done := map[int]msgPhaseDone{}
 	acks := map[int]bool{}
 	collect := func(m any) {
@@ -265,7 +265,7 @@ func (c *coordinator) runPhase(tau time.Duration) {
 	}
 	c.accountPhase(done, tau)
 	c.noteEpoch(done, tau, fenceStart-start-tau, fenceDur)
-	c.processAdmin(done)
+	c.processAdmin()
 	c.epoch++
 	c.advancePhase()
 }
@@ -476,14 +476,15 @@ func (c *coordinator) onFailure(missing []int) {
 // brings slot id up to the cluster's state under next — a failed member
 // answering again under the installed layout (next = old.Alive(id)), or
 // a dark or drained slot joining the layout that admits it. Links up,
-// whatever the slot held is discarded, it copies every partition next
-// assigns it from healthy holders, and the replication counters are
-// aligned both ways. Quiesced is what makes the copy safe under operation
-// replication: every delta is applied and no phase runs until this
-// returns, so none races the snapshot it would have to apply onto. On
-// timeout the links go down again and the caller's tail (install next) is
-// skipped, so the request can simply be repeated.
-func (c *coordinator) admit(id int, old, next *View, done map[int]msgPhaseDone) error {
+// whatever the slot held is discarded, and it copies every partition next
+// assigns it from healthy holders; the install that follows restarts the
+// replication counters of every link to it at zero, at both ends.
+// Quiesced is what makes the copy safe under operation replication: every
+// delta is applied and no phase runs until this returns, so none races
+// the snapshot it would have to apply onto. On timeout the links go down
+// again and the caller's tail (install next) is skipped, so the request
+// can simply be repeated.
+func (c *coordinator) admit(id int, old, next *View) error {
 	c.e.net.SetDown(id, false)
 	// Epoch 0 is the wildcard revert: a crashed member may have kept
 	// committing an epoch the cluster reverted and re-executed, and a slot
@@ -492,27 +493,9 @@ func (c *coordinator) admit(id int, old, next *View, done map[int]msgPhaseDone) 
 	// catch-up forever. Discarding them restores the slot to its last
 	// group-committed state, which the snapshot then tops up.
 	c.e.net.Send(c.id(), id, transport.Control, msgRevert{Epoch: 0, Failed: old.failed})
-	sent, err := c.migrate(old, next, []int{id})
-	if err != nil {
+	if err := c.migrate(old, next, []int{id}); err != nil {
 		c.e.net.SetDown(id, true)
 		return err
-	}
-	// The slot's applied counters jump to the cluster's cumulative sent
-	// counts as of this fence (its snapshot subsumes them).
-	applied := make([]int64, c.e.cfg.Nodes)
-	for src, pd := range done {
-		applied[src] = pd.Sent[id]
-	}
-	c.e.net.Send(c.id(), id, transport.Control, msgResetCounters{Applied: applied})
-	// Reverse alignment: entries the slot counted as sent but the network
-	// dropped at the crash (or a restart zeroed) can never be applied, so
-	// every survivor adopts the slot's own cumulative count as its
-	// applied-from-id baseline — otherwise the first fence after admission
-	// waits on phantom entries forever.
-	for _, s := range old.up {
-		if s != id && s < len(sent[id]) {
-			c.e.net.Send(c.id(), s, transport.Control, msgAlignCounters{Src: id, Applied: sent[id][s]})
-		}
 	}
 	return nil
 }
@@ -523,11 +506,11 @@ func (c *coordinator) admit(id int, old, next *View, done map[int]msgPhaseDone) 
 // quiesced fence: replication has fully drained, so partition state can
 // move between members with no counter deltas in flight. One change is
 // processed at a time; each installs its view before the next starts.
-func (c *coordinator) processAdmin(done map[int]msgPhaseDone) {
+func (c *coordinator) processAdmin() {
 	reqs := c.pendingAdmin
 	c.pendingAdmin = nil
 	for _, req := range reqs {
-		c.processOneAdmin(req, done)
+		c.processOneAdmin(req)
 	}
 }
 
@@ -538,7 +521,7 @@ func (c *coordinator) processAdmin(done map[int]msgPhaseDone) {
 // rebalance migrates gained partitions only — and installs it. The
 // drained node's own msgTopology install signals Engine.Drained so its
 // process can exit cleanly.
-func (c *coordinator) processOneAdmin(req AdminReq, done map[int]msgPhaseDone) {
+func (c *coordinator) processOneAdmin(req AdminReq) {
 	fail := func(why string) { c.replyAdmin(req, AdminResp{Err: why}) }
 	v := c.view.Load()
 	id := req.Node
@@ -569,10 +552,10 @@ func (c *coordinator) processOneAdmin(req AdminReq, done map[int]msgPhaseDone) {
 			return
 		case v.IsMember(id):
 			next = v.Alive(id) // a crash rejoin: the same layout, one failure fewer
-			err = c.admit(id, v, next, done)
+			err = c.admit(id, v, next)
 		default:
 			next = newView(v.Joined(id), nil)
-			err = c.admit(id, v, next, done)
+			err = c.admit(id, v, next)
 		}
 	case AdminDrain:
 		if !v.IsMember(id) {
@@ -582,11 +565,11 @@ func (c *coordinator) processOneAdmin(req AdminReq, done map[int]msgPhaseDone) {
 		t := v.Drained(id)
 		if err = t.Validate(); err == nil {
 			next = newView(t, nil)
-			_, err = c.migrate(v, next, nil)
+			err = c.migrate(v, next, nil)
 		}
 	case AdminRebalance:
 		next = newView(v.Rebalanced(), nil)
-		_, err = c.migrate(v, next, nil)
+		err = c.migrate(v, next, nil)
 	default:
 		fail("op not served by the coordinator")
 		return
@@ -605,12 +588,11 @@ func (c *coordinator) processOneAdmin(req AdminReq, done map[int]msgPhaseDone) {
 // catch-up path, Thomas write rule plus removal sweep). A forced id's
 // current state is untrusted — it crashed, or was a member once — so it
 // streams EVERY partition next assigns it, and reports recovery-done
-// even when that is nothing (its Sent vector is needed for counter
-// alignment). On timeout the topology is NOT installed; provisionally
-// materialised partitions on gaining members are invisible (checksum
-// serving and replication targets follow the installed topology) and a
-// later retry converges them idempotently.
-func (c *coordinator) migrate(old, next *View, force []int) (map[int][]int64, error) {
+// even when that is nothing. On timeout the topology is NOT installed;
+// provisionally materialised partitions on gaining members are invisible
+// (checksum serving and replication targets follow the installed
+// topology) and a later retry converges them idempotently.
+func (c *coordinator) migrate(old, next *View, force []int) error {
 	want := map[int]bool{} // members that must report recovery-done
 	for _, id := range force {
 		want[id] = true
@@ -631,31 +613,32 @@ func (c *coordinator) migrate(old, next *View, force []int) (map[int][]int64, er
 			c.e.net.Send(c.id(), i, transport.Control, x)
 		}
 	}
-	sent := map[int][]int64{}
+	done := map[int]bool{}
 	// Snapshot transfer is bandwidth-paced; recoveryGrace allows for it.
 	ok := c.gather(c.recoveryGrace, func(m any) bool {
 		if rd, isRD := m.(msgRecoveryDone); isRD && want[rd.Node] {
-			sent[rd.Node] = rd.Sent
+			done[rd.Node] = true
 		}
-		return len(sent) == len(want)
+		return len(done) == len(want)
 	})
 	if !ok {
-		return sent, fmt.Errorf("partition migration incomplete: %d/%d members caught up", len(sent), len(want))
+		return fmt.Errorf("partition migration incomplete: %d/%d members caught up", len(done), len(want))
 	}
-	return sent, nil
+	return nil
 }
 
 // install is the one way the view changes outside a failure: the
 // coordinator goes by next from here on, and every old-or-new member is
-// sent its layout to install (residency, and the view the node derives
-// from it). The failed set does not travel here — the next phase command
-// carries it, as every phase command does.
+// sent the whole view to install — layout and failed set — which is the
+// one message that brings a peer back up in a node's view (residency,
+// and the view the node derives from it).
 func (c *coordinator) install(old, next *View) {
 	c.view.Store(next)
 	m := msgTopology{
 		Version:   next.Version,
 		Masters:   append([]int32(nil), next.Masters...),
 		Secondary: append([]int32(nil), next.Secondary...),
+		Failed:    next.failed,
 	}
 	for _, id := range next.Members() {
 		m.Members = append(m.Members, int32(id))

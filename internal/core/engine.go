@@ -183,11 +183,12 @@ func (e *Engine) buildRegistry() {
 // quantities tracked outside it: log bytes, the transport's byte and
 // message accounting, and — when the transport injects faults
 // (star-node -faults, chaos soaks) — the cumulative injection counters
-// under a fault_ prefix. Log bytes come twice: log_bytes is what the cost
-// model charged (chargeLog: len(row)+32 per logged write, on every
-// runtime), wal_file_bytes what the recovery logs wrote: their envelope
-// frames, to the byte (LogDir mode). This is what AdminStats serves
-// and what the -http /metrics endpoint renders.
+// under the names the injector gives them (fault_drops, ...). Log bytes
+// come twice: log_bytes is what the cost model charged (chargeLog:
+// len(row)+32 per logged write, on every runtime), wal_file_bytes what
+// the recovery logs wrote: their envelope frames, to the byte (LogDir
+// mode). This is what AdminStats serves and what the -http /metrics
+// endpoint renders.
 func (e *Engine) StatsSnapshot() metrics.Snapshot {
 	e.reg.Gauge("log_bytes").Set(e.logBytes.Load())
 	var written int64
@@ -206,7 +207,7 @@ func (e *Engine) StatsSnapshot() metrics.Snapshot {
 			if snap.Counters == nil {
 				snap.Counters = map[string]int64{}
 			}
-			snap.Counters["fault_"+k] = v
+			snap.Counters[k] = v
 		}
 	}
 	return snap

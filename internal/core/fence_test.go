@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -61,6 +62,13 @@ func (n *tapNet) release() {
 // newTapNet is the default simulated network behind a tap.
 func newTapNet(s *rt.Sim, nodes int) *tapNet {
 	return &tapNet{r: s, Transport: simnet.New(s, simnet.DefaultConfig(nodes+1, 1))}
+}
+
+// heldNow returns the sends held so far.
+func (n *tapNet) heldNow() []tapped {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return append([]tapped(nil), n.held...)
 }
 
 // since returns the sends recorded from index from on.
@@ -367,5 +375,36 @@ func TestRevertDiscardsMarkers(t *testing.T) {
 	n.handle(msgEpochMark{From: 0, Epoch: 6})
 	if !n.acked {
 		t.Fatal("retry not acked once the surviving peer's fresh marker arrived")
+	}
+}
+
+// A phase command or a revert only adds failures to a node's view: one
+// naming a smaller failed set leaves the set as it was. The install is
+// what brings a peer back, and it restarts both counters of the node's
+// link to it at zero, leaving every other link's as they were.
+func TestFailedSetLeavesOnlyAtAnInstall(t *testing.T) {
+	_, n := newFenceHarness(t)
+	n.handle(msgRevert{Epoch: 6, Failed: []int{2}})
+	n.handle(msgStartPhase{Phase: Partitioned, Epoch: 6, Deadline: time.Hour})
+	n.handle(msgRevert{Epoch: 6})
+	if got := n.view.Load().failed; !slices.Equal(got, []int{2}) {
+		t.Fatalf("failed set %v after a phase command and a revert naming none, want [2]", got)
+	}
+
+	n.tracker.AddSent(2, 5)
+	n.tracker.AddApplied(2, 3)
+	n.tracker.AddSent(0, 4)
+	n.tracker.AddApplied(0, 7)
+	v := n.view.Load()
+	n.handle(msgTopology{Version: v.Version, Members: []int32{0, 1, 2},
+		Masters: slices.Clone(v.Masters), Secondary: slices.Clone(v.Secondary)})
+	if got := n.view.Load().failed; len(got) != 0 {
+		t.Fatalf("failed set %v after the install that names none", got)
+	}
+	if sent := n.tracker.SentVector(); sent[2] != 0 || n.tracker.Applied(2) != 0 {
+		t.Fatalf("link to the peer that came up reads sent %d, applied %d, want zero", sent[2], n.tracker.Applied(2))
+	}
+	if sent := n.tracker.SentVector(); sent[0] != 4 || n.tracker.Applied(0) != 7 {
+		t.Fatalf("link to a peer that stayed up reads sent %d, applied %d, want 4 and 7", sent[0], n.tracker.Applied(0))
 	}
 }

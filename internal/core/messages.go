@@ -49,9 +49,10 @@ type msgStartPhase struct {
 	// time would not survive the wire). Scripted phases ignore it.
 	Deadline time.Duration
 	// Failed is the view's failed set (empty normally), re-asserted by
-	// every phase command: a node that lost a revert learns it here. Who
-	// masters what under it, the designated master included, each node
-	// derives for itself (View).
+	// every phase command: a node that lost a revert learns it here. A
+	// node only adds what it names; a member leaves the failed set at an
+	// install (msgTopology). Who masters what under it, the designated
+	// master included, each node derives for itself (View).
 	Failed []int
 	// Lat is the coordinator's one-way latency estimate (see
 	// coordinator.lat); workers size the fence-tail flush window from it.
@@ -71,14 +72,12 @@ type msgStartPhase struct {
 // phase commands announce the epoch on every process that sends them.
 func (m msgStartPhase) InjectionEpoch() uint64 { return m.Epoch }
 
-// msgPhaseDone reports a node's workers finished the phase; Sent carries
-// the node's cumulative per-destination replication entry counts
-// (the coordinator aggregates them for the fence, §4.3) and the phase
-// monitors feeding the τp/τs equations.
+// msgPhaseDone reports a node's workers finished the phase, with the
+// phase monitors feeding the τp/τs equations. What the fence waits for
+// travels between the nodes themselves (msgEpochMark).
 type msgPhaseDone struct {
 	Node  int
 	Epoch uint64
-	Sent  []int64
 	// Monitors for equations (1)-(2): commits this phase, and the
 	// single-/cross-partition generation counts estimating P.
 	Committed int64
@@ -134,8 +133,9 @@ type msgReplAck struct {
 }
 
 // msgRevert orders a node to revert the in-flight epoch after a failure
-// (coordinator → nodes) under the new failed set; the re-mastering of
-// §4.5.3 cases 1 and 3 is what each node's View derives from it.
+// (coordinator → nodes) and adds the failures it names to the node's
+// view; the re-mastering of §4.5.3 cases 1 and 3 is what each node's View
+// derives from it.
 type msgRevert struct {
 	Epoch uint64
 	// Failed lists all currently failed nodes.

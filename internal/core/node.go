@@ -28,11 +28,11 @@ type node struct {
 	// designated master).
 	masterQ rt.Chan
 
-	// view is this node's cluster view: the layout the last msgTopology
-	// installed under the failed set the last phase command or revert
-	// named. The router alone writes it (setView); the workers (what
-	// they master, where their writes replicate, who the designated
-	// master is), the client gate and the admin plane read it.
+	// view is this node's cluster view: the last msgTopology's layout and
+	// failed set, plus the failures a phase command or revert named since.
+	// The router alone writes it (setView); the workers (what they master,
+	// where their writes replicate, who the designated master is), the
+	// client gate and the admin plane read it.
 	view atomic.Pointer[View]
 
 	// epoch is atomic because the applier processes and the checkpointer
@@ -80,7 +80,7 @@ type node struct {
 	// request/snapshot plane tolerates duplicate delivery (re-dialled
 	// links, chaos testing), and a duplicated snapshot must not make the
 	// node report recovery-done while other partitions are still in
-	// flight — the coordinator would align its counters around a copy
+	// flight — the coordinator would install the node around a copy
 	// that is missing data.
 	snapPending map[int]bool
 
@@ -88,7 +88,8 @@ type node struct {
 	// account for: the one a wildcard revert found it in, or a catch-up
 	// snapshot's. An envelope stamped no later — a TCP queue can outlive
 	// its peer's down/up bounce — is superseded and dropped uncounted
-	// (admission's counter reset already counts it as applied).
+	// (the catch-up holds its outcome, and the install that follows
+	// restarts the link's counters at zero).
 	caughtUp uint64
 
 	// appliers parallelise replication replay (SiloR-style): entries are
@@ -144,29 +145,11 @@ type syncBatch struct {
 	ReplyTo int
 }
 
-// msgResetCounters aligns a rejoined node's applied counters with the
-// cluster's cumulative sent counts (its snapshot subsumes them).
-type msgResetCounters struct{ Applied []int64 }
-
-// msgRecoveryDone tells the coordinator a rejoining node finished its
-// snapshot catch-up. Sent carries the node's cumulative per-destination
-// replication counts so the coordinator can align every SURVIVOR's
-// applied counter with it: entries the victim had counted as sent but
-// the network dropped at the crash (in-flight envelopes, post-cut
-// flushes) would otherwise leave a permanent sent>applied gap that
-// wedges the first post-rejoin fence. A freshly restarted process
-// reports near-zero counts, which aligns the survivors DOWN — correct
-// too: its pre-crash sends are subsumed by the surviving state.
+// msgRecoveryDone tells the coordinator a node finished its snapshot
+// catch-up: every partition it was told to copy is applied, so its
+// caughtUp is final before the install that follows.
 type msgRecoveryDone struct {
 	Node int
-	Sent []int64
-}
-
-// msgAlignCounters sets the receiver's applied-from-Src counter to
-// exactly Applied (rejoin reconciliation; see msgRecoveryDone.Sent).
-type msgAlignCounters struct {
-	Src     int
-	Applied int64
 }
 
 // msgStartRecovery orders a rejoining node to copy the listed partitions
@@ -253,16 +236,6 @@ func (n *node) handle(m any) {
 		}
 	case msgRevert:
 		n.revert(msg)
-	case msgResetCounters:
-		for src, v := range msg.Applied {
-			if d := v - n.tracker.Applied(src); d > 0 {
-				n.tracker.AddApplied(src, d)
-			}
-		}
-	case msgAlignCounters:
-		if n.isNode(msg.Src) {
-			n.tracker.SetApplied(msg.Src, msg.Applied)
-		}
 	case msgSnapshotReq:
 		if n.isPart(msg.Part) && n.isNode(msg.From) {
 			n.serveSnapshot(msg)
@@ -319,7 +292,7 @@ func (n *node) recoverable(m msgStartRecovery) bool {
 // its database ... using the Thomas write rule").
 func (n *node) startRecovery(m msgStartRecovery) {
 	if len(m.Parts) == 0 {
-		n.e.net.Send(n.id, n.e.cfg.coordID(), transport.Control, msgRecoveryDone{Node: n.id, Sent: n.tracker.SentVector()})
+		n.e.net.Send(n.id, n.e.cfg.coordID(), transport.Control, msgRecoveryDone{Node: n.id})
 		return
 	}
 	// Materialise the partitions first: a joining node (or a member
@@ -371,32 +344,42 @@ func (n *node) startPhase(m msgStartPhase) {
 	}
 }
 
-// setFailed moves the node to its layout's view under a new failed set —
-// the one thing a phase command or a revert changes about the view —
-// and only when the set actually differs. A set that leaves no full
-// replica alive is one the coordinator halts on and never sends: a frame
-// that names one is ignored.
+// setFailed adds the failures a phase command or a revert names to the
+// node's view. It never takes one out: a peer comes back up only at an
+// install (installTopology), which restarts the link's counters. A set
+// that leaves no full replica alive is one the coordinator halts on and
+// never sends: a frame that names one is ignored.
 func (n *node) setFailed(failed []int) {
 	v := n.view.Load()
-	if slices.Equal(failed, v.failed) {
+	if !slices.ContainsFunc(failed, v.Up) {
 		return
 	}
-	if next := newView(v.Topology, failed); next.master >= 0 {
+	if next := v.Fail(failed...); next.master >= 0 {
 		n.setView(next)
 	}
 }
 
-// setView installs v as the node's view. A peer that left the failed set
-// (a rejoin) also gets this process's transport links to it revived: the
-// coordinator only resets ITS OWN process's links in admit, and on a 3+
-// process cluster the other survivors' tcpnet links to a
-// crashed-and-restarted peer are dead until someone tells the transport
-// the peer is back (no-op on simnet and for peers whose links never
-// died).
+// setView installs v as the node's view. A peer that is up in v and was
+// not before — it rejoined or joined — gets this process's transport
+// links to it revived: on a 3+ process cluster the survivors' tcpnet
+// links to a crashed-and-restarted peer are dead until someone tells the
+// transport the peer is back (no-op on simnet and for peers whose links
+// never died). A link comes up when both its ends are up in v and were
+// not both up before: to a peer that came up, or to every peer of a node
+// that came up itself. Its counters restart at zero, at each end on its
+// own install: the catch-up stands for everything before, and neither
+// end sends on the link until the install that brings the other up.
 func (n *node) setView(v *View) {
-	for _, i := range n.view.Load().failed {
-		if v.Up(i) {
+	old := n.view.Load()
+	for i := range v.Capacity {
+		if i == n.id || !v.Up(i) {
+			continue
+		}
+		if !old.Up(i) {
 			n.e.net.SetDown(i, false)
+		}
+		if v.Up(n.id) && !(old.Up(i) && old.Up(n.id)) {
+			n.tracker.Forget(i)
 		}
 	}
 	n.view.Store(v)
@@ -451,7 +434,6 @@ func (n *node) reportPhaseDone() {
 	n.e.net.Send(n.id, n.e.cfg.coordID(), transport.Control, msgPhaseDone{
 		Node:      n.id,
 		Epoch:     epoch,
-		Sent:      sent,
 		Committed: n.phaseCommitted,
 		GenSingle: n.genSingle,
 		GenCross:  n.genCross,
@@ -779,6 +761,6 @@ func (n *node) applySnapshot(m *msgSnapshot) {
 	}
 	delete(n.snapPending, m.Part)
 	if len(n.snapPending) == 0 {
-		n.e.net.Send(n.id, n.e.cfg.coordID(), transport.Control, msgRecoveryDone{Node: n.id, Sent: n.tracker.SentVector()})
+		n.e.net.Send(n.id, n.e.cfg.coordID(), transport.Control, msgRecoveryDone{Node: n.id})
 	}
 }

@@ -13,8 +13,8 @@ import (
 // misparsing.
 const (
 	_ uint8 = iota + 1 // retired: wireStartPhase with a Master field (a node derives it from its View)
-	wirePhaseDone
-	_ // retired: wireFenceDrain (peers' msgEpochMark names the drain target)
+	_                  // retired: wirePhaseDone with a Sent vector (admission restarts counters at the install)
+	_                  // retired: wireFenceDrain (peers' msgEpochMark names the drain target)
 	wireFenceAck
 	wireDefer
 	wireReplAck
@@ -23,8 +23,8 @@ const (
 	_ // retired: wireSnapshot as one table's key/TID/row columns
 	wireReplBatch
 	wireSyncBatch
-	wireResetCounters
-	wireRecoveryDone
+	_ // retired: wireResetCounters
+	_ // retired: wireRecoveryDone with a Sent vector
 	wireStartRecovery
 	_ // retired: wireUpdateMasters (a rejoin installs like a join)
 	_ // retired: wireWorkerDone (a worker's report goes straight into its router's inbox)
@@ -32,7 +32,7 @@ const (
 	_ // retired: wireChecksumResp
 	wireHalt
 	_ // retired: wireFreeze
-	wireAlignCounters
+	_ // retired: wireAlignCounters
 	wireClientReq
 	wireClientResp
 	_ // retired: wireFaultStatsReq
@@ -43,8 +43,11 @@ const (
 	wireEpochMark
 	wireStartPhase
 	wireRevert
-	wireTopology
+	_ // retired: wireTopology without the failed set
 	wireSnapshot
+	wirePhaseDone
+	wireRecoveryDone
+	wireTopology
 )
 
 // wireRegistrar is implemented by workloads whose procedures have a
@@ -92,11 +95,9 @@ func registerMessages(c *wire.Codec) {
 			return batch, nil, err
 		})
 	wire.Register(c, wireSyncBatch, syncBatchFields)
-	wire.Register(c, wireResetCounters, resetCountersFields)
 	wire.Register(c, wireRecoveryDone, recoveryDoneFields)
 	wire.Register(c, wireStartRecovery, startRecoveryFields)
 	wire.Register(c, wireHalt, haltFields)
-	wire.Register(c, wireAlignCounters, alignCountersFields)
 	wire.Register(c, wireAdminReq, adminReqFields)
 	wire.Register(c, wireAdminResp, adminRespFields)
 	wire.Register(c, wireTopology, topologyFields)
@@ -119,7 +120,6 @@ func (m msgPhaseDone) Size() int { return wire.FrameLen(&m, phaseDoneFields) }
 func phaseDoneFields(f *wire.Fields, m *msgPhaseDone) {
 	f.Int(&m.Node)
 	f.Uvarint(&m.Epoch)
-	f.I64s(&m.Sent)
 	f.I64(&m.Committed)
 	f.I64(&m.GenSingle)
 	f.I64(&m.GenCross)
@@ -178,14 +178,8 @@ func syncBatchFields(f *wire.Fields, m *syncBatch) {
 	wire.Tail(f, &m.Batch, replication.AppendBatch, replication.BatchLen, replication.DecodeBatch)
 }
 
-func (m msgResetCounters) Size() int                          { return wire.FrameLen(&m, resetCountersFields) }
-func resetCountersFields(f *wire.Fields, m *msgResetCounters) { f.I64s(&m.Applied) }
-
-func (m msgRecoveryDone) Size() int { return wire.FrameLen(&m, recoveryDoneFields) }
-func recoveryDoneFields(f *wire.Fields, m *msgRecoveryDone) {
-	f.Int(&m.Node)
-	f.I64s(&m.Sent)
-}
+func (m msgRecoveryDone) Size() int                         { return wire.FrameLen(&m, recoveryDoneFields) }
+func recoveryDoneFields(f *wire.Fields, m *msgRecoveryDone) { f.Int(&m.Node) }
 
 func (m msgStartRecovery) Size() int { return wire.FrameLen(&m, startRecoveryFields) }
 func startRecoveryFields(f *wire.Fields, m *msgStartRecovery) {
@@ -195,12 +189,6 @@ func startRecoveryFields(f *wire.Fields, m *msgStartRecovery) {
 
 func (m msgHalt) Size() int             { return wire.FrameLen(&m, haltFields) }
 func haltFields(*wire.Fields, *msgHalt) {}
-
-func (m msgAlignCounters) Size() int { return wire.FrameLen(&m, alignCountersFields) }
-func alignCountersFields(f *wire.Fields, m *msgAlignCounters) {
-	f.Int(&m.Src)
-	f.I64(&m.Applied)
-}
 
 func (m AdminReq) Size() int { return wire.FrameLen(&m, adminReqFields) }
 func adminReqFields(f *wire.Fields, m *AdminReq) {
@@ -242,6 +230,7 @@ func topologyFields(f *wire.Fields, m *msgTopology) {
 	f.I32s(&m.Masters)
 	f.I32s(&m.Secondary)
 	f.Check(len(m.Secondary) == len(m.Masters))
+	f.Ints(&m.Failed)
 }
 
 // ClientReq carries the session header (token, origin, ticket) ahead of

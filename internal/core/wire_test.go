@@ -55,7 +55,7 @@ func sampleMessages(tw *tpcc.Workload, yw *ycsb.Workload) []transport.Message {
 	return []transport.Message{
 		msgStartPhase{Phase: SingleMaster, Epoch: 9, Deadline: 40 * time.Millisecond,
 			Failed: []int{2}, Lat: 70 * time.Microsecond, ScriptTxns: 5, ScriptDeferred: 17},
-		msgPhaseDone{Node: 2, Epoch: 9, Sent: []int64{0, 4, 9}, Committed: 120, GenSingle: 110, GenCross: 12},
+		msgPhaseDone{Node: 2, Epoch: 9, Committed: 120, GenSingle: 110, GenCross: 12},
 		msgEpochMark{From: 2, Epoch: 9, Sent: 4096},
 		msgFenceAck{Node: 1, Epoch: 9},
 		msgDefer{Req: txn.NewRequest(tg.Cross(1), 12345)},
@@ -74,9 +74,7 @@ func sampleMessages(tw *tpcc.Workload, yw *ycsb.Workload) []transport.Message {
 		}}},
 		&replication.Batch{From: 1, Epoch: 9, Entries: ents},
 		syncBatch{Batch: &replication.Batch{From: 0, Epoch: 9, Entries: ents[:1]}, Worker: 2, Seq: 5, ReplyTo: 0},
-		msgResetCounters{Applied: []int64{5, 0, 9}},
-		msgRecoveryDone{Node: 2, Sent: []int64{7, 0, 3}},
-		msgAlignCounters{Src: 1, Applied: 4096},
+		msgRecoveryDone{Node: 2},
 		msgStartRecovery{Parts: []int32{1, 3}, From: []int32{0, 0}},
 		ClientResp{Ticket: 14, Status: StatusAborted, Token: 2},
 		msgHalt{},
@@ -95,7 +93,7 @@ func sampleMessages(tw *tpcc.Workload, yw *ycsb.Workload) []transport.Message {
 			Members: []int32{0, 2, 3}, Masters: []int32{0, 0, 2, 3},
 			ClientAddrs: []string{"127.0.0.1:7001", "", "127.0.0.1:7003"}},
 		msgTopology{Version: 7, Members: []int32{0, 2, 3},
-			Masters: []int32{0, 0, 2, 3}, Secondary: []int32{2, 3, -1, -1}},
+			Masters: []int32{0, 0, 2, 3}, Secondary: []int32{2, 3, -1, -1}, Failed: []int{3}},
 		ClientReq{Token: 8, Req: ticketed(txn.NewRequest(tg.Cross(1), 999), 1, 77)},
 		ClientReq{Token: 0, Req: ticketed(txn.NewRequest(&tpcc.StockLevelTxn{
 			W: tw, WID: 1, DID: 0, Threshold: 12, Remote: []int{0}}, 600), 2, 1)},
@@ -317,8 +315,10 @@ func TestRequestGenAtRebasedAcrossClockDomains(t *testing.T) {
 // travelling, the phase command with its Master, the revert with its
 // NewMasters, msgUpdateMasters and the topology install with its Master;
 // from the same file at 36363a7, the snapshot as one table's key/TID/row
-// columns; and at 966dc75, the worker's done report, which no longer
-// crosses the transport.
+// columns; at 966dc75, the worker's done report, which no longer
+// crosses the transport; and at b696c03, when admission stopped shipping
+// counters, the phase and recovery reports with their Sent vectors, the
+// install without its failed set, and the counter reset and alignment.
 var retiredFrames = [][]byte{
 	{0x01, 0x01, 0x09, 0x80, 0xe8, 0x92, 0x26, 0x02, 0x02, 0x04, 0x06, 0xe0, 0xc5, 0x08, 0x0a, 0x22},
 	{0x07, 0x08, 0x01, 0x02, 0x04, 0x00, 0x00, 0x04, 0x06},
@@ -331,6 +331,11 @@ var retiredFrames = [][]byte{
 		0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00,
 	},
 	{0x10, 0x02, 0x64, 0x5a, 0x0a, 0x50, 0x12, 0xa4, 0x13, 0xdc, 0x58},
+	{0x02, 0x04, 0xac, 0x02, 0x03, 0x00, 0x08, 0xd0, 0x8c, 0x01, 0xf0, 0x01, 0xdc, 0x01, 0x18, 0x0e},
+	{0x0d, 0x04, 0x03, 0x0e, 0x00, 0x06},
+	{0x20, 0x07, 0x03, 0x00, 0x04, 0x06, 0x04, 0x00, 0x00, 0x04, 0x06, 0x04, 0x04, 0x06, 0x01, 0x01},
+	{0x0c, 0x03, 0x0a, 0x00, 0x12},
+	{0x15, 0x02, 0x80, 0x40},
 }
 
 // A frame from a process one commit behind is refused as an unknown id,

@@ -230,11 +230,11 @@ func (n *Network) Healed() bool { return n.healed.Load() }
 // Injected returns the per-fault-type injection counters.
 func (n *Network) Injected() map[string]int64 {
 	return map[string]int64{
-		"fault_drops":      n.dropped.Load(),
-		"fault_dups":       n.duplicated.Load(),
-		"fault_reorders":   n.reordered.Load(),
-		"fault_delays":     n.delayed.Load(),
-		"fault_part_drops": n.partDrops.Load(),
+		"fault_drops":       n.dropped.Load(),
+		"fault_dups":        n.duplicated.Load(),
+		"fault_reorders":    n.reordered.Load(),
+		"fault_delays":      n.delayed.Load(),
+		"fault_part_drops":  n.partDrops.Load(),
 		"fault_crash_drops": n.crashDrops.Load(),
 	}
 }
@@ -463,9 +463,6 @@ func (n *Network) Messages(c transport.Class) int64 { return n.inner.Messages(c)
 
 // TotalBytes implements transport.Transport.
 func (n *Network) TotalBytes() int64 { return n.inner.TotalBytes() }
-
-// BytesFrom implements transport.Transport.
-func (n *Network) BytesFrom(src int) int64 { return n.inner.BytesFrom(src) }
 
 // Dropped implements transport.Transport: the inner transport's
 // fail-stop drops plus everything the plan made vanish.

@@ -34,13 +34,14 @@ func (g *TIDGen) Next(epoch, maxSeen uint64) uint64 {
 	return tid
 }
 
-// lockWrites resolves and locks the write set in global order. On a
-// conflict (a vanished update target, an insert of a present key)
-// everything is unlocked and false is returned. epoch buckets any insert
-// placeholders created here for revert.
+// lockWrites resolves and locks the write set in global order
+// (RWSet.KeyOrder). On a conflict (a vanished update target, an insert of
+// a present key) everything locked so far is unlocked and false is
+// returned. epoch buckets any insert placeholders created here for
+// revert.
 func lockWrites(db *storage.DB, set *txn.RWSet, epoch uint64) bool {
-	set.SortWrites()
-	for i := range set.Writes {
+	order := set.KeyOrder()
+	for n, i := range order {
 		w := &set.Writes[i]
 		tbl := db.Table(w.Table)
 		if w.Insert {
@@ -49,17 +50,24 @@ func lockWrites(db *storage.DB, set *txn.RWSet, epoch uint64) bool {
 			w.Rec = tbl.Get(w.Part, w.Key)
 		}
 		if w.Rec == nil {
-			releaseLocks(set.Writes[:i])
+			unlock(set, order[:n])
 			return false
 		}
 		w.Rec.Lock()
 		if w.Insert != storage.TIDAbsent(w.Rec.TID()) {
 			// Uniqueness violation, or update/delete of a vanished record.
-			releaseLocks(set.Writes[:i+1])
+			unlock(set, order[:n+1])
 			return false
 		}
 	}
 	return true
+}
+
+// unlock releases the listed entries' locks.
+func unlock(set *txn.RWSet, locked []int32) {
+	for _, i := range locked {
+		set.Writes[i].Rec.Unlock()
+	}
 }
 
 // LockAndValidate is lockWrites plus validation of the read set
@@ -125,11 +133,9 @@ func ApplyWrites(db *storage.DB, set *txn.RWSet, epoch, tid uint64, collectRows 
 }
 
 // ReleaseLocks unlocks the write set after ApplyWrites.
-func ReleaseLocks(set *txn.RWSet) { releaseLocks(set.Writes) }
-
-func releaseLocks(ws []txn.WriteEntry) {
-	for i := range ws {
-		ws[i].Rec.Unlock()
+func ReleaseLocks(set *txn.RWSet) {
+	for i := range set.Writes {
+		set.Writes[i].Rec.Unlock()
 	}
 }
 

@@ -81,10 +81,11 @@ func ApplyInto(db *storage.DB, epoch uint64, e *Entry, buf []byte, wantRow bool)
 }
 
 // ValueEntries builds value entries from a committed write set whose
-// final rows were collected at commit (occ collectRows=true).
+// final rows were collected at commit (occ collectRows=true), in the
+// set's key order (RWSet.KeyOrder).
 func ValueEntries(set *txn.RWSet, tid uint64) []Entry {
 	out := make([]Entry, 0, len(set.Writes))
-	for i := range set.Writes {
+	for _, i := range set.KeyOrder() {
 		w := &set.Writes[i]
 		out = append(out, Entry{
 			Table: w.Table, Part: int32(w.Part), Key: w.Key, TID: tid,
@@ -94,11 +95,12 @@ func ValueEntries(set *txn.RWSet, tid uint64) []Entry {
 	return out
 }
 
-// OpEntries builds operation entries from a committed write set; inserts
-// and deletes (which have no delta form) become value entries.
+// OpEntries builds operation entries from a committed write set, in its
+// key order; inserts and deletes (which have no delta form) become value
+// entries.
 func OpEntries(set *txn.RWSet, tid uint64) []Entry {
 	out := make([]Entry, 0, len(set.Writes))
-	for i := range set.Writes {
+	for _, i := range set.KeyOrder() {
 		w := &set.Writes[i]
 		e := Entry{Table: w.Table, Part: int32(w.Part), Key: w.Key, TID: tid, Absent: w.Delete}
 		if w.Insert {
@@ -125,9 +127,10 @@ type Batch struct {
 // Size implements transport.Message: the envelope's frame length.
 func (b *Batch) Size() int { return prim.FrameOverhead + BatchLen(b) }
 
-// Tracker counts entries sent to and applied from each peer; the
-// replication fence compares the two sides (§4.3: "each node learns how
-// many outstanding writes it is waiting to see").
+// Tracker counts entries sent to and applied from each peer since the
+// link to it last came up (Forget); the replication fence compares the
+// two sides (§4.3: "each node learns how many outstanding writes it is
+// waiting to see").
 type Tracker struct {
 	sent    []atomic.Int64 // indexed by destination
 	applied []atomic.Int64 // indexed by source
@@ -156,19 +159,19 @@ func (t *Tracker) AddApplied(src int, n int64) {
 	t.wakeIfDrained()
 }
 
-// SetApplied aligns the applied-from-src counter to an exact value —
-// the rejoin reconciliation: entries a crashed peer counted as sent but
-// the network dropped can never be applied, so after its snapshot
-// catch-up the survivors adopt the peer's own cumulative sent count as
-// their applied baseline (the snapshot subsumes the data either way).
-func (t *Tracker) SetApplied(src int, v int64) {
-	t.applied[src].Store(v)
-	t.wakeIfDrained()
+// Forget restarts the link with peer at zero on this end: nothing sent
+// to it, nothing applied from it. Both ends of a link call it when the
+// link comes up in their view (a peer rejoins or joins, or this node
+// does), before either sends on it, so the counts they exchange from then
+// on start together; the catch-up snapshot stands for everything before.
+func (t *Tracker) Forget(peer int) {
+	t.sent[peer].Store(0)
+	t.applied[peer].Store(0)
 }
 
 // AwaitDrained reports whether everything expected has been applied
-// (see Drained). If not, it registers the drain: the AddApplied or
-// SetApplied call that reaches the expected vector calls wake, once,
+// (see Drained). If not, it registers the drain: the AddApplied call
+// that reaches the expected vector calls wake, once,
 // on the applying goroutine — so a fence drain waits for an event, with
 // no timer or poll on its path. One drain is registered at a time (a
 // new call replaces the previous one); the caller must not modify

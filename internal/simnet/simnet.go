@@ -109,7 +109,6 @@ type Network struct {
 
 	bytesByClass [numClasses]atomic.Int64
 	msgsByClass  [numClasses]atomic.Int64
-	bytesFrom    []atomic.Int64
 	dropped      atomic.Int64
 }
 
@@ -119,13 +118,12 @@ const inboxCap = 1 << 16
 // New builds the network and spawns one deliverer process per link.
 func New(r rt.Runtime, cfg Config) *Network {
 	n := &Network{
-		r:         r,
-		cfg:       cfg,
-		links:     make([][]*link, cfg.Nodes),
-		egress:    make([]egressGate, cfg.Nodes),
-		down:      make([]atomic.Bool, cfg.Nodes),
-		inboxes:   make([]rt.Chan, cfg.Nodes),
-		bytesFrom: make([]atomic.Int64, cfg.Nodes),
+		r:       r,
+		cfg:     cfg,
+		links:   make([][]*link, cfg.Nodes),
+		egress:  make([]egressGate, cfg.Nodes),
+		down:    make([]atomic.Bool, cfg.Nodes),
+		inboxes: make([]rt.Chan, cfg.Nodes),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		n.inboxes[i] = r.NewChan(inboxCap)
@@ -186,7 +184,6 @@ func (n *Network) Send(src, dst int, class Class, m Message) {
 	}
 	n.bytesByClass[class].Add(int64(size))
 	n.msgsByClass[class].Add(1)
-	n.bytesFrom[src].Add(int64(size))
 	if src == dst {
 		n.inboxes[dst].Send(m)
 		return
@@ -241,9 +238,6 @@ func (n *Network) TotalBytes() int64 {
 	}
 	return t
 }
-
-// BytesFrom returns the bytes node src has sent.
-func (n *Network) BytesFrom(src int) int64 { return n.bytesFrom[src].Load() }
 
 // Dropped returns the number of messages dropped due to down nodes.
 func (n *Network) Dropped() int64 { return n.dropped.Load() }

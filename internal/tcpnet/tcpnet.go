@@ -150,7 +150,6 @@ type Network struct {
 
 	bytesByClass [transport.NumClasses]atomic.Int64
 	msgsByClass  [transport.NumClasses]atomic.Int64
-	bytesFrom    []atomic.Int64
 	dropped      atomic.Int64
 	shed         atomic.Int64
 	decodeErrs   atomic.Int64
@@ -176,16 +175,15 @@ func New(r rt.Runtime, cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("tcpnet: Config.Local is empty")
 	}
 	n := &Network{
-		r:         r,
-		cfg:       cfg,
-		local:     make([]bool, len(cfg.Endpoints)),
-		down:      make([]atomic.Bool, len(cfg.Endpoints)),
-		inboxes:   make([]rt.Chan, len(cfg.Endpoints)),
-		bytesFrom: make([]atomic.Int64, len(cfg.Endpoints)),
-		links:     map[uint64]*link{},
-		accepted:  map[net.Conn]struct{}{},
-		dialed:    map[net.Conn]struct{}{},
-		stop:      make(chan struct{}),
+		r:        r,
+		cfg:      cfg,
+		local:    make([]bool, len(cfg.Endpoints)),
+		down:     make([]atomic.Bool, len(cfg.Endpoints)),
+		inboxes:  make([]rt.Chan, len(cfg.Endpoints)),
+		links:    map[uint64]*link{},
+		accepted: map[net.Conn]struct{}{},
+		dialed:   map[net.Conn]struct{}{},
+		stop:     make(chan struct{}),
 	}
 	addr := ""
 	for _, id := range cfg.Local {
@@ -312,7 +310,6 @@ func (n *Network) Send(src, dst int, class transport.Class, m transport.Message)
 func (n *Network) charge(src int, class transport.Class, size int) {
 	n.bytesByClass[class].Add(int64(size))
 	n.msgsByClass[class].Add(1)
-	n.bytesFrom[src].Add(int64(size))
 }
 
 // sendDirect writes a control frame on the caller's goroutine when the
@@ -685,9 +682,6 @@ func (n *Network) TotalBytes() int64 {
 	}
 	return t
 }
-
-// BytesFrom implements transport.Transport.
-func (n *Network) BytesFrom(src int) int64 { return n.bytesFrom[src].Load() }
 
 // Dropped implements transport.Transport.
 func (n *Network) Dropped() int64 { return n.dropped.Load() }

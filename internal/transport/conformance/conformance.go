@@ -295,8 +295,5 @@ func Run(t *testing.T, mk func(t *testing.T) *Cluster) {
 		if sender.TotalBytes() != total {
 			t.Fatalf("TotalBytes %d != sum of classes %d", sender.TotalBytes(), total)
 		}
-		if sender.BytesFrom(0) != total {
-			t.Fatalf("BytesFrom(0) %d != %d (endpoint 0 was the only sender)", sender.BytesFrom(0), total)
-		}
 	})
 }

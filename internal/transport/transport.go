@@ -73,9 +73,6 @@ type Transport interface {
 	// TotalBytes returns all bytes sent across classes.
 	TotalBytes() int64
 
-	// BytesFrom returns the bytes endpoint src has sent.
-	BytesFrom(src int) int64
-
 	// Dropped returns the number of messages dropped due to down
 	// endpoints.
 	Dropped() int64

@@ -309,22 +309,14 @@ func (s *RWSet) FindWrite(t storage.TableID, part int, key storage.Key) *WriteEn
 	return nil
 }
 
-// SortWrites orders the write set globally (table, partition, key) —
-// the deadlock-free lock order used at commit (§4.2). Write sets are a
-// handful of entries, so this is an insertion sort: no reflection, no
-// closure, no allocation (sort.Slice allocates its swapper even for a
-// one-element slice, which would be the commit path's only allocation).
-func (s *RWSet) SortWrites() {
-	w := s.Writes
-	for i := 1; i < len(w); i++ {
-		for j := i; j > 0 && writeLess(&w[j], &w[j-1]); j-- {
-			w[j], w[j-1] = w[j-1], w[j]
-		}
-	}
-}
-
-// KeyOrder returns the write set's indices in SortWrites' order, valid
-// until the next call: a walk in key order that moves no entry.
+// KeyOrder returns the write set's indices in global (table, partition,
+// key) order, valid until the next call: the deadlock-free lock order
+// used at commit (§4.2) and the order a committed write set replicates
+// in. It is stable, so an insert and a later update of one record keep
+// their order, and it moves no entry. Write sets are a handful of
+// entries, so this is an insertion sort: no reflection, no closure, and
+// no allocation once the set's index buffer has grown (sort.Slice
+// allocates its swapper even for a one-element slice).
 func (s *RWSet) KeyOrder() []int32 {
 	s.order = s.order[:0]
 	for i := range s.Writes {

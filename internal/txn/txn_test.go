@@ -3,6 +3,7 @@ package txn
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"star/internal/storage"
@@ -55,15 +56,19 @@ func TestRWSetAddWriteMerges(t *testing.T) {
 	}
 }
 
+// The write set's sorted order is global: table, then partition, then key.
 func TestRWSetSortWritesGlobalOrder(t *testing.T) {
 	var s RWSet
 	s.AddWrite(2, 0, storage.K1(1))
 	s.AddWrite(1, 1, storage.K1(9))
 	s.AddWrite(1, 1, storage.K1(2))
 	s.AddWrite(1, 0, storage.K2(5, 0))
-	s.SortWrites()
-	prev := s.Writes[0]
-	for _, w := range s.Writes[1:] {
+	var sorted []WriteEntry
+	for _, i := range s.KeyOrder() {
+		sorted = append(sorted, s.Writes[i])
+	}
+	prev := sorted[0]
+	for _, w := range sorted[1:] {
 		if w.Table < prev.Table {
 			t.Fatal("table order violated")
 		}
@@ -80,7 +85,7 @@ func TestRWSetSortWritesGlobalOrder(t *testing.T) {
 }
 
 // TestRWSetKeyOrderIsSortWritesOrder: KeyOrder visits a write set in the
-// order SortWrites would put it in — stable, so an insert and a later
+// order a stable sort by writeLess puts it in — so an insert and a later
 // update of one record keep their order — and moves no entry.
 func TestRWSetKeyOrderIsSortWritesOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
@@ -102,9 +107,9 @@ func TestRWSetKeyOrderIsSortWritesOrder(t *testing.T) {
 		if !reflect.DeepEqual(s.Writes, before) {
 			t.Fatal("KeyOrder moved an entry")
 		}
-		s.SortWrites()
+		sort.SliceStable(s.Writes, func(i, j int) bool { return writeLess(&s.Writes[i], &s.Writes[j]) })
 		if !reflect.DeepEqual(visited, s.Writes) {
-			t.Fatalf("round %d: KeyOrder visits %+v, SortWrites orders %+v", round, visited, s.Writes)
+			t.Fatalf("round %d: KeyOrder visits %+v, a stable sort orders %+v", round, visited, s.Writes)
 		}
 	}
 }

@@ -80,7 +80,6 @@ func tpccTraffic(t testing.TB, n int) (db *storage.DB, values, ops [][]replicati
 		if !ok {
 			t.Fatalf("transaction %d did not commit", i)
 		}
-		ctx.set.SortWrites() // the order a worker emits them in (RWSet.KeyOrder)
 		values = append(values, replication.ValueEntries(&ctx.set, tidv))
 		ops = append(ops, replication.OpEntries(&ctx.set, tidv))
 	}
