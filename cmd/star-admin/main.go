@@ -2,7 +2,7 @@
 // through any node's client front door (star-node -client): freezing
 // the workload, reading per-node checksums and fault-injection
 // counters, inspecting the installed topology, and changing membership
-// at epoch fences (join / drain / rebalance). It is a thin CLI over the
+// at epoch fences (join / drain). It is a thin CLI over the
 // admin verbs of internal/client, the one front-door client: -timeout is
 // the client's ReqTimeout and -dial-deadline its DialDeadline.
 //
@@ -13,7 +13,6 @@
 //	star-admin -addr HOST:PORT -node N fault-stats
 //	star-admin -addr HOST:PORT -node N join
 //	star-admin -addr HOST:PORT -node N drain
-//	star-admin -addr HOST:PORT rebalance
 //	star-admin -addr HOST:PORT topology
 //	star-admin -addr HOST:PORT [-node N] stat
 //	star-admin -addr HOST:PORT [-node N] [-interval D] [-iters N] top
@@ -22,8 +21,8 @@
 // or drained slot joins the next topology version, and a member the
 // cluster evicted as failed — its process restarted — rejoins the
 // installed one, which is how a crashed node is brought back. A failed
-// member can always be joined; drain, rebalance and the join of a dark
-// slot are refused until every member is back.
+// member can always be joined; drain and the join of a dark slot are
+// refused until every member is back.
 //
 // stat prints one metric-registry snapshot — the targeted node's, or
 // (without -node) the cluster-merged aggregate of every member, all
@@ -58,7 +57,7 @@ func main() {
 
 	verb := flag.Arg(0)
 	if *addr == "" || verb == "" {
-		fmt.Fprintln(os.Stderr, "usage: star-admin -addr HOST:PORT [-node N] freeze|unfreeze|checksums|fault-stats|join|drain|rebalance|topology|stat|top")
+		fmt.Fprintln(os.Stderr, "usage: star-admin -addr HOST:PORT [-node N] freeze|unfreeze|checksums|fault-stats|join|drain|topology|stat|top")
 		os.Exit(2)
 	}
 	needNode := func() int {
@@ -106,10 +105,6 @@ func main() {
 		printTopology(t)
 	case "drain":
 		t, err := c.Drain(needNode())
-		check(err)
-		printTopology(t)
-	case "rebalance":
-		t, err := c.Rebalance()
 		check(err)
 		printTopology(t)
 	case "topology":

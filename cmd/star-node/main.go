@@ -93,6 +93,11 @@ func main() {
 			memberList = append(memberList, m)
 		}
 	}
+	boot := core.Config{Nodes: *nodes, FullReplicas: *full, WorkersPerNode: *workers, Members: memberList}
+	if err := boot.Topology().Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "star-node:", err)
+		os.Exit(2)
+	}
 	var clientAddrs []string
 	if *clients != "" {
 		clientAddrs = strings.Split(*clients, ",")

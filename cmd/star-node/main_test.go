@@ -92,6 +92,29 @@ func openAdminDoor(t *testing.T, eng *core.Engine, codec *wire.Codec) *client.Cl
 	return ac
 }
 
+// A boot member set the engine cannot run is a usage error like any bad
+// flag: the process exits 2 naming what is wrong, before it listens, and
+// does not panic.
+func TestStarNodeRejectsBootMemberSetItCannotRun(t *testing.T) {
+	bin := buildStarNode(t)
+	addrs := strings.Join(freePorts(t, 2), ",")
+	for _, tc := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-members", "1"}, "star-node: topology: fewer than two members\n"},
+		{[]string{"-full", "-1"}, "star-node: topology: no live full replica\n"},
+	} {
+		cmd := exec.Command(bin, append([]string{"-id", "0", "-nodes", "2", "-addrs", addrs, "-txns", "1"}, tc.flags...)...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if code := cmd.ProcessState.ExitCode(); code != 2 || stderr.String() != tc.want {
+			t.Fatalf("star-node %v: exit %d (%v), stderr %q; want 2 and %q", tc.flags, code, err, stderr.String(), tc.want)
+		}
+	}
+}
+
 // TestStarNodeProcessesMatchSimnet is the acceptance check for the
 // multi-process path: two actual star-node OS processes (N=2 on
 // loopback) complete a TPC-C run whose committed-transaction count and
@@ -607,8 +630,8 @@ func TestStarNodeFaultPlanConverges(t *testing.T) {
 // (endpoint 4) on one listener; nodes 1-3 are star-node children, each
 // with a client front door. All control traffic in this test flows
 // through the unified admin envelope: the star-admin binary drives
-// freeze / checksums / fault-stats / join / drain / rebalance /
-// topology against the live doors.
+// freeze / checksums / fault-stats / join / drain / topology against the
+// live doors.
 func TestStarNodeScaleOutJoinDrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process integration test skipped in -short")
@@ -848,10 +871,6 @@ func TestStarNodeScaleOutJoinDrain(t *testing.T) {
 		t.Fatal("drained star-node did not exit")
 	}
 	waitCommitsGrow("after drain", 15*time.Second)
-
-	// Rebalance over the shrunk member set: the canonical layout is
-	// already installed, so this is a pure fence-coordinated version bump.
-	adminRun("-addr", door2, "-timeout", "90s", "rebalance")
 
 	// Survivors re-converge; the client sheds the drained door.
 	adminRun("-addr", door2, "freeze")

@@ -14,8 +14,8 @@
 // SCAR-style session guarantee) — while writes and too-fresh reads are
 // forwarded to the master by the server.
 //
-// The admin API: Freeze, Checksums, FaultStats, Stats, Topology, Join,
-// Drain and Rebalance are admin envelopes. The connected node answers
+// The admin API: Freeze, Checksums, FaultStats, Stats, Topology, Join
+// and Drain are admin envelopes. The connected node answers
 // node-local ops itself, forwards node-scoped ops (checksums, fault
 // stats, stats) to their target, and relays membership ops to the
 // coordinator — the caller never needs to know which node is which.
@@ -581,10 +581,6 @@ func (c *Client) Join(node int) (Topology, error) { return c.layout(core.AdminJo
 // Drain migrates slot node's partitions away at the next fence and
 // removes it from the member set; its process exits cleanly.
 func (c *Client) Drain(node int) (Topology, error) { return c.layout(core.AdminDrain, node) }
-
-// Rebalance reinstalls the canonical mastership layout over the current
-// member set (no data moves on a stable layout).
-func (c *Client) Rebalance() (Topology, error) { return c.layout(core.AdminRebalance, -1) }
 
 // layout runs an op whose answer is a topology.
 func (c *Client) layout(op core.AdminOp, node int) (Topology, error) {

@@ -37,9 +37,7 @@ const (
 	// AdminDrain asks the coordinator to migrate node Node's partitions
 	// away at the next fence and remove it from the member set.
 	AdminDrain
-	// AdminRebalance asks the coordinator to reinstall the canonical
-	// partition-mastership layout over the current member set.
-	AdminRebalance
+	_ // retired: AdminRebalance (a member set has one layout)
 	// AdminTopologyGet returns the installed topology version, member
 	// set, master map, and the members' client front-door addresses.
 	AdminTopologyGet
@@ -61,8 +59,6 @@ func (op AdminOp) String() string {
 		return "join"
 	case AdminDrain:
 		return "drain"
-	case AdminRebalance:
-		return "rebalance"
 	case AdminTopologyGet:
 		return "topology-get"
 	case AdminStats:
@@ -129,17 +125,17 @@ type AdminResp struct {
 }
 
 // msgTopology installs the coordinator's whole view on a node
-// (coordinator → nodes, between fences): a topology version and the
-// failed set under it. It is the one message that brings a peer back up
-// in a node's view — phase commands and reverts only add failures. It is
-// also sent to a node that just drained OUT of the member set, whose
-// install signals Engine.Drained so the process can exit cleanly.
+// (coordinator → nodes, between fences): a topology version, its member
+// set and the failed set under it. No layout travels: every node derives
+// it from the member set (topologyFromMsg). It is the one message that
+// brings a peer back up in a node's view — phase commands and reverts
+// only add failures. It is also sent to a node that just drained OUT of
+// the member set, whose install signals Engine.Drained so the process
+// can exit cleanly.
 type msgTopology struct {
-	Version   uint64
-	Members   []int32
-	Masters   []int32
-	Secondary []int32
-	Failed    []int
+	Version uint64
+	Members []int32
+	Failed  []int
 }
 
 // serveAdmin handles an admin envelope on the node router: local ops
@@ -216,7 +212,7 @@ func (n *node) serveAdmin(req AdminReq) {
 		n.replyAdmin(req, AdminResp{OK: true, Stats: n.e.StatsSnapshot().Encode()})
 	case AdminTopologyGet:
 		n.replyAdmin(req, n.e.topologyResp(n.view.Load().Topology))
-	case AdminJoin, AdminDrain, AdminRebalance:
+	case AdminJoin, AdminDrain:
 		// Membership changes belong to the coordinator; keep From/Ticket
 		// so it answers the submitter directly.
 		n.e.net.Send(n.id, cfg.coordID(), transport.Control, req)
@@ -257,8 +253,9 @@ func (e *Engine) topologyResp(topo *Topology) AdminResp {
 	return resp
 }
 
-// installTopology commits the coordinator's view on this node: storage
-// residency rebuilds from its layout, and the node's view becomes that
+// installTopology commits the coordinator's view on this node: the
+// layout is derived from the member set it names, storage residency
+// rebuilds from that layout, and the node's view becomes that
 // layout's under the failed set the install names — live mastership,
 // replication targets and client routing all follow, and every link that
 // comes up restarts its counters (setView). Runs on the router between
@@ -266,10 +263,10 @@ func (e *Engine) topologyResp(topo *Topology) AdminResp {
 // boundary). A node that is no longer a member drops every partition and
 // signals Engine.Drained.
 func (n *node) installTopology(m msgTopology) {
-	if len(m.Masters) != n.e.cfg.NumPartitions() {
-		return // off the wire: not a layout of this cluster (the view indexes it by partition)
-	}
 	t := topologyFromMsg(m, n.e.cfg)
+	if t.Validate() != nil {
+		return // off the wire: a member set the coordinator never installs, and one with no layout
+	}
 	v := newView(t, m.Failed)
 	if v.master < 0 {
 		return // no full replica alive: a view the coordinator halts on, never one it installs

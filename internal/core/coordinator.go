@@ -517,10 +517,10 @@ func (c *coordinator) processAdmin() {
 // processOneAdmin computes the view a membership change asks for, moves
 // the state it needs — a join admits the slot, a failed member under the
 // installed layout or a dark (or previously drained) one under the next,
-// which also streams every other gaining member its share; a drain or
-// rebalance migrates gained partitions only — and installs it. The
-// drained node's own msgTopology install signals Engine.Drained so its
-// process can exit cleanly.
+// which also streams every other gaining member its share; a drain
+// migrates gained partitions only — and installs it. The drained node's
+// own msgTopology install signals Engine.Drained so its process can exit
+// cleanly.
 func (c *coordinator) processOneAdmin(req AdminReq) {
 	fail := func(why string) { c.replyAdmin(req, AdminResp{Err: why}) }
 	v := c.view.Load()
@@ -567,9 +567,6 @@ func (c *coordinator) processOneAdmin(req AdminReq) {
 			next = newView(t, nil)
 			err = c.migrate(v, next, nil)
 		}
-	case AdminRebalance:
-		next = newView(v.Rebalanced(), nil)
-		err = c.migrate(v, next, nil)
 	default:
 		fail("op not served by the coordinator")
 		return
@@ -629,20 +626,12 @@ func (c *coordinator) migrate(old, next *View, force []int) error {
 
 // install is the one way the view changes outside a failure: the
 // coordinator goes by next from here on, and every old-or-new member is
-// sent the whole view to install — layout and failed set — which is the
-// one message that brings a peer back up in a node's view (residency,
-// and the view the node derives from it).
+// sent the whole view to install — member set and failed set — which
+// is the one message that brings a peer back up in a node's view
+// (residency, and the layout and view the node derives from it).
 func (c *coordinator) install(old, next *View) {
 	c.view.Store(next)
-	m := msgTopology{
-		Version:   next.Version,
-		Masters:   append([]int32(nil), next.Masters...),
-		Secondary: append([]int32(nil), next.Secondary...),
-		Failed:    next.failed,
-	}
-	for _, id := range next.Members() {
-		m.Members = append(m.Members, int32(id))
-	}
+	m := installOf(next)
 	// A just-drained node installs too: that is what flips it out of the
 	// member set locally and signals Engine.Drained.
 	for i := 0; i < next.Capacity; i++ {
@@ -651,6 +640,16 @@ func (c *coordinator) install(old, next *View) {
 		}
 	}
 	c.graceBoost = time.Second // lenient first phase under the new view
+}
+
+// installOf is the install that carries view v: its version, member set
+// and failed set — all a node needs to derive v itself.
+func installOf(v *View) msgTopology {
+	m := msgTopology{Version: v.Version, Failed: v.failed}
+	for _, id := range v.Members() {
+		m.Members = append(m.Members, int32(id))
+	}
+	return m
 }
 
 // replyAdmin answers a membership envelope's submitter. A request with

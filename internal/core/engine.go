@@ -101,7 +101,11 @@ func build(cfg Config) *Engine {
 	}
 	// The boot view, shared until the first change: a View is immutable,
 	// and from then on each holder installs what reaches it by message.
-	view := newView(cfg.Topology(), nil)
+	topo := cfg.Topology()
+	if err := topo.Validate(); err != nil {
+		panic("core: " + err.Error())
+	}
+	view := newView(topo, nil)
 	for i := 0; i < cfg.Nodes; i++ {
 		if !hostsAll && !local[i] {
 			// Remote node: hosted by another process, reachable only
@@ -429,10 +433,6 @@ func (e *Engine) RequestJoin(id int) { e.requestAdmin(AdminJoin, id) }
 // RequestDrain asks for node id's removal from the member set at the
 // next fence (its partitions migrate to the remaining members first).
 func (e *Engine) RequestDrain(id int) { e.requestAdmin(AdminDrain, id) }
-
-// RequestRebalance asks for a reinstall of the canonical mastership
-// layout over the current member set at the next fence.
-func (e *Engine) RequestRebalance() { e.requestAdmin(AdminRebalance, -1) }
 
 // requestAdmin sends a fire-and-forget membership request (Ticket 0) to
 // the coordinator from this process's own endpoint: the coordinator's

@@ -213,10 +213,12 @@ func newFenceHarness(t *testing.T) (*Engine, *node) {
 	return e, e.nodes[1]
 }
 
-// Every partition, table and node id a cluster frame names came off the
-// wire. Handed to an unstarted node's router, a frame naming one the
-// cluster does not have is dropped whole: nothing panics, nothing lands,
-// no residency or counter moves, and nothing is sent.
+// Every partition, table, node and worker id a cluster frame names came
+// off the wire, and so did an install's member set. Handed to an
+// unstarted node's router, a frame naming an id the cluster does not
+// have, or a member set it cannot run, is dropped whole: nothing panics,
+// nothing lands, no residency, counter or view moves, and nothing is
+// sent.
 func TestRouterDropsFramesNamingWhatTheClusterLacks(t *testing.T) {
 	e, n := newFenceHarness(t) // 3 nodes, partitions 0..2, one table
 	held := 0
@@ -245,9 +247,13 @@ func TestRouterDropsFramesNamingWhatTheClusterLacks(t *testing.T) {
 		"envelope, unknown table":                  batch(9, int32(held)),
 		"sync envelope, unknown table":             syncBatch{Batch: batch(9, int32(held)), ReplyTo: 0},
 		"sync envelope, unknown reply-to":          syncBatch{Batch: batch(0, int32(held)), ReplyTo: 5},
+		"replication ack, unknown worker":          msgReplAck{Worker: 9, Seq: 1},
+		"install, no member in range":              msgTopology{Version: 2, Members: []int32{-1, 3, 7}},
+		"install, one member":                      msgTopology{Version: 2, Members: []int32{1}},
+		"install, no full member":                  msgTopology{Version: 2, Members: []int32{1, 2}},
 	}
 	state := func() string {
-		s := fmt.Sprint(e.net.TotalBytes(), n.snapPending, n.caughtUp)
+		s := fmt.Sprint(e.net.TotalBytes(), n.snapPending, n.caughtUp, n.view.Load().Version)
 		for p := 0; p < n.db.NumPartitions(); p++ {
 			s += fmt.Sprint(" ", n.db.Holds(p))
 			if n.db.Holds(p) {
@@ -395,9 +401,7 @@ func TestFailedSetLeavesOnlyAtAnInstall(t *testing.T) {
 	n.tracker.AddApplied(2, 3)
 	n.tracker.AddSent(0, 4)
 	n.tracker.AddApplied(0, 7)
-	v := n.view.Load()
-	n.handle(msgTopology{Version: v.Version, Members: []int32{0, 1, 2},
-		Masters: slices.Clone(v.Masters), Secondary: slices.Clone(v.Secondary)})
+	n.handle(msgTopology{Version: n.view.Load().Version, Members: []int32{0, 1, 2}})
 	if got := n.view.Load().failed; len(got) != 0 {
 		t.Fatalf("failed set %v after the install that names none", got)
 	}

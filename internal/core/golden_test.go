@@ -23,8 +23,10 @@ import (
 // bar snapshot's, re-captured on a fresh id when a
 // partition's catch-up became one replication envelope, and the phase
 // report's, the recovery report's and the install's, re-captured on fresh
-// ids when admission stopped shipping counters; the Size column was
-// re-captured when Size() became the frame's length.
+// ids when admission stopped shipping counters, and the install's again,
+// on a fresh id, when it stopped shipping the layout its member set
+// derives; the Size column was re-captured when Size() became the
+// frame's length.
 func goldenMessages(tw *tpcc.Workload) map[string]transport.Message {
 	ents := []replication.Entry{
 		{Table: 2, Part: 1, Key: storage.K2(3, 4), TID: storage.MakeTID(5, 6), Row: []byte("row")},
@@ -69,8 +71,7 @@ func goldenMessages(tw *tpcc.Workload) map[string]transport.Message {
 			Masters:     []int32{0, 0, 2, 3},
 			ClientAddrs: []string{"127.0.0.1:7001", "", "127.0.0.1:7003"},
 			Stats:       []byte(`{"counters":{"committed":42}}`)},
-		"topology": msgTopology{Version: 7, Members: []int32{0, 2, 3},
-			Masters: []int32{0, 0, 2, 3}, Secondary: []int32{2, 3, -1, -1}, Failed: []int{2, 3}},
+		"topology": msgTopology{Version: 7, Members: []int32{0, 2, 3}, Failed: []int{2, 3}},
 	}
 }
 

@@ -221,7 +221,9 @@ func (n *node) handle(m any) {
 	case AdminResp:
 		n.gate.deliver(msg.Ticket, m.(transport.Message))
 	case msgReplAck:
-		n.workers[msg.Worker].resp.Send(msg)
+		if msg.Worker >= 0 && msg.Worker < len(n.workers) {
+			n.workers[msg.Worker].resp.Send(msg)
+		}
 	case workerDoneMsg:
 		n.phaseCommitted += msg.Committed
 		n.genSingle += msg.GenSingle

@@ -1,24 +1,27 @@
 package core
 
+import "slices"
+
 // Topology is the first-class cluster layout: which endpoint slots are
 // live members, which of those are full replicas, and the planned
-// partition->master / partition->secondary assignment. It replaces the
-// scattered Config.Nodes / FullReplicas / LocalNodes reads inside the
-// engine so membership can change at an epoch fence without rebuilding
-// the world.
+// partition->master / partition->secondary assignment derived from the
+// two (relayout). It replaces the scattered Config.Nodes / FullReplicas /
+// LocalNodes reads inside the engine so membership can change at an
+// epoch fence without rebuilding the world.
 //
 // Endpoint slots are fixed at construction (Capacity = Config.Nodes):
 // the transport pre-provisions one endpoint per slot plus the
 // coordinator's, and membership toggles slots live or dark. Which live
 // slots are full replicas is IsFull's to say; the rest are partial.
 //
-// A Topology is never modified once it is part of a View. The
-// coordinator installs new versions only between fences (msgTopology);
-// nodes rebuild storage residency from the installed value and derive
-// everything else in their View.
+// A Topology is never modified once it is built. The coordinator
+// installs new versions only between fences (msgTopology), and what it
+// installs is the member set and a version: each node derives the same
+// layout from them, rebuilds storage residency from it and derives
+// everything else in its View.
 type Topology struct {
-	// Version increments on every installed change (join/drain/
-	// rebalance). Version 1 is the boot layout derived from Config.
+	// Version increments on every installed change of the member set
+	// (join/drain). Version 1 is the boot layout derived from Config.
 	Version uint64
 	// Capacity is the number of provisioned endpoint slots (Config.Nodes).
 	Capacity int
@@ -58,17 +61,6 @@ func (t *Topology) Members() []int {
 		}
 	}
 	return out
-}
-
-// NumMembers returns the live member count.
-func (t *Topology) NumMembers() int {
-	n := 0
-	for _, m := range t.Member {
-		if m {
-			n++
-		}
-	}
-	return n
 }
 
 // MasterOf returns the planned master of partition p.
@@ -112,22 +104,27 @@ func (t *Topology) HoldsMask(i int) []bool {
 	return mask
 }
 
-// Clone returns a deep copy.
-func (t *Topology) Clone() *Topology {
-	c := *t
-	c.Member = append([]bool(nil), t.Member...)
-	c.Masters = append([]int32(nil), t.Masters...)
-	c.Secondary = append([]int32(nil), t.Secondary...)
-	return &c
+// newTopology builds the layout of a member set: the one way a Topology
+// comes to be, at boot, off an install and for a join or drain. The
+// member set is all that varies — its masters and secondaries are
+// derived (relayout), so every process holding the same set holds the
+// same layout. A set that does not Validate gets no layout; it is only
+// good for its Validate error.
+func newTopology(version uint64, capacity, full, partitions int, member []bool) *Topology {
+	t := &Topology{Version: version, Capacity: capacity, Full: full, Partitions: partitions, Member: member}
+	if t.Validate() == nil {
+		t.relayout()
+	}
+	return t
 }
 
-// relayout recomputes the canonical master/secondary assignment for the
-// current member set. Deterministic: every process computing the same
-// member set derives the same layout. Each partition's preferred owner
-// is its striped slot (p / workersPerSlot); orphaned stripes (owner not
-// a member) spread round-robin over the members. Partitions mastered by
-// a full replica get one partial secondary so the replication factor
-// stays Full+1 everywhere partials exist.
+// relayout computes the canonical master/secondary assignment for the
+// member set. Deterministic: every process computing the same member set
+// derives the same layout. Each partition's preferred owner is its
+// striped slot (p / workersPerSlot); orphaned stripes (owner not a
+// member) spread round-robin over the members. Partitions mastered by a
+// full replica get one partial secondary so the replication factor stays
+// Full+1 everywhere partials exist.
 func (t *Topology) relayout() {
 	w := t.workersPerSlot()
 	members := t.Members()
@@ -137,6 +134,8 @@ func (t *Topology) relayout() {
 			partials = append(partials, m)
 		}
 	}
+	t.Masters = make([]int32, t.Partitions)
+	t.Secondary = make([]int32, t.Partitions)
 	for p := 0; p < t.Partitions; p++ {
 		owner := p / w
 		if !t.IsMember(owner) {
@@ -153,37 +152,22 @@ func (t *Topology) relayout() {
 
 // Joined returns the next topology version with slot id live. Data
 // migration to the new layout is the coordinator's job.
-func (t *Topology) Joined(id int) *Topology {
-	n := t.Clone()
-	n.Version++
-	n.Member[id] = true
-	n.relayout()
-	return n
-}
+func (t *Topology) Joined(id int) *Topology { return t.next(id, true) }
 
 // Drained returns the next topology version with slot id removed.
-func (t *Topology) Drained(id int) *Topology {
-	n := t.Clone()
-	n.Version++
-	n.Member[id] = false
-	n.relayout()
-	return n
+func (t *Topology) Drained(id int) *Topology { return t.next(id, false) }
+
+func (t *Topology) next(id int, member bool) *Topology {
+	m := slices.Clone(t.Member)
+	m[id] = member
+	return newTopology(t.Version+1, t.Capacity, t.Full, t.Partitions, m)
 }
 
-// Rebalanced returns the next version with the canonical layout
-// recomputed over the unchanged member set.
-func (t *Topology) Rebalanced() *Topology {
-	n := t.Clone()
-	n.Version++
-	n.relayout()
-	return n
-}
-
-// Validate rejects layouts the engine cannot run: fewer than two
+// Validate rejects member sets the engine cannot run: fewer than two
 // members or no live full replica (partitioned-phase re-mastering and
 // the single-master phase both need one).
 func (t *Topology) Validate() error {
-	if t.NumMembers() < 2 {
+	if len(t.Members()) < 2 {
 		return errTopoMembers
 	}
 	for i := range t.Member {
@@ -207,53 +191,32 @@ const (
 // from Nodes, full set from FullReplicas, members from Members (nil =
 // every slot). With every slot a member this reproduces the classic
 // static layout (MasterOf = p/WorkersPerNode, SecondaryOf striped over
-// the partials) exactly.
+// the partials) exactly. A member set the engine cannot run is returned
+// too, with no layout: Validate says what is wrong with it.
 func (c Config) Topology() *Topology {
 	c = c.withDefaults()
-	t := &Topology{
-		Version:    1,
-		Capacity:   c.Nodes,
-		Full:       c.FullReplicas,
-		Partitions: c.NumPartitions(),
-		Member:     make([]bool, c.Nodes),
-		Masters:    make([]int32, c.NumPartitions()),
-		Secondary:  make([]int32, c.NumPartitions()),
+	member := make([]bool, c.Nodes)
+	for i := range member {
+		member[i] = len(c.Members) == 0
 	}
-	if len(c.Members) == 0 {
-		for i := range t.Member {
-			t.Member[i] = true
+	for _, id := range c.Members {
+		if id < 0 || id >= c.Nodes {
+			panic("core: Config.Members id out of range")
 		}
-	} else {
-		for _, id := range c.Members {
-			if id < 0 || id >= c.Nodes {
-				panic("core: Config.Members id out of range")
-			}
-			t.Member[id] = true
-		}
+		member[id] = true
 	}
-	if err := t.Validate(); err != nil {
-		panic("core: " + err.Error())
-	}
-	t.relayout()
-	return t
+	return newTopology(1, c.Nodes, c.FullReplicas, c.NumPartitions(), member)
 }
 
-// topologyFromMsg reconstructs an installed Topology from the fence
-// broadcast plus the fixed Config constants.
+// topologyFromMsg derives an installed Topology from the member set the
+// install names plus the fixed Config constants. Ids off the wire that
+// are not slots of this cluster are not members.
 func topologyFromMsg(m msgTopology, cfg Config) *Topology {
-	t := &Topology{
-		Version:    m.Version,
-		Capacity:   cfg.Nodes,
-		Full:       cfg.FullReplicas,
-		Partitions: cfg.NumPartitions(),
-		Member:     make([]bool, cfg.Nodes),
-		Masters:    append([]int32(nil), m.Masters...),
-		Secondary:  append([]int32(nil), m.Secondary...),
-	}
+	member := make([]bool, cfg.Nodes)
 	for _, id := range m.Members {
-		if int(id) >= 0 && int(id) < cfg.Nodes {
-			t.Member[id] = true
+		if id >= 0 && int(id) < cfg.Nodes {
+			member[id] = true
 		}
 	}
-	return t
+	return newTopology(m.Version, cfg.Nodes, cfg.FullReplicas, cfg.NumPartitions(), member)
 }

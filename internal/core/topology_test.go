@@ -17,8 +17,8 @@ func TestTopologyBootMatchesStaticLayout(t *testing.T) {
 	cfg := Config{Nodes: 4, WorkersPerNode: 3, FullReplicas: 2}
 	cfg = cfg.withDefaults()
 	topo := cfg.Topology()
-	if topo.Version != 1 || topo.NumMembers() != 4 {
-		t.Fatalf("boot topology: version %d, members %d", topo.Version, topo.NumMembers())
+	if topo.Version != 1 || len(topo.Members()) != 4 {
+		t.Fatalf("boot topology: version %d, members %v", topo.Version, topo.Members())
 	}
 	partials := cfg.Nodes - cfg.FullReplicas
 	for p := 0; p < cfg.NumPartitions(); p++ {
@@ -47,9 +47,9 @@ func TestTopologyBootMatchesStaticLayout(t *testing.T) {
 	}
 }
 
-// TestTopologyJoinDrainRebalance pins the membership transitions:
-// deterministic layouts, full coverage, version bumps, and validation.
-func TestTopologyJoinDrainRebalance(t *testing.T) {
+// TestTopologyJoinDrain pins the membership transitions: deterministic
+// layouts, full coverage, version bumps, and validation.
+func TestTopologyJoinDrain(t *testing.T) {
 	cfg := Config{Nodes: 4, WorkersPerNode: 2, FullReplicas: 1, Members: []int{0, 1, 2}}
 	cfg = cfg.withDefaults()
 	topo := cfg.Topology()
@@ -100,17 +100,6 @@ func TestTopologyJoinDrainRebalance(t *testing.T) {
 	}
 	if drained.Holds(1, 0) {
 		t.Fatal("drained slot still holds partitions")
-	}
-
-	// Rebalance bumps the version but keeps the canonical layout fixed.
-	reb := joined.Rebalanced()
-	if reb.Version != joined.Version+1 {
-		t.Fatal("rebalance version")
-	}
-	for p := 0; p < reb.Partitions; p++ {
-		if reb.Masters[p] != joined.Masters[p] || reb.Secondary[p] != joined.Secondary[p] {
-			t.Fatalf("partition %d: rebalance moved a stable layout", p)
-		}
 	}
 
 	// Validation: too few members, and no live full replica.
@@ -228,33 +217,6 @@ func TestSTARDrainThenRejoin(t *testing.T) {
 	settle(s, e, 20*time.Millisecond)
 	if err := e.CheckReplicaConsistency(); err != nil {
 		t.Fatalf("replicas diverged after drain+rejoin: %v", err)
-	}
-	s.Stop()
-}
-
-// TestSTARRebalanceInstallsNewVersion pins that a rebalance over a
-// stable member set is a pure version bump with no layout movement and
-// no consistency damage.
-func TestSTARRebalanceInstallsNewVersion(t *testing.T) {
-	s := rt.NewSim()
-	e := ycsbCluster(t, s, 3, 2, 10, nil)
-	s.Run(40 * time.Millisecond)
-	old := e.Topology()
-
-	e.RequestRebalance()
-	s.Run(s.Now() + 40*time.Millisecond)
-	topo := e.Topology()
-	if topo.Version != old.Version+1 {
-		t.Fatalf("rebalance version: %d -> %d", old.Version, topo.Version)
-	}
-	for p := 0; p < topo.Partitions; p++ {
-		if topo.Masters[p] != old.Masters[p] {
-			t.Fatalf("partition %d: stable rebalance moved mastership", p)
-		}
-	}
-	settle(s, e, 20*time.Millisecond)
-	if err := e.CheckReplicaConsistency(); err != nil {
-		t.Fatal(err)
 	}
 	s.Stop()
 }

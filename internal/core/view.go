@@ -8,9 +8,10 @@ import "slices"
 // single-master phase, who still holds a copy. It is built once and
 // never modified, and it is a pure function: the coordinator and every
 // node construct their own from the same (layout, failed set) and arrive
-// at the same value, so only those two travel — both on msgTopology,
-// new failures also on msgStartPhase and msgRevert — and re-mastering
-// after a failure moves no data and no map (§4.5.3).
+// at the same value, so only those two travel — the layout as its member
+// set, both on msgTopology, new failures also on msgStartPhase and
+// msgRevert — and re-mastering after a failure moves no data and no map
+// (§4.5.3).
 type View struct {
 	*Topology
 	failed  []int   // members that stopped answering, ascending; nil when none

@@ -12,10 +12,10 @@ import (
 	"star/internal/transport"
 )
 
-// randomView draws a layout (capacity, workers per slot, full count,
+// randomView draws a cluster (capacity, workers per slot, full count,
 // member set with at least two members and one full among them) and a
 // failed set that may name members, dark slots and ids off the end.
-func randomView(rng *rand.Rand) (*Topology, []int) {
+func randomView(rng *rand.Rand) (Config, []int) {
 	cfg := Config{Nodes: 2 + rng.Intn(7), WorkersPerNode: 1 + rng.Intn(3)}
 	cfg.FullReplicas = 1 + rng.Intn(cfg.Nodes-1)
 	cfg.Members = []int{rng.Intn(cfg.FullReplicas)}
@@ -31,7 +31,7 @@ func randomView(rng *rand.Rand) (*Topology, []int) {
 		}
 	}
 	rng.Shuffle(len(failed), func(i, j int) { failed[i], failed[j] = failed[j], failed[i] })
-	return cfg.Topology(), failed
+	return cfg, failed
 }
 
 // The view is a pure function of (layout, failed set), and what it
@@ -42,14 +42,17 @@ func randomView(rng *rand.Rand) (*Topology, []int) {
 // slots that are failed or dark master and receive nothing; failing a
 // node and having it back is the view before; and two views of the same
 // inputs are deeply equal, which is what lets the coordinator and every
-// node each build their own.
+// node each build their own: the view a node derives from the install
+// that carries v — a member set, not a layout — is v.
 func TestViewIsAPureFunctionOfLayoutAndFailedSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for round := 0; round < 2000; round++ {
-		topo, failed := randomView(rng)
+		cfg, failed := randomView(rng)
+		topo := cfg.Topology()
 		v := newView(topo, failed)
-		if again := newView(topo.Clone(), slices.Clone(failed)); !reflect.DeepEqual(v, again) {
-			t.Fatalf("round %d: two views of one (layout, failed set) differ:\n%+v\n%+v", round, v, again)
+		m := installOf(v)
+		if again := newView(topologyFromMsg(m, cfg), m.Failed); !reflect.DeepEqual(v, again) {
+			t.Fatalf("round %d: the view installed from %+v differs:\n%+v\n%+v", round, m, v, again)
 		}
 		isFailed := func(i int) bool { return topo.IsMember(i) && slices.Contains(failed, i) }
 		wantMaster := -1
@@ -226,12 +229,16 @@ func TestAdminJoinReadmitsFailedMemberWhileOthersAreFailed(t *testing.T) {
 	const wait = 40 * time.Millisecond
 	for _, req := range []AdminReq{
 		{Op: AdminDrain, Node: 1},
-		{Op: AdminRebalance, Node: -1},
 		{Op: AdminJoin, Node: 4}, // a dark slot: a new layout
 	} {
 		if resp := adminAsk(t, s, e, 1, req, wait); resp.OK || !strings.Contains(resp.Err, "cluster has failed members") {
 			t.Fatalf("%s of %d with members failed: %+v, want the refusal", req.Op, req.Node, resp)
 		}
+	}
+	// Op 6 stays reserved (a member set has one layout, so there is no
+	// rebalance to serve): an old client's ask gets the unknown-op answer.
+	if resp := adminAsk(t, s, e, 1, AdminReq{Op: 6, Node: -1}, wait); resp.OK || resp.Err != "unknown admin op" {
+		t.Fatalf("retired op 6: %+v, want the unknown-op answer", resp)
 	}
 	for i, x := range []int{3, 2} {
 		resp := adminAsk(t, s, e, 1, AdminReq{Op: AdminJoin, Node: x}, wait)

@@ -47,6 +47,7 @@ const (
 	wireSnapshot
 	wirePhaseDone
 	wireRecoveryDone
+	_ // retired: wireTopology with the layout's Masters and Secondary
 	wireTopology
 )
 
@@ -227,9 +228,6 @@ func (m msgTopology) Size() int { return wire.FrameLen(&m, topologyFields) }
 func topologyFields(f *wire.Fields, m *msgTopology) {
 	f.Uvarint(&m.Version)
 	f.I32s(&m.Members)
-	f.I32s(&m.Masters)
-	f.I32s(&m.Secondary)
-	f.Check(len(m.Secondary) == len(m.Masters))
 	f.Ints(&m.Failed)
 }
 

@@ -92,8 +92,7 @@ func sampleMessages(tw *tpcc.Workload, yw *ycsb.Workload) []transport.Message {
 		AdminResp{V: 1, Op: AdminTopologyGet, Node: 0, OK: true, Version: 7,
 			Members: []int32{0, 2, 3}, Masters: []int32{0, 0, 2, 3},
 			ClientAddrs: []string{"127.0.0.1:7001", "", "127.0.0.1:7003"}},
-		msgTopology{Version: 7, Members: []int32{0, 2, 3},
-			Masters: []int32{0, 0, 2, 3}, Secondary: []int32{2, 3, -1, -1}, Failed: []int{3}},
+		msgTopology{Version: 7, Members: []int32{0, 2, 3}, Failed: []int{3}},
 		ClientReq{Token: 8, Req: ticketed(txn.NewRequest(tg.Cross(1), 999), 1, 77)},
 		ClientReq{Token: 0, Req: ticketed(txn.NewRequest(&tpcc.StockLevelTxn{
 			W: tw, WID: 1, DID: 0, Threshold: 12, Remote: []int{0}}, 600), 2, 1)},
@@ -318,7 +317,8 @@ func TestRequestGenAtRebasedAcrossClockDomains(t *testing.T) {
 // columns; at 966dc75, the worker's done report, which no longer
 // crosses the transport; and at b696c03, when admission stopped shipping
 // counters, the phase and recovery reports with their Sent vectors, the
-// install without its failed set, and the counter reset and alignment.
+// install without its failed set, and the counter reset and alignment;
+// and at eb95c0c, the install with the layout its member set derives.
 var retiredFrames = [][]byte{
 	{0x01, 0x01, 0x09, 0x80, 0xe8, 0x92, 0x26, 0x02, 0x02, 0x04, 0x06, 0xe0, 0xc5, 0x08, 0x0a, 0x22},
 	{0x07, 0x08, 0x01, 0x02, 0x04, 0x00, 0x00, 0x04, 0x06},
@@ -336,6 +336,7 @@ var retiredFrames = [][]byte{
 	{0x20, 0x07, 0x03, 0x00, 0x04, 0x06, 0x04, 0x00, 0x00, 0x04, 0x06, 0x04, 0x04, 0x06, 0x01, 0x01},
 	{0x0c, 0x03, 0x0a, 0x00, 0x12},
 	{0x15, 0x02, 0x80, 0x40},
+	{0x24, 0x07, 0x03, 0x00, 0x04, 0x06, 0x04, 0x00, 0x00, 0x04, 0x06, 0x04, 0x04, 0x06, 0x01, 0x01, 0x02, 0x04, 0x06},
 }
 
 // A frame from a process one commit behind is refused as an unknown id,

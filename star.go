@@ -107,17 +107,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Nodes < 2 {
 		return nil, errors.New("star: need at least 2 nodes (one full replica + one partial)")
 	}
-	c := &Cluster{cfg: cfg}
-	var r rt.Runtime
-	if cfg.Virtual {
-		c.sim = rt.NewSim()
-		r = c.sim
-	} else {
-		c.real = rt.NewReal()
-		r = c.real
-	}
-	c.engine = core.New(core.Config{
-		RT:             r,
+	ccfg := core.Config{
 		Nodes:          cfg.Nodes,
 		FullReplicas:   cfg.FullReplicas,
 		WorkersPerNode: cfg.WorkersPerNode,
@@ -125,7 +115,19 @@ func New(cfg Config) (*Cluster, error) {
 		Iteration:      cfg.Iteration,
 		LogDir:         cfg.LogDir,
 		Seed:           cfg.Seed,
-	})
+	}
+	if err := ccfg.Topology().Validate(); err != nil {
+		return nil, errors.New("star: " + err.Error())
+	}
+	c := &Cluster{cfg: cfg}
+	if cfg.Virtual {
+		c.sim = rt.NewSim()
+		ccfg.RT = c.sim
+	} else {
+		c.real = rt.NewReal()
+		ccfg.RT = c.real
+	}
+	c.engine = core.New(ccfg)
 	return c, nil
 }
 

@@ -102,6 +102,10 @@ func TestPublicAPIValidation(t *testing.T) {
 	if _, err := New(Config{Nodes: 1, Workload: YCSB(YCSBConfig{Partitions: 1, RecordsPerPartition: 8})}); err == nil {
 		t.Fatal("1-node cluster must error")
 	}
+	w := YCSB(YCSBConfig{Partitions: 8, RecordsPerPartition: 8})
+	if _, err := New(Config{Nodes: 2, FullReplicas: -1, Workload: w}); err == nil || err.Error() != "star: topology: no live full replica" {
+		t.Fatalf("a cluster with no full replica: err %v, want the topology's refusal", err)
+	}
 }
 
 func TestPublicAPITPCC(t *testing.T) {
