@@ -216,9 +216,9 @@ func newFenceHarness(t *testing.T) (*Engine, *node) {
 // Every partition, table, node and worker id a cluster frame names came
 // off the wire, and so did an install's member set. Handed to an
 // unstarted node's router, a frame naming an id the cluster does not
-// have, or a member set it cannot run, is dropped whole: nothing panics,
-// nothing lands, no residency, counter or view moves, and nothing is
-// sent.
+// have, or a member set it cannot run, is dropped whole, and so is a
+// frame only the coordinator reads: nothing panics, nothing lands, no
+// residency, counter or view moves, and nothing is sent.
 func TestRouterDropsFramesNamingWhatTheClusterLacks(t *testing.T) {
 	e, n := newFenceHarness(t) // 3 nodes, partitions 0..2, one table
 	held := 0
@@ -247,6 +247,9 @@ func TestRouterDropsFramesNamingWhatTheClusterLacks(t *testing.T) {
 		"envelope, unknown table":                  batch(9, int32(held)),
 		"sync envelope, unknown table":             syncBatch{Batch: batch(9, int32(held)), ReplyTo: 0},
 		"sync envelope, unknown reply-to":          syncBatch{Batch: batch(0, int32(held)), ReplyTo: 5},
+		"envelope, unknown sender":                 &msgReplBatch{From: 48, Epoch: 1, Entries: ents(0, int32(held))},
+		"sync envelope, unknown sender":            syncBatch{Batch: &msgReplBatch{From: 48, Epoch: 1, Entries: ents(0, int32(held))}, ReplyTo: 0},
+		"phase report, the coordinator's":          msgPhaseDone{Node: 0, Epoch: 1},
 		"replication ack, unknown worker":          msgReplAck{Worker: 9, Seq: 1},
 		"install, no member in range":              msgTopology{Version: 2, Members: []int32{-1, 3, 7}},
 		"install, one member":                      msgTopology{Version: 2, Members: []int32{1}},

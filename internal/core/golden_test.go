@@ -26,7 +26,8 @@ import (
 // ids when admission stopped shipping counters, and the install's again,
 // on a fresh id, when it stopped shipping the layout its member set
 // derives; the Size column was re-captured when Size() became the
-// frame's length.
+// frame's length. repl_batch_same_ops was captured when an op entry
+// began to send only its arguments behind one whose heads it repeats.
 func goldenMessages(tw *tpcc.Workload) map[string]transport.Message {
 	ents := []replication.Entry{
 		{Table: 2, Part: 1, Key: storage.K2(3, 4), TID: storage.MakeTID(5, 6), Row: []byte("row")},
@@ -55,7 +56,13 @@ func goldenMessages(tw *tpcc.Workload) map[string]transport.Message {
 			{Table: 1, Part: 200, Key: storage.K2(2, 3), TID: storage.MakeTID(2, 2), Row: append(make([]byte, 15), 9)},
 			{Table: 4, Part: 200, Key: storage.K1(5), TID: storage.MakeTID(1, 7), Row: []byte("beta")},
 		}}},
-		"repl_batch":     &replication.Batch{From: 1, Epoch: 9, Entries: ents},
+		"repl_batch": &replication.Batch{From: 1, Epoch: 9, Entries: ents},
+		"repl_batch_same_ops": &replication.Batch{From: 1, Epoch: 9, Entries: []replication.Entry{
+			{Table: 3, Part: 1, Key: storage.K2(1, 17), TID: storage.MakeTID(9, 4), Ops: []storage.FieldOp{
+				storage.SetInt64Op(2, 41), storage.AddFloat64Op(5, 2.5)}},
+			{Table: 3, Part: 1, Key: storage.K2(1, 23), TID: storage.MakeTID(9, 4), Ops: []storage.FieldOp{
+				storage.SetInt64Op(2, -3), storage.AddFloat64Op(5, 10)}},
+		}},
 		"sync_batch":     syncBatch{Batch: &replication.Batch{From: 0, Epoch: 9, Entries: ents[:1]}, Worker: 2, Seq: 5, ReplyTo: 1},
 		"recovery_done":  msgRecoveryDone{Node: 2},
 		"start_recovery": msgStartRecovery{Parts: []int32{1, 3}, From: []int32{0, 2}},

@@ -170,18 +170,19 @@ func (n *node) routerLoop() {
 
 // handle is the router's one way in. Every partition, table and node id a
 // frame names came off the wire: a frame naming one the cluster does not
-// have is dropped whole, before anything indexes by it.
+// have is dropped whole, before anything indexes by it, and so is one a
+// node has no use for (the coordinator's reports).
 func (n *node) handle(m any) {
 	r := n.e.cfg.RT
 	switch msg := m.(type) {
 	case *msgReplBatch:
 		r.Compute(CostMsgHandling)
-		if !n.superseded(msg) && n.inRange(msg.Entries) {
+		if !n.superseded(msg) && n.inRange(msg.Entries) && n.isNode(msg.From) {
 			n.applyBatch(msg)
 		}
 	case syncBatch:
 		r.Compute(CostMsgHandling)
-		if !n.inRange(msg.Batch.Entries) || !n.isNode(msg.ReplyTo) {
+		if !n.inRange(msg.Batch.Entries) || !n.isNode(msg.ReplyTo) || !n.isNode(msg.Batch.From) {
 			break
 		}
 		// Synchronous replication: the ack may only leave once the entries
@@ -256,8 +257,6 @@ func (n *node) handle(m any) {
 		n.serveAdmin(msg)
 	case msgHalt:
 		n.e.haltCh.TrySend(struct{}{})
-	default:
-		panic("core: unknown message")
 	}
 }
 

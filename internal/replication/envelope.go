@@ -31,6 +31,7 @@ import (
 //	                                    then per 8-byte word of the row:
 //	                                    [mask u8][its non-zero bytes]
 //	        op entry:    [nops uvarint] nops × field op (prim.AppendFieldOp)
+//	                                    or, with flagSameOps, nops × argument
 //
 // "Previous" for the first entry of a batch is table 0, partition 0, key
 // 0 and TID Epoch<<34 (the epoch's first possible TID; 0 for an ad-hoc
@@ -53,6 +54,9 @@ import (
 //	bit 5  flagKeyDelta  key.Hi is the previous entry's, key.Lo a delta from
 //	                     its Lo (an order line behind its neighbour: 1 byte,
 //	                     not 10); only with flagSamePart, not flagRawKey
+//	bit 6  flagSameOps   nops and each op's head (field, kind and argument
+//	                     form) are the envelope's previous op entry's, of 1
+//	                     to maxShapeOps ops: only the arguments follow
 //
 // A key or op argument goes in its shortest form (a key delta only when
 // strictly so) but decodes in any, so logs written before a form existed
@@ -69,8 +73,9 @@ import (
 // claim 2 KiB.
 //
 // Sizes: a YCSB op entry after the first is flags 1 + key delta 3 + TID 1
-// + nops 1 + op 15 = 21 bytes (43 with every field fixed-width), a TPC-C
-// stock update ≈ 15; a header is MinEntryLen−1 to MaxEntryHeaderLen bytes.
+// + argument 13 = 18 bytes (43 with every field fixed-width), a TPC-C
+// stock update ≈ 8; a header is MinEntryLen−1 to MaxEntryHeaderLen bytes.
+// DecodeBatch allocates at most 4 ops per 7 frame bytes (a same-shape entry).
 // Everything that prices an entry asks EntryCoder.Next — the Stream's byte
 // bound, Batch.Size, what a worker reports it replicated — so all of them
 // count these bytes.
@@ -81,7 +86,9 @@ const (
 	flagRawKey   = 1 << 3
 	flagPacked   = 1 << 4
 	flagKeyDelta = 1 << 5
-	flagsKnown   = flagOp | flagAbsent | flagSamePart | flagRawKey | flagPacked | flagKeyDelta
+	flagSameOps  = 1 << 6
+	flagsKnown   = flagOp | flagAbsent | flagSamePart | flagRawKey | flagPacked | flagKeyDelta | flagSameOps
+	maxShapeOps  = 4 // TPC-C's widest op entries: a remote stock update, a bad-credit Payment
 
 	// MinEntryLen is the smallest encoded entry: flags, a 1-byte key
 	// delta, a 1-byte TID delta and a 1-byte empty payload (row length or
@@ -101,12 +108,62 @@ const (
 )
 
 // entryPrev is what the next entry is coded against: the table, partition,
-// key and TID of the entry before it, or the envelope's for the first.
+// key and TID of the entry before it, or the envelope's for the first, and
+// the op count and first maxShapeOps heads of the op entry before it.
 type entryPrev struct {
 	table storage.TableID
 	part  int32
 	key   storage.Key
 	tid   uint64
+	nops  int
+	heads [maxShapeOps]prim.OpHead
+}
+
+// nextOps makes ops the previous op entry's and returns their entry's op
+// flags and payload size: no count or heads if they repeat its shape.
+func (p *entryPrev) nextOps(ops []storage.FieldOp) (flags byte, payload int) {
+	var heads [maxShapeOps]prim.OpHead
+	for i := range ops {
+		h, n := prim.HeadOf(&ops[i])
+		if payload += n; i < maxShapeOps {
+			heads[i] = h
+		}
+	}
+	same := len(ops) == p.nops && heads == p.heads && p.nops > 0 && p.nops <= maxShapeOps
+	if p.nops, p.heads = len(ops), heads; same {
+		return flagOp | flagSameOps, payload
+	}
+	return flagOp, payload + prim.UvarintLen(uint64(len(ops))) + len(prim.OpHead{})*len(ops)
+}
+
+// decodeOps consumes an op entry's payload coded against p (with same,
+// only arguments) into the front of pool unless it is nil, makes its ops
+// the previous op entry's, and returns their count.
+func (p *entryPrev) decodeOps(b []byte, same bool, pool []storage.FieldOp) (_ int, _ []byte, err error) {
+	if !same {
+		var n uint64
+		if n, b, err = prim.Uvarint(b); err != nil {
+			return 0, nil, err
+		}
+		// Each op costs at least 3 bytes, so the count is bounded by the
+		// buffer — reject early instead of allocating from a corrupt count.
+		if n > uint64(len(b))/3 {
+			return 0, nil, fmt.Errorf("%w: %d ops in %d-byte buffer", prim.ErrCorrupt, n, len(b))
+		}
+		p.nops = int(n)
+	}
+	for i := 0; i < p.nops && err == nil; i++ {
+		op, head := storage.FieldOp{}, b
+		if same {
+			op, b, err = prim.DecodeOpArg(b, p.heads[i])
+		} else if op, b, err = prim.DecodeFieldOp(b); err == nil && i < maxShapeOps {
+			p.heads[i] = prim.OpHead(head)
+		}
+		if pool != nil {
+			pool[i] = op
+		}
+	}
+	return p.nops, b, err
 }
 
 // batchPrev returns the context of the first entry of an envelope
@@ -142,17 +199,16 @@ func appendPacked(b, row []byte) []byte {
 // appendHeader appends everything of e in front of its payload, coded
 // against prev, and advances prev to e: the one place an entry's layout
 // is decided (the sizer runs it into a stack buffer), including the form
-// its row takes — body is the row's packedLen if it goes packed, else its
-// length.
-func appendHeader(b []byte, prev *entryPrev, e *Entry) (_ []byte, body int) {
-	var flags byte
+// its payload takes — body is the ops' payload size (nextOps), the
+// row's packedLen if it goes packed, else its length.
+func appendHeader(b []byte, prev *entryPrev, e *Entry) (_ []byte, flags byte, body int) {
+	body = len(e.Row)
 	if e.IsOp() {
-		flags |= flagOp
+		flags, body = prev.nextOps(e.Ops)
 	}
 	if e.Absent {
 		flags |= flagAbsent
 	}
-	body = len(e.Row)
 	if flags == 0 { // a present value entry
 		if body = packedLen(e.Row); body < len(e.Row) {
 			flags = flagPacked
@@ -184,7 +240,7 @@ func appendHeader(b []byte, prev *entryPrev, e *Entry) (_ []byte, body int) {
 	}
 	b = prim.AppendVarint(b, int64(e.TID-prev.tid))
 	prev.key, prev.tid = e.Key, e.TID
-	return b, body
+	return b, flags, body
 }
 
 // EntryCoder codes an envelope's entries one at a time, each against the
@@ -198,7 +254,13 @@ func (c *EntryCoder) Reset(epoch uint64) { c.prev = batchPrev(epoch) }
 
 // Append appends e as the envelope's next entry: the one entry encoder.
 func (c *EntryCoder) Append(b []byte, e *Entry) []byte {
-	b, body := appendHeader(b, &c.prev, e)
+	b, flags, body := appendHeader(b, &c.prev, e)
+	if flags&flagSameOps != 0 {
+		for i := range e.Ops {
+			b = prim.AppendOpArg(b, &e.Ops[i], c.prev.heads[i])
+		}
+		return b
+	}
 	if e.IsOp() {
 		b = prim.AppendUvarint(b, uint64(len(e.Ops)))
 		for i := range e.Ops {
@@ -220,24 +282,21 @@ func (c *EntryCoder) Append(b []byte, e *Entry) []byte {
 // header + the length-prefixed size of its table's row.
 func (c *EntryCoder) Next(e *Entry) (header, payload, raw int) {
 	var buf [MaxEntryHeaderLen]byte
-	b, body := appendHeader(buf[:0], &c.prev, e)
-	if !e.IsOp() {
-		raw = prim.BytesLen(e.Row)
-		return len(b), raw - len(e.Row) + body, raw
+	b, _, body := appendHeader(buf[:0], &c.prev, e)
+	if e.IsOp() {
+		return len(b), body, body
 	}
-	payload = prim.UvarintLen(uint64(len(e.Ops)))
-	for i := range e.Ops {
-		payload += prim.FieldOpLen(&e.Ops[i])
-	}
-	return len(b), payload, payload
+	raw = prim.BytesLen(e.Row)
+	return len(b), raw - len(e.Row) + body, raw
 }
 
 // What scanEntry leaves in e.Ops to mark a payload it left encoded in
-// e.Row: noOps for an operation entry's ops (IsOp is Ops != nil), and
-// packedRow, told apart by its capacity, for a packed row.
+// e.Row, told apart by capacity: noOps for an operation entry's ops (IsOp
+// is Ops != nil), sameOps for its arguments alone, packedRow for a row.
 var (
 	noOps     = []storage.FieldOp{}
-	packedRow = make([]storage.FieldOp, 0, 1)
+	sameOps   = make([]storage.FieldOp, 0, 1)
+	packedRow = make([]storage.FieldOp, 0, 2)
 )
 
 // batchScan is the decoder's state across an envelope: what the next
@@ -249,9 +308,9 @@ type batchScan struct {
 }
 
 // scanEntry is the one entry decoder: it consumes one entry coded against
-// s.prev into the zero *e, advances s, and validates all of it, but
-// leaves an operation entry's ops and a packed row encoded — marked in
-// e.Ops, in e.Row (count or length included) for fillOps or fillRow, and
+// s.prev into the zero *e, advances s, and validates all of it, but leaves
+// an operation entry's ops and a packed row encoded — marked in e.Ops, in
+// e.Row (count or length, if sent, included) for decodeOps or fillRow, and
 // counted in s. That split lets DecodeBatch learn the batch's totals in
 // the one pass that decodes everything else, and then carve every entry's
 // Ops from one allocation and every packed row from another. A raw value
@@ -262,7 +321,8 @@ func scanEntry(b []byte, s *batchScan, e *Entry) (rest []byte, err error) {
 	}
 	flags := b[0]
 	if flags&^flagsKnown != 0 || flags&flagPacked != 0 && flags&(flagOp|flagAbsent) != 0 ||
-		flags&flagKeyDelta != 0 && flags&(flagSamePart|flagRawKey) != flagSamePart {
+		flags&flagKeyDelta != 0 && flags&(flagSamePart|flagRawKey) != flagSamePart ||
+		flags&flagSameOps != 0 && (flags&flagOp == 0 || s.prev.nops == 0 || s.prev.nops > maxShapeOps) {
 		return nil, fmt.Errorf("%w: entry flags %#x", prim.ErrCorrupt, flags)
 	}
 	b = b[1:]
@@ -303,62 +363,42 @@ func scanEntry(b []byte, s *batchScan, e *Entry) (rest []byte, err error) {
 		e.Row, b, err = prim.Bytes(b)
 		return b, err
 	}
+	if flags&flagOp != 0 {
+		n, body, err := prev.decodeOps(b, flags&flagSameOps != 0, nil)
+		if err != nil {
+			return nil, err
+		}
+		if e.Ops, e.Row, s.nops = noOps, b[:len(b)-len(body)], s.nops+n; flags&flagSameOps != 0 {
+			e.Ops = sameOps
+		}
+		return body, nil
+	}
 	n, body, err := prim.Uvarint(b)
 	if err != nil {
 		return nil, err
 	}
-	mark := noOps
-	if flags&flagPacked != 0 {
-		packed, zeroMasks := body, 0
-		for left := int(n); left > 0; left -= 8 {
-			if len(body) == 0 || bits.OnesCount8(body[0]) >= len(body) {
-				return nil, prim.ErrTruncated
-			}
-			if body[0] == 0 {
-				zeroMasks++
-			} else if left < 8 && body[0]>>left != 0 {
-				return nil, fmt.Errorf("%w: packed row mask %#x past the row's end", prim.ErrCorrupt, body[0])
-			}
-			body = body[1+bits.OnesCount8(body[0]):]
+	packed, zeroMasks := body, 0
+	for left := int(n); left > 0; left -= 8 {
+		if len(body) == 0 || bits.OnesCount8(body[0]) >= len(body) {
+			return nil, prim.ErrTruncated
 		}
-		// One encoding per row: shorter than the row — and as every word
-		// cost its mask byte, the row is under 8× what it arrived in — and
-		// with no zero byte but the masks of zero words.
-		packed = packed[:len(packed)-len(body)]
-		if n > storage.MaxRowSize || len(packed) >= int(n) || bytes.Count(packed, []byte{0}) != zeroMasks {
-			return nil, fmt.Errorf("%w: row of %d bytes packed into %d", prim.ErrCorrupt, n, len(packed))
+		if body[0] == 0 {
+			zeroMasks++
+		} else if left < 8 && body[0]>>left != 0 {
+			return nil, fmt.Errorf("%w: packed row mask %#x past the row's end", prim.ErrCorrupt, body[0])
 		}
-		s.nrows += int(n)
-		mark = packedRow
-	} else {
-		// Each op costs at least 3 bytes, so the count is bounded by the
-		// buffer — reject early instead of allocating from a corrupt count.
-		if n > uint64(len(body))/3 {
-			return nil, fmt.Errorf("%w: %d ops in %d-byte buffer", prim.ErrCorrupt, n, len(body))
-		}
-		for i := uint64(0); i < n; i++ {
-			if _, body, err = prim.DecodeFieldOp(body); err != nil {
-				return nil, err
-			}
-		}
-		s.nops += int(n)
+		body = body[1+bits.OnesCount8(body[0]):]
 	}
-	e.Ops, e.Row = mark, b[:len(b)-len(body)]
+	// One encoding per row: shorter than the row — and as every word
+	// cost its mask byte, the row is under 8× what it arrived in — and
+	// with no zero byte but the masks of zero words.
+	packed = packed[:len(packed)-len(body)]
+	if n > storage.MaxRowSize || len(packed) >= int(n) || bytes.Count(packed, []byte{0}) != zeroMasks {
+		return nil, fmt.Errorf("%w: row of %d bytes packed into %d", prim.ErrCorrupt, n, len(packed))
+	}
+	s.nrows += int(n)
+	e.Ops, e.Row = packedRow, b[:len(b)-len(body)]
 	return body, nil
-}
-
-// fillOps materialises the ops scanEntry left encoded in e.Row, carving
-// e.Ops off the front of pool — which must be non-nil, so that a zero-op
-// entry still reads as an operation entry, and hold at least the entry's
-// op count — and returns the rest. The encoding was validated by the scan.
-func fillOps(e *Entry, pool []storage.FieldOp) []storage.FieldOp {
-	n, body, _ := prim.Uvarint(e.Row)
-	e.Row = nil
-	e.Ops, pool = pool[:n:n], pool[n:]
-	for i := range e.Ops {
-		e.Ops[i], body, _ = prim.DecodeFieldOp(body)
-	}
-	return pool
 }
 
 // fillRow unpacks the row scanEntry left packed in e.Row into the front
@@ -450,11 +490,13 @@ func DecodeBatch(b []byte) (*Batch, error) {
 	// of allocations per envelope, not one per entry (neither is made for
 	// a batch without ops or without packed rows).
 	pool, arena := make([]storage.FieldOp, s.nops), make([]byte, s.nrows)
+	var prev entryPrev // the heads the ops left encoded are coded against
 	for i := range entries {
-		if e := &entries[i]; cap(e.Ops) != 0 {
+		if e := &entries[i]; cap(e.Ops) == cap(packedRow) {
 			arena = fillRow(e, arena)
-		} else if e.IsOp() {
-			pool = fillOps(e, pool)
+		} else if e.IsOp() { // validated by the scan; pool is non-nil, so a zero-op entry stays one
+			n, _, _ := prev.decodeOps(e.Row, cap(e.Ops) == cap(sameOps), pool)
+			e.Row, e.Ops, pool = nil, pool[:n:n], pool[n:]
 		}
 	}
 	return &Batch{From: int(from), Epoch: epoch, Entries: entries}, nil

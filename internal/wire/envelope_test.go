@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"star/internal/replication"
 	"star/internal/storage"
@@ -24,6 +25,7 @@ const (
 	flagRawKey   = 1 << 3
 	flagPacked   = 1 << 4
 	flagKeyDelta = 1 << 5
+	flagSameOps  = 1 << 6
 )
 
 // historyKey is a key shaped like TPC-C's history keys: bit 62 set in one
@@ -50,14 +52,24 @@ func sparseRow(rng *rand.Rand, n, zeroPct int) []byte {
 // for: op, value and tombstone entries, rows of random bytes and rows
 // that are mostly zeros, runs and changes of table and partition,
 // same-transaction, forward and backward TID steps (and, at Epoch 0,
-// arbitrary TIDs), small keys, 9-byte halves and raw-escape keys.
+// arbitrary TIDs), small keys, 9-byte halves and raw-escape keys, and op
+// lists of random heads or of one of the envelope's few shapes, so that
+// op entries repeat the heads of the op entry before them, across tables
+// and value entries, or differ from it by one head or one form.
 func randomEnvelope(rng *rand.Rand) *replication.Batch {
 	b := &replication.Batch{From: rng.Intn(8), Epoch: uint64(rng.Intn(3)) * uint64(rng.Intn(1<<20))}
 	var (
-		table storage.TableID
-		part  int32
-		tid   = storage.MakeTID(b.Epoch, uint64(rng.Intn(1000)))
+		table  storage.TableID
+		part   int32
+		tid    = storage.MakeTID(b.Epoch, uint64(rng.Intn(1000)))
+		shapes = make([][]int, 2)
 	)
+	for i := range shapes {
+		shapes[i] = make([]int, 1+rng.Intn(5)) // 5: too wide to repeat
+		for j := range shapes[i] {
+			shapes[i][j] = rng.Intn(len(formOps))
+		}
+	}
 	b.Entries = make([]replication.Entry, rng.Intn(40))
 	for i := range b.Entries {
 		if rng.Intn(4) == 0 {
@@ -98,10 +110,16 @@ func randomEnvelope(rng *rand.Rand) *replication.Batch {
 			rng.Read(e.Row)
 		case 2:
 			e.Row = sparseRow(rng, 1+rng.Intn(700), rng.Intn(101))
-		default:
+		case 3:
 			e.Ops = make([]storage.FieldOp, rng.Intn(4))
 			for j := range e.Ops {
 				e.Ops[j] = randomOp(rng)
+			}
+		default:
+			shape := shapes[rng.Intn(len(shapes))]
+			e.Ops = make([]storage.FieldOp, len(shape))
+			for j, f := range shape {
+				e.Ops[j] = formOps[f](rng)
 			}
 		}
 		b.Entries[i] = e
@@ -129,6 +147,20 @@ func randomOp(rng *rand.Rand) storage.FieldOp {
 	arg := make([]byte, 1+rng.Intn(20))
 	rng.Read(arg)
 	return storage.NewFieldOp(field, storage.OpSetField, arg)
+}
+
+// formOps draw ops whose heads do not depend on their argument: each
+// has its field and kind, and its argument always takes the same form —
+// zig-zag varint, byte-reversed, 8 bytes raw, or another length raw.
+var formOps = []func(*rand.Rand) storage.FieldOp{
+	func(rng *rand.Rand) storage.FieldOp { return storage.AddInt64Op(1, rng.Int63n(1000)-500) },
+	func(rng *rand.Rand) storage.FieldOp { return storage.AddFloat64Op(2, float64(1+rng.Intn(8))) },
+	func(rng *rand.Rand) storage.FieldOp { return storage.SetInt64Op(3, int64(rng.Uint64()|1<<62|1)) },
+	func(rng *rand.Rand) storage.FieldOp {
+		arg := make([]byte, 1+rng.Intn(20))
+		rng.Read(arg)
+		return storage.NewFieldOp(4, storage.OpSetField, arg)
+	},
 }
 
 // checkEnvelope holds one envelope to the codec's contract: DecodeBatch
@@ -166,12 +198,38 @@ func checkEnvelope(t *testing.T, what string, b *replication.Batch) {
 	}
 }
 
+// sameOpsEntries counts b's op entries sent with only their arguments:
+// priced under their count and heads.
+func sameOpsEntries(b *replication.Batch) (n int) {
+	var s replication.EntryCoder
+	s.Reset(b.Epoch)
+	for i := range b.Entries {
+		e := &b.Entries[i]
+		_, payload, _ := s.Next(e)
+		full := prim.UvarintLen(uint64(len(e.Ops)))
+		for j := range e.Ops {
+			full += prim.FieldOpLen(&e.Ops[j])
+		}
+		if e.IsOp() && payload < full {
+			n++
+		}
+	}
+	return n
+}
+
 // TestEnvelopePropertyRoundTrip: whatever the mix, the envelope holds to
-// checkEnvelope's contract.
+// checkEnvelope's contract, a few hundred op entries among it sent with
+// only their arguments.
 func TestEnvelopePropertyRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
+	same := 0
 	for round := 0; round < 500; round++ {
-		checkEnvelope(t, fmt.Sprintf("round %d", round), randomEnvelope(rng))
+		b := randomEnvelope(rng)
+		checkEnvelope(t, fmt.Sprintf("round %d", round), b)
+		same += sameOpsEntries(b)
+	}
+	if same < 250 {
+		t.Fatalf("%d op entries in 500 envelopes repeated the heads before them, want 250 or more", same)
 	}
 }
 
@@ -327,6 +385,59 @@ func TestDecodeBatchRejectsIllFormedKeysAndArguments(t *testing.T) {
 	}
 }
 
+// twoEntries is an Epoch-0 envelope of two entries for table 0,
+// partition 0 and TID 0 written by hand, each key a delta from the one
+// before: key (0,1) with flags1 and payload1, then key (0,2) with flags2
+// and payload2.
+func twoEntries(flags1 byte, payload1 []byte, flags2 byte, payload2 ...byte) []byte {
+	b := append([]byte{0, 0, 2, flags1 | flagSamePart | flagKeyDelta, 2, 0}, payload1...)
+	return append(append(b, flags2|flagSamePart|flagKeyDelta, 2, 0), payload2...)
+}
+
+// twoOps is an op entry's payload of two ops: an integer add of 1 to
+// field 1 (zig-zag varint) and a float add of 2.5 to field 2
+// (byte-reversed).
+var twoOps = []byte{2, 1, byte(storage.OpAddInt64) | 0x40, 2, 2, byte(storage.OpAddFloat64) | 0x80, 0xc0, 0x08}
+
+// TestDecodeBatchSameOps: an op entry flagged flagSameOps reads its
+// arguments under the heads of the op entry before it, and only there: not
+// on a value entry, not on an envelope's first op entry, and not behind
+// an op entry of no ops or of more than four.
+func TestDecodeBatchSameOps(t *testing.T) {
+	good := twoEntries(flagOp, twoOps, flagOp|flagSameOps, 3, 0xc0, 0x08)
+	b, err := replication.DecodeBatch(good)
+	want := [][]storage.FieldOp{
+		{storage.AddInt64Op(1, 1), storage.AddFloat64Op(2, 2.5)},
+		{storage.AddInt64Op(1, -2), storage.AddFloat64Op(2, 2.5)},
+	}
+	if err != nil || len(b.Entries) != 2 || !reflect.DeepEqual(b.Entries[0].Ops, want[0]) || !reflect.DeepEqual(b.Entries[1].Ops, want[1]) {
+		t.Fatalf("hand-written same-shape entry: %v, %+v", err, b)
+	}
+	if re := replication.AppendBatch(nil, b); !bytes.Equal(re, good) {
+		t.Fatalf("hand-written same-shape entry re-encodes to %x, was %x", re, good)
+	}
+	five := []byte{5}
+	for i := 0; i < 5; i++ {
+		five = append(five, 1, byte(storage.OpAddInt64)|0x40, 2)
+	}
+	for _, c := range []struct {
+		name string
+		enc  []byte
+		want error
+	}{
+		{"on a value entry behind an op entry", twoEntries(flagOp, twoOps, flagSameOps, 1, 'r'), prim.ErrCorrupt},
+		{"on the envelope's first entry", packedEntry(flagOp|flagSameOps, 2), prim.ErrCorrupt},
+		{"behind a value entry only", twoEntries(0, []byte{1, 'r'}, flagOp|flagSameOps, 2), prim.ErrCorrupt},
+		{"behind a zero-op entry", twoEntries(flagOp, []byte{0}, flagOp|flagSameOps, 2), prim.ErrCorrupt},
+		{"behind five ops", twoEntries(flagOp, five, flagOp|flagSameOps, 2, 2, 2, 2, 2), prim.ErrCorrupt},
+		{"an argument missing", twoEntries(flagOp, twoOps, flagOp|flagSameOps, 3), prim.ErrTruncated},
+	} {
+		if _, err := replication.DecodeBatch(c.enc); !errors.Is(err, c.want) {
+			t.Errorf("%s: %v, want %v", c.name, err, c.want)
+		}
+	}
+}
+
 // rawKeyFrame is an Epoch-0 envelope of one value entry, row "r", whose
 // key K1(1) is sent raw: 16 bytes where two uvarints take 2.
 func rawKeyFrame() []byte {
@@ -364,12 +475,13 @@ func ycsbOpEnvelope(n int) *replication.Batch {
 // edit that fattens it fails here and not in the next benchmark run.
 func TestEnvelopeByteBudget(t *testing.T) {
 	// The partitioned phase's unit: flags 1, key 3 (a delta from the row
-	// before: 4 as two uvarints), TID 1, nops 1, op 15 (its 12-byte
-	// argument travels raw), with table and partition paid once and the
-	// envelope header spread over 128 entries.
+	// before: 4 as two uvarints), TID 1, argument 13 (the 12-byte value
+	// raw behind its length; the op count and head are the entry
+	// before's), with table, partition and the op's head paid once and
+	// the envelope header spread over 128 entries.
 	ycsb := ycsbOpEnvelope(128)
-	if got := float64(replication.BatchLen(ycsb)) / 128; got > 21 {
-		t.Errorf("YCSB operation envelope costs %.2f B/entry, budget 21", got)
+	if got := float64(replication.BatchLen(ycsb)) / 128; got > 18 {
+		t.Errorf("YCSB operation envelope costs %.2f B/entry, budget 18", got)
 	}
 
 	// A value entry after the first costs its row plus at most 10 bytes:
@@ -449,6 +561,40 @@ func TestDecodeBatchBoundsRowExpansion(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(8*len(enc)+256<<10) {
 		t.Fatalf("a %d-byte frame made the decoder allocate %d bytes, bound 8× + 256 KiB", len(enc), alloc)
+	}
+}
+
+// TestDecodeBatchBoundsOpExpansion: the most FieldOps a frame can make
+// the decoder allocate is 4 per 7 bytes (it was 1 per 3 while every op
+// sent its head) — here the worst case itself, a run of entries of four
+// ops that each repeat the heads before them, behind a 1-byte key and TID
+// delta, their arguments a byte each — and the decoder allocates little
+// more than those ops and its entries.
+func TestDecodeBatchBoundsOpExpansion(t *testing.T) {
+	b := &replication.Batch{Entries: make([]replication.Entry, 8192)}
+	for i := range b.Entries {
+		ops := make([]storage.FieldOp, 4)
+		for j := range ops {
+			ops[j] = storage.AddInt64Op(j, int64(i%8))
+		}
+		b.Entries[i] = replication.Entry{Key: storage.K1(uint64(i)), Ops: ops}
+	}
+	enc := replication.AppendBatch(nil, b)
+	ops := 4 * len(b.Entries)
+	if 7*ops > 4*len(enc) || 7*ops < 4*(len(enc)-16) {
+		t.Fatalf("%d ops in a %d-byte frame, want 4 per 7 bytes", ops, len(enc))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := replication.DecodeBatch(enc)
+	runtime.ReadMemStats(&after)
+	if err != nil || !reflect.DeepEqual(got, b) {
+		t.Fatalf("worst-case frame: err %v", err)
+	}
+	// The entries grow by doubling past the up-front slice: under 4× theirs.
+	bound := uintptr(ops)*unsafe.Sizeof(storage.FieldOp{}) + uintptr(4*len(b.Entries))*unsafe.Sizeof(replication.Entry{})
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(bound) {
+		t.Fatalf("a %d-byte frame of %d ops made the decoder allocate %d bytes, bound %d", len(enc), ops, alloc, bound)
 	}
 }
 

@@ -149,6 +149,20 @@ func FuzzFrameRead(f *testing.F) {
 	})
 }
 
+// stockOps is a TPC-C stock update's four ops: quantity set, year-to-date
+// and order count adds (zig-zag varints while small), a remote count add.
+func stockOps(qty, ytd int64) []storage.FieldOp {
+	return []storage.FieldOp{storage.SetInt64Op(2, qty), storage.AddInt64Op(13, ytd), storage.AddInt64Op(14, 1), storage.AddInt64Op(15, 1)}
+}
+
+// everyForm is four ops whose heads depend on v's size only as far as
+// each form's range goes: a zig-zag varint, a byte-reversed float, 8 bytes
+// raw and a 3-byte raw argument.
+func everyForm(v int64) []storage.FieldOp {
+	return []storage.FieldOp{storage.AddInt64Op(1, v), storage.AddFloat64Op(2, float64(v)*2), storage.SetInt64Op(3, 1<<62|v&0xffff|1),
+		storage.NewFieldOp(4, storage.OpSetField, []byte{byte(v), 1, 2})}
+}
+
 // FuzzBatchDecode hammers the replication batch decoder: arbitrary
 // input must never panic, and a successful decode must survive a
 // canonical re-encode/decode cycle bit-identically.
@@ -226,6 +240,26 @@ func FuzzBatchDecode(f *testing.F) {
 		{0, 0, 1, flagKeyDelta, 0, 0, 2, 0, 1, 'r'},
 		{0, 0, 1, flagKeyDelta | flagRawKey | flagSamePart, 2, 0, 1, 'r'},
 		{0, 0, 1, flagOp | flagSamePart, 1, 1, 0, 1, 0, 0xc1, 2},
+		// Op entries that repeat the heads of the op entry before them: a
+		// run across tables, past a value entry, then a change of one
+		// argument's form; and every argument form under repeated heads.
+		one(7, replication.Entry{Table: 5, Key: storage.K2(1, 9), TID: storage.MakeTID(7, 1), Ops: stockOps(3, 1)},
+			replication.Entry{Table: 5, Key: storage.K2(1, 12), TID: storage.MakeTID(7, 1), Ops: stockOps(7, 1)},
+			replication.Entry{Table: 6, Key: storage.K2(1, 3), TID: storage.MakeTID(7, 1), Row: row},
+			replication.Entry{Table: 2, Part: 1, Key: storage.K2(2, 12), TID: storage.MakeTID(7, 2), Ops: stockOps(40, 2)},
+			replication.Entry{Table: 5, Part: 1, Key: storage.K2(2, 13), TID: storage.MakeTID(7, 2), Ops: stockOps(41, 1<<40)}),
+		one(7, replication.Entry{Table: 3, Key: storage.K1(1), TID: storage.MakeTID(7, 1), Ops: everyForm(1)},
+			replication.Entry{Table: 3, Key: storage.K1(2), TID: storage.MakeTID(7, 1), Ops: everyForm(-60)},
+			replication.Entry{Table: 3, Key: storage.K1(3), TID: storage.MakeTID(7, 2), Ops: everyForm(63)}),
+		// Hand-written: a same-shape entry, and where flagSameOps must not
+		// decode — on a value entry, on the envelope's first op entry, and
+		// behind a zero-op entry or one of five ops.
+		twoEntries(flagOp, twoOps, flagOp|flagSameOps, 3, 0xc0, 0x08),
+		twoEntries(flagOp, twoOps, flagSameOps, 1, 'r'),
+		packedEntry(flagOp|flagSameOps, 2),
+		twoEntries(0, []byte{1, 'r'}, flagOp|flagSameOps, 2),
+		twoEntries(flagOp, []byte{0}, flagOp|flagSameOps, 2),
+		twoEntries(flagOp, []byte{5, 1, 0x41, 2, 1, 0x41, 2, 1, 0x41, 2, 1, 0x41, 2, 1, 0x41, 2}, flagOp|flagSameOps, 2, 2, 2, 2, 2),
 	}
 	for i, s := range seeds {
 		corpusSeed(f, "FuzzBatchDecode", i, s)

@@ -147,64 +147,83 @@ func Key(b []byte) (storage.Key, []byte, error) {
 
 // ---- field operations ----
 
-// A field op is [field u8][kind u8][arg]; the kind byte's top two bits
-// name the argument's form. Raw (0) is [len uvarint][bytes]; an 8-byte
-// argument — an integer or float, mostly small — goes in the shortest of
-// raw, argVarint (zig-zag varint of its little-endian int64) and
-// argReversed (uvarint of it byte-reversed: 5.0 takes 2 bytes). Both bits
-// set is corrupt; any form decodes, shortest or not.
-const argVarint, argReversed = 1 << 6, 2 << 6
+// A field op is a head, [field u8][kind u8], then an argument: the kind
+// byte's top two bits name the argument's form. Raw (0) is [len uvarint]
+// [bytes]; an 8-byte argument — an integer or float, mostly small — goes
+// in the shortest of raw, argVarint (zig-zag varint of its little-endian
+// int64) and argReversed (uvarint of it byte-reversed: 5.0 takes 2 bytes).
+// Both bits set is corrupt; any form decodes, shortest or not. An envelope
+// entry may send arguments alone, so head and argument have a coder each.
+const argVarint, argReversed, argForms = 1 << 6, 2 << 6, 3 << 6
 
-// argForm returns op's argument (an 8-byte one written into *w), its
-// form, the uvarint a short form sends, and its encoded size.
-func argForm(op *storage.FieldOp, w *[8]byte) (arg []byte, form byte, v uint64, n int) {
-	if arg = op.Argument(w); len(arg) != 8 {
-		return arg, 0, 0, BytesLen(arg)
+// OpHead is a field op's head.
+type OpHead [2]byte
+
+// HeadOf returns op's head, naming the shortest form of its argument, and
+// the argument's size in that form.
+func HeadOf(op *storage.FieldOp) (OpHead, int) {
+	var w [8]byte
+	h, arg := OpHead{op.Field, byte(op.Kind)}, op.Argument(&w)
+	if len(arg) != 8 {
+		return h, BytesLen(arg)
 	}
 	u, n := binary.LittleEndian.Uint64(arg), 9
-	if z := u<<1 ^ uint64(int64(u)>>63); UvarintLen(z) < n {
-		form, v, n = argVarint, z, UvarintLen(z)
+	if l := VarintLen(int64(u)); l < n {
+		h[1], n = byte(op.Kind)|argVarint, l
 	}
-	if r := bits.ReverseBytes64(u); UvarintLen(r) < n {
-		form, v, n = argReversed, r, UvarintLen(r)
+	if l := UvarintLen(bits.ReverseBytes64(u)); l < n {
+		h[1], n = byte(op.Kind)|argReversed, l
 	}
-	return arg, form, v, n
+	return h, n
+}
+
+// AppendOpArg appends op's argument in the form h names.
+func AppendOpArg(b []byte, op *storage.FieldOp, h OpHead) []byte {
+	var w [8]byte
+	switch arg := op.Argument(&w); h[1] & argForms {
+	case argVarint:
+		return AppendVarint(b, int64(binary.LittleEndian.Uint64(arg)))
+	case argReversed:
+		return AppendUvarint(b, bits.ReverseBytes64(binary.LittleEndian.Uint64(arg)))
+	default:
+		return AppendBytes(b, arg)
+	}
+}
+
+// DecodeOpArg consumes the argument of an op headed h, a head DecodeFieldOp
+// accepts: one of 8 bytes, in any form, is held in the op, others alias b.
+func DecodeOpArg(b []byte, h OpHead) (storage.FieldOp, []byte, error) {
+	field, kind := int(h[0]), storage.OpKind(h[1]&^argForms)
+	switch h[1] & argForms {
+	case argVarint:
+		v, b, err := Varint(b)
+		return storage.WordOp(field, kind, uint64(v)), b, err
+	case argReversed:
+		v, b, err := Uvarint(b)
+		return storage.WordOp(field, kind, bits.ReverseBytes64(v)), b, err
+	}
+	arg, b, err := Bytes(b)
+	return storage.NewFieldOp(field, kind, arg), b, err
 }
 
 // AppendFieldOp appends one field operation.
 func AppendFieldOp(b []byte, op *storage.FieldOp) []byte {
-	var w [8]byte
-	arg, form, v, _ := argForm(op, &w)
-	if b = append(b, op.Field, byte(op.Kind)|form); form == 0 {
-		return AppendBytes(b, arg)
-	}
-	return AppendUvarint(b, v)
+	h, _ := HeadOf(op)
+	return AppendOpArg(append(b, h[:]...), op, h)
 }
 
 // FieldOpLen returns the encoded size of op.
-func FieldOpLen(op *storage.FieldOp) int { _, _, _, n := argForm(op, new([8]byte)); return 2 + n }
+func FieldOpLen(op *storage.FieldOp) int { _, n := HeadOf(op); return len(OpHead{}) + n }
 
-// DecodeFieldOp consumes one field operation. An 8-byte argument, in
-// whichever form it came, is held in the op; any other aliases b.
-func DecodeFieldOp(b []byte) (op storage.FieldOp, _ []byte, err error) {
+// DecodeFieldOp consumes one field operation.
+func DecodeFieldOp(b []byte) (storage.FieldOp, []byte, error) {
 	if len(b) < 2 {
-		return op, nil, ErrTruncated
+		return storage.FieldOp{}, nil, ErrTruncated
 	}
-	field, kind, form := int(b[0]), storage.OpKind(b[1]&^(argVarint|argReversed)), b[1]&(argVarint|argReversed)
-	if kind > storage.OpSetRow || form == argVarint|argReversed {
-		return op, nil, fmt.Errorf("%w: op kind byte %#x", ErrCorrupt, b[1])
+	if storage.OpKind(b[1]&^argForms) > storage.OpSetRow || b[1]&argForms == argForms {
+		return storage.FieldOp{}, nil, fmt.Errorf("%w: op kind byte %#x", ErrCorrupt, b[1])
 	}
-	if form == 0 {
-		arg, b, err := Bytes(b[2:])
-		return storage.NewFieldOp(field, kind, arg), b, err
-	}
-	v, b, err := Uvarint(b[2:])
-	if form == argVarint {
-		v = uint64(int64(v>>1) ^ -int64(v&1))
-	} else {
-		v = bits.ReverseBytes64(v)
-	}
-	return storage.WordOp(field, kind, v), b, err
+	return DecodeOpArg(b[2:], OpHead(b))
 }
 
 // ---- bool ----

@@ -230,11 +230,11 @@ func TestEnvelopeByteBudgetTPCC(t *testing.T) {
 		mean10 int // tenths of a byte
 	}{
 		{"warehouse op", 178},
-		{"district op", 125},
-		{"customer op", 313},
-		{"stock op", 146},
-		{"order op", 115},
-		{"order_line op", 97},
+		{"district op", 120},
+		{"customer op", 299},
+		{"stock op", 83},
+		{"order op", 93},
+		{"order_line op", 67},
 		{"order row", 188},
 		{"new_order row", 129},
 		{"order_line row", 474},
