@@ -60,6 +60,11 @@ func TestChaosSoakConvergesFixedSeed(t *testing.T) {
 			if got, want := res.Published["fault_drops"], res.Injected["fault_drops"]; got != want {
 				t.Errorf("engine snapshot fault_drops=%d, injector counted %d", got, want)
 			}
+			// Faults drop, repeat and reorder frames; none of them makes a
+			// frame one the entry check refuses.
+			if n := res.Published["frames_refused"]; n != 0 {
+				t.Errorf("the cluster refused %d of its own frames", n)
+			}
 		})
 	}
 }

@@ -47,6 +47,11 @@ func TestChurnSoakConvergesFixedSeed(t *testing.T) {
 					t.Errorf("fault family %s never fired (injected=%v)", k, res.Injected)
 				}
 			}
+			// Joins and drains move residency under the entry check: none
+			// of their frames, nor any fault's, is one it refuses.
+			if n := res.Published["frames_refused"]; n != 0 {
+				t.Errorf("the cluster refused %d of its own frames", n)
+			}
 		})
 	}
 }

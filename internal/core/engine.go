@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sync/atomic"
 
 	"star/internal/metrics"
@@ -42,6 +43,7 @@ type Engine struct {
 	// live skew signal the rebalance roadmap item consumes.
 	partCommits []metrics.Gauge
 	shedClient  metrics.Counter // front-door admission sheds (StatusBusy)
+	refused     metrics.Counter // cluster frames the entry check dropped (accepts)
 	checkpoints metrics.Counter // fuzzy checkpoints written
 	// Replication by entry kind, folded from the workers' shards at each
 	// fence (see replStats), and operation entries replicas refused.
@@ -162,6 +164,7 @@ func (e *Engine) buildRegistry() {
 	r.RegisterCounter("snapshot_reads", &e.snapReads)
 	r.RegisterCounter("snapshot_fallbacks", &e.snapFallback)
 	r.RegisterCounter("shed_frontdoor", &e.shedClient)
+	r.RegisterCounter("frames_refused", &e.refused)
 	r.RegisterCounter("checkpoints", &e.checkpoints)
 	r.RegisterCounter("repl_op_entries", &e.replOps)
 	r.RegisterCounter("repl_value_entries", &e.replValues)
@@ -207,12 +210,7 @@ func (e *Engine) StatsSnapshot() metrics.Snapshot {
 	e.reg.Gauge("repl_msgs").Set(e.net.Messages(transport.Replication))
 	snap := e.reg.Snapshot()
 	if fi, ok := e.net.(faultInjector); ok {
-		for k, v := range fi.Injected() {
-			if snap.Counters == nil {
-				snap.Counters = map[string]int64{}
-			}
-			snap.Counters[k] = v
-		}
+		maps.Copy(snap.Counters, fi.Injected()) // the registry always has counters
 	}
 	return snap
 }

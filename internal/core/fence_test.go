@@ -1,16 +1,13 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
-	"star/internal/replication"
 	"star/internal/rt"
 	"star/internal/simnet"
-	"star/internal/storage"
 	"star/internal/transport"
 	"star/internal/workload/ycsb"
 )
@@ -197,8 +194,10 @@ func TestStandbyNeverExtendsSingleMasterPhase(t *testing.T) {
 
 // newFenceHarness builds an unstarted 3-node cluster on the real runtime
 // (as newSessionHarness does): the test plays router, feeding node 1's
-// handle directly, and watches the node's fence state.
-func newFenceHarness(t *testing.T) (*Engine, *node) {
+// handle directly, and watches the node's fence state. Node 1 holds
+// partitions 0 and 1, not 2; its applier queue exists, and nothing
+// drains it.
+func newFenceHarness(t testing.TB) (*Engine, *node) {
 	t.Helper()
 	r := rt.NewReal()
 	e := build(Config{
@@ -209,72 +208,9 @@ func newFenceHarness(t *testing.T) (*Engine, *node) {
 		Seed:           1,
 		Transport:      simnet.New(r, simnet.Config{Nodes: 4}),
 	})
-	t.Cleanup(e.cfg.RT.(*rt.Real).Stop)
+	t.Cleanup(r.Stop)
+	e.nodes[1].appliers = []rt.Chan{r.NewChan(4)}
 	return e, e.nodes[1]
-}
-
-// Every partition, table, node and worker id a cluster frame names came
-// off the wire, and so did an install's member set. Handed to an
-// unstarted node's router, a frame naming an id the cluster does not
-// have, or a member set it cannot run, is dropped whole, and so is a
-// frame only the coordinator reads: nothing panics, nothing lands, no
-// residency, counter or view moves, and nothing is sent.
-func TestRouterDropsFramesNamingWhatTheClusterLacks(t *testing.T) {
-	e, n := newFenceHarness(t) // 3 nodes, partitions 0..2, one table
-	held := 0
-	for !n.db.Holds(held) {
-		held++
-	}
-	ents := func(table storage.TableID, part int32) []replication.Entry {
-		return []replication.Entry{{Table: table, Part: part, Key: storage.K1(1), TID: storage.MakeTID(1, 9),
-			Row: make([]byte, n.db.Table(0).Schema().RowSize())}}
-	}
-	batch := func(table storage.TableID, part int32) *msgReplBatch {
-		return &msgReplBatch{From: 0, Epoch: 1, Entries: ents(table, part)}
-	}
-	wrapped := int32(-1 << 31) // an int32(uint32(...)) that went negative
-	frames := map[string]any{
-		"snapshot request, partition past the end": msgSnapshotReq{From: 0, Part: 3},
-		"snapshot request, negative partition":     msgSnapshotReq{From: 0, Part: -1},
-		"snapshot request, unknown requester":      msgSnapshotReq{From: 7, Part: held},
-		"snapshot, partition past the end":         &msgSnapshot{Part: 3, Rows: batch(0, 3)},
-		"snapshot, unknown table":                  &msgSnapshot{Part: held, Rows: batch(9, int32(held))},
-		"recovery order, partition past the end":   msgStartRecovery{Parts: []int32{3}, From: []int32{0}},
-		"recovery order, unknown donor":            msgStartRecovery{Parts: []int32{int32(held)}, From: []int32{-2}},
-		"recovery order, donors missing":           msgStartRecovery{Parts: []int32{0, 1}, From: []int32{0}},
-		"envelope, partition past the end":         batch(0, 3),
-		"envelope, wrapped partition":              batch(0, wrapped),
-		"envelope, unknown table":                  batch(9, int32(held)),
-		"sync envelope, unknown table":             syncBatch{Batch: batch(9, int32(held)), ReplyTo: 0},
-		"sync envelope, unknown reply-to":          syncBatch{Batch: batch(0, int32(held)), ReplyTo: 5},
-		"envelope, unknown sender":                 &msgReplBatch{From: 48, Epoch: 1, Entries: ents(0, int32(held))},
-		"sync envelope, unknown sender":            syncBatch{Batch: &msgReplBatch{From: 48, Epoch: 1, Entries: ents(0, int32(held))}, ReplyTo: 0},
-		"phase report, the coordinator's":          msgPhaseDone{Node: 0, Epoch: 1},
-		"replication ack, unknown worker":          msgReplAck{Worker: 9, Seq: 1},
-		"install, no member in range":              msgTopology{Version: 2, Members: []int32{-1, 3, 7}},
-		"install, one member":                      msgTopology{Version: 2, Members: []int32{1}},
-		"install, no full member":                  msgTopology{Version: 2, Members: []int32{1, 2}},
-	}
-	state := func() string {
-		s := fmt.Sprint(e.net.TotalBytes(), n.snapPending, n.caughtUp, n.view.Load().Version)
-		for p := 0; p < n.db.NumPartitions(); p++ {
-			s += fmt.Sprint(" ", n.db.Holds(p))
-			if n.db.Holds(p) {
-				s += fmt.Sprintf("=%x", n.db.PartitionChecksum(p))
-			}
-		}
-		for src := 0; src < 3; src++ {
-			s += fmt.Sprint(" ", n.tracker.Applied(src))
-		}
-		return s
-	}
-	before := state()
-	for name, m := range frames {
-		n.handle(m)
-		if after := state(); after != before {
-			t.Fatalf("%s: node state went from %s to %s", name, before, after)
-		}
-	}
 }
 
 // runOwnPhase starts epoch on n and reports its single worker done.

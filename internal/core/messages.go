@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"star/internal/replication"
@@ -219,4 +220,64 @@ type ClientResp struct {
 	// Reads counts the record reads the procedure performed — a cheap
 	// execution fingerprint for clients and tests. Zero for writes.
 	Reads int64
+}
+
+// accepts is the one check a cluster frame passes, where it enters: a
+// node's router (to is the node) or the coordinator's intake (to is its
+// endpoint). A frame naming a node, partition, table, worker or column
+// the cluster lacks, an entry its schema does not fit, an envelope for a
+// partition to does not hold, or a type to does not serve is dropped
+// whole and counted in frames_refused. State is the handler's to judge.
+func (e *Engine) accepts(to int, m any) bool {
+	cfg, coord := &e.cfg, to == e.cfg.coordID()
+	isNode := func(id int) bool { return id >= 0 && id < cfg.Nodes }
+	isPart := func(p int) bool { return p >= 0 && p < cfg.NumPartitions() }
+	fit := func(ents []replication.Entry, held bool) bool {
+		return !slices.ContainsFunc(ents, func(en replication.Entry) bool { return !en.Fits(e.nodes[to].db, held) })
+	}
+	ok := false
+	switch m := m.(type) {
+	case msgPhaseDone:
+		ok = coord && isNode(m.Node)
+	case msgFenceAck:
+		ok = coord && isNode(m.Node)
+	case msgRecoveryDone:
+		ok = coord && isNode(m.Node)
+	case AdminReq:
+		ok = isNode(m.From) || m.From == cfg.coordID()
+	case AdminResp: // a scripted run's checksums come back to the coordinator
+		ok = true
+	case *msgReplBatch:
+		ok = !coord && isNode(m.From) && fit(m.Entries, true)
+	case syncBatch:
+		ok = !coord && isNode(m.Batch.From) && isNode(m.ReplyTo) && fit(m.Batch.Entries, true)
+	case *msgSnapshot: // applySnapshot skips a partition it does not hold
+		ok = !coord && isPart(m.Part) && fit(m.Rows.Entries, false)
+	case msgSnapshotReq:
+		ok = !coord && isNode(m.From) && isPart(m.Part)
+	case msgStartRecovery: // one donor per partition
+		ok = !coord && len(m.From) == len(m.Parts)
+		for i := 0; ok && i < len(m.Parts); i++ {
+			ok = isPart(int(m.Parts[i])) && isNode(int(m.From[i]))
+		}
+	case msgTopology: // slots the cluster has, a member set with a layout, a full replica up
+		if ok = !coord && !slices.ContainsFunc(m.Members, func(id int32) bool { return !isNode(int(id)) }); ok {
+			t := topologyFromMsg(m, *cfg)
+			ok = t.Validate() == nil && newView(t, m.Failed).master >= 0
+		}
+	case msgEpochMark:
+		ok = !coord && isNode(m.From)
+	case msgReplAck:
+		ok = !coord && m.Worker >= 0 && m.Worker < cfg.WorkersPerNode
+	case msgDefer:
+		ok = !coord && !slices.ContainsFunc(m.Req.Parts, func(p int) bool { return !isPart(p) })
+	case ClientReq:
+		ok = !coord && isNode(m.Req.Origin) && !slices.ContainsFunc(m.Req.Parts, func(p int) bool { return !isPart(p) })
+	case msgStartPhase, msgRevert, ClientResp, msgHalt, fenceWake, workerDoneMsg:
+		ok = !coord
+	}
+	if !ok {
+		e.refused.Inc()
+	}
+	return ok
 }

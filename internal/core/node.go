@@ -168,23 +168,21 @@ func (n *node) routerLoop() {
 	}
 }
 
-// handle is the router's one way in. Every partition, table and node id a
-// frame names came off the wire: a frame naming one the cluster does not
-// have is dropped whole, before anything indexes by it, and so is one a
-// node has no use for (the coordinator's reports).
+// handle is the router's one way in: a frame the entry check refuses
+// (Engine.accepts) is dropped whole before any case below reads it.
 func (n *node) handle(m any) {
+	if !n.e.accepts(n.id, m) {
+		return
+	}
 	r := n.e.cfg.RT
 	switch msg := m.(type) {
 	case *msgReplBatch:
 		r.Compute(CostMsgHandling)
-		if !n.superseded(msg) && n.inRange(msg.Entries) && n.isNode(msg.From) {
+		if !n.superseded(msg) {
 			n.applyBatch(msg)
 		}
 	case syncBatch:
 		r.Compute(CostMsgHandling)
-		if !n.inRange(msg.Batch.Entries) || !n.isNode(msg.ReplyTo) || !n.isNode(msg.Batch.From) {
-			break
-		}
 		// Synchronous replication: the ack may only leave once the entries
 		// are applied and logged, so the router applies them itself, into
 		// the log it owns (applyEntries flushes it).
@@ -222,9 +220,7 @@ func (n *node) handle(m any) {
 	case AdminResp:
 		n.gate.deliver(msg.Ticket, m.(transport.Message))
 	case msgReplAck:
-		if msg.Worker >= 0 && msg.Worker < len(n.workers) {
-			n.workers[msg.Worker].resp.Send(msg)
-		}
+		n.workers[msg.Worker].resp.Send(msg)
 	case workerDoneMsg:
 		n.phaseCommitted += msg.Committed
 		n.genSingle += msg.GenSingle
@@ -240,17 +236,11 @@ func (n *node) handle(m any) {
 	case msgRevert:
 		n.revert(msg)
 	case msgSnapshotReq:
-		if n.isPart(msg.Part) && n.isNode(msg.From) {
-			n.serveSnapshot(msg)
-		}
+		n.serveSnapshot(msg)
 	case *msgSnapshot:
-		if n.isPart(msg.Part) && n.inRange(msg.Rows.Entries) {
-			n.applySnapshot(msg)
-		}
+		n.applySnapshot(msg)
 	case msgStartRecovery:
-		if n.recoverable(msg) {
-			n.startRecovery(msg)
-		}
+		n.startRecovery(msg)
 	case msgTopology:
 		n.installTopology(msg)
 	case AdminReq:
@@ -258,34 +248,6 @@ func (n *node) handle(m any) {
 	case msgHalt:
 		n.e.haltCh.TrySend(struct{}{})
 	}
-}
-
-// isPart and isNode check a partition or node id a frame names.
-func (n *node) isPart(p int) bool  { return p >= 0 && p < n.db.NumPartitions() }
-func (n *node) isNode(id int) bool { return id >= 0 && id < n.e.cfg.Nodes }
-
-// inRange checks the table and partition every entry names.
-func (n *node) inRange(ents []replication.Entry) bool {
-	for i := range ents {
-		if !n.db.Has(ents[i].Table, int(ents[i].Part)) {
-			return false
-		}
-	}
-	return true
-}
-
-// recoverable checks a recovery order: one donor per partition, and only
-// ids the cluster has.
-func (n *node) recoverable(m msgStartRecovery) bool {
-	if len(m.From) != len(m.Parts) {
-		return false
-	}
-	for i, p := range m.Parts {
-		if !n.isPart(int(p)) || !n.isNode(int(m.From[i])) {
-			return false
-		}
-	}
-	return true
 }
 
 // startRecovery fetches partition snapshots from healthy holders
@@ -452,10 +414,6 @@ func (n *node) isPeer(v *View, p int) bool { return p != n.id && v.Up(p) }
 // noteMark records a peer's end-of-epoch marker. Markers of a committed
 // epoch (a duplicate, or a frame that outlived its fence) are ignored.
 func (n *node) noteMark(m msgEpochMark) {
-	// From came off the wire: bounds-check before indexing.
-	if !n.isNode(m.From) {
-		return
-	}
 	if m.Epoch < n.epoch.Load() || m.Epoch < n.marks[m.From].epoch {
 		return
 	}
@@ -607,7 +565,7 @@ func (n *node) applyEntries(a *applier, from int, epoch uint64, entries []replic
 	for i := range entries {
 		en := &entries[i]
 		row, landed, err := replication.ApplyInto(n.db, epoch, en, a.row, a.lg != nil)
-		if err != nil {
+		if err != nil { // past the entry check: field ops finding no row, divergence
 			panic("core: replication apply: " + err.Error())
 		}
 		if !landed && en.IsOp() {

@@ -209,14 +209,11 @@ func (c Config) Topology() *Topology {
 }
 
 // topologyFromMsg derives an installed Topology from the member set the
-// install names plus the fixed Config constants. Ids off the wire that
-// are not slots of this cluster are not members.
+// install names, each a slot Engine.accepts checked, and Config.
 func topologyFromMsg(m msgTopology, cfg Config) *Topology {
 	member := make([]bool, cfg.Nodes)
 	for _, id := range m.Members {
-		if id >= 0 && int(id) < cfg.Nodes {
-			member[id] = true
-		}
+		member[id] = true
 	}
 	return newTopology(m.Version, cfg.Nodes, cfg.FullReplicas, cfg.NumPartitions(), member)
 }

@@ -357,11 +357,19 @@ func TestRetiredIDsAreRejected(t *testing.T) {
 func corpusSeed(f *testing.F, target string, idx int, data []byte) {
 	f.Helper()
 	f.Add(data)
+	namedSeed(f, target, fmt.Sprintf("seed-%02d", idx), data)
+}
+
+// namedSeed materialises data as the committed corpus file
+// testdata/fuzz/<target>/<name>, which the fuzz target runs as a subtest
+// of that name; a rerun rewrites only a file whose content moved.
+func namedSeed(f *testing.F, target, name string, data []byte) {
+	f.Helper()
 	dir := filepath.Join("testdata", "fuzz", target)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		f.Fatalf("corpus dir: %v", err)
 	}
-	path := filepath.Join(dir, fmt.Sprintf("seed-%02d", idx))
+	path := filepath.Join(dir, name)
 	content := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
 	if existing, err := os.ReadFile(path); err == nil && string(existing) == content {
 		return

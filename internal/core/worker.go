@@ -388,9 +388,7 @@ func (w *worker) snapshotServe(req *txn.Request, epoch uint64) bool {
 	r := e.cfg.RT
 	r.Compute(ExecCost(w.sctx.reads, 0))
 	if resp.Status == StatusOK {
-		if h := req.Home; h >= 0 && h < len(e.partCommits) {
-			e.partCommits[h].Inc()
-		}
+		e.partCommits[req.Home].Inc()
 		w.committed++
 		e.latency.Observe(time.Duration(int64(r.Now()) - req.GenAt))
 	}
@@ -493,9 +491,7 @@ func (w *worker) commitSync(req *txn.Request, epoch uint64) bool {
 func (w *worker) finishCommit(req *txn.Request, epoch uint64) {
 	e := w.n.e
 	e.committed.Inc()
-	if h := req.Home; h >= 0 && h < len(e.partCommits) {
-		e.partCommits[h].Inc()
-	}
+	e.partCommits[req.Home].Inc()
 	w.committed++
 	w.pendingLat = append(w.pendingLat, req.GenAt)
 	if req.Ticket != 0 {

@@ -45,6 +45,17 @@ func (e *Entry) Write() storage.Write {
 	return storage.Write{Kind: storage.WriteRow, Row: e.Row}
 }
 
+// Fits reports whether db can land the entry: a table and partition db
+// has (held here, if held) and a write the table's schema fits. An entry
+// read off the wire or a disk is checked with it before its ids index.
+func (e *Entry) Fits(db *storage.DB, held bool) bool {
+	if int(e.Table) >= db.NumTables() || e.Part < 0 || int(e.Part) >= db.NumPartitions() {
+		return false
+	}
+	t := db.Table(e.Table)
+	return (!held || t.Partition(int(e.Part)) != nil) && t.Schema().Fits(e.Write())
+}
+
 // Apply is ApplyInto with no scratch buffer and without the landed flag.
 func Apply(db *storage.DB, epoch uint64, e *Entry, wantRow bool) ([]byte, error) {
 	row, _, err := ApplyInto(db, epoch, e, nil, wantRow)
@@ -66,8 +77,8 @@ func Apply(db *storage.DB, epoch uint64, e *Entry, wantRow bool) ([]byte, error)
 // as needed, so a scratch-owning applier does not allocate; for a value
 // entry its own Row serves and nil is returned.
 func ApplyInto(db *storage.DB, epoch uint64, e *Entry, buf []byte, wantRow bool) (row []byte, landed bool, err error) {
-	if !db.Has(e.Table, int(e.Part)) || db.Table(e.Table).Partition(int(e.Part)) == nil {
-		return nil, false, fmt.Errorf("replication: table %d partition %d not held", e.Table, e.Part)
+	if !e.Fits(db, true) {
+		return nil, false, fmt.Errorf("replication: entry does not fit table %d partition %d here", e.Table, e.Part)
 	}
 	tbl := db.Table(e.Table)
 	var image *[]byte

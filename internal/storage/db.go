@@ -34,13 +34,6 @@ func (db *DB) NumPartitions() int { return db.nparts }
 // Holds reports whether this node materialises partition p.
 func (db *DB) Holds(p int) bool { return db.holds[p] }
 
-// Has reports whether the database has table t and partition p at all,
-// held here or not. An id read off the wire or a disk is checked with it
-// before it indexes anything.
-func (db *DB) Has(t TableID, p int) bool {
-	return int(t) < len(db.tables) && p >= 0 && p < db.nparts
-}
-
 // SetHolds changes partition residency (used when re-mastering lost
 // partitions onto a full replica during recovery).
 func (db *DB) SetHolds(p int, h bool) {

@@ -13,11 +13,11 @@ func fenceRead(t *testing.T, r *Record, epoch uint64) (val []byte, tid uint64, p
 
 func TestReadStableAtFenceReturnsPriorVersion(t *testing.T) {
 	_, tbl := newTestDB(t, 1, nil)
-	r := NewRecord(MakeTID(2, 5), []byte("aa"))
+	r := NewRecord(MakeTID(2, 5), txt("aa"))
 
 	// Untouched in epoch 3: the current version IS the fence version.
 	val, tid, present := fenceRead(t, r, 3)
-	if !present || !bytes.Equal(val, []byte("aa")) || tid != MakeTID(2, 5) {
+	if !present || !bytes.Equal(val, txt("aa")) || tid != MakeTID(2, 5) {
 		t.Fatalf("untouched record: val=%q tid=%s present=%v", val, FormatTID(tid), present)
 	}
 
@@ -26,18 +26,18 @@ func TestReadStableAtFenceReturnsPriorVersion(t *testing.T) {
 	landOn(t, tbl, r, 3, MakeTID(3, 1), rowWrite("bb"))
 
 	val, tid, present = fenceRead(t, r, 3)
-	if !present || !bytes.Equal(val, []byte("aa")) || tid != MakeTID(2, 5) {
+	if !present || !bytes.Equal(val, txt("aa")) || tid != MakeTID(2, 5) {
 		t.Fatalf("fence read at 3: val=%q tid=%s present=%v, want pre-epoch version", val, FormatTID(tid), present)
 	}
 	val, _, present = fenceRead(t, r, 4)
-	if !present || !bytes.Equal(val, []byte("bb")) {
+	if !present || !bytes.Equal(val, txt("bb")) {
 		t.Fatalf("fence read at 4: val=%q present=%v, want current version", val, present)
 	}
 
 	// A second write in the same epoch does not move the fence version.
 	landOn(t, tbl, r, 3, MakeTID(3, 2), rowWrite("cc"))
 	val, _, _ = fenceRead(t, r, 3)
-	if !bytes.Equal(val, []byte("aa")) {
+	if !bytes.Equal(val, txt("aa")) {
 		t.Fatalf("fence version moved after second same-epoch write: %q", val)
 	}
 }
@@ -54,7 +54,7 @@ func TestReadStableAtFenceAbsentPrior(t *testing.T) {
 		t.Fatal("epoch-3 fence read sees a row inserted in epoch 3")
 	}
 	val, _, present := fenceRead(t, r, 4)
-	if !present || !bytes.Equal(val, []byte("new")) {
+	if !present || !bytes.Equal(val, txt("new")) {
 		t.Fatalf("epoch-4 fence read: val=%q present=%v", val, present)
 	}
 }

@@ -51,12 +51,15 @@ type Write struct {
 // The caller owns resolving r (Get / GetOrCreate under the same epoch)
 // and its latch: it holds it across the call and releases it afterwards.
 // The returned slice is the row as it now stands, in place — valid only
-// under that latch. Field ops against an absent record, and a malformed
-// op, are errors: a delta means nothing without the row it was computed
-// on. The error leaves r registered and its TID unmoved.
+// under that latch. A write the table's schema does not fit (Schema.Fits)
+// and field ops against an absent record are errors, found before
+// anything moves: r stays as it was, unregistered.
 func (t *Table) Land(part int, key Key, r *Record, epoch, tid uint64, w Write) ([]byte, error) {
 	p := t.Partition(part)
 	wasAbsent := TIDAbsent(r.tid.Load())
+	if !t.schema.Fits(w) {
+		return nil, fmt.Errorf("storage: write of kind %d does not fit table %s", w.Kind, t.name)
+	}
 	if w.Kind == WriteOps && wasAbsent {
 		return nil, fmt.Errorf("storage: field ops for absent row %v in table %s partition %d", key, t.name, part)
 	}
@@ -69,9 +72,7 @@ func (t *Table) Land(part int, key Key, r *Record, epoch, tid uint64, w Write) (
 		r.data = append(r.data[:0], w.Row...)
 	case WriteOps:
 		for i := range w.Ops {
-			if err := w.Ops[i].Apply(t.schema, r.data); err != nil {
-				return nil, err
-			}
+			w.Ops[i].Apply(t.schema, r.data)
 		}
 	case WriteDelete:
 		word |= TIDAbsentBit

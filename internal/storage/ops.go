@@ -2,7 +2,6 @@ package storage
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 )
 
@@ -96,38 +95,46 @@ func SetRowOp(row []byte) FieldOp {
 	return NewFieldOp(0, OpSetRow, append([]byte(nil), row...))
 }
 
-// Apply mutates row in place according to the op.
-func (op FieldOp) Apply(s *Schema, row []byte) error {
+// Fits reports whether s can land w: a row exactly RowSize wide, or ops
+// naming columns s has, each with an argument its kind fits — OpSetField
+// the field's size, OpAddInt64 and OpAddFloat64 8 bytes on an 8-byte
+// field, OpPrepend any on a FieldBytes column, OpSetRow the row's size.
+func (s *Schema) Fits(w Write) bool {
+	if w.Kind == WriteRow {
+		return len(w.Row) == s.rowSize
+	}
+	for i := range w.Ops { // a delete carries none
+		op, a := &w.Ops[i], [8]byte{}
+		if int(op.Field) >= len(s.fields) {
+			return false
+		}
+		f, n := &s.fields[op.Field], len(op.Argument(&a))
+		switch {
+		case op.Kind == OpSetField && n == f.size,
+			(op.Kind == OpAddInt64 || op.Kind == OpAddFloat64) && n == 8 && f.size == 8,
+			op.Kind == OpPrepend && f.Type == FieldBytes,
+			op.Kind == OpSetRow && n == s.rowSize:
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// Apply mutates row in place according to the op, which must fit s.
+func (op FieldOp) Apply(s *Schema, row []byte) {
 	i, w := int(op.Field), [8]byte{}
 	arg := op.Argument(&w)
 	switch op.Kind {
 	case OpSetRow:
-		if len(arg) != len(row) {
-			return fmt.Errorf("storage: OpSetRow size %d != row size %d", len(arg), len(row))
-		}
 		copy(row, arg)
-		return nil
 	case OpSetField:
-		raw := s.fieldSlice(row, i)
-		if len(arg) != len(raw) {
-			return fmt.Errorf("storage: OpSetField size %d != field size %d", len(arg), len(raw))
-		}
-		copy(raw, arg)
-		return nil
-	case OpAddInt64, OpAddFloat64:
-		if len(arg) != 8 {
-			return fmt.Errorf("storage: op kind %d wants 8 bytes, got %d", op.Kind, len(arg))
-		}
-		if d := binary.LittleEndian.Uint64(arg); op.Kind == OpAddInt64 {
-			s.SetInt64(row, i, s.GetInt64(row, i)+int64(d))
-		} else {
-			s.SetFloat64(row, i, s.GetFloat64(row, i)+math.Float64frombits(d))
-		}
-		return nil
+		copy(s.fieldSlice(row, i), arg)
+	case OpAddInt64:
+		s.SetInt64(row, i, s.GetInt64(row, i)+int64(binary.LittleEndian.Uint64(arg)))
+	case OpAddFloat64:
+		s.SetFloat64(row, i, s.GetFloat64(row, i)+math.Float64frombits(binary.LittleEndian.Uint64(arg)))
 	case OpPrepend:
 		s.prependBytes(row, i, arg)
-		return nil
-	default:
-		return fmt.Errorf("storage: unknown op kind %d", op.Kind)
 	}
 }

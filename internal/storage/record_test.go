@@ -21,18 +21,26 @@ func landOn(t *testing.T, tbl *Table, r *Record, epoch, tid uint64, w Write) {
 	}
 }
 
-func rowWrite(row string) Write { return Write{Kind: WriteRow, Row: []byte(row)} }
+func rowWrite(row string) Write { return Write{Kind: WriteRow, Row: txt(row)} }
+
+// txt is a row of the fixture's schema (testSchema) holding s in its
+// bytes column: Land lands only rows the schema fits.
+func txt(s string) []byte {
+	row := testSchema().NewRow()
+	testSchema().SetString(row, 3, s)
+	return row
+}
 
 func TestRecordReadWrite(t *testing.T) {
 	_, tbl := newTestDB(t, 1, nil)
-	r := NewRecord(MakeTID(1, 1), []byte("hello"))
+	r := NewRecord(MakeTID(1, 1), txt("hello"))
 	val, tid, present := r.ReadStable(nil)
-	if !present || tid != MakeTID(1, 1) || !bytes.Equal(val, []byte("hello")) {
+	if !present || tid != MakeTID(1, 1) || !bytes.Equal(val, txt("hello")) {
 		t.Fatalf("read: %q %s %v", val, FormatTID(tid), present)
 	}
 	landOn(t, tbl, r, 2, MakeTID(2, 5), rowWrite("world"))
 	val, tid, _ = r.ReadStable(val)
-	if !bytes.Equal(val, []byte("world")) || tid != MakeTID(2, 5) {
+	if !bytes.Equal(val, txt("world")) || tid != MakeTID(2, 5) {
 		t.Fatalf("after write: %q %s", val, FormatTID(tid))
 	}
 }
@@ -63,7 +71,7 @@ func TestRecordUnlockPanicsWhenUnlocked(t *testing.T) {
 
 func TestRecordEpochRevert(t *testing.T) {
 	_, tbl := newTestDB(t, 1, nil)
-	r := NewRecord(MakeTID(1, 3), []byte("committed"))
+	r := NewRecord(MakeTID(1, 3), txt("committed"))
 	landOn(t, tbl, r, 2, MakeTID(2, 1), rowWrite("uncommitted-1"))
 	landOn(t, tbl, r, 2, MakeTID(2, 2), rowWrite("uncommitted-2"))
 
@@ -72,7 +80,7 @@ func TestRecordEpochRevert(t *testing.T) {
 		t.Fatalf("two writes in one epoch registered the record %d times, want 1", n)
 	}
 	val, tid, present := r.ReadStable(nil)
-	if !present || !bytes.Equal(val, []byte("committed")) || tid != MakeTID(1, 3) {
+	if !present || !bytes.Equal(val, txt("committed")) || tid != MakeTID(1, 3) {
 		t.Fatalf("revert: %q %s %v", val, FormatTID(tid), present)
 	}
 }
@@ -81,7 +89,7 @@ func TestRecordRevertOfInsert(t *testing.T) {
 	_, tbl := newTestDB(t, 1, nil)
 	r := NewAbsentRecord(0)
 	landOn(t, tbl, r, 5, MakeTID(5, 1), rowWrite("new"))
-	if val, tid, present := r.ReadStable(nil); !present || string(val) != "new" || tid != MakeTID(5, 1) {
+	if val, tid, present := r.ReadStable(nil); !present || !bytes.Equal(val, txt("new")) || tid != MakeTID(5, 1) {
 		t.Fatalf("insert: %q %s %v", val, FormatTID(tid), present)
 	}
 	r.Lock()
@@ -96,13 +104,13 @@ func TestRecordRevertOfInsert(t *testing.T) {
 
 func TestRecordDeleteAndRevert(t *testing.T) {
 	_, tbl := newTestDB(t, 1, nil)
-	r := NewRecord(MakeTID(1, 1), []byte("v"))
+	r := NewRecord(MakeTID(1, 1), txt("v"))
 	landOn(t, tbl, r, 2, MakeTID(2, 9), Write{Kind: WriteDelete})
 	if _, tid, present := r.ReadStable(nil); present || tid != MakeTID(2, 9) {
 		t.Fatalf("after delete: tid=%s present=%v", FormatTID(tid), present)
 	}
 	tbl.Partition(0).RevertEpoch(2)
-	if val, _, present := r.ReadStable(nil); !present || !bytes.Equal(val, []byte("v")) {
+	if val, _, present := r.ReadStable(nil); !present || !bytes.Equal(val, txt("v")) {
 		t.Fatal("delete not reverted")
 	}
 }
@@ -123,7 +131,7 @@ func TestThomasWriteRuleConvergence(t *testing.T) {
 		for i := uint8(0); i < n; i++ {
 			writes = append(writes, w{
 				tid: MakeTID(1, uint64(i)+1),
-				val: []byte{byte(i), byte(i >> 4), 0xAB},
+				val: txt(string([]byte{byte(i), byte(i >> 4), 0xAB})),
 			})
 		}
 		maxVal := writes[len(writes)-1].val
@@ -144,7 +152,7 @@ func TestThomasWriteRuleConvergence(t *testing.T) {
 
 func TestThomasWriteRuleRejectsStale(t *testing.T) {
 	_, tbl := newTestDB(t, 1, nil)
-	tbl.Insert(0, K1(1), 3, MakeTID(3, 10), []byte("new"))
+	tbl.Insert(0, K1(1), 3, MakeTID(3, 10), txt("new"))
 	for _, c := range []struct {
 		seq     uint64
 		applied bool
@@ -166,13 +174,13 @@ func TestThomasWriteRuleRejectsStale(t *testing.T) {
 func TestRecordConcurrentReadersWriters(t *testing.T) {
 	// Race-detector exercise: concurrent latched reads and writes.
 	_, tbl := newTestDB(t, 1, nil)
-	r := NewRecord(MakeTID(1, 1), bytes.Repeat([]byte{1}, 64))
+	r := NewRecord(MakeTID(1, 1), bytes.Repeat([]byte{1}, testSchema().RowSize()))
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			buf := make([]byte, 64)
+			buf := make([]byte, testSchema().RowSize())
 			for i := 0; i < 200; i++ {
 				if g%2 == 0 {
 					val, _, _ := r.ReadStable(buf)
@@ -185,7 +193,7 @@ func TestRecordConcurrentReadersWriters(t *testing.T) {
 						}
 					}
 				} else {
-					row := bytes.Repeat([]byte{byte(i)}, 64)
+					row := bytes.Repeat([]byte{byte(i)}, testSchema().RowSize())
 					r.Lock()
 					tbl.Land(0, K1(1), r, 2, MakeTID(2, uint64(i+1)), Write{Kind: WriteRow, Row: row})
 					r.Unlock()
@@ -227,5 +235,29 @@ func TestLandFieldOps(t *testing.T) {
 	gone.Unlock()
 	if _, tid, present := gone.ReadStable(nil); err == nil || present || tid != MakeTID(1, 1) {
 		t.Fatalf("ops on an absent record: err=%v present=%v tid=%s", err, present, FormatTID(tid))
+	}
+}
+
+// A write the table's schema does not fit is refused whole, before
+// anything moves: an op list whose second op names a column the table
+// lacks leaves the first unapplied, the TID where it was and the record
+// out of the epoch's revert bucket.
+func TestLandRefusesWhatTheSchemaDoesNotFit(t *testing.T) {
+	_, tbl := newTestDB(t, 1, nil)
+	s := tbl.Schema()
+	r := NewRecord(MakeTID(1, 1), s.NewRow())
+	for _, w := range []Write{
+		{Kind: WriteOps, Ops: []FieldOp{AddInt64Op(2, 5), AddInt64Op(9, 1)}},
+		{Kind: WriteRow, Row: make([]byte, 3)},
+	} {
+		r.Lock()
+		_, err := tbl.Land(0, K1(1), r, 2, MakeTID(2, 1), w)
+		r.Unlock()
+		if val, tid, _ := r.ReadStable(nil); err == nil || !bytes.Equal(val, s.NewRow()) || tid != MakeTID(1, 1) {
+			t.Fatalf("%+v: err=%v, row %x, tid=%s", w, err, val, FormatTID(tid))
+		}
+	}
+	if n := tbl.Partition(0).RevertEpoch(2); n != 0 {
+		t.Fatalf("refused writes registered the record %d times", n)
 	}
 }

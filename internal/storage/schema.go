@@ -174,6 +174,3 @@ func (s *Schema) fieldSlice(row []byte, i int) []byte {
 	f := &s.fields[i]
 	return row[f.offset : f.offset+f.size]
 }
-
-// FieldSize returns the on-row byte width of column i.
-func (s *Schema) FieldSize(i int) int { return s.fields[i].size }

@@ -96,9 +96,7 @@ func TestFieldOpsApply(t *testing.T) {
 		PrependOp(3, []byte("hello ")),
 	}
 	for _, op := range ops {
-		if err := op.Apply(s, row); err != nil {
-			t.Fatal(err)
-		}
+		op.Apply(s, row)
 	}
 	if s.GetFloat64(row, 1) != 12.5 || s.GetInt64(row, 2) != 2 {
 		t.Fatalf("numeric ops: %v %v", s.GetFloat64(row, 1), s.GetInt64(row, 2))
@@ -107,9 +105,7 @@ func TestFieldOpsApply(t *testing.T) {
 		t.Fatalf("prepend: %q", got)
 	}
 	// Prepend truncates at capacity like TPC-C's C_DATA.
-	if err := PrependOp(3, bytes.Repeat([]byte("x"), 20)).Apply(s, row); err != nil {
-		t.Fatal(err)
-	}
+	PrependOp(3, bytes.Repeat([]byte("x"), 20)).Apply(s, row)
 	if got := s.GetString(row, 3); got != "xxxxxxxxxxxxxxxx" {
 		t.Fatalf("truncated prepend: %q", got)
 	}
@@ -122,9 +118,7 @@ func TestSetFieldOpCarriesRawEncoding(t *testing.T) {
 	op := SetFieldOp(s, src, 3)
 	dst := s.NewRow()
 	s.SetString(dst, 3, "zzzzzzzz")
-	if err := op.Apply(s, dst); err != nil {
-		t.Fatal(err)
-	}
+	op.Apply(s, dst)
 	if got := s.GetString(dst, 3); got != "abc" {
 		t.Fatalf("got %q", got)
 	}
@@ -139,14 +133,41 @@ func TestSetRowOp(t *testing.T) {
 	s.SetUint64(src, 0, 42)
 	op := SetRowOp(src)
 	dst := s.NewRow()
-	if err := op.Apply(s, dst); err != nil {
-		t.Fatal(err)
-	}
+	op.Apply(s, dst)
 	if s.GetUint64(dst, 0) != 42 {
 		t.Fatal("row not copied")
 	}
-	if err := op.Apply(s, make([]byte, 3)); err == nil {
-		t.Fatal("size mismatch must error")
+}
+
+// TestSchemaFits: a schema lands a row exactly its width and ops naming
+// its columns with arguments their kind fits, and nothing else — the
+// sizes Apply used to refuse one op at a time, now refused whole before
+// any op applies.
+func TestSchemaFits(t *testing.T) {
+	s := testSchema() // id u64, balance f64, count i64, data bytes(16)
+	row := s.NewRow()
+	ops := func(ops ...FieldOp) Write { return Write{Kind: WriteOps, Ops: ops} }
+	for name, c := range map[string]struct {
+		w    Write
+		fits bool
+	}{
+		"row of the row's width":             {Write{Kind: WriteRow, Row: row}, true},
+		"row narrower than the table's":      {Write{Kind: WriteRow, Row: row[:3]}, false},
+		"row wider than the table's":         {Write{Kind: WriteRow, Row: append(s.NewRow(), 0)}, false},
+		"delete":                             {Write{Kind: WriteDelete}, true},
+		"no ops":                             {ops(), true},
+		"set, add, add, prepend, set row":    {ops(SetFieldOp(s, row, 3), AddInt64Op(2, 1), AddFloat64Op(1, 1), PrependOp(3, []byte("x")), SetRowOp(row)), true},
+		"op on a column the table lacks":     {ops(AddInt64Op(2, 1), AddInt64Op(4, 1)), false},
+		"set of the wrong size":              {ops(NewFieldOp(3, OpSetField, []byte("abc"))), false},
+		"add on a bytes column":              {ops(AddInt64Op(3, 1)), false},
+		"add of a short argument":            {ops(NewFieldOp(2, OpAddInt64, []byte{1})), false},
+		"prepend on an integer column":       {ops(PrependOp(2, []byte("x"))), false},
+		"set row of the wrong size":          {ops(SetRowOp(row[:3])), false},
+		"op of a kind storage does not know": {ops(FieldOp{Field: 0, Kind: OpSetRow + 1}), false},
+	} {
+		if got := s.Fits(c.w); got != c.fits {
+			t.Errorf("%s: fits = %v, want %v", name, got, c.fits)
+		}
 	}
 }
 
@@ -168,9 +189,7 @@ func TestOpReplicationEquivalence(t *testing.T) {
 			stream = append(stream, PrependOp(3, str))
 		}
 		for _, op := range stream {
-			if err := op.Apply(s, replica); err != nil {
-				return false
-			}
+			op.Apply(s, replica)
 		}
 		return bytes.Equal(direct, replica)
 	}
@@ -196,9 +215,7 @@ func TestWordOpsHoldTheirArgument(t *testing.T) {
 		if again := NewFieldOp(int(ops[i].Field), ops[i].Kind, ops[i].Argument(&w)); !reflect.DeepEqual(again, ops[i]) {
 			t.Fatalf("op %d through its 8 argument bytes: %+v, want %+v", i, again, ops[i])
 		}
-		if err := ops[i].Apply(s, row); err != nil {
-			t.Fatal(err)
-		}
+		ops[i].Apply(s, row)
 	}
 	if s.GetInt64(row, 2) != 2 || s.GetFloat64(row, 1) != 2.5 {
 		t.Fatalf("count %d, balance %v after set 7, add -5, add 2.5", s.GetInt64(row, 2), s.GetFloat64(row, 1))

@@ -148,6 +148,10 @@ func loopbackMatchesSimnet(t *testing.T, wcfg func(nodes, workers int) tpcc.Conf
 		if c := snap.Counters; c["repl_op_entries"] == 0 || c["repl_value_entries"] == 0 {
 			t.Fatalf("process %d shipped %d operation and %d value entries, want both", i, c["repl_op_entries"], c["repl_value_entries"])
 		}
+		// Every frame the real codec carried passed the entry check.
+		if n := snap.Counters["frames_refused"]; n != 0 {
+			t.Fatalf("process %d refused %d of its own cluster's frames", i, n)
+		}
 		// repl_entry_bytes prices each entry in its envelope's context, as
 		// the codec encodes it: what the sockets carried in the replication
 		// class is exactly that plus, per message (an envelope or a fence's

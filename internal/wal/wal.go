@@ -408,8 +408,8 @@ func Recover(db *storage.DB, checkpoint string, logs []string) (epoch uint64, ap
 		if storage.TIDEpoch(e.TID) > durable {
 			return nil // beyond the last group commit: discard
 		}
-		if !db.Has(e.Table, int(e.Part)) {
-			return fmt.Errorf("wal: entry for table %d part %d, which the database does not have", e.Table, e.Part)
+		if !e.Fits(db, false) {
+			return fmt.Errorf("wal: entry for table %d part %d does not fit the database", e.Table, e.Part)
 		}
 		tbl := db.Table(e.Table)
 		if tbl.Partition(int(e.Part)) == nil {

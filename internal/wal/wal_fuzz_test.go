@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -20,7 +21,8 @@ const reCRC = 1 << 31
 
 // fuzzLog builds the fixed log the corruption fuzzer attacks, and the
 // envelope each of its frames holds as written: rows (short, empty,
-// zero-packed, long), tombstones and epoch marks across two epochs.
+// zero-packed, long — each as wide as its table's, fuzzDB), tombstones and
+// epoch marks across two epochs.
 func fuzzLog(t testing.TB) ([]byte, []replication.Batch) {
 	var sink bytes.Buffer
 	l := NewLogger(&sink)
@@ -30,13 +32,13 @@ func fuzzLog(t testing.TB) ([]byte, []replication.Batch) {
 		{Epoch: 2, Entries: []replication.Entry{
 			{Table: 1, Part: 0, Key: storage.K2(1, 2), TID: storage.MakeTID(2, 1), Row: []byte("alpha")},
 			{Table: 2, Part: 3, Key: storage.K2(0, 9), TID: storage.MakeTID(2, 2)},
-			{Table: 1, Part: 1, Key: storage.K2(7, 7), TID: storage.MakeTID(2, 3), Row: packed},
+			{Table: 0, Part: 1, Key: storage.K2(7, 7), TID: storage.MakeTID(2, 3), Row: packed},
 		}},
 		{Epoch: 2},
 		{Epoch: 3, Entries: []replication.Entry{
-			{Table: 1, Part: 1, Key: storage.K2(7, 7), TID: storage.MakeTID(3, 1), Absent: true},
+			{Table: 0, Part: 1, Key: storage.K2(7, 7), TID: storage.MakeTID(3, 1), Absent: true},
 			{Table: 3, Part: 2, Key: storage.K2(5, 5), TID: storage.MakeTID(3, 2), Row: bytes.Repeat([]byte{0xab}, 300)},
-			{Table: 1, Part: 0, Key: storage.K2(1, 2), TID: storage.MakeTID(3, 3), Row: []byte("beta")},
+			{Table: 1, Part: 0, Key: storage.K2(1, 2), TID: storage.MakeTID(3, 3), Row: []byte("bravo")},
 			{Table: 1, Part: 0, Key: storage.K2(1, 2), TID: storage.MakeTID(3, 4), Absent: true},
 		}},
 		{Epoch: 3},
@@ -85,11 +87,16 @@ func sameBatch(a, b *replication.Batch) bool {
 	return true
 }
 
-// fuzzDB has every table and partition the fuzz log names.
+// fuzzDB has every table and partition the fuzz log names, each table's
+// rows as wide as the log's: 64, 5, 0 and 300 bytes.
 func fuzzDB() *storage.DB {
 	db := storage.NewDB(4, nil)
-	for _, name := range []string{"t0", "t1", "t2", "t3"} {
-		db.AddTable(name, schema(), false)
+	for i, width := range []int{64, 5, 0, 300} {
+		var cols []storage.Field
+		if width > 0 {
+			cols = append(cols, storage.Field{Name: "v", Type: storage.FieldBytes, Cap: width - 2})
+		}
+		db.AddTable(fmt.Sprint("t", i), storage.NewSchema(cols...), false)
 	}
 	return db
 }

@@ -19,8 +19,8 @@ type Gen struct {
 	rng   *rand.Rand
 	id    int // embedded in history keys for uniqueness
 	hseq  uint64
-	next  int // 0 → NewOrder, 1 → Payment
-	cload int // NURand C constant
+	next  int       // 0 → NewOrder, 1 → Payment
+	cload int       // NURand C constant
 	hist  []histEnt // payment-history FIFO the trimmer drains (TrimPct > 0)
 }
 
