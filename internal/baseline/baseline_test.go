@@ -25,7 +25,6 @@ func baseCfg(s *rt.Sim, nodes, workers int, wl interface {
 		RT:             s,
 		Nodes:          nodes,
 		WorkersPerNode: workers,
-		Epoch:          2 * time.Millisecond,
 		Seed:           1,
 	}
 }
@@ -181,8 +180,7 @@ func TestDistTPCCInvariant(t *testing.T) {
 		CustomersPerDistrict: 32,
 		Items:                64,
 	})
-	cfg := Config{RT: s, Nodes: 2, WorkersPerNode: 2, Workload: wl,
-		Epoch: 2 * time.Millisecond, Seed: 3}
+	cfg := Config{RT: s, Nodes: 2, WorkersPerNode: 2, Workload: wl, Seed: 3}
 	e := NewDist(cfg, DistOCC)
 	s.Run(40 * time.Millisecond)
 	e.Freeze()

@@ -23,6 +23,10 @@ import (
 	"star/internal/workload"
 )
 
+// groupCommitEvery is the asynchronous engines' group-commit interval
+// (the paper's 10 ms epoch).
+const groupCommitEvery = 10 * time.Millisecond
+
 // Config parameterises a baseline cluster.
 type Config struct {
 	RT             rt.Runtime
@@ -33,10 +37,8 @@ type Config struct {
 
 	// SyncRepl selects synchronous replication (with 2PC for the
 	// distributed engines); otherwise asynchronous replication with an
-	// epoch-based group commit every Epoch.
+	// epoch-based group commit every groupCommitEvery.
 	SyncRepl bool
-	// Epoch is the group-commit interval (paper default 10ms).
-	Epoch time.Duration
 
 	// LockManagers is Calvin-x's x (ignored by other engines).
 	LockManagers int
@@ -49,9 +51,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.WorkersPerNode == 0 {
 		c.WorkersPerNode = 4
-	}
-	if c.Epoch == 0 {
-		c.Epoch = 10 * time.Millisecond
 	}
 	if c.LockManagers == 0 {
 		c.LockManagers = 2
@@ -226,7 +225,7 @@ type msgTick struct{ Epoch uint64 }
 func (msgTick) Size() int { return 16 }
 
 // epochTicker runs the group-commit protocol for the async baselines: a
-// fence every cfg.Epoch (drain replication streams, then release
+// fence every groupCommitEvery (drain replication streams, then release
 // results), mirroring Silo's epoch design as the paper's baselines do.
 type epochTicker struct {
 	cfg   Config
@@ -262,14 +261,14 @@ func (t *epochTicker) loop() {
 	r := t.cfg.RT
 	in := t.net.Inbox(t.cfg.tickerID())
 	for {
-		r.Sleep(t.cfg.Epoch)
+		r.Sleep(groupCommitEvery)
 		epoch := t.Epoch()
 		for i := range t.nodes {
 			t.net.Send(t.cfg.tickerID(), i, transport.Control, msgTick{Epoch: epoch})
 		}
 		// Gather sent vectors.
 		done := map[int]msgTickDone{}
-		deadline := r.Now() + 10*t.cfg.Epoch
+		deadline := r.Now() + 10*groupCommitEvery
 		for len(done) < len(t.nodes) && r.Now() < deadline {
 			m, ok := in.RecvTimeout(deadline - r.Now())
 			if !ok {
@@ -288,7 +287,7 @@ func (t *epochTicker) loop() {
 			t.net.Send(t.cfg.tickerID(), i, transport.Control, msgTickDrain{Epoch: epoch, Expected: expected})
 		}
 		acks := 0
-		deadline = r.Now() + 10*t.cfg.Epoch
+		deadline = r.Now() + 10*groupCommitEvery
 		for acks < len(t.nodes) && r.Now() < deadline {
 			m, ok := in.RecvTimeout(deadline - r.Now())
 			if !ok {

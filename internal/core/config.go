@@ -92,7 +92,8 @@ type Config struct {
 	// SyncRepl makes the single-master phase hold write locks until all
 	// replicas ack each transaction's writes (the SYNC STAR baseline of
 	// Fig 15a). Default is asynchronous replication + fence. What ships
-	// is not configurable: ops or rows by the rule in worker.emitEntries.
+	// is not configurable: ops or rows by worker.emitEntries' rule, or
+	// under SyncRepl the rows (commitSync's replication.ValueEntries).
 	SyncRepl bool
 
 	// LogDir, when non-empty, turns on value logging with fence flushes:

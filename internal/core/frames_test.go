@@ -53,6 +53,8 @@ func routerSeeds(n *node) map[string]transport.Message {
 		"sync-envelope-unknown-table":                     synced(batch(0, entry(9, 1))),
 		"sync-envelope-unknown-reply-to":                  syncBatch{Batch: batch(0, entry(0, 1)), ReplyTo: 5},
 		"envelope-unknown-sender":                         batch(48, entry(0, 1)),
+		"envelope-unstamped":                              &msgReplBatch{From: 0, Entries: []replication.Entry{entry(0, 1)}},
+		"sync-envelope-unstamped":                         synced(&msgReplBatch{From: 0, Entries: []replication.Entry{entry(0, 1)}}),
 		"sync-envelope-unknown-sender":                    synced(batch(48, entry(0, 1))),
 		"phase-report-the-coordinators":                   msgPhaseDone{Node: 0, Epoch: 1},
 		"replication-ack-unknown-worker":                  msgReplAck{Worker: 9, Seq: 1},

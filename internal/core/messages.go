@@ -247,10 +247,10 @@ func (e *Engine) accepts(to int, m any) bool {
 		ok = isNode(m.From) || m.From == cfg.coordID()
 	case AdminResp: // a scripted run's checksums come back to the coordinator
 		ok = true
-	case *msgReplBatch:
-		ok = !coord && isNode(m.From) && fit(m.Entries, true)
+	case *msgReplBatch: // every sender stamps its epoch; 0 is only the wildcard revert's
+		ok = !coord && isNode(m.From) && m.Epoch != 0 && fit(m.Entries, true)
 	case syncBatch:
-		ok = !coord && isNode(m.Batch.From) && isNode(m.ReplyTo) && fit(m.Batch.Entries, true)
+		ok = !coord && isNode(m.Batch.From) && m.Batch.Epoch != 0 && isNode(m.ReplyTo) && fit(m.Batch.Entries, true)
 	case *msgSnapshot: // applySnapshot skips a partition it does not hold
 		ok = !coord && isPart(m.Part) && fit(m.Rows.Entries, false)
 	case msgSnapshotReq:

@@ -187,7 +187,7 @@ func (n *node) handle(m any) {
 		// are applied and logged, so the router applies them itself, into
 		// the log it owns (applyEntries flushes it).
 		if !n.superseded(msg.Batch) {
-			n.applyEntries(&applier{lg: n.routerLog}, msg.Batch.From, n.batchEpoch(msg.Batch), msg.Batch.Entries)
+			n.applyEntries(&applier{lg: n.routerLog}, msg.Batch.From, msg.Batch.Epoch, msg.Batch.Entries)
 		}
 		n.e.net.Send(n.id, msg.ReplyTo, transport.Control, msgReplAck{Worker: msg.Worker, Seq: msg.Seq})
 	case msgStartPhase:
@@ -490,10 +490,10 @@ func (n *node) wakeRouter() { n.inbox().TrySend(fenceWake{}) }
 // stamp keeps each record's revert snapshot (which doubles as the
 // snapshot-read fence version) attributed to the epoch the write really
 // belongs to. Streams never mix epochs in one envelope (SetEpoch
-// flushes at the boundary). A zero stamp (ad-hoc test streams that
-// predate epochs) falls back to the receiver's view.
+// flushes at the boundary), and every envelope is stamped (the entry
+// check refuses epoch 0).
 func (n *node) applyBatch(b *msgReplBatch) {
-	epoch := n.batchEpoch(b)
+	epoch := b.Epoch
 	shards := len(n.appliers)
 	if shards == 1 {
 		// One applier: the envelope's own slice goes through as is.
@@ -526,15 +526,7 @@ func (n *node) applyBatch(b *msgReplBatch) {
 
 // superseded reports an envelope of an epoch this node's state already
 // accounts for (see caughtUp).
-func (n *node) superseded(b *msgReplBatch) bool { return b.Epoch != 0 && b.Epoch <= n.caughtUp }
-
-// batchEpoch resolves the epoch a replication envelope applies under.
-func (n *node) batchEpoch(b *msgReplBatch) uint64 {
-	if b.Epoch != 0 {
-		return b.Epoch
-	}
-	return n.epoch.Load()
-}
+func (n *node) superseded(b *msgReplBatch) bool { return b.Epoch <= n.caughtUp }
 
 // applier is one replay thread's state: its recovery log (nil without
 // LogDir) and the scratch an operation entry's post-image is copied into.
@@ -595,11 +587,16 @@ func (n *node) chargeLog(bytes int) {
 	n.e.cfg.RT.Compute(time.Duration(float64(bytes) / 1024 * float64(CostLogPerKB)))
 }
 
-// revert rolls the in-flight epoch back after a failure (paper Fig 6)
-// and moves to the post-failure view, whose mastership is derived.
+// revert rolls the in-flight epoch back after a failure (paper Fig 6),
+// in storage and in the logs (its retry reuses the number), and moves to
+// the post-failure view, whose mastership is derived. A wildcard revert
+// marks no log: the epochs it discards lie past every mark the node
+// wrote, and its log misses the catch-up that follows anyway.
 func (n *node) revert(m msgRevert) {
 	if m.Epoch == 0 {
 		n.caughtUp = max(n.caughtUp, n.epoch.Load())
+	} else if n.dir != nil {
+		_ = n.dir.Revert(m.Epoch) // like its marks: a log that fails is lost to recovery
 	}
 	n.db.RevertEpoch(m.Epoch)
 	for _, w := range n.workers {

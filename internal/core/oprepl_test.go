@@ -62,7 +62,7 @@ func newOpReplHarness(t *testing.T) (master *worker, replica *node) {
 // harness's nodes are unstarted, so no applier loop is there to take the
 // envelope from the router.
 func applyNow(n *node, b *msgReplBatch) {
-	n.applyEntries(&applier{}, b.From, n.batchEpoch(b), b.Entries)
+	n.applyEntries(&applier{}, b.From, b.Epoch, b.Entries)
 }
 
 // singlePartitionTxns draws n single-partition update transactions for

@@ -11,6 +11,7 @@ import (
 	"star/internal/rt"
 	"star/internal/storage"
 	"star/internal/wal"
+	"star/internal/workload/tpcc"
 	"star/internal/workload/ycsb"
 )
 
@@ -129,6 +130,45 @@ func TestReplicaLogsRecoverEveryNode(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRevertedEpochStaysOutOfTheLog fails a node mid-run on the full
+// TPC-C mix: the survivors revert the in-flight epoch and retry it under
+// the same number, so their logs hold the aborted attempt's rows behind
+// an epoch the retry later marks durable. Recovering each survivor from
+// its own logs must still give the live state: inserts the retry never
+// redid stay out.
+func TestRevertedEpochStaysOutOfTheLog(t *testing.T) {
+	s := rt.NewSim()
+	cfg := tpcc.Config{Warehouses: 6, Districts: 2, CustomersPerDistrict: 32, Items: 64}
+	cfg.SetFullMix()
+	wl := tpcc.New(cfg)
+	e := New(Config{RT: s, Nodes: 3, WorkersPerNode: 2, Workload: wl, Iteration: 2 * time.Millisecond, LogDir: t.TempDir(), Seed: 1})
+	s.Run(20 * time.Millisecond)
+	e.FailNode(2)
+	s.Run(s.Now() + 300*time.Millisecond)
+	e.Freeze()
+	s.Run(s.Now() + 100*time.Millisecond)
+	s.Stop()
+	if err := e.CloseLogs(); err != nil {
+		t.Fatal(err)
+	}
+	if e.nodes[0].view.Load().Up(2) || e.Stats().Committed == 0 {
+		t.Fatal("the cluster did not carry on past the failure")
+	}
+	for node := 0; node < 2; node++ {
+		holds := e.Topology().HoldsMask(node)
+		recovered := wl.BuildDB(6, holds)
+		wl.Load(recovered)
+		if _, _, err := wal.Recover(recovered, "", e.LogFiles(node)); err != nil {
+			t.Fatalf("node %d: %v", node, err)
+		}
+		for p, held := range holds {
+			if got, want := recovered.PartitionChecksum(p), e.DB(node).PartitionChecksum(p); held && got != want {
+				t.Errorf("node %d partition %d: recovered from its own logs %x != live %x", node, p, got, want)
+			}
+		}
 	}
 }
 

@@ -227,7 +227,7 @@ func (w *worker) execSerial(req *txn.Request, epoch uint64) {
 		return
 	}
 	w.emitEntries(tidv, true)
-	w.chargeTxnLog()
+	w.chargeTxnLog(tidv)
 	w.finishCommit(req, epoch)
 }
 
@@ -357,7 +357,7 @@ func (w *worker) execOCC(req *txn.Request, cmd msgStartPhase) {
 				tidv, ok := commit(w.n.db, &w.set, cmd.Epoch, &w.tid, true)
 				if ok {
 					w.emitEntries(tidv, false)
-					w.chargeTxnLog()
+					w.chargeTxnLog(tidv)
 					w.finishCommit(req, cmd.Epoch)
 					return
 				}
@@ -483,7 +483,7 @@ func (w *worker) commitSync(req *txn.Request, epoch uint64) bool {
 		}
 	}
 	occ.ReleaseLocks(&w.set)
-	w.chargeTxnLog()
+	w.chargeTxnLog(tidv)
 	w.finishCommit(req, epoch)
 	return true
 }
@@ -504,9 +504,10 @@ func (w *worker) finishCommit(req *txn.Request, epoch uint64) {
 	}
 }
 
-// chargeTxnLog logs the committed write set locally as whole rows
-// (§4.5.1), on a node that logs, and charges the log's modelled cost.
-func (w *worker) chargeTxnLog() {
+// chargeTxnLog logs the write set committed under tid locally as whole
+// rows (§4.5.1), on a node that logs, and charges the log's modelled
+// cost. The locks are gone: a record may already hold a newer TID.
+func (w *worker) chargeTxnLog(tid uint64) {
 	if w.logger == nil {
 		return
 	}
@@ -517,7 +518,7 @@ func (w *worker) chargeTxnLog() {
 	w.n.chargeLog(bytes)
 	for i := range w.set.Writes {
 		wr := &w.set.Writes[i]
-		w.logger.AppendWrite(wr.Table, int32(wr.Part), wr.Key, storage.TIDClean(wr.Rec.TID()), wr.Delete, wr.Row)
+		w.logger.AppendWrite(wr.Table, int32(wr.Part), wr.Key, tid, wr.Delete, wr.Row)
 	}
 }
 

@@ -71,12 +71,11 @@ func orderRow(s *storage.Schema, customer uint64, tag string, amount float64) []
 
 // landingTxns is the sequence, per partition: inserts that add to both
 // indexes, field-op updates (one with no ops at all: it still moves the
-// TID), deletes of a loaded row and of a row inserted this epoch, and a
-// re-insert of the deleted key. The re-inserted row carries the deleted
-// row's indexed fields: under the Thomas rule a replica may never see
-// the delete between two row images of one key, and a row image over a
-// present record moves no index — indexed fields are a function of the
-// key across its whole life, delete and re-insert included.
+// TID, one on an indexed column: it moves that index's entry), deletes of
+// a loaded row and of a row inserted this epoch, and a re-insert of the
+// deleted key with other indexed fields. Under the Thomas rule a replica
+// may never see the delete between the key's two row images, so the
+// second image lands over a present record and must move its entries.
 func landingTxns(s *storage.Schema) []func(*txn.RWSet) {
 	var txns []func(*txn.RWSet)
 	for part := 0; part < landParts; part++ {
@@ -91,10 +90,11 @@ func landingTxns(s *storage.Schema) []func(*txn.RWSet) {
 				set.AddWrite(0, p, k(1), storage.AddInt64Op(fCarrier, 7), storage.AddFloat64Op(fAmount, -2.5))
 				set.AddWrite(0, p, k(2)) // zero ops
 				set.AddWrite(0, p, k(4), storage.PrependOp(fNote, []byte("paid;")))
+				set.AddWrite(0, p, k(5), storage.PrependOp(fTag, []byte("z"))) // indexed
 			},
 			func(set *txn.RWSet) { set.AddDelete(0, p, k(3)) },
 			func(set *txn.RWSet) {
-				set.AddInsert(0, p, k(3), orderRow(s, 100, "tb", 99)) // k3's loaded customer and tag
+				set.AddInsert(0, p, k(3), orderRow(s, 150, "tz", 99)) // k3 loaded as customer 100, tag tb
 				set.AddWrite(0, p, k(1), storage.SetInt64Op(fCarrier, 3))
 			},
 			func(set *txn.RWSet) {
@@ -208,6 +208,20 @@ func TestEveryPathLandsTheSamePartition(t *testing.T) {
 			}
 			return db
 		}},
+		{"snapshot rows", false, func(t *testing.T) *storage.DB {
+			// A catch-up (core's applySnapshot): the donor's present rows,
+			// landed under the Thomas rule over what the node holds.
+			db := landingDB(true)
+			for p := 0; p < landParts; p++ {
+				ref.Table(0).Partition(p).Range(func(key storage.Key, tid uint64, row []byte) bool {
+					if _, err := db.Table(0).LandThomas(p, key, 2, tid, storage.Write{Kind: storage.WriteRow, Row: row}, nil); err != nil {
+						t.Fatal(err)
+					}
+					return true
+				})
+			}
+			return db
+		}},
 		{"wal.Recover", true, func(t *testing.T) *storage.DB {
 			dir := t.TempDir()
 			ckpt := filepath.Join(dir, "ckpt")
@@ -261,6 +275,18 @@ func TestEveryPathLandsTheSamePartition(t *testing.T) {
 	want := checksums(ref)
 	if want == loaded {
 		t.Fatal("the sequence changed nothing")
+	}
+	// The reference's indexes are what its rows say: its rows, loaded
+	// into an empty database, index to the same checksums.
+	fresh := landingDB(false)
+	for p := 0; p < landParts; p++ {
+		ref.Table(0).Partition(p).Range(func(key storage.Key, tid uint64, row []byte) bool {
+			fresh.Table(0).Insert(p, key, 1, tid, row)
+			return true
+		})
+	}
+	if got := checksums(fresh); got != want {
+		t.Fatalf("occ.Commit's partitions %x, its rows loaded afresh %x: an index entry did not follow its row", want, got)
 	}
 	for _, path := range paths {
 		t.Run(path.name, func(t *testing.T) {

@@ -111,16 +111,9 @@ func (db *DB) CommitEpochBefore(epoch uint64) {
 	}
 }
 
-// CommitEpoch discards revert information across all partitions.
-func (db *DB) CommitEpoch() {
-	for _, t := range db.tables {
-		for _, p := range t.parts {
-			if p != nil {
-				p.CommitEpoch()
-			}
-		}
-	}
-}
+// CommitEpoch discards revert information across all partitions: it
+// commits every epoch.
+func (db *DB) CommitEpoch() { db.CommitEpochBefore(^uint64(0)) }
 
 // PartitionChecksum folds every present record of partition p (across
 // all partitioned tables) AND every live secondary-index entry into an

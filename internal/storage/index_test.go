@@ -133,7 +133,7 @@ func TestIndexRevertCommitInterleaving(t *testing.T) {
 			}
 		}
 		if epoch%2 == 0 {
-			p.CommitEpoch()
+			p.CommitEpochBefore(^uint64(0)) // every epoch
 			for k := uint64(0); k < 8; k++ {
 				if p.Get(K1(base+k)) == nil {
 					t.Fatalf("epoch %d: committed insert %d vanished", epoch, k)
@@ -154,7 +154,7 @@ func TestIndexRevertCommitInterleaving(t *testing.T) {
 			if p.Get(K1(base)) == nil {
 				t.Fatalf("epoch %d: re-inserted key not found", epoch)
 			}
-			p.CommitEpoch()
+			p.CommitEpochBefore(^uint64(0)) // every epoch
 		}
 	}
 	close(stop)

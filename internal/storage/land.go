@@ -1,6 +1,10 @@
 package storage
 
-import "fmt"
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+)
 
 // WriteKind names the three forms a committed write takes.
 type WriteKind uint8
@@ -37,14 +41,14 @@ type Write struct {
 //   - Registered: that first touch enters r in the partition's revert
 //     bucket for the epoch, before the row is mutated, so no saved version
 //     exists that RevertEpoch cannot find.
-//   - Indexes: an absent → present transition adds the row's secondary
-//     index entries, derived from the row just installed; present → absent
-//     removes them, derived from the row as it stood before the delete, and
-//     queues the key's slot for reclamation at the epoch's fence. A write
-//     that keeps the record absent moves no index, and neither does one
-//     that keeps it present: indexed fields are a function of the key for
-//     its whole life, a delete and re-insert included, because the Thomas
-//     rule may drop the delete between two row images of one key.
+//   - Indexes: the record's secondary index entries follow its row. An
+//     absent → present transition adds the entries derived from the row
+//     just installed; present → absent removes those derived from the row
+//     as it stood before the delete, and queues the key's slot for
+//     reclamation at the epoch's fence; a write that keeps the record
+//     present moves each entry whose value it changed. So an index is a
+//     function of the row however its writes were ordered, and a write
+//     that keeps the record absent moves none.
 //   - TID word on return: tid, the absent bit iff the write was a delete,
 //     and the lock bit — r is still latched; Unlock publishes the write.
 //
@@ -66,6 +70,13 @@ func (t *Table) Land(part int, key Key, r *Record, epoch, tid uint64, w Write) (
 	if r.savePriorLocked(epoch) {
 		p.markDirty(r, epoch)
 	}
+	var was []byte // the index values the record held (none when absent), then room for its new ones
+	if len(t.specs) > 0 {
+		was = make([]byte, 0, 64)
+		if !wasAbsent {
+			was = t.indexValues(key, r.data, was)
+		}
+	}
 	word := TIDClean(tid) | TIDLockBit
 	switch w.Kind {
 	case WriteRow:
@@ -78,13 +89,16 @@ func (t *Table) Land(part int, key Key, r *Record, epoch, tid uint64, w Write) (
 		word |= TIDAbsentBit
 	}
 	r.tid.Store(word)
-	if absent := w.Kind == WriteDelete; absent != wasAbsent {
-		if len(t.specs) > 0 {
-			t.moveIndexes(p, key, r.data, epoch, absent)
+	absent := w.Kind == WriteDelete
+	if len(t.specs) > 0 && !(absent && wasAbsent) {
+		var now []byte
+		if !absent {
+			now = t.indexValues(key, r.data, was[len(was):])
 		}
-		if absent {
-			p.markDeleted(key, epoch)
-		}
+		t.moveIndexes(p, key, was, now, epoch)
+	}
+	if absent && !wasAbsent {
+		p.markDeleted(key, epoch)
 	}
 	return r.data, nil
 }
@@ -148,18 +162,46 @@ func (t *Table) Delete(part int, key Key, epoch, tid uint64) bool {
 	return present
 }
 
-// moveIndexes adds (row is what was installed) or removes (row is what
-// the record held until then) the secondary index entries of the record
-// at key. Removed entries stay visible to fence-snapshot readers until
-// the epoch's fence passes.
-func (t *Table) moveIndexes(p *Partition, key Key, row []byte, epoch uint64, remove bool) {
-	var buf [64]byte
+// indexValues appends the value of each of the table's index specs for
+// (key, row) to dst, each behind its 4-byte length.
+func (t *Table) indexValues(key Key, row, dst []byte) []byte {
 	for i := range t.specs {
-		val := t.specs[i].Extract(t.schema, key, row, buf[:0])
-		if remove {
-			p.oidx[i].Delete(val, key, epoch)
-		} else {
+		at := len(dst)
+		dst = t.specs[i].Extract(t.schema, key, row, append(dst, 0, 0, 0, 0))
+		binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	}
+	return dst
+}
+
+// moveIndexes moves the secondary index entries of the record at key
+// from the values it held, was, to the ones it now holds, now (each
+// indexValues' output, empty for an absent record): an entry whose value
+// changed is deleted and its successor inserted under epoch. A deleted
+// entry stays visible to fence-snapshot readers until the epoch's fence
+// passes, and an inserted one stays hidden from them.
+func (t *Table) moveIndexes(p *Partition, key Key, was, now []byte, epoch uint64) {
+	for i := range t.specs {
+		old, val := nextIndexValue(&was), nextIndexValue(&now)
+		if old != nil && val != nil && bytes.Equal(old, val) {
+			continue
+		}
+		if old != nil {
+			p.oidx[i].Delete(old, key, epoch)
+		}
+		if val != nil {
 			p.oidx[i].Insert(val, key, epoch)
 		}
 	}
+}
+
+// nextIndexValue takes the first value off an indexValues list (nil off
+// an absent record's empty list).
+func nextIndexValue(vals *[]byte) []byte {
+	if len(*vals) == 0 {
+		return nil
+	}
+	n := 4 + int(binary.LittleEndian.Uint32(*vals))
+	v := (*vals)[4:n:n]
+	*vals = (*vals)[n:]
+	return v
 }

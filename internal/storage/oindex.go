@@ -38,11 +38,8 @@ import (
 // read-only snapshot path sees a transactionally consistent index.
 // Current-mode readers pass IndexAllEpochs and see every live entry.
 //
-// Entries point at primary keys, not records, and are maintained only on
-// insert (our schemas never update indexed fields). A record deleted and
-// later re-inserted under the same indexed value can leave a live entry
-// spanning the gap; readers that need exactness re-check record presence
-// through the primary index, which every workload transaction does.
+// Entries point at primary keys, not records; Table.Land moves them with
+// every write that changes an indexed value (land.go).
 
 // IndexAllEpochs makes a lookup return every live entry regardless of
 // its insert epoch (the current-state read mode).
@@ -99,21 +96,14 @@ func (n *oiNode) before(val []byte, pk Key) bool {
 	return n.pk.Lo < pk.Lo
 }
 
-// oiPendBucket tracks the entries inserted while an epoch is still
-// revertable, bucketed so the fence commit is a constant-time drop.
-type oiPendBucket struct {
-	epoch uint64
-	nodes []*oiNode
-}
-
 // OrderedIndex is one partition's instance of a declared secondary
 // index. See the package comment above for the concurrency contract.
 type OrderedIndex struct {
 	head *oiNode
 
-	mu      sync.Mutex // serializes inserts, deletes, reverts and commit bookkeeping
-	pend    []oiPendBucket
-	pendDel []oiPendBucket // entries deleted while their epoch is revertable
+	mu      sync.Mutex          // serializes inserts, deletes, reverts and commit bookkeeping
+	pend    epochLog[[]*oiNode] // entries inserted while their epoch is revertable
+	pendDel epochLog[[]*oiNode] // entries deleted while their epoch is revertable
 }
 
 func newOrderedIndex() *OrderedIndex {
@@ -178,7 +168,8 @@ func (ix *OrderedIndex) Insert(val []byte, pk Key, epoch uint64) {
 				// Revived reverted insert: a fresh revertable insert.
 				n.delEpoch.Store(0)
 				n.state.Store(epoch &^ oiDead)
-				ix.pend = logPend(ix.pend, n, epoch)
+				b := ix.pend.at(epoch)
+				*b = append(*b, n)
 			}
 		}
 		return
@@ -198,7 +189,8 @@ func (ix *OrderedIndex) Insert(val []byte, pk Key, epoch uint64) {
 	for lvl := 0; lvl < h; lvl++ {
 		preds[lvl].next[lvl].Store(n)
 	}
-	ix.pend = logPend(ix.pend, n, epoch)
+	b := ix.pend.at(epoch)
+	*b = append(*b, n)
 }
 
 // Delete tombstones the live entry (val, pk) under epoch. The entry
@@ -221,20 +213,8 @@ func (ix *OrderedIndex) Delete(val []byte, pk Key, epoch uint64) {
 	}
 	n.delEpoch.Store(epoch)
 	n.state.Store(s | oiDead)
-	ix.pendDel = logPend(ix.pendDel, n, epoch)
-}
-
-// logPend registers a revertable insert or delete in its epoch's bucket
-// (scanned newest-first: writes target the newest epoch). Caller holds
-// the mutex.
-func logPend(pend []oiPendBucket, n *oiNode, epoch uint64) []oiPendBucket {
-	for i := len(pend) - 1; i >= 0; i-- {
-		if pend[i].epoch == epoch {
-			pend[i].nodes = append(pend[i].nodes, n)
-			return pend
-		}
-	}
-	return append(pend, oiPendBucket{epoch: epoch, nodes: []*oiNode{n}})
+	b := ix.pendDel.at(epoch)
+	*b = append(*b, n)
 }
 
 // LookupAppend appends every primary key stored under val and visible at
@@ -291,46 +271,22 @@ func (ix *OrderedIndex) Len() int {
 func (ix *OrderedIndex) revertEpoch(epoch uint64) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	keepDel := ix.pendDel[:0]
-	for i := range ix.pendDel {
-		b := ix.pendDel[i]
-		if epoch != 0 && b.epoch != epoch {
-			keepDel = append(keepDel, b)
-			continue
-		}
-		for _, n := range b.nodes {
+	for _, b := range ix.pendDel.take(epoch) {
+		for _, n := range b.v {
 			if n.state.Load()&oiDead != 0 && n.delEpoch.Load() == b.epoch {
 				n.delEpoch.Store(0)
 				n.state.Store(n.state.Load() &^ oiDead)
 			}
 		}
 	}
-	ix.pendDel = keepDel
-	if epoch == 0 {
-		for i := range ix.pend {
-			for _, n := range ix.pend[i].nodes {
-				n.delEpoch.Store(0)
-				n.state.Store(n.state.Load() | oiDead)
-			}
-		}
-		ix.pend = nil
-		return
-	}
-	keep := ix.pend[:0]
-	for i := range ix.pend {
-		b := ix.pend[i]
-		if b.epoch != epoch {
-			keep = append(keep, b)
-			continue
-		}
-		for _, n := range b.nodes {
-			if s := n.state.Load(); s&^oiDead == epoch {
+	for _, b := range ix.pend.take(epoch) {
+		for _, n := range b.v {
+			if s := n.state.Load(); epoch == 0 || s&^oiDead == epoch {
 				n.delEpoch.Store(0)
 				n.state.Store(s | oiDead)
 			}
 		}
 	}
-	ix.pend = keep
 }
 
 // unlink splices n out of the list at every level it occupies. Caller
@@ -345,51 +301,22 @@ func (ix *OrderedIndex) unlink(n *oiNode) {
 	}
 }
 
-// reclaimDel unlinks the nodes of one committed delete bucket. A node
-// revived by a later re-insert (delEpoch reset) is left alone.
-func (ix *OrderedIndex) reclaimDel(b *oiPendBucket) {
-	for _, n := range b.nodes {
-		if n.state.Load()&oiDead != 0 && n.delEpoch.Load() == b.epoch {
-			ix.unlink(n)
-		}
-	}
-}
-
 // commitEpochBefore commits the epochs before `epoch`: pending-insert
 // buckets are dropped (constant time), and committed deletes are
 // physically unlinked — the fence guarantees no snapshot reader at
 // epoch >= `epoch` can see an entry deleted earlier, so reclamation
-// here is epoch-safe.
+// here is epoch-safe. A node revived by a later re-insert (delEpoch
+// reset) is left alone.
 func (ix *OrderedIndex) commitEpochBefore(epoch uint64) {
 	ix.mu.Lock()
-	keep := ix.pend[:0]
-	for i := range ix.pend {
-		if ix.pend[i].epoch >= epoch {
-			keep = append(keep, ix.pend[i])
+	ix.pend.before(epoch)
+	for _, b := range ix.pendDel.before(epoch) {
+		for _, n := range b.v {
+			if n.state.Load()&oiDead != 0 && n.delEpoch.Load() == b.epoch {
+				ix.unlink(n)
+			}
 		}
 	}
-	ix.pend = keep
-	keepDel := ix.pendDel[:0]
-	for i := range ix.pendDel {
-		if ix.pendDel[i].epoch >= epoch {
-			keepDel = append(keepDel, ix.pendDel[i])
-			continue
-		}
-		ix.reclaimDel(&ix.pendDel[i])
-	}
-	ix.pendDel = keepDel
-	ix.mu.Unlock()
-}
-
-// commitAll commits every pending bucket (and unlinks every committed
-// delete).
-func (ix *OrderedIndex) commitAll() {
-	ix.mu.Lock()
-	ix.pend = nil
-	for i := range ix.pendDel {
-		ix.reclaimDel(&ix.pendDel[i])
-	}
-	ix.pendDel = nil
 	ix.mu.Unlock()
 }
 

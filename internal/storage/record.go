@@ -106,30 +106,27 @@ func (r *Record) Unlock() {
 // It takes the latch briefly.
 func (r *Record) ReadStable(buf []byte) (val []byte, tid uint64, present bool) {
 	r.Lock()
-	cur := r.tid.Load()
-	tid = TIDClean(cur)
-	present = !TIDAbsent(cur)
-	if present {
-		if cap(buf) < len(r.data) {
-			buf = make([]byte, len(r.data))
-		}
-		buf = buf[:len(r.data)]
-		copy(buf, r.data)
-	}
+	val, tid, present = r.copyLocked(buf)
 	r.Unlock()
-	return buf, tid, present
+	return val, tid, present
 }
 
-// appendCurrentLocked copies the current version into arena under the
-// latch: the shared body of ReadStableAppend and the fence-read
-// fallback.
-func (r *Record) appendCurrentLocked(arena []byte) (newArena, val []byte, tid uint64, present bool) {
+// copyLocked is ReadStable under the latch.
+func (r *Record) copyLocked(buf []byte) (val []byte, tid uint64, present bool) {
 	cur := r.tid.Load()
-	tid = TIDClean(cur)
-	present = !TIDAbsent(cur)
+	if TIDAbsent(cur) {
+		return buf, TIDClean(cur), false
+	}
+	return append(buf[:0], r.data...), TIDClean(cur), true
+}
+
+// appendVersion appends a version's value, under its TID word, to arena:
+// the shared body of ReadStableAppend and ReadStableAtFenceAppend.
+func appendVersion(arena []byte, word uint64, data []byte) (newArena, val []byte, tid uint64, present bool) {
+	tid, present = TIDClean(word), !TIDAbsent(word)
 	if present {
 		off := len(arena)
-		arena = append(arena, r.data...)
+		arena = append(arena, data...)
 		val = arena[off:len(arena):len(arena)]
 	}
 	return arena, val, tid, present
@@ -142,7 +139,7 @@ func (r *Record) appendCurrentLocked(arena []byte) (newArena, val []byte, tid ui
 // keep pointing into the old (immutable) backing array and stay valid.
 func (r *Record) ReadStableAppend(arena []byte) (newArena, val []byte, tid uint64, present bool) {
 	r.Lock()
-	arena, val, tid, present = r.appendCurrentLocked(arena)
+	arena, val, tid, present = appendVersion(arena, r.tid.Load(), r.data)
 	r.Unlock()
 	return arena, val, tid, present
 }
@@ -158,18 +155,11 @@ func (r *Record) ReadStableAppend(arena []byte) (newArena, val []byte, tid uint6
 // path). The returned TID is the fence version's TID.
 func (r *Record) ReadStableAtFenceAppend(arena []byte, epoch uint64) (newArena, val []byte, tid uint64, present bool) {
 	r.Lock()
+	word, data := r.tid.Load(), r.data
 	if r.savedEpoch == epoch && r.priorValid {
-		tid = TIDClean(r.priorTID)
-		present = !TIDAbsent(r.priorTID)
-		if present {
-			off := len(arena)
-			arena = append(arena, r.priorData...)
-			val = arena[off:len(arena):len(arena)]
-		}
-		r.Unlock()
-		return arena, val, tid, present
+		word, data = r.priorTID, r.priorData
 	}
-	arena, val, tid, present = r.appendCurrentLocked(arena)
+	arena, val, tid, present = appendVersion(arena, word, data)
 	r.Unlock()
 	return arena, val, tid, present
 }
@@ -182,18 +172,9 @@ func (r *Record) ReadStableAtFenceAppend(arena []byte, epoch uint64) (newArena, 
 func (r *Record) TryReadStable(buf []byte, attempts int) (val []byte, tid uint64, present, ok bool) {
 	for i := 0; i < attempts; i++ {
 		if r.TryLock() {
-			cur := r.tid.Load()
-			tid = TIDClean(cur)
-			present = !TIDAbsent(cur)
-			if present {
-				if cap(buf) < len(r.data) {
-					buf = make([]byte, len(r.data))
-				}
-				buf = buf[:len(r.data)]
-				copy(buf, r.data)
-			}
+			val, tid, present = r.copyLocked(buf)
 			r.Unlock()
-			return buf, tid, present, true
+			return val, tid, present, true
 		}
 		SpinWait()
 	}
@@ -223,15 +204,14 @@ func (r *Record) savePriorLocked(epoch uint64) (firstTouch bool) {
 
 // CollectibleAt reports whether the record is a committed tombstone that
 // no fence reader at or after epoch can observe — absent, unlatched, and
-// last touched before the committing epoch (epoch 0 accepts any absent
-// record: the full-commit path). The partition uses it at the fence to
+// last touched before the committing epoch. The partition uses it at the fence to
 // decide whether the record's index slot can be physically reclaimed. A
 // latched record is simply skipped this round; the next fence retries.
 func (r *Record) CollectibleAt(epoch uint64) bool {
 	if !r.TryLock() {
 		return false
 	}
-	ok := TIDAbsent(r.tid.Load()) && (epoch == 0 || r.savedEpoch < epoch)
+	ok := TIDAbsent(r.tid.Load()) && r.savedEpoch < epoch
 	r.Unlock()
 	return ok
 }

@@ -19,14 +19,11 @@ func K2(a, b uint64) Key { return Key{Hi: a, Lo: b} }
 // KeySize is the wire size of a Key.
 const KeySize = 16
 
-// dirtyBucket holds one epoch's revert bookkeeping: the records whose
-// pre-epoch version was saved in that epoch, the keys whose index slot
-// was created in it, and the keys deleted in it (reclaimed once the
-// epoch's fence passes). Bucketing by epoch makes the fence commit a
-// constant-time bucket drop (no record is latched at the phase switch)
-// while revert still touches exactly the epoch's own records.
+// dirtyBucket holds one epoch's revert bookkeeping (Partition.dirty):
+// the records whose pre-epoch version was saved in that epoch, the keys
+// whose index slot was created in it, and the keys deleted in it
+// (reclaimed once the epoch's fence passes).
 type dirtyBucket struct {
-	epoch   uint64
 	recs    []*Record
 	keys    []Key
 	delKeys []Key
@@ -48,9 +45,9 @@ type Partition struct {
 	oidx []*OrderedIndex
 
 	// dirty tracks per-epoch revert state: records first-written in each
-	// in-flight epoch, and the keys inserted in it.
+	// in-flight epoch, and the keys inserted and deleted in it.
 	dirtyMu sync.Mutex
-	dirty   []dirtyBucket
+	dirty   epochLog[dirtyBucket]
 }
 
 func newPartition(nIndexes int) *Partition {
@@ -92,45 +89,29 @@ func (p *Partition) GetOrCreate(key Key, epoch uint64) *Record {
 	t.insert(key, r)
 	p.insertMu.Unlock()
 	p.dirtyMu.Lock()
-	b := p.bucket(epoch)
+	b := p.dirty.at(epoch)
 	b.keys = append(b.keys, key)
 	p.dirtyMu.Unlock()
 	return r
-}
-
-// bucket returns (creating if needed) the dirty bucket for epoch.
-// Caller holds dirtyMu. Writes target the newest epoch, so the scan
-// runs newest-first and is effectively constant: the STAR engine keeps
-// at most two epochs in flight (fences drop the rest), and the baseline
-// engines drop committed buckets at their group-commit fence / batch
-// hand-off.
-func (p *Partition) bucket(epoch uint64) *dirtyBucket {
-	for i := len(p.dirty) - 1; i >= 0; i-- {
-		if p.dirty[i].epoch == epoch {
-			return &p.dirty[i]
-		}
-	}
-	p.dirty = append(p.dirty, dirtyBucket{epoch: epoch})
-	return &p.dirty[len(p.dirty)-1]
 }
 
 // markDirty registers a record whose pre-epoch version was just saved
 // for the given epoch.
 func (p *Partition) markDirty(r *Record, epoch uint64) {
 	p.dirtyMu.Lock()
-	b := p.bucket(epoch)
+	b := p.dirty.at(epoch)
 	b.recs = append(b.recs, r)
 	p.dirtyMu.Unlock()
 }
 
 // markDeleted registers a key deleted in the epoch. Once the epoch's
-// fence passes (CommitEpochBefore / CommitEpoch), the key's index slot
+// fence passes (CommitEpochBefore), the key's index slot
 // is tombstoned and the record becomes unreachable — physical
 // reclamation, deferred to the horizon where no snapshot reader can
 // still need the record's prior version.
 func (p *Partition) markDeleted(key Key, epoch uint64) {
 	p.dirtyMu.Lock()
-	b := p.bucket(epoch)
+	b := p.dirty.at(epoch)
 	b.delKeys = append(b.delKeys, key)
 	p.dirtyMu.Unlock()
 }
@@ -181,17 +162,10 @@ func (p *Partition) RevertEpoch(epoch uint64) int {
 	p.dirtyMu.Lock()
 	var recs []*Record
 	var inserted []Key
-	keep := p.dirty[:0]
-	for i := range p.dirty {
-		b := p.dirty[i]
-		if epoch == 0 || b.epoch == epoch {
-			recs = append(recs, b.recs...)
-			inserted = append(inserted, b.keys...)
-			continue
-		}
-		keep = append(keep, b)
+	for _, b := range p.dirty.take(epoch) {
+		recs = append(recs, b.v.recs...)
+		inserted = append(inserted, b.v.keys...)
 	}
-	p.dirty = keep
 	p.dirtyMu.Unlock()
 
 	n := 0
@@ -216,22 +190,6 @@ func (p *Partition) RevertEpoch(epoch uint64) int {
 		ix.revertEpoch(epoch)
 	}
 	return n
-}
-
-// CommitEpoch discards all revert information and reclaims every
-// committed delete.
-func (p *Partition) CommitEpoch() {
-	p.dirtyMu.Lock()
-	var reclaim []Key
-	for i := range p.dirty {
-		reclaim = append(reclaim, p.dirty[i].delKeys...)
-	}
-	p.dirty = nil
-	p.dirtyMu.Unlock()
-	p.reclaim(reclaim, 0)
-	for _, ix := range p.oidx {
-		ix.commitAll()
-	}
 }
 
 // reclaim tombstones the index slots of committed deletes (skipping keys
@@ -262,19 +220,13 @@ func (p *Partition) reclaim(keys []Key, epoch uint64) {
 // orphan them from a subsequent revert of the new epoch and leave zombie
 // versions the Thomas write rule then defends forever. With the dirty
 // set bucketed by epoch this is a constant-time bucket drop: no record
-// is latched at the phase switch.
+// is latched at the phase switch. Epoch ^uint64(0) commits every epoch.
 func (p *Partition) CommitEpochBefore(epoch uint64) {
 	p.dirtyMu.Lock()
 	var reclaim []Key
-	keep := p.dirty[:0]
-	for i := range p.dirty {
-		if p.dirty[i].epoch >= epoch {
-			keep = append(keep, p.dirty[i])
-			continue
-		}
-		reclaim = append(reclaim, p.dirty[i].delKeys...)
+	for _, b := range p.dirty.before(epoch) {
+		reclaim = append(reclaim, b.v.delKeys...)
 	}
-	p.dirty = keep
 	p.dirtyMu.Unlock()
 	p.reclaim(reclaim, epoch)
 	for _, ix := range p.oidx {

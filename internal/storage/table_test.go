@@ -152,6 +152,49 @@ func TestSecondaryIndexMaintainedOnInsert(t *testing.T) {
 	}
 }
 
+// TestIndexEntryFollowsAnUpdate moves a present record's indexed value,
+// by a row image and by a field op: the entry moves with it, a fence
+// reader at the writing epoch still finds the old entry, and reverting
+// the epoch puts it back.
+func TestIndexEntryFollowsAnUpdate(t *testing.T) {
+	_, tbl := newTestDB(t, 1, nil)
+	id := tbl.AddIndex(byDataSpec())
+	s := tbl.Schema()
+	row := func(name string) []byte {
+		r := s.NewRow()
+		s.SetBytes(r, 3, []byte(name))
+		return r
+	}
+	lookup := func(name string, at uint64) int {
+		return len(tbl.IndexLookup(0, id, []byte(name), at, nil))
+	}
+	land := func(epoch, seq uint64, w Write) {
+		if ok, err := tbl.LandThomas(0, K1(1), epoch, MakeTID(epoch, seq), w, nil); !ok || err != nil {
+			t.Fatalf("epoch %d: landed %v, %v", epoch, ok, err)
+		}
+	}
+	tbl.Insert(0, K1(1), 1, MakeTID(1, 1), row("SMITH"))
+	tbl.Partition(0).CommitEpochBefore(2)
+
+	land(2, 1, Write{Kind: WriteRow, Row: row("JONES")})
+	if lookup("SMITH", IndexAllEpochs) != 0 || lookup("JONES", IndexAllEpochs) != 1 {
+		t.Fatal("the entry did not follow the row image")
+	}
+	if lookup("SMITH", 2) != 1 || lookup("JONES", 2) != 0 {
+		t.Fatal("a fence reader at epoch 2 does not see the entry as of its fence")
+	}
+	tbl.Partition(0).RevertEpoch(2)
+	if lookup("SMITH", IndexAllEpochs) != 1 || lookup("JONES", IndexAllEpochs) != 0 {
+		t.Fatal("the revert did not restore the old entry")
+	}
+
+	land(3, 1, Write{Kind: WriteOps, Ops: []FieldOp{PrependOp(3, []byte("X"))}})
+	tbl.Partition(0).CommitEpochBefore(4)
+	if lookup("SMITH", 4) != 0 || lookup("XSMITH", 4) != 1 || tbl.Partition(0).Index(id).Len() != 1 {
+		t.Fatal("the entry did not follow the field op")
+	}
+}
+
 // TestDeleteRevertReinsertRoundTrip walks one key through the full
 // delete lifecycle — delete in a failed epoch (reverted), delete in a
 // committed epoch (reclaimed at the fence), re-insert under a new value

@@ -83,6 +83,22 @@ func (d *Dir) Live() (checkpoint string, segments []string, err error) {
 	return checkpoint, segments, err
 }
 
+// Revert makes every logger's entries of epoch, written so far, void:
+// each writes its open frame, then a revert mark, which Recover honours,
+// and flushes. The epoch's retry logs what it redoes behind the mark,
+// and the epoch mark it then earns covers only that.
+func (d *Dir) Revert(epoch uint64) error {
+	for _, l := range d.logs {
+		if err := l.appendMark(revertSender, epoch); err != nil {
+			return err
+		}
+		if err := l.Flush(false); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Bytes is what the node's loggers have written, across rotations.
 func (d *Dir) Bytes() int64 {
 	var n int64
@@ -113,6 +129,18 @@ func (d *Dir) names() ([]string, error) {
 		}
 	}
 	return out, err
+}
+
+// streamOf names the logger that wrote the log file at path — the path
+// of its segment 0 — and the file's segment number: segment k > 0 of
+// R.log is R.log.k.
+func streamOf(path string) (stream string, seg int) {
+	if i := strings.LastIndex(path, ".log."); i >= 0 {
+		if k, err := strconv.Atoi(path[i+len(".log."):]); err == nil && k > 0 {
+			return path[:i+len(".log")], k
+		}
+	}
+	return path, 0
 }
 
 // segment parses name as one of the node's log segments: R.log or

@@ -14,11 +14,13 @@
 // logger writes a frame at every Flush, and once 64 KiB of entries are
 // pending, so neither a log nor a checkpoint is ever held whole in
 // memory. Its entries are value entries — rows and tombstones, never
-// operations — stamped with the first entry's epoch. An epoch mark is an
-// envelope with no entries; its Epoch is the mark. A checkpoint starts
-// with the mark of the epoch in flight when its scan began. What a
-// node's files in a log directory are called, and which of them are
-// live, is Dir's (dir.go).
+// operations — stamped with the first entry's epoch. A mark is an
+// envelope with no entries: from sender 0 it is an epoch mark, whose
+// Epoch is durable; from sender 1 a revert mark, behind which the
+// logger's entries of its Epoch were reverted. A checkpoint starts with
+// the mark of the epoch in flight when its scan began. What a node's
+// files in a log directory are called, and which of them are live, is
+// Dir's (dir.go).
 package wal
 
 import (
@@ -50,9 +52,11 @@ const (
 	// maxFrame bounds a frame's length on read: a logger's frames stay
 	// under frameBytes plus one row, so a longer claim is a torn tail.
 	maxFrame = 1 << 20
-	// maxMarkLen bounds a mark's body: sender 0, an epoch of at most ten
-	// bytes and a zero count. A longer frame holds entries.
+	// maxMarkLen bounds a mark's body: sender 0 or 1, an epoch of at most
+	// ten bytes and a zero count. A longer frame holds entries.
 	maxMarkLen = 1 + binary.MaxVarintLen64 + 1
+	// revertSender is the sender of a revert mark.
+	revertSender = 1
 )
 
 // Logger writes entries as envelope frames. One logger per worker
@@ -143,17 +147,17 @@ func (l *Logger) seal() error {
 	if l.n == 0 {
 		return nil
 	}
-	err := l.writeFrame(l.epoch, l.n)
+	err := l.writeFrame(0, l.epoch, l.n)
 	l.buf, l.n = l.buf[:headRoom], 0
 	return err
 }
 
-// writeFrame puts the envelope header for n entries, then the frame
-// header, in front of the entries in buf and hands the frame to the
-// writer.
-func (l *Logger) writeFrame(epoch uint64, n int) error {
+// writeFrame puts the envelope header for n entries from sender, then
+// the frame header, in front of the entries in buf and hands the frame
+// to the writer.
+func (l *Logger) writeFrame(sender int, epoch uint64, n int) error {
 	var hdr [headRoom - frameHeader]byte
-	h := replication.AppendBatchHeader(hdr[:0], 0, epoch, n)
+	h := replication.AppendBatchHeader(hdr[:0], sender, epoch, n)
 	frame := l.buf[headRoom-len(h)-frameHeader:]
 	copy(frame[frameHeader:], h)
 	body := frame[frameHeader:]
@@ -186,13 +190,16 @@ func (l *Logger) AppendDelete(table storage.TableID, part int32, key storage.Key
 // AppendEpochMark logs a group-commit boundary: every entry of epoch e is
 // durable once the mark for e is. The mark is a frame of its own, behind
 // the entries appended before it.
-func (l *Logger) AppendEpochMark(epoch uint64) error {
+func (l *Logger) AppendEpochMark(epoch uint64) error { return l.appendMark(0, epoch) }
+
+// appendMark writes the open frame, then a mark from sender.
+func (l *Logger) appendMark(sender int, epoch uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.seal(); err != nil {
 		return err
 	}
-	return l.writeFrame(epoch, 0)
+	return l.writeFrame(sender, epoch, 0)
 }
 
 // Flush writes the pending entries as a frame and drains buffers; when
@@ -313,22 +320,43 @@ func WriteCheckpoint(db *storage.DB, path string, epochStart uint64) (int64, err
 // MaxDurableEpoch scans log files for the largest epoch mark: the last
 // group commit known durable.
 func MaxDurableEpoch(paths []string) (uint64, error) {
-	var top uint64
+	durable, _, err := readMarks(paths)
+	return durable, err
+}
+
+// revertKey names one logger's (streamOf's) revert marks of one epoch.
+type revertKey struct {
+	stream string
+	epoch  uint64
+}
+
+// readMarks scans log files for their marks: the largest epoch mark, and
+// where each logger last marked each epoch reverted, as a frame position
+// (segment<<32 | 1 + the frame's index in its segment).
+func readMarks(paths []string) (durable uint64, reverted map[revertKey]int, err error) {
+	reverted = make(map[revertKey]int)
 	for _, p := range paths {
+		stream, seg := streamOf(p)
+		pos := seg << 32
 		err := ReadFrames(p, func(body []byte) error {
-			if len(body) > maxMarkLen {
+			if pos++; len(body) > maxMarkLen {
 				return nil
 			}
-			if b, err := replication.DecodeBatch(body); err == nil && len(b.Entries) == 0 {
-				top = max(top, b.Epoch)
+			b, err := replication.DecodeBatch(body)
+			switch {
+			case err != nil || len(b.Entries) > 0:
+			case b.From == revertSender:
+				reverted[revertKey{stream, b.Epoch}] = pos
+			default:
+				durable = max(durable, b.Epoch)
 			}
 			return nil
 		})
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 	}
-	return top, nil
+	return durable, reverted, nil
 }
 
 // checkpointEpoch reads the mark a checkpoint starts with.
@@ -362,7 +390,9 @@ type recKey struct {
 // is the largest mark in the logs, or the epoch before the checkpoint's
 // mark if that is larger (the checkpointer stamps the epoch in flight);
 // an entry of a later epoch was never group-committed and is discarded,
-// in the checkpoint as in the logs. Returns the durable epoch and the
+// in the checkpoint as in the logs, and so is an entry its logger
+// wrote before a revert mark of its epoch: the epoch's retry wrote again
+// what it redid. Returns the durable epoch and the
 // number of applied writes. A frame that passes its CRC but does not
 // decode, and an operation entry — a log holds row images only — are
 // errors.
@@ -380,7 +410,7 @@ type recKey struct {
 // bucket and the log suffix being cut, so an orphan delete there is
 // indistinguishable from legitimate truncation.
 func Recover(db *storage.DB, checkpoint string, logs []string) (epoch uint64, applied int, err error) {
-	durable, err := MaxDurableEpoch(logs)
+	durable, reverted, err := readMarks(logs)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -433,12 +463,18 @@ func Recover(db *storage.DB, checkpoint string, logs []string) (epoch uint64, ap
 		return err
 	}
 	for _, p := range files {
+		stream, seg := streamOf(p)
+		pos := seg << 32
 		err := ReadFrames(p, func(body []byte) error {
+			pos++
 			b, err := replication.DecodeBatch(body)
 			if err != nil {
 				return fmt.Errorf("wal: %s: %w", p, err)
 			}
 			for i := range b.Entries {
+				if end, ok := reverted[revertKey{stream, storage.TIDEpoch(b.Entries[i].TID)}]; ok && pos < end {
+					continue // its epoch was reverted after it was written
+				}
 				if err := apply(&b.Entries[i]); err != nil {
 					return err
 				}

@@ -438,6 +438,55 @@ func TestRecoverDeleteBeforeInsertAcrossLogs(t *testing.T) {
 	}
 }
 
+// TestRecoverSkipsRevertedAttempt: epoch 3 fails and is retried under
+// the same number. Each logger's entries of the aborted attempt lie
+// before its revert mark — for one logger a checkpoint round moved it to
+// its next segment in between — and the retry's epoch mark must not
+// bring them back. The retry's own entries, behind the mark, recover.
+func TestRecoverSkipsRevertedAttempt(t *testing.T) {
+	d := NewDir(t.TempDir(), 0)
+	a, _ := d.Create("worker0")
+	b, _ := d.Create("worker1")
+	s := schema()
+	write := func(l *Logger, k uint64, v int64, epoch, seq uint64) {
+		row := s.NewRow()
+		s.SetInt64(row, 0, v)
+		l.AppendWrite(0, int32(k%2), storage.K1(k), storage.MakeTID(epoch, seq), false, row)
+	}
+	write(a, 1, 10, 2, 1)
+	a.AppendEpochMark(2)
+	write(a, 2, 66, 3, 1) // the aborted attempt: never redone
+	write(a, 1, 67, 3, 2)
+	write(b, 3, 68, 3, 3)
+	if err := b.rotate(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Revert(3); err != nil {
+		t.Fatal(err)
+	}
+	write(a, 1, 11, 3, 1) // the retry
+	a.AppendEpochMark(3)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, logs, _ := d.Live()
+	if got, err := MaxDurableEpoch(logs); err != nil || got != 3 {
+		t.Fatalf("durable epoch %d err=%v: a revert mark is no epoch mark", got, err)
+	}
+	db := newDB(nil, 1)
+	if _, applied, err := Recover(db, "", logs); err != nil || applied != 2 {
+		t.Fatalf("applied %d err=%v, want the epoch-2 write and the retry's", applied, err)
+	}
+	if v, _ := dbValue(db, 1); v != 11 {
+		t.Fatalf("k1=%d, want the retry's 11", v)
+	}
+	for _, k := range []uint64{2, 3} {
+		if _, ok := dbValue(db, k); ok {
+			t.Fatalf("k%d, written only by the reverted attempt, recovered", k)
+		}
+	}
+}
+
 func TestMaxDurableEpochAcrossWorkers(t *testing.T) {
 	dir := t.TempDir()
 	var paths []string

@@ -27,7 +27,7 @@ func TestOptionCeilings(t *testing.T) {
 		{reflect.TypeOf(client.Config{}), 7},
 		{reflect.TypeOf(tcpnet.Config{}), 9},
 		{reflect.TypeOf(simnet.Config{}), 5},
-		{reflect.TypeOf(baseline.Config{}), 10},
+		{reflect.TypeOf(baseline.Config{}), 9},
 		{reflect.TypeOf(bench.SweepConfig{}), 4},
 	} {
 		if n := c.typ.NumField(); n != c.ceiling {
