@@ -94,6 +94,34 @@ func TestExecOCCAllocBudget(t *testing.T) {
 	}
 }
 
+// TestFullMasterQueueRejectsRequeue: an attempt that aborts past the
+// phase deadline goes back to the master queue through admission, so on
+// a queue the routers have filled it is rejected instead of blocking
+// the worker — one of the queue's only consumers — for good.
+func TestFullMasterQueueRejectsRequeue(t *testing.T) {
+	e, w := newHotPathHarness(16)
+	filler := singleReq(w)
+	for w.n.masterQ.TrySend(filler) {
+	}
+	rejected := e.rejected.Load()
+	// A read of a row past the table aborts every attempt, and deadline 0
+	// has passed at the first.
+	req := txn.NewRequest(e.cfg.Workload.(*ycsb.Workload).ReadTxn([]int{0}, []int{16}), 0)
+	done := make(chan struct{})
+	go func() {
+		w.execOCC(req, msgStartPhase{Phase: SingleMaster, Epoch: 2})
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("execOCC blocked requeueing onto a full master queue")
+	}
+	if got := e.rejected.Load() - rejected; got != 1 {
+		t.Fatalf("requeue onto a full master queue rejected %d requests, want 1", got)
+	}
+}
+
 // BenchmarkExecSerial measures the partitioned-phase commit path:
 // generate-free, steady-state, single-partition YCSB transactions
 // against the real runtime. Run with -benchmem; the acceptance bar is

@@ -198,22 +198,11 @@ func (n *node) handle(m any) {
 		n.tryFinishFence()
 	case msgDefer:
 		n.e.deferred.Inc()
-		// Admission control: when the deferred queue is full the request
-		// is rejected (clients re-submit later); a blocking enqueue here
-		// would wedge the router that the single-master phase depends on.
-		if !n.masterQ.TrySend(msg.Req) {
-			n.e.rejected.Inc()
-		}
+		n.admitDeferred(msg.Req)
 	case ClientReq:
 		r.Compute(CostMsgHandling)
 		n.e.deferred.Inc()
-		// Same admission control as msgDefer, but the shed is explicit:
-		// the originating session gets a busy response instead of a
-		// silent drop, so clients back off instead of timing out.
-		if !n.masterQ.TrySend(msg.Req) {
-			n.e.rejected.Inc()
-			n.respondClient(msg.Req, ClientResp{Status: StatusBusy})
-		}
+		n.admitDeferred(msg.Req)
 	case ClientResp:
 		// Responses routed back to front-door submissions hosted here.
 		n.gate.deliver(msg.Ticket, m.(transport.Message))
@@ -368,6 +357,18 @@ func (n *node) releaseResults() {
 				ClientResp{Ticket: pc.ticket, Status: StatusOK, Token: pc.epoch})
 		}
 		w.pendingClient = w.pendingClient[:0]
+	}
+}
+
+// admitDeferred is admission control, the one way into the master queue: a
+// full queue rejects the request — counted, and a ticketed one answered
+// busy so its client backs off instead of timing out. A blocking enqueue
+// would wedge the router the single-master phase depends on, or a
+// requeueing worker, which is one of the queue's only consumers.
+func (n *node) admitDeferred(req *txn.Request) {
+	if !n.masterQ.TrySend(req) {
+		n.e.rejected.Inc()
+		n.respondClient(req, ClientResp{Status: StatusBusy})
 	}
 }
 
@@ -589,14 +590,21 @@ func (n *node) chargeLog(bytes int) {
 
 // revert rolls the in-flight epoch back after a failure (paper Fig 6),
 // in storage and in the logs (its retry reuses the number), and moves to
-// the post-failure view, whose mastership is derived. A wildcard revert
-// marks no log: the epochs it discards lie past every mark the node
-// wrote, and its log misses the catch-up that follows anyway.
+// the post-failure view, whose mastership is derived. The wildcard
+// revert of a member being readmitted discards every epoch storage holds
+// open — the one in flight and the next, whose entries may have landed —
+// so it marks both: the next phase start marks the epoch in flight
+// durable, which would bring its entries back. (The catch-up that
+// follows is not logged.)
 func (n *node) revert(m msgRevert) {
+	first, last := m.Epoch, m.Epoch
 	if m.Epoch == 0 {
-		n.caughtUp = max(n.caughtUp, n.epoch.Load())
-	} else if n.dir != nil {
-		_ = n.dir.Revert(m.Epoch) // like its marks: a log that fails is lost to recovery
+		cur := n.epoch.Load()
+		n.caughtUp = max(n.caughtUp, cur)
+		first, last = max(cur, 1), cur+1 // 0 is the wildcard, not an epoch
+	}
+	for e := first; n.dir != nil && e <= last; e++ {
+		_ = n.dir.Revert(e) // like its marks: a log that fails is lost to recovery
 	}
 	n.db.RevertEpoch(m.Epoch)
 	for _, w := range n.workers {

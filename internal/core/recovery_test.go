@@ -172,6 +172,57 @@ func TestRevertedEpochStaysOutOfTheLog(t *testing.T) {
 	}
 }
 
+// TestWildcardRevertStaysOutOfTheLog cuts a node off on the full TPC-C
+// mix and readmits it: the wildcard revert discards the epoch it was cut
+// off in, and its next phase start marks that epoch durable. Recovering
+// the node from its own logs must land none of the discarded writes.
+// The catch-up that readmits it is not logged, so the cluster is frozen
+// first: a later delete of a row only the catch-up brought would fail
+// recovery's orphan check.
+func TestWildcardRevertStaysOutOfTheLog(t *testing.T) {
+	s := rt.NewSim()
+	cfg := tpcc.Config{Warehouses: 6, Districts: 2, CustomersPerDistrict: 32, Items: 64}
+	cfg.SetFullMix()
+	wl := tpcc.New(cfg)
+	e := New(Config{RT: s, Nodes: 3, WorkersPerNode: 2, Workload: wl, Iteration: 2 * time.Millisecond, LogDir: t.TempDir(), Seed: 1})
+	s.Run(20 * time.Millisecond)
+	e.FailNode(2)
+	s.Run(s.Now() + 100*time.Millisecond)
+	cut := e.nodes[2].epoch.Load()
+	e.Freeze()
+	e.RequestJoin(2)
+	s.Run(s.Now() + 100*time.Millisecond)
+	s.Stop()
+	if err := e.CloseLogs(); err != nil {
+		t.Fatal(err)
+	}
+	if !e.nodes[0].view.Load().Up(2) || e.nodes[2].epoch.Load() <= cut {
+		t.Fatalf("node 2 was not readmitted past epoch %d", cut)
+	}
+	recovered := wl.BuildDB(6, e.Topology().HoldsMask(2))
+	wl.Load(recovered)
+	if _, _, err := wal.Recover(recovered, "", e.LogFiles(2)); err != nil {
+		t.Fatal(err)
+	}
+	landed := 0
+	for ti := 0; ti < recovered.NumTables(); ti++ {
+		tbl := recovered.Table(storage.TableID(ti))
+		for p := 0; p < 6; p++ {
+			if part := tbl.Partition(p); part != nil {
+				part.Range(func(_ storage.Key, tid uint64, _ []byte) bool {
+					if storage.TIDEpoch(tid) == cut {
+						landed++
+					}
+					return true
+				})
+			}
+		}
+	}
+	if landed > 0 {
+		t.Fatalf("recovery landed %d writes of epoch %d, which the wildcard revert discarded", landed, cut)
+	}
+}
+
 // TestLogFilesCoverEveryWrite checks that the union of a node's worker
 // logs (its own commits) and applier and router logs (replicated commits)
 // contains an entry for every record the live database holds beyond the

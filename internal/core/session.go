@@ -42,11 +42,6 @@ type ClientGate struct {
 	// fence snapshot itself tolerates concurrent appliers, same as the
 	// workers' snapshot path).
 	sctx snapshotCtx
-
-	// skipFreshness disables the token check. Test hook only: the
-	// read-your-own-writes test proves the guarantee by showing stale
-	// reads ARE served with the check off.
-	skipFreshness bool
 }
 
 // pendingTicket is one submitted envelope awaiting its response.
@@ -68,9 +63,6 @@ func newClientGate(n *node) *ClientGate {
 func (g *ClientGate) TryRead(token uint64, req *txn.Request) (ClientResp, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.skipFreshness {
-		token = 0
-	}
 	return g.n.readAtFence(&g.sctx, g.n.epoch.Load(), token, req)
 }
 

@@ -81,9 +81,10 @@ func newSessionHarness(t *testing.T) (*Engine, *ycsb.Workload) {
 //  2. With the token check ON, the replica refuses the session's read
 //     (TryRead falls back to the master) — the session can never
 //     observe the pre-write version.
-//  3. With the token check OFF (the skipFreshness test hook), the very
-//     same read IS served — and returns the stale pre-write bytes,
-//     which is exactly the violation the check exists to prevent.
+//  3. With the token check OFF (the read presented with token 0, which
+//     every fence covers), the very same read IS served — and returns
+//     the stale pre-write bytes, which is exactly the violation the
+//     check exists to prevent.
 //  4. Once the replica applies the write and its fence passes the
 //     token, TryRead serves the read locally and returns the session's
 //     own write.
@@ -127,9 +128,7 @@ func TestSessionTokenReadYourOwnWrites(t *testing.T) {
 	// bytes. This is the read-your-own-writes violation the token
 	// prevents; if the check were removed, this branch is what every
 	// session would observe.
-	g1.skipFreshness = true
-	resp, ok = g1.TryRead(token, txn.NewRequest(stale, 0))
-	g1.skipFreshness = false
+	resp, ok = g1.TryRead(0, txn.NewRequest(stale, 0))
 	if !ok || resp.Status != StatusOK {
 		t.Fatalf("check disabled: read not served: ok=%v resp=%+v", ok, resp)
 	}

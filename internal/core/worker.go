@@ -367,7 +367,7 @@ func (w *worker) execOCC(req *txn.Request, cmd msgStartPhase) {
 		req.Retries++
 		if r.Now() >= cmd.Deadline {
 			// Phase over: requeue so the transaction is not lost.
-			w.n.masterQ.Send(req)
+			w.n.admitDeferred(req)
 			return
 		}
 	}

@@ -165,11 +165,15 @@ type linkState struct {
 	back []held
 }
 
-// Network implements transport.Transport by decorating an inner one.
+// Network implements transport.Transport by decorating an inner one:
+// it writes Send and Dropped and inherits the rest (fail-stop control
+// stays the protocol's own; crash windows are the injected kind). The
+// inner transport is embedded as the interface, so optional interfaces
+// its concrete type implements stay hidden behind the decorator.
 type Network struct {
-	inner transport.Transport
-	r     rt.Runtime
-	plan  Plan
+	transport.Transport
+	r    rt.Runtime
+	plan Plan
 
 	mu    sync.Mutex
 	links map[uint64]*linkState
@@ -198,7 +202,7 @@ const tick = time.Millisecond
 // Wrap decorates inner with the plan's faults. The runtime schedules
 // the holdback ticker (virtual time on rt.Sim keeps it deterministic).
 func Wrap(r rt.Runtime, inner transport.Transport, plan Plan) *Network {
-	n := &Network{inner: inner, r: r, plan: plan, links: map[uint64]*linkState{}}
+	n := &Network{Transport: inner, r: r, plan: plan, links: map[uint64]*linkState{}}
 	if len(plan.Rules) > 0 {
 		// Only reorder/delay need the ticker; drops and partitions do not
 		// hold anything back.
@@ -297,7 +301,7 @@ func (n *Network) Send(src, dst int, class transport.Class, m transport.Message)
 		}
 	}
 	if src == dst || n.healed.Load() {
-		n.inner.Send(src, dst, class, m)
+		n.Transport.Send(src, dst, class, m)
 		return
 	}
 	total := n.total.Add(1)
@@ -338,8 +342,8 @@ func (n *Network) Send(src, dst int, class transport.Class, m transport.Message)
 		case u < ru.Drop+ru.Dup:
 			l.mu.Unlock()
 			n.duplicated.Inc()
-			n.inner.Send(src, dst, class, m)
-			n.inner.Send(src, dst, class, m)
+			n.Transport.Send(src, dst, class, m)
+			n.Transport.Send(src, dst, class, m)
 			return
 		case u < ru.Drop+ru.Dup+ru.Reorder:
 			span := ru.ReorderSpan
@@ -372,9 +376,9 @@ func (n *Network) Send(src, dst int, class transport.Class, m transport.Message)
 	}
 	due := n.takeDueLocked(l, idx)
 	l.mu.Unlock()
-	n.inner.Send(src, dst, class, m)
+	n.Transport.Send(src, dst, class, m)
 	for _, h := range due {
-		n.inner.Send(h.src, h.dst, h.class, h.msg)
+		n.Transport.Send(h.src, h.dst, h.class, h.msg)
 	}
 }
 
@@ -419,7 +423,7 @@ func (n *Network) flushDue() {
 		due := n.takeDueLocked(l, l.idx)
 		l.mu.Unlock()
 		for _, h := range due {
-			n.inner.Send(h.src, h.dst, h.class, h.msg)
+			n.Transport.Send(h.src, h.dst, h.class, h.msg)
 		}
 	}
 }
@@ -438,34 +442,13 @@ func (n *Network) flushAll() {
 		l.back = nil
 		l.mu.Unlock()
 		for _, h := range due {
-			n.inner.Send(h.src, h.dst, h.class, h.msg)
+			n.Transport.Send(h.src, h.dst, h.class, h.msg)
 		}
 	}
 }
 
-// ---- pure delegation ----
-
-// Inbox implements transport.Transport.
-func (n *Network) Inbox(dst int) rt.Chan { return n.inner.Inbox(dst) }
-
-// SetDown implements transport.Transport (forwarded: fail-stop control
-// stays the protocol's own; crash windows are the injected kind).
-func (n *Network) SetDown(node int, down bool) { n.inner.SetDown(node, down) }
-
-// IsDown implements transport.Transport.
-func (n *Network) IsDown(node int) bool { return n.inner.IsDown(node) }
-
-// Bytes implements transport.Transport.
-func (n *Network) Bytes(c transport.Class) int64 { return n.inner.Bytes(c) }
-
-// Messages implements transport.Transport.
-func (n *Network) Messages(c transport.Class) int64 { return n.inner.Messages(c) }
-
-// TotalBytes implements transport.Transport.
-func (n *Network) TotalBytes() int64 { return n.inner.TotalBytes() }
-
 // Dropped implements transport.Transport: the inner transport's
 // fail-stop drops plus everything the plan made vanish.
 func (n *Network) Dropped() int64 {
-	return n.inner.Dropped() + n.dropped.Load() + n.partDrops.Load() + n.crashDrops.Load()
+	return n.Transport.Dropped() + n.dropped.Load() + n.partDrops.Load() + n.crashDrops.Load()
 }

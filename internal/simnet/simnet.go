@@ -15,34 +15,18 @@
 // Locking is per-resource, not global: the enqueue path takes the
 // sender's egress gate and then the link's own lock, so concurrent
 // workers shipping replication batches to different destinations never
-// serialise on a network-wide mutex, and byte/message accounting is
-// lock-free.
+// serialise on a network-wide mutex, and byte/message accounting (the
+// transport.Ledger the network embeds) is lock-free.
 package simnet
 
 import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"star/internal/rt"
 	"star/internal/transport"
-)
-
-// Message aliases the transport message contract: its Size, the frame
-// it would take on a real wire, is what a send is paced and charged by.
-type Message = transport.Message
-
-// Class aliases the transport traffic class.
-type Class = transport.Class
-
-// Traffic classes, re-exported for call-site brevity.
-const (
-	Control     = transport.Control
-	Data        = transport.Data
-	Replication = transport.Replication
-	numClasses  = transport.NumClasses
 )
 
 // Network implements transport.Transport.
@@ -76,7 +60,7 @@ func DefaultConfig(nodes int, seed int64) Config {
 
 type envelope struct {
 	at  time.Duration
-	msg Message
+	msg transport.Message
 }
 
 // link is one src→dst FIFO pipe. Its lock covers only this link's jitter
@@ -98,18 +82,14 @@ type egressGate struct {
 
 // Network is a full mesh of FIFO links plus per-node inboxes.
 type Network struct {
+	transport.Ledger
 	r   rt.Runtime
 	cfg Config
 
 	links  [][]*link
 	egress []egressGate
-	down   []atomic.Bool
 
 	inboxes []rt.Chan
-
-	bytesByClass [numClasses]atomic.Int64
-	msgsByClass  [numClasses]atomic.Int64
-	dropped      atomic.Int64
 }
 
 // inboxCap bounds each node's inbox and each link's queue (backpressure).
@@ -118,11 +98,11 @@ const inboxCap = 1 << 16
 // New builds the network and spawns one deliverer process per link.
 func New(r rt.Runtime, cfg Config) *Network {
 	n := &Network{
+		Ledger:  transport.NewLedger(cfg.Nodes),
 		r:       r,
 		cfg:     cfg,
 		links:   make([][]*link, cfg.Nodes),
 		egress:  make([]egressGate, cfg.Nodes),
-		down:    make([]atomic.Bool, cfg.Nodes),
 		inboxes: make([]rt.Chan, cfg.Nodes),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
@@ -161,8 +141,7 @@ func (n *Network) spawnDeliverer(src, dst int, l *link) {
 			if d := env.at - n.r.Now(); d > 0 {
 				n.r.Sleep(d)
 			}
-			if n.down[src].Load() || n.down[dst].Load() {
-				n.dropped.Add(1)
+			if !n.Passes(src, dst) {
 				continue
 			}
 			n.inboxes[dst].Send(env.msg)
@@ -176,14 +155,12 @@ func (n *Network) Inbox(dst int) rt.Chan { return n.inboxes[dst] }
 // Send ships m from src to dst. Local sends (src==dst) bypass the wire
 // and still preserve FIFO order with respect to other local sends.
 // Send never blocks unless the link queue is full (backpressure).
-func (n *Network) Send(src, dst int, class Class, m Message) {
+func (n *Network) Send(src, dst int, class transport.Class, m transport.Message) {
 	size := m.Size()
-	if n.down[src].Load() || n.down[dst].Load() {
-		n.dropped.Add(1)
+	if !n.Passes(src, dst) {
 		return
 	}
-	n.bytesByClass[class].Add(int64(size))
-	n.msgsByClass[class].Add(1)
+	n.Charge(class, size)
 	if src == dst {
 		n.inboxes[dst].Send(m)
 		return
@@ -216,28 +193,3 @@ func (n *Network) Send(src, dst int, class Class, m Message) {
 	l.mu.Unlock()
 	l.queue.Send(envelope{at: at, msg: m})
 }
-
-// SetDown marks a node failed (true) or healthy (false). Messages to or
-// from a down node are silently dropped, as with a crashed process.
-func (n *Network) SetDown(node int, down bool) { n.down[node].Store(down) }
-
-// IsDown reports the failure flag for node.
-func (n *Network) IsDown(node int) bool { return n.down[node].Load() }
-
-// Bytes returns the bytes sent in the given class.
-func (n *Network) Bytes(c Class) int64 { return n.bytesByClass[c].Load() }
-
-// Messages returns the message count in the given class.
-func (n *Network) Messages(c Class) int64 { return n.msgsByClass[c].Load() }
-
-// TotalBytes returns all bytes sent.
-func (n *Network) TotalBytes() int64 {
-	var t int64
-	for i := range n.bytesByClass {
-		t += n.bytesByClass[i].Load()
-	}
-	return t
-}
-
-// Dropped returns the number of messages dropped due to down nodes.
-func (n *Network) Dropped() int64 { return n.dropped.Load() }

@@ -80,7 +80,7 @@ func TestLatencyApplied(t *testing.T) {
 	s := rt.NewSim()
 	n := New(s, Config{Nodes: 2, Latency: 100 * time.Microsecond})
 	var recvAt time.Duration
-	s.Go("sender", func() { n.Send(0, 1, Data, testMsg{1, 64}) })
+	s.Go("sender", func() { n.Send(0, 1, transport.Data, testMsg{1, 64}) })
 	s.Go("receiver", func() {
 		n.Inbox(1).Recv()
 		recvAt = s.Now()
@@ -98,7 +98,7 @@ func TestPerLinkFIFOWithJitter(t *testing.T) {
 	var got []int
 	s.Go("sender", func() {
 		for i := 0; i < 50; i++ {
-			n.Send(0, 1, Replication, testMsg{i, 32})
+			n.Send(0, 1, transport.Replication, testMsg{i, 32})
 		}
 	})
 	s.Go("receiver", func() {
@@ -122,7 +122,7 @@ func TestBandwidthPacing(t *testing.T) {
 	var last time.Duration
 	s.Go("sender", func() {
 		for i := 0; i < 5; i++ {
-			n.Send(0, 1, Data, testMsg{i, 100 << 10})
+			n.Send(0, 1, transport.Data, testMsg{i, 100 << 10})
 		}
 	})
 	s.Go("receiver", func() {
@@ -145,8 +145,8 @@ func TestEgressSharedAcrossDestinations(t *testing.T) {
 	n := New(s, Config{Nodes: 3, Latency: 0, Bandwidth: 1 << 20})
 	var t1, t2 time.Duration
 	s.Go("sender", func() {
-		n.Send(0, 1, Data, testMsg{1, 512 << 10})
-		n.Send(0, 2, Data, testMsg{2, 512 << 10})
+		n.Send(0, 1, transport.Data, testMsg{1, 512 << 10})
+		n.Send(0, 2, transport.Data, testMsg{2, 512 << 10})
 	})
 	s.Go("r1", func() { n.Inbox(1).Recv(); t1 = s.Now() })
 	s.Go("r2", func() { n.Inbox(2).Recv(); t2 = s.Now() })
@@ -173,7 +173,7 @@ func TestPerLinkFIFOUnderBandwidthAndJitter(t *testing.T) {
 	var got []int
 	s.Go("sender", func() {
 		for i := 0; i < msgs; i++ {
-			n.Send(0, 1, Replication, testMsg{i, 100 + i%700})
+			n.Send(0, 1, transport.Replication, testMsg{i, 100 + i%700})
 		}
 	})
 	s.Go("receiver", func() {

@@ -135,11 +135,11 @@ type link struct {
 
 // Network implements transport.Transport over TCP.
 type Network struct {
+	transport.Ledger
 	r     rt.Runtime
 	cfg   Config
 	ln    net.Listener
 	local []bool
-	down  []atomic.Bool
 
 	inboxes []rt.Chan // nil for remote endpoints
 
@@ -148,9 +148,6 @@ type Network struct {
 	accepted map[net.Conn]struct{}
 	dialed   map[net.Conn]struct{}
 
-	bytesByClass [transport.NumClasses]atomic.Int64
-	msgsByClass  [transport.NumClasses]atomic.Int64
-	dropped      atomic.Int64
 	shed         atomic.Int64
 	decodeErrs   atomic.Int64
 	dialAttempts atomic.Int64
@@ -175,10 +172,10 @@ func New(r rt.Runtime, cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("tcpnet: Config.Local is empty")
 	}
 	n := &Network{
+		Ledger:   transport.NewLedger(len(cfg.Endpoints)),
 		r:        r,
 		cfg:      cfg,
 		local:    make([]bool, len(cfg.Endpoints)),
-		down:     make([]atomic.Bool, len(cfg.Endpoints)),
 		inboxes:  make([]rt.Chan, len(cfg.Endpoints)),
 		links:    map[uint64]*link{},
 		accepted: map[net.Conn]struct{}{},
@@ -243,20 +240,19 @@ func (n *Network) Close() error {
 // here (so the caller may reuse the message's buffers) and enqueue it on
 // the link's writer. Local or remote, a send is charged m.Size().
 func (n *Network) Send(src, dst int, class transport.Class, m transport.Message) {
-	if src < 0 || src >= len(n.down) || dst < 0 || dst >= len(n.down) {
+	if src < 0 || src >= len(n.local) || dst < 0 || dst >= len(n.local) {
 		// Endpoint ids can originate from the wire (e.g. a checksum
 		// request's reply-to); an out-of-range id is a counted drop,
 		// never a panic.
-		n.dropped.Add(1)
+		n.Drop()
 		return
 	}
-	if n.down[src].Load() || n.down[dst].Load() {
-		n.dropped.Add(1)
+	if !n.Passes(src, dst) {
 		return
 	}
 	size := m.Size()
 	if n.local[dst] {
-		n.charge(src, class, size)
+		n.Charge(class, size)
 		n.inboxes[dst].Send(m) // in-process delivery: no encoding
 		return
 	}
@@ -280,21 +276,21 @@ func (n *Network) Send(src, dst int, class transport.Class, m transport.Message)
 		// count×MaxFrame of memory on this link.
 		if l.queued.Load()+int64(len(frame)) > n.cfg.LinkQueueBytes {
 			n.shed.Add(1)
-			n.dropped.Add(1)
+			n.Drop()
 			return
 		}
 		l.inflight.Add(1)
 		select {
 		case l.out <- frame:
 			l.queued.Add(int64(len(frame)))
-			n.charge(src, class, size)
+			n.Charge(class, size)
 		default:
 			l.inflight.Add(-1)
-			n.dropped.Add(1)
+			n.Drop()
 		}
 		return
 	}
-	n.charge(src, class, size)
+	n.Charge(class, size)
 	if class == transport.Control && n.sendDirect(l, frame) {
 		return
 	}
@@ -304,12 +300,6 @@ func (n *Network) Send(src, dst int, class transport.Class, m transport.Message)
 		l.queued.Add(int64(len(frame)))
 	case <-n.stop:
 	}
-}
-
-// charge accounts one accepted send of size bytes.
-func (n *Network) charge(src int, class transport.Class, size int) {
-	n.bytesByClass[class].Add(int64(size))
-	n.msgsByClass[class].Add(1)
 }
 
 // sendDirect writes a control frame on the caller's goroutine when the
@@ -336,7 +326,7 @@ func (n *Network) sendDirect(l *link, frame []byte) bool {
 	// link through the usual dead/revive cycle.
 	n.untrack(l)
 	l.dead.Store(true)
-	n.dropped.Add(1)
+	n.Drop()
 	return true
 }
 
@@ -498,7 +488,7 @@ func (n *Network) runWriter(l *link, dst int) {
 			case frame := <-l.out:
 				l.queued.Add(-int64(len(frame)))
 				if !writeFrame(frame) {
-					n.dropped.Add(1) // the frame died with the stream
+					n.Drop() // the frame died with the stream
 					l.dead.Store(true)
 				}
 			case <-l.kick:
@@ -516,7 +506,7 @@ func (n *Network) runWriter(l *link, dst int) {
 			case frame := <-l.out:
 				l.queued.Add(-int64(len(frame)))
 				l.inflight.Add(-1)
-				n.dropped.Add(1)
+				n.Drop()
 			case <-l.kick:
 				revive()
 			case <-n.stop:
@@ -628,12 +618,11 @@ func (n *Network) runReader(conn net.Conn) {
 			n.decodeErrs.Add(1)
 			continue // misrouted
 		}
-		if fi.Src < 0 || fi.Src >= len(n.down) {
+		if fi.Src < 0 || fi.Src >= len(n.local) {
 			n.decodeErrs.Add(1)
 			continue
 		}
-		if n.down[fi.Src].Load() || n.down[fi.Dst].Load() {
-			n.dropped.Add(1)
+		if !n.Passes(fi.Src, fi.Dst) {
 			continue
 		}
 		select {
@@ -658,33 +647,11 @@ func (n *Network) Inbox(dst int) rt.Chan { return n.inboxes[dst] }
 // connections — the rejoin path relies on fresh dials reaching the
 // restarted process.
 func (n *Network) SetDown(node int, down bool) {
-	n.down[node].Store(down)
+	n.Ledger.SetDown(node, down)
 	if !down {
 		n.bounceLinks(node)
 	}
 }
-
-// IsDown implements transport.Transport.
-func (n *Network) IsDown(node int) bool { return n.down[node].Load() }
-
-// Bytes implements transport.Transport: the frame lengths of the sends
-// this process accepted, local and remote alike (sender side only).
-func (n *Network) Bytes(c transport.Class) int64 { return n.bytesByClass[c].Load() }
-
-// Messages implements transport.Transport.
-func (n *Network) Messages(c transport.Class) int64 { return n.msgsByClass[c].Load() }
-
-// TotalBytes implements transport.Transport.
-func (n *Network) TotalBytes() int64 {
-	var t int64
-	for i := range n.bytesByClass {
-		t += n.bytesByClass[i].Load()
-	}
-	return t
-}
-
-// Dropped implements transport.Transport.
-func (n *Network) Dropped() int64 { return n.dropped.Load() }
 
 // ShedFrames counts frames shed by the dead-link byte cap — the subset
 // of Dropped caused by queue memory pressure rather than the drain loop.

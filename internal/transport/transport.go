@@ -21,9 +21,16 @@
 //     from endpoint n (fail-stop semantics); Dropped counts the drops.
 //   - Accounting counters are monotone while the transport is up and
 //     never reset.
+//
+// The state this contract names — the down flags, the traffic counts
+// and the drop count — is a Ledger, which every implementation embeds.
 package transport
 
-import "star/internal/rt"
+import (
+	"sync/atomic"
+
+	"star/internal/rt"
+)
 
 // Message is anything sent over the network. Size is the length in bytes
 // of the frame the message encodes to (wire/frame.go) — what tcpnet
@@ -77,3 +84,62 @@ type Transport interface {
 	// endpoints.
 	Dropped() int64
 }
+
+// Ledger is the state the contract names, kept once for every
+// implementation: a down flag per endpoint, the per-class bytes and
+// messages of the sends this process accepted (counted on the sending
+// side, local and remote sends alike) and the drop count. Embedding it
+// supplies SetDown, IsDown, Bytes, Messages, TotalBytes and Dropped; an
+// implementation's Send and delivery call Passes, Charge and Drop.
+type Ledger struct {
+	down    []atomic.Bool
+	bytes   [NumClasses]atomic.Int64
+	msgs    [NumClasses]atomic.Int64
+	dropped atomic.Int64
+}
+
+// NewLedger returns the ledger of endpoints 0..endpoints-1, all up.
+func NewLedger(endpoints int) Ledger { return Ledger{down: make([]atomic.Bool, endpoints)} }
+
+// Passes reports whether a message from src to dst may pass: neither
+// end is down. One that may not is counted as a drop.
+func (l *Ledger) Passes(src, dst int) bool {
+	if l.down[src].Load() || l.down[dst].Load() {
+		l.dropped.Add(1)
+		return false
+	}
+	return true
+}
+
+// Charge accounts one accepted send of size bytes in class c.
+func (l *Ledger) Charge(c Class, size int) {
+	l.bytes[c].Add(int64(size))
+	l.msgs[c].Add(1)
+}
+
+// Drop counts one message lost.
+func (l *Ledger) Drop() { l.dropped.Add(1) }
+
+// SetDown marks an endpoint failed (true) or healthy (false).
+func (l *Ledger) SetDown(node int, down bool) { l.down[node].Store(down) }
+
+// IsDown reports the failure flag for an endpoint.
+func (l *Ledger) IsDown(node int) bool { return l.down[node].Load() }
+
+// Bytes returns the bytes sent in class c.
+func (l *Ledger) Bytes(c Class) int64 { return l.bytes[c].Load() }
+
+// Messages returns the message count in class c.
+func (l *Ledger) Messages(c Class) int64 { return l.msgs[c].Load() }
+
+// TotalBytes returns all bytes sent across classes.
+func (l *Ledger) TotalBytes() int64 {
+	var t int64
+	for i := range l.bytes {
+		t += l.bytes[i].Load()
+	}
+	return t
+}
+
+// Dropped returns the number of messages dropped.
+func (l *Ledger) Dropped() int64 { return l.dropped.Load() }
