@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -504,7 +506,7 @@ func (cn *calvinNode) pushReads(ct *calvinTxn) {
 		pushRecord(a.Table, a.Part, a.Key)
 	}
 	m := msgPush{TxnID: ct.id, From: cn.id, Keys: keys, Rows: rows, Idx: idxPushes}
-	for p := range participants {
+	for _, p := range slices.Sorted(maps.Keys(participants)) { // in id order: see callAll
 		if p != cn.id {
 			e.net.Send(cn.id, p, transport.Data, m)
 		}

@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"maps"
+	"slices"
 	"time"
 
 	"star/internal/core"
@@ -13,11 +15,15 @@ import (
 	"star/internal/wire"
 )
 
-// callAll issues one RPC per destination in parallel and collects all
-// responses. Local destinations must be handled by the caller directly.
+// callAll issues one RPC per destination in parallel, in ascending
+// destination order (the simulated network reserves a sender's egress in
+// send order, so any other order makes the schedule differ run to run),
+// and collects all responses. Local destinations must be handled by the
+// caller directly.
 func (p *rpcPort) callAll(net transport.Transport, src, worker int, reqs map[int]*rpcReq) map[int]*rpcResp {
 	bySeq := map[uint64]int{}
-	for dst, req := range reqs {
+	for _, dst := range slices.Sorted(maps.Keys(reqs)) {
+		req := reqs[dst]
 		p.seq++
 		req.Seq = p.seq
 		bySeq[p.seq] = dst

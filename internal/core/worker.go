@@ -438,7 +438,6 @@ func (n *node) readAtFence(c *snapshotCtx, epoch, token uint64, req *txn.Request
 // commitSync implements SYNC STAR: locks are held while every replica
 // acknowledges the writes (§6.1 & Fig 15a).
 func (w *worker) commitSync(req *txn.Request, epoch uint64) bool {
-	e := w.n.e
 	if !occ.LockAndValidate(w.n.db, &w.set, epoch) {
 		return false
 	}
@@ -446,18 +445,19 @@ func (w *worker) commitSync(req *txn.Request, epoch uint64) bool {
 	occ.ApplyWrites(w.n.db, &w.set, epoch, tidv, true)
 
 	entries := replication.ValueEntries(&w.set, tidv)
-	holders := w.n.view.Load().holders
-	perDst := map[int][]replication.Entry{}
+	view := w.n.view.Load()
+	perDst := make([][]replication.Entry, len(view.Member)) // by node id: sent in id order
 	for i := range entries {
-		for _, dst := range holders[entries[i].Part] {
-			if dst != w.n.id {
-				perDst[dst] = append(perDst[dst], entries[i])
-			}
+		for _, dst := range view.holders[entries[i].Part] {
+			perDst[dst] = append(perDst[dst], entries[i])
 		}
 	}
 	w.seq++
 	want := 0
 	for dst, ents := range perDst {
+		if dst == w.n.id || len(ents) == 0 {
+			continue
+		}
 		w.n.tracker.AddSent(dst, int64(len(ents)))
 		var sz replication.EntryCoder
 		sz.Reset(epoch)
@@ -465,7 +465,7 @@ func (w *worker) commitSync(req *txn.Request, epoch uint64) bool {
 			header, payload, raw := sz.Next(&ents[i])
 			w.repl.note(&ents[i], 0, header, payload, raw)
 		}
-		e.net.Send(w.n.id, dst, transport.Replication, syncBatch{
+		w.n.e.net.Send(w.n.id, dst, transport.Replication, syncBatch{
 			Batch:   &msgReplBatch{From: w.n.id, Epoch: epoch, Entries: ents},
 			Worker:  w.idx,
 			Seq:     w.seq,
