@@ -19,7 +19,6 @@ import (
 	"star/internal/simnet"
 	"star/internal/storage"
 	"star/internal/transport"
-	"star/internal/txn"
 	"star/internal/workload"
 )
 
@@ -340,5 +339,3 @@ func newRNG(base int64, node, worker int) *rand.Rand {
 func procName(kind string, node, worker int) string {
 	return fmt.Sprintf("%s-%d-%d", kind, node, worker)
 }
-
-var _ = txn.ErrConflict

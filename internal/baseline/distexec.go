@@ -419,7 +419,7 @@ func (e *Dist) commitOCC(node, wi int, port *rpcPort, set *txn.RWSet, req *txn.R
 	}
 
 	// Round 2 (commit): apply + replicate.
-	tid := genNext(e.tidGen(node, wi), e.ticker.Epoch(), maxTID)
+	tid := e.tidGen(node, wi).Next(e.ticker.Epoch(), maxTID)
 	byOwner := e.participantEntries(set, tid)
 	creqs := map[int]*rpcReq{}
 	for owner, ents := range byOwner {
@@ -524,7 +524,7 @@ func (e *Dist) commitS2PL(node, wi int, port *rpcPort, ctx *distCtx, set *txn.RW
 		}
 		port.callAll(e.net, node, wi, preps)
 	}
-	tid := genNext(e.tidGen(node, wi), e.ticker.Epoch(), set.MaxReadTID())
+	tid := e.tidGen(node, wi).Next(e.ticker.Epoch(), set.MaxReadTID())
 	byOwner := e.participantEntries(set, tid)
 	creqs := map[int]*rpcReq{}
 	for owner := range participants {
@@ -566,8 +566,4 @@ func (e *Dist) finish(node int, req *txn.Request) {
 // tidGen returns the per-worker TID generator.
 func (e *Dist) tidGen(node, wi int) *occ.TIDGen {
 	return &e.tids[node*e.cfg.WorkersPerNode+wi]
-}
-
-func genNext(g *occ.TIDGen, epoch, maxSeen uint64) uint64 {
-	return g.Next(epoch, maxSeen)
 }

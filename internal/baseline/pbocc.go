@@ -13,7 +13,6 @@ import (
 	"star/internal/storage"
 	"star/internal/transport"
 	"star/internal/txn"
-	"star/internal/workload"
 )
 
 // PBOCC is the primary/backup non-partitioned baseline (§7.1.2): a
@@ -304,5 +303,3 @@ func drainNode(cfg Config, n *bnode, in rt.Chan, m msgTickDrain, lat *metrics.Hi
 	n.net.Send(n.id, cfg.tickerID(), transport.Control, msgTickAck{Node: n.id, Epoch: m.Epoch})
 	n.release(cfg.RT.Now(), lat)
 }
-
-var _ = workload.Gen(nil)

@@ -3,7 +3,8 @@
 // relevant engines on the deterministic simulation runtime, and prints
 // the same series the paper plots. Absolute numbers depend on the cost
 // model; the reproduction target is the shape: who wins, by what factor,
-// and where the crossovers sit (see EXPERIMENTS.md).
+// and where the crossovers sit. Every engine run, figure or sweep, goes
+// through Options.run.
 package bench
 
 import (
@@ -93,18 +94,6 @@ func (o Options) netCfg(nodes int) simnet.Config {
 	return cfg
 }
 
-// runSim executes build on a fresh simulation, measures `dur` of virtual
-// time, then returns the engine's stats.
-func runSim(dur time.Duration, build func(s *rt.Sim) func() metrics.Stats) metrics.Stats {
-	s := rt.NewSim()
-	stats := build(s)
-	s.Run(dur)
-	st := stats()
-	st.Duration = s.Now()
-	s.Stop()
-	return st
-}
-
 func (o Options) ycsbWorkload(nodes, crossPct int) workload.Workload {
 	if crossPct < 0 {
 		crossPct = 10 // the paper's YCSB default (§7.1.1)
@@ -151,56 +140,70 @@ func (o Options) tpccFullWorkload(nodes, crossPct int) workload.Workload {
 	return tpcc.New(cfg)
 }
 
-// ---- engine builders ----
+// ---- the engine runner ----
 
-func (o Options) star(nodes int, wl workload.Workload, mod func(*core.Config)) func(*rt.Sim) func() metrics.Stats {
-	return func(s *rt.Sim) func() metrics.Stats {
-		cfg := core.Config{
-			RT: s, Nodes: nodes, WorkersPerNode: o.workers(),
-			Workload: wl, Seed: o.Seed, Transport: simnet.New(s, o.netCfg(nodes)),
+// variant is what a figure varies in an engine run beyond its engine,
+// cluster size and workload. The zero value is the sweep's run: the
+// asynchronous replication + epoch group commit of Figure 11a/b.
+type variant struct {
+	sync bool               // synchronous replication (Figures 11c/d, 12 and 15a)
+	lms  int                // Calvin-x's x (Figure 13); 0 takes the default
+	dur  time.Duration      // measured virtual time; 0 takes o.duration()
+	star func(*core.Config) // STAR's config edits (Figures 14 and 15b, the snapshot comparison)
+}
+
+// run builds engine (one of SweepEngines) on a fresh simulation of nodes
+// nodes, its workload from wl at that size and cross% cross, measures its
+// virtual run time and returns its stats and the cluster size it ran on:
+// PB.OCC always runs as a two-node primary/backup pair holding the whole
+// database.
+func (o Options) run(engine string, nodes int, wl func(nodes, crossPct int) workload.Workload, cross int, v variant) (metrics.Stats, int) {
+	if engine == "PB.OCC" {
+		nodes = 2
+	}
+	s := rt.NewSim()
+	cfg := baseline.Config{
+		RT: s, Nodes: nodes, WorkersPerNode: o.workers(), Workload: wl(nodes, cross),
+		SyncRepl: v.sync, LockManagers: v.lms, Seed: o.Seed, Net: o.netCfg(nodes),
+	}
+	var stats func() metrics.Stats
+	switch engine {
+	case "STAR":
+		c := core.Config{
+			RT: s, Nodes: nodes, WorkersPerNode: cfg.WorkersPerNode, Workload: cfg.Workload,
+			SyncRepl: v.sync, Seed: o.Seed, Transport: simnet.New(s, cfg.Net),
 		}
-		if mod != nil {
-			mod(&cfg)
+		if v.star != nil {
+			v.star(&c)
 		}
-		e := core.New(cfg)
-		return e.Stats
+		stats = core.New(c).Stats
+	case "PB.OCC":
+		stats = baseline.NewPBOCC(cfg).Stats
+	case "Dist.OCC":
+		stats = baseline.NewDist(cfg, baseline.DistOCC).Stats
+	case "Dist.S2PL":
+		stats = baseline.NewDist(cfg, baseline.DistS2PL).Stats
+	case "Calvin":
+		if cfg.LockManagers == 0 {
+			cfg.LockManagers = 4
+			if o.workers() <= 4 {
+				cfg.LockManagers = 2
+			}
+		}
+		stats = baseline.NewCalvin(cfg).Stats
+	default:
+		panic(fmt.Sprintf("bench: unknown engine %q (known: %v)", engine, SweepEngines))
 	}
-}
-
-func (o Options) pbocc(wl workload.Workload, sync bool) func(*rt.Sim) func() metrics.Stats {
-	return func(s *rt.Sim) func() metrics.Stats {
-		e := baseline.NewPBOCC(baseline.Config{
-			RT: s, WorkersPerNode: o.workers(), Workload: wl,
-			SyncRepl: sync, Seed: o.Seed, Net: o.netCfg(2),
-		})
-		return e.Stats
+	dur := v.dur
+	if dur == 0 {
+		dur = o.duration()
 	}
+	s.Run(dur)
+	st := stats()
+	st.Duration = s.Now()
+	s.Stop()
+	return st, nodes
 }
-
-func (o Options) dist(nodes int, wl workload.Workload, proto baseline.Protocol, sync bool) func(*rt.Sim) func() metrics.Stats {
-	return func(s *rt.Sim) func() metrics.Stats {
-		e := baseline.NewDist(baseline.Config{
-			RT: s, Nodes: nodes, WorkersPerNode: o.workers(), Workload: wl,
-			SyncRepl: sync, Seed: o.Seed, Net: o.netCfg(nodes),
-		}, proto)
-		return e.Stats
-	}
-}
-
-func (o Options) calvin(nodes int, wl workload.Workload, lms int) func(*rt.Sim) func() metrics.Stats {
-	return func(s *rt.Sim) func() metrics.Stats {
-		e := baseline.NewCalvin(baseline.Config{
-			RT: s, Nodes: nodes, WorkersPerNode: o.workers(), Workload: wl,
-			LockManagers: lms, Seed: o.Seed, Net: o.netCfg(nodes),
-		})
-		return e.Stats
-	}
-}
-
-// pbWorkload builds the PB. OCC workload: the primary/backup pair holds
-// the whole database, so its partition count is 2 × workers.
-func (o Options) pbYCSB(crossPct int) workload.Workload { return o.ycsbWorkload(2, crossPct) }
-func (o Options) pbTPCC(crossPct int) workload.Workload { return o.tpccWorkload(2, crossPct) }
 
 // crossPoints is the x-axis of the Fig 11/13/15 sweeps.
 func (o Options) crossPoints() []int {
@@ -210,8 +213,9 @@ func (o Options) crossPoints() []int {
 	return []int{0, 10, 20, 40, 60, 80, 100}
 }
 
-// kTxnsPerSec formats throughput in thousands of transactions/second.
-func kTxnsPerSec(st metrics.Stats) float64 { return st.Throughput() / 1000 }
+// kTxnsPerSec is a run's throughput in thousands of transactions per
+// second; it takes run's two results as they come.
+func kTxnsPerSec(st metrics.Stats, _ int) float64 { return st.Throughput() / 1000 }
 
 // ---- Figure 3 and Figure 10: the analytical model ----
 
@@ -275,90 +279,66 @@ func Fig11d(o Options) {
 
 func (o Options) fig11(isYCSB, sync bool) {
 	name, mk := "TPC-C", o.tpccWorkload
-	pbmk := o.pbTPCC
 	if isYCSB {
 		name, mk = "YCSB", o.ycsbWorkload
-		pbmk = o.pbYCSB
 	}
-	mode := "async replication + epoch group commit"
+	mode, engines := "async replication + epoch group commit", []string{"STAR", "PB.OCC", "Dist.OCC", "Dist.S2PL"}
 	if sync {
-		mode = "synchronous replication"
+		mode, engines = "synchronous replication", engines[1:]
 	}
 	o.printf("# Figure 11 (%s, %s): throughput (k txns/s) vs %%cross-partition, 4 nodes\n", name, mode)
-	if sync {
-		o.printf("%-8s %-12s %-12s %-12s\n", "P%", "PB.OCC", "Dist.OCC", "Dist.S2PL")
-	} else {
-		o.printf("%-8s %-12s %-12s %-12s %-12s\n", "P%", "STAR", "PB.OCC", "Dist.OCC", "Dist.S2PL")
-	}
+	o.header("P%", engines)
 	const nodes = 4
 	for _, p := range o.crossPoints() {
-		row := []float64{}
-		if !sync {
-			row = append(row, kTxnsPerSec(runSim(o.duration(), o.star(nodes, mk(nodes, p), nil))))
-		}
-		row = append(row,
-			kTxnsPerSec(runSim(o.duration(), o.pbocc(pbmk(p), sync))),
-			kTxnsPerSec(runSim(o.duration(), o.dist(nodes, mk(nodes, p), baseline.DistOCC, sync))),
-			kTxnsPerSec(runSim(o.duration(), o.dist(nodes, mk(nodes, p), baseline.DistS2PL, sync))),
-		)
 		o.printf("%-8d", p)
-		for _, v := range row {
-			o.printf(" %-12.0f", v)
+		for _, engine := range engines {
+			o.printf(" %-12.0f", kTxnsPerSec(o.run(engine, nodes, mk, p, variant{sync: sync})))
 		}
 		o.printf("\n")
 	}
 }
 
+// header prints a figure's column line: first, then one column per name.
+func (o Options) header(first string, names []string) {
+	o.printf("%-8s", first)
+	for _, n := range names {
+		o.printf(" %-12s", n)
+	}
+	o.printf("\n")
+}
+
 // ---- Figure 12: latency table ----
 
 // Fig12 prints p50/p99 latency (ms) for the sync baselines at P ∈
-// {10,50,90} plus the async group-commit row.
+// {10,50,90} plus the async group-commit rows.
 func Fig12(o Options) {
 	o.printf("# Figure 12: latency ms (p50/p99), 4 nodes\n")
 	o.printf("%-24s %-10s %-16s %-16s\n", "system", "workload", "P=10%", "P=50%/90%...")
-	ps := []int{10, 50, 90}
-	type mkfn struct {
-		label string
-		run   func(p int) metrics.Stats
-	}
 	const nodes = 4
 	for _, wlName := range []string{"YCSB", "TPC-C"} {
 		mk := o.ycsbWorkload
-		pbmk := o.pbYCSB
 		if wlName == "TPC-C" {
 			mk = o.tpccWorkload
-			pbmk = o.pbTPCC
 		}
-		rows := []mkfn{
-			{"PB.OCC (sync)", func(p int) metrics.Stats {
-				return runSim(o.duration(), o.pbocc(pbmk(p), true))
-			}},
-			{"Dist.OCC (sync)", func(p int) metrics.Stats {
-				return runSim(o.duration(), o.dist(nodes, mk(nodes, p), baseline.DistOCC, true))
-			}},
-			{"Dist.S2PL (sync)", func(p int) metrics.Stats {
-				return runSim(o.duration(), o.dist(nodes, mk(nodes, p), baseline.DistS2PL, true))
-			}},
-		}
-		for _, r := range rows {
-			o.printf("%-24s %-10s", r.label, wlName)
-			for _, p := range ps {
-				st := r.run(p)
+		for _, engine := range []string{"PB.OCC", "Dist.OCC", "Dist.S2PL"} {
+			o.printf("%-24s %-10s", engine+" (sync)", wlName)
+			for _, p := range []int{10, 50, 90} {
+				st, _ := o.run(engine, nodes, mk, p, variant{sync: true})
 				o.printf(" %5.2f/%-8.2f", ms(st.Latency.Quantile(.5)), ms(st.Latency.Quantile(.99)))
 			}
 			o.printf("\n")
 		}
 	}
 	// Async rows (latency dominated by the epoch/iteration, §7.2.3).
-	st := runSim(o.duration(), o.star(4, o.ycsbWorkload(4, 10), nil))
-	o.printf("%-24s %-10s %5.2f/%-8.2f (group commit)\n", "STAR", "YCSB",
-		ms(st.Latency.Quantile(.5)), ms(st.Latency.Quantile(.99)))
-	st = runSim(o.duration(), o.pbocc(o.pbYCSB(10), false))
-	o.printf("%-24s %-10s %5.2f/%-8.2f (group commit)\n", "PB.OCC (async)", "YCSB",
-		ms(st.Latency.Quantile(.5)), ms(st.Latency.Quantile(.99)))
-	st = runSim(o.duration(), o.dist(4, o.ycsbWorkload(4, 10), baseline.DistOCC, false))
-	o.printf("%-24s %-10s %5.2f/%-8.2f (group commit)\n", "Dist.OCC (async)", "YCSB",
-		ms(st.Latency.Quantile(.5)), ms(st.Latency.Quantile(.99)))
+	for _, engine := range []string{"STAR", "PB.OCC", "Dist.OCC"} {
+		label := engine + " (async)"
+		if engine == "STAR" {
+			label = engine
+		}
+		st, _ := o.run(engine, nodes, o.ycsbWorkload, 10, variant{})
+		o.printf("%-24s %-10s %5.2f/%-8.2f (group commit)\n", label, "YCSB",
+			ms(st.Latency.Quantile(.5)), ms(st.Latency.Quantile(.99)))
+	}
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -388,9 +368,9 @@ func (o Options) fig13(isYCSB bool) {
 	o.printf("\n")
 	const nodes = 4
 	for _, p := range o.crossPoints() {
-		o.printf("%-8d %-12.0f", p, kTxnsPerSec(runSim(o.duration(), o.star(nodes, mk(nodes, p), nil))))
+		o.printf("%-8d %-12.0f", p, kTxnsPerSec(o.run("STAR", nodes, mk, p, variant{})))
 		for _, x := range lms {
-			o.printf(" %-12.0f", kTxnsPerSec(runSim(o.duration(), o.calvin(nodes, mk(nodes, p), x))))
+			o.printf(" %-12.0f", kTxnsPerSec(o.run("Calvin", nodes, mk, p, variant{lms: x})))
 		}
 		o.printf("\n")
 	}
@@ -412,7 +392,7 @@ func Fig14a(o Options) {
 		if min := 6 * it; dur < min {
 			dur = min
 		}
-		st := runSim(dur, o.star(4, o.ycsbWorkload(4, 10), func(c *core.Config) { c.Iteration = it }))
+		st, _ := o.run("STAR", 4, o.ycsbWorkload, 10, variant{dur: dur, star: func(c *core.Config) { c.Iteration = it }})
 		tput := st.Throughput()
 		if base < 0 {
 			base = tput // 200ms reference, measured first
@@ -436,16 +416,15 @@ func Fig14b(o Options) {
 	}
 	refIter := 200 * time.Millisecond
 	for _, n := range nodesList {
-		wl := o.ycsbWorkload(n, 10)
-		ref := runSim(6*refIter, o.star(n, wl, func(c *core.Config) { c.Iteration = refIter })).Throughput()
+		ref, _ := o.run("STAR", n, o.ycsbWorkload, 10, variant{dur: 6 * refIter, star: func(c *core.Config) { c.Iteration = refIter }})
 		row := []float64{}
 		for _, it := range []time.Duration{10 * time.Millisecond, 20 * time.Millisecond} {
 			dur := o.duration()
 			if min := 6 * it; dur < min {
 				dur = min
 			}
-			tput := runSim(dur, o.star(n, wl, func(c *core.Config) { c.Iteration = it })).Throughput()
-			ovh := 100 * (1 - tput/ref)
+			st, _ := o.run("STAR", n, o.ycsbWorkload, 10, variant{dur: dur, star: func(c *core.Config) { c.Iteration = it }})
+			ovh := 100 * (1 - st.Throughput()/ref.Throughput())
 			if ovh < 0 {
 				ovh = 0
 			}
@@ -467,19 +446,17 @@ func Fig15a(o Options) {
 	o.printf("%-8s %-26s %-26s\n", "P%", "SYNC STAR", "STAR")
 	const nodes = 4
 	for _, p := range o.crossPoints() {
-		wl := func() workload.Workload { return o.tpccWorkload(nodes, p) }
-		sync := runSim(o.duration(), o.star(nodes, wl(), func(c *core.Config) { c.SyncRepl = true }))
-		async := runSim(o.duration(), o.star(nodes, wl(), nil))
-		cell := func(st metrics.Stats) string {
+		cell := func(sync bool) string {
+			st, _ := o.run("STAR", nodes, o.tpccWorkload, p, variant{sync: sync})
 			per := func(key string) float64 {
 				if st.Committed == 0 {
 					return 0
 				}
 				return st.Extra[key] / float64(st.Committed)
 			}
-			return fmt.Sprintf("%.0f [%.0fB / %.0fB]", kTxnsPerSec(st), per("repl_entry_bytes"), per("repl_value_equiv_bytes"))
+			return fmt.Sprintf("%.0f [%.0fB / %.0fB]", st.Throughput()/1000, per("repl_entry_bytes"), per("repl_value_equiv_bytes"))
 		}
-		o.printf("%-8d %-26s %-26s\n", p, cell(sync), cell(async))
+		o.printf("%-8d %-26s %-26s\n", p, cell(true), cell(false))
 	}
 }
 
@@ -489,13 +466,12 @@ func Fig15b(o Options) {
 	o.printf("%-8s %-12s %-16s %-10s\n", "wl", "STAR", "STAR+logging", "overhead")
 	const nodes = 4
 	for _, wlName := range []string{"YCSB", "TPC-C"} {
-		mk := func() workload.Workload {
-			if wlName == "YCSB" {
-				return o.ycsbWorkload(nodes, 10)
-			}
-			return o.tpccWorkload(nodes, -1) // paper default mix
+		mk := o.ycsbWorkload
+		if wlName == "TPC-C" {
+			mk = o.tpccWorkload
 		}
-		plain := runSim(o.duration(), o.star(nodes, mk(), nil)).Throughput()
+		// -1 is each workload's paper default mix.
+		plain, _ := o.run("STAR", nodes, mk, -1, variant{})
 		// A node logs iff it has a log directory: the logged run writes its
 		// recovery logs to a temporary one.
 		dir, err := os.MkdirTemp("", "star-fig15b-")
@@ -503,13 +479,13 @@ func Fig15b(o Options) {
 			o.printf("%-8s log directory: %v\n", wlName, err)
 			continue
 		}
-		logged := runSim(o.duration(), o.star(nodes, mk(), func(c *core.Config) { c.LogDir = dir })).Throughput()
+		logged, _ := o.run("STAR", nodes, mk, -1, variant{star: func(c *core.Config) { c.LogDir = dir }})
 		os.RemoveAll(dir)
-		ovh := 100 * (1 - logged/plain)
+		ovh := 100 * (1 - logged.Throughput()/plain.Throughput())
 		if ovh < 0 {
 			ovh = 0
 		}
-		o.printf("%-8s %-12.0f %-16.0f %-9.1f%%\n", wlName, plain/1000, logged/1000, ovh)
+		o.printf("%-8s %-12.0f %-16.0f %-9.1f%%\n", wlName, plain.Throughput()/1000, logged.Throughput()/1000, ovh)
 	}
 }
 
@@ -527,21 +503,18 @@ func (o Options) fig16(isYCSB bool) {
 		name, mk = "YCSB", o.ycsbWorkload
 	}
 	o.printf("# Figure 16 (%s): scalability, k txns/s\n", name)
-	o.printf("%-8s %-12s %-12s %-12s %-12s\n", "nodes", "STAR", "Dist.OCC", "Dist.S2PL", "Calvin")
+	engines := []string{"STAR", "Dist.OCC", "Dist.S2PL", "Calvin"}
+	o.header("nodes", engines)
 	nodesList := []int{2, 4, 8, 16}
 	if o.Short {
 		nodesList = []int{2, 4, 8}
 	}
-	lm := 4
-	if o.workers() <= 4 {
-		lm = 2
-	}
 	for _, n := range nodesList {
-		o.printf("%-8d %-12.0f %-12.0f %-12.0f %-12.0f\n", n,
-			kTxnsPerSec(runSim(o.duration(), o.star(n, mk(n, -1), nil))),
-			kTxnsPerSec(runSim(o.duration(), o.dist(n, mk(n, -1), baseline.DistOCC, false))),
-			kTxnsPerSec(runSim(o.duration(), o.dist(n, mk(n, -1), baseline.DistS2PL, false))),
-			kTxnsPerSec(runSim(o.duration(), o.calvin(n, mk(n, -1), lm))))
+		o.printf("%-8d", n)
+		for _, engine := range engines {
+			o.printf(" %-12.0f", kTxnsPerSec(o.run(engine, n, mk, -1, variant{})))
+		}
+		o.printf("\n")
 	}
 }
 

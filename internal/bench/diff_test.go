@@ -81,8 +81,8 @@ func TestReadResultsFileRoundTrip(t *testing.T) {
 	}
 }
 
-// The committed baseline bench-diff compares against still loads: the key
-// of the retired batching comparison in it is ignored.
+// The committed baseline `star-bench -baseline` compares against still
+// loads: the key of the retired batching comparison in it is ignored.
 func TestReadResultsFileLoadsCommittedBaseline(t *testing.T) {
 	res, err := ReadResultsFile(filepath.Join("..", "..", "BENCH_results.json"))
 	if err != nil {

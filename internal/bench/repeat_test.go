@@ -5,8 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"star/internal/core"
-	"star/internal/metrics"
+	"star/internal/workload"
 )
 
 // A simulated run is a function of its seed. The simulated network
@@ -18,24 +17,22 @@ import (
 func TestSimulatedRunsRepeat(t *testing.T) {
 	o := Options{Out: io.Discard, Short: true, Duration: 30 * time.Millisecond, Seed: 3}
 	const nodes, cross = 4, 100
-	runs := map[string]func() metrics.Stats{
-		"STAR (sync, TPC-C)": func() metrics.Stats {
-			return runSim(o.duration(), o.star(nodes, o.tpccWorkload(nodes, cross), func(c *core.Config) { c.SyncRepl = true }))
-		},
+	type spec struct {
+		engine string
+		wl     func(nodes, crossPct int) workload.Workload
+		v      variant
 	}
+	runs := []spec{{"STAR", o.tpccWorkload, variant{sync: true}}}
 	for _, engine := range SweepEngines {
-		runs[engine] = func() metrics.Stats {
-			st, _, err := o.runSweepEngine(engine, "ycsb", nodes, cross)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return st
-		}
+		runs = append(runs, spec{engine, o.ycsbWorkload, variant{}})
 	}
-	for name, run := range runs {
-		a, b := toPoint("", name, cross, nodes, run()), toPoint("", name, cross, nodes, run())
-		if a != b {
-			t.Errorf("%s: two runs at one seed differ:\n  %+v\n  %+v", name, a, b)
+	for _, r := range runs {
+		point := func() SweepPoint {
+			st, n := o.run(r.engine, nodes, r.wl, cross, r.v)
+			return toPoint("", r.engine, cross, n, st)
+		}
+		if a, b := point(), point(); a != b {
+			t.Errorf("%s (sync=%v): two runs at one seed differ:\n  %+v\n  %+v", r.engine, r.v.sync, a, b)
 		}
 	}
 }

@@ -6,30 +6,11 @@ import (
 	"os"
 	"slices"
 	"sort"
-	"strings"
 
-	"star/internal/baseline"
 	"star/internal/core"
 	"star/internal/metrics"
 	"star/internal/workload"
 )
-
-// SplitList parses a comma-separated flag value into its non-empty,
-// trimmed elements (nil for an empty string) — the list syntax shared by
-// the star-bench and bench-diff commands.
-func SplitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
 
 // ResultsSchema versions the BENCH_results.json layout so later PRs can
 // evolve it without breaking trajectory tooling.
@@ -147,43 +128,15 @@ func toPoint(wl, engine string, crossPct, nodes int, st metrics.Stats) SweepPoin
 	}
 }
 
-// sweepWorkload builds the named workload for an engine run.
-func (o Options) sweepWorkload(name string, nodes, crossPct int) workload.Workload {
+// sweepWorkload is the named workload's constructor.
+func (o Options) sweepWorkload(name string) func(nodes, crossPct int) workload.Workload {
 	switch name {
 	case "ycsb":
-		return o.ycsbWorkload(nodes, crossPct)
+		return o.ycsbWorkload
 	case "tpcc-full":
-		return o.tpccFullWorkload(nodes, crossPct)
-	default:
-		return o.tpccWorkload(nodes, crossPct)
+		return o.tpccFullWorkload
 	}
-}
-
-// runSweepEngine executes one engine at one sweep point, returning the
-// stats and the cluster size actually used (PB.OCC is always a 2-node
-// primary/backup pair). All engines use asynchronous replication +
-// epoch group commit (the paper's Fig 11a/b configuration, which is
-// also STAR's default mode).
-func (o Options) runSweepEngine(engine, wl string, nodes, crossPct int) (metrics.Stats, int, error) {
-	mk := func() workload.Workload { return o.sweepWorkload(wl, nodes, crossPct) }
-	switch engine {
-	case "STAR":
-		return runSim(o.duration(), o.star(nodes, mk(), nil)), nodes, nil
-	case "PB.OCC":
-		// The primary/backup pair holds the whole database (2 nodes).
-		return runSim(o.duration(), o.pbocc(o.sweepWorkload(wl, 2, crossPct), false)), 2, nil
-	case "Dist.OCC":
-		return runSim(o.duration(), o.dist(nodes, mk(), baseline.DistOCC, false)), nodes, nil
-	case "Dist.S2PL":
-		return runSim(o.duration(), o.dist(nodes, mk(), baseline.DistS2PL, false)), nodes, nil
-	case "Calvin":
-		lm := 4
-		if o.workers() <= 4 {
-			lm = 2
-		}
-		return runSim(o.duration(), o.calvin(nodes, mk(), lm)), nodes, nil
-	}
-	return metrics.Stats{}, 0, fmt.Errorf("bench: unknown sweep engine %q (known: %v)", engine, SweepEngines)
+	return o.tpccWorkload
 }
 
 // RunSweep executes the cross-partition sweeps plus, with tpcc-full, the
@@ -218,10 +171,9 @@ func RunSweep(o Options, cfg SweepConfig) (SweepResults, error) {
 	for _, wl := range cfg.Workloads {
 		for _, engine := range cfg.Engines {
 			for _, p := range res.CrossPcts {
-				st, ranNodes, err := o.runSweepEngine(engine, wl, cfg.Nodes, p)
-				if err != nil {
-					return res, err
-				}
+				// All engines run the sweep's asynchronous replication +
+				// epoch group commit (Figure 11a/b, STAR's default mode).
+				st, ranNodes := o.run(engine, cfg.Nodes, o.sweepWorkload(wl), p, variant{})
 				pt := toPoint(wl, engine, p, ranNodes, st)
 				res.Results = append(res.Results, pt)
 				o.printf("# sweep %-5s %-10s P=%-3d  %8.0f txn/s  abort=%.3f  %6.2f msg/txn  %7.0f B/txn\n",
@@ -258,8 +210,7 @@ func (o Options) runSnapshotComparison(nodes int) []SnapshotPoint {
 	for _, wl := range wls {
 		for _, crossPct := range []int{10, 50} {
 			for _, m := range modes {
-				st := runSim(o.duration(), o.star(nodes, wl.mk(nodes, crossPct),
-					func(c *core.Config) { c.SnapshotReads = m.on }))
+				st, _ := o.run("STAR", nodes, wl.mk, crossPct, variant{star: func(c *core.Config) { c.SnapshotReads = m.on }})
 				pt := SnapshotPoint{
 					Workload: wl.name, Mode: m.name, CrossPct: crossPct,
 					Committed:         st.Committed,

@@ -59,7 +59,7 @@ type msgStartPhase struct {
 	// coordinator.lat); workers size the fence-tail flush window from it.
 	Lat time.Duration
 
-	// Scripted-run fields (see RunScripted; zero on ordinary phases).
+	// Scripted-run fields (StartScripted, coordinator.runScript; zero otherwise).
 	// ScriptTxns bounds the partitioned phase by generator steps per
 	// owned partition instead of by Deadline; ScriptDeferred is the
 	// exact number of deferred requests the master must drain in the

@@ -127,8 +127,8 @@ func OpEntries(set *txn.RWSet, tid uint64) []Entry {
 // Batch is the wire envelope carrying coalesced entries from one node to
 // another: the partitioned phase ships one of these per destination per
 // size/epoch flush instead of one message per write. Epoch is the epoch
-// the entries were committed in (0 when the sender predates epochs, e.g.
-// ad-hoc test streams).
+// the entries were committed in; a STAR node refuses an envelope stamped
+// 0 (core's Engine.accepts), so every sender stamps one.
 type Batch struct {
 	From    int
 	Epoch   uint64

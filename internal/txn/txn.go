@@ -104,8 +104,9 @@ type Ctx interface {
 	// engine-defined: execution contexts see current state, the
 	// snapshot-read context sees the last epoch fence, and push-based
 	// deterministic engines serve remote partitions from pushed match
-	// lists. Entries may overshoot (an index is maintained on insert
-	// only), so procedures re-verify liveness by reading the record.
+	// lists. The lookup and a read of a match are separate steps: a
+	// concurrent write can change or delete the row in between, so
+	// procedures re-verify each match by reading the record.
 	LookupIndex(t storage.TableID, part, idx int, val []byte, dst []storage.Key) []storage.Key
 }
 
