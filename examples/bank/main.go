@@ -50,15 +50,17 @@ func (b *bankWorkload) BuildDB(nparts int, holds []bool) *star.DB {
 
 func (b *bankWorkload) Load(db *star.DB) {
 	tbl := db.TableByName("account")
+	row := b.schema.NewRow()
+	b.schema.SetInt64(row, 0, initialBalance)
 	for p := 0; p < b.parts; p++ {
 		if !db.Holds(p) {
 			continue
 		}
+		f := tbl.Fill(p, accountsPerPartition)
 		for i := 0; i < accountsPerPartition; i++ {
-			row := b.schema.NewRow()
-			b.schema.SetInt64(row, 0, initialBalance)
-			tbl.Insert(p, star.K2(uint64(p), uint64(i)), 1, storage.MakeTID(1, uint64(i+1)), row)
+			f.Add(star.K2(uint64(p), uint64(i)), storage.MakeTID(1, uint64(i+1)), row)
 		}
+		f.Done()
 	}
 }
 

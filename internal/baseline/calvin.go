@@ -142,15 +142,8 @@ func NewCalvin(cfg Config) *Calvin {
 	e := &Calvin{cfg: cfg, st: stats{latency: &metrics.Hist{}}}
 	storage.InstallSpinWait(cfg.RT)
 	e.net = simnet.New(cfg.RT, cfg.Net)
-	for i := 0; i < cfg.Nodes; i++ {
-		// One replica group: each node holds only its mastered block.
-		holds := make([]bool, cfg.NumPartitions())
-		for p := range holds {
-			holds[p] = cfg.MasterOf(p) == i
-		}
-		db := cfg.Workload.BuildDB(cfg.NumPartitions(), holds)
-		cfg.Workload.Load(db)
-		db.CommitEpoch()
+	// One replica group: each node holds only its mastered block.
+	for i, db := range cfg.buildDBs(func(i, p int) bool { return cfg.MasterOf(p) == i }) {
 		e.nodes = append(e.nodes, &bnode{id: i, db: db, tracker: replication.NewTracker(cfg.Nodes), net: e.net})
 	}
 	e.start()

@@ -74,9 +74,25 @@ func (c Config) BackupOf(p int) int { return (c.MasterOf(p) + 1) % c.Nodes }
 func (c Config) HoldsMask(node int) []bool {
 	mask := make([]bool, c.NumPartitions())
 	for p := range mask {
-		mask[p] = c.MasterOf(p) == node || c.BackupOf(p) == node
+		mask[p] = c.holds(node, p)
 	}
 	return mask
+}
+
+// holds reports whether node materialises partition p (master or backup).
+func (c Config) holds(node, p int) bool { return c.MasterOf(p) == node || c.BackupOf(p) == node }
+
+// buildDBs builds and fills one committed database per node
+// (workload.BuildDBs); holds says whether a node materialises a partition.
+func (c Config) buildDBs(holds func(node, p int) bool) []*storage.DB {
+	masks := make([][]bool, c.Nodes)
+	for i := range masks {
+		masks[i] = make([]bool, c.NumPartitions())
+		for p := range masks[i] {
+			masks[i][p] = holds(i, p)
+		}
+	}
+	return workload.BuildDBs(c.Workload, c.NumPartitions(), masks)
 }
 
 func (c Config) tickerID() int { return c.Nodes }

@@ -54,10 +54,7 @@ func NewDist(cfg Config, proto Protocol) *Dist {
 	e := &Dist{cfg: cfg, proto: proto, st: stats{latency: &metrics.Hist{}}}
 	storage.InstallSpinWait(cfg.RT)
 	e.net = simnet.New(cfg.RT, cfg.Net)
-	for i := 0; i < cfg.Nodes; i++ {
-		db := cfg.Workload.BuildDB(cfg.NumPartitions(), cfg.HoldsMask(i))
-		cfg.Workload.Load(db)
-		db.CommitEpoch()
+	for i, db := range cfg.buildDBs(cfg.holds) {
 		e.nodes = append(e.nodes, &bnode{id: i, db: db, tracker: replication.NewTracker(cfg.Nodes), net: e.net})
 		e.locks = append(e.locks, lock.NewNoWait())
 	}

@@ -37,10 +37,7 @@ func NewPBOCC(cfg Config) *PBOCC {
 	e := &PBOCC{cfg: cfg, st: stats{latency: &metrics.Hist{}}}
 	storage.InstallSpinWait(cfg.RT)
 	e.net = simnet.New(cfg.RT, cfg.Net)
-	for i := 0; i < 2; i++ {
-		db := cfg.Workload.BuildDB(cfg.NumPartitions(), nil) // both hold everything
-		cfg.Workload.Load(db)
-		db.CommitEpoch()
+	for i, db := range cfg.buildDBs(func(int, int) bool { return true }) { // both hold everything
 		n := &bnode{id: i, db: db, tracker: replication.NewTracker(2), net: e.net}
 		if i == 0 {
 			e.primary = n

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sync/atomic"
 
 	"star/internal/metrics"
@@ -12,6 +13,7 @@ import (
 	"star/internal/storage"
 	"star/internal/transport"
 	"star/internal/wal"
+	"star/internal/workload"
 )
 
 // Engine is one STAR cluster: f full replicas, k partial replicas, a
@@ -97,10 +99,6 @@ func build(cfg Config) *Engine {
 	}
 
 	hostsAll := cfg.LocalNodes == nil
-	local := make(map[int]bool, len(cfg.LocalNodes))
-	for _, id := range cfg.LocalNodes {
-		local[id] = true
-	}
 	// The boot view, shared until the first change: a View is immutable,
 	// and from then on each holder installs what reaches it by message.
 	topo := cfg.Topology()
@@ -108,21 +106,21 @@ func build(cfg Config) *Engine {
 		panic("core: " + err.Error())
 	}
 	view := newView(topo, nil)
-	for i := 0; i < cfg.Nodes; i++ {
-		if !hostsAll && !local[i] {
-			// Remote node: hosted by another process, reachable only
-			// through the transport.
+	// Residency comes from the boot topology: full members hold
+	// everything, partial members their master/secondary stripes, and
+	// dark slots (capacity provisioned for a later join) nothing. A remote
+	// node (another process's, reached through the transport) gets none.
+	holds := make([][]bool, cfg.Nodes)
+	for i := range holds {
+		if hostsAll || slices.Contains(cfg.LocalNodes, i) {
+			holds[i] = view.HoldsMask(i)
+		}
+	}
+	for i, db := range workload.BuildDBs(cfg.Workload, cfg.NumPartitions(), holds) {
+		if db == nil {
 			e.nodes = append(e.nodes, nil)
 			continue
 		}
-		// Residency comes from the boot topology: full members hold
-		// everything, partial members their master/secondary stripes, and
-		// dark slots (capacity provisioned for a later join) nothing —
-		// the workload loader skips partitions a node does not hold.
-		holds := view.HoldsMask(i)
-		db := cfg.Workload.BuildDB(cfg.NumPartitions(), holds)
-		cfg.Workload.Load(db)
-		db.CommitEpoch()
 		n := &node{
 			e:       e,
 			id:      i,

@@ -75,6 +75,37 @@ func (db *DB) AddTable(name string, schema *Schema, replicated bool) *Table {
 	return t
 }
 
+// FillFrom fills partition p of every partitioned table, each never
+// written, with the present rows of src's copy of it (src is a database
+// of the same schema). The rows go in src's slot order into a key index
+// of src's size, so a copy of a partition nothing has deleted from lays
+// its slots out as src does and ranges in src's order.
+func (db *DB) FillFrom(p int, src *DB) {
+	for i, t := range db.tables {
+		if t.replicated {
+			continue
+		}
+		from := src.tables[i].parts[p].idx.Load()
+		f := t.fill(p, len(from.slots), from.live())
+		mask, start := len(from.slots)-1, 0
+		for from.slots[start].Load() != nil { // a slot array is at least 1/4 empty
+			start++
+		}
+		var buf []byte
+		for j := start + 1; j <= start+len(from.slots); j++ {
+			e := from.slots[j&mask].Load()
+			if e == nil || e == idxTombstone {
+				continue
+			}
+			val, tid, present := e.rec.ReadStable(buf)
+			if buf = val; present {
+				f.Add(e.key, tid, val)
+			}
+		}
+		f.Done()
+	}
+}
+
 // Table returns the table with the given id.
 func (db *DB) Table(id TableID) *Table { return db.tables[int(id)] }
 

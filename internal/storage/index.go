@@ -181,15 +181,20 @@ func (t *idxTable) compacted() *idxTable {
 	return t.rebuilt(size)
 }
 
-// insertRehash places an existing entry during a rebuild (plain pointer
-// reuse: entries are immutable).
+// insertRehash places an entry in a table without tombstones: an
+// existing one during a rebuild (plain pointer reuse: entries are
+// immutable), or a Filler's. It panics on a key already placed.
 func (t *idxTable) insertRehash(e *idxEntry) {
 	mask := uint64(len(t.slots) - 1)
 	for i := hashKey(e.key) & mask; ; i = (i + 1) & mask {
-		if t.slots[i].Load() == nil {
+		cur := t.slots[i].Load()
+		if cur == nil {
 			t.used++
 			t.slots[i].Store(e)
 			return
+		}
+		if cur.key == e.key {
+			panic("storage: index insert of present key")
 		}
 	}
 }

@@ -30,10 +30,12 @@ type Write struct {
 }
 
 // Land installs one committed write on r, the record at (part, key),
-// under epoch and tid. It is the only way a write reaches a record, on
-// every path — transaction commit with or without concurrency control,
-// replication apply, snapshot catch-up, log replay — and so the only
-// place that knows what a landed write owes its partition:
+// under epoch and tid. It is the only way a write reaches a published
+// record, on every path — transaction commit with or without concurrency
+// control, replication apply, snapshot catch-up, log replay — and so the
+// only place that knows what a landed write owes its partition. (A
+// workload's Load puts its rows through Table.Fill instead, before the
+// partition is published: nothing is in flight to revert or to read.)
 //
 //   - Saved: the version r held when the epoch first touched it (row, TID
 //     and absent bit), once per epoch. A fence read at that epoch returns
@@ -70,10 +72,13 @@ func (t *Table) Land(part int, key Key, r *Record, epoch, tid uint64, w Write) (
 	if r.savePriorLocked(epoch) {
 		p.markDirty(r, epoch)
 	}
-	var was []byte // the index values the record held (none when absent), then room for its new ones
+	var scratch *[]byte
+	var was, now []byte // the index values the record held (none when absent), then those it holds
 	if len(t.specs) > 0 {
-		was = make([]byte, 0, 64)
-		if !wasAbsent {
+		if scratch, _ = t.scratch.Get().(*[]byte); scratch == nil {
+			scratch = new([]byte)
+		}
+		if was = (*scratch)[:0]; !wasAbsent {
 			was = t.indexValues(key, r.data, was)
 		}
 	}
@@ -91,11 +96,14 @@ func (t *Table) Land(part int, key Key, r *Record, epoch, tid uint64, w Write) (
 	r.tid.Store(word)
 	absent := w.Kind == WriteDelete
 	if len(t.specs) > 0 && !(absent && wasAbsent) {
-		var now []byte
 		if !absent {
 			now = t.indexValues(key, r.data, was[len(was):])
 		}
 		t.moveIndexes(p, key, was, now, epoch)
+	}
+	if scratch != nil {
+		*scratch = append(was, now...)[:0] // keeps room for both lists
+		t.scratch.Put(scratch)
 	}
 	if absent && !wasAbsent {
 		p.markDeleted(key, epoch)

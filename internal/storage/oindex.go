@@ -174,6 +174,24 @@ func (ix *OrderedIndex) Insert(val []byte, pk Key, epoch uint64) {
 		}
 		return
 	}
+	b := ix.pend.at(epoch)
+	*b = append(*b, ix.link(val, pk, epoch, &preds))
+}
+
+// fill publishes (val, pk) as an entry committed before every epoch,
+// with no revert bookkeeping: a Filler's insert into an index nothing
+// else writes yet, whose key is new.
+func (ix *OrderedIndex) fill(val []byte, pk Key) {
+	ix.mu.Lock()
+	var preds [oiMaxHeight]*oiNode
+	ix.findPreds(val, pk, &preds)
+	ix.link(val, pk, 0, &preds)
+	ix.mu.Unlock()
+}
+
+// link publishes a new entry (val, pk) under epoch behind preds and
+// returns it. Caller holds the mutex.
+func (ix *OrderedIndex) link(val []byte, pk Key, epoch uint64, preds *[oiMaxHeight]*oiNode) *oiNode {
 	h := oiHeight(val, pk)
 	n := &oiNode{
 		val:  append([]byte(nil), val...),
@@ -189,8 +207,7 @@ func (ix *OrderedIndex) Insert(val []byte, pk Key, epoch uint64) {
 	for lvl := 0; lvl < h; lvl++ {
 		preds[lvl].next[lvl].Store(n)
 	}
-	b := ix.pend.at(epoch)
-	*b = append(*b, n)
+	return n
 }
 
 // Delete tombstones the live entry (val, pk) under epoch. The entry

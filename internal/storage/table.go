@@ -256,7 +256,9 @@ type IndexSpec struct {
 // ordered secondary indexes. Every write reaches its record through
 // Table.Land (see land.go), which states and keeps the landing contract:
 // prior version saved and registered for revert, indexes moved on an
-// absent ↔ present transition, TID and absent bit stamped.
+// absent ↔ present transition, TID and absent bit stamped. The exception
+// is load time: Table.Fill (fill.go) puts an empty partition's rows in
+// place committed, before the partition is published.
 type Table struct {
 	id     TableID
 	name   string
@@ -268,6 +270,10 @@ type Table struct {
 	replicated bool
 
 	specs []IndexSpec
+	// scratch lends Land a buffer (a *[]byte) to derive index values
+	// into: the extractor is an indirect call, so a buffer of Land's own
+	// would escape and every write to an indexed table would allocate.
+	scratch sync.Pool
 }
 
 // ID returns the table's id.

@@ -9,6 +9,8 @@
 // (land.go), which owns the landing contract — save the pre-epoch
 // version, register it for revert, keep the indexes, stamp the TID word —
 // so the pieces of that contract are not exported to be re-assembled.
+// Load time is the one exception: Table.Fill (fill.go) puts the rows of a
+// partition nothing uses yet in place, committed.
 package storage
 
 import "fmt"

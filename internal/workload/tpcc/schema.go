@@ -398,7 +398,8 @@ func LastName(num int) string {
 	return lastSyllables[num/100] + lastSyllables[(num/10)%10] + lastSyllables[num%10]
 }
 
-// Load implements workload.Workload.
+// Load implements workload.Workload: each table's rows are emitted into
+// its partition's Fill from one scratch row per table, cleared per row.
 func (w *Workload) Load(db *storage.DB) {
 	w.loadItems(db)
 	for wid := 0; wid < db.NumPartitions(); wid++ {
@@ -409,47 +410,48 @@ func (w *Workload) Load(db *storage.DB) {
 }
 
 func (w *Workload) loadItems(db *storage.DB) {
-	tbl := db.Table(TItem)
+	f := db.Table(TItem).Fill(0, w.cfg.Items)
 	rng := rand.New(rand.NewSource(42))
-	buf := make([]byte, 50)
+	row, buf := w.item.NewRow(), make([]byte, 50)
 	for iid := 0; iid < w.cfg.Items; iid++ {
-		row := w.item.NewRow()
+		clear(row)
 		w.item.SetFloat64(row, IPrice, 1+rng.Float64()*99)
 		w.item.SetString(row, IName, fmt.Sprintf("item-%d", iid))
 		rng.Read(buf)
 		w.item.SetBytes(row, IData, buf)
-		tbl.Insert(0, IKey(iid), 1, storage.MakeTID(1, uint64(iid+1)), row)
+		f.Add(IKey(iid), storage.MakeTID(1, uint64(iid+1)), row)
 	}
+	f.Done()
 }
 
 func (w *Workload) loadWarehouse(db *storage.DB, wid int) {
 	rng := rand.New(rand.NewSource(int64(wid) + 1))
 	seq := uint64(1)
 	tid := func() uint64 { seq++; return storage.MakeTID(1, seq) }
+	wf := db.Table(TWarehouse).Fill(wid, 1)
+	df := db.Table(TDistrict).Fill(wid, w.cfg.Districts)
+	cf := db.Table(TCustomer).Fill(wid, w.cfg.Districts*w.cfg.CustomersPerDistrict)
+	sf := db.Table(TStock).Fill(wid, w.cfg.Items)
 
-	wt := db.Table(TWarehouse)
 	row := w.warehouse.NewRow()
 	w.warehouse.SetFloat64(row, WYtd, 300000)
 	w.warehouse.SetFloat64(row, WTax, rng.Float64()*0.2)
 	w.warehouse.SetString(row, WName, fmt.Sprintf("W%d", wid))
-	wt.Insert(wid, WKey(wid), 1, tid(), row)
+	wf.Add(WKey(wid), tid(), row)
 
-	dt := db.Table(TDistrict)
-	ct := db.Table(TCustomer)
-	st := db.Table(TStock)
-
+	drow, crow := w.district.NewRow(), w.customer.NewRow()
 	for did := 0; did < w.cfg.Districts; did++ {
-		drow := w.district.NewRow()
+		clear(drow)
 		w.district.SetUint64(drow, DNextOID, 1)
 		w.district.SetUint64(drow, DNextDelOID, 1) // == next_o_id: nothing undelivered
 		w.district.SetUint64(drow, DTrimOID, 1)    // == next_del_o_id: nothing trimmable
 		w.district.SetFloat64(drow, DYtd, 30000)
 		w.district.SetFloat64(drow, DTax, rng.Float64()*0.2)
 		w.district.SetString(drow, DName, fmt.Sprintf("D%d-%d", wid, did))
-		dt.Insert(wid, DKey(wid, did), 1, tid(), drow)
+		df.Add(DKey(wid, did), tid(), drow)
 
 		for cid := 0; cid < w.cfg.CustomersPerDistrict; cid++ {
-			crow := w.customer.NewRow()
+			clear(crow)
 			w.customer.SetFloat64(crow, CBalance, -10)
 			w.customer.SetFloat64(crow, CYtdPayment, 10)
 			w.customer.SetFloat64(crow, CDiscount, rng.Float64()*0.5)
@@ -465,17 +467,20 @@ func (w *Workload) loadWarehouse(db *storage.DB, wid int) {
 			w.customer.SetString(crow, CLast, last)
 			w.customer.SetString(crow, CFirst, fmt.Sprintf("f%d", cid))
 			w.customer.SetString(crow, CData, "customer since 2019 "+last)
-			ct.Insert(wid, CKey(wid, did, cid), 1, tid(), crow)
+			cf.Add(CKey(wid, did, cid), tid(), crow)
 		}
 	}
 
-	sbuf := make([]byte, 24)
+	srow, sbuf := w.stock.NewRow(), make([]byte, 24)
 	for iid := 0; iid < w.cfg.Items; iid++ {
-		srow := w.stock.NewRow()
+		clear(srow)
 		w.stock.SetInt64(srow, SQuantity, int64(10+rng.Intn(91)))
 		rng.Read(sbuf)
 		w.stock.SetBytes(srow, SDist, sbuf)
 		w.stock.SetString(srow, SData, "stockdata")
-		st.Insert(wid, SKey(wid, iid), 1, tid(), srow)
+		sf.Add(SKey(wid, iid), tid(), srow)
+	}
+	for _, f := range []*storage.Filler{wf, df, cf, sf} {
+		f.Done()
 	}
 }

@@ -1,6 +1,8 @@
 package tpcc
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -662,5 +664,30 @@ func TestKeyPackingNoCollisions(t *testing.T) {
 	}
 	if HKey(1, 3, 9) == HKey(1, 3, 10) || HKey(1, 3, 9) == HKey(1, 4, 9) {
 		t.Fatal("history key collision")
+	}
+}
+
+// TestLoadChecksumsPinned holds Load's generated data to fixed checksums
+// — each warehouse's rows and index entries, and the replicated item
+// table's rows: an edit to the row emitters that changes a row, a key or
+// a TID fails here rather than silently shifting every benchmark's data.
+func TestLoadChecksumsPinned(t *testing.T) {
+	_, db := loadSmall(t)
+	want := []uint64{0x7c6d148512867295, 0x2e4d1fe6c1b3d0ae, 0x6554d09970ab0773, 0x1c6742e69c060178}
+	for p, sum := range want {
+		if got := db.PartitionChecksum(p); got != sum {
+			t.Errorf("warehouse %d: checksum %#x, want %#x", p, got, sum)
+		}
+	}
+	var items uint64 // order-independent, as PartitionChecksum is
+	db.Table(TItem).Partition(0).Range(func(key storage.Key, tid uint64, val []byte) bool {
+		h := fnv.New64a()
+		h.Write(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, key.Lo), tid))
+		h.Write(val)
+		items += h.Sum64()
+		return true
+	})
+	if got, sum := items, uint64(0x8ed4ea5896e0836f); got != sum {
+		t.Errorf("item table: checksum %#x, want %#x", got, sum)
 	}
 }

@@ -15,8 +15,9 @@ type Workload interface {
 	// BuildDB creates the schema for a node holding the given partitions
 	// (nil holds = full replica).
 	BuildDB(nparts int, holds []bool) *storage.DB
-	// Load deterministically populates the partitions the node holds;
-	// replicas of a partition load byte-identical data.
+	// Load deterministically populates the partitions the node holds —
+	// each one never written, emitted through Table.Fill — and the
+	// replicated tables; replicas of a partition load byte-identical data.
 	Load(db *storage.DB)
 	// NewGen returns a transaction generator. Generators with the same
 	// seed produce the same sequence (Calvin replays inputs).
@@ -32,4 +33,36 @@ type Gen interface {
 	Single(home int) txn.Procedure
 	// Cross returns a cross-partition transaction homed at `home`.
 	Cross(home int) txn.Procedure
+}
+
+// BuildDBs builds and fills one committed database per node: holds[i] is
+// node i's residency mask, and a nil mask builds none. Each partition is
+// generated by Load for the first node that holds it and copied into
+// every later holder (storage.DB.FillFrom), so a cluster build generates
+// each partition once and its replicas are identical, slot for slot.
+func BuildDBs(w Workload, nparts int, holds [][]bool) []*storage.DB {
+	dbs := make([]*storage.DB, len(holds))
+	first := make([]*storage.DB, nparts)
+	for i, mask := range holds {
+		if mask == nil {
+			continue
+		}
+		gen := make([]bool, nparts)
+		for p, h := range mask {
+			gen[p] = h && first[p] == nil
+		}
+		db := w.BuildDB(nparts, gen)
+		w.Load(db)
+		for p, h := range mask {
+			if gen[p] {
+				first[p] = db
+			} else if h {
+				db.SetHolds(p, true)
+				db.FillFrom(p, first[p])
+			}
+		}
+		db.CommitEpoch()
+		dbs[i] = db
+	}
+	return dbs
 }

@@ -104,20 +104,21 @@ func (w *Workload) Key(p, i int) storage.Key {
 // Load implements workload.Workload: deterministic per-partition fill.
 func (w *Workload) Load(db *storage.DB) {
 	tbl := db.Table(TableID)
+	row, buf := w.schema.NewRow(), make([]byte, w.cfg.FieldSize)
 	for p := 0; p < db.NumPartitions(); p++ {
 		if !db.Holds(p) {
 			continue
 		}
 		rng := rand.New(rand.NewSource(int64(p) + 1))
-		buf := make([]byte, w.cfg.FieldSize)
+		f := tbl.Fill(p, w.cfg.RecordsPerPartition)
 		for i := 0; i < w.cfg.RecordsPerPartition; i++ {
-			row := w.schema.NewRow()
 			for c := 0; c < w.cfg.Columns; c++ {
 				rng.Read(buf)
 				w.schema.SetBytes(row, c, buf)
 			}
-			tbl.Insert(p, w.Key(p, i), 1, storage.MakeTID(1, uint64(i+1)), row)
+			f.Add(w.Key(p, i), storage.MakeTID(1, uint64(i+1)), row)
 		}
+		f.Done()
 	}
 }
 

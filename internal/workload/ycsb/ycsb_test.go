@@ -167,3 +167,18 @@ func TestRowSizeMatchesPaper(t *testing.T) {
 		t.Fatalf("row size %d", got)
 	}
 }
+
+// TestLoadChecksumsPinned holds Load's generated data to fixed partition
+// checksums: an edit to the row emitter that changes a row, a key or a
+// TID fails here rather than silently shifting every benchmark's data.
+func TestLoadChecksumsPinned(t *testing.T) {
+	w := small()
+	db := w.BuildDB(4, nil)
+	w.Load(db)
+	want := []uint64{0xbaaec9d33eab66cc, 0x53872aa52096614, 0xc2323896bf6eb884, 0x632ae129ef991f24}
+	for p, sum := range want {
+		if got := db.PartitionChecksum(p); got != sum {
+			t.Errorf("partition %d: checksum %#x, want %#x", p, got, sum)
+		}
+	}
+}
