@@ -216,7 +216,7 @@ func TestCalvinCommitsAndIsDeterministic(t *testing.T) {
 		s := rt.NewSim()
 		wl := ycsbWL(2, 3, 30)
 		cfg := Config{RT: s, Nodes: 2, WorkersPerNode: 3, Workload: wl,
-			LockManagers: 1, BatchSize: 100, Seed: 5}
+			LockManagers: 1, Seed: 5}
 		e := NewCalvin(cfg)
 		s.Run(40 * time.Millisecond)
 		e.Freeze()
@@ -249,7 +249,7 @@ func TestCalvinLockManagerConfigs(t *testing.T) {
 		s := rt.NewSim()
 		wl := ycsbWL(2, 3, 20)
 		cfg := Config{RT: s, Nodes: 2, WorkersPerNode: 3, Workload: wl,
-			LockManagers: x, BatchSize: 80, Seed: 6}
+			LockManagers: x, Seed: 6}
 		e := NewCalvin(cfg)
 		s.Run(40 * time.Millisecond)
 		if e.Stats().Committed == 0 {
@@ -268,7 +268,7 @@ func TestCalvinTPCC(t *testing.T) {
 		Items:                64,
 	})
 	cfg := Config{RT: s, Nodes: 2, WorkersPerNode: 3, Workload: wl,
-		LockManagers: 1, BatchSize: 60, Seed: 7}
+		LockManagers: 1, Seed: 7}
 	e := NewCalvin(cfg)
 	s.Run(60 * time.Millisecond)
 	st := e.Stats()

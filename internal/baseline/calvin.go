@@ -127,18 +127,23 @@ type lmRelease struct {
 	names []lock.Name
 }
 
-// NewCalvin builds and starts the deterministic cluster.
+// batchPerWorker sizes the sequencer's batch: each node contributes
+// batchPerWorker transactions per worker to every batch.
+const batchPerWorker = 300
+
+// NewCalvin builds and starts the deterministic cluster. LockManagers 0
+// runs Calvin-4 on nodes of more than four workers and Calvin-2 on
+// smaller ones; any x is held to [1, WorkersPerNode-1], so one execution
+// thread is always left.
 func NewCalvin(cfg Config) *Calvin {
 	cfg = cfg.withDefaults()
-	if cfg.LockManagers >= cfg.WorkersPerNode {
-		cfg.LockManagers = cfg.WorkersPerNode - 1
+	if cfg.LockManagers == 0 {
+		cfg.LockManagers = 2
+		if cfg.WorkersPerNode > 4 {
+			cfg.LockManagers = 4
+		}
 	}
-	if cfg.LockManagers < 1 {
-		cfg.LockManagers = 1
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = 300 * cfg.WorkersPerNode
-	}
+	cfg.LockManagers = max(min(cfg.LockManagers, cfg.WorkersPerNode-1), 1)
 	e := &Calvin{cfg: cfg, st: stats{latency: &metrics.Hist{}}}
 	storage.InstallSpinWait(cfg.RT)
 	e.net = simnet.New(cfg.RT, cfg.Net)
@@ -184,7 +189,7 @@ func (e *Calvin) sequencerLoop() {
 	in := e.net.Inbox(e.cfg.tickerID())
 	gens := make([]workload.Gen, e.cfg.Nodes)
 	for i := range gens {
-		gens[i] = e.cfg.Workload.NewGen(workerSeed(e.cfg.Seed, i, 99))
+		gens[i] = e.cfg.Workload.NewGen(workload.WorkerSeed(e.cfg.Seed, i, 99))
 	}
 	for {
 		if e.st.pause(r) {
@@ -195,7 +200,7 @@ func (e *Calvin) sequencerLoop() {
 		var txns []*txn.Request
 		now := int64(r.Now())
 		for node := 0; node < e.cfg.Nodes; node++ {
-			for k := 0; k < e.cfg.BatchSize; k++ {
+			for k := 0; k < batchPerWorker*e.cfg.WorkersPerNode; k++ {
 				home := node*e.cfg.WorkersPerNode + k%e.cfg.WorkersPerNode
 				req := txn.NewRequest(gens[node].Mixed(home), now)
 				txns = append(txns, req)
@@ -417,7 +422,7 @@ func (cn *calvinNode) workerLoop(_ int) {
 			}
 		}
 		set.Reset()
-		ctx := &calvinCtx{cn: cn, ct: ct, set: &set}
+		ctx := &calvinCtx{cn: cn, ct: ct, Writer: txn.Writer{Set: &set}}
 		err := ct.req.Proc.Run(ctx)
 		r.Compute(core.ExecCost(ctx.counts()))
 		tid := storage.MakeTID(ct.batchNo, ct.seq)
@@ -523,14 +528,13 @@ func (cn *calvinNode) releaseLocks(ct *calvinTxn) {
 // calvinCtx reads local partitions directly and remote partitions from
 // the pushed values; writes buffer as usual but only local ones apply.
 type calvinCtx struct {
-	cn     *calvinNode
-	ct     *calvinTxn
-	set    *txn.RWSet
-	reads  int
-	writes int
+	txn.Writer
+	cn    *calvinNode
+	ct    *calvinTxn
+	reads int
 }
 
-func (c *calvinCtx) counts() (int, int) { return c.reads, c.writes }
+func (c *calvinCtx) counts() (int, int) { return c.reads, c.Writes }
 
 func (c *calvinCtx) Read(t storage.TableID, part int, key storage.Key) ([]byte, bool) {
 	c.reads++
@@ -546,21 +550,6 @@ func (c *calvinCtx) Read(t storage.TableID, part int, key storage.Key) ([]byte, 
 	}
 	row, ok := c.ct.remote[remoteKey{Table: t, Part: part, Key: key}]
 	return row, ok
-}
-
-func (c *calvinCtx) Write(t storage.TableID, part int, key storage.Key, ops ...storage.FieldOp) {
-	c.writes++
-	c.set.AddWrite(t, part, key, ops...)
-}
-
-func (c *calvinCtx) Insert(t storage.TableID, part int, key storage.Key, row []byte) {
-	c.writes++
-	c.set.AddInsert(t, part, key, row)
-}
-
-func (c *calvinCtx) Delete(t storage.TableID, part int, key storage.Key) {
-	c.writes++
-	c.set.AddDelete(t, part, key)
 }
 
 // LookupIndex resolves locally for partitions this node masters and from

@@ -8,7 +8,6 @@ package baseline
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,10 +38,9 @@ type Config struct {
 	// epoch-based group commit every groupCommitEvery.
 	SyncRepl bool
 
-	// LockManagers is Calvin-x's x (ignored by other engines).
+	// LockManagers is Calvin-x's x (0 = NewCalvin's default; ignored by
+	// other engines).
 	LockManagers int
-	// BatchSize is Calvin's per-node sequencer batch (0 = auto).
-	BatchSize int
 
 	Seed int64
 }
@@ -50,9 +48,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.WorkersPerNode == 0 {
 		c.WorkersPerNode = 4
-	}
-	if c.LockManagers == 0 {
-		c.LockManagers = 2
 	}
 	if c.Net.Nodes == 0 {
 		c.Net = simnet.DefaultConfig(c.Nodes+1, c.Seed) // +1 endpoint for the sequencer/ticker
@@ -341,15 +336,6 @@ func (p *rpcPort) call(net transport.Transport, src, dst, worker int, kind rpcKi
 			return resp
 		}
 	}
-}
-
-// workerSeed derives a deterministic per-worker seed.
-func workerSeed(base int64, node, worker int) int64 {
-	return base*1_000_003 + int64(node)*257 + int64(worker) + 1
-}
-
-func newRNG(base int64, node, worker int) *rand.Rand {
-	return rand.New(rand.NewSource(workerSeed(base, node, worker) ^ 0x5eed))
 }
 
 func procName(kind string, node, worker int) string {

@@ -13,6 +13,7 @@ import (
 	"star/internal/transport"
 	"star/internal/txn"
 	"star/internal/wire"
+	"star/internal/workload"
 )
 
 // callAll issues one RPC per destination in parallel, in ascending
@@ -199,13 +200,12 @@ func (e *Dist) doAbort(node int, p *abortPayload) {
 
 // distCtx serves procedure reads/writes for both distributed protocols.
 type distCtx struct {
+	txn.Writer
 	e      *Dist
 	node   int
 	wi     int
 	port   *rpcPort
-	set    *txn.RWSet
 	reads  int
-	writes int
 	failed bool
 
 	// S2PL state
@@ -215,7 +215,7 @@ type distCtx struct {
 	held      map[int][]lock.Name // participant → lock names held
 }
 
-func (c *distCtx) counts() (int, int) { return c.reads, c.writes }
+func (c *distCtx) counts() (int, int) { return c.reads, c.Writes }
 
 func (c *distCtx) Read(t storage.TableID, part int, key storage.Key) ([]byte, bool) {
 	c.reads++
@@ -251,7 +251,7 @@ func (c *distCtx) Read(t storage.TableID, part int, key storage.Key) ([]byte, bo
 			return nil, false // row missing: skippable, not an abort
 		}
 		c.held[owner] = append(c.held[owner], nm)
-		c.set.AddRead(t, part, key, nil, rep.TID)
+		c.Set.AddRead(t, part, key, nil, rep.TID)
 		return rep.Row, true
 	}
 	// OCC: plain read; remote reads are an RPC round trip (§7.2.2).
@@ -273,23 +273,8 @@ func (c *distCtx) Read(t storage.TableID, part int, key storage.Key) ([]byte, bo
 	if rep.Absent {
 		return nil, false // row missing: skippable, not an abort
 	}
-	c.set.AddRead(t, part, key, nil, rep.TID)
+	c.Set.AddRead(t, part, key, nil, rep.TID)
 	return rep.Row, true
-}
-
-func (c *distCtx) Write(t storage.TableID, part int, key storage.Key, ops ...storage.FieldOp) {
-	c.writes++
-	c.set.AddWrite(t, part, key, ops...)
-}
-
-func (c *distCtx) Insert(t storage.TableID, part int, key storage.Key, row []byte) {
-	c.writes++
-	c.set.AddInsert(t, part, key, row)
-}
-
-func (c *distCtx) Delete(t storage.TableID, part int, key storage.Key) {
-	c.writes++
-	c.set.AddDelete(t, part, key)
 }
 
 // LookupIndex resolves a secondary-index lookup: locally when this node
@@ -327,11 +312,11 @@ func (e *Dist) participantEntries(set *txn.RWSet, tid uint64) map[int][]replicat
 func (e *Dist) runOCC(node, wi int, req *txn.Request) {
 	r := e.cfg.RT
 	port := e.ports[node][wi]
-	rng := newRNG(e.cfg.Seed^0x0cc, node, wi)
+	rng := workload.WorkerRNG(e.cfg.Seed^0x0cc, node, wi)
 	var set txn.RWSet
 	for {
 		set.Reset()
-		ctx := &distCtx{e: e, node: node, wi: wi, port: port, set: &set}
+		ctx := &distCtx{e: e, node: node, wi: wi, port: port, Writer: txn.Writer{Set: &set}}
 		err := req.Proc.Run(ctx)
 		r.Compute(core.ExecCost(ctx.counts()))
 		if err == txn.ErrUserAbort {
@@ -460,12 +445,12 @@ func (e *Dist) runS2PL(node, wi int, req *txn.Request) {
 	r := e.cfg.RT
 	port := e.ports[node][wi]
 	owner := node*e.cfg.WorkersPerNode + wi + 1
-	rng := newRNG(e.cfg.Seed^0x52b, node, wi)
+	rng := workload.WorkerRNG(e.cfg.Seed^0x52b, node, wi)
 	var set txn.RWSet
 	for {
 		set.Reset()
 		ctx := &distCtx{
-			e: e, node: node, wi: wi, port: port, set: &set,
+			e: e, node: node, wi: wi, port: port, Writer: txn.Writer{Set: &set},
 			s2pl: true, owner: owner,
 			writeMode: make(map[lock.Name]bool, 8),
 			held:      make(map[int][]lock.Name, 4),

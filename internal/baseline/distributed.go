@@ -11,6 +11,7 @@ import (
 	"star/internal/transport"
 	"star/internal/txn"
 	"star/internal/wire"
+	"star/internal/workload"
 )
 
 // Protocol selects the distributed concurrency control algorithm.
@@ -309,7 +310,7 @@ func recIn(list []*storage.Record, r *storage.Record) bool {
 
 func (e *Dist) workerLoop(node, wi int) {
 	r := e.cfg.RT
-	gen := e.cfg.Workload.NewGen(workerSeed(e.cfg.Seed, node, wi))
+	gen := e.cfg.Workload.NewGen(workload.WorkerSeed(e.cfg.Seed, node, wi))
 	home := node*e.cfg.WorkersPerNode + wi
 	for {
 		if e.st.pause(r) {

@@ -160,7 +160,6 @@ func TestCalvinFullMix(t *testing.T) {
 	wl := fullMixWL(4)
 	cfg := baseCfg(s, 2, 2, wl)
 	cfg.Workload = wl
-	cfg.BatchSize = 50
 	e := NewCalvin(cfg)
 	s.Run(60 * time.Millisecond)
 	if e.Stats().Committed == 0 {

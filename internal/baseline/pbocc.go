@@ -13,6 +13,7 @@ import (
 	"star/internal/storage"
 	"star/internal/transport"
 	"star/internal/txn"
+	"star/internal/workload"
 )
 
 // PBOCC is the primary/backup non-partitioned baseline (§7.1.2): a
@@ -143,10 +144,11 @@ func (e *PBOCC) start() {
 
 func (e *PBOCC) workerLoop(wi int, port *rpcPort) {
 	r := e.cfg.RT
-	gen := e.cfg.Workload.NewGen(workerSeed(e.cfg.Seed, 0, wi))
-	rng := newRNG(e.cfg.Seed, 0, wi)
+	gen := e.cfg.Workload.NewGen(workload.WorkerSeed(e.cfg.Seed, 0, wi))
+	rng := workload.WorkerRNG(e.cfg.Seed, 0, wi)
 	var tid occ.TIDGen
 	var set txn.RWSet
+	ctx := txn.Local{DB: e.primary.db, Writer: txn.Writer{Set: &set}}
 	nparts := e.cfg.NumPartitions()
 	for {
 		if e.st.pause(r) {
@@ -156,14 +158,14 @@ func (e *PBOCC) workerLoop(wi int, port *rpcPort) {
 		req := txn.NewRequest(gen.Mixed(home), int64(r.Now()))
 		for {
 			set.Reset()
-			ctx := &dbCtx{db: e.primary.db, set: &set}
-			err := req.Proc.Run(ctx)
-			r.Compute(core.ExecCost(ctx.counts()))
+			ctx.Reset()
+			err := req.Proc.Run(&ctx)
+			r.Compute(core.ExecCost(ctx.Reads, ctx.Writes))
 			if err == txn.ErrUserAbort {
 				e.st.userAborts.Inc()
 				break
 			}
-			if err != nil || ctx.failed {
+			if err != nil || ctx.Failed {
 				e.st.aborted.Inc()
 				continue
 			}
@@ -205,63 +207,6 @@ func (e *PBOCC) workerLoop(wi int, port *rpcPort) {
 }
 
 // ---- shared helpers used by all baselines ----
-
-// dbCtx is the local-database transaction context (used where every
-// record is local: PB. OCC's primary and parts of other engines).
-type dbCtx struct {
-	db     *storage.DB
-	set    *txn.RWSet
-	reads  int
-	writes int
-	failed bool
-}
-
-func (c *dbCtx) Read(t storage.TableID, part int, key storage.Key) ([]byte, bool) {
-	c.reads++
-	tbl := c.db.Table(t)
-	rec := tbl.Get(part, key)
-	if rec == nil {
-		return nil, false // row missing: skippable, not an abort
-	}
-	val, tidv, present := rec.ReadStable(nil)
-	if !present {
-		return nil, false // tombstone: same as missing
-	}
-	if !tbl.Replicated() {
-		c.set.AddRead(t, part, key, rec, tidv)
-	}
-	return val, true
-}
-
-func (c *dbCtx) Write(t storage.TableID, part int, key storage.Key, ops ...storage.FieldOp) {
-	c.writes++
-	c.set.AddWrite(t, part, key, ops...)
-}
-
-func (c *dbCtx) Insert(t storage.TableID, part int, key storage.Key, row []byte) {
-	c.writes++
-	c.set.AddInsert(t, part, key, row)
-}
-
-func (c *dbCtx) Delete(t storage.TableID, part int, key storage.Key) {
-	c.writes++
-	c.set.AddDelete(t, part, key)
-}
-
-// LookupIndex resolves a secondary-index lookup on the local database
-// (PB. OCC's primary holds everything).
-func (c *dbCtx) LookupIndex(t storage.TableID, part, idx int, val []byte, dst []storage.Key) []storage.Key {
-	c.reads++
-	return c.db.Table(t).IndexLookup(part, idx, val, storage.IndexAllEpochs, dst)
-}
-
-// LookupIndexTail implements txn.IndexTailReader.
-func (c *dbCtx) LookupIndexTail(t storage.TableID, part, idx int, val []byte, max int, dst []storage.Key) []storage.Key {
-	c.reads++
-	return c.db.Table(t).IndexLookupTail(part, idx, val, storage.IndexAllEpochs, max, dst)
-}
-
-func (c *dbCtx) counts() (int, int) { return c.reads, c.writes }
 
 func applyBatch(cfg Config, n *bnode, b *replication.Batch) {
 	for i := range b.Entries {

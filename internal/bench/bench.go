@@ -147,7 +147,7 @@ func (o Options) tpccFullWorkload(nodes, crossPct int) workload.Workload {
 // asynchronous replication + epoch group commit of Figure 11a/b.
 type variant struct {
 	sync bool               // synchronous replication (Figures 11c/d, 12 and 15a)
-	lms  int                // Calvin-x's x (Figure 13); 0 takes the default
+	lms  int                // Calvin-x's x (Figure 13); 0 takes NewCalvin's default
 	dur  time.Duration      // measured virtual time; 0 takes o.duration()
 	star func(*core.Config) // STAR's config edits (Figures 14 and 15b, the snapshot comparison)
 }
@@ -184,12 +184,6 @@ func (o Options) run(engine string, nodes int, wl func(nodes, crossPct int) work
 	case "Dist.S2PL":
 		stats = baseline.NewDist(cfg, baseline.DistS2PL).Stats
 	case "Calvin":
-		if cfg.LockManagers == 0 {
-			cfg.LockManagers = 4
-			if o.workers() <= 4 {
-				cfg.LockManagers = 2
-			}
-		}
 		stats = baseline.NewCalvin(cfg).Stats
 	default:
 		panic(fmt.Sprintf("bench: unknown engine %q (known: %v)", engine, SweepEngines))

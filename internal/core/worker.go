@@ -43,7 +43,7 @@ type worker struct {
 
 	// lctx is the reusable execution context (its arena backs the row
 	// copies handed to procedures, reset per transaction).
-	lctx localCtx
+	lctx txn.Local
 	// sctx is the reusable snapshot-read context (Config.SnapshotReads).
 	sctx snapshotCtx
 	// req is the reusable routing scratch for generated transactions;
@@ -75,17 +75,16 @@ type clientDone struct {
 
 func newWorker(n *node, idx int) *worker {
 	e := n.e
-	seed := e.cfg.Seed*1_000_003 + int64(n.id)*257 + int64(idx) + 1
 	w := &worker{
 		n:    n,
 		idx:  idx,
-		gen:  e.cfg.Workload.NewGen(seed),
-		rng:  rand.New(rand.NewSource(seed ^ 0x5eed)),
+		gen:  e.cfg.Workload.NewGen(workload.WorkerSeed(e.cfg.Seed, n.id, idx)),
+		rng:  workload.WorkerRNG(e.cfg.Seed, n.id, idx),
 		strm: replication.NewStream(e.net, n.tracker, n.id, streamLimits()),
 		ctl:  e.cfg.RT.NewChan(4),
 		resp: e.cfg.RT.NewChan(16),
 	}
-	w.lctx.w = w
+	w.lctx.DB, w.lctx.Set = n.db, &w.set
 	w.sctx.n = n
 	return w
 }
@@ -211,9 +210,9 @@ func (w *worker) execSerial(req *txn.Request, epoch uint64) {
 	e := w.n.e
 	r := e.cfg.RT
 	w.set.Reset()
-	w.lctx.reset()
+	w.lctx.Reset()
 	err := req.Proc.Run(&w.lctx)
-	r.Compute(ExecCost(w.lctx.reads, w.lctx.writes))
+	r.Compute(ExecCost(w.lctx.Reads, w.lctx.Writes))
 	if err != nil {
 		// Single-partition transactions only abort for application
 		// reasons (no concurrent access to the partition).
@@ -332,11 +331,11 @@ func (w *worker) execOCC(req *txn.Request, cmd msgStartPhase) {
 	r := e.cfg.RT
 	for {
 		w.set.Reset()
-		w.lctx.reset()
+		w.lctx.Reset()
 		err := req.Proc.Run(&w.lctx)
 		// Yield for the modelled execution time BEFORE commit: the OCC
 		// validation window is exposed to concurrent workers.
-		r.Compute(ExecCost(w.lctx.reads, w.lctx.writes))
+		r.Compute(ExecCost(w.lctx.Reads, w.lctx.Writes))
 		if err == txn.ErrUserAbort {
 			e.userAborts.Inc()
 			// Nothing committed: a ticketed client request answers
@@ -344,7 +343,7 @@ func (w *worker) execOCC(req *txn.Request, cmd msgStartPhase) {
 			w.n.respondClient(req, ClientResp{Status: StatusAborted})
 			return
 		}
-		if err == nil && !w.lctx.failed {
+		if err == nil && !w.lctx.Failed {
 			if e.cfg.SyncRepl {
 				if w.commitSync(req, cmd.Epoch) {
 					return
@@ -549,87 +548,6 @@ func (t *tailFlusher) maybeFlush(now time.Duration) {
 }
 
 // ---- transaction contexts ----
-
-// localCtx executes against the local database with no validation —
-// partitioned-phase execution (reads are still tracked so the TID rules
-// see them). It is embedded in its worker and reset per transaction; row
-// copies are appended to its arena, so steady-state reads allocate
-// nothing and the values stay stable for the rest of the transaction
-// even as the arena grows.
-type localCtx struct {
-	w      *worker
-	reads  int
-	writes int
-	failed bool
-	arena  []byte
-}
-
-func (c *localCtx) reset() {
-	c.reads, c.writes, c.failed = 0, 0, false
-	c.arena = c.arena[:0]
-}
-
-func (c *localCtx) Read(t storage.TableID, part int, key storage.Key) ([]byte, bool) {
-	c.reads++
-	w := c.w
-	tbl := w.n.db.Table(t)
-	if tbl.Replicated() {
-		rec := tbl.Get(part, key)
-		if rec == nil {
-			return nil, false
-		}
-		var val []byte
-		var present bool
-		c.arena, val, _, present = rec.ReadStableAppend(c.arena)
-		return val, present
-	}
-	rec := tbl.Get(part, key)
-	if rec == nil {
-		c.failed = true
-		return nil, false
-	}
-	var val []byte
-	var tid uint64
-	var present bool
-	c.arena, val, tid, present = rec.ReadStableAppend(c.arena)
-	if !present {
-		c.failed = true
-		return nil, false
-	}
-	w.set.AddRead(t, part, key, rec, tid)
-	return val, true
-}
-
-func (c *localCtx) Write(t storage.TableID, part int, key storage.Key, ops ...storage.FieldOp) {
-	c.writes++
-	c.w.set.AddWrite(t, part, key, ops...)
-}
-
-func (c *localCtx) Insert(t storage.TableID, part int, key storage.Key, row []byte) {
-	c.writes++
-	c.w.set.AddInsert(t, part, key, row)
-}
-
-func (c *localCtx) Delete(t storage.TableID, part int, key storage.Key) {
-	c.writes++
-	c.w.set.AddDelete(t, part, key)
-}
-
-// LookupIndex resolves a secondary-index lookup against current state.
-// Index entries are immutable for the workloads' lookup targets
-// (customer names, order→customer bindings change only by insert), so
-// no read-set entry is collected; the record reads that follow are
-// validated as usual.
-func (c *localCtx) LookupIndex(t storage.TableID, part, idx int, val []byte, dst []storage.Key) []storage.Key {
-	c.reads++
-	return c.w.n.db.Table(t).IndexLookup(part, idx, val, storage.IndexAllEpochs, dst)
-}
-
-// LookupIndexTail implements txn.IndexTailReader: bounded newest-first.
-func (c *localCtx) LookupIndexTail(t storage.TableID, part, idx int, val []byte, max int, dst []storage.Key) []storage.Key {
-	c.reads++
-	return c.w.n.db.Table(t).IndexLookupTail(part, idx, val, storage.IndexAllEpochs, max, dst)
-}
 
 // snapshotCtx executes read-only transactions against the node's last
 // epoch fence via Record.ReadStableAtFenceAppend: records written in

@@ -4,6 +4,8 @@
 package workload
 
 import (
+	"math/rand"
+
 	"star/internal/storage"
 	"star/internal/txn"
 )
@@ -33,6 +35,19 @@ type Gen interface {
 	Single(home int) txn.Procedure
 	// Cross returns a cross-partition transaction homed at `home`.
 	Cross(home int) txn.Procedure
+}
+
+// WorkerSeed is the generator seed of worker on node in a run seeded by
+// base; every engine's workers (and Calvin's per-node sequencer streams)
+// draw from it, so runs at one seed generate the same transactions.
+func WorkerSeed(base int64, node, worker int) int64 {
+	return base*1_000_003 + int64(node)*257 + int64(worker) + 1
+}
+
+// WorkerRNG is the worker's own random stream (home partitions, backoff),
+// seeded apart from its generator.
+func WorkerRNG(base int64, node, worker int) *rand.Rand {
+	return rand.New(rand.NewSource(WorkerSeed(base, node, worker) ^ 0x5eed))
 }
 
 // BuildDBs builds and fills one committed database per node: holds[i] is
