@@ -50,18 +50,15 @@ func (b *bankWorkload) BuildDB(nparts int, holds []bool) *star.DB {
 
 func (b *bankWorkload) Load(db *star.DB) {
 	tbl := db.TableByName("account")
-	row := b.schema.NewRow()
-	b.schema.SetInt64(row, 0, initialBalance)
-	for p := 0; p < b.parts; p++ {
-		if !db.Holds(p) {
-			continue
-		}
+	db.FillHeld(func(p int) {
+		row := b.schema.NewRow()
+		b.schema.SetInt64(row, 0, initialBalance)
 		f := tbl.Fill(p, accountsPerPartition)
 		for i := 0; i < accountsPerPartition; i++ {
 			f.Add(star.K2(uint64(p), uint64(i)), storage.MakeTID(1, uint64(i+1)), row)
 		}
 		f.Done()
-	}
+	})
 }
 
 func (b *bankWorkload) NewGen(seed int64) star.Gen {

@@ -1,6 +1,11 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
 
 // fillChunk caps how many rows a Filler carves from one allocation of
 // row bytes, of Records and of key index entries.
@@ -80,4 +85,43 @@ func (f *Filler) Done() {
 	f.p.idx.Store(f.idx)
 	f.p.insertMu.Unlock()
 	*f = Filler{}
+}
+
+// FillHeld calls fill once for every partition the database holds, and
+// each of also once, on at most GOMAXPROCS goroutines, and returns when
+// they are done. Partitions share nothing a Filler writes, so a loader
+// may fill them concurrently as long as each partition's content depends
+// on the partition alone. A panic in a call (a Filler's duplicate key,
+// say) ends its goroutine and is raised again on the caller's.
+func (db *DB) FillHeld(fill func(p int), also ...func()) {
+	tasks := make(chan func(), db.nparts+len(also))
+	for p, h := range db.holds {
+		if h {
+			tasks <- func() { fill(p) }
+		}
+	}
+	for _, task := range also {
+		tasks <- task
+	}
+	close(tasks)
+	var wg sync.WaitGroup
+	var panicked atomic.Pointer[any]
+	for range min(runtime.GOMAXPROCS(0), len(tasks)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.CompareAndSwap(nil, &r)
+				}
+			}()
+			for task := range tasks {
+				task()
+			}
+		}()
+	}
+	wg.Wait()
+	if r := panicked.Load(); r != nil {
+		panic(*r)
+	}
 }

@@ -11,8 +11,8 @@ package tpcc
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/rand"
+	"strconv"
 
 	"star/internal/storage"
 )
@@ -394,29 +394,30 @@ func orderCustExtract(s *storage.Schema, key storage.Key, row []byte, dst []byte
 var lastSyllables = []string{"BAR", "OUGHT", "ABLE", "PRI", "PRES", "ESE", "ANTI", "CALLY", "ATION", "EING"}
 
 // LastName renders the standard TPC-C last name for a number in [0,999].
-func LastName(num int) string {
-	return lastSyllables[num/100] + lastSyllables[(num/10)%10] + lastSyllables[num%10]
+func LastName(num int) string { return string(appendLastName(nil, num)) }
+
+func appendLastName(dst []byte, num int) []byte {
+	return append(append(append(dst, lastSyllables[num/100]...), lastSyllables[(num/10)%10]...), lastSyllables[num%10]...)
 }
 
 // Load implements workload.Workload: each table's rows are emitted into
 // its partition's Fill from one scratch row per table, cleared per row.
+// Every warehouse is generated from an RNG seeded by its id and the
+// replicated item table from its own, so they fill concurrently.
 func (w *Workload) Load(db *storage.DB) {
-	w.loadItems(db)
-	for wid := 0; wid < db.NumPartitions(); wid++ {
-		if db.Holds(wid) {
-			w.loadWarehouse(db, wid)
-		}
-	}
+	db.FillHeld(func(wid int) { w.loadWarehouse(db, wid) }, func() { w.loadItems(db) })
 }
 
 func (w *Workload) loadItems(db *storage.DB) {
 	f := db.Table(TItem).Fill(0, w.cfg.Items)
 	rng := rand.New(rand.NewSource(42))
 	row, buf := w.item.NewRow(), make([]byte, 50)
+	var name []byte
 	for iid := 0; iid < w.cfg.Items; iid++ {
 		clear(row)
 		w.item.SetFloat64(row, IPrice, 1+rng.Float64()*99)
-		w.item.SetString(row, IName, fmt.Sprintf("item-%d", iid))
+		name = strconv.AppendInt(append(name[:0], "item-"...), int64(iid), 10)
+		w.item.SetBytes(row, IName, name)
 		rng.Read(buf)
 		w.item.SetBytes(row, IData, buf)
 		f.Add(IKey(iid), storage.MakeTID(1, uint64(iid+1)), row)
@@ -436,10 +437,13 @@ func (w *Workload) loadWarehouse(db *storage.DB, wid int) {
 	row := w.warehouse.NewRow()
 	w.warehouse.SetFloat64(row, WYtd, 300000)
 	w.warehouse.SetFloat64(row, WTax, rng.Float64()*0.2)
-	w.warehouse.SetString(row, WName, fmt.Sprintf("W%d", wid))
+	name := strconv.AppendInt([]byte("W"), int64(wid), 10)
+	w.warehouse.SetBytes(row, WName, name)
 	wf.Add(WKey(wid), tid(), row)
 
+	const since = "customer since 2019 "
 	drow, crow := w.district.NewRow(), w.customer.NewRow()
+	var data []byte
 	for did := 0; did < w.cfg.Districts; did++ {
 		clear(drow)
 		w.district.SetUint64(drow, DNextOID, 1)
@@ -447,7 +451,8 @@ func (w *Workload) loadWarehouse(db *storage.DB, wid int) {
 		w.district.SetUint64(drow, DTrimOID, 1)    // == next_del_o_id: nothing trimmable
 		w.district.SetFloat64(drow, DYtd, 30000)
 		w.district.SetFloat64(drow, DTax, rng.Float64()*0.2)
-		w.district.SetString(drow, DName, fmt.Sprintf("D%d-%d", wid, did))
+		name = strconv.AppendInt(append(strconv.AppendInt(append(name[:0], 'D'), int64(wid), 10), '-'), int64(did), 10)
+		w.district.SetBytes(drow, DName, name)
 		df.Add(DKey(wid, did), tid(), drow)
 
 		for cid := 0; cid < w.cfg.CustomersPerDistrict; cid++ {
@@ -463,10 +468,11 @@ func (w *Workload) loadWarehouse(db *storage.DB, wid int) {
 			w.customer.SetString(crow, CCredit, credit)
 			// First 1000 customers get the standard NURand-reachable names.
 			nameNum := cid % 1000
-			last := LastName(nameNum)
-			w.customer.SetString(crow, CLast, last)
-			w.customer.SetString(crow, CFirst, fmt.Sprintf("f%d", cid))
-			w.customer.SetString(crow, CData, "customer since 2019 "+last)
+			data = appendLastName(append(data[:0], since...), nameNum)
+			w.customer.SetBytes(crow, CLast, data[len(since):])
+			name = strconv.AppendInt(append(name[:0], 'f'), int64(cid), 10)
+			w.customer.SetBytes(crow, CFirst, name)
+			w.customer.SetBytes(crow, CData, data)
 			cf.Add(CKey(wid, did, cid), tid(), crow)
 		}
 	}

@@ -20,6 +20,9 @@ type Workload interface {
 	// Load deterministically populates the partitions the node holds —
 	// each one never written, emitted through Table.Fill — and the
 	// replicated tables; replicas of a partition load byte-identical data.
+	// Partitions may be filled concurrently (storage.DB.FillHeld), so a
+	// partition's rows, TIDs and index entries must depend on the
+	// partition alone, never on what was filled before it.
 	Load(db *storage.DB)
 	// NewGen returns a transaction generator. Generators with the same
 	// seed produce the same sequence (Calvin replays inputs).
@@ -54,7 +57,9 @@ func WorkerRNG(base int64, node, worker int) *rand.Rand {
 // node i's residency mask, and a nil mask builds none. Each partition is
 // generated by Load for the first node that holds it and copied into
 // every later holder (storage.DB.FillFrom), so a cluster build generates
-// each partition once and its replicas are identical, slot for slot.
+// each partition once and its replicas are identical, slot for slot. A
+// node's partitions are generated, and then copied, concurrently
+// (storage.DB.FillHeld).
 func BuildDBs(w Workload, nparts int, holds [][]bool) []*storage.DB {
 	dbs := make([]*storage.DB, len(holds))
 	first := make([]*storage.DB, nparts)
@@ -73,9 +78,13 @@ func BuildDBs(w Workload, nparts int, holds [][]bool) []*storage.DB {
 				first[p] = db
 			} else if h {
 				db.SetHolds(p, true)
-				db.FillFrom(p, first[p])
 			}
 		}
+		db.FillHeld(func(p int) {
+			if !gen[p] {
+				db.FillFrom(p, first[p])
+			}
+		})
 		db.CommitEpoch()
 		dbs[i] = db
 	}

@@ -101,25 +101,28 @@ func (w *Workload) Key(p, i int) storage.Key {
 	return storage.K1(uint64(p)*uint64(w.cfg.RecordsPerPartition) + uint64(i))
 }
 
-// Load implements workload.Workload: deterministic per-partition fill.
+// Load implements workload.Workload: each held partition is filled from
+// an RNG seeded by the partition alone, the partitions concurrently.
 func (w *Workload) Load(db *storage.DB) {
 	tbl := db.Table(TableID)
-	row, buf := w.schema.NewRow(), make([]byte, w.cfg.FieldSize)
-	for p := 0; p < db.NumPartitions(); p++ {
-		if !db.Holds(p) {
-			continue
+	db.FillHeld(func(p int) {
+		// Every column is full width, so the RNG writes straight into
+		// the row's column bytes behind lengths set once.
+		row, cols := w.schema.NewRow(), make([][]byte, w.cfg.Columns)
+		for c := range cols {
+			w.schema.SetBytes(row, c, make([]byte, w.cfg.FieldSize))
+			cols[c] = w.schema.GetBytes(row, c)
 		}
 		rng := rand.New(rand.NewSource(int64(p) + 1))
 		f := tbl.Fill(p, w.cfg.RecordsPerPartition)
 		for i := 0; i < w.cfg.RecordsPerPartition; i++ {
-			for c := 0; c < w.cfg.Columns; c++ {
-				rng.Read(buf)
-				w.schema.SetBytes(row, c, buf)
+			for _, col := range cols {
+				rng.Read(col)
 			}
 			f.Add(w.Key(p, i), storage.MakeTID(1, uint64(i+1)), row)
 		}
 		f.Done()
-	}
+	})
 }
 
 // Gen implements workload.Gen for YCSB.
