@@ -1,11 +1,15 @@
 package baseline
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"star/internal/metrics"
 	"star/internal/rt"
+	"star/internal/simnet"
 	"star/internal/storage"
+	"star/internal/transport"
 	"star/internal/workload/tpcc"
 	"star/internal/workload/ycsb"
 )
@@ -301,5 +305,31 @@ func TestTopology(t *testing.T) {
 	}
 	if holds != 6 { // 3 mastered + 3 backed up
 		t.Fatalf("node 1 holds %d partitions, want 6", holds)
+	}
+}
+
+// A Transport handed in is the network the engine runs on: the default
+// simnet passed explicitly carries all of the run's traffic, and the run
+// equals the one a nil Transport builds.
+func TestTransportInput(t *testing.T) {
+	run := func(net transport.Transport, s *rt.Sim) metrics.Stats {
+		e := NewPBOCC(Config{RT: s, Nodes: 2, WorkersPerNode: 2, Workload: ycsbWL(2, 2, 20), Seed: 1, Transport: net})
+		s.Run(30 * time.Millisecond)
+		st := e.Stats()
+		s.Stop()
+		return st
+	}
+	implicit := run(nil, rt.NewSim())
+	s := rt.NewSim()
+	net := simnet.New(s, simnet.DefaultConfig(3, 1))
+	explicit := run(net, s)
+	if implicit.Committed == 0 {
+		t.Fatal("no commits")
+	}
+	if net.TotalBytes() == 0 || net.TotalBytes() != explicit.NetworkBytes {
+		t.Fatalf("the given network carried %d bytes, the run reports %d", net.TotalBytes(), explicit.NetworkBytes)
+	}
+	if !reflect.DeepEqual(implicit, explicit) {
+		t.Fatalf("stats differ:\nnil Transport: %+v\nexplicit simnet: %+v", implicit, explicit)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"star/internal/metrics"
 	"star/internal/replication"
 	"star/internal/rt"
-	"star/internal/simnet"
 	"star/internal/storage"
 	"star/internal/transport"
 	"star/internal/txn"
@@ -145,12 +144,8 @@ func NewCalvin(cfg Config) *Calvin {
 	}
 	cfg.LockManagers = max(min(cfg.LockManagers, cfg.WorkersPerNode-1), 1)
 	e := &Calvin{cfg: cfg, st: stats{latency: &metrics.Hist{}}}
-	storage.InstallSpinWait(cfg.RT)
-	e.net = simnet.New(cfg.RT, cfg.Net)
 	// One replica group: each node holds only its mastered block.
-	for i, db := range cfg.buildDBs(func(i, p int) bool { return cfg.MasterOf(p) == i }) {
-		e.nodes = append(e.nodes, &bnode{id: i, db: db, tracker: replication.NewTracker(cfg.Nodes), net: e.net})
-	}
+	e.net, e.nodes = cfg.buildNodes(func(i, p int) bool { return cfg.MasterOf(p) == i })
 	e.start()
 	return e
 }

@@ -8,6 +8,8 @@ package baseline
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,7 +33,11 @@ type Config struct {
 	Nodes          int
 	WorkersPerNode int
 	Workload       workload.Workload
-	Net            simnet.Config
+
+	// Transport is the network the nodes (endpoints 0..Nodes-1) and the
+	// ticker or sequencer (endpoint Nodes) share. Nil builds
+	// simnet.DefaultConfig(Nodes+1, Seed) on RT.
+	Transport transport.Transport
 
 	// SyncRepl selects synchronous replication (with 2PC for the
 	// distributed engines); otherwise asynchronous replication with an
@@ -48,9 +54,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.WorkersPerNode == 0 {
 		c.WorkersPerNode = 4
-	}
-	if c.Net.Nodes == 0 {
-		c.Net = simnet.DefaultConfig(c.Nodes+1, c.Seed) // +1 endpoint for the sequencer/ticker
 	}
 	return c
 }
@@ -77,9 +80,15 @@ func (c Config) HoldsMask(node int) []bool {
 // holds reports whether node materialises partition p (master or backup).
 func (c Config) holds(node, p int) bool { return c.MasterOf(p) == node || c.BackupOf(p) == node }
 
-// buildDBs builds and fills one committed database per node
-// (workload.BuildDBs); holds says whether a node materialises a partition.
-func (c Config) buildDBs(holds func(node, p int) bool) []*storage.DB {
+// buildNodes builds the cluster's network (Transport, or the default
+// simnet) and one bnode per node on it, each over a committed database
+// holding the partitions holds names (workload.BuildDBs).
+func (c Config) buildNodes(holds func(node, p int) bool) (transport.Transport, []*bnode) {
+	storage.InstallSpinWait(c.RT)
+	net := c.Transport
+	if net == nil {
+		net = simnet.New(c.RT, simnet.DefaultConfig(c.Nodes+1, c.Seed))
+	}
 	masks := make([][]bool, c.Nodes)
 	for i := range masks {
 		masks[i] = make([]bool, c.NumPartitions())
@@ -87,7 +96,11 @@ func (c Config) buildDBs(holds func(node, p int) bool) []*storage.DB {
 			masks[i][p] = holds(i, p)
 		}
 	}
-	return workload.BuildDBs(c.Workload, c.NumPartitions(), masks)
+	var nodes []*bnode
+	for i, db := range workload.BuildDBs(c.Workload, c.NumPartitions(), masks) {
+		nodes = append(nodes, &bnode{id: i, db: db, tracker: replication.NewTracker(c.Nodes), net: net})
+	}
+	return net, nodes
 }
 
 func (c Config) tickerID() int { return c.Nodes }
@@ -135,9 +148,9 @@ type bnode struct {
 	db      *storage.DB
 	tracker *replication.Tracker
 	net     transport.Transport
-	// onDrainMsg handles engine-specific messages that arrive while the
-	// node is blocked in a group-commit drain.
-	onDrainMsg func(any)
+	// handle serves the engine's own messages: route hands it everything
+	// but the ticker's, in the router and during a group-commit drain.
+	handle func(any)
 
 	// mu guards pendingLat on the real runtime.
 	mu         sync.Mutex
@@ -266,7 +279,7 @@ func (t *epochTicker) bump() uint64 {
 }
 
 // loop drives ticks from the dedicated ticker endpoint. The node routers
-// answer the fence messages (see nodeFence).
+// answer the fence messages (see bnode.route).
 func (t *epochTicker) loop() {
 	r := t.cfg.RT
 	in := t.net.Inbox(t.cfg.tickerID())
@@ -319,23 +332,46 @@ type rpcPort struct {
 
 func newRPCPort(r rt.Runtime) *rpcPort { return &rpcPort{resp: r.NewChan(16)} }
 
-// call performs a blocking RPC from worker w on node src to node dst.
-// Handling happens in the destination's router process.
+// call performs a blocking RPC from a worker on node src to node dst:
+// callAll to one destination, read as failed if no reply came.
 func (p *rpcPort) call(net transport.Transport, src, dst, worker int, kind rpcKind, payload []byte) *rpcResp {
-	p.seq++
-	net.Send(src, dst, transport.Data, &rpcReq{
-		Kind: kind, From: src, Worker: worker, Seq: p.seq, Payload: payload,
-	})
-	for {
+	resp := p.callAll(net, src, map[int]*rpcReq{dst: {Kind: kind, From: src, Worker: worker, Payload: payload}})[dst]
+	if resp == nil {
+		return &rpcResp{OK: false}
+	}
+	return resp
+}
+
+// callAll issues one RPC per destination in parallel, in ascending
+// destination order (the simulated network reserves a sender's egress in
+// send order, so any other order makes the schedule differ run to run),
+// and collects the responses, each under its destination. A reply
+// carrying another call's Seq is skipped. It waits at most a second for
+// each next reply; a destination still unanswered then is missing from
+// the result. Handling happens in the destinations' router processes;
+// local destinations must be handled by the caller directly.
+func (p *rpcPort) callAll(net transport.Transport, src int, reqs map[int]*rpcReq) map[int]*rpcResp {
+	bySeq := map[uint64]int{}
+	for _, dst := range slices.Sorted(maps.Keys(reqs)) {
+		req := reqs[dst]
+		p.seq++
+		req.Seq = p.seq
+		bySeq[p.seq] = dst
+		net.Send(src, dst, transport.Data, req)
+	}
+	out := make(map[int]*rpcResp, len(reqs))
+	for len(out) < len(reqs) {
 		v, ok := p.resp.RecvTimeout(time.Second)
 		if !ok {
-			return &rpcResp{OK: false}
+			break
 		}
 		resp := v.(*rpcResp)
-		if resp.Seq == p.seq {
-			return resp
+		if dst, want := bySeq[resp.Seq]; want {
+			delete(bySeq, resp.Seq)
+			out[dst] = resp
 		}
 	}
+	return out
 }
 
 func procName(kind string, node, worker int) string {

@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"maps"
 	"slices"
 	"time"
 
@@ -15,35 +14,6 @@ import (
 	"star/internal/wire"
 	"star/internal/workload"
 )
-
-// callAll issues one RPC per destination in parallel, in ascending
-// destination order (the simulated network reserves a sender's egress in
-// send order, so any other order makes the schedule differ run to run),
-// and collects all responses. Local destinations must be handled by the
-// caller directly.
-func (p *rpcPort) callAll(net transport.Transport, src, worker int, reqs map[int]*rpcReq) map[int]*rpcResp {
-	bySeq := map[uint64]int{}
-	for _, dst := range slices.Sorted(maps.Keys(reqs)) {
-		req := reqs[dst]
-		p.seq++
-		req.Seq = p.seq
-		bySeq[p.seq] = dst
-		net.Send(src, dst, transport.Data, req)
-	}
-	out := make(map[int]*rpcResp, len(reqs))
-	for len(out) < len(reqs) {
-		v, ok := p.resp.RecvTimeout(time.Second)
-		if !ok {
-			break
-		}
-		resp := v.(*rpcResp)
-		if dst, want := bySeq[resp.Seq]; want {
-			delete(bySeq, resp.Seq)
-			out[dst] = resp
-		}
-	}
-	return out
-}
 
 // ---- participant-side operations (called via RPC or directly) ----
 
@@ -122,7 +92,7 @@ func (e *Dist) doLockValidate(node int, p *lvPayload) (*lvReply, bool) {
 		if storage.TIDClean(cur) != storage.TIDClean(re.TID) {
 			return nil, fail()
 		}
-		if storage.TIDLocked(cur) && !recIn(locked, rec) {
+		if storage.TIDLocked(cur) && !slices.Contains(locked, rec) {
 			return nil, fail()
 		}
 	}
@@ -229,39 +199,22 @@ func (c *distCtx) Read(t storage.TableID, part int, key storage.Key) ([]byte, bo
 		val, _, present := rec.ReadStable(nil)
 		return val, present
 	}
+	// OCC reads plainly; S2PL takes the record's lock with the read. A
+	// remote read is an RPC round trip (§7.2.2).
 	owner := e.cfg.MasterOf(part)
-	if c.s2pl {
-		nm := lock.Name{Table: t, Key: key}
-		payload := &readPayload{Table: t, Part: part, Key: key, Write: c.writeMode[nm], Owner: c.owner}
-		var rep *readReply
-		var ok bool
-		if owner == c.node {
-			rep, ok = e.doLockRead(owner, payload)
-		} else {
-			resp := c.port.call(e.net, c.node, owner, c.wi, rpcLockRead, wire.Marshal(payload, readPayloadFields))
-			if resp.OK {
-				rep, ok = mustDecode(wire.Unmarshal(resp.Payload, readReplyFields)), true
-			}
-		}
-		if !ok {
-			c.failed = true
-			return nil, false
-		}
-		if rep.Absent {
-			return nil, false // row missing: skippable, not an abort
-		}
-		c.held[owner] = append(c.held[owner], nm)
-		c.Set.AddRead(t, part, key, nil, rep.TID)
-		return rep.Row, true
-	}
-	// OCC: plain read; remote reads are an RPC round trip (§7.2.2).
+	nm := lock.Name{Table: t, Key: key}
 	payload := &readPayload{Table: t, Part: part, Key: key}
+	kind, local := rpcRead, e.doRead
+	if c.s2pl {
+		payload.Write, payload.Owner = c.writeMode[nm], c.owner
+		kind, local = rpcLockRead, e.doLockRead
+	}
 	var rep *readReply
 	var ok bool
 	if owner == c.node {
-		rep, ok = e.doRead(owner, payload)
+		rep, ok = local(owner, payload)
 	} else {
-		resp := c.port.call(e.net, c.node, owner, c.wi, rpcRead, wire.Marshal(payload, readPayloadFields))
+		resp := c.port.call(e.net, c.node, owner, c.wi, kind, wire.Marshal(payload, readPayloadFields))
 		if resp.OK {
 			rep, ok = mustDecode(wire.Unmarshal(resp.Payload, readReplyFields)), true
 		}
@@ -272,6 +225,9 @@ func (c *distCtx) Read(t storage.TableID, part int, key storage.Key) ([]byte, bo
 	}
 	if rep.Absent {
 		return nil, false // row missing: skippable, not an abort
+	}
+	if c.s2pl {
+		c.held[owner] = append(c.held[owner], nm)
 	}
 	c.Set.AddRead(t, part, key, nil, rep.TID)
 	return rep.Row, true
@@ -370,7 +326,7 @@ func (e *Dist) commitOCC(node, wi int, port *rpcPort, set *txn.RWSet, req *txn.R
 		reqs[owner] = &rpcReq{Kind: rpcLockValidate, From: node, Worker: wi,
 			Payload: wire.Marshal(payload, lvPayloadFields)}
 	}
-	resps := port.callAll(e.net, node, wi, reqs)
+	resps := port.callAll(e.net, node, reqs)
 	allOK := okLocal && len(resps) == len(reqs)
 	for _, resp := range resps {
 		if !resp.OK {
@@ -399,7 +355,7 @@ func (e *Dist) commitOCC(node, wi int, port *rpcPort, set *txn.RWSet, req *txn.R
 				abrt[owner] = &rpcReq{Kind: rpcAbort, From: node, Worker: wi, Payload: wire.Marshal(ap, abortPayloadFields)}
 			}
 		}
-		port.callAll(e.net, node, wi, abrt)
+		port.callAll(e.net, node, abrt)
 		return false
 	}
 
@@ -415,7 +371,7 @@ func (e *Dist) commitOCC(node, wi int, port *rpcPort, set *txn.RWSet, req *txn.R
 		}
 		creqs[owner] = &rpcReq{Kind: rpcCommitWrites, From: node, Worker: wi, Payload: wire.Marshal(payload, commitPayloadFields)}
 	}
-	port.callAll(e.net, node, wi, creqs)
+	port.callAll(e.net, node, creqs)
 	e.finish(node, req)
 	return true
 }
@@ -486,7 +442,7 @@ func (e *Dist) abortS2PL(node, wi int, port *rpcPort, ctx *distCtx) {
 		}
 		reqs[owner] = &rpcReq{Kind: rpcAbort, From: node, Worker: wi, Payload: wire.Marshal(ap, abortPayloadFields)}
 	}
-	port.callAll(e.net, node, wi, reqs)
+	port.callAll(e.net, node, reqs)
 }
 
 func (e *Dist) commitS2PL(node, wi int, port *rpcPort, ctx *distCtx, set *txn.RWSet, req *txn.Request) bool {
@@ -507,7 +463,7 @@ func (e *Dist) commitS2PL(node, wi int, port *rpcPort, ctx *distCtx, set *txn.RW
 			}
 			preps[owner] = &rpcReq{Kind: rpcPrepare, From: node, Worker: wi}
 		}
-		port.callAll(e.net, node, wi, preps)
+		port.callAll(e.net, node, preps)
 	}
 	tid := e.tidGen(node, wi).Next(e.ticker.Epoch(), set.MaxReadTID())
 	byOwner := e.participantEntries(set, tid)
@@ -534,7 +490,7 @@ func (e *Dist) commitS2PL(node, wi int, port *rpcPort, ctx *distCtx, set *txn.RW
 		creqs[owner] = &rpcReq{Kind: rpcCommitWrites, From: node, Worker: wi,
 			Payload: wire.Marshal(payload, commitPayloadFields)}
 	}
-	port.callAll(e.net, node, wi, creqs)
+	port.callAll(e.net, node, creqs)
 	e.finish(node, req)
 	return true
 }

@@ -6,7 +6,6 @@ import (
 	"star/internal/metrics"
 	"star/internal/occ"
 	"star/internal/replication"
-	"star/internal/simnet"
 	"star/internal/storage"
 	"star/internal/transport"
 	"star/internal/txn"
@@ -53,10 +52,8 @@ type Dist struct {
 func NewDist(cfg Config, proto Protocol) *Dist {
 	cfg = cfg.withDefaults()
 	e := &Dist{cfg: cfg, proto: proto, st: stats{latency: &metrics.Hist{}}}
-	storage.InstallSpinWait(cfg.RT)
-	e.net = simnet.New(cfg.RT, cfg.Net)
-	for i, db := range cfg.buildDBs(cfg.holds) {
-		e.nodes = append(e.nodes, &bnode{id: i, db: db, tracker: replication.NewTracker(cfg.Nodes), net: e.net})
+	e.net, e.nodes = cfg.buildNodes(cfg.holds)
+	for range e.nodes {
 		e.locks = append(e.locks, lock.NewNoWait())
 	}
 	e.ticker = newEpochTicker(cfg, e.net, e.nodes, e.st.latency)
@@ -166,8 +163,7 @@ func (e *Dist) start() {
 		n := e.nodes[i]
 		pending := map[uint64]*pendingSync{}
 		var syncSeq uint64
-		var handler func(m any)
-		handler = func(m any) {
+		n.handle = func(m any) {
 			switch msg := m.(type) {
 			case *replication.Batch:
 				r.Compute(core.CostMsgHandling)
@@ -193,21 +189,9 @@ func (e *Dist) start() {
 			case *rpcReq:
 				r.Compute(core.CostMsgHandling)
 				e.serve(i, msg, pending, &syncSeq)
-			case msgTick:
-				e.net.Send(i, e.cfg.tickerID(), transport.Control, msgTickDone{
-					Node: i, Epoch: msg.Epoch, Sent: n.tracker.SentVector(),
-				})
-			case msgTickDrain:
-				drainNode(e.cfg, n, e.net.Inbox(i), msg, e.st.latency)
 			}
 		}
-		n.onDrainMsg = handler
-		r.Go(procName("dist-router", i, 0), func() {
-			in := e.net.Inbox(i)
-			for {
-				handler(in.Recv())
-			}
-		})
+		r.Go(procName("dist-router", i, 0), func() { n.routeInbox(e.cfg, e.st.latency) })
 		for wi := 0; wi < e.cfg.WorkersPerNode; wi++ {
 			wi := wi
 			r.Go(procName("dist-worker", i, wi), func() { e.workerLoop(i, wi) })
@@ -229,27 +213,15 @@ func (e *Dist) serve(i int, m *rpcReq, pending map[uint64]*pendingSync, syncSeq 
 	switch m.Kind {
 	case rpcRead:
 		rep, ok := e.doRead(i, mustDecode(wire.Unmarshal(m.Payload, readPayloadFields)))
-		if !ok {
-			reply(false, nil)
-			return
-		}
-		reply(true, wire.Marshal(rep, readReplyFields))
+		answer(reply, rep, ok, readReplyFields)
 
 	case rpcLockRead:
 		rep, ok := e.doLockRead(i, mustDecode(wire.Unmarshal(m.Payload, readPayloadFields)))
-		if !ok {
-			reply(false, nil)
-			return
-		}
-		reply(true, wire.Marshal(rep, readReplyFields))
+		answer(reply, rep, ok, readReplyFields)
 
 	case rpcLockValidate:
 		rep, ok := e.doLockValidate(i, mustDecode(wire.Unmarshal(m.Payload, lvPayloadFields)))
-		if !ok {
-			reply(false, nil)
-			return
-		}
-		reply(true, wire.Marshal(rep, lvReplyFields))
+		answer(reply, rep, ok, lvReplyFields)
 
 	case rpcPrepare: // 2PC prepare (S2PL: locks already held → yes vote)
 		reply(true, nil)
@@ -299,13 +271,14 @@ func (e *Dist) serve(i int, m *rpcReq, pending map[uint64]*pendingSync, syncSeq 
 	}
 }
 
-func recIn(list []*storage.Record, r *storage.Record) bool {
-	for _, x := range list {
-		if x == r {
-			return true
-		}
+// answer replies with rep encoded by fields, or with a failure when the
+// participant-side operation did not succeed.
+func answer[T any](reply func(bool, []byte), rep *T, ok bool, fields func(*wire.Fields, *T)) {
+	if !ok {
+		reply(false, nil)
+		return
 	}
-	return false
+	reply(true, wire.Marshal(rep, fields))
 }
 
 func (e *Dist) workerLoop(node, wi int) {

@@ -9,7 +9,6 @@ import (
 	"star/internal/occ"
 	"star/internal/replication"
 	"star/internal/rt"
-	"star/internal/simnet"
 	"star/internal/storage"
 	"star/internal/transport"
 	"star/internal/txn"
@@ -36,17 +35,9 @@ func NewPBOCC(cfg Config) *PBOCC {
 	cfg.Nodes = 2 // fixed: primary + backup (§7.1.2)
 	cfg = cfg.withDefaults()
 	e := &PBOCC{cfg: cfg, st: stats{latency: &metrics.Hist{}}}
-	storage.InstallSpinWait(cfg.RT)
-	e.net = simnet.New(cfg.RT, cfg.Net)
-	for i, db := range cfg.buildDBs(func(int, int) bool { return true }) { // both hold everything
-		n := &bnode{id: i, db: db, tracker: replication.NewTracker(2), net: e.net}
-		if i == 0 {
-			e.primary = n
-		} else {
-			e.backup = n
-		}
-	}
-	e.ticker = newEpochTicker(cfg, e.net, []*bnode{e.primary, e.backup}, e.st.latency)
+	net, nodes := cfg.buildNodes(func(int, int) bool { return true }) // both hold everything
+	e.net, e.primary, e.backup = net, nodes[0], nodes[1]
+	e.ticker = newEpochTicker(cfg, e.net, nodes, e.st.latency)
 	e.start()
 	return e
 }
@@ -76,26 +67,12 @@ func (e *PBOCC) start() {
 		ports[i] = newRPCPort(r)
 	}
 	// Primary router: fence participation + sync-replication acks.
-	e.primary.onDrainMsg = func(m any) {
+	e.primary.handle = func(m any) {
 		if resp, ok := m.(*rpcResp); ok {
 			ports[resp.Worker].resp.Send(resp)
 		}
 	}
-	r.Go("pbocc-primary-router", func() {
-		in := e.net.Inbox(0)
-		for {
-			switch m := in.Recv().(type) {
-			case *rpcResp:
-				ports[m.Worker].resp.Send(m)
-			case msgTick:
-				e.net.Send(0, e.cfg.tickerID(), transport.Control, msgTickDone{
-					Node: 0, Epoch: m.Epoch, Sent: e.primary.tracker.SentVector(),
-				})
-			case msgTickDrain:
-				drainNode(e.cfg, e.primary, in, m, e.st.latency)
-			}
-		}
-	})
+	r.Go("pbocc-primary-router", func() { e.primary.routeInbox(e.cfg, e.st.latency) })
 	// Parallel replay on the backup (SiloR-style): value entries commute
 	// under the Thomas write rule, so batches fan out round-robin.
 	applierChs := make([]rt.Chan, e.cfg.WorkersPerNode)
@@ -110,29 +87,19 @@ func (e *PBOCC) start() {
 	}
 	nextApplier := 0
 	// Backup router: apply replication, ack syncs, answer fences.
-	r.Go("pbocc-backup-router", func() {
-		in := e.net.Inbox(1)
-		n := e.backup
-		for {
-			switch m := in.Recv().(type) {
-			case *replication.Batch:
-				r.Compute(core.CostMsgHandling)
-				applierChs[nextApplier].Send(m)
-				nextApplier = (nextApplier + 1) % len(applierChs)
-			case *rpcReq: // sync replication batch
-				r.Compute(core.CostMsgHandling)
-				b := mustDecode(replication.DecodeBatch(m.Payload))
-				applyBatch(e.cfg, n, b)
-				e.net.Send(1, m.From, transport.Data, &rpcResp{Worker: m.Worker, Seq: m.Seq, OK: true})
-			case msgTick:
-				e.net.Send(1, e.cfg.tickerID(), transport.Control, msgTickDone{
-					Node: 1, Epoch: m.Epoch, Sent: n.tracker.SentVector(),
-				})
-			case msgTickDrain:
-				drainNode(e.cfg, n, in, m, e.st.latency)
-			}
+	e.backup.handle = func(m any) {
+		switch m := m.(type) {
+		case *replication.Batch:
+			r.Compute(core.CostMsgHandling)
+			applierChs[nextApplier].Send(m)
+			nextApplier = (nextApplier + 1) % len(applierChs)
+		case *rpcReq: // sync replication batch
+			r.Compute(core.CostMsgHandling)
+			applyBatch(e.cfg, e.backup, mustDecode(replication.DecodeBatch(m.Payload)))
+			e.net.Send(1, m.From, transport.Data, &rpcResp{Worker: m.Worker, Seq: m.Seq, OK: true})
 		}
-	})
+	}
+	r.Go("pbocc-backup-router", func() { e.backup.routeInbox(e.cfg, e.st.latency) })
 	for wi := 0; wi < e.cfg.WorkersPerNode; wi++ {
 		wi := wi
 		r.Go(fmt.Sprintf("pbocc-worker-%d", wi), func() { e.workerLoop(wi, ports[wi]) })
@@ -218,10 +185,34 @@ func applyBatch(cfg Config, n *bnode, b *replication.Batch) {
 	n.tracker.AddApplied(b.From, int64(len(b.Entries)))
 }
 
-// drainNode services a group-commit fence on a node: handle messages
-// until the expected replication entries have been applied, then ack the
+// routeInbox is node n's router process: it routes every message that
+// reaches n's inbox.
+func (n *bnode) routeInbox(cfg Config, lat *metrics.Hist) {
+	in := n.net.Inbox(n.id)
+	for {
+		n.route(cfg, lat, in.Recv())
+	}
+}
+
+// route serves one message arriving at node n: the group-commit
+// ticker's msgTick (answered with n's sent vector) and msgTickDrain (a
+// drain), and every other message through n.handle.
+func (n *bnode) route(cfg Config, lat *metrics.Hist, m any) {
+	switch m := m.(type) {
+	case msgTick:
+		n.net.Send(n.id, cfg.tickerID(), transport.Control, msgTickDone{Node: n.id, Epoch: m.Epoch, Sent: n.tracker.SentVector()})
+	case msgTickDrain:
+		n.drain(cfg, lat, m)
+	default:
+		n.handle(m)
+	}
+}
+
+// drain services a group-commit fence on node n: route messages until
+// the expected replication entries have been applied, then ack the
 // ticker and release this epoch's group-committed results.
-func drainNode(cfg Config, n *bnode, in rt.Chan, m msgTickDrain, lat *metrics.Hist) {
+func (n *bnode) drain(cfg Config, lat *metrics.Hist, m msgTickDrain) {
+	in := n.net.Inbox(n.id)
 	for !n.tracker.Drained(m.Expected) {
 		msg, ok := in.RecvTimeout(20 * time.Microsecond)
 		if !ok {
@@ -232,9 +223,7 @@ func drainNode(cfg Config, n *bnode, in rt.Chan, m msgTickDrain, lat *metrics.Hi
 			applyBatch(cfg, n, b)
 			continue
 		}
-		if n.onDrainMsg != nil {
-			n.onDrainMsg(msg)
-		}
+		n.route(cfg, lat, msg)
 	}
 	// The epoch group-committed: its revert bookkeeping (dirty buckets,
 	// index pending sets) will never be needed — these engines have no

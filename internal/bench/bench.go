@@ -164,14 +164,14 @@ func (o Options) run(engine string, nodes int, wl func(nodes, crossPct int) work
 	s := rt.NewSim()
 	cfg := baseline.Config{
 		RT: s, Nodes: nodes, WorkersPerNode: o.workers(), Workload: wl(nodes, cross),
-		SyncRepl: v.sync, LockManagers: v.lms, Seed: o.Seed, Net: o.netCfg(nodes),
+		SyncRepl: v.sync, LockManagers: v.lms, Seed: o.Seed, Transport: simnet.New(s, o.netCfg(nodes)),
 	}
 	var stats func() metrics.Stats
 	switch engine {
 	case "STAR":
 		c := core.Config{
 			RT: s, Nodes: nodes, WorkersPerNode: cfg.WorkersPerNode, Workload: cfg.Workload,
-			SyncRepl: v.sync, Seed: o.Seed, Transport: simnet.New(s, cfg.Net),
+			SyncRepl: v.sync, Seed: o.Seed, Transport: cfg.Transport,
 		}
 		if v.star != nil {
 			v.star(&c)

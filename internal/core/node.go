@@ -40,7 +40,6 @@ type node struct {
 	// epoch observed mid-transition is immaterial (see applyBatch's
 	// comment), but the access must not race.
 	epoch atomic.Uint64
-	phase Phase
 
 	// gate is the node's client-session layer (star-client front door).
 	gate *ClientGate
@@ -286,7 +285,6 @@ func (n *node) startPhase(m msgStartPhase) {
 	n.db.CommitEpochBefore(m.Epoch)
 	n.releaseResults()
 	n.epoch.Store(m.Epoch)
-	n.phase = m.Phase
 	n.setFailed(m.Failed)
 	n.workersDone = 0
 	n.phaseDone, n.acked, n.drainBegun = false, false, false
