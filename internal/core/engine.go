@@ -184,6 +184,12 @@ func (e *Engine) buildRegistry() {
 	}
 }
 
+// faultInjector is implemented by fault-injecting transport decorators
+// (internal/faultnet.Network): StatsSnapshot, serveAdmin's
+// AdminFaultStats and the trace's noteEpoch surface its counters without
+// core importing the injector package.
+type faultInjector interface{ Injected() map[string]int64 }
+
 // StatsSnapshot captures the live metric registry, folding in process
 // quantities tracked outside it: log bytes, the transport's byte and
 // message accounting, and — when the transport injects faults

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"star/internal/replication"
 	"star/internal/rt"
 	"star/internal/simnet"
 	"star/internal/txn"
@@ -119,6 +120,25 @@ func TestFullMasterQueueRejectsRequeue(t *testing.T) {
 	}
 	if got := e.rejected.Load() - rejected; got != 1 {
 		t.Fatalf("requeue onto a full master queue rejected %d requests, want 1", got)
+	}
+}
+
+// TestPartitionedPhaseFlushesItsTail: in the last two one-way latencies
+// of a timed phase the worker ships what it has buffered while the phase
+// still runs. The worker's stream here has no flush threshold, so only
+// that tail flush can put entries on the tracker's sent vector before
+// runPartitioned returns (the fence flush comes after, in loop).
+func TestPartitionedPhaseFlushesItsTail(t *testing.T) {
+	e, w := newHotPathHarness(1024)
+	w.strm = replication.NewStream(e.net, w.n.tracker, w.n.id, replication.Limits{})
+	w.strm.SetEpoch(2)
+	now := e.cfg.RT.Now()
+	w.runPartitioned(msgStartPhase{Phase: Partitioned, Epoch: 2, Deadline: now + 50*time.Millisecond, Lat: 20 * time.Millisecond}, 0)
+	if w.committed == 0 {
+		t.Fatal("the phase committed nothing")
+	}
+	if sent := w.n.tracker.SentVector()[1]; sent == 0 {
+		t.Fatal("nothing was shipped to node 1 before the phase returned: no fence-tail flush")
 	}
 }
 

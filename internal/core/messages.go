@@ -47,7 +47,8 @@ type msgStartPhase struct {
 	// Deadline is the phase budget, relative to the command's receipt
 	// (the receiving node's router localises it against its own clock in
 	// startPhase — processes do not share a clock origin, so an absolute
-	// time would not survive the wire). Scripted phases ignore it.
+	// time would not survive the wire). A scripted phase's is too long
+	// to reach: its count ends it.
 	Deadline time.Duration
 	// Failed is the view's failed set (empty normally), re-asserted by
 	// every phase command: a node that lost a revert learns it here. A

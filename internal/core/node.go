@@ -262,17 +262,15 @@ func (n *node) startRecovery(m msgStartRecovery) {
 // startPhase commits the previous epoch (revert info dropped, group-
 // committed results released to clients) and kicks the workers.
 func (n *node) startPhase(m msgStartPhase) {
-	if m.ScriptTxns == 0 {
-		// The deadline arrives as a phase budget relative to receipt
-		// (processes do not share a clock origin — an absolute
-		// coordinator-clock timestamp would make a restarted process
-		// sleep out the skew and miss every phase). Localising it at the
-		// ROUTER, not in the workers, keeps the old absolute semantics
-		// within the process: a worker that dequeues the command late
-		// sees a near-expired deadline and short-circuits instead of
-		// running a full phase past the coordinator's grace.
-		m.Deadline += n.e.cfg.RT.Now()
-	}
+	// The deadline arrives as a phase budget relative to receipt
+	// (processes do not share a clock origin — an absolute
+	// coordinator-clock timestamp would make a restarted process sleep
+	// out the skew and miss every phase). Localising it at the ROUTER,
+	// not in the workers, keeps the old absolute semantics within the
+	// process: a worker that dequeues the command late sees a
+	// near-expired deadline and short-circuits instead of running a full
+	// phase past the coordinator's grace.
+	m.Deadline += n.e.cfg.RT.Now()
 	if n.routerLog != nil && m.Epoch > n.epoch.Load() && n.epoch.Load() > 0 {
 		// The fence for the previous epoch completed: mark it durable.
 		n.routerLog.AppendEpochMark(n.epoch.Load())

@@ -297,9 +297,10 @@ func TestOpReplicationSnapshotReadAtFenceDuringApply(t *testing.T) {
 			applyNow(replica, b)
 		}
 	}()
-	sctx := &replica.workers[0].sctx
+	sctx := &replica.workers[0].lctx
 	for round := 0; round < 200; round++ {
-		sctx.reset(3)
+		sctx.Reset()
+		sctx.Fence = 3
 		for _, r := range rows {
 			en := &r.e.Entries[r.i]
 			got, ok := sctx.Read(en.Table, int(en.Part), en.Key)
@@ -311,7 +312,8 @@ func TestOpReplicationSnapshotReadAtFenceDuringApply(t *testing.T) {
 	wg.Wait()
 	// Applied in full, the current version has moved on and the fence
 	// read still has not.
-	sctx.reset(3)
+	sctx.Reset()
+	sctx.Fence = 3
 	moved := false
 	for _, r := range rows {
 		en := &r.e.Entries[r.i]

@@ -61,7 +61,7 @@ type ScriptRun struct {
 // coordinator's halt arrives (their part of the run is complete).
 func (r *ScriptRun) Done() <-chan ScriptResult { return r.done }
 
-// scriptDeadline is far enough in the future that scripted workers and
+// scriptDeadline is a phase budget long enough that scripted workers and
 // the OCC retry loop never observe a phase end.
 const scriptDeadline = time.Duration(1) << 60
 
@@ -153,12 +153,6 @@ func (c *coordinator) abortScript(what string, missing []int) bool {
 	return true
 }
 
-// faultInjector is implemented by fault-injecting transport decorators
-// (internal/faultnet.Network): serveAdmin's AdminFaultStats surfaces
-// its counters over the admin protocol without core importing the
-// injector package.
-type faultInjector interface{ Injected() map[string]int64 }
-
 // ---- worker side ----
 
 // scriptStamp derives the deterministic total-order stamp scripted
@@ -167,20 +161,6 @@ type faultInjector interface{ Injected() map[string]int64 }
 // into a reproducible execution order.
 func scriptStamp(seq int64, node, worker int) int64 {
 	return seq<<20 | int64(node)<<10 | int64(worker)
-}
-
-// runPartitionedScripted is the deterministic variant of
-// runPartitioned: exactly ScriptTxns generator steps per owned
-// partition, no deadline, no freeze checks, no tail flushing.
-func (w *worker) runPartitionedScripted(cmd msgStartPhase, master int) {
-	parts := w.n.ownedPartitions(w.idx)
-	seq := int64(0)
-	for step := 0; step < cmd.ScriptTxns; step++ {
-		for _, home := range parts {
-			seq++
-			w.step(home, scriptStamp(seq, w.n.id, w.idx), cmd.Epoch, master)
-		}
-	}
 }
 
 // runMasterScripted drains exactly the deferred requests (blocking on

@@ -120,6 +120,30 @@ func TestScriptedRunDeterministic(t *testing.T) {
 	}
 }
 
+// TestScriptedRunPinned holds the seed-42 run to a fixed outcome: a
+// change that takes a different number of steps, or stamps or orders them
+// differently, fails here even when it does so alike on every runtime
+// (which TestScriptedRunDeterministic, comparing runs with each other,
+// would pass).
+func TestScriptedRunPinned(t *testing.T) {
+	res := runScriptedSim(t, 2, 2, 60, 42)
+	if res.Err != "" {
+		t.Fatalf("scripted run failed: %s", res.Err)
+	}
+	if res.Committed != 236 {
+		t.Errorf("committed %d, want 236", res.Committed)
+	}
+	want := []uint64{0x7419744fdcec7afc, 0x3c6a69b9251c41cd, 0x90463b642f9ac05b, 0xaf2035d263723e19}
+	for _, nc := range res.Checksums {
+		if !reflect.DeepEqual(nc.Parts, []int32{0, 1, 2, 3}) || !reflect.DeepEqual(nc.Sums, want) {
+			t.Errorf("node %d: partitions %v checksums %#x, want [0 1 2 3] %#x", nc.Node, nc.Parts, nc.Sums, want)
+		}
+	}
+	if len(res.Checksums) != 2 {
+		t.Errorf("checksums from %d nodes, want 2", len(res.Checksums))
+	}
+}
+
 // A count-bounded run has no epoch to revert and retry: a node that is
 // down before the first phase makes the run halt with a reason naming the
 // phase and the node, which is the result's Err; the halt is broadcast,

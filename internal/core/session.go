@@ -38,10 +38,10 @@ type ClientGate struct {
 	mu      sync.Mutex
 	next    uint64
 	pending map[uint64]pendingTicket
-	// sctx is the gate-owned snapshot-read context (guarded by mu; the
+	// lctx is the gate-owned snapshot-read context (guarded by mu; the
 	// fence snapshot itself tolerates concurrent appliers, same as the
 	// workers' snapshot path).
-	sctx snapshotCtx
+	lctx txn.Local
 }
 
 // pendingTicket is one submitted envelope awaiting its response.
@@ -52,7 +52,7 @@ type pendingTicket struct {
 
 func newClientGate(n *node) *ClientGate {
 	g := &ClientGate{n: n, pending: map[uint64]pendingTicket{}}
-	g.sctx.n = n
+	g.lctx.DB, g.lctx.Set = n.db, &txn.RWSet{}
 	return g
 }
 
@@ -63,7 +63,7 @@ func newClientGate(n *node) *ClientGate {
 func (g *ClientGate) TryRead(token uint64, req *txn.Request) (ClientResp, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.n.readAtFence(&g.sctx, g.n.epoch.Load(), token, req)
+	return g.n.readAtFence(&g.lctx, g.n.epoch.Load(), token, req)
 }
 
 // Submit sends a ClientReq or an AdminReq into the cluster under a fresh

@@ -238,8 +238,8 @@ func TestScriptedFullMixDeterministic(t *testing.T) {
 
 // TestSnapshotCtxReadsFenceVersion pins the snapshot semantics at the
 // record level inside a live worker: a record written in the in-flight
-// epoch reads as its pre-epoch version through the snapshot context,
-// and as the new version once the next epoch begins.
+// epoch reads as its pre-epoch version through the worker's context at
+// the fence, and as the new version once the next epoch begins.
 func TestSnapshotCtxReadsFenceVersion(t *testing.T) {
 	_, w := newHotPathHarness(128)
 	req := singleReq(w)
@@ -252,8 +252,9 @@ func TestSnapshotCtxReadsFenceVersion(t *testing.T) {
 	cur, _, _ := rec.ReadStable(nil)
 	curCopy := append([]byte(nil), cur...)
 
-	w.sctx.reset(2)
-	atFence, ok := w.sctx.Read(we.Table, we.Part, we.Key)
+	w.lctx.Reset()
+	w.lctx.Fence = 2
+	atFence, ok := w.lctx.Read(we.Table, we.Part, we.Key)
 	if !ok {
 		t.Fatal("fence read missed an existing record")
 	}
@@ -262,8 +263,9 @@ func TestSnapshotCtxReadsFenceVersion(t *testing.T) {
 	}
 
 	// At epoch 3 the epoch-2 write IS the fence state.
-	w.sctx.reset(3)
-	atNext, ok := w.sctx.Read(we.Table, we.Part, we.Key)
+	w.lctx.Reset()
+	w.lctx.Fence = 3
+	atNext, ok := w.lctx.Read(we.Table, we.Part, we.Key)
 	if !ok || !reflect.DeepEqual(atNext, curCopy) {
 		t.Fatalf("epoch-3 snapshot read did not see the epoch-2 commit (ok=%v)", ok)
 	}

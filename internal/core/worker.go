@@ -1,6 +1,7 @@
 package core
 
 import (
+	"iter"
 	"math/rand"
 	"time"
 
@@ -41,11 +42,10 @@ type worker struct {
 	// logger is the worker's real recovery log (LogDir mode).
 	logger *wal.Logger
 
-	// lctx is the reusable execution context (its arena backs the row
-	// copies handed to procedures, reset per transaction).
+	// lctx is the reusable execution context, live or at the fence (its
+	// arena backs the row copies handed to procedures, reset per
+	// transaction).
 	lctx txn.Local
-	// sctx is the reusable snapshot-read context (Config.SnapshotReads).
-	sctx snapshotCtx
 	// req is the reusable routing scratch for generated transactions;
 	// only deferred cross-partition requests are cloned to the heap.
 	req txn.Request
@@ -85,7 +85,6 @@ func newWorker(n *node, idx int) *worker {
 		resp: e.cfg.RT.NewChan(16),
 	}
 	w.lctx.DB, w.lctx.Set = n.db, &w.set
-	w.sctx.n = n
 	return w
 }
 
@@ -94,15 +93,12 @@ func (w *worker) loop() {
 		cmd := w.ctl.Recv().(msgStartPhase)
 		w.strm.SetEpoch(cmd.Epoch)
 		w.committed, w.genSingle, w.genCross, w.repl = 0, 0, 0, replStats{}
-		scripted := cmd.ScriptTxns > 0
 		// The view the router installed before it passed the command on.
 		master := w.n.view.Load().master
 		switch {
-		case cmd.Phase == Partitioned && scripted:
-			w.runPartitionedScripted(cmd, master)
 		case cmd.Phase == Partitioned:
 			w.runPartitioned(cmd, master)
-		case cmd.Phase == SingleMaster && w.n.id == master && scripted:
+		case cmd.Phase == SingleMaster && w.n.id == master && cmd.ScriptTxns > 0:
 			// Deterministic drain: worker 0 alone executes the deferred
 			// requests serially; the other workers just report done.
 			if w.idx == 0 {
@@ -145,37 +141,64 @@ func (w *worker) loop() {
 // A yield costs ~4µs (rt.BenchmarkRealYield).
 const yieldEvery = 100 * time.Microsecond
 
+// steps is the one phase loop: it yields the step index until the
+// phase's deadline passes, the engine freezes or, with limit > 0, limit
+// steps have run. Between steps it offers the processor every
+// yieldEvery and, in the last two one-way latencies before the deadline,
+// ships the buffered entries at most once per latency (the fence-tail
+// flush): the replicas apply them while the phase still runs, and the
+// fence drain waits only for the final transactions' writes instead of
+// a full threshold-sized envelope's wire and apply time.
+func (w *worker) steps(cmd msgStartPhase, limit int) iter.Seq[int] {
+	return func(body func(int) bool) {
+		r := w.n.e.cfg.RT
+		defer r.Busy()()
+		tailAt, flushed := cmd.Deadline-2*cmd.Lat, time.Duration(0)
+		yieldAt := r.Now() + yieldEvery
+		for i := 0; limit <= 0 || i < limit; i++ {
+			now := r.Now()
+			if now >= cmd.Deadline || w.n.e.frozen.Load() {
+				return
+			}
+			if now >= yieldAt {
+				r.Yield()
+				yieldAt = now + yieldEvery
+			}
+			if now >= tailAt && now-flushed >= cmd.Lat {
+				w.strm.Flush()
+				flushed = now
+			}
+			if !body(i) {
+				return
+			}
+		}
+	}
+}
+
 // ---- partitioned phase ----
 
+// runPartitioned runs generator steps round-robin over the partitions
+// the worker masters: until the deadline, or in a scripted phase exactly
+// ScriptTxns per partition, stamped with scriptStamp.
 func (w *worker) runPartitioned(cmd msgStartPhase, master int) {
-	r := w.n.e.cfg.RT
 	parts := w.n.ownedPartitions(w.idx)
 	if len(parts) == 0 {
 		return // nothing mastered here: the workers that have work bound τp
 	}
-	defer r.Busy()()
-	pi := 0
-	tail := w.newTailFlusher(cmd)
-	yieldAt := r.Now() + yieldEvery
-	for now := r.Now(); now < cmd.Deadline; now = r.Now() {
-		if w.n.e.frozen.Load() {
-			break
+	r := w.n.e.cfg.RT
+	for i := range w.steps(cmd, cmd.ScriptTxns*len(parts)) {
+		at := int64(r.Now())
+		if cmd.ScriptTxns > 0 {
+			at = scriptStamp(int64(i)+1, w.n.id, w.idx)
 		}
-		if now >= yieldAt {
-			r.Yield()
-			yieldAt = now + yieldEvery
-		}
-		tail.maybeFlush(now)
-		w.step(parts[pi], int64(r.Now()), cmd.Epoch, master)
-		pi = (pi + 1) % len(parts)
+		w.step(parts[i%len(parts)], at, cmd.Epoch, master)
 	}
 }
 
-// step is one generator step of the partitioned phase, shared by the
-// timed loop above and the scripted one (runPartitionedScripted):
-// generate home's next transaction stamped at, and run it where the
-// phase allows — serially here, from the local fence snapshot, or
-// deferred to the master.
+// step is one generator step of the partitioned phase: generate home's
+// next transaction stamped at, and run it where the phase allows —
+// serially here, from the local fence snapshot, or deferred to the
+// master.
 func (w *worker) step(home int, at int64, epoch uint64, master int) {
 	w.req.ResetFor(w.gen.Mixed(home), at)
 	if !w.req.Cross && !txn.IsDeferred(w.req.Proc) {
@@ -291,21 +314,9 @@ func (s *replStats) note(e *replication.Entry, rowSize, header, payload, raw int
 // ---- single-master phase ----
 
 func (w *worker) runSingleMaster(cmd msgStartPhase) {
-	e := w.n.e
-	r := e.cfg.RT
-	nparts := e.cfg.NumPartitions()
-	defer r.Busy()()
-	tail := w.newTailFlusher(cmd)
-	yieldAt := r.Now() + yieldEvery
-	for now := r.Now(); now < cmd.Deadline; now = r.Now() {
-		if e.frozen.Load() {
-			break
-		}
-		if now >= yieldAt {
-			r.Yield()
-			yieldAt = now + yieldEvery
-		}
-		tail.maybeFlush(now)
+	r := w.n.e.cfg.RT
+	nparts := w.n.e.cfg.NumPartitions()
+	for range w.steps(cmd, 0) {
 		var req *txn.Request
 		if v, ok := w.n.masterQ.TryRecv(); ok {
 			req = v.(*txn.Request)
@@ -379,13 +390,13 @@ func (w *worker) execOCC(req *txn.Request, cmd msgStartPhase) {
 // for no session: token 0). Returns true when the request was consumed
 // locally; false means the caller must route it to the master as usual.
 func (w *worker) snapshotServe(req *txn.Request, epoch uint64) bool {
-	resp, ok := w.n.readAtFence(&w.sctx, epoch, 0, req)
+	resp, ok := w.n.readAtFence(&w.lctx, epoch, 0, req)
 	if !ok {
 		return false
 	}
 	e := w.n.e
 	r := e.cfg.RT
-	r.Compute(ExecCost(w.sctx.reads, 0))
+	r.Compute(ExecCost(w.lctx.Reads, 0))
 	if resp.Status == StatusOK {
 		e.partCommits[req.Home].Inc()
 		w.committed++
@@ -407,7 +418,7 @@ func (w *worker) snapshotServe(req *txn.Request, epoch uint64) bool {
 // instead: the snapshot path is off, the procedure writes, the token's
 // fence has not completed here (see ClientGate), or this node does not
 // hold every partition the footprint touches. The caller owns the ticket.
-func (n *node) readAtFence(c *snapshotCtx, epoch, token uint64, req *txn.Request) (ClientResp, bool) {
+func (n *node) readAtFence(c *txn.Local, epoch, token uint64, req *txn.Request) (ClientResp, bool) {
 	e := n.e
 	if !e.cfg.SnapshotReads || !txn.IsReadOnly(req.Proc) {
 		return ClientResp{}, false
@@ -420,9 +431,10 @@ func (n *node) readAtFence(c *snapshotCtx, epoch, token uint64, req *txn.Request
 		e.snapFallback.Inc()
 		return ClientResp{}, false
 	}
-	c.reset(epoch)
+	c.Reset()
+	c.Fence = epoch
 	err := req.Proc.Run(c)
-	if c.wrote {
+	if c.Writes > 0 {
 		panic("core: read-only transaction wrote on the snapshot path")
 	}
 	if err != nil {
@@ -431,7 +443,7 @@ func (n *node) readAtFence(c *snapshotCtx, epoch, token uint64, req *txn.Request
 	}
 	e.snapReads.Inc()
 	e.committed.Inc()
-	return ClientResp{Status: StatusOK, Token: epoch - 1, Reads: int64(c.reads)}, true
+	return ClientResp{Status: StatusOK, Token: epoch - 1, Reads: int64(c.Reads)}, true
 }
 
 // commitSync implements SYNC STAR: locks are held while every replica
@@ -519,99 +531,4 @@ func (w *worker) chargeTxnLog(tid uint64) {
 		wr := &w.set.Writes[i]
 		w.logger.AppendWrite(wr.Table, int32(wr.Part), wr.Key, tid, wr.Delete, wr.Row)
 	}
-}
-
-// tailFlusher implements fence-tail flushing: in the last moments of a
-// phase (twice the one-way latency the coordinator announced) the worker
-// ships its buffered entries early — at most once per latency interval — so the replicas
-// apply them while the phase is still running, and the fence drain waits
-// only for the final transactions' writes instead of a full
-// threshold-sized envelope's wire and apply time. The throttle keeps the
-// tail to a handful of small envelopes per stream instead of one per
-// commit.
-type tailFlusher struct {
-	w        *worker
-	after    time.Duration // start of the tail window
-	interval time.Duration // min spacing between tail flushes
-	last     time.Duration
-}
-
-func (w *worker) newTailFlusher(cmd msgStartPhase) tailFlusher {
-	return tailFlusher{w: w, after: cmd.Deadline - 2*cmd.Lat, interval: cmd.Lat}
-}
-
-func (t *tailFlusher) maybeFlush(now time.Duration) {
-	if now >= t.after && now-t.last >= t.interval {
-		t.w.strm.Flush()
-		t.last = now
-	}
-}
-
-// ---- transaction contexts ----
-
-// snapshotCtx executes read-only transactions against the node's last
-// epoch fence via Record.ReadStableAtFenceAppend: records written in
-// the in-flight epoch yield their pre-epoch (revert-snapshot) version,
-// so the transaction observes exactly the database as of the last phase
-// switch. No read set is collected — the snapshot is immutable, so
-// there is nothing to validate — and writes are forbidden. Absent reads
-// (e.g. a row first inserted in the in-flight epoch) report !ok without
-// failing the transaction: read-only procedures skip what the snapshot
-// does not yet contain.
-type snapshotCtx struct {
-	n     *node
-	epoch uint64
-	reads int
-	wrote bool
-	arena []byte
-}
-
-func (c *snapshotCtx) reset(epoch uint64) {
-	c.epoch = epoch
-	c.reads = 0
-	c.wrote = false
-	c.arena = c.arena[:0]
-}
-
-func (c *snapshotCtx) Read(t storage.TableID, part int, key storage.Key) ([]byte, bool) {
-	c.reads++
-	rec := c.n.db.Table(t).Get(part, key)
-	if rec == nil {
-		return nil, false
-	}
-	var val []byte
-	var present bool
-	c.arena, val, _, present = rec.ReadStableAtFenceAppend(c.arena, c.epoch)
-	if !present {
-		return nil, false
-	}
-	return val, true
-}
-
-// LookupIndex resolves a secondary-index lookup at the last epoch fence:
-// entries inserted in the in-flight epoch stay hidden, mirroring the
-// fence-pinned row reads, so index-driven navigation (Order-Status's
-// customer-by-name and last-order lookups) observes the same consistent
-// snapshot as the rows it leads to.
-func (c *snapshotCtx) LookupIndex(t storage.TableID, part, idx int, val []byte, dst []storage.Key) []storage.Key {
-	c.reads++
-	return c.n.db.Table(t).IndexLookup(part, idx, val, c.epoch, dst)
-}
-
-// LookupIndexTail implements txn.IndexTailReader at the fence epoch.
-func (c *snapshotCtx) LookupIndexTail(t storage.TableID, part, idx int, val []byte, max int, dst []storage.Key) []storage.Key {
-	c.reads++
-	return c.n.db.Table(t).IndexLookupTail(part, idx, val, c.epoch, max, dst)
-}
-
-func (c *snapshotCtx) Write(storage.TableID, int, storage.Key, ...storage.FieldOp) {
-	c.wrote = true
-}
-
-func (c *snapshotCtx) Insert(storage.TableID, int, storage.Key, []byte) {
-	c.wrote = true
-}
-
-func (c *snapshotCtx) Delete(storage.TableID, int, storage.Key) {
-	c.wrote = true
 }

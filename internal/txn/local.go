@@ -30,27 +30,39 @@ func (c *Writer) Delete(t storage.TableID, part int, key storage.Key) {
 
 // Local executes against a database that holds every partition the
 // procedure touches, with no validation of its own: STAR's partitioned
-// and single-master phases and PB.OCC's primary. A read of a partitioned
-// table records the record and its TID in Set, for the TID rules and
-// commit-time validation; an absent row or a tombstone there sets Failed
-// and records nothing (under OCC the row was deleted under the attempt,
-// which the caller then retries). A replicated table is read-only after
-// load: its reads neither fail nor record. Row copies are appended to an
-// arena that Reset truncates, so steady-state reads allocate nothing and
-// a returned row stays stable for the rest of the transaction even as
-// the arena grows. The caller resets Set itself.
+// and single-master phases, its snapshot reads and PB.OCC's primary. A
+// read of a partitioned table records the record and its TID in Set, for
+// the TID rules and commit-time validation; an absent row or a tombstone
+// there sets Failed and records nothing (under OCC the row was deleted
+// under the attempt, which the caller then retries). A replicated table
+// is read-only after load: its reads neither fail nor record. Row copies
+// are appended to an arena that Reset truncates, so steady-state reads
+// allocate nothing and a returned row stays stable for the rest of the
+// transaction even as the arena grows. The caller resets Set itself.
+//
+// With Fence set to the in-flight epoch, the context reads the database
+// as of that epoch's fence instead (Record.ReadStableAtFenceAppend, and
+// index lookups at the same epoch): a record written in the in-flight
+// epoch yields its pre-epoch version and an entry inserted in it stays
+// hidden. The fence is immutable, so nothing is recorded, and an absent
+// row reports !ok without setting Failed: a read-only procedure skips
+// what the fence does not yet contain. Writes are still buffered and
+// counted, which is how a caller tells that one was attempted.
 type Local struct {
 	Writer
-	DB     *storage.DB
+	DB *storage.DB
+	// Fence is the in-flight epoch whose fence reads resolve at; zero
+	// reads live. Reset clears it.
+	Fence  uint64
 	Reads  int
 	Failed bool
 	arena  []byte
 }
 
-// Reset readies the context for the next attempt: counters and Failed
-// cleared, the arena truncated.
+// Reset readies the context for the next attempt: counters, Failed and
+// Fence cleared, the arena truncated.
 func (c *Local) Reset() {
-	c.Reads, c.Writes, c.Failed = 0, 0, false
+	c.Reads, c.Writes, c.Failed, c.Fence = 0, 0, false, 0
 	c.arena = c.arena[:0]
 }
 
@@ -62,11 +74,14 @@ func (c *Local) Read(t storage.TableID, part int, key storage.Key) ([]byte, bool
 	var val []byte
 	var tid uint64
 	present := rec != nil
-	if present {
+	switch {
+	case present && c.Fence != 0:
+		c.arena, val, tid, present = rec.ReadStableAtFenceAppend(c.arena, c.Fence)
+	case present:
 		c.arena, val, tid, present = rec.ReadStableAppend(c.arena)
 	}
 	switch {
-	case tbl.Replicated():
+	case tbl.Replicated() || c.Fence != 0:
 		return val, present
 	case !present:
 		c.Failed = true
@@ -76,18 +91,26 @@ func (c *Local) Read(t storage.TableID, part int, key storage.Key) ([]byte, bool
 	return val, true
 }
 
-// LookupIndex resolves a secondary-index lookup against current state.
-// Index entries are immutable for the workloads' lookup targets
-// (customer names, order→customer bindings change only by insert), so
-// no read-set entry is collected; the record reads that follow are
-// validated as usual.
+// indexEpoch is the epoch index lookups resolve at: the fence's, or the
+// current state.
+func (c *Local) indexEpoch() uint64 {
+	if c.Fence != 0 {
+		return c.Fence
+	}
+	return storage.IndexAllEpochs
+}
+
+// LookupIndex resolves a secondary-index lookup. Index entries are
+// immutable for the workloads' lookup targets (customer names,
+// order→customer bindings change only by insert), so no read-set entry
+// is collected; the record reads that follow are validated as usual.
 func (c *Local) LookupIndex(t storage.TableID, part, idx int, val []byte, dst []storage.Key) []storage.Key {
 	c.Reads++
-	return c.DB.Table(t).IndexLookup(part, idx, val, storage.IndexAllEpochs, dst)
+	return c.DB.Table(t).IndexLookup(part, idx, val, c.indexEpoch(), dst)
 }
 
 // LookupIndexTail implements IndexTailReader: bounded newest-first.
 func (c *Local) LookupIndexTail(t storage.TableID, part, idx int, val []byte, max int, dst []storage.Key) []storage.Key {
 	c.Reads++
-	return c.DB.Table(t).IndexLookupTail(part, idx, val, storage.IndexAllEpochs, max, dst)
+	return c.DB.Table(t).IndexLookupTail(part, idx, val, c.indexEpoch(), max, dst)
 }
