@@ -3,7 +3,7 @@ package main
 import "star/internal/wire"
 
 // wireTransfer is the transfer's procedure id (the built-in workloads
-// take 1–7).
+// take 1–2, 4–7 and 9; 3 is retired).
 const wireTransfer uint8 = 8
 
 // RegisterWire binds the transfer to c by the one walk that describes

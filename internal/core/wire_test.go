@@ -186,6 +186,56 @@ func TestSizeIsEncodedFrameLength(t *testing.T) {
 	}
 }
 
+// TestDeferredYCSBRequestBytes pins what a deferred YCSB request costs at
+// the benchmark's configuration (2 partitions of 200 000 rows, 10 % cross,
+// a generation stamp up to 15 s of nanoseconds): a generated cross
+// transaction's msgDefer frame averages at most 72 B (101.6 B while an
+// access crossed as four fields). Every transaction the generator and the
+// client constructors build decodes to an equal request and re-encodes
+// to the same bytes.
+func TestDeferredYCSBRequestBytes(t *testing.T) {
+	yw := ycsb.New(ycsb.Config{Partitions: 2, RecordsPerPartition: 200_000, CrossPct: 10})
+	c := wire.NewCodec()
+	registerMessages(c)
+	yw.RegisterWire(c)
+	rng := rand.New(rand.NewSource(1))
+	roundTrip := func(name string, p txn.Procedure) int {
+		t.Helper()
+		req := txn.NewRequest(p, rng.Int63n(15e9))
+		enc, err := c.AppendRequest(nil, req)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", name, err)
+		}
+		dec, rest, err := c.DecodeRequest(enc)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("%s: decode: %v (%d bytes left)", name, err, len(rest))
+		}
+		if !reflect.DeepEqual(dec, req) {
+			t.Fatalf("%s: decodes to\n%#v\nwant\n%#v", name, dec.Proc, req.Proc)
+		}
+		if re, _ := c.AppendRequest(nil, dec); string(re) != string(enc) {
+			t.Fatalf("%s: re-encodes to\n%x\nwas\n%x", name, re, enc)
+		}
+		return msgDefer{Req: req}.Size()
+	}
+	g := yw.NewGen(7)
+	const draws = 10_000
+	crossBytes := 0
+	for i := 0; i < draws; i++ {
+		crossBytes += roundTrip("cross", g.Cross(i%2))
+		roundTrip("single", g.Single(i%2))
+		roundTrip("mixed", g.Mixed(i%2))
+	}
+	parts, rows := []int{0, 1}, []int{0, 199_999}
+	roundTrip("client write", yw.WriteTxn(parts, rows, []byte("c000000001")))
+	roundTrip("client read", yw.ReadTxn(parts, rows))
+	mean := float64(crossBytes) / draws
+	if mean > 72 {
+		t.Fatalf("a deferred cross request averages %.1f B, want at most 72", mean)
+	}
+	t.Logf("a deferred cross request averages %.1f B", mean)
+}
+
 // randomEnvelope draws an envelope of operation entries, tombstones and
 // rows from random to all zeros (which cross zero-packed), over changing
 // tables, partitions, keys (raw-escaped ones among them) and TIDs.
@@ -396,6 +446,17 @@ func FuzzWireMessages(f *testing.F) {
 	}
 	for i, frame := range retiredFrames {
 		corpusSeed(f, "FuzzWireMessages", len(samples)+i, frame)
+	}
+	// Both YCSB access forms: canonical (rows of their partitions, a write
+	// among them) and escaped (row 250 of a 100-row partition is not its).
+	for i, p := range []txn.Procedure{
+		yw.WriteTxn([]int{0, 3}, []int{0, 99}, []byte("v")), yw.ReadTxn([]int{1, 2}, []int{250, 7}),
+	} {
+		enc, err := c.Append(nil, msgDefer{Req: txn.NewRequest(p, 5)})
+		if err != nil {
+			f.Fatal(err)
+		}
+		corpusSeed(f, "FuzzWireMessages", len(samples)+len(retiredFrames)+i, enc)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := c.Decode(data)

@@ -18,23 +18,13 @@ type EncodeFunc func(b []byte, m transport.Message) []byte
 // silently ignored. Byte payloads in the result may alias b.
 type DecodeFunc func(b []byte) (transport.Message, []byte, error)
 
-// ProcEncodeFunc appends a procedure's parameters to b.
-type ProcEncodeFunc func(b []byte, p txn.Procedure) []byte
-
-// ProcDecodeFunc decodes a procedure's parameters, returning the rest of
-// the buffer (procedure encodings are self-delimiting).
-type ProcDecodeFunc func(b []byte) (txn.Procedure, []byte, error)
-
-type msgEntry struct {
+// entry is one registration: its id and the codec of the values
+// registered under it, message bodies or procedure parameters (which are
+// self-delimiting: the decoder returns the rest of the buffer).
+type entry[V any] struct {
 	id  uint8
-	enc EncodeFunc
-	dec DecodeFunc
-}
-
-type procEntry struct {
-	id  uint8
-	enc ProcEncodeFunc
-	dec ProcDecodeFunc
+	enc func(b []byte, v V) []byte
+	dec func(b []byte) (V, []byte, error)
 }
 
 // Codec maps message and procedure types to their binary codecs. A
@@ -43,10 +33,10 @@ type procEntry struct {
 // populated at construction and read-only afterwards, so concurrent use
 // by transport goroutines needs no locking.
 type Codec struct {
-	msgByID    map[uint8]*msgEntry
-	msgByType  map[reflect.Type]*msgEntry
-	procByID   map[uint8]*procEntry
-	procByType map[reflect.Type]*procEntry
+	msgByID    map[uint8]*entry[transport.Message]
+	msgByType  map[reflect.Type]*entry[transport.Message]
+	procByID   map[uint8]*entry[txn.Procedure]
+	procByType map[reflect.Type]*entry[txn.Procedure]
 
 	// now, when set, is the process-local clock used to re-base request
 	// generation stamps at the transport boundary (see SetClock).
@@ -56,10 +46,10 @@ type Codec struct {
 // NewCodec returns an empty codec.
 func NewCodec() *Codec {
 	return &Codec{
-		msgByID:    map[uint8]*msgEntry{},
-		msgByType:  map[reflect.Type]*msgEntry{},
-		procByID:   map[uint8]*procEntry{},
-		procByType: map[reflect.Type]*procEntry{},
+		msgByID:    map[uint8]*entry[transport.Message]{},
+		msgByType:  map[reflect.Type]*entry[transport.Message]{},
+		procByID:   map[uint8]*entry[txn.Procedure]{},
+		procByType: map[reflect.Type]*entry[txn.Procedure]{},
 	}
 }
 
@@ -71,16 +61,10 @@ func NewCodec() *Codec {
 // form must match what senders pass to Transport.Send). Duplicate ids or
 // types panic: registration is a wiring-time error, not input.
 func (c *Codec) Register(id uint8, sample transport.Message, enc EncodeFunc, dec DecodeFunc) {
-	register(c.msgByID, c.msgByType, id, sample, &msgEntry{id: id, enc: enc, dec: dec})
+	register(c.msgByID, c.msgByType, id, sample, &entry[transport.Message]{id, enc, dec})
 }
 
-// registerProc binds a procedure type id to its codec (RegisterProc
-// builds the pair from the procedure's field walk).
-func (c *Codec) registerProc(id uint8, sample txn.Procedure, enc ProcEncodeFunc, dec ProcDecodeFunc) {
-	register(c.procByID, c.procByType, id, sample, &procEntry{id: id, enc: enc, dec: dec})
-}
-
-func register[E any](byID map[uint8]*E, byType map[reflect.Type]*E, id uint8, sample any, e *E) {
+func register[V any](byID map[uint8]*entry[V], byType map[reflect.Type]*entry[V], id uint8, sample any, e *entry[V]) {
 	t := reflect.TypeOf(sample)
 	if byID[id] != nil || byType[t] != nil {
 		panic(fmt.Sprintf("wire: id %d or type %v registered twice", id, t))

@@ -438,14 +438,14 @@ func Register[T any](c *Codec, id uint8, fields func(*Fields, *T)) {
 // fills in (bound to whatever the procedure runs against), fields is the
 // one description of its parameters.
 func RegisterProc[T any](c *Codec, id uint8, newT func() *T, fields func(*Fields, *T)) {
-	c.registerProc(id, any(newT()).(txn.Procedure),
-		func(b []byte, p txn.Procedure) []byte {
+	register(c.procByID, c.procByType, id, any(newT()).(txn.Procedure), &entry[txn.Procedure]{id: id,
+		enc: func(b []byte, p txn.Procedure) []byte {
 			b, _, _ = run(c, encoding, b, any(p).(*T), fields)
 			return b
 		},
-		func(b []byte) (txn.Procedure, []byte, error) {
+		dec: func(b []byte) (txn.Procedure, []byte, error) {
 			t := newT()
 			rest, _, err := run(c, decoding, b, t, fields)
 			return any(t).(txn.Procedure), rest, err
-		})
+		}})
 }

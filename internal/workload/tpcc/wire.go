@@ -3,9 +3,9 @@ package tpcc
 import "star/internal/wire"
 
 // Wire procedure ids. The id space is shared with other workloads in
-// one codec, so each workload takes a distinct block (tpcc: 1–2 and —
-// ycsb having claimed 3 first — 4–7 for the full-mix extension and
-// the trimmer).
+// one codec, so each workload takes a distinct block (tpcc: 1–2, and
+// 4–7 for the full-mix extension and the trimmer; ycsb took 3 and now
+// takes 9, examples/bank 8).
 const (
 	wireNewOrder    uint8 = 1
 	wirePayment     uint8 = 2

@@ -201,21 +201,19 @@ func (t *Txn) ReadOnly() bool {
 }
 
 // newExplicitTxn builds a transaction with a caller-chosen footprint:
-// access i touches row rows[i] of partition parts[i]. Write accesses
-// install val into column 1. The star-client CLI and tests use these for
-// deterministic, targeted transactions; generated workloads use Gen.
-func (w *Workload) newExplicitTxn(parts, rows []int, writes []bool, val []byte) *Txn {
-	if len(rows) != len(parts) || (writes != nil && len(writes) != len(parts)) {
+// access i touches row rows[i] of partition parts[i]. With write set,
+// every access installs val into column 1. The star-client CLI and tests
+// use these for deterministic, targeted transactions; generated workloads
+// use Gen.
+func (w *Workload) newExplicitTxn(parts, rows []int, write bool, val []byte) *Txn {
+	if len(rows) != len(parts) {
 		panic("ycsb: explicit txn footprint slices disagree")
 	}
 	t := &Txn{w: w, accs: make([]txn.Access, len(parts))}
-	anyWrite := false
 	for i := range parts {
-		wr := writes != nil && writes[i]
-		anyWrite = anyWrite || wr
-		t.accs[i] = txn.Access{Table: TableID, Part: parts[i], Key: w.Key(parts[i], rows[i]), Write: wr}
+		t.accs[i] = txn.Access{Table: TableID, Part: parts[i], Key: w.Key(parts[i], rows[i]), Write: write}
 	}
-	if anyWrite {
+	if write && len(parts) > 0 {
 		row := w.schema.NewRow()
 		buf := make([]byte, w.cfg.FieldSize)
 		copy(buf, val)
@@ -229,18 +227,14 @@ func (w *Workload) newExplicitTxn(parts, rows []int, writes []bool, val []byte) 
 // reports true, so session-fresh replicas may serve it from their fence
 // snapshot).
 func (w *Workload) ReadTxn(parts, rows []int) *Txn {
-	return w.newExplicitTxn(parts, rows, nil, nil)
+	return w.newExplicitTxn(parts, rows, false, nil)
 }
 
 // WriteTxn builds a read-modify-write transaction: every access reads
 // its row and installs val (padded or truncated to FieldSize) into
 // column 1.
 func (w *Workload) WriteTxn(parts, rows []int, val []byte) *Txn {
-	writes := make([]bool, len(parts))
-	for i := range writes {
-		writes[i] = true
-	}
-	return w.newExplicitTxn(parts, rows, writes, val)
+	return w.newExplicitTxn(parts, rows, true, val)
 }
 
 func (g *Gen) gen(home int, cross bool) txn.Procedure {
