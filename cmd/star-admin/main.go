@@ -36,8 +36,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -91,12 +92,7 @@ func main() {
 	case "fault-stats":
 		stats, err := c.FaultStats(needNode())
 		check(err)
-		keys := make([]string, 0, len(stats))
-		for k := range stats {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range slices.Sorted(maps.Keys(stats)) {
 			fmt.Printf("%s %d\n", k, stats[k])
 		}
 	case "join":
@@ -148,23 +144,13 @@ func clusterStats(c *client.Client, node int) (metrics.Snapshot, error) {
 // line, histograms as count + quantiles.
 func printSnapshot(s metrics.Snapshot) {
 	scalars := func(kind string, m map[string]int64) {
-		names := make([]string, 0, len(m))
-		for n := range m {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range slices.Sorted(maps.Keys(m)) {
 			fmt.Printf("%s %s %d\n", kind, n, m[n])
 		}
 	}
 	scalars("counter", s.Counters)
 	scalars("gauge", s.Gauges)
-	names := make([]string, 0, len(s.Hists))
-	for n := range s.Hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(s.Hists)) {
 		h := s.Hists[n]
 		fmt.Printf("hist %s count %d mean %v p50 %v p99 %v max %v\n",
 			n, h.Count, h.Mean(), h.Quantile(0.5), h.Quantile(0.99), time.Duration(h.Max))
@@ -222,6 +208,9 @@ func runTop(c *client.Client, node int, interval time.Duration, iters int) {
 		gauge := func(name string) float64 { return float64(cur.Gauges[name] - prev.Gauges[name]) }
 		fmt.Printf("  wal:  %6.0f B/txn charged (log_bytes)  %6.0f B/txn written (wal_file_bytes)\n",
 			ratio(gauge("log_bytes"), delta("committed")), ratio(gauge("wal_file_bytes"), delta("committed")))
+		// Frames dropped so far: undecodable (each closed its link), shed by a dead link, refused.
+		fmt.Printf("  net:  %d undecodable  %d shed  %d refused\n",
+			cur.Gauges["net_decode_errors"], cur.Gauges["net_shed_frames"], cur.Counters["frames_refused"])
 		prev = cur
 	}
 }

@@ -49,23 +49,7 @@ const (
 )
 
 func (op AdminOp) String() string {
-	switch op {
-	case AdminFreeze:
-		return "freeze"
-	case AdminChecksums:
-		return "checksums"
-	case AdminFaultStats:
-		return "fault-stats"
-	case AdminJoin:
-		return "join"
-	case AdminDrain:
-		return "drain"
-	case AdminTopologyGet:
-		return "topology-get"
-	case AdminStats:
-		return "stats"
-	}
-	return "unknown"
+	return nameOf(op, "", "freeze", "checksums", "fault-stats", "join", "drain", "", "topology-get", "stats")
 }
 
 // AdminReq is the unified admin request envelope.

@@ -190,16 +190,24 @@ func (e *Engine) buildRegistry() {
 // core importing the injector package.
 type faultInjector interface{ Injected() map[string]int64 }
 
+// linkCounter is implemented by transports that drop frames (tcpnet).
+type linkCounter interface {
+	DecodeErrors() int64
+	ShedFrames() int64
+}
+
 // StatsSnapshot captures the live metric registry, folding in process
 // quantities tracked outside it: log bytes, the transport's byte and
-// message accounting, and — when the transport injects faults
-// (star-node -faults, chaos soaks) — the cumulative injection counters
-// under the names the injector gives them (fault_drops, ...). Log bytes
-// come twice: log_bytes is what the cost model charged (chargeLog:
-// len(row)+32 per logged write, on every runtime), wal_file_bytes what
-// the recovery logs wrote: their envelope frames, to the byte (LogDir
-// mode). This is what AdminStats serves and what the -http /metrics
-// endpoint renders.
+// message accounting, the frames it dropped when it counts them
+// (net_decode_errors: did not decode, closing the link they came on, or
+// were misrouted; net_shed_frames: shed by a dead link's byte cap), and
+// — when the transport injects faults (star-node -faults, chaos soaks) —
+// the cumulative injection counters under the names the injector gives
+// them (fault_drops, ...). Log bytes come twice: log_bytes is what the
+// cost model charged (chargeLog: len(row)+32 per logged write, on every
+// runtime), wal_file_bytes what the recovery logs wrote: their envelope
+// frames, to the byte (LogDir mode). This is what AdminStats serves and
+// what the -http /metrics endpoint renders.
 func (e *Engine) StatsSnapshot() metrics.Snapshot {
 	e.reg.Gauge("log_bytes").Set(e.logBytes.Load())
 	var written int64
@@ -212,6 +220,10 @@ func (e *Engine) StatsSnapshot() metrics.Snapshot {
 	e.reg.Gauge("net_bytes").Set(e.net.TotalBytes())
 	e.reg.Gauge("repl_bytes").Set(e.net.Bytes(transport.Replication))
 	e.reg.Gauge("repl_msgs").Set(e.net.Messages(transport.Replication))
+	if lc, ok := e.net.(linkCounter); ok {
+		e.reg.Gauge("net_decode_errors").Set(lc.DecodeErrors())
+		e.reg.Gauge("net_shed_frames").Set(lc.ShedFrames())
+	}
 	snap := e.reg.Snapshot()
 	if fi, ok := e.net.(faultInjector); ok {
 		maps.Copy(snap.Counters, fi.Injected()) // the registry always has counters

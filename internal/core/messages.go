@@ -179,14 +179,12 @@ const (
 	StatusAborted
 )
 
-func (s ClientStatus) String() string {
-	switch s {
-	case StatusOK:
-		return "ok"
-	case StatusBusy:
-		return "busy"
-	case StatusAborted:
-		return "aborted"
+func (s ClientStatus) String() string { return nameOf(s, "", "ok", "busy", "aborted") }
+
+// nameOf is names[v], or "unknown" where names has none.
+func nameOf[T ~uint8](v T, names ...string) string {
+	if int(v) < len(names) && names[v] != "" {
+		return names[v]
 	}
 	return "unknown"
 }

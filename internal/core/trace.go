@@ -84,16 +84,12 @@ func (c *coordinator) noteEpoch(done map[int]msgPhaseDone, tau, overrun, fenceDu
 		Topology:  view.Version,
 		Failed:    view.failed,
 	}
-	if len(done) > 0 {
-		ev.Commits = make(map[string]int64, len(done))
-		for id, pd := range done {
-			ev.Commits[strconv.Itoa(id)] = pd.Committed
-		}
+	ev.Commits = make(map[string]int64, len(done)) // omitted when empty, as Faults is
+	for id, pd := range done {
+		ev.Commits[strconv.Itoa(id)] = pd.Committed
 	}
 	if fi, ok := e.net.(faultInjector); ok {
-		if inj := fi.Injected(); len(inj) > 0 {
-			ev.Faults = inj
-		}
+		ev.Faults = fi.Injected()
 	}
 	b, err := json.Marshal(ev)
 	if err != nil {

@@ -4,7 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -222,21 +223,10 @@ func DecodeSnapshot(b []byte) (Snapshot, error) {
 // through), histograms as summaries with p50/p90/p99 in seconds. Output
 // is sorted by name so scrapes diff cleanly.
 func WritePrometheus(w io.Writer, s Snapshot) error {
-	base := func(name string) string {
-		if i := strings.IndexByte(name, '{'); i >= 0 {
-			return name[:i]
-		}
-		return name
-	}
 	emit := func(kind string, m map[string]int64) error {
-		names := make([]string, 0, len(m))
-		for n := range m {
-			names = append(names, n)
-		}
-		sort.Strings(names)
 		lastBase := ""
-		for _, n := range names {
-			if b := base(n); b != lastBase {
+		for _, n := range slices.Sorted(maps.Keys(m)) {
+			if b, _, _ := strings.Cut(n, "{"); b != lastBase { // label suffix off
 				if _, err := fmt.Fprintf(w, "# TYPE star_%s %s\n", b, kind); err != nil {
 					return err
 				}
@@ -254,12 +244,7 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	if err := emit("gauge", s.Gauges); err != nil {
 		return err
 	}
-	hnames := make([]string, 0, len(s.Hists))
-	for n := range s.Hists {
-		hnames = append(hnames, n)
-	}
-	sort.Strings(hnames)
-	for _, n := range hnames {
+	for _, n := range slices.Sorted(maps.Keys(s.Hists)) {
 		h := s.Hists[n]
 		if _, err := fmt.Fprintf(w, "# TYPE star_%s summary\n", n); err != nil {
 			return err

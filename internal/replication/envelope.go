@@ -73,8 +73,10 @@ import (
 // claim 2 KiB.
 //
 // Sizes: a YCSB op entry after the first is flags 1 + key delta 3 + TID 1
-// + argument 13 = 18 bytes (43 with every field fixed-width), a TPC-C
-// stock update ≈ 8; a header is MinEntryLen−1 to MaxEntryHeaderLen bytes.
+// + argument 11 (the 10-byte value behind its length: storage.OpSetBytes)
+// = 16 bytes (43 with every field fixed-width and the column's padded
+// image), a TPC-C stock update ≈ 8; a header is MinEntryLen−1 to
+// MaxEntryHeaderLen bytes.
 // DecodeBatch allocates at most 4 ops per 7 frame bytes (a same-shape entry).
 // Everything that prices an entry asks EntryCoder.Next — the Stream's byte
 // bound, Batch.Size, what a worker reports it replicated — so all of them

@@ -71,12 +71,19 @@ func orderRow(s *storage.Schema, customer uint64, tag string, amount float64) []
 
 // landingTxns is the sequence, per partition: inserts that add to both
 // indexes, field-op updates (one with no ops at all: it still moves the
-// TID, one on an indexed column: it moves that index's entry), deletes of
-// a loaded row and of a row inserted this epoch, and a re-insert of the
-// deleted key with other indexed fields. Under the Thomas rule a replica
-// may never see the delete between the key's two row images, so the
-// second image lands over a present record and must move its entries.
+// TID, one on an indexed column: it moves that index's entry; bytes
+// columns set to a shorter value than they held, and an indexed one),
+// deletes of a loaded row and of a row inserted this epoch, and a
+// re-insert of the deleted key with other indexed fields. Under the
+// Thomas rule a replica may never see the delete between the key's two
+// row images, so the second image lands over a present record and must
+// move its entries.
 func landingTxns(s *storage.Schema) []func(*txn.RWSet) {
+	setBytes := func(field int, v string) storage.FieldOp {
+		row := s.NewRow()
+		s.SetString(row, field, v)
+		return storage.SetFieldOp(s, row, field)
+	}
 	var txns []func(*txn.RWSet)
 	for part := 0; part < landParts; part++ {
 		p := part
@@ -96,6 +103,8 @@ func landingTxns(s *storage.Schema) []func(*txn.RWSet) {
 			func(set *txn.RWSet) {
 				set.AddInsert(0, p, k(3), orderRow(s, 150, "tz", 99)) // k3 loaded as customer 100, tag tb
 				set.AddWrite(0, p, k(1), storage.SetInt64Op(fCarrier, 3))
+				set.AddWrite(0, p, k(4), setBytes(fNote, "ok")) // over "paid;"
+				set.AddWrite(0, p, k(6), setBytes(fTag, "set")) // indexed
 			},
 			func(set *txn.RWSet) {
 				set.AddDelete(0, p, k(10))

@@ -75,18 +75,20 @@ func (db *DB) AddTable(name string, schema *Schema, replicated bool) *Table {
 	return t
 }
 
-// FillFrom fills partition p of every partitioned table, each never
-// written, with the present rows of src's copy of it (src is a database
-// of the same schema). The rows go in src's slot order into a key index
-// of src's size, so a copy of a partition nothing has deleted from lays
-// its slots out as src does and ranges in src's order.
+// FillFrom fills partition p of every partitioned table — or, for p < 0,
+// every replicated table's one partition — each never written, with the
+// present rows of src's copy of it (src is a database of the same
+// schema). The rows go in src's slot order into a key index of src's
+// size, so a copy of a partition nothing has deleted from lays its slots
+// out as src does and ranges in src's order.
 func (db *DB) FillFrom(p int, src *DB) {
 	for i, t := range db.tables {
-		if t.replicated {
+		if t.replicated != (p < 0) {
 			continue
 		}
-		from := src.tables[i].parts[p].idx.Load()
-		f := t.fill(p, len(from.slots), from.live())
+		part := max(p, 0)
+		from := src.tables[i].parts[part].idx.Load()
+		f := t.fill(part, len(from.slots), from.live())
 		mask, start := len(from.slots)-1, 0
 		for from.slots[start].Load() != nil { // a slot array is at least 1/4 empty
 			start++

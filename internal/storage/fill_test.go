@@ -206,8 +206,9 @@ func fillRefuses(t *testing.T) {
 }
 
 // TestLandOnIndexedRowZeroAllocs pins a write to a present row of an
-// indexed table, once its epoch has touched it, at zero allocations: the
-// buffer Land derives index values into is lent, not made per call.
+// indexed table — an integer add and a bytes column set — once its epoch
+// has touched it, at zero allocations: the buffer Land derives index
+// values into is lent, not made per call.
 func TestLandOnIndexedRowZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -215,7 +216,7 @@ func TestLandOnIndexedRowZeroAllocs(t *testing.T) {
 	filled, _ := fillPair(t, 16)
 	tbl := filled.Table(0)
 	r := tbl.Get(0, K1(3))
-	w := Write{Kind: WriteOps, Ops: []FieldOp{AddInt64Op(2, 1)}}
+	w := Write{Kind: WriteOps, Ops: []FieldOp{AddInt64Op(2, 1), NewFieldOp(3, OpSetBytes, []byte("set"))}}
 	seq := uint64(0)
 	land := func() {
 		seq++

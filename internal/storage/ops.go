@@ -12,7 +12,7 @@ import (
 type OpKind uint8
 
 const (
-	// OpSetField replaces a single field's raw bytes.
+	// OpSetField replaces an integer or float field's 8 bytes.
 	OpSetField OpKind = iota
 	// OpAddInt64 adds a signed delta to an integer field.
 	OpAddInt64
@@ -23,6 +23,11 @@ const (
 	OpPrepend
 	// OpSetRow replaces the whole row.
 	OpSetRow
+	// OpSetBytes sets a FieldBytes column to its argument, a value of at
+	// most the column's Cap bytes: the column is cleared and the value
+	// written behind its length, so the op carries the value, not the
+	// column's length word and padding.
+	OpSetBytes
 )
 
 // FieldOp is one field-level mutation, its argument interpreted per Kind:
@@ -57,16 +62,21 @@ func (op *FieldOp) Argument(w *[8]byte) []byte {
 	return op.Arg
 }
 
-// SetFieldOp builds an OpSetField carrying the field's raw encoding.
+// SetFieldOp builds the op that sets column field to its value in row:
+// an OpSetBytes carrying a bytes column's value, an OpSetField carrying
+// an integer or float column's 8 bytes.
 func SetFieldOp(s *Schema, row []byte, field int) FieldOp {
 	return SetFieldOpInto(s, row, field, nil)
 }
 
-// SetFieldOpInto is SetFieldOp with the field's encoding appended to
+// SetFieldOpInto is SetFieldOp with a bytes column's value appended to
 // buf instead of a fresh slice: a caller that owns storage with the op's
 // lifetime saves the allocation (the append still grows past cap(buf)).
 func SetFieldOpInto(s *Schema, row []byte, field int, buf []byte) FieldOp {
-	return NewFieldOp(field, OpSetField, append(buf, s.fieldSlice(row, field)...))
+	if s.fields[field].Type != FieldBytes {
+		return WordOp(field, OpSetField, s.GetUint64(row, field))
+	}
+	return NewFieldOp(field, OpSetBytes, append(buf, s.GetBytes(row, field)...))
 }
 
 // AddInt64Op builds an integer-delta op.
@@ -96,9 +106,10 @@ func SetRowOp(row []byte) FieldOp {
 }
 
 // Fits reports whether s can land w: a row exactly RowSize wide, or ops
-// naming columns s has, each with an argument its kind fits — OpSetField
-// the field's size, OpAddInt64 and OpAddFloat64 8 bytes on an 8-byte
-// field, OpPrepend any on a FieldBytes column, OpSetRow the row's size.
+// naming columns s has, each with an argument its kind fits — OpSetField,
+// OpAddInt64 and OpAddFloat64 8 bytes on an integer or float column,
+// OpSetBytes at most Cap bytes and OpPrepend any on a FieldBytes column,
+// OpSetRow the row's size. So each column type is set by one kind.
 func (s *Schema) Fits(w Write) bool {
 	if w.Kind == WriteRow {
 		return len(w.Row) == s.rowSize
@@ -110,8 +121,8 @@ func (s *Schema) Fits(w Write) bool {
 		}
 		f, n := &s.fields[op.Field], len(op.Argument(&a))
 		switch {
-		case op.Kind == OpSetField && n == f.size,
-			(op.Kind == OpAddInt64 || op.Kind == OpAddFloat64) && n == 8 && f.size == 8,
+		case (op.Kind == OpSetField || op.Kind == OpAddInt64 || op.Kind == OpAddFloat64) && n == 8 && f.Type != FieldBytes,
+			op.Kind == OpSetBytes && n <= f.Cap && f.Type == FieldBytes,
 			op.Kind == OpPrepend && f.Type == FieldBytes,
 			op.Kind == OpSetRow && n == s.rowSize:
 		default:
@@ -130,6 +141,9 @@ func (op FieldOp) Apply(s *Schema, row []byte) {
 		copy(row, arg)
 	case OpSetField:
 		copy(s.fieldSlice(row, i), arg)
+	case OpSetBytes:
+		clear(s.fieldSlice(row, i))
+		s.SetBytes(row, i, arg)
 	case OpAddInt64:
 		s.SetInt64(row, i, s.GetInt64(row, i)+int64(binary.LittleEndian.Uint64(arg)))
 	case OpAddFloat64:

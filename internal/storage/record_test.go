@@ -238,6 +238,25 @@ func TestLandFieldOps(t *testing.T) {
 	}
 }
 
+// TestLandSetBytesRevertsAndFenceReads: a bytes column set to a shorter
+// value is one write like any other — the epoch's fence read sees the
+// prior image, and a revert puts it back byte for byte.
+func TestLandSetBytesRevertsAndFenceReads(t *testing.T) {
+	_, tbl := newTestDB(t, 1, nil)
+	r := NewRecord(MakeTID(1, 1), txt("a long old value"))
+	landOn(t, tbl, r, 2, MakeTID(2, 1), Write{Kind: WriteOps, Ops: []FieldOp{NewFieldOp(3, OpSetBytes, []byte("new"))}})
+	if val, _, _ := r.ReadStable(nil); !bytes.Equal(val, txt("new")) {
+		t.Fatalf("landed %x, want %x", val, txt("new"))
+	}
+	if val, tid, present := fenceRead(t, r, 2); !present || !bytes.Equal(val, txt("a long old value")) || tid != MakeTID(1, 1) {
+		t.Fatalf("fence read at 2: %x %s %v, want the prior image", val, FormatTID(tid), present)
+	}
+	tbl.Partition(0).RevertEpoch(2)
+	if val, tid, _ := r.ReadStable(nil); !bytes.Equal(val, txt("a long old value")) || tid != MakeTID(1, 1) {
+		t.Fatalf("revert left %x %s, want the prior image", val, FormatTID(tid))
+	}
+}
+
 // A write the table's schema does not fit is refused whole, before
 // anything moves: an op list whose second op names a column the table
 // lacks leaves the first unapplied, the TID where it was and the record

@@ -169,7 +169,7 @@ func (s *Schema) GetString(row []byte, i int) string { return string(s.GetBytes(
 func (s *Schema) SetString(row []byte, i int, v string) { s.SetBytes(row, i, []byte(v)) }
 
 // fieldSlice returns the raw bytes (including any length prefix) of
-// column i: the unit shipped by per-field value replication.
+// column i: what OpSetField overwrites and OpSetBytes clears.
 func (s *Schema) fieldSlice(row []byte, i int) []byte {
 	f := &s.fields[i]
 	return row[f.offset : f.offset+f.size]

@@ -111,19 +111,31 @@ func TestFieldOpsApply(t *testing.T) {
 	}
 }
 
-func TestSetFieldOpCarriesRawEncoding(t *testing.T) {
+// TestSetFieldOpCarriesValue: a bytes column's op carries the column's
+// value, not its padded image, and lands it with the rest of the column
+// zeroed — the row bytes copying the image gives — and a value of exactly
+// Cap whole; an integer column's op carries its 8 bytes.
+func TestSetFieldOpCarriesValue(t *testing.T) {
 	s := testSchema()
-	src := s.NewRow()
+	src, dst := s.NewRow(), s.NewRow()
 	s.SetString(src, 3, "abc")
-	op := SetFieldOp(s, src, 3)
-	dst := s.NewRow()
 	s.SetString(dst, 3, "zzzzzzzz")
-	op.Apply(s, dst)
-	if got := s.GetString(dst, 3); got != "abc" {
-		t.Fatalf("got %q", got)
+	op := SetFieldOp(s, src, 3)
+	if op.Kind != OpSetBytes || string(op.Arg) != "abc" {
+		t.Fatalf("bytes column's op %+v, want OpSetBytes of %q", op, "abc")
 	}
-	if size := 2 + len(op.Arg); size >= s.RowSize() { // field, kind, argument
-		t.Fatalf("field op (%dB) should be smaller than the row (%dB)", size, s.RowSize())
+	if op.Apply(s, dst); !bytes.Equal(dst, src) {
+		t.Fatalf("row %x after a shorter value, want %x", dst, src)
+	}
+	s.SetString(src, 3, "0123456789abcdef") // Cap
+	if SetFieldOp(s, src, 3).Apply(s, dst); !bytes.Equal(dst, src) {
+		t.Fatalf("row %x after a value of Cap bytes, want %x", dst, src)
+	}
+	s.SetInt64(src, 2, -7)
+	if op := SetFieldOp(s, src, 2); op.Kind != OpSetField {
+		t.Fatalf("integer column's op %+v, want OpSetField", op)
+	} else if op.Apply(s, dst); s.GetInt64(dst, 2) != -7 {
+		t.Fatalf("integer set landed %d, want -7", s.GetInt64(dst, 2))
 	}
 }
 
@@ -158,12 +170,18 @@ func TestSchemaFits(t *testing.T) {
 		"no ops":                             {ops(), true},
 		"set, add, add, prepend, set row":    {ops(SetFieldOp(s, row, 3), AddInt64Op(2, 1), AddFloat64Op(1, 1), PrependOp(3, []byte("x")), SetRowOp(row)), true},
 		"op on a column the table lacks":     {ops(AddInt64Op(2, 1), AddInt64Op(4, 1)), false},
-		"set of the wrong size":              {ops(NewFieldOp(3, OpSetField, []byte("abc"))), false},
+		"set of the wrong size":              {ops(NewFieldOp(2, OpSetField, []byte("abc"))), false},
+		"image set on a bytes column":        {ops(NewFieldOp(3, OpSetField, make([]byte, 18))), false},
+		"8-byte set on a bytes column":       {ops(NewFieldOp(3, OpSetField, make([]byte, 8))), false},
+		"set bytes of Cap bytes":             {ops(NewFieldOp(3, OpSetBytes, make([]byte, 16))), true},
+		"set bytes of 8 bytes":               {ops(NewFieldOp(3, OpSetBytes, []byte("8 bytes!"))), true},
+		"set bytes over Cap":                 {ops(NewFieldOp(3, OpSetBytes, make([]byte, 17))), false},
+		"set bytes on an integer column":     {ops(NewFieldOp(2, OpSetBytes, []byte("abc"))), false},
 		"add on a bytes column":              {ops(AddInt64Op(3, 1)), false},
 		"add of a short argument":            {ops(NewFieldOp(2, OpAddInt64, []byte{1})), false},
 		"prepend on an integer column":       {ops(PrependOp(2, []byte("x"))), false},
 		"set row of the wrong size":          {ops(SetRowOp(row[:3])), false},
-		"op of a kind storage does not know": {ops(FieldOp{Field: 0, Kind: OpSetRow + 1}), false},
+		"op of a kind storage does not know": {ops(FieldOp{Field: 0, Kind: OpSetBytes + 1}), false},
 	} {
 		if got := s.Fits(c.w); got != c.fits {
 			t.Errorf("%s: fits = %v, want %v", name, got, c.fits)

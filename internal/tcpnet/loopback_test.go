@@ -7,7 +7,11 @@ import (
 	"time"
 
 	"star/internal/core"
+	"star/internal/replication"
 	"star/internal/rt"
+	"star/internal/storage"
+	"star/internal/transport"
+	"star/internal/wire"
 	"star/internal/wire/prim"
 	"star/internal/workload/tpcc"
 )
@@ -163,5 +167,40 @@ func loopbackMatchesSimnet(t *testing.T, wcfg func(nodes, workers int) tpcc.Conf
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("TCP run diverged from simnet run:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestLoopbackDecodeErrorsPublished: a peer that speaks another wire —
+// here its envelope holds an op kind this build does not know, as a
+// build from before OpSetBytes meets a YCSB write — has the link it sent
+// on closed, which the cluster sees only as a silent peer. The engine
+// publishes the transport's count as the net_decode_errors gauge (beside
+// net_shed_frames), where /metrics and star-admin read it.
+func TestLoopbackDecodeErrorsPublished(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loopback TCP integration test skipped in -short")
+	}
+	p := newLoopbackPair(t, 0, nil)
+	if g := p.stats().Gauges; g["net_decode_errors"] != 0 {
+		t.Fatalf("net_decode_errors reads %d before any bad frame", g["net_decode_errors"])
+	} else if _, ok := g["net_shed_frames"]; !ok {
+		t.Fatalf("no net_shed_frames gauge among %v", g)
+	}
+	env := &replication.Batch{From: 1, Epoch: 1, Entries: []replication.Entry{{Key: storage.K1(1), TID: storage.MakeTID(1, 1),
+		Ops: []storage.FieldOp{storage.NewFieldOp(1, storage.OpSetBytes+1, []byte("v"))}}}}
+	frame, err := wire.AppendFrame(nil, 1, 0, transport.Replication, core.NewWireCodec(p.wl), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", p.nets[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.Write(frame)
+	defer conn.Close()
+	for deadline := time.Now().Add(10 * time.Second); p.stats().Gauges["net_decode_errors"] == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("an envelope its receiver cannot decode left net_decode_errors at 0")
+		}
 	}
 }

@@ -657,5 +657,7 @@ func (n *Network) SetDown(node int, down bool) {
 // of Dropped caused by queue memory pressure rather than the drain loop.
 func (n *Network) ShedFrames() int64 { return n.shed.Load() }
 
-// DecodeErrors counts frames rejected by the codec (tests).
+// DecodeErrors counts frames rejected by the codec, each of which closed
+// the connection it came on, and misrouted ones (the engine's
+// net_decode_errors gauge).
 func (n *Network) DecodeErrors() int64 { return n.decodeErrs.Load() }

@@ -353,7 +353,8 @@ func TestDecodeBatchReadsParentFrames(t *testing.T) {
 
 // TestDecodeBatchRejectsIllFormedKeysAndArguments: a key delta needs the
 // previous entry's table and partition and is the key's only form; an op
-// argument has one form.
+// argument has one form; an op's kind is one storage knows, OpSetBytes
+// the last.
 func TestDecodeBatchRejectsIllFormedKeysAndArguments(t *testing.T) {
 	delta := []byte{0, 0, 1, flagKeyDelta | flagSamePart, 2, 0, 1, 'r'} // K1(1) behind key 0
 	if b, err := replication.DecodeBatch(delta); err != nil || b.Entries[0].Key != storage.K1(1) {
@@ -371,10 +372,14 @@ func TestDecodeBatchRejectsIllFormedKeysAndArguments(t *testing.T) {
 		{"key delta and raw key", []byte{0, 0, 1, flagKeyDelta | flagRawKey | flagSamePart, 2, 0, 1, 'r'}, prim.ErrCorrupt},
 		{"both argument forms", op(byte(storage.OpAddInt64)|0xc0, 2), prim.ErrCorrupt},
 		{"short argument cut off", op(byte(storage.OpAddInt64)|0x40, 0x80), prim.ErrTruncated},
+		{"kind past OpSetBytes", op(byte(storage.OpSetBytes+1), 1, 'v'), prim.ErrCorrupt},
 	} {
 		if _, err := replication.DecodeBatch(c.enc); !errors.Is(err, c.want) {
 			t.Errorf("%s: %v, want %v", c.name, err, c.want)
 		}
+	}
+	if b, err := replication.DecodeBatch(op(byte(storage.OpSetBytes), 1, 'v')); err != nil || b.Entries[0].Ops[0].Kind != storage.OpSetBytes {
+		t.Errorf("OpSetBytes: %v", err)
 	}
 	for _, form := range []byte{0x40, 0x80} {
 		b, err := replication.DecodeBatch(op(byte(storage.OpAddInt64)|form, 2))
@@ -456,16 +461,25 @@ func mustHex(t testing.TB, s string) []byte {
 
 // ycsbOpEnvelope is what one worker ships for one partition in the
 // partitioned phase of YCSB: n single-write transactions with consecutive
-// TIDs, each a one-column overwrite (12-byte argument) of a random row.
+// TIDs, each setting column 1 of a random row (a bytes column of
+// capacity 10, YCSB's) to a fresh 10-byte value, built as YCSB's
+// generator builds it.
 func ycsbOpEnvelope(n int) *replication.Batch {
 	const rowsPerPart, part, epoch = 200000, 3, 12
-	rng := rand.New(rand.NewSource(1))
+	schema := storage.NewSchema(
+		storage.Field{Name: "f0", Type: storage.FieldBytes, Cap: 10},
+		storage.Field{Name: "f1", Type: storage.FieldBytes, Cap: 10},
+	)
+	keys, vals := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2))
+	row, val := schema.NewRow(), make([]byte, 10)
 	b := &replication.Batch{From: 1, Epoch: epoch, Entries: make([]replication.Entry, n)}
 	for i := range b.Entries {
+		vals.Read(val)
+		schema.SetBytes(row, 1, val)
 		b.Entries[i] = replication.Entry{
-			Part: part, Key: storage.K1(part*rowsPerPart + uint64(rng.Intn(rowsPerPart))),
+			Part: part, Key: storage.K1(part*rowsPerPart + uint64(keys.Intn(rowsPerPart))),
 			TID: storage.MakeTID(epoch, uint64(5000+i)),
-			Ops: []storage.FieldOp{{Field: 1, Kind: storage.OpSetField, Arg: make([]byte, 12)}},
+			Ops: []storage.FieldOp{storage.SetFieldOp(schema, row, 1)},
 		}
 	}
 	return b
@@ -475,14 +489,16 @@ func ycsbOpEnvelope(n int) *replication.Batch {
 // edit that fattens it fails here and not in the next benchmark run.
 func TestEnvelopeByteBudget(t *testing.T) {
 	// The partitioned phase's unit: flags 1, key 3 (a delta from the row
-	// before: 4 as two uvarints), TID 1, argument 13 (the 12-byte value
-	// raw behind its length; the op count and head are the entry
-	// before's), with table, partition and the op's head paid once and
-	// the envelope header spread over 128 entries.
+	// before: 4 as two uvarints), TID 1, argument 11 (the 10-byte value
+	// behind its length; the op count and head are the entry before's),
+	// with table, partition and the op's head paid once and the envelope
+	// header spread over 128 entries.
 	ycsb := ycsbOpEnvelope(128)
-	if got := float64(replication.BatchLen(ycsb)) / 128; got > 18 {
-		t.Errorf("YCSB operation envelope costs %.2f B/entry, budget 18", got)
+	got := float64(replication.BatchLen(ycsb)) / 128
+	if got > 16 {
+		t.Errorf("YCSB operation envelope costs %.2f B/entry, budget 16", got)
 	}
+	t.Logf("YCSB operation envelope: %.2f B/entry", got)
 
 	// A value entry after the first costs its row plus at most 10 bytes:
 	// a YCSB row (120 B of random text: it does not pack) and a TPC-C

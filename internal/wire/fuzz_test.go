@@ -65,13 +65,18 @@ func FuzzPrimitives(f *testing.F) {
 	}
 	// Field ops whose 8-byte argument travels short, each at an edge of
 	// its form: the longest zig-zag varint, the shortest, a float NaN and
-	// a negative zero (byte-reversed), and 2^20.
+	// a negative zero (byte-reversed), and 2^20; and bytes columns set to
+	// a YCSB value, to an 8-byte one (which travels in any form) and to
+	// the empty one.
 	for _, op := range []storage.FieldOp{
 		storage.AddInt64Op(0, math.MinInt64),
 		storage.AddInt64Op(1, -1),
 		storage.AddFloat64Op(2, math.NaN()),
 		storage.AddFloat64Op(3, math.Copysign(0, -1)),
 		storage.SetInt64Op(4, 1<<20),
+		storage.NewFieldOp(1, storage.OpSetBytes, []byte("0123456789")),
+		storage.NewFieldOp(2, storage.OpSetBytes, []byte{0, 0, 0, 0, 0, 0, 0, 3}),
+		storage.NewFieldOp(3, storage.OpSetBytes, nil),
 	} {
 		seeds = append(seeds, prim.AppendFieldOp(nil, &op))
 	}
@@ -260,6 +265,10 @@ func FuzzBatchDecode(f *testing.F) {
 		twoEntries(0, []byte{1, 'r'}, flagOp|flagSameOps, 2),
 		twoEntries(flagOp, []byte{0}, flagOp|flagSameOps, 2),
 		twoEntries(flagOp, []byte{5, 1, 0x41, 2, 1, 0x41, 2, 1, 0x41, 2, 1, 0x41, 2, 1, 0x41, 2}, flagOp|flagSameOps, 2, 2, 2, 2, 2),
+		// YCSB's partitioned phase: bytes columns set to values, the
+		// second entry's heads the first's; then a kind past OpSetBytes.
+		replication.AppendBatch(nil, ycsbOpEnvelope(3)),
+		twoEntries(flagOp, []byte{1, 1, byte(storage.OpSetBytes + 1), 1, 'v'}, flagOp|flagSameOps, 1, 'w'),
 	}
 	for i, s := range seeds {
 		corpusSeed(f, "FuzzBatchDecode", i, s)

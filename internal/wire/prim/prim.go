@@ -220,7 +220,7 @@ func DecodeFieldOp(b []byte) (storage.FieldOp, []byte, error) {
 	if len(b) < 2 {
 		return storage.FieldOp{}, nil, ErrTruncated
 	}
-	if storage.OpKind(b[1]&^argForms) > storage.OpSetRow || b[1]&argForms == argForms {
+	if storage.OpKind(b[1]&^argForms) > storage.OpSetBytes || b[1]&argForms == argForms {
 		return storage.FieldOp{}, nil, fmt.Errorf("%w: op kind byte %#x", ErrCorrupt, b[1])
 	}
 	return DecodeOpArg(b[2:], OpHead(b))

@@ -16,12 +16,12 @@ import (
 )
 
 // nodeDigest is what a node's build produced: every partition's checksum
-// (rows and secondary index entries) and, per table and partition, an
-// order-sensitive hash of its rows as Range visits them, so the key
-// index's slot layout is compared too.
+// (rows and secondary index entries) and an order-sensitive hash of each
+// held partition's rows as Range visits them, so the key index's slot
+// layout is compared too — the partitioned tables' per table and
+// partition, the replicated tables' apart.
 type nodeDigest struct {
-	sums   []uint64
-	ranges []uint64
+	sums, ranges, shared []uint64
 }
 
 func digest(db *storage.DB) nodeDigest {
@@ -31,28 +31,37 @@ func digest(db *storage.DB) nodeDigest {
 	}
 	for id := 0; id < db.NumTables(); id++ {
 		tbl := db.Table(storage.TableID(id))
+		if tbl.Replicated() {
+			d.shared = append(d.shared, rangeHash(tbl.Partition(0)))
+			continue
+		}
 		for p := 0; p < db.NumPartitions(); p++ {
-			part := tbl.Partition(p)
-			if part == nil || (tbl.Replicated() && p > 0) {
-				continue
+			if part := tbl.Partition(p); part != nil {
+				d.ranges = append(d.ranges, rangeHash(part))
 			}
-			h := fnv.New64a()
-			part.Range(func(key storage.Key, tid uint64, val []byte) bool {
-				h.Write(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, key.Hi), key.Lo), tid))
-				h.Write(val)
-				return true
-			})
-			d.ranges = append(d.ranges, h.Sum64())
 		}
 	}
 	return d
 }
 
-// TestFillHeldIndependentOfProcs builds a cluster's nodes — the first
-// generates every partition, the second copies them (BuildDBs) — at one
-// processor and at four, and requires the same rows, TIDs, index entries
-// and Range order everywhere: a partition's content is a function of the
-// partition alone, however many of them fill at once.
+func rangeHash(part *storage.Partition) uint64 {
+	h := fnv.New64a()
+	part.Range(func(key storage.Key, tid uint64, val []byte) bool {
+		h.Write(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, key.Hi), key.Lo), tid))
+		h.Write(val)
+		return true
+	})
+	return h.Sum64()
+}
+
+// TestFillHeldIndependentOfProcs builds a cluster's nodes (BuildDBs) —
+// the first generates half the partitions, the second the rest (its Load
+// generating the replicated tables again) and the third copies every
+// partition and replicated table, running no Load — at one processor and
+// at four, and requires the same rows, TIDs, index entries and Range
+// order everywhere: a partition's content is a function of the partition
+// alone, however many of them fill at once, and a copy is its source
+// slot for slot.
 func TestFillHeldIndependentOfProcs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, c := range []struct {
@@ -62,14 +71,14 @@ func TestFillHeldIndependentOfProcs(t *testing.T) {
 		{ycsb.New(ycsb.Config{Partitions: 5, RecordsPerPartition: 3000}), 5},
 		{tpcc.New(tpcc.Config{Warehouses: 4, Districts: 2, CustomersPerDistrict: 60, Items: 500}), 4},
 	} {
-		all := make([]bool, c.nparts)
+		half, all := make([]bool, c.nparts), make([]bool, c.nparts)
 		for p := range all {
-			all[p] = true
+			half[p], all[p] = p%2 == 0, true
 		}
 		var want []nodeDigest
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
-			for node, db := range workload.BuildDBs(c.w, c.nparts, [][]bool{all, all}) {
+			for node, db := range workload.BuildDBs(c.w, c.nparts, [][]bool{half, all, all}) {
 				got := digest(db)
 				if procs == 1 {
 					want = append(want, got)
@@ -78,14 +87,17 @@ func TestFillHeldIndependentOfProcs(t *testing.T) {
 				}
 			}
 		}
-		if !want[0].equal(want[1]) {
-			t.Fatalf("%s: the copied node %+v differs from the generating node %+v", c.w.Name(), want[1], want[0])
+		if !want[2].equal(want[1]) {
+			t.Fatalf("%s: the copying node %+v differs from the generating node %+v", c.w.Name(), want[2], want[1])
+		}
+		if !slices.Equal(want[0].shared, want[2].shared) {
+			t.Fatalf("%s: the copied replicated tables %x differ from the generated %x", c.w.Name(), want[2].shared, want[0].shared)
 		}
 	}
 }
 
 func (d nodeDigest) equal(o nodeDigest) bool {
-	return slices.Equal(d.sums, o.sums) && slices.Equal(d.ranges, o.ranges)
+	return slices.Equal(d.sums, o.sums) && slices.Equal(d.ranges, o.ranges) && slices.Equal(d.shared, o.shared)
 }
 
 // TestFillHeldPanicReachesCaller requires a fill that panics — here a

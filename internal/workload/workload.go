@@ -4,7 +4,9 @@
 package workload
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 
 	"star/internal/storage"
 	"star/internal/txn"
@@ -58,11 +60,13 @@ func WorkerRNG(base int64, node, worker int) *rand.Rand {
 // generated by Load for the first node that holds it and copied into
 // every later holder (storage.DB.FillFrom), so a cluster build generates
 // each partition once and its replicas are identical, slot for slot. A
-// node's partitions are generated, and then copied, concurrently
-// (storage.DB.FillHeld).
+// node that generates no partition runs no Load: it copies the
+// replicated tables from the first node built too. A node's partitions
+// are generated, and then copied, concurrently (storage.DB.FillHeld).
 func BuildDBs(w Workload, nparts int, holds [][]bool) []*storage.DB {
 	dbs := make([]*storage.DB, len(holds))
 	first := make([]*storage.DB, nparts)
+	var src *storage.DB // the first node built, whose replicated tables are copied
 	for i, mask := range holds {
 		if mask == nil {
 			continue
@@ -72,7 +76,11 @@ func BuildDBs(w Workload, nparts int, holds [][]bool) []*storage.DB {
 			gen[p] = h && first[p] == nil
 		}
 		db := w.BuildDB(nparts, gen)
-		w.Load(db)
+		if src == nil || slices.Contains(gen, true) {
+			w.Load(db)
+		} else {
+			db.FillFrom(-1, src)
+		}
 		for p, h := range mask {
 			if gen[p] {
 				first[p] = db
@@ -86,7 +94,7 @@ func BuildDBs(w Workload, nparts int, holds [][]bool) []*storage.DB {
 			}
 		})
 		db.CommitEpoch()
-		dbs[i] = db
+		dbs[i], src = db, cmp.Or(src, db)
 	}
 	return dbs
 }

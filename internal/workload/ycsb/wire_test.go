@@ -20,7 +20,8 @@ import (
 // halves and several varint widths, so both of its accesses take the
 // escape form. Their request encodings were captured into
 // testdata/golden_requests.txt when the procedure moved to id 9 and an
-// access became one uvarint head.
+// access became one uvarint head; the write's again when its op began to
+// carry the column's value (OpSetBytes), not its padded image.
 func goldenTxns(w *Workload) map[string]*txn.Request {
 	wide := &Txn{w: w, accs: []txn.Access{
 		{Table: TableID, Part: 3, Key: storage.Key{Hi: 1 << 20, Lo: 1 << 40}, Write: true},

@@ -154,7 +154,7 @@ func TestTxnRunProducesOneWrite(t *testing.T) {
 	if len(ex.set.Reads) != 10 || len(ex.set.Writes) != 1 {
 		t.Fatalf("reads=%d writes=%d", len(ex.set.Reads), len(ex.set.Writes))
 	}
-	if len(ex.set.Writes[0].Ops) != 1 || ex.set.Writes[0].Ops[0].Kind != storage.OpSetField {
+	if len(ex.set.Writes[0].Ops) != 1 || ex.set.Writes[0].Ops[0].Kind != storage.OpSetBytes {
 		t.Fatal("write must be a single-field op")
 	}
 }
