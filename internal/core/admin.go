@@ -49,7 +49,8 @@ const (
 )
 
 func (op AdminOp) String() string {
-	return nameOf(op, "", "freeze", "checksums", "fault-stats", "join", "drain", "", "topology-get", "stats")
+	return nameOf(op, []string{AdminFreeze: "freeze", AdminChecksums: "checksums", AdminFaultStats: "fault-stats",
+		AdminJoin: "join", AdminDrain: "drain", AdminTopologyGet: "topology-get", AdminStats: "stats"})
 }
 
 // AdminReq is the unified admin request envelope.

@@ -179,10 +179,13 @@ const (
 	StatusAborted
 )
 
-func (s ClientStatus) String() string { return nameOf(s, "", "ok", "busy", "aborted") }
+func (s ClientStatus) String() string {
+	return nameOf(s, []string{StatusOK: "ok", StatusBusy: "busy", StatusAborted: "aborted"})
+}
 
-// nameOf is names[v], or "unknown" where names has none.
-func nameOf[T ~uint8](v T, names ...string) string {
+// nameOf is names[v], or "unknown" where names has none. Callers key each
+// name by its constant, so a retired value is a gap, not a shift.
+func nameOf[T ~uint8](v T, names []string) string {
 	if int(v) < len(names) && names[v] != "" {
 		return names[v]
 	}

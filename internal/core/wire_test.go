@@ -477,3 +477,19 @@ func FuzzWireMessages(f *testing.F) {
 		}
 	})
 }
+
+// TestOpAndStatusNames: every admin op and client status prints its
+// name, and a value with none — zero, the retired AdminRebalance slot,
+// one past the last — prints "unknown".
+func TestOpAndStatusNames(t *testing.T) {
+	for v, want := range map[fmt.Stringer]string{
+		AdminFreeze: "freeze", AdminChecksums: "checksums", AdminFaultStats: "fault-stats", AdminJoin: "join",
+		AdminDrain: "drain", AdminTopologyGet: "topology-get", AdminStats: "stats",
+		AdminOp(0): "unknown", AdminDrain + 1: "unknown", AdminStats + 1: "unknown",
+		StatusOK: "ok", StatusBusy: "busy", StatusAborted: "aborted", ClientStatus(0): "unknown", StatusAborted + 1: "unknown",
+	} {
+		if got := v.String(); got != want {
+			t.Errorf("%#v prints %q, want %q", v, got, want)
+		}
+	}
+}

@@ -75,15 +75,18 @@ func (db *DB) AddTable(name string, schema *Schema, replicated bool) *Table {
 	return t
 }
 
-// FillFrom fills partition p of every partitioned table — or, for p < 0,
-// every replicated table's one partition — each never written, with the
-// present rows of src's copy of it (src is a database of the same
-// schema). The rows go in src's slot order into a key index of src's
-// size, so a copy of a partition nothing has deleted from lays its slots
-// out as src does and ranges in src's order.
+// Replicated is FillFrom's partition for every replicated table's one.
+const Replicated = -1
+
+// FillFrom fills partition p of every partitioned table — or, for p ==
+// Replicated, every replicated table's one partition — each never
+// written, with the present rows of src's copy of it (src is a database
+// of the same schema). The rows go in src's slot order into a key index
+// of src's size, so a copy of a partition nothing has deleted from lays
+// its slots out as src does and ranges in src's order.
 func (db *DB) FillFrom(p int, src *DB) {
 	for i, t := range db.tables {
-		if t.replicated != (p < 0) {
+		if t.replicated != (p == Replicated) {
 			continue
 		}
 		part := max(p, 0)

@@ -294,19 +294,25 @@ func (f *Fields) Strings(v *[]string, max int) {
 	}
 }
 
-// FieldOp walks one field operation; decoded, an argument not held in the
-// op aliases the input.
-func (f *Fields) FieldOp(op *storage.FieldOp) {
-	switch f.pass {
-	case encoding:
-		f.b = prim.AppendFieldOp(f.b, op)
-	case sizing:
-		f.n += prim.FieldOpLen(op)
-	default:
-		if f.err == nil {
-			*op, f.b, f.err = prim.DecodeFieldOp(f.b)
+// FieldOps walks a list of field operations on a row of schema s;
+// decoded, an argument not held in its op aliases the input. Decoding
+// refuses ops s does not fit (Schema.Fits), which the table would refuse
+// to land at commit.
+func (f *Fields) FieldOps(ops *[]storage.FieldOp, s *storage.Schema) {
+	Len(f, ops, 3)
+	for i := range *ops {
+		switch op := &(*ops)[i]; f.pass {
+		case encoding:
+			f.b = prim.AppendFieldOp(f.b, op)
+		case sizing:
+			f.n += prim.FieldOpLen(op)
+		default:
+			if f.err == nil {
+				*op, f.b, f.err = prim.DecodeFieldOp(f.b)
+			}
 		}
 	}
+	f.Check(!f.Decoding() || s.Fits(storage.Write{Kind: storage.WriteOps, Ops: *ops}))
 }
 
 // Tail walks *v as a message's last field in a form coded by hand against

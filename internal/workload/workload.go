@@ -79,7 +79,7 @@ func BuildDBs(w Workload, nparts int, holds [][]bool) []*storage.DB {
 		if src == nil || slices.Contains(gen, true) {
 			w.Load(db)
 		} else {
-			db.FillFrom(-1, src)
+			db.FillFrom(storage.Replicated, src)
 		}
 		for p, h := range mask {
 			if gen[p] {

@@ -16,13 +16,13 @@ func (w *Workload) RegisterWire(c *wire.Codec) {
 	wire.RegisterProc(c, wireTxn, func() *Txn { return &Txn{w: w} }, txnFields)
 }
 
-// txnFields walks the accesses, then the write op. An access is one
-// uvarint head. Every access Gen, ReadTxn and WriteTxn build (Hi zero, Lo
-// below 2^62, Part the partition whose rows hold Lo) sends only
-// Lo<<2 | write<<1, and the decoder derives Part: 3 B at the benchmark's
-// 400 000 rows, where four fields sent 6. Any other access escapes as
-// write<<1 | 1 followed by Part, Hi and Lo. The encoder writes the
-// shorter form; the decoder reads either.
+// txnFields walks the accesses, then the write op, which the usertable
+// must fit. An access is one uvarint head. Every access Gen, ReadTxn and
+// WriteTxn build (Hi zero, Lo below 2^62, Part the partition whose rows
+// hold Lo) sends only Lo<<2 | write<<1, and the decoder derives Part: 3 B
+// at the benchmark's 400 000 rows, where four fields sent 6. Any other
+// access escapes as write<<1 | 1 followed by Part, Hi and Lo. The encoder
+// writes the shorter form; the decoder reads either.
 func txnFields(f *wire.Fields, t *Txn) {
 	// Bound the count at the one byte of a canonical row-0 access: a
 	// larger bound refuses valid short requests as lying.
@@ -52,10 +52,7 @@ func txnFields(f *wire.Fields, t *Txn) {
 			a.Table, a.Write = TableID, head&2 != 0
 		}
 	}
-	wire.Len(f, &t.ops, 3)
-	for i := range t.ops {
-		f.FieldOp(&t.ops[i])
-	}
+	f.FieldOps(&t.ops, t.w.schema)
 }
 
 // WireSize returns the exact encoded parameter size: the size pass of

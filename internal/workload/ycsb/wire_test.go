@@ -21,12 +21,14 @@ import (
 // escape form. Their request encodings were captured into
 // testdata/golden_requests.txt when the procedure moved to id 9 and an
 // access became one uvarint head; the write's again when its op began to
-// carry the column's value (OpSetBytes), not its padded image.
+// carry the column's value (OpSetBytes), not its padded image; the wide
+// one's when decoding began to refuse ops the usertable cannot land, so
+// its integer delta on a bytes column became an OpSetBytes.
 func goldenTxns(w *Workload) map[string]*txn.Request {
 	wide := &Txn{w: w, accs: []txn.Access{
 		{Table: TableID, Part: 3, Key: storage.Key{Hi: 1 << 20, Lo: 1 << 40}, Write: true},
 		{Table: TableID, Part: 200, Key: storage.Key{Hi: 5, Lo: 127}},
-	}, ops: []storage.FieldOp{storage.AddInt64Op(2, -9), storage.PrependOp(1, []byte("pre"))}}
+	}, ops: []storage.FieldOp{storage.NewFieldOp(2, storage.OpSetBytes, []byte("-9")), storage.PrependOp(1, []byte("pre"))}}
 	return map[string]*txn.Request{
 		"write": txn.NewRequest(w.WriteTxn([]int{1, 2, 1}, []int{5, 63, 0}, []byte("value")), 777),
 		"read":  txn.NewRequest(w.ReadTxn([]int{0, 3}, []int{9, 10}), -1),
@@ -113,6 +115,44 @@ func TestAccessFormsRoundTrip(t *testing.T) {
 		if re, _ := c.AppendRequest(nil, dec); !bytes.Equal(re, enc) {
 			t.Fatalf("%s: re-encodes to %x, was %x", tc.name, re, enc)
 		}
+	}
+}
+
+// TestDecodeRefusesOpsTheTableCannotLand: a request whose ops the
+// usertable cannot land is refused as corrupt when it is decoded, before
+// a worker runs it: the write request as the image-form codec encoded it
+// (an OpSetField carrying column 1's 12-byte image, captured from that
+// codec), a value one byte over the column's capacity, and an op naming a
+// column the table lacks. Landed at commit, each would make Table.Land
+// refuse the write, which panics the node.
+func TestDecodeRefusesOpsTheTableCannotLand(t *testing.T) {
+	w := New(Config{Partitions: 201, RecordsPerPartition: 64})
+	c := wire.NewCodec()
+	w.RegisterWire(c)
+	image, err := hex.DecodeString("09920c000000000000000000039602fe0582020101000c0a0076616c75650000000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := map[string][]byte{"image-form write": image}
+	for name, op := range map[string]storage.FieldOp{
+		"value over Cap": storage.NewFieldOp(1, storage.OpSetBytes, make([]byte, 11)),
+		"no such column": storage.NewFieldOp(10, storage.OpSetBytes, []byte("v")),
+	} {
+		tx := w.WriteTxn([]int{1}, []int{5}, []byte("value"))
+		tx.ops = []storage.FieldOp{op}
+		if reqs[name], err = c.AppendRequest(nil, txn.NewRequest(tx, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, b := range reqs {
+		if _, _, err := c.DecodeRequest(b); !errors.Is(err, prim.ErrCorrupt) {
+			t.Errorf("%s: decode err = %v, want a corrupt-request refusal", name, err)
+		}
+	}
+	// The same request carrying the value alone decodes.
+	ok, _ := c.AppendRequest(nil, txn.NewRequest(w.WriteTxn([]int{1}, []int{5}, make([]byte, 10)), 0))
+	if _, _, err := c.DecodeRequest(ok); err != nil {
+		t.Fatalf("a value of exactly Cap: decode err = %v", err)
 	}
 }
 
