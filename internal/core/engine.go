@@ -190,7 +190,8 @@ func (e *Engine) buildRegistry() {
 // core importing the injector package.
 type faultInjector interface{ Injected() map[string]int64 }
 
-// linkCounter is implemented by transports that drop frames (tcpnet).
+// linkCounter is implemented by transports that drop frames (tcpnet);
+// the engine looks behind a decorator's Unwrap (faultnet) for one.
 type linkCounter interface {
 	DecodeErrors() int64
 	ShedFrames() int64
@@ -220,7 +221,11 @@ func (e *Engine) StatsSnapshot() metrics.Snapshot {
 	e.reg.Gauge("net_bytes").Set(e.net.TotalBytes())
 	e.reg.Gauge("repl_bytes").Set(e.net.Bytes(transport.Replication))
 	e.reg.Gauge("repl_msgs").Set(e.net.Messages(transport.Replication))
-	if lc, ok := e.net.(linkCounter); ok {
+	net := e.net
+	if d, ok := net.(interface{ Unwrap() transport.Transport }); ok {
+		net = d.Unwrap()
+	}
+	if lc, ok := net.(linkCounter); ok {
 		e.reg.Gauge("net_decode_errors").Set(lc.DecodeErrors())
 		e.reg.Gauge("net_shed_frames").Set(lc.ShedFrames())
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"star/internal/faultnet"
 	"star/internal/replication"
 	"star/internal/rt"
 	"star/internal/simnet"
@@ -216,4 +217,26 @@ func FuzzCoordinatorIntake(f *testing.F) {
 		})
 		refusedMovesNothing(t, c.e, m, seeds[string(frame)], refused, before, state(c))
 	})
+}
+
+// TestSimnetPublishesNoLinkCounters: the simulated network has no links
+// to close or shed, so an engine on it publishes neither net_decode_errors
+// nor net_shed_frames — bare, or behind a fault injector, which shows the
+// counters of a transport that keeps them (tcpnet's loopback tests).
+func TestSimnetPublishesNoLinkCounters(t *testing.T) {
+	for _, wrap := range []bool{false, true} {
+		s := rt.NewSim()
+		e := ycsbCluster(t, s, 2, 1, 10, func(cfg *Config) {
+			if wrap {
+				cfg.Transport = faultnet.Wrap(s, simnet.New(s, simnet.DefaultConfig(cfg.Nodes+1, cfg.Seed)), faultnet.Plan{})
+			}
+		})
+		s.Run(10 * time.Millisecond)
+		g := e.StatsSnapshot().Gauges
+		_, errs := g["net_decode_errors"]
+		if _, shed := g["net_shed_frames"]; errs || shed || e.Stats().Committed == 0 {
+			t.Errorf("faultnet %v: %d committed, gauges %v", wrap, e.Stats().Committed, g)
+		}
+		s.Stop()
+	}
 }

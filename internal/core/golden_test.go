@@ -27,7 +27,9 @@ import (
 // on a fresh id, when it stopped shipping the layout its member set
 // derives; the Size column was re-captured when Size() became the
 // frame's length. repl_batch_same_ops was captured when an op entry
-// began to send only its arguments behind one whose heads it repeats.
+// began to send only its arguments behind one whose heads it repeats, and
+// it and snapshot were re-captured when a key delta began to cross a
+// change of table and an entry with the TID before it began to send none.
 func goldenMessages(tw *tpcc.Workload) map[string]transport.Message {
 	ents := []replication.Entry{
 		{Table: 2, Part: 1, Key: storage.K2(3, 4), TID: storage.MakeTID(5, 6), Row: []byte("row")},

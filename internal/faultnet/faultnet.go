@@ -169,7 +169,8 @@ type linkState struct {
 // it writes Send and Dropped and inherits the rest (fail-stop control
 // stays the protocol's own; crash windows are the injected kind). The
 // inner transport is embedded as the interface, so optional interfaces
-// its concrete type implements stay hidden behind the decorator.
+// its concrete type implements stay hidden behind the decorator; Unwrap
+// hands it out to a caller that asks for one (the engine's link counters).
 type Network struct {
 	transport.Transport
 	r    rt.Runtime
@@ -446,6 +447,9 @@ func (n *Network) flushAll() {
 		}
 	}
 }
+
+// Unwrap returns the transport n decorates.
+func (n *Network) Unwrap() transport.Transport { return n.Transport }
 
 // Dropped implements transport.Transport: the inner transport's
 // fail-stop drops plus everything the plan made vanish.

@@ -25,7 +25,7 @@ import (
 //	        [key.Hi uvarint][key.Lo uvarint]
 //	                                    or, with flagRawKey, 16 raw bytes
 //	                                    or, with flagKeyDelta, [Lo − previous Lo zig-zag varint]
-//	        [tid delta zig-zag varint]  TID − previous TID, wrapping
+//	        [tid delta zig-zag varint]  TID − previous TID, wrapping; none with flagSameTID
 //	        value entry: [row len uvarint][row bytes]
 //	                                    or, with flagPacked, [row len uvarint]
 //	                                    then per 8-byte word of the row:
@@ -35,11 +35,12 @@ import (
 //
 // "Previous" for the first entry of a batch is table 0, partition 0, key
 // 0 and TID Epoch<<34 (the epoch's first possible TID; 0 for an ad-hoc
-// stream with Epoch 0). Entries of one transaction share a TID and pay 1
-// byte for it, the next transaction's pay 1–2; TIDs may step backwards
-// (several single-master workers interleave on one link), hence zig-zag.
+// stream with Epoch 0). A transaction's entries share its TID (Silo's one
+// per transaction), so only its first sends one, the next transaction's
+// in 1–2 bytes; TIDs may step backwards (several single-master workers
+// interleave on one link), hence zig-zag.
 //
-// Flag bits (the rest must be zero):
+// Flag bits (all eight are spent: a new form needs a layout change):
 //
 //	bit 0  flagOp        operation entry: field ops follow, not a row
 //	bit 1  flagAbsent    tombstone (a value entry whose row is empty)
@@ -52,15 +53,17 @@ import (
 //	                     the row's end), which follow it. Only a present
 //	                     value entry's, and only when strictly shorter
 //	bit 5  flagKeyDelta  key.Hi is the previous entry's, key.Lo a delta from
-//	                     its Lo (an order line behind its neighbour: 1 byte,
-//	                     not 10); only with flagSamePart, not flagRawKey
+//	                     its Lo, whatever the table and partition (an order
+//	                     line behind its neighbour, a new-order row behind
+//	                     its order: 1 byte, not 10); not with flagRawKey
 //	bit 6  flagSameOps   nops and each op's head (field, kind and argument
 //	                     form) are the envelope's previous op entry's, of 1
 //	                     to maxShapeOps ops: only the arguments follow
+//	bit 7  flagSameTID   the TID is the previous entry's: no delta follows
 //
-// A key or op argument goes in its shortest form (a key delta only when
-// strictly so) but decodes in any, so logs written before a form existed
-// still read; only a packed row is held to one encoding, packedLen's.
+// A key, TID or op argument goes in its shortest form (a key delta only
+// when strictly so) but decodes in any, so logs written before a form
+// existed still read; only a packed row has one encoding, packedLen's.
 //
 // Rows are fixed-width images — 8-byte integers holding small numbers,
 // byte columns padded to capacity — so most of a TPC-C row is 0x00 and
@@ -75,9 +78,10 @@ import (
 // Sizes: a YCSB op entry after the first is flags 1 + key delta 3 + TID 1
 // + argument 11 (the 10-byte value behind its length: storage.OpSetBytes)
 // = 16 bytes (43 with every field fixed-width and the column's padded
-// image), a TPC-C stock update ≈ 8; a header is MinEntryLen−1 to
-// MaxEntryHeaderLen bytes.
-// DecodeBatch allocates at most 4 ops per 7 frame bytes (a same-shape entry).
+// image), a TPC-C stock update ≈ 7; a header is MinEntryLen−1 to
+// MaxEntryHeaderLen bytes. DecodeBatch allocates at most 4 ops per 6 frame
+// bytes: a same-shape entry of maxShapeOps 1-byte arguments is
+// MinEntryLen−1+maxShapeOps.
 // Everything that prices an entry asks EntryCoder.Next — the Stream's byte
 // bound, Batch.Size, what a worker reports it replicated — so all of them
 // count these bytes.
@@ -89,14 +93,14 @@ const (
 	flagPacked   = 1 << 4
 	flagKeyDelta = 1 << 5
 	flagSameOps  = 1 << 6
-	flagsKnown   = flagOp | flagAbsent | flagSamePart | flagRawKey | flagPacked | flagKeyDelta | flagSameOps
+	flagSameTID  = 1 << 7
 	maxShapeOps  = 4 // TPC-C's widest op entries: a remote stock update, a bad-credit Payment
 
 	// MinEntryLen is the smallest encoded entry: flags, a 1-byte key
-	// delta, a 1-byte TID delta and a 1-byte empty payload (row length or
+	// delta, the TID before it and a 1-byte empty payload (row length or
 	// op count 0). Decoders bound entry counts by it before they allocate
 	// from an untrusted count.
-	MinEntryLen = 4
+	MinEntryLen = 3
 
 	// upfrontEntries is how many entries DecodeBatch allocates on the
 	// strength of the count alone: eight default flushes
@@ -221,10 +225,13 @@ func appendHeader(b []byte, prev *entryPrev, e *Entry) (_ []byte, flags byte, bo
 		flags |= flagSamePart
 	}
 	delta, keyLen := int64(e.Key.Lo-prev.key.Lo), prim.UvarintLen(e.Key.Hi)+prim.UvarintLen(e.Key.Lo)
-	if same && e.Key.Hi == prev.key.Hi && prim.VarintLen(delta) < min(keyLen, prim.KeyLen) {
+	if e.Key.Hi == prev.key.Hi && prim.VarintLen(delta) < min(keyLen, prim.KeyLen) {
 		flags |= flagKeyDelta
 	} else if keyLen > prim.KeyLen {
 		flags |= flagRawKey
+	}
+	if e.TID == prev.tid {
+		flags |= flagSameTID
 	}
 	b = append(b, flags)
 	if !same {
@@ -240,7 +247,9 @@ func appendHeader(b []byte, prev *entryPrev, e *Entry) (_ []byte, flags byte, bo
 	default:
 		b = prim.AppendUvarint(prim.AppendUvarint(b, e.Key.Hi), e.Key.Lo)
 	}
-	b = prim.AppendVarint(b, int64(e.TID-prev.tid))
+	if flags&flagSameTID == 0 {
+		b = prim.AppendVarint(b, int64(e.TID-prev.tid))
+	}
 	prev.key, prev.tid = e.Key, e.TID
 	return b, flags, body
 }
@@ -322,8 +331,7 @@ func scanEntry(b []byte, s *batchScan, e *Entry) (rest []byte, err error) {
 		return nil, prim.ErrTruncated
 	}
 	flags := b[0]
-	if flags&^flagsKnown != 0 || flags&flagPacked != 0 && flags&(flagOp|flagAbsent) != 0 ||
-		flags&flagKeyDelta != 0 && flags&(flagSamePart|flagRawKey) != flagSamePart ||
+	if flags&flagPacked != 0 && flags&(flagOp|flagAbsent) != 0 || flags&(flagKeyDelta|flagRawKey) == flagKeyDelta|flagRawKey ||
 		flags&flagSameOps != 0 && (flags&flagOp == 0 || s.prev.nops == 0 || s.prev.nops > maxShapeOps) {
 		return nil, fmt.Errorf("%w: entry flags %#x", prim.ErrCorrupt, flags)
 	}
@@ -351,15 +359,14 @@ func scanEntry(b []byte, s *batchScan, e *Entry) (rest []byte, err error) {
 			e.Key.Lo, b, err = prim.Uvarint(b)
 		}
 	}
+	var tidDelta int64
+	if err == nil && flags&flagSameTID == 0 {
+		tidDelta, b, err = prim.Varint(b)
+	}
 	if err != nil {
 		return nil, err
 	}
-	prev.key = e.Key
-	delta, b, err := prim.Varint(b)
-	if err != nil {
-		return nil, err
-	}
-	prev.tid += uint64(delta)
+	prev.key, prev.tid = e.Key, prev.tid+uint64(tidDelta)
 	e.TID = prev.tid
 	if flags&(flagOp|flagPacked) == 0 {
 		e.Row, b, err = prim.Bytes(b)
@@ -469,7 +476,7 @@ func DecodeBatch(b []byte) (*Batch, error) {
 		return nil, fmt.Errorf("%w: %d entries in %d-byte buffer", prim.ErrCorrupt, n, len(b))
 	}
 	// A count the buffer could hold is still only a claim, and an Entry
-	// in memory is 88 bytes to the 4 of the smallest encoding: allocate
+	// in memory is 88 bytes to the 3 of the smallest encoding: allocate
 	// a few flushes' worth up front — an envelope as the engine sends
 	// them costs one allocation — and past that only as entries scan,
 	// doubling, so the memory stays in proportion to bytes that decoded.

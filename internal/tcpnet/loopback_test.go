@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"star/internal/core"
+	"star/internal/faultnet"
 	"star/internal/replication"
 	"star/internal/rt"
 	"star/internal/storage"
@@ -175,12 +176,26 @@ func loopbackMatchesSimnet(t *testing.T, wcfg func(nodes, workers int) tpcc.Conf
 // build from before OpSetBytes meets a YCSB write — has the link it sent
 // on closed, which the cluster sees only as a silent peer. The engine
 // publishes the transport's count as the net_decode_errors gauge (beside
-// net_shed_frames), where /metrics and star-admin read it.
+// net_shed_frames), where /metrics and star-admin read it — also through
+// a fault injector wrapped around the transport (star-node -faults).
 func TestLoopbackDecodeErrorsPublished(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback TCP integration test skipped in -short")
 	}
-	p := newLoopbackPair(t, 0, nil)
+	for _, c := range []struct {
+		name string
+		mod  func(*core.Config)
+	}{
+		{"tcpnet", nil},
+		{"faultnet over tcpnet", func(cfg *core.Config) { cfg.Transport = faultnet.Wrap(cfg.RT, cfg.Transport, faultnet.Plan{}) }},
+	} {
+		t.Run(c.name, func(t *testing.T) { decodeErrorsPublished(t, newLoopbackPair(t, 0, c.mod)) })
+	}
+}
+
+// decodeErrorsPublished sends node 0 of p an envelope it cannot decode
+// and waits for its engine's net_decode_errors gauge to count it.
+func decodeErrorsPublished(t *testing.T, p *loopbackPair) {
 	if g := p.stats().Gauges; g["net_decode_errors"] != 0 {
 		t.Fatalf("net_decode_errors reads %d before any bad frame", g["net_decode_errors"])
 	} else if _, ok := g["net_shed_frames"]; !ok {

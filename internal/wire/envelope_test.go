@@ -26,6 +26,7 @@ const (
 	flagPacked   = 1 << 4
 	flagKeyDelta = 1 << 5
 	flagSameOps  = 1 << 6
+	flagSameTID  = 1 << 7
 )
 
 // historyKey is a key shaped like TPC-C's history keys: bit 62 set in one
@@ -234,9 +235,10 @@ func TestEnvelopePropertyRoundTrip(t *testing.T) {
 }
 
 // packedEntry is one value entry whose payload is written by hand: an
-// Epoch-0 envelope of one entry for table 0, partition 0, key (1,1), TID 0.
+// Epoch-0 envelope of one entry for table 0, partition 0, key (1,1) and
+// TID 0, the envelope's own (flagSameTID: no delta).
 func packedEntry(flags byte, payload ...byte) []byte {
-	return append([]byte{0, 0, 1, flags | flagSamePart, 1, 1, 0}, payload...)
+	return append([]byte{0, 0, 1, flags | flagSamePart | flagSameTID, 1, 1}, payload...)
 }
 
 // TestRowPackPropertyRoundTrip: over every length class (multiples of 8
@@ -297,7 +299,6 @@ func TestDecodeBatchRejectsIllFormedPackedRows(t *testing.T) {
 		{"empty packed row", packedEntry(flagPacked, 0), prim.ErrCorrupt},
 		{"named byte that is zero", packedEntry(flagPacked, 16, 0b1, 0, 0), prim.ErrCorrupt},
 		{"flag bit 6", packedEntry(1<<6, 1, 'r'), prim.ErrCorrupt},
-		{"flag bit 7", packedEntry(1<<7, 1, 'r'), prim.ErrCorrupt},
 	} {
 		if _, err := replication.DecodeBatch(c.enc); !errors.Is(err, c.want) {
 			t.Errorf("%s: %v, want %v", c.name, err, c.want)
@@ -312,23 +313,54 @@ func TestDecodeBatchRejectsIllFormedPackedRows(t *testing.T) {
 // uvarints.
 const parentFrame = "0107050103010111280402000829000000000000000301080500000000000000040108010000000000000005020800000000000004c00501170001030108ffffffffffffffff1007010181928080808080800200420103010900000001050000001401829280808080808002004201040101000000010500000006018186808080808080020800"
 
+// parentTPCCFrame is an envelope as the encoder before one TID per
+// transaction wrote it, from 1 in epoch 7 (parentTPCCBatch): every entry
+// after the first sends a TID delta, 0 within a transaction, and a key
+// delta only within a table, so the new-order row and the tombstone behind
+// their order send their keys whole.
+const parentTPCCFrame = "010708010301011128040240520d410a0e41020f4102650c0018060202100501018980808080400028012500010701010010060101898080808040000801091007010181928080808080800200420103010900000001050000003402004201040101000000010500000001050101848080808060080102400e020601018480808080600000"
+
+// orderLineRow is a 66-byte order-line row, mostly zeros: a, b and 5 in
+// its first, second and sixth words.
+func orderLineRow(a, b byte) []byte {
+	r := make([]byte, 66)
+	r[0], r[8], r[40] = a, b, 5
+	return r
+}
+
+// parentTPCCBatch is what parentTPCCFrame holds: a New-Order's two stock
+// updates (the second repeating the first's op heads), its order and
+// new-order rows (one key), two order lines (packed, the second a key
+// delta) — then a Delivery's order update and new-order tombstone.
+func parentTPCCBatch() *replication.Batch {
+	orderRow, newOrderRow := make([]byte, 40), make([]byte, 8)
+	orderRow[0], orderRow[16], orderRow[24], newOrderRow[0] = 37, 7, 1, 9
+	newOrder, delivery := storage.MakeTID(7, 5), storage.MakeTID(7, 6)
+	return &replication.Batch{From: 1, Epoch: 7, Entries: []replication.Entry{
+		{Table: 3, Part: 1, Key: storage.K2(1, 17), TID: newOrder, Ops: stockOps(41, 5)},
+		{Table: 3, Part: 1, Key: storage.K2(1, 23), TID: newOrder, Ops: stockOps(12, 3)},
+		{Table: 5, Part: 1, Key: storage.K2(1, 2<<40|9), TID: newOrder, Row: orderRow},
+		{Table: 6, Part: 1, Key: storage.K2(1, 2<<40|9), TID: newOrder, Row: newOrderRow},
+		{Table: 7, Part: 1, Key: storage.K2(1, 2<<56|9<<8|1), TID: newOrder, Row: orderLineRow(3, 9)},
+		{Table: 7, Part: 1, Key: storage.K2(1, 2<<56|9<<8|2), TID: newOrder, Row: orderLineRow(4, 1)},
+		{Table: 5, Part: 1, Key: storage.K2(1, 3<<40|4), TID: delivery, Ops: []storage.FieldOp{storage.SetInt64Op(2, 7)}},
+		{Table: 6, Part: 1, Key: storage.K2(1, 3<<40|4), TID: delivery, Absent: true},
+	}}
+}
+
 // TestDecodeBatchReadsParentFrames: a log, checkpoint or envelope written
-// before key deltas and short arguments still decodes — to the batch it
-// was, which now encodes shorter — and so does a key the old encoder sent
-// raw where uvarints were shorter (the decoder accepts every key and
-// argument form, shortest or not).
+// before key deltas and short arguments, or before one TID per
+// transaction, still decodes — to the batch it was, which now encodes
+// shorter — and so does a key the old encoder sent raw where uvarints were
+// shorter (the decoder accepts every key, TID and argument form, shortest
+// or not).
 func TestDecodeBatchReadsParentFrames(t *testing.T) {
-	olRow := func(a, b byte) []byte {
-		r := make([]byte, 66)
-		r[0], r[8], r[40] = a, b, 5
-		return r
-	}
 	want := &replication.Batch{From: 1, Epoch: 7, Entries: []replication.Entry{
 		{Table: 3, Part: 1, Key: storage.K2(1, 17), TID: storage.MakeTID(7, 5), Ops: []storage.FieldOp{
 			storage.SetInt64Op(2, 41), storage.AddInt64Op(3, 5), storage.AddInt64Op(4, 1), storage.AddFloat64Op(5, -2.5)}},
 		{Table: 3, Part: 1, Key: storage.K2(1, 23), TID: storage.MakeTID(7, 5), Ops: []storage.FieldOp{storage.AddInt64Op(3, -1)}},
-		{Table: 7, Part: 1, Key: storage.K2(1, 2<<56|9<<8|1), TID: storage.MakeTID(7, 5), Row: olRow(3, 9)},
-		{Table: 7, Part: 1, Key: storage.K2(1, 2<<56|9<<8|2), TID: storage.MakeTID(7, 5), Row: olRow(4, 1)},
+		{Table: 7, Part: 1, Key: storage.K2(1, 2<<56|9<<8|1), TID: storage.MakeTID(7, 5), Row: orderLineRow(3, 9)},
+		{Table: 7, Part: 1, Key: storage.K2(1, 2<<56|9<<8|2), TID: storage.MakeTID(7, 5), Row: orderLineRow(4, 1)},
 		{Table: 7, Part: 1, Key: storage.K2(1, 2<<56|3<<8|1), TID: storage.MakeTID(7, 6), Absent: true},
 	}}
 	for _, c := range []struct {
@@ -337,8 +369,9 @@ func TestDecodeBatchReadsParentFrames(t *testing.T) {
 		want        *replication.Batch
 		reencodedTo int
 	}{
-		{"TPC-C entries", mustHex(t, parentFrame), want, 78},
-		{"a raw key uvarints would beat", rawKeyFrame(), &replication.Batch{Entries: []replication.Entry{{Key: storage.K1(1), Row: []byte("r")}}}, 8},
+		{"TPC-C entries", mustHex(t, parentFrame), want, 74},
+		{"a New-Order and a Delivery", mustHex(t, parentTPCCFrame), parentTPCCBatch(), 113},
+		{"a raw key uvarints would beat", rawKeyFrame(), &replication.Batch{Entries: []replication.Entry{{Key: storage.K1(1), Row: []byte("r")}}}, 7},
 	} {
 		got, err := replication.DecodeBatch(c.enc)
 		if err != nil || !reflect.DeepEqual(got, c.want) {
@@ -351,24 +384,38 @@ func TestDecodeBatchReadsParentFrames(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchRejectsIllFormedKeysAndArguments: a key delta needs the
-// previous entry's table and partition and is the key's only form; an op
-// argument has one form; an op's kind is one storage knows, OpSetBytes
-// the last.
+// TestDecodeBatchRejectsIllFormedKeysAndArguments: a key delta may follow
+// a change of table and partition but is the key's only form; a TID is
+// the previous entry's under flagSameTID, or a delta from it (0 too, as
+// frames from before flagSameTID send it); an op argument has one form;
+// an op's kind is one storage knows, OpSetBytes the last.
 func TestDecodeBatchRejectsIllFormedKeysAndArguments(t *testing.T) {
-	delta := []byte{0, 0, 1, flagKeyDelta | flagSamePart, 2, 0, 1, 'r'} // K1(1) behind key 0
-	if b, err := replication.DecodeBatch(delta); err != nil || b.Entries[0].Key != storage.K1(1) {
-		t.Fatalf("hand-written key delta: %v", err)
+	for _, c := range []struct {
+		name string
+		enc  []byte
+		key  storage.Key
+		tid  uint64
+	}{ // behind key 0 and TID 4<<34, the first possible of epoch 4
+		{"key delta", []byte{0, 4, 1, flagKeyDelta | flagSamePart, 2, 0, 1, 'r'}, storage.K1(1), 4 << 34},
+		{"key delta with a table and partition", []byte{0, 4, 1, flagKeyDelta, 5, 0, 2, 0, 1, 'r'}, storage.K1(1), 4 << 34},
+		{"key delta and the previous TID", []byte{0, 4, 1, flagKeyDelta | flagSameTID, 5, 0, 2, 1, 'r'}, storage.K1(1), 4 << 34},
+		{"the previous TID and a raw key", append(append([]byte{0, 4, 1, flagSameTID | flagRawKey | flagSamePart},
+			prim.AppendKey(nil, storage.K1(1<<63))...), 1, 'r'), storage.K1(1 << 63), 4 << 34},
+		{"a TID delta", []byte{0, 4, 1, flagSamePart, 0, 3, 6, 1, 'r'}, storage.K1(3), 4<<34 + 3},
+	} {
+		b, err := replication.DecodeBatch(c.enc)
+		if err != nil || b.Entries[0].Key != c.key || b.Entries[0].TID != c.tid {
+			t.Fatalf("hand-written %s: %v, %+v", c.name, err, b)
+		}
 	}
 	op := func(kind byte, arg ...byte) []byte {
-		return append([]byte{0, 0, 1, flagOp | flagSamePart, 1, 1, 0, 1, 0, kind}, arg...)
+		return append([]byte{0, 0, 1, flagOp | flagSamePart | flagSameTID, 1, 1, 1, 0, kind}, arg...)
 	}
 	for _, c := range []struct {
 		name string
 		enc  []byte
 		want error
 	}{
-		{"key delta with a table and partition", []byte{0, 0, 1, flagKeyDelta, 0, 0, 2, 0, 1, 'r'}, prim.ErrCorrupt},
 		{"key delta and raw key", []byte{0, 0, 1, flagKeyDelta | flagRawKey | flagSamePart, 2, 0, 1, 'r'}, prim.ErrCorrupt},
 		{"both argument forms", op(byte(storage.OpAddInt64)|0xc0, 2), prim.ErrCorrupt},
 		{"short argument cut off", op(byte(storage.OpAddInt64)|0x40, 0x80), prim.ErrTruncated},
@@ -392,11 +439,11 @@ func TestDecodeBatchRejectsIllFormedKeysAndArguments(t *testing.T) {
 
 // twoEntries is an Epoch-0 envelope of two entries for table 0,
 // partition 0 and TID 0 written by hand, each key a delta from the one
-// before: key (0,1) with flags1 and payload1, then key (0,2) with flags2
-// and payload2.
+// before and each TID the one before: key (0,1) with flags1 and payload1,
+// then key (0,2) with flags2 and payload2.
 func twoEntries(flags1 byte, payload1 []byte, flags2 byte, payload2 ...byte) []byte {
-	b := append([]byte{0, 0, 2, flags1 | flagSamePart | flagKeyDelta, 2, 0}, payload1...)
-	return append(append(b, flags2|flagSamePart|flagKeyDelta, 2, 0), payload2...)
+	b := append([]byte{0, 0, 2, flags1 | flagSamePart | flagKeyDelta | flagSameTID, 2}, payload1...)
+	return append(append(b, flags2|flagSamePart|flagKeyDelta|flagSameTID, 2), payload2...)
 }
 
 // twoOps is an op entry's payload of two ops: an integer add of 1 to
@@ -581,11 +628,12 @@ func TestDecodeBatchBoundsRowExpansion(t *testing.T) {
 }
 
 // TestDecodeBatchBoundsOpExpansion: the most FieldOps a frame can make
-// the decoder allocate is 4 per 7 bytes (it was 1 per 3 while every op
-// sent its head) — here the worst case itself, a run of entries of four
-// ops that each repeat the heads before them, behind a 1-byte key and TID
-// delta, their arguments a byte each — and the decoder allocates little
-// more than those ops and its entries.
+// the decoder allocate is 4 per 6 bytes (it was 1 per 3 while every op
+// sent its head, 4 per 7 while every entry sent a TID) — here the worst
+// case itself, a run of entries of four ops that each repeat the heads
+// before them, behind a 1-byte key delta and the TID before them, their
+// arguments a byte each — and the decoder allocates little more than those
+// ops and its entries.
 func TestDecodeBatchBoundsOpExpansion(t *testing.T) {
 	b := &replication.Batch{Entries: make([]replication.Entry, 8192)}
 	for i := range b.Entries {
@@ -597,8 +645,8 @@ func TestDecodeBatchBoundsOpExpansion(t *testing.T) {
 	}
 	enc := replication.AppendBatch(nil, b)
 	ops := 4 * len(b.Entries)
-	if 7*ops > 4*len(enc) || 7*ops < 4*(len(enc)-16) {
-		t.Fatalf("%d ops in a %d-byte frame, want 4 per 7 bytes", ops, len(enc))
+	if 6*ops > 4*len(enc) || 6*ops < 4*(len(enc)-16) {
+		t.Fatalf("%d ops in a %d-byte frame, want 4 per 6 bytes", ops, len(enc))
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -627,7 +675,7 @@ func TestDecodeBatchBoundsEntryCount(t *testing.T) {
 	if _, err := replication.DecodeBatch(enc); err != nil || len(enc) != 3+3*replication.MinEntryLen {
 		t.Fatalf("densest legal batch: %d bytes, err %v", len(enc), err)
 	}
-	enc[2] = 4 // claim one more entry than 12 bytes can hold
+	enc[2] = 4 // claim one more entry than 9 bytes can hold
 	if _, err := replication.DecodeBatch(enc); !errors.Is(err, prim.ErrCorrupt) {
 		t.Fatalf("entry count past the buffer: %v, want ErrCorrupt from the count guard", err)
 	}

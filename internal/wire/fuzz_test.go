@@ -240,8 +240,9 @@ func FuzzBatchDecode(f *testing.F) {
 		// wrote it, and a raw key two uvarints would beat.
 		mustHex(f, parentFrame),
 		rawKeyFrame(),
-		// What must not decode: a key delta with a table and partition, a
-		// key delta and a raw key, an argument in both short forms.
+		// A key delta with a table and partition (refused until a key delta
+		// could cross a table); what must not decode: a key delta and a raw
+		// key, an argument in both short forms.
 		{0, 0, 1, flagKeyDelta, 0, 0, 2, 0, 1, 'r'},
 		{0, 0, 1, flagKeyDelta | flagRawKey | flagSamePart, 2, 0, 1, 'r'},
 		{0, 0, 1, flagOp | flagSamePart, 1, 1, 0, 1, 0, 0xc1, 2},
@@ -269,6 +270,25 @@ func FuzzBatchDecode(f *testing.F) {
 		// second entry's heads the first's; then a kind past OpSetBytes.
 		replication.AppendBatch(nil, ycsbOpEnvelope(3)),
 		twoEntries(flagOp, []byte{1, 1, byte(storage.OpSetBytes + 1), 1, 'v'}, flagOp|flagSameOps, 1, 'w'),
+		// One transaction's entries under flagSameTID — across a switch
+		// of table, past a value entry, back to ops — then the next one's.
+		one(7, replication.Entry{Table: 3, Part: 1, Key: storage.K2(1, 9), TID: storage.MakeTID(7, 4), Ops: stockOps(3, 1)},
+			replication.Entry{Table: 5, Part: 1, Key: storage.K2(1, 2<<40|9), TID: storage.MakeTID(7, 4), Row: row},
+			replication.Entry{Table: 7, Part: 1, Key: storage.K2(1, 2<<56|9<<8|1), TID: storage.MakeTID(7, 4), Ops: stockOps(4, 2)},
+			replication.Entry{Table: 3, Part: 1, Key: storage.K2(1, 10), TID: storage.MakeTID(7, 5), Ops: stockOps(5, 1)}),
+		// flagSameTID on an Epoch-0 envelope's first entry: TID 0, the
+		// envelope's own.
+		one(0, replication.Entry{Table: 2, Part: 4, Key: storage.K1(8), Row: row}),
+		// Cross-table key deltas: an order and its new-order row (delta 0),
+		// a Delivery's order update and its tombstone in another partition.
+		one(7, replication.Entry{Table: 5, Part: 1, Key: storage.K2(1, 2<<40|9), TID: storage.MakeTID(7, 4), Row: row},
+			replication.Entry{Table: 6, Part: 1, Key: storage.K2(1, 2<<40|9), TID: storage.MakeTID(7, 4), Row: row[:1]},
+			replication.Entry{Table: 5, Part: 2, Key: storage.K2(1, 3<<40|4), TID: storage.MakeTID(7, 5), Ops: ops},
+			replication.Entry{Table: 6, Part: 2, Key: storage.K2(1, 3<<40|5), TID: storage.MakeTID(7, 5), Absent: true}),
+		// flagSameTID beside a raw key, encoded and by hand.
+		one(7, replication.Entry{Key: storage.K1(1), TID: storage.MakeTID(7, 2), Row: row},
+			replication.Entry{Key: storage.Key{Hi: ^uint64(0), Lo: 1 << 63}, TID: storage.MakeTID(7, 2), Row: row}),
+		append(append([]byte{0, 0, 1, flagSameTID | flagRawKey}, 3, 1), append(prim.AppendKey(nil, storage.K1(1<<63)), 1, 'r')...),
 	}
 	for i, s := range seeds {
 		corpusSeed(f, "FuzzBatchDecode", i, s)
